@@ -156,7 +156,7 @@ fn measure_roster(
     trace: &PacketTrace,
     batch_size: usize,
     build_switch: impl Fn() -> TaurusSwitch,
-    build_runtime: impl Fn(usize, usize) -> taurus_runtime::ShardedRuntime,
+    build_runtime: impl Fn(usize, usize) -> taurus_runtime::StreamingRuntime,
 ) -> RosterResult {
     // Sequential reference: one warm-up pass (fills flow registers,
     // grows every reusable buffer to steady state), then a timed pass
@@ -364,7 +364,7 @@ fn measure_update_interference(
             .shards(2)
             .batch_size(1024)
             .register_on(syn, EngineBackend::Threshold)
-            .build_streaming()
+            .build()
     };
     let chunk = trace.packets.len().div_ceil(installs + 1).max(1);
 
@@ -456,7 +456,7 @@ fn measure_overload(
             .overload_policy(policy)
             .fault_plan(plan)
             .register_on(syn, EngineBackend::Threshold)
-            .build_streaming();
+            .build();
         let t0 = Instant::now();
         rt.feed(&trace.packets);
         let feed_secs = t0.elapsed().as_secs_f64();

@@ -118,8 +118,7 @@ fn main() {
     // engine workers are spawned once and the trace arrives as eight
     // push-style feeds. No per-run thread spawns, batch arenas recycled
     // across feeds — and still bit-identical to the sequential switch.
-    let mut service =
-        RuntimeBuilder::new().shards(4).batch_size(256).register(&detector).build_streaming();
+    let mut service = RuntimeBuilder::new().shards(4).batch_size(256).register(&detector).build();
     service.feed(&trace.packets); // warm: provisions arenas + flow state
     service.drain();
     service.reset();

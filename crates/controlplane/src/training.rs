@@ -90,6 +90,35 @@ impl Default for TrainingRunConfig {
     }
 }
 
+impl TrainingRunConfig {
+    /// SGD hyper-parameters for update round `round`: the configured
+    /// rate/batch/epochs with a per-round seed ([`derive_round_seed`]).
+    pub fn train_params(&self, round: usize) -> taurus_ml::TrainParams {
+        taurus_ml::TrainParams {
+            lr: self.lr,
+            momentum: 0.9,
+            batch_size: self.batch_size,
+            epochs: self.epochs,
+            lr_decay: 1.0,
+            seed: derive_round_seed(self.seed, round as u64),
+        }
+    }
+
+    /// Modeled cost, in ms, of training one round over `samples` rows:
+    /// `epochs × ⌈samples/batch⌉ × train_ms_per_batch`.
+    pub fn train_cost_ms(&self, samples: usize) -> f64 {
+        let n_batches = samples.div_ceil(self.batch_size);
+        self.epochs as f64 * n_batches as f64 * self.train_ms_per_batch
+    }
+
+    /// Modeled control-plane cost, in ms, of one whole round — training
+    /// over `samples` rows, then installing the result:
+    /// [`TrainingRunConfig::train_cost_ms`]` + install_ms`.
+    pub fn round_cost_ms(&self, samples: usize) -> f64 {
+        self.train_cost_ms(samples) + self.install_ms
+    }
+}
+
 /// Runs online training: draws sample buffers from the labelled pool,
 /// trains the model in place, and records the deployed F1 after each
 /// weight installation.
@@ -131,17 +160,10 @@ pub fn run_online_training(
             (0..config.buffer_size).map(|_| rng.gen_range(0..pool_x.len())).collect();
         let bx: Vec<Vec<f32>> = idx.iter().map(|&i| pool_x[i].clone()).collect();
         let by: Vec<usize> = idx.iter().map(|&i| pool_y[i]).collect();
-        let params = taurus_ml::TrainParams {
-            lr: config.lr,
-            momentum: 0.9,
-            batch_size: config.batch_size,
-            epochs: config.epochs,
-            lr_decay: 1.0,
-            seed: derive_round_seed(config.seed, round as u64),
-        };
-        model.train(&bx, &by, &params);
-        let n_batches = config.buffer_size.div_ceil(config.batch_size);
-        now_s += config.epochs as f64 * n_batches as f64 * config.train_ms_per_batch / 1e3;
+        model.train(&bx, &by, &config.train_params(round));
+        // (Two additions, not one of `round_cost_ms`: the curve's time
+        // axis stays bit-identical to every recorded run.)
+        now_s += config.train_cost_ms(config.buffer_size) / 1e3;
 
         // 3. Install the new weights on the switch.
         now_s += config.install_ms / 1e3;
@@ -295,6 +317,18 @@ mod tests {
                 assert!(seen.insert(derive_round_seed(seed, round)), "collision at {seed}/{round}");
             }
         }
+    }
+
+    #[test]
+    fn round_arithmetic_is_shared_by_both_online_loops() {
+        let config = TrainingRunConfig { epochs: 10, batch_size: 64, ..Default::default() };
+        // ⌈200/64⌉ = 4 batches × 10 epochs × 0.8 ms, + 3 ms install.
+        assert_eq!(config.train_cost_ms(200), 32.0);
+        assert_eq!(config.round_cost_ms(200), 35.0);
+        let params = config.train_params(4);
+        assert_eq!(params.seed, derive_round_seed(config.seed, 4));
+        assert_eq!((params.epochs, params.batch_size), (10, 64));
+        assert_eq!((params.momentum, params.lr_decay), (0.9, 1.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Online training against a **live** deployment (§5.2.3, Figs. 13–14):
 //! the control-plane loop that samples telemetry from the actual trace
 //! stream, retrains with real SGD, and installs each round's weights
-//! onto a running [`ShardedRuntime`] — then reports the *deployed*
+//! onto a running [`StreamingRuntime`] — then reports the *deployed*
 //! model's F1/detection over virtual time, measured from the verdicts
 //! the data plane actually issued.
 //!
@@ -25,20 +25,22 @@
 //!    thrashes the model with catastrophic forgetting).
 //! 2. **Train.** Every time `buffer_size` *new* samples have arrived
 //!    (and no install is in flight), the float model takes `epochs` of
-//!    real SGD over the retained pool, with per-round seeds derived by
-//!    [`derive_round_seed`].
+//!    real SGD over the retained pool, with per-round parameters from
+//!    [`TrainingRunConfig::train_params`].
 //! 3. **Install.** The new weights are prepared once
 //!    ([`AnomalyDetector::prepare_update`]: quantize → compile →
 //!    `Arc`-shared program) and scheduled on the runtime at the packet
-//!    index where virtual time reaches `trigger + training cost +
-//!    install latency` — the old model keeps deciding every packet in
-//!    that window, the paper's no-loss property.
+//!    index where virtual time reaches `trigger +`
+//!    [`TrainingRunConfig::round_cost_ms`] — the old model keeps
+//!    deciding every packet in that window, the paper's no-loss
+//!    property.
 //!
 //! The runtime applies each update on **all shards at the same global
 //! packet index**, so the deployed-F1 curve is bit-identical for any
 //! shard count (the `online` bench binary cross-checks {1, 2, 4}).
 //!
 //! [`FlowTracker`]: taurus_pisa::FlowTracker
+//! [`StreamingRuntime`]: crate::StreamingRuntime
 //! [`AnomalyDetector::prepare_update`]: taurus_core::apps::AnomalyDetector::prepare_update
 
 use std::collections::VecDeque;
@@ -46,13 +48,13 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use taurus_controlplane::training::{derive_round_seed, ConvergencePoint, TrainingRunConfig};
+use taurus_controlplane::training::{ConvergencePoint, TrainingRunConfig};
 use taurus_core::apps::AnomalyDetector;
 use taurus_core::e2e::extract_stream_features;
 use taurus_dataset::trace::PacketTrace;
-use taurus_ml::{Mlp, TrainParams};
+use taurus_ml::Mlp;
 
-use crate::runtime::{RuntimeBuilder, RuntimeReport, ShardedRuntime};
+use crate::runtime::{RuntimeBuilder, RuntimeReport};
 
 /// Configuration of one online-deployment run: the control-plane
 /// training knobs plus the data-plane geometry.
@@ -68,8 +70,8 @@ pub struct DeploymentConfig {
     /// Packets per ingest batch.
     pub batch_size: usize,
     /// Parse workers for the ingest pipeline: `None` lets the builder
-    /// auto-resolve from the host's spare cores (0 on small hosts —
-    /// the classic inline path), `Some(n)` pins it. Either way the
+    /// auto-resolve from the host's spare cores (0 on small hosts:
+    /// the feeding thread parses), `Some(n)` pins it. Either way the
     /// report is bit-identical: ingest mode changes wall clock only.
     pub parse_workers: Option<usize>,
     /// Epoch length for pipelined ingest (`None` = builder default).
@@ -171,7 +173,7 @@ pub fn run_online_deployment(
     if let Some(epoch_len) = config.epoch_len {
         builder = builder.epoch_len(epoch_len);
     }
-    let mut runtime: ShardedRuntime = builder.register(app).build();
+    let mut runtime = builder.register(app).build();
 
     // Deploy the starting model as version 1 before any packet flows —
     // quantization needs calibration inputs, for which the control
@@ -218,9 +220,7 @@ pub fn run_online_deployment(
         // could never decide a packet — stop the loop instead of
         // appending an empty segment.
         let round = rounds.len();
-        let n_batches = pool_x.len().div_ceil(tcfg.batch_size);
-        let delay_ms =
-            tcfg.epochs as f64 * n_batches as f64 * tcfg.train_ms_per_batch + tcfg.install_ms;
+        let delay_ms = tcfg.round_cost_ms(pool_x.len());
         let install_ts_ns = sample.ts_ns + (delay_ms * 1e6) as u64;
         let install_idx = trace.packets.partition_point(|p| p.ts_ns < install_ts_ns) as u64;
         if install_idx >= trace.packets.len() as u64 {
@@ -228,18 +228,11 @@ pub fn run_online_deployment(
         }
 
         // Train: real SGD over the retained pool.
-        let params = TrainParams {
-            lr: tcfg.lr,
-            momentum: 0.9,
-            batch_size: tcfg.batch_size,
-            epochs: tcfg.epochs,
-            lr_decay: 1.0,
-            seed: derive_round_seed(tcfg.seed, round as u64),
-        };
         let (px, py) = (pool_x.make_contiguous(), pool_y.make_contiguous());
-        let train_loss = model.train(px, py, &params);
+        let train_loss = model.train(px, py, &tcfg.train_params(round));
 
         version += 1;
+        // The runtime is fresh, so trace index == global stream index.
         runtime.schedule_update(install_idx, app.prepare_update(&model, px, version));
         rounds.push(DeploymentRound {
             round,

@@ -87,10 +87,9 @@ pub struct CanaryVerdictRecord {
 /// The `faults` section of a [`crate::runtime::RuntimeReport`]: what
 /// went wrong (and what recovered) since the last drain.
 ///
-/// Merge semantics are exact: counters add, record lists concatenate in
-/// shard order, and a fault-free run is `FaultReport::default()` — so
-/// reports from runs that never faulted compare bit-identical to
-/// reports from before this section existed.
+/// A fault-free run is `FaultReport::default()` — so reports from runs
+/// that never faulted compare bit-identical to reports from before this
+/// section existed.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultReport {
     /// Engine workers respawned from a spare replica after a panic or
@@ -101,6 +100,11 @@ pub struct FaultReport {
     pub batches_dropped: u64,
     /// Canaried installs rolled back by a tripped guardrail.
     pub rollbacks_taken: u64,
+    /// Packets refused at ingest because their home shard was lost
+    /// (see [`FaultRecordKind::ShardLost`]): they hold their stream
+    /// index but reach no engine and leave no ingest-side state.
+    #[serde(default)]
+    pub lost_shard_packets: u64,
     /// Concluded canaries, in conclusion order.
     pub canary_verdicts: Vec<CanaryVerdictRecord>,
     /// Diagnosed faults, in observation order.
@@ -108,16 +112,6 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Folds another report's faults into this one (counters add,
-    /// lists concatenate).
-    pub fn absorb(&mut self, other: &FaultReport) {
-        self.worker_restarts += other.worker_restarts;
-        self.batches_dropped += other.batches_dropped;
-        self.rollbacks_taken += other.rollbacks_taken;
-        self.canary_verdicts.extend(other.canary_verdicts.iter().cloned());
-        self.records.extend(other.records.iter().cloned());
-    }
-
     /// `true` when nothing faulted: the report equals its default.
     pub fn is_empty(&self) -> bool {
         *self == FaultReport::default()
@@ -506,39 +500,6 @@ mod tests {
         assert_eq!(canary_decision(&thin, &fat, &g), CanaryDecision::Rollback);
         assert_eq!(canary_decision(&fat, &thin, &g), CanaryDecision::Rollback);
         assert_eq!(canary_decision(&fat, &fat, &g), CanaryDecision::Promote);
-    }
-
-    #[test]
-    fn fault_report_merge_is_exact() {
-        let mut a = FaultReport {
-            worker_restarts: 1,
-            batches_dropped: 3,
-            rollbacks_taken: 0,
-            canary_verdicts: vec![],
-            records: vec![FaultRecord {
-                shard: 0,
-                kind: FaultRecordKind::WorkerPanic,
-                detail: "boom".into(),
-            }],
-        };
-        let b = FaultReport {
-            worker_restarts: 0,
-            batches_dropped: 2,
-            rollbacks_taken: 1,
-            canary_verdicts: vec![],
-            records: vec![FaultRecord {
-                shard: 1,
-                kind: FaultRecordKind::Unresponsive,
-                detail: "50 ms".into(),
-            }],
-        };
-        a.absorb(&b);
-        assert_eq!(a.worker_restarts, 1);
-        assert_eq!(a.batches_dropped, 5);
-        assert_eq!(a.rollbacks_taken, 1);
-        assert_eq!(a.records.len(), 2);
-        assert!(!a.is_empty());
-        assert!(FaultReport::default().is_empty());
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! The paper's Taurus device processes every packet through per-packet
 //! ML at line rate; one simulated [`TaurusSwitch`] on one thread cannot
 //! come close. This crate is the execution layer above the single
-//! device: it hosts **N independent switch replicas** (one per worker
-//! thread), routes packets by **flow-consistent hashing**
-//! (`canonical().hash() % shards`, so per-flow register state stays
-//! coherent within one shard), feeds workers **fixed-size batches over
-//! bounded SPSC channels** ([`spsc`]), and **merges** the per-shard
-//! [`SwitchReport`]s into one global report.
+//! device: one runtime type, [`StreamingRuntime`], hosts **N
+//! independent switch replicas** on resident worker threads, routes
+//! packets **flow-consistently by register slot** ([`shard_of`]:
+//! `flow_key % flow_slots` folded onto the shard count — by *bucket*
+//! under a keyed flow table — so flows that share per-flow state share
+//! a shard for any shard count), feeds workers **fixed-size batches
+//! over bounded SPSC channels** ([`spsc`]), and **merges** the
+//! per-shard [`SwitchReport`]s into one global report.
 //!
 //! The load-bearing property is *exactness*: on the same trace, the
 //! merged report equals the sequential switch's report bit for bit —
@@ -16,31 +18,34 @@
 //! `tests/determinism.rs` for the pinning suite). Parallelism changes
 //! the wall clock, never the semantics.
 //!
+//! The service is push-style and long-lived ([`service`]): engine
+//! workers are spawned once and stay resident across
+//! [`StreamingRuntime::feed`] / [`StreamingRuntime::drain`] cycles
+//! ([`StreamingRuntime::run_trace`] is one of each), and one ingest
+//! loop serves every geometry — `parse_workers` only moves the
+//! order-free parse half onto worker threads ([`pipeline`]).
+//!
 //! The runtime also serves **live model updates**: a
 //! [`taurus_core::ModelUpdate`] scheduled via
-//! [`ShardedRuntime::schedule_update`] is applied on every shard at the
-//! same global packet index (an in-band message at a batch boundary),
-//! extending the exactness guarantee across weight swaps — and
-//! [`deploy::run_online_deployment`] closes the §5.2.3 loop by training
-//! online against the live runtime and measuring the *deployed* F1.
+//! [`StreamingRuntime::schedule_update`] is applied on every shard at
+//! the same global stream index (an in-band message at a batch
+//! boundary), extending the exactness guarantee across weight swaps;
+//! [`StreamingRuntime::install_update`] and the canary protocol
+//! ([`StreamingRuntime::begin_canary`] /
+//! [`StreamingRuntime::conclude_canary`]) are the synchronous control
+//! plane; and [`deploy::run_online_deployment`] closes the §5.2.3 loop
+//! by training online against the live runtime and measuring the
+//! *deployed* F1.
 //!
-//! Underneath the run-at-a-time API lives the persistent
-//! [`StreamingRuntime`] ([`service`]): engine workers are spawned once
-//! and stay resident, ingest is a push-style stream source
-//! ([`StreamingRuntime::feed`] / [`StreamingRuntime::drain`] /
-//! [`StreamingRuntime::shutdown`]), updates can be scheduled against
-//! the global stream index while the service is live, and the
-//! per-flow table supports idle-timeout eviction
-//! ([`taurus_pisa::PipelineConfig::idle_timeout_ns`]) so flow state
-//! stays bounded on endless streams.
-//!
-//! The keyed set-associative flow table
-//! ([`taurus_pisa::FlowTableKind::Keyed`]) takes the bounded-state
-//! story to its end: per-flow counters live in `buckets × ways` keyed
-//! entries with oldest-last-seen replacement, flow starts resolve by
-//! table-miss semantics (deleting the unbounded per-connection
-//! seen-set from ingest), and routing by *bucket* keeps sharding exact
-//! — replacement only ever involves one bucket, and a bucket lives on
+//! Flow state stays bounded on endless streams: the per-flow table
+//! supports idle-timeout eviction
+//! ([`taurus_pisa::PipelineConfig::idle_timeout_ns`]), and the keyed
+//! set-associative flow table ([`taurus_pisa::FlowTableKind::Keyed`])
+//! keeps per-flow counters in `buckets × ways` keyed entries with
+//! oldest-last-seen replacement, resolves flow starts by table-miss
+//! semantics (deleting the unbounded per-connection seen-set from
+//! ingest), and routes by *bucket* so sharding stays exact —
+//! replacement only ever involves one bucket, and a bucket lives on
 //! one shard (`tests/keyed.rs` pins the sweep).
 //!
 //! ```
@@ -82,6 +87,6 @@ pub use fault::{
 pub use overload::{OverloadPolicy, OverloadReport, QuarantineCounts};
 pub use pipeline::{epoch_count, parse_packet, resolve_and_count, EpochBatch, ParsedSlot};
 pub use runtime::{
-    shard_of, BuildError, PreparedPacket, RuntimeBuilder, RuntimeReport, ShardStats, ShardedRuntime,
+    shard_of, BuildError, PreparedPacket, RuntimeBuilder, RuntimeReport, ShardStats,
 };
-pub use service::{CanaryConfig, CanaryController, StreamingRuntime};
+pub use service::StreamingRuntime;

@@ -54,6 +54,31 @@ pub struct ParsedSlot {
     pub start_flags_ok: bool,
 }
 
+/// What the parse stage learned about a packet besides its prepared
+/// form: the merge step's inputs ([`ParsedSlot`] minus `prepared`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlowHint {
+    /// Originating connection, for global first-seen resolution.
+    pub conn_id: u32,
+    /// Home shard.
+    pub shard: u32,
+    /// Whether the packet can be its connection's global first.
+    pub candidate: bool,
+    /// Whether its flags qualify it as a flow start if it is.
+    pub start_flags_ok: bool,
+}
+
+impl ParsedSlot {
+    pub(crate) fn hint(&self) -> FlowHint {
+        FlowHint {
+            conn_id: self.conn_id,
+            shard: self.shard,
+            candidate: self.candidate,
+            start_flags_ok: self.start_flags_ok,
+        }
+    }
+}
+
 impl Default for ParsedSlot {
     /// A zeroed arena slot, overwritten in place by a parse worker.
     fn default() -> Self {
@@ -89,11 +114,6 @@ impl EpochBatch {
     pub fn with_capacity(epoch_len: usize) -> Self {
         Self { epoch: 0, base: 0, len: 0, slots: Vec::with_capacity(epoch_len) }
     }
-
-    /// The live slots.
-    pub fn live(&self) -> &[ParsedSlot] {
-        &self.slots[..self.len]
-    }
 }
 
 /// Number of epochs a `packets`-long trace cuts into.
@@ -118,12 +138,10 @@ mod tests {
     fn arenas_are_presized_and_grow_in_place() {
         let mut b = EpochBatch::with_capacity(8);
         assert_eq!(b.slots.capacity(), 8);
-        assert!(b.live().is_empty());
+        assert_eq!(b.len, 0);
         for _ in 0..8 {
             b.slots.push(ParsedSlot::default());
         }
-        b.len = 5;
-        assert_eq!(b.live().len(), 5);
         assert_eq!(b.slots.capacity(), 8, "growth to epoch_len never reallocates");
     }
 }

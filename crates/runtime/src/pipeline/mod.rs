@@ -18,7 +18,7 @@
 //! index order (each worker's output lane is itself FIFO, so lane
 //! round-robin by `epoch % N` *is* index order), finishes each packet
 //! with the only order-bound work left (global first-seen resolution on
-//! candidates, the one shared [`CrossFlowWindows`] walk), and steers it
+//! candidates, the one shared `CrossFlowWindows` walk), and steers it
 //! onto its home shard's engine lane. The reassembled stream the
 //! engines observe is the global arrival order, so the merged report is
 //! bit-identical to the sequential switch — see `steer.rs` for the
@@ -40,10 +40,20 @@
 //! # Update barrier
 //!
 //! Scheduled updates key on *global packet index*, which every slot
-//! carries (`arena.base + i`), so the merge stage applies exactly the
-//! inline ingest barrier: flush every staged partial batch, then
-//! enqueue the update in-band on every engine lane. Mid-epoch indices
-//! need no special case — the check runs per slot, not per epoch.
+//! carries (`arena.base + i`), so the merge step applies the barrier
+//! per slot: flush every staged partial batch, then enqueue the update
+//! in-band on every engine lane. Mid-epoch indices need no special
+//! case — the check runs per slot, not per epoch.
+//!
+//! # One merge step
+//!
+//! Everything order-bound — the update barrier, the ingest frontier,
+//! admission, flow-start resolution, the shared windows, steering —
+//! is `Ingest::merge_packet` (`service/feed.rs`). This module only
+//! drives the *parse* stage: `run` spawns the parse workers and hands
+//! their epochs to that merge step in index order; with
+//! `parse_workers = 0` there is no stage to hand off to, and the
+//! feeding thread parses each packet right before the same step.
 
 pub mod epoch;
 pub mod stage;
@@ -53,221 +63,87 @@ pub use epoch::{epoch_count, EpochBatch, ParsedSlot, ARENAS_PER_WORKER};
 pub use stage::parse_packet;
 pub use steer::resolve_and_count;
 
-use std::collections::HashSet;
-use std::sync::Arc;
-
-use taurus_core::ingest::{IngestValidator, ObsBuilder};
-use taurus_core::ModelUpdate;
 use taurus_dataset::trace::TracePacket;
-use taurus_pisa::{CrossFlowWindows, FlowTable};
 
-use crate::overload::OverloadState;
-use crate::pipeline::stage::{parse_worker, ParsePlan};
-use crate::pipeline::steer::{Batch, ShardMsg, SteerState, Steering};
+use crate::pipeline::stage::parse_worker;
+use crate::service::feed::Ingest;
+use crate::service::worker::Lane;
 use crate::spsc;
 
-/// Everything one pipelined ingest feed borrows from the runtime: the
-/// stream, the geometry, the order-bound state, and the lanes/pools the
-/// engine side already set up.
-pub(crate) struct PipelineRun<'run, 'env> {
-    /// The packet stream, in arrival order.
-    pub packets: &'env [TracePacket],
-    /// Global stream index of `packets[0]` — nonzero once earlier feeds
-    /// advanced the resident runtime's position.
-    pub stream_base: u64,
-    /// Parse workers to spawn (> 0; `0` selects the inline path in
-    /// `service.rs` and never reaches here).
-    pub workers: usize,
-    /// Packets per epoch.
-    pub epoch_len: usize,
-    /// Register-slot count routing folds through (see
-    /// [`crate::runtime::shard_of`]).
-    pub route_slots: usize,
-    /// Engine shard count.
-    pub shards: usize,
-    /// Packets per steer→engine batch.
-    pub batch_size: usize,
-    /// Pending updates, sorted by global install index. Only those whose
-    /// index falls inside this feed are consumed (the return value says
-    /// how many); later ones stay pending for future feeds or the drain.
-    pub updates: &'run [(u64, Arc<ModelUpdate>)],
-    /// Global first-seen bookkeeping (order-bound, merge-stage-owned).
-    pub seen: &'run mut ObsBuilder,
-    /// The one shared cross-flow window instance (order-bound).
-    pub windows: &'run mut CrossFlowWindows,
-    /// Keyed mode's shared flow directory (order-bound, merge-stage
-    /// owned): `Some` routes flow-start resolution through table-miss
-    /// semantics instead of the seen-set.
-    pub directory: &'run mut Option<FlowTable>,
-    /// The feed-scoped ingest frontier. Validation runs in the *merge*
-    /// stage (global arrival order), so inline and pipelined ingest
-    /// quarantine identically — monotonicity included.
-    pub validator: &'run mut IngestValidator,
-    /// The admission layer: overload policy, injected saturation
-    /// windows, and the shed/degrade/quarantine accounting.
-    pub overload: &'run mut OverloadState,
-    /// The resident steer staging state.
-    pub steer: &'run mut SteerState,
-    /// Cross-run pool of steer→engine batch arenas.
-    pub batch_pool: &'run mut Vec<Batch>,
-    /// Cross-run pool of epoch arenas.
-    pub epoch_pool: &'run mut Vec<EpochBatch>,
-    /// Per-shard reverse lanes returning drained engine batches.
-    pub recycle: &'run [spsc::Receiver<Batch>],
-    /// Per-shard steer→engine lanes.
-    pub senders: &'run [spsc::Sender<ShardMsg>],
-}
-
-/// Drives one pipelined ingest feed: spawns the parse workers inside
-/// the caller's scope (alongside the already-running engine workers),
-/// merges their epochs in index order, and steers finished packets to
-/// the engine lanes. Partial batches are flushed at the feed boundary,
-/// so the engines observe every packet without waiting for a next feed.
-/// Returns the number of scheduled updates consumed, with every parse
-/// worker joined; a parse-worker panic is resumed on the calling thread
-/// (engine panics surface later, at the runtime's drain).
-pub(crate) fn run<'scope, 'env>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    job: PipelineRun<'_, 'env>,
-) -> usize {
-    let PipelineRun {
-        packets,
-        stream_base,
-        workers,
-        epoch_len,
-        route_slots,
-        shards,
-        batch_size,
-        updates,
-        seen,
-        windows,
-        directory,
-        validator,
-        overload,
-        steer: steer_state,
-        batch_pool,
-        epoch_pool,
-        recycle,
-        senders,
-    } = job;
-    debug_assert!(workers > 0, "the inline path handles workers == 0");
-    let epochs = epoch_count(packets.len(), epoch_len);
+/// Drives the parse stage of one pipelined feed (`parse_workers > 0`):
+/// spawns the scoped parse workers (they borrow the fed slice, which a
+/// resident thread could not), receives their epochs in index order,
+/// and hands each to [`Ingest::merge_epoch`] — slot by slot, the same
+/// merge step inline ingest runs packet by packet. Returns with every
+/// parse worker joined and every epoch arena back in the pool; a
+/// parse-worker panic is resumed on the calling thread (engine panics
+/// surface later, at the runtime's drain).
+pub(crate) fn run(ingest: &mut Ingest, lanes: &[Lane], packets: &[TracePacket]) {
+    let plan = ingest.plan;
+    let workers = plan.workers;
+    let epochs = epoch_count(packets.len(), plan.epoch_len);
     // Provision the epoch-arena pool before spawning anything: with
     // every preload drawn from the pool, steady-state runs of a
     // long-lived runtime allocate no epoch memory (first runs still
     // grow each arena's slots to `epoch_len` in place).
     let provision = workers * ARENAS_PER_WORKER;
-    while epoch_pool.len() < provision {
-        epoch_pool.push(EpochBatch::with_capacity(epoch_len));
+    while ingest.epoch_pool.len() < provision {
+        ingest.epoch_pool.push(EpochBatch::with_capacity(plan.epoch_len));
     }
-    let plan = ParsePlan { workers, epoch_len, route_slots, shards, keyed: directory.is_some() };
-    let mut out_lanes = Vec::with_capacity(workers);
-    let mut return_lanes = Vec::with_capacity(workers);
-    let mut handles = Vec::with_capacity(workers);
-    for worker in 0..workers {
-        // Out lane: at most the worker's own circulating arenas can be
-        // in flight, so `ARENAS_PER_WORKER` deep never blocks a send
-        // spuriously. Recycle lane: one slot of slack beyond the arena
-        // count so the merge stage's return send can never block — the
-        // same no-deadlock argument as the engine batch lanes.
-        let (out_tx, out_rx) = spsc::channel::<EpochBatch>(ARENAS_PER_WORKER);
-        let (ret_tx, ret_rx) = spsc::channel::<EpochBatch>(ARENAS_PER_WORKER + 1);
-        for _ in 0..ARENAS_PER_WORKER {
-            let arena = epoch_pool.pop().expect("pool provisioned above");
-            ret_tx.send(arena).expect("preload fits the fresh lane");
+    std::thread::scope(|scope| {
+        let mut out_lanes = Vec::with_capacity(workers);
+        let mut return_lanes = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for worker in 0..workers {
+            // Out lane: at most the worker's own circulating arenas can
+            // be in flight, so `ARENAS_PER_WORKER` deep never blocks a
+            // send spuriously. Recycle lane: one slot of slack beyond
+            // the arena count so the merge stage's return send can
+            // never block — the same no-deadlock argument as the engine
+            // batch lanes.
+            let (out_tx, out_rx) = spsc::channel::<EpochBatch>(ARENAS_PER_WORKER);
+            let (ret_tx, ret_rx) = spsc::channel::<EpochBatch>(ARENAS_PER_WORKER + 1);
+            for _ in 0..ARENAS_PER_WORKER {
+                let arena = ingest.epoch_pool.pop().expect("pool provisioned above");
+                ret_tx.send(arena).expect("preload fits the fresh lane");
+            }
+            out_lanes.push(out_rx);
+            return_lanes.push(ret_tx);
+            handles
+                .push(scope.spawn(move || parse_worker(worker, plan, packets, &out_tx, &ret_rx)));
         }
-        out_lanes.push(out_rx);
-        return_lanes.push(ret_tx);
-        handles.push(scope.spawn(move || parse_worker(worker, plan, packets, &out_tx, &ret_rx)));
-    }
-
-    let mut steer = Steering::new(steer_state, batch_size, batch_pool, recycle, senders, overload);
-    let mut next_update = 0usize;
-    // Per-epoch candidate requeue: when an epoch's first-seen candidate
-    // for a connection is quarantined or bypassed, the next surviving
-    // packet of that connection *in the same epoch* inherits the
-    // candidate bit — so the first admitted packet of every connection
-    // still probes the global seen-set, exactly as the inline path's
-    // per-packet `mark_seen` would on the filtered stream. Cleared at
-    // each epoch boundary (candidates are epoch-local); empty on every
-    // clean run, so the steady state allocates nothing.
-    let mut requeue: HashSet<u32> = HashSet::new();
-    'merge: for epoch in 0..epochs {
-        let worker = epoch % workers;
-        let Ok(mut arena) = out_lanes[worker].recv() else {
-            break 'merge; // a parse worker died; its panic surfaces at join
-        };
-        debug_assert_eq!(arena.epoch, epoch as u64, "lanes deliver epochs in index order");
-        requeue.clear();
-        for i in 0..arena.len {
-            // Arena bases are feed-relative; updates key on the global
-            // stream index. `<=` (not `==`) so an update scheduled at
-            // an index an earlier feed already passed installs before
-            // this feed's first packet rather than never.
-            let index = stream_base + arena.base + i as u64;
-            while next_update < updates.len() && updates[next_update].0 <= index {
-                if steer.flush_and_update(&updates[next_update].1).is_err() {
-                    epoch_pool.push(arena);
-                    break 'merge;
+        for epoch in 0..epochs {
+            let worker = epoch % workers;
+            let Ok(mut arena) = out_lanes[worker].recv() else {
+                break; // a parse worker died; its panic surfaces at join
+            };
+            debug_assert_eq!(arena.epoch, epoch as u64, "lanes deliver epochs in index order");
+            let merged = ingest.merge_epoch(lanes, packets, &mut arena);
+            if merged.is_err() || epoch + workers >= epochs {
+                // The worker's final arena (it will never ask for
+                // another) or a feed cut short by a dead engine shard:
+                // return the arena straight to the pool instead of the
+                // lane. This keeps end-of-run arena recovery
+                // deterministic: the worker drains exactly the
+                // non-final returns (see `parse_worker`), and nothing
+                // races a lane teardown.
+                ingest.epoch_pool.push(arena);
+                if merged.is_err() {
+                    break;
                 }
-                next_update += 1;
-            }
-            let slot = &mut arena.slots[i];
-            let tp = &packets[arena.base as usize + i];
-            if let Err(err) = validator.admit(tp) {
-                steer.overload().record_quarantine(err);
-                if slot.candidate {
-                    requeue.insert(slot.conn_id);
-                }
-                continue;
-            }
-            let shard = slot.shard as usize;
-            if steer.overload().saturated(shard, index) {
-                steer.overload().record_bypass(shard, slot.prepared.obs.flow_key, tp.anomalous);
-                if slot.candidate {
-                    requeue.insert(slot.conn_id);
-                }
-                continue;
-            }
-            if !requeue.is_empty() && !slot.candidate && requeue.remove(&slot.conn_id) {
-                slot.candidate = true;
-            }
-            slot.prepared.index = index;
-            resolve_and_count(slot, seen, windows, directory.as_mut());
-            steer.slot(shard).clone_from(&slot.prepared);
-            if !steer.commit(shard) {
-                // An engine worker died; stop feeding, recover the
-                // arena, and surface the panic at the runtime's drain.
-                epoch_pool.push(arena);
-                break 'merge;
+            } else if return_lanes[worker].send(arena).is_err() {
+                break; // the worker died; surface at join
             }
         }
-        if epoch + workers >= epochs {
-            // The worker's final arena — it will never ask for another,
-            // so return it straight to the pool instead of the lane.
-            // This keeps end-of-run arena recovery deterministic: the
-            // worker drains exactly the non-final returns (see
-            // `parse_worker`), and nothing races a lane teardown.
-            epoch_pool.push(arena);
-        } else if return_lanes[worker].send(arena).is_err() {
-            break 'merge; // the worker died; surface at join
+        // Close both lane directions: a worker blocked on an out-send
+        // (the merge bailed early) or a recycle recv wakes up and exits.
+        drop(out_lanes);
+        drop(return_lanes);
+        for handle in handles {
+            match handle.join() {
+                Ok(kept) => ingest.epoch_pool.extend(kept),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
-    }
-    // Feed boundary: the engines must observe every packet of this feed
-    // now — a next feed (or the drain) may be far away. Updates beyond
-    // the feed's end stay pending; the drain installs the leftovers. A
-    // dead shard here is diagnosed (and possibly recovered) at the
-    // runtime's next barrier, not mid-feed.
-    let _ = steer.flush_partials();
-    // Close both lane directions: a worker blocked on an out-send (the
-    // merge bailed early) or a recycle recv wakes up and exits.
-    drop(out_lanes);
-    drop(return_lanes);
-    for handle in handles {
-        match handle.join() {
-            Ok(kept) => epoch_pool.extend(kept),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-    next_update
+    });
 }

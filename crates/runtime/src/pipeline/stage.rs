@@ -19,10 +19,33 @@ use std::collections::HashSet;
 
 use taurus_core::ingest::{flow_start_flags_ok, to_packet_into, wire_obs};
 use taurus_dataset::trace::TracePacket;
+use taurus_pisa::registers::PacketObs;
 
-use crate::pipeline::epoch::{epoch_count, EpochBatch, ParsedSlot, ARENAS_PER_WORKER};
+use crate::pipeline::epoch::{epoch_count, EpochBatch, FlowHint, ParsedSlot, ARENAS_PER_WORKER};
 use crate::runtime::shard_of;
 use crate::spsc;
+
+/// The order-free parse of one packet, minus its wire form: fills
+/// `obs` (first-seen bit left unresolved) and returns what the merge
+/// step needs besides — connection, home shard, flow-start flag
+/// predicate. The caller supplies `candidate` (whether the packet can
+/// be its connection's global first).
+#[inline]
+pub(crate) fn parse_obs(
+    tp: &TracePacket,
+    obs: &mut PacketObs,
+    route_slots: usize,
+    shards: usize,
+    candidate: bool,
+) -> FlowHint {
+    wire_obs(tp, obs);
+    FlowHint {
+        conn_id: tp.conn_id,
+        shard: shard_of(obs.flow_key, route_slots, shards) as u32,
+        candidate,
+        start_flags_ok: flow_start_flags_ok(tp),
+    }
+}
 
 /// Fills one slot with everything derivable from the packet alone:
 /// wire form, keyed observation (first-seen bit left unresolved),
@@ -36,21 +59,24 @@ pub fn parse_packet(
     shards: usize,
     candidate: bool,
 ) {
-    wire_obs(tp, &mut slot.prepared.obs);
+    let hint = parse_obs(tp, &mut slot.prepared.obs, route_slots, shards, candidate);
     to_packet_into(tp, &mut slot.prepared.pkt);
     slot.prepared.dst_count = 0;
     slot.prepared.srv_count = 0;
     slot.prepared.anomalous = tp.anomalous;
-    slot.conn_id = tp.conn_id;
-    slot.candidate = candidate;
-    slot.start_flags_ok = flow_start_flags_ok(tp);
-    slot.shard = shard_of(slot.prepared.obs.flow_key, route_slots, shards) as u32;
+    slot.conn_id = hint.conn_id;
+    slot.candidate = hint.candidate;
+    slot.start_flags_ok = hint.start_flags_ok;
+    slot.shard = hint.shard;
 }
 
-/// The per-run geometry every parse worker shares.
+/// The ingest geometry: what the parse stage needs to cut the stream
+/// into epochs and route each packet.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ParsePlan {
-    /// Total parse workers (worker `w` owns epochs `w, w+workers, …`).
+    /// Parse worker threads (worker `w` owns epochs `w, w+workers, …`);
+    /// `0` parses each packet on the feeding thread, right before its
+    /// merge step.
     pub workers: usize,
     /// Packets per epoch.
     pub epoch_len: usize,

@@ -4,33 +4,34 @@
 //!
 //! Two things live here:
 //!
-//! - [`resolve_and_count`]: the per-packet merge step. Given a
-//!   [`ParsedSlot`], it resolves the global first-seen bit (a set probe
-//!   only for per-epoch *candidates*) and runs the one shared
+//! - [`resolve_and_count`]: the order-bound core of the merge step.
+//!   Given a [`ParsedSlot`], it resolves the global first-seen bit (a
+//!   set probe only for flow-start *candidates*) and runs the one shared
 //!   [`CrossFlowWindows`] in global arrival order — the only work in
 //!   the whole ingest path that is inherently sequential. Everything
 //!   expensive (parsing, hashing, candidate filtering, routing) already
 //!   happened in parallel on the parse stage.
-//! - [`Steering`]: the per-shard staging arenas and flush discipline,
-//!   shared by the inline (single-thread) ingest path and the pipelined
-//!   merge loop. It owns the recycle cycle (drained buffers return over
-//!   reverse SPSC lanes; replacements come lane → cross-run pool →
-//!   ramp-up allocation) and the in-band update barrier: flushing every
-//!   staged partial batch and then enqueuing the update on each FIFO
-//!   channel pins the install to one global packet index on every
-//!   shard.
+//! - `Steer`: the per-shard staging arenas and flush discipline the
+//!   one merge step (`service::feed`) writes through. It owns the
+//!   recycle cycle (drained buffers return over reverse SPSC lanes;
+//!   replacements come lane → cross-run pool → ramp-up allocation) and
+//!   the in-band update barrier: flushing every staged partial batch
+//!   and then enqueuing the update on each FIFO channel pins the
+//!   install to one global packet index on every shard.
 
 use std::sync::Arc;
 
 use taurus_core::ingest::ObsBuilder;
 use taurus_core::{ModelUpdate, RollbackPoint};
+use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{CrossFlowWindows, FlowTable};
 
 use crate::fault::ShardError;
 use crate::overload::OverloadState;
-use crate::pipeline::epoch::ParsedSlot;
+use crate::pipeline::epoch::{FlowHint, ParsedSlot};
 use crate::runtime::PreparedPacket;
-use crate::spsc::{self, SendTimeoutError};
+use crate::service::worker::Lane;
+use crate::spsc::SendTimeoutError;
 
 /// One ingest→engine batch: a recycled arena of [`PreparedPacket`]
 /// slots. The steer stage rewrites the slots of a drained buffer in
@@ -112,118 +113,125 @@ pub fn resolve_and_count(
     windows: &mut CrossFlowWindows,
     directory: Option<&mut FlowTable>,
 ) {
-    let is_start = match directory {
-        Some(dir) => {
-            let (_, access) = dir.access(slot.prepared.obs.flow_key, slot.prepared.obs.ts_ns);
-            access.is_start()
-        }
-        None => slot.candidate && seen.mark_seen(slot.conn_id) && slot.start_flags_ok,
-    };
-    slot.prepared.obs.is_flow_start = is_start;
-    let (dst, srv) = windows.observe(&slot.prepared.obs);
+    let hint = slot.hint();
+    let (dst, srv) = resolve(&mut slot.prepared.obs, hint, seen, windows, directory);
     slot.prepared.dst_count = dst;
     slot.prepared.srv_count = srv;
 }
 
-/// The steer stage's resident state: per-shard staging arenas, their
-/// fill levels, and the dead-shard latch. Owned by the runtime (it
-/// outlives any single feed), while [`Steering`] borrows it together
-/// with the per-feed lane references.
-pub(crate) struct SteerState {
+/// The body of [`resolve_and_count`] over an observation wherever it
+/// lives (an epoch arena slot, or a local not yet placed anywhere):
+/// resolves `obs.is_flow_start` and returns the shared windows'
+/// `(dst_count, srv_count)` for the packet.
+#[inline]
+pub(crate) fn resolve(
+    obs: &mut PacketObs,
+    hint: FlowHint,
+    seen: &mut ObsBuilder,
+    windows: &mut CrossFlowWindows,
+    directory: Option<&mut FlowTable>,
+) -> (u64, u64) {
+    obs.is_flow_start = match directory {
+        Some(dir) => dir.access(obs.flow_key, obs.ts_ns).1.is_start(),
+        None => hint.candidate && seen.mark_seen(hint.conn_id) && hint.start_flags_ok,
+    };
+    windows.observe(obs)
+}
+
+/// The steer stage: per-shard staging arenas plus the
+/// flush/update/recycle discipline — the writing end of the
+/// steer→engine lanes. Resident on the runtime (the arenas and the
+/// batch pool outlive any single feed); the lanes are passed in per
+/// call because the supervisor swaps them when it respawns or retires a
+/// worker.
+pub(crate) struct Steer {
     staging: Vec<Batch>,
     /// Live slots per staging arena (slots beyond the fill are stale
     /// leftovers from the buffer's previous trip).
     fills: Vec<usize>,
-    /// The first engine worker found dead (its lane closed): stop
-    /// feeding and let the runtime diagnose/recover it at the next
-    /// barrier.
-    dead: Option<usize>,
-}
-
-impl SteerState {
-    /// One staging arena per shard, drawn from the cross-run pool.
-    pub fn new(shards: usize, pool: &mut Vec<Batch>) -> Self {
-        let staging = (0..shards).map(|_| pool.pop().unwrap_or_default()).collect();
-        Self { staging, fills: vec![0; shards], dead: None }
-    }
-
-    /// Clears the dead-shard latch (called after the runtime respawned
-    /// or retired the worker the latch pointed at).
-    pub fn clear_dead(&mut self) {
-        self.dead = None;
-    }
-}
-
-/// Per-shard staging arenas plus the flush/update/recycle discipline —
-/// the writing end of the steer→engine lanes, used by both ingest
-/// modes. The staging arenas live in [`SteerState`] so they survive
-/// across feeds of a resident runtime.
-pub(crate) struct Steering<'a> {
-    state: &'a mut SteerState,
     batch_size: usize,
-    pool: &'a mut Vec<Batch>,
-    recycle: &'a [spsc::Receiver<Batch>],
-    senders: &'a [spsc::Sender<ShardMsg>],
+    /// Cross-feed pool of batch arenas, provisioned once at
+    /// construction so steady-state feeds allocate no batch memory.
+    pool: Vec<Batch>,
     /// The admission layer: policy, injected saturation windows, and
-    /// the shed/degrade/quarantine accounting. Lives on the runtime
-    /// (ingest-side) so counters survive worker faults; both ingest
-    /// modes reach it through [`Steering::overload`].
-    overload: &'a mut OverloadState,
+    /// the shed/degrade/quarantine accounting. Ingest-side by design —
+    /// a shard that sheds and then panics recovers with its counters
+    /// intact, because they were never inside the worker.
+    pub(crate) overload: OverloadState,
 }
 
-impl<'a> Steering<'a> {
+impl Steer {
+    /// One staging arena per shard over a fully provisioned pool: a
+    /// shard's buffer cycle peaks at `queue_depth + 3` buffers (one
+    /// staging, `queue_depth` in flight, one at the worker, one freshly
+    /// taken), so with that many pooled per shard [`Steer::take_buf`]
+    /// never allocates — every feed past the first is allocation-free
+    /// (the first still grows each arena's slots to `batch_size` in
+    /// place).
     pub fn new(
-        state: &'a mut SteerState,
+        shards: usize,
         batch_size: usize,
-        pool: &'a mut Vec<Batch>,
-        recycle: &'a [spsc::Receiver<Batch>],
-        senders: &'a [spsc::Sender<ShardMsg>],
-        overload: &'a mut OverloadState,
+        queue_depth: usize,
+        overload: OverloadState,
     ) -> Self {
-        debug_assert_eq!(state.staging.len(), senders.len());
-        Self { state, batch_size, pool, recycle, senders, overload }
+        let mut pool: Vec<Batch> =
+            (0..shards * (queue_depth + 3)).map(|_| Vec::with_capacity(batch_size)).collect();
+        let staging = (0..shards).map(|_| pool.pop().unwrap_or_default()).collect();
+        Self { staging, fills: vec![0; shards], batch_size, pool, overload }
     }
 
-    /// The shared overload/admission state: per-packet saturation
-    /// checks and quarantine/bypass accounting, behind the same borrow
-    /// as the staging arenas.
-    pub fn overload(&mut self) -> &mut OverloadState {
-        self.overload
+    /// Packets per steer→engine batch.
+    pub fn batch_size(&self) -> usize {
+        self.batch_size
     }
 
     /// The next writable slot on `shard`'s staging arena, growing the
     /// arena only while it is still ramping up toward `batch_size`.
-    /// Write the packet in place, then [`Steering::commit`] it.
+    /// Write the packet in place, then [`Steer::commit`] it.
     pub fn slot(&mut self, shard: usize) -> &mut PreparedPacket {
-        let buf = &mut self.state.staging[shard];
-        let fill = self.state.fills[shard];
+        let buf = &mut self.staging[shard];
+        let fill = self.fills[shard];
         if fill == buf.len() {
             buf.push(PreparedPacket::default());
         }
         &mut buf[fill]
     }
 
-    /// Commits the slot written via [`Steering::slot`], flushing the
-    /// arena when it reaches `batch_size`. Returns `false` once the
-    /// shard's engine worker is gone.
-    pub fn commit(&mut self, shard: usize) -> bool {
-        self.state.fills[shard] += 1;
-        if self.state.fills[shard] == self.batch_size {
-            self.flush(shard).is_ok()
+    /// Commits the slot written via [`Steer::slot`], flushing the arena
+    /// when it reaches `batch_size`.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::Dead`] once the shard's engine worker is gone.
+    pub fn commit(&mut self, lanes: &[Lane], shard: usize) -> Result<(), ShardError> {
+        self.fills[shard] += 1;
+        if self.fills[shard] == self.batch_size {
+            self.flush(lanes, shard)
         } else {
-            true
+            Ok(())
         }
     }
 
     /// A replacement staging buffer: the shard's own recycle lane first
     /// (cheapest, keeps the cycle closed), then the cross-run pool,
     /// then — ramp-up only — a fresh allocation.
-    fn take_buf(&mut self, shard: usize) -> Batch {
-        self.recycle[shard]
+    fn take_buf(&mut self, lanes: &[Lane], shard: usize) -> Batch {
+        lanes[shard]
+            .recycle
             .try_recv()
             .ok()
             .or_else(|| self.pool.pop())
             .unwrap_or_else(|| Vec::with_capacity(self.batch_size))
+    }
+
+    /// Moves every buffer parked in the recycle lanes back to the pool,
+    /// so the next feed starts fully provisioned.
+    pub fn reclaim(&mut self, lanes: &[Lane]) {
+        for lane in lanes {
+            while let Ok(buf) = lane.recycle.try_recv() {
+                self.pool.push(buf);
+            }
+        }
     }
 
     /// Swaps `shard`'s staging arena out (truncating to its live slots)
@@ -241,40 +249,39 @@ impl<'a> Steering<'a> {
     /// # Errors
     ///
     /// [`ShardError::Dead`] when the shard's worker is gone (its lane
-    /// closed); the dead-shard latch is set.
-    fn flush(&mut self, shard: usize) -> Result<(), ShardError> {
-        let replacement = self.take_buf(shard);
-        let mut batch = std::mem::replace(&mut self.state.staging[shard], replacement);
-        batch.truncate(self.state.fills[shard]);
-        self.state.fills[shard] = 0;
+    /// closed).
+    fn flush(&mut self, lanes: &[Lane], shard: usize) -> Result<(), ShardError> {
+        let replacement = self.take_buf(lanes, shard);
+        let mut batch = std::mem::replace(&mut self.staging[shard], replacement);
+        batch.truncate(self.fills[shard]);
+        self.fills[shard] = 0;
+        let tx = &lanes[shard].tx;
         let dead = match self.overload.policy().patience() {
-            None => self.senders[shard].send(ShardMsg::Batch(batch)).is_err(),
-            Some(patience) => {
-                match self.senders[shard].send_timeout(ShardMsg::Batch(batch), patience) {
-                    Ok(()) => false,
-                    Err(SendTimeoutError::Timeout(msg)) => {
-                        if let ShardMsg::Batch(refused) = msg {
-                            for p in &refused {
-                                self.overload.record_bypass(shard, p.obs.flow_key, p.anomalous);
-                            }
-                            self.pool.push(refused);
+            None => tx.send(ShardMsg::Batch(batch)).is_err(),
+            Some(patience) => match tx.send_timeout(ShardMsg::Batch(batch), patience) {
+                Ok(()) => false,
+                Err(SendTimeoutError::Timeout(msg)) => {
+                    if let ShardMsg::Batch(refused) = msg {
+                        for p in &refused {
+                            self.overload.record_bypass(shard, p.obs.flow_key, p.anomalous);
                         }
-                        false
+                        self.pool.push(refused);
                     }
-                    Err(SendTimeoutError::Disconnected(_)) => true,
+                    false
                 }
-            }
+                Err(SendTimeoutError::Disconnected(_)) => true,
+            },
         };
         if dead {
-            self.state.dead = Some(shard);
             return Err(ShardError::Dead { shard });
         }
         Ok(())
     }
 
     /// Flushes every staged partial batch, then enqueues the update
-    /// in-band on every channel: the FIFO order guarantees each worker
-    /// applies it at exactly this global packet boundary.
+    /// in-band on every live lane: the FIFO order guarantees each
+    /// worker applies it at exactly this global packet boundary. Lost
+    /// shards are skipped — they serve no traffic to decide.
     ///
     /// # Errors
     ///
@@ -283,11 +290,14 @@ impl<'a> Steering<'a> {
     /// shard: a partial install would leave the fleet inconsistent, so
     /// the caller must stop feeding and let the runtime diagnose the
     /// worker's fate at the next barrier instead.
-    pub fn flush_and_update(&mut self, update: &Arc<ModelUpdate>) -> Result<(), ShardError> {
-        self.flush_partials()?;
-        for (shard, tx) in self.senders.iter().enumerate() {
-            if tx.send(ShardMsg::Update(Arc::clone(update))).is_err() {
-                self.state.dead = Some(shard);
+    pub fn flush_and_update(
+        &mut self,
+        lanes: &[Lane],
+        update: &Arc<ModelUpdate>,
+    ) -> Result<(), ShardError> {
+        self.flush_partials(lanes)?;
+        for (shard, lane) in lanes.iter().enumerate().filter(|(_, lane)| !lane.lost) {
+            if lane.tx.send(ShardMsg::Update(Arc::clone(update))).is_err() {
                 return Err(ShardError::Dead { shard });
             }
         }
@@ -296,22 +306,22 @@ impl<'a> Steering<'a> {
 
     /// Flushes every non-empty staged partial batch (a barrier point:
     /// feed boundaries, update installs, drains), keeping the staging
-    /// arenas resident for the next packets.
+    /// arenas resident for the next packets. A dead shard never keeps
+    /// the healthy shards' staged packets from being delivered.
     ///
     /// # Errors
     ///
-    /// [`ShardError::Dead`] naming the first dead shard (latched from
-    /// an earlier failure, or discovered by one of these flushes).
-    pub fn flush_partials(&mut self) -> Result<(), ShardError> {
-        if let Some(shard) = self.state.dead {
-            return Err(ShardError::Dead { shard });
-        }
-        for shard in 0..self.senders.len() {
-            if self.state.fills[shard] > 0 {
-                self.flush(shard)?;
+    /// [`ShardError::Dead`] naming the first dead shard these flushes
+    /// discovered.
+    pub fn flush_partials(&mut self, lanes: &[Lane]) -> Result<(), ShardError> {
+        let mut first_dead = Ok(());
+        for shard in 0..lanes.len() {
+            if self.fills[shard] > 0 {
+                let flushed = self.flush(lanes, shard);
+                first_dead = first_dead.and(flushed);
             }
         }
-        Ok(())
+        first_dead
     }
 }
 

@@ -1,9 +1,11 @@
-//! The sharded runtime: N [`TaurusSwitch`] replicas on worker threads,
-//! fed fixed-size packet batches over bounded SPSC channels by an
-//! ingest stage that owns everything order-sensitive — either a single
-//! inline thread (the classic path) or the parallel epoch pipeline
-//! ([`crate::pipeline`]) with N parse workers in front of a sequential
-//! merge/steer stage. Both produce bit-identical streams.
+//! Building and reporting on the sharded runtime: N [`TaurusSwitch`]
+//! replicas on worker threads, fed fixed-size packet batches over
+//! bounded SPSC channels by one ingest loop that owns everything
+//! order-sensitive (`service::feed`). The order-free parse half of
+//! ingest may run on N scoped parse workers ([`crate::pipeline`]) or on
+//! the feeding thread; the stream the engines observe is the same.
+//!
+//! [`TaurusSwitch`]: taurus_core::TaurusSwitch
 //!
 //! # Why this partitioning is exact
 //!
@@ -20,14 +22,14 @@
 //!    bit-identical to the sequential switch.
 //! 2. **Cross-flow windows** (destination-host / destination-service
 //!    fan-in), keyed by the responder — *not* flow-consistent. The
-//!    ingest stage runs the one [`CrossFlowWindows`] instance in global
-//!    arrival order (inline, or on the pipeline's merge stage) and
+//!    ingest loop runs the one [`CrossFlowWindows`] instance in global
+//!    arrival order and
 //!    ships each packet's counts inside its batch entry, exactly as the
 //!    paper's hardware computes register features before any egress
 //!    fan-out.
-//! 3. **Flow-start bookkeeping** ([`ObsBuilder`]), also sequential —
-//!    though the pipeline's parse workers pre-filter per-epoch
-//!    candidates so the merge stage probes the seen-set once per
+//! 3. **Flow-start bookkeeping** ([`taurus_core::ingest::ObsBuilder`]),
+//!    also sequential — though the parse stage pre-filters per-epoch
+//!    candidates so the merge step probes the seen-set once per
 //!    (connection, epoch) instead of once per packet.
 //!
 //! With a **keyed** flow table
@@ -48,21 +50,20 @@
 //! and `tests/prop_pipeline.rs` extends the pin across random epoch
 //! lengths and parse-worker counts.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use taurus_core::{
-    DuplicateAppError, EngineBackend, ModelUpdate, SwitchBuilder, SwitchReport, TaurusApp,
-};
-use taurus_dataset::trace::{PacketTrace, TracePacket};
+use taurus_core::{DuplicateAppError, EngineBackend, SwitchBuilder, SwitchReport, TaurusApp};
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineConfig};
 
-use crate::fault::{FaultPlan, FaultReport, InstallError};
-use crate::overload::{OverloadPolicy, OverloadReport};
-use crate::service::{IngestPlan, StreamingRuntime, SupervisePlan};
+use crate::fault::{FaultPlan, FaultReport};
+use crate::overload::{OverloadPolicy, OverloadReport, OverloadState};
+use crate::pipeline::stage::ParsePlan;
+use crate::pipeline::steer::Steer;
+use crate::service::feed::Ingest;
+use crate::service::StreamingRuntime;
 
 /// One packet as it crosses an ingest→worker channel: the wire packet,
 /// its register-stage observation, and the globally ordered cross-flow
@@ -150,7 +151,7 @@ impl core::fmt::Display for BuildError {
                 f,
                 "shard count {shards} exceeds the {flow_slots} per-flow register slots; \
                  shards beyond the slot range would never receive a packet — lower the shard \
-                 count or raise PipelineConfig.flow_slots / shard_flow_slots()"
+                 count or raise PipelineConfig.flow_slots"
             ),
             Self::ZeroQueueDepth => {
                 write!(f, "queue_depth must be positive (lanes are non-rendezvous)")
@@ -174,8 +175,8 @@ impl From<DuplicateAppError> for BuildError {
     }
 }
 
-/// Builds a [`ShardedRuntime`]: shard/batch/queue geometry plus the app
-/// roster, forwarded to every replica's [`SwitchBuilder`].
+/// Builds a [`StreamingRuntime`]: shard/batch/queue geometry plus the
+/// app roster, forwarded to every replica's [`SwitchBuilder`].
 ///
 /// ```
 /// use taurus_core::apps::SynFloodDetector;
@@ -198,7 +199,6 @@ pub struct RuntimeBuilder<'a> {
     epoch_len: usize,
     config: PipelineConfig,
     backend: EngineBackend,
-    shard_flow_slots: Option<usize>,
     apps: Vec<(&'a dyn TaurusApp, EngineBackend)>,
     fault_plan: FaultPlan,
     spare_replicas: usize,
@@ -216,7 +216,6 @@ impl Default for RuntimeBuilder<'_> {
             epoch_len: 512,
             config: PipelineConfig::default(),
             backend: EngineBackend::default(),
-            shard_flow_slots: None,
             apps: Vec::new(),
             fault_plan: FaultPlan::default(),
             spare_replicas: 0,
@@ -250,26 +249,28 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Number of parallel parse/flow-steer workers feeding the merge
-    /// stage ([`crate::pipeline`]); `0` selects the classic inline
-    /// single-thread ingest. Both modes produce bit-identical reports —
-    /// this knob trades threads for ingest throughput, never semantics.
+    /// Number of parse worker threads running the order-free half of
+    /// ingest ([`crate::pipeline`]); at `0` the feeding thread parses
+    /// each packet itself. Either way the same merge step finishes the
+    /// packet, so reports are bit-identical — this knob trades threads
+    /// for ingest throughput, never semantics.
     ///
     /// Default (unset): derived from [`std::thread::available_parallelism`]
-    /// at build, leaving cores for the merge stage and the engine
+    /// at build, leaving cores for the merge step and the engine
     /// workers — `cores.saturating_sub(shards + 1).min(4)` — which
-    /// resolves to inline ingest on small hosts.
+    /// resolves to `0` on small hosts.
     pub fn parse_workers(mut self, n: usize) -> Self {
         self.parse_workers = Some(n);
         self
     }
 
-    /// Packets per pipeline epoch: the granularity at which parse
-    /// workers slice the trace and the merge stage reassembles it.
+    /// Packets per ingest epoch: the granularity at which parse
+    /// workers slice a feed and the merge step reassembles it.
     /// Irrelevant to results (any epoch length merges to the same
     /// stream); larger epochs amortize lane traffic, smaller ones bound
-    /// the merge stage's reorder latency. Only consulted when the
-    /// pipeline is active (`parse_workers > 0`).
+    /// the merge step's reorder latency. Only consulted with
+    /// `parse_workers > 0` — a feeding thread that parses for itself
+    /// does so packet by packet.
     ///
     /// # Panics
     ///
@@ -328,20 +329,6 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Overrides each replica's per-flow register capacity (the
-    /// [`taurus_pisa::FlowTracker`] sizing hook). By default every shard
-    /// keeps the full `flow_slots` so collision structure — and thus
-    /// features — match the sequential switch exactly; shrinking this
-    /// (e.g. to `flow_slots / shards`) trades that exactness for memory
-    /// proportionality. Routing follows the override ([`shard_of`] folds
-    /// through the replica capacity), so flows that collide in a
-    /// replica's registers still share a shard.
-    pub fn shard_flow_slots(mut self, slots: usize) -> Self {
-        assert!(slots > 0, "shard_flow_slots must be positive");
-        self.shard_flow_slots = Some(slots);
-        self
-    }
-
     /// Arms a deterministic fault-injection plan: engine panics,
     /// stalls, and dropped install replies at exact
     /// (shard, global stream index) points — see [`FaultPlan`]. Empty
@@ -396,30 +383,24 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Builds the one-shot runtime: one [`taurus_core::TaurusSwitch`]
-    /// per shard, each hosting the full app roster, behind the
-    /// run-at-a-time [`ShardedRuntime`] API.
+    /// Builds the runtime: one [`taurus_core::TaurusSwitch`] per shard,
+    /// each hosting the full app roster, on resident worker threads
+    /// behind the `feed`/`drain`/`shutdown` lifecycle of
+    /// [`StreamingRuntime`].
     ///
     /// # Panics
     ///
     /// Panics on any [`BuildError`] (empty roster, duplicate app name,
     /// zero register capacity, more shards than register slots) — see
     /// [`RuntimeBuilder::try_build`] for the non-panicking form.
-    pub fn build(self) -> ShardedRuntime {
+    pub fn build(self) -> StreamingRuntime {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Builds the persistent streaming service directly — resident
-    /// workers, `feed`/`drain`/`shutdown` lifecycle; see
-    /// [`StreamingRuntime`]. ([`RuntimeBuilder::build`] wraps the same
-    /// service in the run-at-a-time [`ShardedRuntime`] API.)
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`BuildError`]; see
-    /// [`RuntimeBuilder::try_build_streaming`].
+    /// Alias of [`RuntimeBuilder::build`], kept for callers written
+    /// when the builder produced two runtime types.
     pub fn build_streaming(self) -> StreamingRuntime {
-        self.try_build_streaming().unwrap_or_else(|e| panic!("{e}"))
+        self.build()
     }
 
     /// Builds the runtime, validating the whole configuration up front
@@ -437,18 +418,8 @@ impl<'a> RuntimeBuilder<'a> {
     /// - [`BuildError::MoreShardsThanFlowSlots`] if the shard count
     ///   exceeds the per-shard register capacity — slot-based routing
     ///   could never reach the surplus shards.
-    pub fn try_build(self) -> Result<ShardedRuntime, BuildError> {
-        Ok(ShardedRuntime { service: self.try_build_streaming()?, pending_updates: Vec::new() })
-    }
-
-    /// The non-panicking form of [`RuntimeBuilder::build_streaming`]:
-    /// validates, builds the replicas, and spawns the resident engine
-    /// workers.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RuntimeBuilder::try_build`].
-    pub fn try_build_streaming(self) -> Result<StreamingRuntime, BuildError> {
+    /// - [`BuildError::ZeroQueueDepth`] for depth-0 lanes.
+    pub fn try_build(self) -> Result<StreamingRuntime, BuildError> {
         if self.apps.is_empty() {
             return Err(BuildError::EmptyRoster);
         }
@@ -466,11 +437,11 @@ impl<'a> RuntimeBuilder<'a> {
         // instead — every occupant of a bucket shares a shard, so the
         // bucket-local replacement decisions stay shard-local too — and
         // builds the shared ingest-side flow directory that resolves
-        // flow starts by table-miss semantics.
+        // flow starts by table-miss semantics. Every replica keeps the
+        // full configured table, which is what keeps collision and
+        // eviction decisions geometry-invariant.
         let (route_slots, directory) = match self.config.flow_table {
-            FlowTableKind::DirectMapped => {
-                (self.shard_flow_slots.unwrap_or(self.config.flow_slots), None)
-            }
+            FlowTableKind::DirectMapped => (self.config.flow_slots, None),
             FlowTableKind::Keyed { buckets, ways } => {
                 if buckets == 0 || ways == 0 {
                     return Err(BuildError::NoFlowSlots);
@@ -489,26 +460,15 @@ impl<'a> RuntimeBuilder<'a> {
         }
         let parse_workers = self.parse_workers.unwrap_or_else(|| {
             let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            // Leave a core each for the merge stage and the engine
+            // Leave a core each for the merge step and the engine
             // workers before dedicating any to parsing; cap the stage
             // where parse stops being the bottleneck.
             cores.saturating_sub(self.shards + 1).min(4)
         });
-        // Direct-mapped replicas size their registers to the routed slot
-        // count (the `shard_flow_slots` override). Keyed replicas keep
-        // the configured bucket × way geometry verbatim — every shard
-        // hosts the full table, which is what keeps eviction decisions
-        // geometry-invariant.
-        let replica_config = match self.config.flow_table {
-            FlowTableKind::DirectMapped => {
-                PipelineConfig { flow_slots: route_slots, ..self.config.clone() }
-            }
-            FlowTableKind::Keyed { .. } => self.config.clone(),
-        };
         let build_replica = || {
             self.apps
                 .iter()
-                .fold(SwitchBuilder::new().config(replica_config.clone()), |b, &(app, be)| {
+                .fold(SwitchBuilder::new().config(self.config.clone()), |b, &(app, be)| {
                     b.register_on(app, be)
                 })
                 .build()
@@ -518,23 +478,29 @@ impl<'a> RuntimeBuilder<'a> {
         // rehydrates one with the accepted update history when it
         // replaces a faulted worker.
         let spares = (0..self.spare_replicas).map(|_| build_replica()).collect();
-        Ok(StreamingRuntime::new(
-            switches,
-            self.batch_size,
-            self.queue_depth,
-            IngestPlan {
-                parse_workers,
+        // Ingest-side overload state: the saturation windows are carved
+        // off the fault plan; the per-shard worker slices follow in
+        // `StreamingRuntime::new`.
+        let overload = OverloadState::new(self.overload, self.fault_plan.for_ingest(), route_slots);
+        let ingest = Ingest::new(
+            ParsePlan {
+                workers: parse_workers,
                 epoch_len: self.epoch_len,
                 route_slots,
-                windows: CrossFlowWindows::new(self.config.flow_slots, self.config.window_ns),
-                directory,
-                overload: self.overload,
+                shards: self.shards,
+                keyed: directory.is_some(),
             },
-            SupervisePlan {
-                spares,
-                control_timeout: self.control_timeout,
-                faults: self.fault_plan,
-            },
+            Steer::new(self.shards, self.batch_size, self.queue_depth, overload),
+            CrossFlowWindows::new(self.config.flow_slots, self.config.window_ns),
+            directory,
+        );
+        Ok(StreamingRuntime::new(
+            switches,
+            spares,
+            self.queue_depth,
+            self.control_timeout,
+            &self.fault_plan,
+            ingest,
         ))
     }
 }
@@ -645,155 +611,12 @@ impl RuntimeReport {
     }
 }
 
-/// A sharded, batched multi-core host for [`taurus_core::TaurusSwitch`]
-/// replicas, exposed run-at-a-time.
-///
-/// Since the streaming refactor this is a thin wrapper over the
-/// resident [`StreamingRuntime`]: `run_packets` = rebase the scheduled
-/// updates onto the global stream, `feed`, `drain`. The engine workers
-/// are spawned once at build and stay resident across runs — successive
-/// runs spawn no engine threads and (past the first) allocate no batch
-/// memory.
-///
-/// Flow state is long-lived: like a [`taurus_core::TaurusSwitch`],
-/// successive runs accumulate registers, flow-start bookkeeping, and
-/// counters; call [`ShardedRuntime::reset`] between independent
-/// experiments.
-pub struct ShardedRuntime {
-    service: StreamingRuntime,
-    /// Updates scheduled for the next run, with **run-relative** packet
-    /// indices; `run_packets` rebases them onto the global stream
-    /// position at the moment the run starts. Sorted by install index
-    /// (stable for equal indices: scheduling order is install order).
-    pending_updates: Vec<(u64, Arc<ModelUpdate>)>,
-}
-
-impl ShardedRuntime {
-    /// Number of shards (switch replicas / worker threads).
-    pub fn shard_count(&self) -> usize {
-        self.service.shard_count()
-    }
-
-    /// Packets per ingest batch.
-    pub fn batch_size(&self) -> usize {
-        self.service.batch_size()
-    }
-
-    /// Parse workers per run (`0` = inline single-thread ingest); see
-    /// [`RuntimeBuilder::parse_workers`].
-    pub fn parse_worker_count(&self) -> usize {
-        self.service.parse_worker_count()
-    }
-
-    /// Packets per pipeline epoch; see [`RuntimeBuilder::epoch_len`].
-    pub fn epoch_len(&self) -> usize {
-        self.service.epoch_len()
-    }
-
-    /// Installs a model update on every shard *now* (between runs).
-    /// Replicas are identical by construction, so validation on the
-    /// first shard decides for all of them: an error returns before any
-    /// replica was touched, keeping the fleet consistent.
-    ///
-    /// # Errors
-    ///
-    /// See [`StreamingRuntime::install_update`].
-    pub fn install_update(&mut self, update: &ModelUpdate) -> Result<(), InstallError> {
-        self.service.install_update(update)
-    }
-
-    /// Schedules a live update for the next run: it is applied on
-    /// **every shard at global packet index `at_packet`** of that run —
-    /// packets with index < `at_packet` are decided by the old model,
-    /// packets with index ≥ `at_packet` by the new one, exactly as if a
-    /// sequential [`TaurusSwitch`] had had the update installed between
-    /// those two packets. Ingest realizes the barrier by flushing every
-    /// staged partial batch and then enqueuing the update in-band on
-    /// each shard's FIFO channel; no worker ever pauses.
-    ///
-    /// Indices at or beyond the run's length install after the last
-    /// packet (the update still lands; it just decided nothing).
-    /// Invalid updates (unknown app, stale version, wrong backend)
-    /// surface as a worker panic during the run — scheduling itself
-    /// cannot check them against the future run.
-    pub fn schedule_update(&mut self, at_packet: u64, update: ModelUpdate) {
-        self.pending_updates.push((at_packet, Arc::new(update)));
-        self.pending_updates.sort_by_key(|&(at, _)| at);
-    }
-
-    /// Updates scheduled for the next run (install index, app, version).
-    pub fn scheduled_updates(&self) -> Vec<(u64, String, u64)> {
-        self.pending_updates.iter().map(|(at, u)| (*at, u.app.clone(), u.version)).collect()
-    }
-
-    /// Installed model versions per app (registration order). All
-    /// shards agree by construction — updates apply to every shard at
-    /// the same boundary.
-    pub fn app_versions(&self) -> Vec<(String, u64)> {
-        self.service.app_versions()
-    }
-
-    /// Runs a whole trace through the runtime; see
-    /// [`ShardedRuntime::run_packets`].
-    pub fn run_trace(&mut self, trace: &PacketTrace) -> RuntimeReport {
-        self.run_packets(&trace.packets)
-    }
-
-    /// Drives a packet stream through the sharded data plane: ingest
-    /// (observations, shared cross-flow windows, flow-consistent
-    /// routing, batching) runs either inline on the calling thread or —
-    /// with `parse_workers > 0` — as the parallel epoch pipeline
-    /// ([`crate::pipeline`]); one worker thread per shard executes its
-    /// replica, and the per-shard reports are merged. Both ingest modes
-    /// produce bit-identical reports.
-    ///
-    /// Updates scheduled via [`ShardedRuntime::schedule_update`] are
-    /// consumed by this run and applied in-band at their global packet
-    /// index (on every shard, at a batch boundary the flush creates).
-    ///
-    /// Packets must be in arrival order (as [`PacketTrace`] guarantees).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scheduled update fails to install on a shard
-    /// (unknown app, stale version, backend mismatch) — by then some
-    /// replicas may already run the new model, and a half-updated fleet
-    /// must not keep serving.
-    pub fn run_packets(&mut self, packets: &[TracePacket]) -> RuntimeReport {
-        // Rebase the run-relative schedule onto the global stream: index
-        // k of this run is stream index position + k.
-        let base = self.service.stream_position();
-        for (at, update) in std::mem::take(&mut self.pending_updates) {
-            self.service.schedule_update_shared(base.saturating_add(at), update);
-        }
-        self.service.feed(packets);
-        self.service.drain()
-    }
-
-    /// Clears every replica's flow state and counters plus the shared
-    /// ingest state. Installed models (and their versions) survive:
-    /// reset separates experiment phases, it does not roll back
-    /// deployments. Updates scheduled for the next run also survive.
-    pub fn reset(&mut self) {
-        self.service.reset();
-    }
-}
-
-impl core::fmt::Debug for ShardedRuntime {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShardedRuntime")
-            .field("service", &self.service)
-            .field("pending_updates", &self.pending_updates.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use taurus_core::apps::SynFloodDetector;
     use taurus_dataset::kdd::KddGenerator;
-    use taurus_dataset::trace::TraceConfig;
+    use taurus_dataset::trace::{PacketTrace, TraceConfig};
 
     fn trace(n: usize, seed: u64) -> PacketTrace {
         let records = KddGenerator::new(seed).take(n);
@@ -953,9 +776,10 @@ mod tests {
     #[test]
     fn more_shards_than_register_slots_is_a_typed_build_error() {
         let syn = SynFloodDetector::default_deployment();
+        let four_slots = || PipelineConfig { flow_slots: 4, ..PipelineConfig::default() };
         let err = RuntimeBuilder::new()
             .shards(8)
-            .shard_flow_slots(4) // 8 shards cannot share 4 route slots
+            .config(four_slots()) // 8 shards cannot share 4 route slots
             .register_on(&syn, EngineBackend::Threshold)
             .try_build()
             .expect_err("impossible geometry must be rejected");
@@ -964,25 +788,11 @@ mod tests {
         // At the boundary (one slot per shard) the config is legal.
         let rt = RuntimeBuilder::new()
             .shards(4)
-            .shard_flow_slots(4)
+            .config(four_slots())
             .register_on(&syn, EngineBackend::Threshold)
             .try_build()
             .expect("shards == flow_slots is the legal extreme");
         assert_eq!(rt.shard_count(), 4);
-    }
-
-    #[test]
-    fn shard_flow_slots_still_opts_into_approximate_sharding() {
-        let syn = SynFloodDetector::default_deployment();
-        let t = trace(60, 35);
-        let mut rt = RuntimeBuilder::new()
-            .shards(3)
-            .shard_flow_slots(2048) // smaller replicas: approximate sharding
-            .backend(EngineBackend::Threshold)
-            .register(&syn)
-            .build();
-        let report = rt.run_trace(&t);
-        assert_eq!(report.merged.packets, t.packets.len() as u64);
     }
 
     #[test]
@@ -1053,7 +863,7 @@ mod tests {
         rt.schedule_update(k, syn.retune(i64::MAX - 1, 1, EngineBackend::Threshold));
         assert_eq!(rt.scheduled_updates(), vec![(k, "syn-flood".to_string(), 1)]);
         let report = rt.run_trace(&t);
-        assert!(rt.scheduled_updates().is_empty(), "consumed by the run");
+        assert!(rt.scheduled_updates().is_empty(), "consumed by the feed");
         assert_eq!(rt.app_versions(), vec![("syn-flood".to_string(), 1)]);
         assert_eq!(report.segments.len(), 2);
         assert_eq!(report.segments[0].total(), k);
@@ -1129,16 +939,14 @@ mod tests {
     #[test]
     fn overload_policy_defaults_to_block_and_is_plumbed_through() {
         let syn = SynFloodDetector::default_deployment();
-        let rt = RuntimeBuilder::new()
-            .shards(2)
-            .register_on(&syn, EngineBackend::Threshold)
-            .build_streaming();
+        let rt =
+            RuntimeBuilder::new().shards(2).register_on(&syn, EngineBackend::Threshold).build();
         assert_eq!(rt.overload_policy(), crate::OverloadPolicy::Block);
         let rt = RuntimeBuilder::new()
             .shards(2)
             .overload_policy(crate::OverloadPolicy::Degrade { patience: Duration::ZERO })
             .register_on(&syn, EngineBackend::Threshold)
-            .build_streaming();
+            .build();
         assert_eq!(
             rt.overload_policy(),
             crate::OverloadPolicy::Degrade { patience: Duration::ZERO }

@@ -1,0 +1,259 @@
+//! The long-lived streaming service: resident engine workers behind a
+//! push-style ingest API. The paper's device serves traffic
+//! *indefinitely*, and so does this — the one runtime type of the
+//! crate:
+//!
+//! - **Resident engine workers** (`worker.rs`). One OS thread per shard
+//!   is spawned at construction, *owns* its [`TaurusSwitch`] replica,
+//!   and stays alive across feeds — no per-run thread spawn/join (or
+//!   its allocations) in the steady state.
+//! - **Push-style ingest** (`feed.rs`). [`StreamingRuntime::feed`]
+//!   pushes a slice of the stream through the one ingest loop with
+//!   bounded-SPSC backpressure. Partial batches are flushed at every
+//!   feed boundary, so the engines observe each feed completely.
+//! - **Asynchronous updates.** [`StreamingRuntime::schedule_update`]
+//!   keys on the *global stream index* (monotone across feeds) and is
+//!   applied in-band at exactly that barrier;
+//!   [`StreamingRuntime::install_update`] installs "now" via a
+//!   request/reply message and keeps the fleet transactional
+//!   (`control.rs`, which also hosts the canary protocol).
+//! - **Deterministic drain** (`drain.rs`). [`StreamingRuntime::drain`]
+//!   installs any still-pending updates, flushes every staged partial
+//!   batch, and barriers on every worker for a snapshot: the merged
+//!   [`RuntimeReport`] is bit-identical to the sequential switch over
+//!   the concatenation of all feeds since the last drain, however the
+//!   stream was sliced into feeds (batch counts aside — feed boundaries
+//!   flush partial batches early). [`StreamingRuntime::shutdown`] is
+//!   drain + worker join.
+//!
+//! A worker panic is contained (see `worker.rs`) and surfaces at the
+//! next drain, which re-raises it on the caller's thread — or, with
+//! spare replicas configured, turns it into fault accounting and a
+//! respawn. [`StreamingRuntime::reset`] clears the poisoned state and
+//! the service keeps serving.
+//!
+//! [`RuntimeReport`]: crate::runtime::RuntimeReport
+
+mod control;
+mod drain;
+pub(crate) mod feed;
+pub(crate) mod worker;
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use taurus_core::{ModelUpdate, RollbackPoint, TaurusSwitch};
+
+use crate::fault::{FaultPlan, FaultReport};
+use crate::overload::OverloadPolicy;
+use crate::pipeline::steer::ShardMsg;
+use feed::Ingest;
+use worker::{spawn_worker, Lane};
+
+/// A persistent streaming host for [`TaurusSwitch`] replicas: resident
+/// engine workers, push-style feeds, asynchronous model updates, and a
+/// deterministic drain/shutdown. Built by
+/// [`crate::runtime::RuntimeBuilder::build`].
+///
+/// Flow state is long-lived: like a [`TaurusSwitch`], successive feeds
+/// accumulate registers, flow-start bookkeeping, and counters; call
+/// [`StreamingRuntime::reset`] between independent experiments.
+///
+/// ```
+/// use taurus_core::apps::SynFloodDetector;
+/// use taurus_core::EngineBackend;
+/// use taurus_dataset::kdd::KddGenerator;
+/// use taurus_dataset::trace::{PacketTrace, TraceConfig};
+/// use taurus_runtime::RuntimeBuilder;
+///
+/// let syn = SynFloodDetector::default_deployment();
+/// let mut service = RuntimeBuilder::new()
+///     .shards(2)
+///     .register_on(&syn, EngineBackend::Threshold)
+///     .build();
+///
+/// let records = KddGenerator::new(7).take(60);
+/// let trace = PacketTrace::expand(records, &TraceConfig::default());
+/// service.feed(&trace.packets);
+/// service.feed(&trace.packets); // workers stay resident between feeds
+/// let report = service.shutdown();
+/// assert_eq!(report.merged.packets, 2 * trace.packets.len() as u64);
+/// ```
+pub struct StreamingRuntime {
+    /// Per-shard lane ends; the supervisor swaps an entry when it
+    /// respawns or retires that shard's worker.
+    lanes: Vec<Lane>,
+    /// Every worker thread ever spawned (serving or replaced), joined
+    /// at teardown.
+    handles: Vec<std::thread::JoinHandle<()>>,
+    queue_depth: usize,
+    /// Everything order-bound on the ingest side (see `feed.rs`).
+    ingest: Ingest,
+    /// What the fleet runs.
+    deployed: Deployed,
+    /// Spare replicas for supervised recovery: cold switches built from
+    /// the same roster, consumed (newest first) when a faulted worker
+    /// is respawned. Empty ⇒ legacy panic-at-drain semantics.
+    spares: Vec<TaurusSwitch>,
+    /// Whether supervision was requested at build time (spares > 0).
+    /// Stays true after the spares run out so fault accounting (rather
+    /// than a re-raised panic) remains the drain's contract.
+    supervised: bool,
+    /// How long a control-plane exchange (install reply, drain
+    /// snapshot) may take before the shard is declared unresponsive.
+    control_timeout: Duration,
+    /// Fault accounting accumulated since the last drain.
+    fault_acc: FaultReport,
+    /// The in-flight canary rollout, if any.
+    canary: Option<CanaryRun>,
+}
+
+/// The fleet's installed models, as the service tracks them.
+struct Deployed {
+    /// Mirror of the fleet's installed versions (all replicas agree by
+    /// construction), refreshed from a healthy snapshot at every drain.
+    versions: Vec<(String, u64)>,
+    /// Every update the fleet accepted, in install order — replayed
+    /// onto a spare to rehydrate it to the fleet's current versions.
+    history: Vec<Arc<ModelUpdate>>,
+}
+
+impl Deployed {
+    fn note(&mut self, update: Arc<ModelUpdate>) {
+        if let Some(entry) = self.versions.iter_mut().find(|(name, _)| *name == update.app) {
+            entry.1 = update.version;
+        }
+        self.history.push(update);
+    }
+}
+
+/// An in-flight canary rollout: the candidate update, the shard split,
+/// and the rollback points captured on each canary shard.
+struct CanaryRun {
+    update: Arc<ModelUpdate>,
+    /// Shards `first_canary..shards` run the candidate; `0..first_canary`
+    /// stay on the incumbent as the control group.
+    first_canary: usize,
+    points: Vec<(usize, RollbackPoint)>,
+}
+
+impl StreamingRuntime {
+    /// Spawns the resident workers, each owning one replica. Called by
+    /// the builder after validation.
+    pub(crate) fn new(
+        switches: Vec<TaurusSwitch>,
+        spares: Vec<TaurusSwitch>,
+        queue_depth: usize,
+        control_timeout: Duration,
+        faults: &FaultPlan,
+        ingest: Ingest,
+    ) -> Self {
+        let versions = switches.first().map(TaurusSwitch::app_versions).unwrap_or_default();
+        let (lanes, handles) = switches
+            .into_iter()
+            .enumerate()
+            .map(|(shard, switch)| spawn_worker(switch, queue_depth, faults.for_shard(shard)))
+            .unzip();
+        Self {
+            lanes,
+            handles,
+            queue_depth,
+            ingest,
+            deployed: Deployed { versions, history: Vec::new() },
+            supervised: !spares.is_empty(),
+            spares,
+            control_timeout,
+            fault_acc: FaultReport::default(),
+            canary: None,
+        }
+    }
+
+    /// Number of shards (resident switch replicas / worker threads).
+    pub fn shard_count(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Packets per ingest batch.
+    pub fn batch_size(&self) -> usize {
+        self.ingest.steer.batch_size()
+    }
+
+    /// Parse worker threads per feed (`0` = the feeding thread parses);
+    /// see [`crate::RuntimeBuilder::parse_workers`].
+    pub fn parse_worker_count(&self) -> usize {
+        self.ingest.plan.workers
+    }
+
+    /// Packets per parse-worker epoch; see
+    /// [`crate::RuntimeBuilder::epoch_len`].
+    pub fn epoch_len(&self) -> usize {
+        self.ingest.plan.epoch_len
+    }
+
+    /// Global stream position: packets offered across all feeds since
+    /// construction — the stream index the next fed packet will get
+    /// (monotone — [`StreamingRuntime::reset`] clears flow state, not
+    /// the stream clock).
+    pub fn stream_position(&self) -> u64 {
+        self.ingest.position
+    }
+
+    /// The configured [`OverloadPolicy`]: what the steer stage does
+    /// when a shard's lane is saturated.
+    pub fn overload_policy(&self) -> OverloadPolicy {
+        self.ingest.steer.overload.policy()
+    }
+
+    /// Installed model versions per app (registration order). All
+    /// shards agree by construction; this reads the service's mirror,
+    /// which every install advances and every drain re-syncs from a
+    /// healthy shard.
+    pub fn app_versions(&self) -> Vec<(String, u64)> {
+        self.deployed.versions.clone()
+    }
+
+    /// Clears every replica's flow state and counters (including any
+    /// caught panic) plus the shared ingest state. Installed models and
+    /// their versions survive, as do scheduled updates and the stream
+    /// position — reset separates experiment phases, it does not roll
+    /// back deployments or rewind the stream clock. The reset message
+    /// travels in-band, so it takes effect after everything already fed
+    /// and before anything fed next.
+    pub fn reset(&mut self) {
+        for lane in &self.lanes {
+            let _ = lane.tx.send(ShardMsg::Reset);
+        }
+        self.ingest.reset();
+    }
+
+    /// Closes every lane (ending the worker loops) and joins every
+    /// worker thread ever spawned.
+    fn join_workers(&mut self) {
+        self.lanes.clear();
+        for worker in self.handles.drain(..) {
+            let _ = worker.join();
+        }
+    }
+}
+
+impl Drop for StreamingRuntime {
+    /// Tears down without a report (no-op after
+    /// [`StreamingRuntime::shutdown`]). A caught worker panic dies with
+    /// the service — dropping instead of draining is the "I don't care
+    /// about the outcome" path.
+    fn drop(&mut self) {
+        self.join_workers();
+    }
+}
+
+impl core::fmt::Debug for StreamingRuntime {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("StreamingRuntime")
+            .field("shards", &self.shard_count())
+            .field("batch_size", &self.batch_size())
+            .field("parse_workers", &self.parse_worker_count())
+            .field("epoch_len", &self.epoch_len())
+            .field("stream_position", &self.stream_position())
+            .finish()
+    }
+}

@@ -69,17 +69,6 @@ pub enum TryRecvError {
     Disconnected,
 }
 
-/// Why [`Sender::try_send`] could not place the item; carries the
-/// unsent value back either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel is at capacity right now; the receiver is still
-    /// alive. The caller decides whether to retry, park, or shed.
-    Full(T),
-    /// The receiver is gone — nothing will ever drain.
-    Disconnected(T),
-}
-
 /// Why [`Sender::send_timeout`] gave up; carries the unsent value back
 /// either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,36 +179,14 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Sends one item if the channel has room right now, never blocking
-    /// (and never spinning) — the shed path's primitive: a full lane is
-    /// an overload signal, not a reason to stall ingest.
-    ///
-    /// # Errors
-    ///
-    /// [`TrySendError::Full`] when the channel is at capacity,
-    /// [`TrySendError::Disconnected`] when the receiver is gone; both
-    /// carry the item back so the caller can account for it.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut state = recover(self.shared.state.lock());
-        if !state.receiver_alive {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if state.buf.len() < self.shared.capacity {
-            state.buf.push_back(value);
-            self.shared.not_empty.notify_one();
-            return Ok(());
-        }
-        Err(TrySendError::Full(value))
-    }
-
     /// Sends one item, giving up after `timeout`.
     ///
     /// This is the patience flavor of [`Sender::send`]: the steer stage
     /// uses it under a non-blocking [`crate::OverloadPolicy`], so a
     /// saturated shard costs ingest at most the configured patience per
     /// batch instead of backpressuring the whole fleet into a stall. A
-    /// zero timeout degrades to a single immediate attempt (the
-    /// [`Sender::try_send`] behavior, minus the spin phase's yields).
+    /// zero timeout degrades to a single immediate attempt, without the
+    /// spin phase's yields.
     ///
     /// # Errors
     ///
@@ -554,26 +521,6 @@ mod tests {
         // Not blocked — the queue had room — but the receiver is gone:
         // the send must fail immediately rather than buffer into a void.
         assert_eq!(tx.send("after"), Err(SendError("after")));
-    }
-
-    #[test]
-    fn try_send_never_blocks_and_reports_both_refusal_states() {
-        let (tx, rx) = channel(2);
-        assert_eq!(tx.try_send(1u32), Ok(()));
-        assert_eq!(tx.try_send(2), Ok(()));
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)), "at capacity, receiver alive");
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(tx.try_send(3), Ok(()), "room again after a drain");
-        drop(rx);
-        assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)), "receiver gone");
-    }
-
-    #[test]
-    fn try_send_reports_disconnect_even_with_room() {
-        let (tx, rx) = channel::<&str>(4);
-        drop(rx);
-        // The queue has room, but nothing will ever drain it.
-        assert_eq!(tx.try_send("x"), Err(TrySendError::Disconnected("x")));
     }
 
     #[test]

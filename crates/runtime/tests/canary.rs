@@ -12,8 +12,7 @@ use taurus_core::EngineBackend;
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_runtime::{
-    CanaryConfig, CanaryController, CanaryDecision, CanaryGuardrails, InstallError, RuntimeBuilder,
-    StreamingRuntime,
+    CanaryDecision, CanaryGuardrails, InstallError, RuntimeBuilder, StreamingRuntime,
 };
 
 fn kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
@@ -28,7 +27,7 @@ fn build_service(shards: usize, workers: usize, syn: &SynFloodDetector) -> Strea
         .parse_workers(workers)
         .epoch_len(64)
         .register_on(syn, EngineBackend::Threshold)
-        .build_streaming()
+        .build()
 }
 
 #[test]
@@ -223,8 +222,6 @@ proptest! {
             CanaryGuardrails { max_f1_drop: 1_000.0, max_positive_rate_delta: 2.0, min_samples: 1 }
         };
         let candidate = syn.retune(cutoff, 1, EngineBackend::Threshold);
-        let controller =
-            CanaryController::new(CanaryConfig { canary_shards: 1, guardrails });
         let expected =
             if rolls_back { CanaryDecision::Rollback } else { CanaryDecision::Promote };
         let mut golden: Option<(_, _)> = None;
@@ -235,9 +232,9 @@ proptest! {
                 // single-shard fleet has a pre-canary segment to
                 // compare against.
                 service.feed(&baseline.packets);
-                controller.begin(&mut service, &candidate).expect("fresh rollout");
+                service.begin_canary(&candidate, 1).expect("fresh rollout");
                 service.feed(&probation.packets);
-                let verdict = controller.conclude(&mut service).expect("concludes");
+                let verdict = service.conclude_canary(&guardrails).expect("concludes");
                 prop_assert_eq!(
                     verdict.decision, expected,
                     "shards={} workers={}", shards, workers

@@ -216,7 +216,8 @@ fn idle_gap_traces_stay_exact_across_ingest_modes() {
                 .epoch_len(48)
                 .register_on(&syn, EngineBackend::Threshold)
                 .build();
-            let report = rt.run_packets(&packets);
+            rt.feed(&packets);
+            let report = rt.drain();
             assert_eq!(
                 report.merged, golden,
                 "gap={gap_mult}x window diverged at shards={shards} workers={parse_workers}"

@@ -11,7 +11,7 @@ use std::time::Duration;
 use taurus_core::apps::SynFloodDetector;
 use taurus_core::EngineBackend;
 use taurus_dataset::kdd::KddGenerator;
-use taurus_dataset::trace::{PacketTrace, TraceConfig};
+use taurus_dataset::trace::{PacketTrace, TraceConfig, TracePacket};
 use taurus_runtime::{
     shard_of, FaultPlan, FaultRecordKind, InstallError, RuntimeBuilder, ShardError,
     StreamingRuntime,
@@ -75,8 +75,8 @@ fn a_panicked_worker_is_respawned_and_accounted() {
     let mut subject = builder(&syn, SHARDS)
         .fault_plan(FaultPlan::new().engine_panic(victim, fire_at))
         .spare_replicas(1)
-        .build_streaming();
-    let mut twin = builder(&syn, SHARDS).build_streaming();
+        .build();
+    let mut twin = builder(&syn, SHARDS).build();
 
     let faulted = drain_report(&mut subject, &trace);
     let clean = drain_report(&mut twin, &trace);
@@ -128,7 +128,7 @@ fn fault_reports_are_deterministic() {
         let mut service = builder(&syn, SHARDS)
             .fault_plan(FaultPlan::new().engine_panic(1, fire_at))
             .spare_replicas(1)
-            .build_streaming();
+            .build();
         drain_report(&mut service, &trace)
     };
     assert_eq!(run(), run());
@@ -141,8 +141,7 @@ fn a_panic_without_spares_reraises_at_the_drain() {
     // quiesces every shard, then re-raises the worker's panic.
     let syn = SynFloodDetector::default_deployment();
     let trace = kdd_trace(100, 83);
-    let mut service =
-        builder(&syn, 2).fault_plan(FaultPlan::new().engine_panic(0, 0)).build_streaming();
+    let mut service = builder(&syn, 2).fault_plan(FaultPlan::new().engine_panic(0, 0)).build();
     drain_report(&mut service, &trace);
 }
 
@@ -156,8 +155,8 @@ fn a_dropped_install_ack_times_out_without_forking_the_fleet() {
     let mut subject = builder(&syn, 2)
         .fault_plan(FaultPlan::new().drop_install_reply(0, 0))
         .control_timeout(Duration::from_millis(50))
-        .build_streaming();
-    let mut twin = builder(&syn, 2).build_streaming();
+        .build();
+    let mut twin = builder(&syn, 2).build();
 
     let update = syn.retune(45, 1, EngineBackend::Threshold);
     let err = subject.install_update(&update).expect_err("the ack was swallowed");
@@ -212,8 +211,8 @@ fn a_stalled_shard_trips_the_watchdog_and_is_replaced() {
         .fault_plan(FaultPlan::new().stall(1, 0, Duration::from_secs(1)))
         .control_timeout(Duration::from_millis(100))
         .spare_replicas(1)
-        .build_streaming();
-    let mut twin = builder(&syn, 2).queue_depth(64).build_streaming();
+        .build();
+    let mut twin = builder(&syn, 2).queue_depth(64).build();
 
     let degraded = drain_report(&mut subject, &trace);
     assert_eq!(degraded.faults.worker_restarts, 1);
@@ -233,4 +232,87 @@ fn a_stalled_shard_trips_the_watchdog_and_is_replaced() {
     let after = drain_report(&mut subject, &validation);
     let control = drain_report(&mut twin, &validation);
     assert_eq!(after, control, "the replacement is a full citizen");
+}
+
+#[test]
+fn a_lost_shard_costs_its_own_traffic_and_nothing_else() {
+    // Regression: with the spares exhausted, a retired shard used to
+    // take the fleet down silently — the first packet homed on it
+    // stopped the feed, the staged batches of the healthy shards were
+    // never flushed, and the drain reported nothing. Now its packets
+    // are refused at ingest (counted, no state touched, stream index
+    // held), so every surviving shard is bit-identical to a fleet fed
+    // the trace with the lost shard's traffic filtered out.
+    let syn = SynFloodDetector::default_deployment();
+    let trace = kdd_trace(200, 87);
+    let followup = kdd_trace(160, 88);
+    // The survivors of a 2-shard fleet that lost shard 1.
+    let survivors_of = |packets: &[TracePacket]| -> Vec<TracePacket> {
+        let survives =
+            |tp: &&TracePacket| shard_of(tp.tuple.canonical().hash(), FLOW_SLOTS, 2) != 1;
+        packets.iter().filter(survives).copied().collect()
+    };
+    let survivors = survivors_of(&followup.packets);
+    let refused = (followup.packets.len() - survivors.len()) as u64;
+    assert!(refused > 0 && !survivors.is_empty(), "seed must load both shards");
+
+    for parse_workers in [0usize, 2] {
+        // One spare, two panics: shard 0 takes the spare, shard 1 is
+        // retired.
+        let mut subject = builder(&syn, 2)
+            .parse_workers(parse_workers)
+            .fault_plan(FaultPlan::new().engine_panic(0, 0).engine_panic(1, 0))
+            .spare_replicas(1)
+            .build();
+        let mut twin = builder(&syn, 2).parse_workers(parse_workers).build();
+
+        let crashed = drain_report(&mut subject, &trace);
+        let kinds: Vec<_> = crashed.faults.records.iter().map(|r| (r.shard, r.kind)).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                (0, FaultRecordKind::WorkerPanic),
+                (1, FaultRecordKind::WorkerPanic),
+                (1, FaultRecordKind::ShardLost),
+            ]
+        );
+        assert_eq!(crashed.faults.worker_restarts, 1);
+
+        // The control plane skips the lost shard instead of failing
+        // half-applied: immediate and in-band installs both land.
+        let retune = syn.retune(45, 1, EngineBackend::Threshold);
+        subject.install_update(&retune).expect("the live shard accepts; the lost one is skipped");
+        twin.install_update(&retune).expect("fresh version");
+        let at = 10u64;
+        let scheduled = syn.retune(50, 2, EngineBackend::Threshold);
+        subject.schedule_update(subject.stream_position() + at, scheduled.clone());
+        // The twin sees only the survivors, so the same barrier sits
+        // before its first survivor at or past packet `at`.
+        let twin_at = survivors_of(&followup.packets[..at as usize]).len() as u64;
+        twin.schedule_update(twin.stream_position() + twin_at, scheduled);
+
+        subject.reset();
+        twin.reset();
+        let before = subject.stream_position();
+        subject.feed(&followup.packets);
+        assert_eq!(
+            subject.stream_position(),
+            before + followup.packets.len() as u64,
+            "refused packets still hold their stream index"
+        );
+        let degraded = subject.drain();
+        twin.feed(&survivors);
+        let clean = twin.drain();
+
+        assert_eq!(degraded.faults.lost_shard_packets, refused, "workers={parse_workers}");
+        assert!(degraded.faults.records.is_empty(), "a known-lost shard is not re-diagnosed");
+        assert_eq!(degraded.shards.len(), 1, "the lost shard reports nothing");
+        assert_eq!(
+            degraded.shards[0], clean.shards[0],
+            "workers={parse_workers}: the survivor must not notice its neighbour's loss"
+        );
+        assert_eq!(degraded.segments, clean.segments);
+        assert_eq!(subject.app_versions(), vec![("syn-flood".to_string(), 2)]);
+        assert!(clean.faults.is_empty());
+    }
 }

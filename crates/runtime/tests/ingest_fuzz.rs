@@ -88,7 +88,8 @@ fn run(
         .epoch_len(48)
         .register_on(syn, EngineBackend::Threshold)
         .build();
-    rt.run_packets(packets)
+    rt.feed(packets);
+    rt.drain()
 }
 
 proptest! {

@@ -112,7 +112,7 @@ fn keyed_replacement_pressure_stays_exact_and_geometry_invariant() {
                 .epoch_len(32)
                 .config(config.clone())
                 .register_on(&syn, EngineBackend::Threshold)
-                .build_streaming();
+                .build();
             for burst in &bursts {
                 service.feed(&burst.packets);
             }

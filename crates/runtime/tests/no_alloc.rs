@@ -1,5 +1,5 @@
 //! Allocation-regression guard for the full sharded hot path: after a
-//! warm-up run, `ShardedRuntime::run_packets` must perform **zero**
+//! warm-up run, a `StreamingRuntime` feed + drain must perform **zero**
 //! per-packet and per-batch heap allocations — ingest (observations,
 //! cross-flow windows, arena fill), the SPSC channels, the workers'
 //! switch loops, and the recycle lanes all run out of memory provisioned
@@ -15,17 +15,21 @@
 //!
 //! Unlike the per-crate guards (`taurus-core`/`taurus-cgra`), the
 //! counting allocator here is process-global — worker threads must be
-//! counted too, not just the ingest thread.
+//! counted too, not just the ingest thread. `cargo test` runs the
+//! `#[test]`s of this file on parallel threads, so every measured
+//! section (warm-ups included) runs under one file-wide lock: a
+//! neighbour's allocations never land in another test's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::EngineBackend;
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_pisa::{FlowTableKind, PipelineConfig};
-use taurus_runtime::{RuntimeBuilder, ShardedRuntime};
+use taurus_runtime::{RuntimeBuilder, StreamingRuntime};
 
 struct CountingAlloc;
 
@@ -67,6 +71,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests of this file: the counter is process-global,
+/// so a test holds this for its whole body — set-up and warm-up feeds
+/// allocate on worker threads too, and would land in a neighbour's
+/// measured section. Poison-tolerant — one failed guard must
+/// not cascade into every other test of the file.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Allocations `f` performs, on any thread. Call with [`measuring`]
+/// held.
 fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::SeqCst);
@@ -90,22 +107,27 @@ fn doubled(single: &PacketTrace) -> Vec<taurus_dataset::trace::TracePacket> {
     d
 }
 
-fn assert_scale_invariant(mut rt: ShardedRuntime, single: &PacketTrace, label: &str) {
+fn assert_scale_invariant(mut rt: StreamingRuntime, single: &PacketTrace, label: &str) {
     let double = doubled(single);
     // Warm-up: provision the batch pool, grow every arena to capacity,
     // populate flow state and fast-path caches on every shard — for
     // both stream lengths, so the measured runs see pure steady state.
-    rt.run_packets(&single.packets);
-    rt.run_packets(&double);
+    rt.feed(&single.packets);
+    rt.drain();
+    rt.feed(&double);
+    rt.drain();
 
     let base = allocations_in(|| {
-        rt.run_packets(&single.packets);
+        rt.feed(&single.packets);
+        rt.drain();
     });
     let repeat = allocations_in(|| {
-        rt.run_packets(&single.packets);
+        rt.feed(&single.packets);
+        rt.drain();
     });
     let scaled = allocations_in(|| {
-        rt.run_packets(&double);
+        rt.feed(&double);
+        rt.drain();
     });
     assert_eq!(base, repeat, "{label}: identical warmed runs must allocate identically");
     assert_eq!(
@@ -117,6 +139,7 @@ fn assert_scale_invariant(mut rt: ShardedRuntime, single: &PacketTrace, label: &
 
 #[test]
 fn sharded_threshold_roster_allocates_independent_of_stream_length() {
+    let _serial = measuring();
     let syn = SynFloodDetector::default_deployment();
     let single = trace(400, 51);
     let rt = RuntimeBuilder::new()
@@ -129,6 +152,7 @@ fn sharded_threshold_roster_allocates_independent_of_stream_length() {
 
 #[test]
 fn sharded_cgra_roster_allocates_independent_of_stream_length() {
+    let _serial = measuring();
     let detector = AnomalyDetector::train_default(9, 400);
     let single = trace(250, 52);
     let rt = RuntimeBuilder::new()
@@ -142,6 +166,7 @@ fn sharded_cgra_roster_allocates_independent_of_stream_length() {
 
 #[test]
 fn resident_service_feeds_allocate_nothing_after_the_first() {
+    let _serial = measuring();
     // The streaming tentpole's allocation story, stated at its
     // strongest: on a resident StreamingRuntime with inline ingest, a
     // warmed `feed` performs ZERO heap allocations — not "a constant
@@ -157,7 +182,7 @@ fn resident_service_feeds_allocate_nothing_after_the_first() {
         .batch_size(32)
         .parse_workers(0) // inline ingest: the fully allocation-free feed path
         .register_on(&syn, EngineBackend::Threshold)
-        .build_streaming();
+        .build();
     // Cold feed: grows every arena to capacity, populates flow state.
     service.feed(&single.packets);
     let second = allocations_in(|| {
@@ -175,6 +200,7 @@ fn resident_service_feeds_allocate_nothing_after_the_first() {
 
 #[test]
 fn keyed_resident_service_feeds_allocate_nothing_after_the_first() {
+    let _serial = measuring();
     // The keyed table's bounded-state claim, enforced by the allocator:
     // a warmed keyed-mode feed — directory accesses, miss-driven flow
     // starts, per-entry counter updates, bucket-local replacement under
@@ -192,7 +218,7 @@ fn keyed_resident_service_feeds_allocate_nothing_after_the_first() {
             ..PipelineConfig::default()
         })
         .register_on(&syn, EngineBackend::Threshold)
-        .build_streaming();
+        .build();
     service.feed(&single.packets);
     let second = allocations_in(|| {
         service.feed(&single.packets);
@@ -205,6 +231,7 @@ fn keyed_resident_service_feeds_allocate_nothing_after_the_first() {
 
 #[test]
 fn keyed_pipelined_ingest_allocates_independent_of_stream_length() {
+    let _serial = measuring();
     // Keyed mode through the parallel pipeline: parse workers skip the
     // candidate filter, the merge stage drives the shared directory —
     // doubling the stream doubles directory accesses and replacement
@@ -227,6 +254,7 @@ fn keyed_pipelined_ingest_allocates_independent_of_stream_length() {
 
 #[test]
 fn pipelined_ingest_allocates_independent_of_stream_length() {
+    let _serial = measuring();
     // The parallel ingest pipeline adds epoch arenas, per-worker SPSC
     // lanes, and per-epoch candidate sets to the hot path; all of that
     // must be provisioned per *run* (epoch pool, preloaded lanes,

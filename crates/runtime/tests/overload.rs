@@ -245,7 +245,7 @@ fn feed_slicing_never_changes_the_admission_decision() {
             .parse_workers(2)
             .overload_policy(policy)
             .fault_plan(plan())
-            .build_streaming()
+            .build()
     };
 
     // One feed, one drain: the reference.
@@ -316,8 +316,8 @@ fn degraded_packets_leave_no_residue_for_later_feeds() {
     let mut subject = builder(&syn, &anomaly, shards)
         .overload_policy(OverloadPolicy::Degrade { patience: PATIENCE })
         .fault_plan(FaultPlan::new().saturate_shard(windows[0].0, windows[0].1, windows[0].2))
-        .build_streaming();
-    let mut twin = builder(&syn, &anomaly, shards).build_streaming();
+        .build();
+    let mut twin = builder(&syn, &anomaly, shards).build();
 
     subject.feed(&trace.packets);
     let episode = subject.drain();
@@ -371,7 +371,7 @@ fn a_shard_that_sheds_and_then_panics_recovers_with_its_counters_intact() {
             FaultPlan::new().saturate_shard(victim, 0, shed_upto).engine_panic(victim, fire_at),
         )
         .spare_replicas(1)
-        .build_streaming();
+        .build();
 
     rt.feed(&trace.packets);
     let report = rt.drain();

@@ -12,7 +12,7 @@
 //! 2. **Engine-worker drop under blocked steer-send**: an engine worker
 //!    panics (here: a poisoned live update) while the merge stage may
 //!    be parked in a full steer lane — the panic must propagate out of
-//!    `run_packets`, with every other thread released.
+//!    the drain, with every other thread released.
 //! 3. **Drain-on-stop**: a clean end of stream leaves no packet
 //!    unmerged and no arena stranded, for geometries that end
 //!    mid-epoch, mid-batch, and with more workers than epochs.
@@ -48,7 +48,7 @@ fn engine_worker_panic_mid_run_propagates_without_deadlock() {
     // An invalid live update (unknown app) makes every engine worker
     // panic at its install barrier. At that moment the merge stage is
     // still steering packets — its next send hits a dead lane. The
-    // panic must surface from run_packets; parse workers, the merge
+    // panic must surface from the run's drain; parse workers, the merge
     // stage, and the remaining engine workers must all wind down.
     within(Duration::from_secs(60), || {
         let syn = SynFloodDetector::default_deployment();
@@ -149,13 +149,15 @@ fn drain_on_stop_leaves_no_packet_unmerged() {
                 .epoch_len(epoch_len)
                 .register_on(&syn, EngineBackend::Threshold)
                 .build();
-            let report = rt.run_packets(stream);
+            rt.feed(stream);
+            let report = rt.drain();
             assert_eq!(report.merged.packets, n, "{packets}p/{epoch_len}e/{workers}w");
             let routed: u64 = report.shards.iter().map(|s| s.packets).sum();
             assert_eq!(routed, n, "{packets}p/{epoch_len}e/{workers}w: steered == merged");
             // And the run is repeatable on the warm runtime (arenas all
             // recovered, lanes rebuilt).
-            let again = rt.run_packets(stream);
+            rt.feed(stream);
+            let again = rt.drain();
             assert_eq!(again.merged.packets, 2 * n);
         }
     });
@@ -171,7 +173,8 @@ fn empty_stream_with_parse_workers_spins_up_and_down_cleanly() {
             .epoch_len(64)
             .register_on(&syn, EngineBackend::Threshold)
             .build();
-        let report = rt.run_packets(&[]);
+        rt.feed(&[]);
+        let report = rt.drain();
         assert_eq!(report.merged.packets, 0);
     });
 }

@@ -11,7 +11,7 @@
 //!    srv_count)` against the classic sequential
 //!    [`ObsBuilder`]/[`CrossFlowWindows`] fold.
 //! 2. **Runtime level** (threaded, fewer cases): a pipelined
-//!    [`ShardedRuntime`] run must merge to the sequential switch's
+//!    [`taurus_runtime::StreamingRuntime`] run must merge to the sequential switch's
 //!    report bit for bit for shard counts {1, 2, 3, 4, 5, 8} — the
 //!    non-dividing counts exercise slot-based routing — across random
 //!    epoch lengths and parse-worker counts.

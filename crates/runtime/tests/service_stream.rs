@@ -38,7 +38,7 @@ fn gapped(base: &PacketTrace, repeats: usize, gap_ns: u64) -> Vec<TracePacket> {
 fn successive_feeds_match_a_one_shot_run_over_the_concatenation() {
     // The tentpole equivalence: feed the stream in three pieces to a
     // resident service, drain once — the merged report and segments
-    // must be bit-identical to run_packets on the whole stream (batch
+    // must be bit-identical to one feed of the whole stream (batch
     // counts may differ: feed boundaries flush partial batches early).
     let syn = SynFloodDetector::default_deployment();
     let trace = kdd_trace(300, 91);
@@ -54,7 +54,7 @@ fn successive_feeds_match_a_one_shot_run_over_the_concatenation() {
                 .parse_workers(workers)
                 .epoch_len(64)
                 .register_on(&syn, EngineBackend::Threshold)
-                .build_streaming()
+                .build()
         };
         let golden = build().run_trace(&trace);
 
@@ -79,7 +79,7 @@ fn successive_feeds_match_a_one_shot_run_over_the_concatenation() {
 #[test]
 fn drain_resets_per_run_stats_but_keeps_flow_state() {
     // Two feed+drain cycles on one resident service behave exactly like
-    // two run_packets calls on a long-lived ShardedRuntime: replica
+    // two independent runs on one long-lived runtime: replica
     // reports accumulate, per-run stats restart.
     let syn = SynFloodDetector::default_deployment();
     let trace = kdd_trace(150, 92);
@@ -88,7 +88,7 @@ fn drain_resets_per_run_stats_but_keeps_flow_state() {
         .batch_size(16)
         .parse_workers(0)
         .register_on(&syn, EngineBackend::Threshold)
-        .build_streaming();
+        .build();
     let first = service.run_trace(&trace);
     let second = service.run_trace(&trace);
     assert_eq!(second.merged.packets, 2 * first.merged.packets, "replica reports accumulate");
@@ -111,7 +111,7 @@ fn scheduled_updates_key_on_the_global_stream_index() {
         .batch_size(16)
         .parse_workers(0)
         .register_on(&syn, EngineBackend::Threshold)
-        .build_streaming();
+        .build();
     // An absurdly high cutoff: the post-update segment can never drop.
     service.schedule_update(k, syn.retune(i64::MAX - 1, 1, EngineBackend::Threshold));
     assert_eq!(service.feed(a), 0, "the update's index lies beyond the first feed");
@@ -134,10 +134,8 @@ fn scheduled_updates_key_on_the_global_stream_index() {
 fn updates_past_the_fed_stream_install_at_the_drain_barrier() {
     let syn = SynFloodDetector::default_deployment();
     let trace = kdd_trace(60, 94);
-    let mut service = RuntimeBuilder::new()
-        .shards(2)
-        .register_on(&syn, EngineBackend::Threshold)
-        .build_streaming();
+    let mut service =
+        RuntimeBuilder::new().shards(2).register_on(&syn, EngineBackend::Threshold).build();
     service.schedule_update(u64::MAX, syn.retune(50, 1, EngineBackend::Threshold));
     service.feed(&trace.packets);
     let report = service.drain();
@@ -157,10 +155,8 @@ fn updates_past_the_fed_stream_install_at_the_drain_barrier() {
 fn install_update_applies_between_feeds_and_stays_transactional() {
     let syn = SynFloodDetector::default_deployment();
     let trace = kdd_trace(80, 95);
-    let mut service = RuntimeBuilder::new()
-        .shards(2)
-        .register_on(&syn, EngineBackend::Threshold)
-        .build_streaming();
+    let mut service =
+        RuntimeBuilder::new().shards(2).register_on(&syn, EngineBackend::Threshold).build();
     service.feed(&trace.packets);
     service.install_update(&syn.retune(45, 3, EngineBackend::Threshold)).expect("fresh version");
     assert_eq!(service.app_versions(), vec![("syn-flood".to_string(), 3)]);
@@ -211,7 +207,8 @@ fn idle_eviction_is_deterministic_across_shard_and_worker_geometries() {
             .config(cfg.clone())
             .register_on(&syn, EngineBackend::Threshold)
             .build();
-        let report = rt.run_packets(&packets);
+        rt.feed(&packets);
+        let report = rt.drain();
         assert_eq!(report.merged, golden, "shards={shards} workers={workers}");
         assert_eq!(report.evictions(), golden.evictions);
         assert!(report.evictions() > 0);
@@ -225,6 +222,72 @@ fn eviction_disabled_by_default_keeps_reports_eviction_free() {
     let packets = gapped(&base, 3, 10 * PipelineConfig::default().window_ns);
     let mut rt =
         RuntimeBuilder::new().shards(2).register_on(&syn, EngineBackend::Threshold).build();
-    let report = rt.run_packets(&packets);
+    rt.feed(&packets);
+    let report = rt.drain();
     assert_eq!(report.evictions(), 0, "idle_timeout_ns defaults to 0 = disabled");
+}
+
+#[test]
+fn every_feed_advances_the_stream_clock_by_its_length() {
+    // Both ingest geometries agree on the stream clock: a feed advances
+    // `stream_position` by exactly `packets.len()`, whatever became of
+    // the packets — processed, quarantined at the frontier, bypassed by
+    // a saturation window, or refused because their home shard is lost.
+    use std::time::Duration;
+    use taurus_runtime::{FaultPlan, FaultRecordKind, OverloadPolicy};
+
+    let syn = SynFloodDetector::default_deployment();
+    let trace = kdd_trace(120, 98);
+    let n = trace.packets.len() as u64;
+    let mut corrupted = trace.packets.clone();
+    for i in (0..corrupted.len()).step_by(7) {
+        corrupted[i].len = 0; // quarantined: zero-length
+    }
+
+    for workers in [0usize, 2] {
+        for shards in [1usize, 3] {
+            // Shards 0 and 1 both panic at their first packet with one
+            // spare between them: the second is retired at the first
+            // drain. (A one-shard fleet only arms shard 0, which takes
+            // the spare — nothing left to lose.)
+            let mut plan = FaultPlan::new().saturate_shard(0, n / 4, n / 2).engine_panic(0, 0);
+            if shards > 1 {
+                plan = plan.engine_panic(1, 0);
+            }
+            let mut rt = RuntimeBuilder::new()
+                .shards(shards)
+                .batch_size(16)
+                .parse_workers(workers)
+                .epoch_len(48)
+                .overload_policy(OverloadPolicy::Shed { patience: Duration::from_secs(5) })
+                .fault_plan(plan)
+                .spare_replicas(1)
+                .register_on(&syn, EngineBackend::Threshold)
+                .build();
+            let mut expected = 0u64;
+            let mut feed =
+                |rt: &mut taurus_runtime::StreamingRuntime, packets: &[TracePacket], what: &str| {
+                    rt.feed(packets);
+                    expected += packets.len() as u64;
+                    assert_eq!(
+                        rt.stream_position(),
+                        expected,
+                        "{what} feed, workers={workers} shards={shards}"
+                    );
+                };
+            // Saturated (the window covers this feed) and panicking.
+            feed(&mut rt, &trace.packets, "saturated");
+            let first = rt.drain();
+            assert!(first.overload.shed_packets > 0, "the window was live");
+            let lost = first.faults.records.iter().any(|r| r.kind == FaultRecordKind::ShardLost);
+            assert_eq!(lost, shards > 1);
+            // Clean, quarantining, and empty feeds on the degraded fleet.
+            feed(&mut rt, &trace.packets, "clean");
+            feed(&mut rt, &corrupted, "quarantining");
+            feed(&mut rt, &[], "empty");
+            let second = rt.drain();
+            assert!(second.overload.quarantine.zero_length > 0);
+            assert_eq!(second.faults.lost_shard_packets > 0, lost, "dead-shard feeds counted");
+        }
+    }
 }

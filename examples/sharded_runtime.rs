@@ -6,8 +6,8 @@
 //! report *exactly* (this example checks it).
 //!
 //! The trace is fed in fixed-size segments via `PacketTrace::batches`,
-//! the streaming-driver pattern: flow state persists across
-//! `run_packets` calls, so a driver never has to hold a whole trace —
+//! the streaming-driver pattern: workers and flow state stay resident
+//! across `feed` calls, so a driver never has to hold a whole trace —
 //! and exactness still holds end to end.
 //!
 //! Run with: `cargo run --release --example sharded_runtime`
@@ -49,17 +49,16 @@ fn main() {
         .register(&syn_flood)
         .build();
     let mut segments = 0usize;
-    let mut report = None;
     for segment in trace.batches(SEGMENT) {
-        report = Some(runtime.run_packets(segment));
+        runtime.feed(segment);
         segments += 1;
     }
-    let report = report.expect("trace is non-empty");
+    let report = runtime.drain();
     println!("streamed {segments} segments of <= {SEGMENT} packets\n");
 
     println!("shard  packets  dropped  flagged");
     for s in &report.shards {
-        // `s.report` is the replica's cumulative view across segments.
+        // `s.report` is the replica's cumulative view since build.
         println!(
             "{:>5}  {:>7}  {:>7}  {:>7}",
             s.shard, s.report.packets, s.report.dropped, s.report.flagged
