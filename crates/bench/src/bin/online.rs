@@ -83,10 +83,6 @@ fn main() {
         },
         shards,
         batch_size: 64,
-        // Auto-resolved ingest mode: pipelined where the host has spare
-        // cores, inline otherwise — the report is identical either way.
-        parse_workers: None,
-        epoch_len: None,
     };
 
     // The tentpole check: the same deployment on 1, 2, and 4 shards

@@ -14,18 +14,24 @@
 //!   shard finishes. This is the paper-relevant quantity and scales
 //!   linearly up to the flow-hash balance factor.
 //!
+//! A closing table prices the overload policies: the feed-phase rate
+//! (the ingest thread's experience — what a policy protects) of a
+//! 2-shard threshold fleet whose shard 0 stalls at its first packet
+//! behind a two-batch lane. Print only; the count-based guarantees are
+//! `crates/runtime/tests/overload.rs`.
+//!
 //! Run with: `cargo run --release -p taurus-bench --bin throughput`
 //! (append `-- --smoke` for the small CI configuration, which also
 //! hard-asserts determinism and the ≥2× modeled scaling at 4 shards).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use taurus_bench::{f, print_table, save_rendered_json};
-use taurus_core::apps::AnomalyDetector;
-use taurus_core::SwitchBuilder;
+use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
+use taurus_core::{EngineBackend, SwitchBuilder};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
-use taurus_runtime::RuntimeBuilder;
+use taurus_runtime::{FaultPlan, OverloadPolicy, RuntimeBuilder};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -138,6 +144,57 @@ fn main() {
         trace.packets.len() as f64 / stream_secs
     );
     let _ = service.shutdown();
+
+    // Overload policies against an oversubscribed fleet. No warm-up:
+    // the stall fires once per runtime, so all four runs are equally
+    // cold. `Shed` is goodput-first (a small bounded patience, so only
+    // the wedged lane times out); `Degrade` is line-rate-first and
+    // waits for nothing.
+    let syn = SynFloodDetector::default_deployment();
+    let stall = Duration::from_millis(if smoke { 100 } else { 250 });
+    let offered = trace.packets.len() as f64;
+    let overloaded = |policy: OverloadPolicy, stalled: bool| {
+        let plan = if stalled { FaultPlan::new().stall(0, 0, stall) } else { FaultPlan::new() };
+        let mut rt = RuntimeBuilder::new()
+            .shards(2)
+            .batch_size(64)
+            .queue_depth(2)
+            .overload_policy(policy)
+            .fault_plan(plan)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build();
+        let t0 = Instant::now();
+        rt.feed(&trace.packets);
+        let feed_pps = offered / t0.elapsed().as_secs_f64();
+        (f(feed_pps, 0), rt.shutdown())
+    };
+    let (quiet_pps, _) = overloaded(OverloadPolicy::Block, false);
+    let (block_pps, _) = overloaded(OverloadPolicy::Block, true);
+    let (shed_pps, shed) =
+        overloaded(OverloadPolicy::Shed { patience: Duration::from_millis(2) }, true);
+    let (degrade_pps, degraded) =
+        overloaded(OverloadPolicy::Degrade { patience: Duration::ZERO }, true);
+    print_table(
+        "Overload policies (threshold roster, 2 shards, shard 0 stalled, feed-phase wall clock)",
+        &["policy", "feed pkts/s", "note"],
+        &[
+            vec!["quiet (no stall)".into(), quiet_pps, String::new()],
+            vec!["block".into(), block_pps, "rides out the stall".into()],
+            vec![
+                "shed".into(),
+                shed_pps,
+                format!("goodput {:.2}", shed.merged.packets as f64 / offered),
+            ],
+            vec![
+                "degrade".into(),
+                degrade_pps,
+                format!(
+                    "line-rate defaults {:.2}",
+                    degraded.overload.degraded_verdicts as f64 / offered
+                ),
+            ],
+        ],
+    );
 
     // The architectural guarantee is load-balance-limited linear scaling;
     // with thousands of flows the hash balance makes 4 shards >=2x one.

@@ -500,7 +500,7 @@ impl TaurusSwitch {
     /// [`TaurusSwitch::process_trace_packet`] without the per-app
     /// result collection: identical counters and combined verdict, no
     /// per-packet `per_app` allocation — what a sequential hot loop
-    /// (the `hotpath` bench's reference measurement) should call when
+    /// (the repo benchmark's `switch_pps` measurement) should call when
     /// it only needs the forwarding decision.
     pub fn process_trace_verdict(&mut self, tp: &TracePacket) -> SwitchVerdict {
         let pkt = to_packet(tp);

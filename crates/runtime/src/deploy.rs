@@ -69,24 +69,11 @@ pub struct DeploymentConfig {
     pub shards: usize,
     /// Packets per ingest batch.
     pub batch_size: usize,
-    /// Parse workers for the ingest pipeline: `None` lets the builder
-    /// auto-resolve from the host's spare cores (0 on small hosts:
-    /// the feeding thread parses), `Some(n)` pins it. Either way the
-    /// report is bit-identical: ingest mode changes wall clock only.
-    pub parse_workers: Option<usize>,
-    /// Epoch length for pipelined ingest (`None` = builder default).
-    pub epoch_len: Option<usize>,
 }
 
 impl Default for DeploymentConfig {
     fn default() -> Self {
-        Self {
-            training: TrainingRunConfig::default(),
-            shards: 1,
-            batch_size: 64,
-            parse_workers: None,
-            epoch_len: None,
-        }
+        Self { training: TrainingRunConfig::default(), shards: 1, batch_size: 64 }
     }
 }
 
@@ -166,14 +153,14 @@ pub fn run_online_deployment(
         })
         .collect();
 
-    let mut builder = RuntimeBuilder::new().shards(config.shards).batch_size(config.batch_size);
-    if let Some(workers) = config.parse_workers {
-        builder = builder.parse_workers(workers);
-    }
-    if let Some(epoch_len) = config.epoch_len {
-        builder = builder.epoch_len(epoch_len);
-    }
-    let mut runtime = builder.register(app).build();
+    // The ingest mode (inline or pipelined) is the builder's to
+    // resolve from the host: it changes wall clock only, never the
+    // report.
+    let mut runtime = RuntimeBuilder::new()
+        .shards(config.shards)
+        .batch_size(config.batch_size)
+        .register(app)
+        .build();
 
     // Deploy the starting model as version 1 before any packet flows —
     // quantization needs calibration inputs, for which the control
@@ -303,8 +290,6 @@ mod tests {
             },
             shards,
             batch_size: 32,
-            parse_workers: None,
-            epoch_len: None,
         }
     }
 
@@ -336,26 +321,5 @@ mod tests {
         assert_eq!(one.rounds, four.rounds);
         assert_eq!(one.runtime.merged, four.runtime.merged);
         assert_eq!(one.runtime.segments, four.runtime.segments);
-    }
-
-    #[test]
-    fn deployment_report_is_ingest_mode_invariant() {
-        // The closed loop over pipelined ingest: live installs landing
-        // mid-epoch must produce the same curve, rounds, and segment
-        // confusion as inline ingest — the ingest mode is a wall-clock
-        // knob, never a semantics knob.
-        let (app, trace) = small_setup();
-        let fresh = Mlp::new(&MlpConfig::anomaly_dnn(), 7);
-        let mut inline_cfg = smoke_config(2);
-        inline_cfg.parse_workers = Some(0);
-        let mut pipelined_cfg = smoke_config(2);
-        pipelined_cfg.parse_workers = Some(2);
-        pipelined_cfg.epoch_len = Some(48); // unaligned with batch_size
-        let inline = run_online_deployment(&app, &fresh, &trace, &inline_cfg);
-        let pipelined = run_online_deployment(&app, &fresh, &trace, &pipelined_cfg);
-        assert_eq!(inline.curve, pipelined.curve);
-        assert_eq!(inline.rounds, pipelined.rounds);
-        assert_eq!(inline.runtime.merged, pipelined.runtime.merged);
-        assert_eq!(inline.runtime.segments, pipelined.runtime.segments);
     }
 }

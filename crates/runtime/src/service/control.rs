@@ -119,7 +119,7 @@ impl StreamingRuntime {
         }
         match first_err {
             None => {
-                self.deployed.note(shared);
+                self.deployed.note(&shared, self.supervised);
                 Ok(())
             }
             Some(e) => Err(e),
@@ -242,7 +242,7 @@ impl StreamingRuntime {
                     self.request_ack(shard, ShardMsg::Promote(Arc::clone(&run.update)))?;
                 }
                 self.mark_segment(run.first_canary..shards);
-                self.deployed.note(Arc::clone(&run.update));
+                self.deployed.note(&run.update, self.supervised);
             }
             CanaryDecision::Rollback => {
                 for (shard, point) in &run.points {

@@ -53,7 +53,7 @@ impl StreamingRuntime {
         // Undelivered leftovers are dropped with the fault record: the
         // stream they were scheduled against has ended.
         for (_, update) in self.ingest.pending.drain(..).take(installed) {
-            self.deployed.note(update);
+            self.deployed.note(&update, self.supervised);
         }
         let _ = self.ingest.steer.flush_partials(&self.lanes);
         for lane in &self.lanes {
@@ -167,7 +167,7 @@ impl StreamingRuntime {
     }
 
     /// Replaces a faulted worker with a spare replica rehydrated to the
-    /// fleet's current models (builder roster + the accepted update
+    /// fleet's current models (builder roster + the folded update
     /// history, plus the in-flight canary model on canary shards).
     /// Returns `false` when no spare is left.
     fn respawn(&mut self, shard: usize) -> bool {
@@ -175,8 +175,9 @@ impl StreamingRuntime {
             return false;
         };
         for update in &self.deployed.history {
-            // The history was accepted by identical replicas; replay
-            // cannot fail, but a spare must never panic the supervisor.
+            // Every folded field was accepted by identical replicas;
+            // replay cannot fail, but a spare must never panic the
+            // supervisor.
             let _ = switch.install_update(update);
         }
         if let Some(run) = &mut self.canary {

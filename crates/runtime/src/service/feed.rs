@@ -262,7 +262,7 @@ impl StreamingRuntime {
     pub fn feed(&mut self, packets: &[TracePacket]) -> usize {
         let consumed = self.ingest.feed(&self.lanes, packets);
         for (_, update) in self.ingest.pending.drain(..consumed) {
-            self.deployed.note(update);
+            self.deployed.note(&update, self.supervised);
         }
         consumed
     }

@@ -42,7 +42,7 @@ pub(crate) mod worker;
 use std::sync::Arc;
 use std::time::Duration;
 
-use taurus_core::{ModelUpdate, RollbackPoint, TaurusSwitch};
+use taurus_core::{EngineUpdate, ModelUpdate, RollbackPoint, TaurusSwitch};
 
 use crate::fault::{FaultPlan, FaultReport};
 use crate::overload::OverloadPolicy;
@@ -113,17 +113,37 @@ struct Deployed {
     /// Mirror of the fleet's installed versions (all replicas agree by
     /// construction), refreshed from a healthy snapshot at every drain.
     versions: Vec<(String, u64)>,
-    /// Every update the fleet accepted, in install order — replayed
-    /// onto a spare to rehydrate it to the fleet's current versions.
-    history: Vec<Arc<ModelUpdate>>,
+    /// What a cold spare must replay to reach the fleet's current
+    /// models: the accepted updates folded to one effective update per
+    /// app. Installs are per-app and every field is last-writer-wins,
+    /// so the fold lands a replica where the full install sequence
+    /// would. Stays empty on an unsupervised fleet, which never
+    /// respawns.
+    history: Vec<ModelUpdate>,
 }
 
 impl Deployed {
-    fn note(&mut self, update: Arc<ModelUpdate>) {
+    /// Records an update the fleet accepted; `keep_history` is the
+    /// service's `supervised` flag.
+    fn note(&mut self, update: &ModelUpdate, keep_history: bool) {
         if let Some(entry) = self.versions.iter_mut().find(|(name, _)| *name == update.app) {
             entry.1 = update.version;
         }
-        self.history.push(update);
+        if !keep_history {
+            return;
+        }
+        let Some(folded) = self.history.iter_mut().find(|h| h.app == update.app) else {
+            self.history.push(update.clone());
+            return;
+        };
+        folded.version = update.version;
+        if !matches!(update.engine, EngineUpdate::KeepEngine) {
+            folded.engine = update.engine.clone();
+        }
+        // The optional parts: the newest `Some` wins.
+        folded.formatter = update.formatter.clone().or(folded.formatter.take());
+        folded.post_tables = update.post_tables.clone().or(folded.post_tables.take());
+        folded.weights = update.weights.clone().or(folded.weights.take());
     }
 }
 
@@ -255,5 +275,56 @@ impl core::fmt::Debug for StreamingRuntime {
             .field("epoch_len", &self.epoch_len())
             .field("stream_position", &self.stream_position())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use taurus_core::apps::SynFloodDetector;
+    use taurus_core::{EngineBackend, EngineUpdate, ModelUpdate, TaurusApp};
+
+    use crate::RuntimeBuilder;
+
+    #[test]
+    fn update_history_is_folded_per_app_and_kept_only_under_supervision() {
+        // A resident service installs models indefinitely; what it
+        // retains for rehydrating spares must not grow with the install
+        // count — and an unsupervised fleet, which never respawns,
+        // retains nothing.
+        let syn = SynFloodDetector::default_deployment();
+        let tables = syn.post_tables(EngineBackend::Threshold);
+        for spares in [0usize, 1] {
+            let mut rt = RuntimeBuilder::new()
+                .shards(2)
+                .spare_replicas(spares)
+                .register_on(&syn, EngineBackend::Threshold)
+                .build();
+            for version in 1..=100u64 {
+                let update = if version % 3 == 0 {
+                    ModelUpdate {
+                        engine: EngineUpdate::KeepEngine,
+                        post_tables: Some(tables.clone()),
+                        ..ModelUpdate::retune_threshold(syn.name(), version, 0)
+                    }
+                } else {
+                    syn.retune(30 + version as i64, version, EngineBackend::Threshold)
+                };
+                rt.install_update(&update).expect("fresh version");
+            }
+            assert_eq!(rt.app_versions(), vec![(syn.name().to_string(), 100)]);
+            let history = &rt.deployed.history;
+            if spares == 0 {
+                assert!(history.is_empty(), "nothing ever reads an unsupervised history");
+                continue;
+            }
+            assert_eq!(history.len(), 1, "one effective update per app");
+            let folded = &history[0];
+            assert_eq!(folded.version, 100, "newest version");
+            // Version 100 is a retune, so its cutoff is the newest
+            // non-KeepEngine engine; the tables came from version 99.
+            let newest = syn.retune(130, 100, EngineBackend::Threshold);
+            assert_eq!(format!("{:?}", folded.engine), format!("{:?}", newest.engine));
+            assert_eq!(folded.post_tables.as_ref().map(Vec::len), Some(tables.len()));
+        }
     }
 }

@@ -138,45 +138,79 @@ pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
 }
 
+impl<T> Shared<T> {
+    /// The one wait loop behind every blocking call: returns the locked
+    /// state once `ready` holds, or `None` once `deadline` has passed.
+    /// Up to [`SPIN_TRIES`] failed checks release the lock and yield
+    /// (see the module docs) before the endpoint parks on `wake`; a
+    /// spurious or timed-out wake just re-checks. Without a deadline
+    /// the clock is never read; with one, every failed check reads it,
+    /// so a zero timeout is a single attempt.
+    fn wait(
+        &self,
+        wake: &Condvar,
+        deadline: Option<Instant>,
+        ready: impl Fn(&State<T>) -> bool,
+    ) -> Option<MutexGuard<'_, State<T>>> {
+        let mut spins = 0;
+        let mut state = recover(self.state.lock());
+        loop {
+            if ready(&state) {
+                return Some(state);
+            }
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if remaining.is_some_and(|r| r.is_zero()) {
+                return None;
+            }
+            state = if spins < SPIN_TRIES {
+                spins += 1;
+                drop(state);
+                std::hint::spin_loop();
+                std::thread::yield_now();
+                recover(self.state.lock())
+            } else if let Some(remaining) = remaining {
+                wake.wait_timeout(state, remaining).unwrap_or_else(PoisonError::into_inner).0
+            } else {
+                recover(wake.wait(state))
+            };
+        }
+    }
+}
+
 impl<T> Sender<T> {
+    /// Queues `value` once there is room, waiting until `deadline`
+    /// (forever without one).
+    fn send_by(&self, value: T, deadline: Option<Instant>) -> Result<(), SendTimeoutError<T>> {
+        let shared = &*self.shared;
+        let unblocked = |s: &State<T>| !s.receiver_alive || s.buf.len() < shared.capacity;
+        let Some(mut state) = shared.wait(&shared.not_full, deadline, unblocked) else {
+            return Err(SendTimeoutError::Timeout(value));
+        };
+        if !state.receiver_alive {
+            return Err(SendTimeoutError::Disconnected(value));
+        }
+        state.buf.push_back(value);
+        shared.not_empty.notify_one();
+        Ok(())
+    }
+
     /// Sends one item, spinning briefly and then blocking while the
     /// channel is full.
     ///
     /// # Errors
     ///
     /// [`SendError`] carrying the item back if the receiver was dropped.
+    // Out of line on purpose, like `Receiver::recv`: the callers are
+    // the per-packet ingest loop (through the steer stage's flush) and
+    // the engine worker's batch loop, and inlining these wrappers there
+    // (with the message's drop glue on the error path) cost the
+    // benchmark's `syn-thresh/stream_pps` about 10 % (`send`) and 4 %
+    // (`recv`).
+    #[inline(never)]
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        // Spin phase: poll-with-yield a bounded number of times. The
-        // receiver usually frees a slot within a quantum or two, and a
-        // successful poll skips the condvar park entirely.
-        for _ in 0..SPIN_TRIES {
-            {
-                let mut state = recover(self.shared.state.lock());
-                if !state.receiver_alive {
-                    return Err(SendError(value));
-                }
-                if state.buf.len() < self.shared.capacity {
-                    state.buf.push_back(value);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        // Park phase: the classic condvar predicate loop.
-        let mut state = recover(self.shared.state.lock());
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(value));
-            }
-            if state.buf.len() < self.shared.capacity {
-                state.buf.push_back(value);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            state = recover(self.shared.not_full.wait(state));
-        }
+        self.send_by(value, None).map_err(|e| match e {
+            SendTimeoutError::Disconnected(v) | SendTimeoutError::Timeout(v) => SendError(v),
+        })
     }
 
     /// Sends one item, giving up after `timeout`.
@@ -194,54 +228,30 @@ impl<T> Sender<T> {
     /// deadline, [`SendTimeoutError::Disconnected`] if the receiver was
     /// dropped; both carry the item back.
     pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        let deadline = Instant::now() + timeout;
-        // Spin phase, bounded by both the retry budget and the deadline.
-        for _ in 0..SPIN_TRIES {
-            {
-                let mut state = recover(self.shared.state.lock());
-                if !state.receiver_alive {
-                    return Err(SendTimeoutError::Disconnected(value));
-                }
-                if state.buf.len() < self.shared.capacity {
-                    state.buf.push_back(value);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(SendTimeoutError::Timeout(value));
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        // Park phase: the recv_timeout predicate loop, mirrored.
-        let mut state = recover(self.shared.state.lock());
-        loop {
-            if !state.receiver_alive {
-                return Err(SendTimeoutError::Disconnected(value));
-            }
-            if state.buf.len() < self.shared.capacity {
-                state.buf.push_back(value);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            let remaining = match deadline.checked_duration_since(Instant::now()) {
-                Some(d) if !d.is_zero() => d,
-                _ => return Err(SendTimeoutError::Timeout(value)),
-            };
-            let (guard, _timed_out) = self
-                .shared
-                .not_full
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            // Loop re-checks capacity and the deadline; a spurious or
-            // timed-out wake is handled identically.
-        }
+        self.send_by(value, Some(Instant::now() + timeout))
     }
 }
 
 impl<T> Receiver<T> {
+    /// Pops the oldest buffered item, telling the sender there is room.
+    fn pop(&self, state: &mut State<T>) -> Option<T> {
+        let value = state.buf.pop_front()?;
+        self.shared.not_full.notify_one();
+        Some(value)
+    }
+
+    /// Takes the next item, waiting until `deadline` (forever without
+    /// one). Buffered items are drained before a dropped sender is
+    /// reported.
+    fn recv_by(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+        let unblocked = |s: &State<T>| !s.buf.is_empty() || !s.sender_alive;
+        let mut state = self
+            .shared
+            .wait(&self.shared.not_empty, deadline, unblocked)
+            .ok_or(RecvTimeoutError::Timeout)?;
+        self.pop(&mut state).ok_or(RecvTimeoutError::Disconnected)
+    }
+
     /// Receives the next item, spinning briefly and then blocking while
     /// the channel is empty.
     ///
@@ -249,32 +259,9 @@ impl<T> Receiver<T> {
     ///
     /// [`RecvError`] once the channel is empty *and* the sender was
     /// dropped — in-flight items are always drained first.
+    #[inline(never)] // see `Sender::send`
     pub fn recv(&self) -> Result<T, RecvError> {
-        for _ in 0..SPIN_TRIES {
-            {
-                let mut state = recover(self.shared.state.lock());
-                if let Some(v) = state.buf.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if !state.sender_alive {
-                    return Err(RecvError);
-                }
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        let mut state = recover(self.shared.state.lock());
-        loop {
-            if let Some(v) = state.buf.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
-            if !state.sender_alive {
-                return Err(RecvError);
-            }
-            state = recover(self.shared.not_empty.wait(state));
-        }
+        self.recv_by(None).map_err(|_| RecvError)
     }
 
     /// Receives the next item if one is already buffered, never
@@ -288,8 +275,7 @@ impl<T> Receiver<T> {
     /// gone.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut state = recover(self.shared.state.lock());
-        if let Some(v) = state.buf.pop_front() {
-            self.shared.not_full.notify_one();
+        if let Some(v) = self.pop(&mut state) {
             return Ok(v);
         }
         if !state.sender_alive {
@@ -305,7 +291,8 @@ impl<T> Receiver<T> {
     /// that may have stalled or died mid-protocol, so a wedged shard
     /// yields a diagnostic instead of hanging `drain()` forever. Same
     /// drain-first semantics as `recv` — buffered items are returned
-    /// even after the sender is gone.
+    /// even after the sender is gone — and the same single attempt at a
+    /// zero timeout as [`Sender::send_timeout`].
     ///
     /// # Errors
     ///
@@ -313,43 +300,7 @@ impl<T> Receiver<T> {
     /// deadline, [`RecvTimeoutError::Disconnected`] once the channel is
     /// empty and the sender was dropped.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        for _ in 0..SPIN_TRIES {
-            {
-                let mut state = recover(self.shared.state.lock());
-                if let Some(v) = state.buf.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if !state.sender_alive {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        let mut state = recover(self.shared.state.lock());
-        loop {
-            if let Some(v) = state.buf.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
-            if !state.sender_alive {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let remaining = match deadline.checked_duration_since(Instant::now()) {
-                Some(d) if !d.is_zero() => d,
-                _ => return Err(RecvTimeoutError::Timeout),
-            };
-            let (guard, _timed_out) = self
-                .shared
-                .not_empty
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            // Loop re-checks the buffer and the deadline; a spurious or
-            // timed-out wake is handled identically.
-        }
+        self.recv_by(Some(Instant::now() + timeout))
     }
 }
 
@@ -586,6 +537,18 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_millis(30)), Err(RecvTimeoutError::Timeout));
         assert!(start.elapsed() >= Duration::from_millis(30), "deadline honored");
         drop(tx);
+    }
+
+    #[test]
+    fn recv_timeout_with_zero_patience_is_a_single_attempt() {
+        let (tx, rx) = channel(1);
+        assert_eq!(
+            rx.recv_timeout(Duration::ZERO),
+            Err(RecvTimeoutError::Timeout),
+            "empty: immediate refusal, no 32-yield spin"
+        );
+        tx.send(7u64).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(7), "buffered: immediate success");
     }
 
     #[test]

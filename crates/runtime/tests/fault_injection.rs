@@ -9,9 +9,11 @@
 use std::time::Duration;
 
 use taurus_core::apps::SynFloodDetector;
-use taurus_core::EngineBackend;
+use taurus_core::{EngineBackend, EngineUpdate, ModelUpdate, TaurusApp};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig, TracePacket};
+use taurus_pisa::mat::TableEntry;
+use taurus_pisa::{Action, Field, MatchKind, MatchTable, VliwOp};
 use taurus_runtime::{
     shard_of, FaultPlan, FaultRecordKind, InstallError, RuntimeBuilder, ShardError,
     StreamingRuntime,
@@ -114,6 +116,68 @@ fn a_panicked_worker_is_respawned_and_accounted() {
     let after = drain_report(&mut subject, &validation);
     let control = drain_report(&mut twin, &validation);
     assert_eq!(after, control, "recovery must be bit-exact");
+}
+
+#[test]
+fn a_respawned_replica_replays_the_folded_update_history() {
+    // Rehydration *from history*: the fleet has moved 41 installs past
+    // the builder roster when a worker dies, so the spare only matches
+    // its neighbours if the replay lands on the newest cutoff AND keeps
+    // the table-only update from the middle of the sequence. That
+    // update inverts the verdict MAT (drop on engine output 0), so both
+    // halves stay visible in the validation report: lose the table and
+    // drops flip back, lose the last cutoff and the drop set moves.
+    let syn = SynFloodDetector::default_deployment();
+    let trace = kdd_trace(200, 89);
+    let validation = kdd_trace(150, 90);
+    let victim = 1usize;
+    let assigned = assigned_indices(&trace, victim, SHARDS);
+    assert!(assigned.len() >= 4, "seed must give the victim shard real traffic");
+
+    let mut inverted = MatchTable::new(
+        "inverted-verdict",
+        Action::new("forward", vec![VliwOp::Set(Field::Decision, 0)]),
+    );
+    inverted.add_entry(TableEntry {
+        matches: vec![(Field::MlOut, MatchKind::Exact(0))],
+        priority: 1,
+        action: Action::new("drop-benign", vec![VliwOp::Set(Field::Decision, 1)]),
+    });
+    let table_only = ModelUpdate {
+        engine: EngineUpdate::KeepEngine,
+        post_tables: Some(vec![inverted]),
+        ..ModelUpdate::retune_threshold(syn.name(), 21, 0)
+    };
+
+    let mut subject = builder(&syn, SHARDS)
+        .fault_plan(FaultPlan::new().engine_panic(victim, assigned[assigned.len() / 2]))
+        .spare_replicas(1)
+        .build();
+    let mut twin = builder(&syn, SHARDS).build();
+    for service in [&mut subject, &mut twin] {
+        for version in 1..=41u64 {
+            let update = if version == 21 {
+                table_only.clone()
+            } else {
+                syn.retune(2 * version as i64, version, EngineBackend::Threshold)
+            };
+            service.install_update(&update).expect("fresh version");
+        }
+    }
+
+    let faulted = drain_report(&mut subject, &trace);
+    assert_eq!(faulted.faults.worker_restarts, 1);
+    drain_report(&mut twin, &trace);
+
+    subject.reset();
+    twin.reset();
+    let after = drain_report(&mut subject, &validation);
+    let control = drain_report(&mut twin, &validation);
+    assert!(
+        after.merged.dropped > 0 && after.merged.dropped < after.merged.packets,
+        "the validation trace must exercise both verdicts"
+    );
+    assert_eq!(after, control, "the spare must replay to the fleet's current models");
 }
 
 #[test]

@@ -9,8 +9,13 @@
 //! switch run over the filtered trace. `Block` remains byte-identical
 //! to the historical runtime: saturation windows are ignored and the
 //! `overload` report section stays empty.
+//!
+//! One test saturates a lane *organically* instead — a stalled worker
+//! behind shallow queues — because that is the only way to reach the
+//! steer stage's patience timeout; its assertions are counts, never
+//! wall clock.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::{EngineBackend, SwitchBuilder, SwitchReport};
@@ -18,7 +23,8 @@ use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig, TracePacket};
 use taurus_pisa::Verdict;
 use taurus_runtime::{
-    shard_of, FaultPlan, FaultRecordKind, OverloadPolicy, RuntimeBuilder, RuntimeReport,
+    shard_of, FaultPlan, FaultRecordKind, OverloadPolicy, OverloadReport, RuntimeBuilder,
+    RuntimeReport,
 };
 
 const FLOW_SLOTS: usize = 4096; // the builder default
@@ -97,6 +103,73 @@ fn assert_conserved(report: &RuntimeReport, offered: usize) {
         offered as u64,
         "admitted + refused must equal offered"
     );
+}
+
+/// Runs `f` on a watchdog thread so a policy that never gives up on a
+/// wedged lane fails the test instead of hanging the suite.
+fn within(timeout: Duration, f: impl FnOnce() + Send + 'static) {
+    let start = Instant::now();
+    let handle = std::thread::spawn(f);
+    while !handle.is_finished() {
+        assert!(start.elapsed() < timeout, "overload run deadlocked (> {timeout:?})");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().expect("watchdogged closure panicked");
+}
+
+#[test]
+fn a_stalled_shard_is_ridden_out_by_block_and_refused_by_shed_and_degrade() {
+    // Organic saturation: shard 0's worker stalls on its first packet
+    // behind a two-batch lane, so the steer stage's own patience — not
+    // an injected window — decides what is refused. `Block` eats the
+    // stall; `Shed` waits a bounded patience per staged batch (a
+    // healthy engine drains one in microseconds, so only the wedged
+    // lane times out) and keeps the healthy shard's traffic on the ML
+    // path; `Degrade` waits for nothing and hands the overflow the
+    // line-rate default.
+    for parse_workers in [0usize, 2] {
+        within(Duration::from_secs(60), move || {
+            let syn = SynFloodDetector::default_deployment();
+            let trace = kdd_trace(400, 39);
+            let offered = trace.packets.len() as u64;
+            let run = |policy: OverloadPolicy, plan: FaultPlan| {
+                let mut rt = RuntimeBuilder::new()
+                    .shards(2)
+                    .batch_size(64)
+                    .queue_depth(2)
+                    .parse_workers(parse_workers)
+                    .overload_policy(policy)
+                    .fault_plan(plan)
+                    .register_on(&syn, EngineBackend::Threshold)
+                    .build();
+                rt.feed(&trace.packets);
+                let report = rt.drain();
+                assert_conserved(&report, trace.packets.len());
+                rt.shutdown();
+                report
+            };
+            let stall = || FaultPlan::new().stall(0, 0, Duration::from_millis(100));
+
+            let quiet = run(OverloadPolicy::Block, FaultPlan::new());
+            assert_eq!(quiet.overload, OverloadReport::default(), "a quiet run refuses nothing");
+
+            let blocked = run(OverloadPolicy::Block, stall());
+            assert_eq!(blocked.merged.packets, offered, "Block refuses nothing, however long");
+
+            let shed = run(OverloadPolicy::Shed { patience: Duration::from_millis(2) }, stall());
+            assert!(shed.overload.shed_packets > 0, "the wedged lane must time out");
+            assert_eq!(shed.overload.degraded_verdicts, 0, "Shed never degrades");
+            assert!(
+                shed.merged.packets * 4 >= offered,
+                "Shed went indiscriminate: only {} of {offered} packets kept an ML verdict",
+                shed.merged.packets
+            );
+
+            let degraded = run(OverloadPolicy::Degrade { patience: Duration::ZERO }, stall());
+            assert_eq!(degraded.overload.shed_packets, 0, "Degrade never sheds");
+            assert!(degraded.overload.degraded_verdicts > 0, "the wedged lane must overflow");
+        });
+    }
 }
 
 #[test]
