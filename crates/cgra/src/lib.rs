@@ -17,7 +17,13 @@
 //! slot map into one reusable `i32` slab plus a flattened op schedule
 //! with all graph lookups (weight banks, biases, requantizers, LUT ids,
 //! const vectors) resolved up front — and the per-packet path executes
-//! that plan by reading and writing slab slices in place. Steady-state
+//! that plan by reading and writing slab slices in place. A dense layer
+//! is **one** op of that schedule: the dot-product node, the bias and
+//! requant the compiler fused into its CUs and the activation LUT that
+//! consumes them run as reduce → requantize → look up over
+//! column-major weight panels, straight into the layer's output region
+//! (the per-unit cycle model is untouched: timing is per CU, not per
+//! plan op). Steady-state
 //! [`CgraSim::process_into`] performs **zero heap allocations** (pinned
 //! by the counting-allocator test in `tests/no_alloc.rs`), where the
 //! previous implementation built a `HashMap` of lane vectors per packet
@@ -45,8 +51,7 @@ use taurus_compiler::vu::VuKind;
 use taurus_compiler::GridProgram;
 use taurus_fixed::quant::Requantizer;
 use taurus_ir::graph::Operand;
-use taurus_ir::kernels::{matvec_rows_wide, sqdist_rows_wide};
-use taurus_ir::{eval_map, eval_reduce, MapOp, NodeId, Op, ReduceOp};
+use taurus_ir::{eval_map, eval_reduce, Graph, MapOp, NodeId, Op, ReduceOp};
 
 /// Result of processing one packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,43 +93,120 @@ impl Slot {
     }
 }
 
-/// A fused tail stage of a dot-product row group (bias add or
-/// requantize), with its parameters resolved — and gathered to this
-/// group's row positions — at plan-build time.
-#[derive(Debug, Clone)]
-enum FusedOp {
-    /// `acc[p] += bias[p]` (bias pre-gathered per position).
-    Bias(Vec<i32>),
-    /// `acc[p] = requant(acc[p])`.
-    Requant(Requantizer),
-}
+/// Rows a [`DenseOp`] reduces together: one panel of accumulators, one
+/// weight per lane per column. Four `i32` lanes are one vector register
+/// of every x86-64 and aarch64 target, and the paper's dense layers are
+/// 1–12 rows tall: a wider panel would mostly multiply padding.
+const PANEL: usize = 4;
 
-/// One DotCu row group: the rows a physical CU computes, with the fused
-/// bias/requant chain and all operand locations precompiled. The
-/// group's int8 weight rows are **pre-widened to row-contiguous `i32`**
-/// at plan-build time, the layout [`taurus_ir::kernels`]'s row-blocked
-/// kernels consume — the per-packet loop touches no graph structure at
-/// all.
+/// One dense layer as the grid runs it — reduce → bias → requantize →
+/// activation — as **one** op: a dot-product (or squared-distance) node
+/// with the bias and requant the compiler fused into its CUs and the
+/// LUT that consumes them. Every stage after the reduction is optional.
+/// Only the last node of the chain gets a slab value; the nodes folded
+/// into it have no other reader.
+///
+/// The int8 bank is laid out for the reduction at plan-build time:
+/// pre-widened to `i32`, **column-major in panels of [`PANEL`] rows**
+/// (`weights[(p·cols + j)·PANEL + l]` is row `p·PANEL + l`, column `j`,
+/// zero past the last row), so a panel's accumulators advance together
+/// by one column per step and the widened `x[j] − zero_point` is shared
+/// by all of them. All arithmetic is wrapping `i32`, so the order of
+/// summation — and a bias as the accumulator's start value — cannot
+/// change a bit.
 #[derive(Debug, Clone)]
-struct DotWork {
-    /// This group's weight rows, pre-widened, row-major
-    /// (`rows.len() × cols`).
-    wide: Vec<i32>,
-    /// Row width (= bank cols = input width).
+struct DenseOp {
+    /// The bank, panel-major as above (`panels · cols · PANEL`).
+    weights: Vec<i32>,
+    /// Accumulator start per padded row: the bias fused directly onto
+    /// the reduction, else zero.
+    init: Vec<i32>,
+    /// Bank columns (= input width).
     cols: usize,
     /// Input vector location.
     input: Slot,
-    /// MatVec zero point (0 for SqDist).
+    /// MatVec zero point (unused for SqDist).
     zero_point: i32,
     /// Squared-distance rather than dot-product rows.
     sqdist: bool,
-    /// Global row index per group position (the dst scatter).
-    rows: Vec<usize>,
-    /// Fused tail stages, in firing order.
-    fused: Vec<FusedOp>,
-    /// Start of the destination (fused-chain tail) node's region; the
-    /// group's position `p` lands at `dst_off + rows[p]`.
-    dst_off: u32,
+    /// `acc[r] = requant(acc[r])`, if fused.
+    requant: Option<Requantizer>,
+    /// Then `acc[r] = table[clamp(acc[r])]`, if fused.
+    lut: Option<Box<[i8; 256]>>,
+    /// The last chain node's region, one lane per bank row.
+    dst: Slot,
+}
+
+impl DenseOp {
+    /// The whole layer: reduce every panel over the columns straight
+    /// into the destination region, then run the tail over its rows in
+    /// place.
+    fn run(&self, slab: &mut [i32]) {
+        let (lo, hi) = slab.split_at_mut(self.dst.off as usize);
+        let x = &slot_in(lo, self.input)[..self.cols];
+        // Slots are padded to whole panels, so every panel stores whole.
+        let (panels, _) = hi[..self.init.len()].as_chunks_mut::<PANEL>();
+        if self.sqdist {
+            self.reduce::<true>(x, panels);
+        } else {
+            self.reduce::<false>(x, panels);
+        }
+        let rows = &mut hi[..self.dst.len as usize];
+        // The requantizer by value: a slab store cannot alias a local,
+        // so its fields stay in registers across the loop.
+        match (self.requant, &self.lut) {
+            (Some(rq), Some(table)) => {
+                for a in rows {
+                    *a = lut_lookup(table, i32::from(rq.apply(*a)));
+                }
+            }
+            (Some(rq), None) => {
+                for a in rows {
+                    *a = i32::from(rq.apply(*a));
+                }
+            }
+            (None, Some(table)) => {
+                for a in rows {
+                    *a = lut_lookup(table, *a);
+                }
+            }
+            (None, None) => {}
+        }
+    }
+
+    #[inline]
+    fn reduce<const SQDIST: bool>(&self, x: &[i32], panels: &mut [[i32; PANEL]]) {
+        let (weights, _) = self.weights.as_chunks::<PANEL>();
+        let (init, _) = self.init.as_chunks::<PANEL>();
+        for (p, (out, init)) in panels.iter_mut().zip(init).enumerate() {
+            let mut acc = *init;
+            for (w, &xv) in weights[p * x.len()..].iter().zip(x) {
+                if SQDIST {
+                    for l in 0..PANEL {
+                        let d = xv.wrapping_sub(w[l]);
+                        acc[l] = acc[l].wrapping_add(d.wrapping_mul(d));
+                    }
+                } else {
+                    let xz = xv.wrapping_sub(self.zero_point);
+                    for l in 0..PANEL {
+                        acc[l] = acc[l].wrapping_add(w[l].wrapping_mul(xz));
+                    }
+                }
+            }
+            *out = acc;
+        }
+    }
+}
+
+/// A graph LUT as the fixed-size table the exec loop indexes unchecked.
+fn lut_table(graph: &Graph, id: taurus_ir::LutId) -> Box<[i8; 256]> {
+    Box::new(graph.lut(id).try_into().expect("luts have 256 entries"))
+}
+
+/// A 256-entry LUT access: out-of-range codes clamp to the table ends.
+#[inline]
+fn lut_lookup(table: &[i8; 256], v: i32) -> i32 {
+    i32::from(table[(v.clamp(-128, 127) + 128) as usize])
 }
 
 /// One precompiled firing: every graph lookup already resolved, every
@@ -141,14 +223,15 @@ enum PlanOp {
     MapConst { op: MapOp, a: Slot, values: Vec<i32>, dst: Slot },
     /// Reduce a vector to one lane.
     Reduce { op: ReduceOp, src: Slot, dst_off: u32 },
-    /// Dot-product / squared-distance row group with fused tail.
-    Dot(DotWork),
+    /// A dot-product / squared-distance node with everything fused
+    /// onto it.
+    Dense(DenseOp),
     /// `dst = src + bias` (standalone, unfused bias).
     AddBias { bias: Vec<i32>, src: Slot, dst: Slot },
     /// Requantize `i32` accumulators to int8 codes (standalone).
     Requant { requant: Requantizer, src: Slot, dst: Slot },
     /// 256-entry LUT lookup (table resolved at plan-build time).
-    Lut { table: Box<[i8]>, src: Slot, dst: Slot },
+    Lut { table: Box<[i8; 256]>, src: Slot, dst: Slot },
     /// Lane-wise `> 0`.
     GreaterZero { src: Slot, dst: Slot },
     /// Static routing: copy `len` lanes from `src_off` to `dst_off`
@@ -171,10 +254,10 @@ struct ExecPlan {
     ops: Vec<PlanOp>,
     /// Output node regions, in declaration order.
     outputs: Vec<Slot>,
-    /// Total slab length (sum of node widths).
+    /// Total slab length (sum of panel-padded node widths).
     slab_len: usize,
-    /// Largest dot row group (sizes the shared accumulator scratch).
-    dot_scratch_len: usize,
+    /// Width of the program's input node.
+    input_width: usize,
     /// Ingress-to-egress latency of one recurrence step, from the same
     /// arrival/egress model the static analysis uses.
     step_latency: u32,
@@ -189,12 +272,14 @@ impl ExecPlan {
         let graph = &program.graph;
         let units = &program.units;
 
-        // Dense NodeId → slab slot map.
+        // Dense NodeId → slab slot map. Regions are padded to whole
+        // panels so a `DenseOp` stores every panel whole; the pad lanes
+        // belong to no node and are never read.
         let mut slots = Vec::with_capacity(graph.nodes().len());
         let mut off = 0u32;
         for node in graph.nodes() {
             slots.push(Slot { off, len: node.width as u32 });
-            off += node.width as u32;
+            off += (node.width as u32).next_multiple_of(PANEL as u32);
         }
         let slot = |id: NodeId| slots[id.0 as usize];
 
@@ -231,29 +316,23 @@ impl ExecPlan {
             }
         }
 
-        // Physical CUs split a dot node's rows across units (the
-        // paper's lane budget), but execution is idempotent dataflow:
-        // merging every unit's row share back into **one plan op per
-        // dot node** changes no value, and replaces per-row op dispatch
-        // with one row-blocked kernel call over the node's whole bank.
-        // Rows are gathered in sorted order so the pre-widened block is
-        // row-contiguous.
-        let mut dot_rows: Vec<Vec<usize>> = vec![Vec::new(); graph.nodes().len()];
-        for vu in units {
-            if vu.kind == VuKind::DotCu {
-                for rw in &vu.row_work {
-                    dot_rows[rw.node.0 as usize].extend_from_slice(&rw.rows);
-                }
+        // Readers per node (an output is a reader): what decides whether
+        // a chain node's own slab value may be elided.
+        let mut readers = vec![0u32; graph.nodes().len()];
+        for id in (0..graph.nodes().len() as u32).map(NodeId) {
+            for operand in graph.operands(id) {
+                readers[operand.0 as usize] += 1;
             }
         }
-        for rows in &mut dot_rows {
-            rows.sort_unstable();
+        for &out in graph.outputs() {
+            readers[out.0 as usize] += 1;
         }
 
         // Flatten the schedule. Lane-split units list the same node more
-        // than once across units; evaluation is idempotent (each split
-        // recomputes the full vector), so each node is scheduled once —
-        // dot nodes at their first firing, with their merged row set.
+        // than once across units, and physical CUs split a dot node's
+        // rows across units (the paper's lane budget); evaluation is
+        // idempotent dataflow, so each node is scheduled once — a dot
+        // node at its first firing, as one op over its whole bank.
         let mut ops = Vec::new();
         let mut scheduled = vec![false; graph.nodes().len()];
         for &i in &order {
@@ -273,47 +352,10 @@ impl ExecPlan {
                             continue;
                         }
                         scheduled[rw.node.0 as usize] = true;
-                        let rows = &dot_rows[rw.node.0 as usize];
-                        let node = graph.node(rw.node);
-                        let (bank, input, zero_point, sqdist) = match node.op {
-                            Op::MatVec { weights, zero_point, input } => {
-                                (weights.0, input, zero_point, false)
-                            }
-                            Op::SqDist { weights, input } => (weights.0, input, 0, true),
-                            _ => unreachable!("dot row work on non-dot node"),
-                        };
-                        // Gather fused parameters to the merged group's
-                        // row positions so the exec loop indexes
-                        // nothing but its own dense arrays.
-                        let fused = rw
-                            .fused
-                            .iter()
-                            .map(|&f| match &graph.node(f).op {
-                                Op::AddBias { bias, .. } => {
-                                    FusedOp::Bias(rows.iter().map(|&r| bias[r]).collect())
-                                }
-                                Op::Requant { requant, .. } => FusedOp::Requant(*requant),
-                                other => unreachable!("unsupported fused op {other:?}"),
-                            })
-                            .collect();
-                        let final_node = rw.fused.last().copied().unwrap_or(rw.node);
-                        // Pre-widen the merged rows into one
-                        // row-contiguous i32 block.
-                        let bank = graph.weight(taurus_ir::WeightId(bank));
-                        let wide: Vec<i32> = rows
-                            .iter()
-                            .flat_map(|&r| bank.row(r).iter().map(|&w| i32::from(w)))
-                            .collect();
-                        ops.push(PlanOp::Dot(DotWork {
-                            wide,
-                            cols: bank.cols,
-                            input: slot(input),
-                            zero_point,
-                            sqdist,
-                            rows: rows.clone(),
-                            fused,
-                            dst_off: slot(final_node).off,
-                        }));
+                        if let Some(lut) = Self::compile_dense(graph, rw, &readers, &slot, &mut ops)
+                        {
+                            scheduled[lut.0 as usize] = true;
+                        }
                     }
                 }
                 VuKind::Wire | VuKind::Cu | VuKind::LutCu | VuKind::StateMu => {
@@ -329,18 +371,84 @@ impl ExecPlan {
         }
 
         let outputs = graph.outputs().iter().map(|&o| slot(o)).collect();
-        let dot_scratch_len = ops
-            .iter()
-            .map(|op| match op {
-                PlanOp::Dot(dw) => dw.rows.len(),
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        ExecPlan { ops, outputs, slab_len: off as usize, dot_scratch_len, step_latency }
+        ExecPlan {
+            ops,
+            outputs,
+            slab_len: off as usize,
+            input_width: graph.input_width(),
+            step_latency,
+        }
     }
 
-    fn compile_node(graph: &taurus_ir::Graph, id: NodeId, slot: &dyn Fn(NodeId) -> Slot) -> PlanOp {
+    /// Emits the one op of a dot node. Of the chain the compiler fused
+    /// onto it, a leading bias becomes the accumulator start and a
+    /// requant right after the op's own; whatever else the chain holds
+    /// follows as standalone ops. When the whole chain folded and its
+    /// value has no reader but a LUT, that LUT folds in too and is
+    /// returned so the caller retires its units: a chain end that is
+    /// also a program output, or feeds a second consumer, keeps its
+    /// slab value and leaves the LUT a standalone op.
+    fn compile_dense(
+        graph: &Graph,
+        rw: &taurus_compiler::vu::RowWork,
+        readers: &[u32],
+        slot: &dyn Fn(NodeId) -> Slot,
+        ops: &mut Vec<PlanOp>,
+    ) -> Option<NodeId> {
+        let (bank, input, zero_point, sqdist) = match graph.node(rw.node).op {
+            Op::MatVec { weights, zero_point, input } => (weights, input, zero_point, false),
+            Op::SqDist { weights, input } => (weights, input, 0, true),
+            _ => unreachable!("dot row work on non-dot node"),
+        };
+        let bank = graph.weight(bank);
+        let padded = bank.rows.next_multiple_of(PANEL);
+        let mut weights = vec![0i32; padded * bank.cols];
+        for r in 0..bank.rows {
+            for (j, &w) in bank.row(r).iter().enumerate() {
+                weights[((r / PANEL) * bank.cols + j) * PANEL + r % PANEL] = i32::from(w);
+            }
+        }
+
+        let mut init = vec![0i32; padded];
+        let mut requant = None;
+        let mut last = rw.node;
+        let mut chain = rw.fused.iter().copied().peekable();
+        if let Some(Op::AddBias { bias, .. }) = chain.peek().map(|&f| &graph.node(f).op) {
+            init[..bank.rows].copy_from_slice(bias);
+            last = chain.next().expect("peeked");
+        }
+        if let Some(Op::Requant { requant: rq, .. }) = chain.peek().map(|&f| &graph.node(f).op) {
+            requant = Some(*rq);
+            last = chain.next().expect("peeked");
+        }
+        let rest: Vec<NodeId> = chain.collect();
+
+        let lut = if rest.is_empty() && readers[last.0 as usize] == 1 {
+            (last.0 + 1..graph.nodes().len() as u32).map(NodeId).find_map(|n| {
+                match graph.node(n).op {
+                    Op::Lut { lut, input } if input == last => Some((n, lut)),
+                    _ => None,
+                }
+            })
+        } else {
+            None
+        };
+        ops.push(PlanOp::Dense(DenseOp {
+            weights,
+            init,
+            cols: bank.cols,
+            input: slot(input),
+            zero_point,
+            sqdist,
+            requant,
+            lut: lut.map(|(_, table)| lut_table(graph, table)),
+            dst: slot(lut.map_or(last, |(node, _)| node)),
+        }));
+        ops.extend(rest.into_iter().map(|f| Self::compile_node(graph, f, slot)));
+        lut.map(|(node, _)| node)
+    }
+
+    fn compile_node(graph: &Graph, id: NodeId, slot: &dyn Fn(NodeId) -> Slot) -> PlanOp {
         let dst = slot(id);
         match &graph.node(id).op {
             Op::Input { .. } => unreachable!("input handled by the interface unit"),
@@ -364,7 +472,7 @@ impl ExecPlan {
                 PlanOp::Requant { requant: *requant, src: slot(*input), dst }
             }
             Op::Lut { lut, input } => {
-                PlanOp::Lut { table: graph.lut(*lut).into(), src: slot(*input), dst }
+                PlanOp::Lut { table: lut_table(graph, *lut), src: slot(*input), dst }
             }
             Op::GreaterZero { input } => PlanOp::GreaterZero { src: slot(*input), dst },
             Op::Concat { inputs } => {
@@ -404,8 +512,6 @@ pub struct CgraSim {
     plan: ExecPlan,
     /// The reusable value slab all plan ops read and write.
     slab: Vec<i32>,
-    /// Accumulator scratch shared by all dot row groups.
-    dot_scratch: Vec<i32>,
     /// Staged state writes (committed at end of each recurrence step).
     pending: Vec<Vec<i32>>,
     pending_written: Vec<bool>,
@@ -426,10 +532,9 @@ impl CgraSim {
             program.graph.states().iter().map(|s| vec![0i32; s.width]).collect();
         let plan = ExecPlan::compile(&program);
         let slab = vec![0i32; plan.slab_len];
-        let dot_scratch = vec![0i32; plan.dot_scratch_len];
         let pending = state.clone();
         let pending_written = vec![false; state.len()];
-        Self { program, state, plan, slab, dot_scratch, pending, pending_written }
+        Self { program, state, plan, slab, pending, pending_written }
     }
 
     /// The compiled program this simulator executes.
@@ -467,15 +572,35 @@ impl CgraSim {
     ///
     /// Panics if `input` width differs from the program's input node.
     pub fn process_into(&mut self, input: &[i32], outputs: &mut Vec<Vec<i32>>) -> u32 {
-        assert_eq!(input.len(), self.program.graph.input_width(), "input width mismatch");
-        let steps = self.program.graph.sequence_steps();
-        for _ in 0..steps {
-            self.exec_step(input);
-        }
+        let latency = self.run_packet(input);
         outputs.resize_with(self.plan.outputs.len(), Vec::new);
         for (buf, slot) in outputs.iter_mut().zip(&self.plan.outputs) {
             buf.clear();
             buf.extend_from_slice(&self.slab[slot.range()]);
+        }
+        latency
+    }
+
+    /// Processes one packet and returns the verdict lane — lane 0 of the
+    /// first output (anomaly score code, class index, …) — read where
+    /// the plan left it: nothing is gathered. 0 for a program whose
+    /// first output is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` width differs from the program's input node.
+    pub fn process_verdict(&mut self, input: &[i32]) -> i32 {
+        self.run_packet(input);
+        self.plan.outputs.first().and_then(|s| self.slab[s.range()].first()).copied().unwrap_or(0)
+    }
+
+    /// All recurrence steps of one packet over the slab; returns the
+    /// ingress-to-egress latency in cycles.
+    fn run_packet(&mut self, input: &[i32]) -> u32 {
+        assert_eq!(input.len(), self.plan.input_width, "input width mismatch");
+        let steps = self.program.graph.sequence_steps();
+        for _ in 0..steps {
+            self.exec_step(input);
         }
         self.plan.step_latency * steps as u32
     }
@@ -510,7 +635,7 @@ impl CgraSim {
     /// source/destination slices — the inner loops are plain slice zips
     /// the compiler can keep in registers and autovectorize.
     fn exec_step(&mut self, input: &[i32]) {
-        let Self { state, plan, slab, dot_scratch, pending, pending_written, .. } = self;
+        let Self { state, plan, slab, pending, pending_written, .. } = self;
         for op in &plan.ops {
             match op {
                 PlanOp::Input { dst } => slab[dst.range()].copy_from_slice(input),
@@ -545,33 +670,7 @@ impl CgraSim {
                 PlanOp::Reduce { op, src, dst_off } => {
                     slab[*dst_off as usize] = eval_reduce(*op, &slab[src.range()]);
                 }
-                PlanOp::Dot(dw) => {
-                    let acc = &mut dot_scratch[..dw.rows.len()];
-                    let x = &slab[dw.input.range()];
-                    if dw.sqdist {
-                        sqdist_rows_wide(&dw.wide, dw.cols, x, acc);
-                    } else {
-                        matvec_rows_wide(&dw.wide, dw.cols, x, dw.zero_point, acc);
-                    }
-                    for f in &dw.fused {
-                        match f {
-                            FusedOp::Bias(bias) => {
-                                for (a, &b) in acc.iter_mut().zip(bias) {
-                                    *a = a.wrapping_add(b);
-                                }
-                            }
-                            FusedOp::Requant(rq) => {
-                                for a in acc.iter_mut() {
-                                    *a = i32::from(rq.apply(*a));
-                                }
-                            }
-                        }
-                    }
-                    let base = dw.dst_off as usize;
-                    for (p, &r) in dw.rows.iter().enumerate() {
-                        slab[base + r] = acc[p];
-                    }
-                }
+                PlanOp::Dense(dense) => dense.run(slab),
                 PlanOp::AddBias { bias, src, dst } => {
                     let (lo, d) = dst_split(slab, *dst);
                     for ((o, &v), &b) in d.iter_mut().zip(slot_in(lo, *src)).zip(bias) {
@@ -587,8 +686,7 @@ impl CgraSim {
                 PlanOp::Lut { table, src, dst } => {
                     let (lo, d) = dst_split(slab, *dst);
                     for (o, &v) in d.iter_mut().zip(slot_in(lo, *src)) {
-                        let code = v.clamp(-128, 127);
-                        *o = i32::from(table[(code + 128) as usize]);
+                        *o = lut_lookup(table, v);
                     }
                 }
                 PlanOp::GreaterZero { src, dst } => {
@@ -763,7 +861,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
         fn prop_random_map_chains_match_interpreter(
             ops in proptest::collection::vec(0usize..5, 1..12),
@@ -795,27 +893,38 @@ mod tests {
         }
 
         /// The ExecPlan equivalence net over the op families the map
-        /// chains above don't reach: dot-product/sq-dist row groups with
-        /// fused bias/requant tails, LUT lookups, persistent state
-        /// accumulation, and wire ops (concat/slice) — every output
-        /// bit-identical to the `taurus-ir` reference interpreter
-        /// across a stream of packets.
+        /// chains above don't reach: dense ops — dot-product/sq-dist
+        /// banks of one to many panels with every subset of the
+        /// bias → requant → LUT pipeline fused on, a bias *after* the
+        /// requant (a fused chain the op does not fold), and a
+        /// pre-activation value that must survive the fusion because
+        /// it is also an output or has a second consumer — plus
+        /// persistent state accumulation and wire ops (concat/slice),
+        /// fed packets that carry `i32::MIN`/`i32::MAX` lanes. Every
+        /// output bit-identical to the `taurus-ir` reference
+        /// interpreter across a stream of packets.
         #[test]
         fn prop_random_dot_programs_match_interpreter(
-            rows in 1usize..6,
+            rows in 1usize..41,
             cols in 1usize..9,
-            weights in proptest::collection::vec(-128i32..128, 48),
-            bias in proptest::collection::vec(-500i32..500, 6),
+            weights in proptest::collection::vec(-128i32..128, 320),
+            bias in proptest::collection::vec(-500i32..500, 80),
             zp in -8i32..8,
             mult in 0.01f64..1.5,
             rq_zp in -10i32..10,
             lut_mul in 1i32..7,
             use_sqdist in proptest::any::<bool>(),
+            use_bias in proptest::any::<bool>(),
             use_requant in proptest::any::<bool>(),
+            use_late_bias in proptest::any::<bool>(),
             use_lut in proptest::any::<bool>(),
+            pre_is_output in proptest::any::<bool>(),
+            pre_has_second_reader in proptest::any::<bool>(),
             use_state in proptest::any::<bool>(),
             inputs in proptest::collection::vec(
                 proptest::collection::vec(-100i32..100, 9), 1..5),
+            // Per lane of the first packet: 0 → i32::MIN, 1 → i32::MAX.
+            extremes in proptest::collection::vec(0u8..6, 9),
         ) {
             let mut b = GraphBuilder::new();
             let x_full = b.input(cols);
@@ -825,22 +934,28 @@ mod tests {
                 cols,
                 weights[..rows * cols].iter().map(|&v| v as i8).collect(),
             );
-            let dot = if use_sqdist {
+            let mut h = if use_sqdist {
                 b.sq_dist_rows(w, x_full)
             } else {
                 b.map_reduce_rows(w, x_full, zp)
             };
-            let mut h = b.add_bias(dot, bias[..rows].to_vec());
+            if use_bias {
+                h = b.add_bias(h, bias[..rows].to_vec());
+            }
             if use_requant {
                 let rq = taurus_fixed::quant::Requantizer::from_real_multiplier(mult, rq_zp);
                 h = b.requant(h, rq);
             }
+            if use_late_bias {
+                h = b.add_bias(h, bias[40..40 + rows].to_vec());
+            }
+            let pre = h;
             if use_lut {
                 let table: Vec<i8> = (0..256)
                     .map(|i| (((i - 128) * lut_mul) % 127) as i8)
                     .collect();
                 let t = b.lut(table);
-                h = b.lookup(h, t);
+                h = b.lookup(pre, t);
             }
             if use_state {
                 let s = b.state("acc", rows);
@@ -855,12 +970,30 @@ mod tests {
             b.output(h);
             b.output(red);
             b.output(sl);
+            if pre_is_output {
+                b.output(pre);
+            }
+            if pre_has_second_reader {
+                let second = b.greater_zero(pre);
+                b.output(second);
+            }
             let g = b.finish().expect("valid");
             let p = compile_default(&g);
             let mut sim = CgraSim::new(&p);
+            let mut verdict_sim = CgraSim::new(&p);
             let mut interp = Interpreter::new(&g);
+            let mut inputs = inputs;
+            for (lane, &e) in inputs[0].iter_mut().zip(&extremes) {
+                match e {
+                    0 => *lane = i32::MIN,
+                    1 => *lane = i32::MAX,
+                    _ => {}
+                }
+            }
             for x in &inputs {
-                prop_assert_eq!(sim.process(&x[..cols]).outputs, interp.run(&x[..cols]));
+                let want = interp.run(&x[..cols]);
+                prop_assert_eq!(verdict_sim.process_verdict(&x[..cols]), want[0][0]);
+                prop_assert_eq!(sim.process(&x[..cols]).outputs, want);
             }
         }
     }

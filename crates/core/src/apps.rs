@@ -13,6 +13,8 @@ use taurus_ml::mlp::MlpConfig;
 use taurus_ml::{Mlp, QuantizedMlp, TrainParams};
 use taurus_pisa::mat::MatchTable;
 use taurus_pisa::pipeline::{anomaly_post_table, proto_select_table};
+use taurus_pisa::registers::FlowFeatures;
+use taurus_pisa::RangeTable;
 
 use crate::app::{EngineBackend, FeatureFormatter, TaurusApp, VerdictPolicy};
 use crate::update::{EngineUpdate, FormatterFactory, ModelUpdate};
@@ -89,6 +91,92 @@ pub struct AnomalyDetector {
     pub threshold_code: i64,
     /// Offline F1 (×100) on the held-out connection test set.
     pub offline_f1: f64,
+    /// The preprocessing MATs of `standardizer` + `quantized`'s input
+    /// range, built once here and shared by every replica's formatter.
+    tables: Arc<Dnn6Tables>,
+}
+
+/// The float definition of the AD-DNN's feature formatting:
+/// [`FlowFeatures::encode_dnn6`] → standardize → quantize. The control
+/// plane's view, and what [`Dnn6Tables`] is compiled from.
+fn dnn6_float_codes(
+    f: &FlowFeatures,
+    standardizer: &Standardizer,
+    quantized: &QuantizedMlp,
+) -> [i32; 6] {
+    let mut row = f.encode_dnn6();
+    standardizer.apply_row(&mut row);
+    let params = quantized.input_params();
+    row.map(|v| i32::from(params.quantize(v)))
+}
+
+/// The AD-DNN's preprocessing MATs: [`dnn6_float_codes`] per register.
+/// Each lane reads one register, and log → standardize → quantize is a
+/// monotone step function of it, so the five counters are range tables
+/// and the protocol is a direct table — the data plane formats features
+/// without floating point, bit-identically to the float definition.
+#[derive(Debug)]
+struct Dnn6Tables {
+    /// `duration_ns`, `fwd_bytes`, `rev_bytes`, `dst_count`, `srv_count`
+    /// (lanes 0, 2, 3, 4, 5).
+    counters: [RangeTable; 5],
+    /// `proto` (lane 1).
+    proto: [i32; 256],
+}
+
+impl Dnn6Tables {
+    /// Compiles the tables of one model: a few ms of bisection over the
+    /// float definition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane is not monotone in its register, which would
+    /// make the tables mis-code (libm's `ln_1p` is monotone to well
+    /// below one quantization step).
+    fn compile(standardizer: &Standardizer, quantized: &QuantizedMlp) -> Self {
+        let counter = |lane: usize, set: fn(&mut FlowFeatures, u64)| {
+            RangeTable::compile(|v| {
+                let mut f = FlowFeatures::default();
+                set(&mut f, v);
+                dnn6_float_codes(&f, standardizer, quantized)[lane]
+            })
+            .expect("log, standardize, quantize is monotone in the register")
+        };
+        Self {
+            counters: [
+                counter(0, |f, v| f.duration_ns = v),
+                counter(2, |f, v| f.fwd_bytes = v),
+                counter(3, |f, v| f.rev_bytes = v),
+                counter(4, |f, v| f.dst_count = v),
+                counter(5, |f, v| f.srv_count = v),
+            ],
+            proto: core::array::from_fn(|p| {
+                let f = FlowFeatures { proto: p as u8, ..FlowFeatures::default() };
+                dnn6_float_codes(&f, standardizer, quantized)[1]
+            }),
+        }
+    }
+
+    fn format(&self, f: &FlowFeatures, out: &mut Vec<i32>) {
+        let [duration, fwd, rev, dst, srv] = &self.counters;
+        out.extend_from_slice(&[
+            duration.lookup(f.duration_ns),
+            self.proto[usize::from(f.proto)],
+            fwd.lookup(f.fwd_bytes),
+            rev.lookup(f.rev_bytes),
+            dst.lookup(f.dst_count),
+            srv.lookup(f.srv_count),
+        ]);
+    }
+}
+
+/// The one constructor of AD-DNN formatters: every formatter the
+/// factory hands out reads the same table set.
+fn dnn6_formatter_factory(tables: Arc<Dnn6Tables>) -> FormatterFactory {
+    Arc::new(move || {
+        let tables = Arc::clone(&tables);
+        Box::new(move |f: &FlowFeatures, out: &mut Vec<i32>| tables.format(f, out))
+    })
 }
 
 impl AnomalyDetector {
@@ -151,7 +239,16 @@ impl AnomalyDetector {
             test_x.iter().zip(&test_y).map(|(x, &y)| (quantized.predict_class(x) == 1, y == 1)),
         )
         .f1_percent();
-        Self { float_model: model, quantized, standardizer, program, threshold_code, offline_f1 }
+        let tables = Arc::new(Dnn6Tables::compile(&standardizer, &quantized));
+        Self {
+            float_model: model,
+            quantized,
+            standardizer,
+            program,
+            threshold_code,
+            offline_f1,
+            tables,
+        }
     }
 
     /// Encodes standardized features into the model's int8 input codes.
@@ -206,22 +303,13 @@ impl AnomalyDetector {
                 .expect("AD DNN fits the default grid"),
         );
         let threshold_code = i64::from(quantized.output_params().quantize(0.5));
-        let standardizer = self.standardizer.clone();
-        let params = quantized.input_params();
-        let formatter: FormatterFactory = Arc::new(move || {
-            let standardizer = standardizer.clone();
-            Box::new(move |f: &taurus_pisa::registers::FlowFeatures, out: &mut Vec<i32>| {
-                let mut row = f.encode_dnn6();
-                standardizer.apply_row(&mut row);
-                out.extend(row.iter().map(|&v| i32::from(params.quantize(v))));
-            })
-        });
+        let tables = Arc::new(Dnn6Tables::compile(&self.standardizer, &quantized));
         ModelUpdate {
             app: self.name().to_string(),
             version,
             weights: Some(model.export_weights()),
             engine: EngineUpdate::Program(program),
-            formatter: Some(formatter),
+            formatter: Some(dnn6_formatter_factory(tables)),
             post_tables: Some(vec![anomaly_post_table(threshold_code)]),
         }
     }
@@ -245,28 +333,11 @@ impl TaurusApp for AnomalyDetector {
     }
 
     fn formatter(&self) -> FeatureFormatter {
-        let standardizer = self.standardizer.clone();
-        let params = self.quantized.input_params();
-        Box::new(move |f, out| {
-            // Stack-resident row: encode, standardize, quantize without
-            // touching the heap (the out buffer is caller-reused).
-            let mut row = f.encode_dnn6();
-            standardizer.apply_row(&mut row);
-            out.extend(row.iter().map(|&v| i32::from(params.quantize(v))));
-        })
+        dnn6_formatter_factory(Arc::clone(&self.tables))()
     }
 
     fn formatter_factory(&self) -> Option<FormatterFactory> {
-        let standardizer = self.standardizer.clone();
-        let params = self.quantized.input_params();
-        Some(Arc::new(move || {
-            let standardizer = standardizer.clone();
-            Box::new(move |f: &taurus_pisa::registers::FlowFeatures, out: &mut Vec<i32>| {
-                let mut row = f.encode_dnn6();
-                standardizer.apply_row(&mut row);
-                out.extend(row.iter().map(|&v| i32::from(params.quantize(v))));
-            })
-        }))
+        Some(dnn6_formatter_factory(Arc::clone(&self.tables)))
     }
 
     fn post_tables(&self, backend: EngineBackend) -> Vec<MatchTable> {
@@ -455,6 +526,98 @@ mod tests {
         let codes = d.format_features(&[1.0, 0.45, 5.0, 4.0, 2.0, 2.0]);
         assert_eq!(codes.len(), 6);
         assert!(codes.iter().all(|&c| (-128..=127).contains(&c)));
+    }
+
+    /// Asserts that `formatter` — a data-plane formatter over `tables` —
+    /// equals the float definition everywhere a table could differ from
+    /// it: every register value below 2^20, both sides of every
+    /// threshold, the ends of `u64`, a million seeded values of every
+    /// magnitude, and every protocol.
+    fn assert_formatter_exact(
+        formatter: &mut FeatureFormatter,
+        tables: &Dnn6Tables,
+        standardizer: &Standardizer,
+        quantized: &QuantizedMlp,
+    ) {
+        let mut out = Vec::new();
+        let mut check = |v: u64, proto: u8| {
+            let f = FlowFeatures {
+                duration_ns: v,
+                fwd_bytes: v,
+                rev_bytes: v,
+                dst_count: v,
+                srv_count: v,
+                proto,
+                ..FlowFeatures::default()
+            };
+            out.clear();
+            formatter(&f, &mut out);
+            assert_eq!(out, dnn6_float_codes(&f, standardizer, quantized), "v={v} proto={proto}");
+        };
+        for v in 0..1u64 << 20 {
+            check(v, v as u8);
+        }
+        for table in &tables.counters {
+            assert!(table.thresholds().len() > 16, "a quantized log has many steps");
+            for &t in table.thresholds() {
+                for v in t.saturating_sub(2)..=t.saturating_add(2) {
+                    check(v, 6);
+                }
+            }
+        }
+        check(0, 17);
+        check(u64::MAX, 17);
+        // splitmix64, shifted so every bit length is as likely.
+        let mut state = 0x7A_u64;
+        for _ in 0..1_000_000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            check(z >> (z % 64), (z >> 8) as u8);
+        }
+    }
+
+    #[test]
+    fn table_formatter_equals_the_float_pipeline() {
+        let d = AnomalyDetector::train_default(3, 2_000);
+        assert_formatter_exact(&mut d.formatter(), &d.tables, &d.standardizer, &d.quantized);
+    }
+
+    #[test]
+    fn update_formatter_equals_the_float_pipeline_of_the_retrained_model() {
+        let d = AnomalyDetector::train_default(4, 2_000);
+        // Retrain on standardized KDD rows so the input range moves.
+        let mut ds = KddGenerator::new(9).binary_dataset(1_500, FeatureView::Dnn6);
+        d.standardizer.apply(&mut ds);
+        let mut retrained = Mlp::new(&MlpConfig::anomaly_dnn(), 11);
+        retrained.train(
+            ds.features(),
+            ds.labels(),
+            &TrainParams { epochs: 5, lr: 0.08, ..TrainParams::default() },
+        );
+        let update = d.prepare_update(&retrained, ds.features(), 1);
+        let quantized = QuantizedMlp::quantize(&retrained, ds.features());
+        assert_ne!(quantized.input_params(), d.quantized.input_params(), "the range moved");
+        let tables = Dnn6Tables::compile(&d.standardizer, &quantized);
+        let factory = update.formatter.expect("a retrained model carries its formatter");
+        assert_formatter_exact(&mut factory(), &tables, &d.standardizer, &quantized);
+    }
+
+    #[test]
+    fn every_formatter_of_a_model_reads_one_table_set() {
+        let d = AnomalyDetector::train_default(5, 1_000);
+        assert_eq!(Arc::strong_count(&d.tables), 1);
+        let replicas = [d.formatter(), d.formatter_factory().expect("rollback-capable")()];
+        assert_eq!(Arc::strong_count(&d.tables), 3, "two replicas share the detector's tables");
+        drop(replicas);
+        // The constructor `prepare_update` hands its tables to.
+        let tables = Arc::new(Dnn6Tables::compile(&d.standardizer, &d.quantized));
+        let factory = dnn6_formatter_factory(Arc::clone(&tables));
+        let replicas = [factory(), factory()];
+        assert_eq!(Arc::strong_count(&tables), 4, "the factory and its two formatters");
+        drop(replicas);
     }
 
     #[test]

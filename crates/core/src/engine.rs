@@ -16,10 +16,6 @@ pub struct CgraEngine {
     sim: CgraSim,
     latency_ns: u64,
     invocations: u64,
-    /// Resident output buffers, refilled in place by
-    /// [`CgraSim::process_into`] — steady-state inference allocates
-    /// nothing.
-    out_buf: Vec<Vec<i32>>,
 }
 
 impl CgraEngine {
@@ -32,7 +28,6 @@ impl CgraEngine {
             latency_ns: program.timing.latency_ns.round() as u64,
             sim: CgraSim::shared(program),
             invocations: 0,
-            out_buf: Vec::new(),
         }
     }
 
@@ -62,10 +57,7 @@ impl CgraEngine {
 impl InferenceEngine for CgraEngine {
     fn infer(&mut self, features: &[i32]) -> i64 {
         self.invocations += 1;
-        self.sim.process_into(features, &mut self.out_buf);
-        // The model's first output lane is the verdict value (anomaly
-        // score code, class index, …).
-        i64::from(self.out_buf.first().and_then(|o| o.first()).copied().unwrap_or(0))
+        i64::from(self.sim.process_verdict(features))
     }
 
     fn latency_ns(&self) -> u64 {

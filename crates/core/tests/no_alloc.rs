@@ -2,7 +2,8 @@
 //! after warm-up, `TaurusPipeline::process_prepared` (parse → registers
 //! → MATs → formatter → CGRA inference → verdict MATs) and the sharded
 //! runtime's switch entry point `TaurusSwitch::process_prepared_verdict`
-//! must perform **zero** heap allocations per packet.
+//! must perform **zero** heap allocations per packet — and building a
+//! replica's formatter must not rebuild the model's range tables.
 //!
 //! Warm-up grows every reusable buffer to steady state (formatter
 //! scratch, CGRA output buffers, join-queue capacity, compiled MAT
@@ -158,4 +159,21 @@ fn steady_state_switch_verdict_path_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "steady-state process_prepared_verdict allocated {n} times");
+}
+
+#[test]
+fn a_replicas_formatter_is_a_pointer_to_the_models_tables() {
+    // The range tables of a model are five vectors plus the protocol
+    // table, compiled once in `from_data` / `prepare_update`. Handing a
+    // replica its formatter may box a closure (and, for `formatter()`,
+    // the factory behind it) — it must never compile a table set again.
+    let detector = AnomalyDetector::train_default(9, 400);
+    let calibration = vec![vec![-1.0f32; 6], vec![2.0; 6]];
+    let update = detector.prepare_update(&detector.float_model, &calibration, 1);
+    let from_update = update.formatter.expect("a retrained model carries its formatter");
+    let from_app = detector.formatter_factory().expect("rollback-capable");
+
+    assert!(allocations_in(|| drop(detector.formatter())) <= 2);
+    assert!(allocations_in(|| drop(from_app())) <= 1);
+    assert!(allocations_in(|| drop(from_update())) <= 1);
 }

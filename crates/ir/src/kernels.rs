@@ -22,14 +22,14 @@
 //! Two layouts are served:
 //!
 //! - **int8 banks** ([`matvec_row`], [`sqdist_row`]): weights as stored
-//!   in MUs; each element is widened in-loop.
-//! - **pre-widened row groups** ([`matvec_rows_wide`],
-//!   [`sqdist_rows_wide`]): row-contiguous `i32` weights prepared once
-//!   at plan-compile time (the CGRA simulator's `ExecPlan` does this),
-//!   processed `ROW_BLOCK` rows at a time so the `x − zero_point`
-//!   widening is shared across rows — the layout that pays for the
-//!   paper's small dense layers (the AD DNN's rows are only 3–12 lanes
-//!   wide, too narrow for lane-chunking alone to help).
+//!   in MUs; each element is widened in-loop. What the interpreter
+//!   runs.
+//! - **pre-widened row groups** ([`matvec_rows_wide`]): row-contiguous
+//!   `i32` weights, processed `ROW_BLOCK` rows at a time so the
+//!   `x − zero_point` widening is shared across rows. The row-major
+//!   reference for small dense layers; the CGRA simulator's `ExecPlan`
+//!   runs the column-major form of the same reduction inside its fused
+//!   dense op.
 
 /// Accumulator lanes in the chunked single-row kernels.
 pub const LANES: usize = 8;
@@ -145,41 +145,6 @@ pub fn matvec_rows_wide(data: &[i32], cols: usize, x: &[i32], zero_point: i32, o
     }
 }
 
-/// SqDist over a pre-widened, row-contiguous weight group:
-/// `out[i] = Σ_j (x[j] − data[i·cols + j])²`, blocked like
-/// [`matvec_rows_wide`]. Bit-exact with per-row [`sqdist_row_scalar`].
-///
-/// # Panics
-///
-/// Panics if `data.len() < out.len() * cols` or `x.len() < cols`.
-pub fn sqdist_rows_wide(data: &[i32], cols: usize, x: &[i32], out: &mut [i32]) {
-    assert!(data.len() >= out.len() * cols, "widened bank too small");
-    if cols == 0 {
-        out.fill(0);
-        return;
-    }
-    let data = &data[..out.len() * cols];
-    let x = &x[..cols];
-    let mut rows = data.chunks_exact(cols * ROW_BLOCK);
-    let mut outs = out.chunks_exact_mut(ROW_BLOCK);
-    for (block, ob) in (&mut rows).zip(&mut outs) {
-        let mut acc = [0i32; ROW_BLOCK];
-        for (j, &xv) in x.iter().enumerate() {
-            for r in 0..ROW_BLOCK {
-                let d = xv.wrapping_sub(block[r * cols + j]);
-                acc[r] = acc[r].wrapping_add(d.wrapping_mul(d));
-            }
-        }
-        ob.copy_from_slice(&acc);
-    }
-    for (row, o) in rows.remainder().chunks_exact(cols).zip(outs.into_remainder()) {
-        *o = row.iter().zip(x).fold(0i32, |t, (&w, &xv)| {
-            let d = xv.wrapping_sub(w);
-            t.wrapping_add(d.wrapping_mul(d))
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,12 +199,6 @@ mod tests {
                     let want = matvec_row_scalar(&bank[r * cols..(r + 1) * cols], &x, zp);
                     assert_eq!(out[r], want, "rows={rows} cols={cols} r={r} zp={zp}");
                 }
-            }
-            let mut out = vec![0i32; rows];
-            sqdist_rows_wide(&wide, cols, &x, &mut out);
-            for r in 0..rows {
-                let want = sqdist_row_scalar(&bank[r * cols..(r + 1) * cols], &x);
-                assert_eq!(out[r], want, "sqdist rows={rows} cols={cols} r={r}");
             }
         }
     }

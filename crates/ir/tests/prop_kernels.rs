@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use taurus_ir::kernels::{
-    matvec_row, matvec_row_scalar, matvec_rows_wide, sqdist_row, sqdist_row_scalar,
-    sqdist_rows_wide, LANES, ROW_BLOCK,
+    matvec_row, matvec_row_scalar, matvec_rows_wide, sqdist_row, sqdist_row_scalar, LANES,
+    ROW_BLOCK,
 };
 
 /// Maps a selector to a length straddling every chunking boundary:
@@ -94,13 +94,6 @@ proptest! {
         for r in 0..rows {
             let want = matvec_row_scalar(&bank[r * cols..(r + 1) * cols], &x, zero_point);
             prop_assert_eq!(got[r], want, "matvec row {}", r);
-        }
-
-        let mut got = vec![0i32; rows];
-        sqdist_rows_wide(&wide, cols, &x, &mut got);
-        for r in 0..rows {
-            let want = sqdist_row_scalar(&bank[r * cols..(r + 1) * cols], &x);
-            prop_assert_eq!(got[r], want, "sqdist row {}", r);
         }
     }
 

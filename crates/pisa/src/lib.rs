@@ -15,6 +15,8 @@
 //! - [`phv`]: the Packet Header Vector, a fixed-layout field container.
 //! - [`parser`]: the parse-graph state machine (wire bytes → PHV).
 //! - [`mat`]: match-action tables with VLIW action budgets.
+//! - [`range_table`]: monotone `u64 → code` step functions compiled to
+//!   sorted thresholds — the preprocessing MAT behind feature formatters.
 //! - [`registers`]: stateful register arrays and the flow-feature
 //!   extractor used by the anomaly-detection application (§5.2.2).
 //! - [`sched`]: FIFO queues, the round-robin ML/bypass join, and a
@@ -28,6 +30,7 @@ pub mod packet;
 pub mod parser;
 pub mod phv;
 pub mod pipeline;
+pub mod range_table;
 pub mod registers;
 pub mod sched;
 
@@ -40,4 +43,5 @@ pub use pipeline::{
     FeatureFormatter, InferenceEngine, LinearThresholdEngine, PipelineConfig, PipelineResult,
     TaurusPipeline, ThresholdEngine, Verdict,
 };
+pub use range_table::{RangeTable, RangeTableError};
 pub use registers::{CrossFlowWindows, FlowFeatures, FlowTracker, PacketObs, RegisterArray};

@@ -198,7 +198,8 @@ pub struct TaurusPipeline<E> {
     pub pre_tables: Vec<MatchTable>,
     tracker: FlowTracker,
     /// Turns raw flow features into the int8 codes the model expects
-    /// (standardization + quantization — conceptually MAT range tables).
+    /// (standardization + quantization — MAT range tables, see
+    /// [`crate::range_table`]).
     formatter: FeatureFormatter,
     engine: E,
     /// Postprocessing MATs (verdict thresholding, queue selection).

@@ -88,7 +88,7 @@ impl RegisterArray {
 
 /// Cumulative features for one flow at one packet, in raw (pre-encoding)
 /// units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FlowFeatures {
     /// Time since the flow's first packet, ns.
     pub duration_ns: u64,
