@@ -261,6 +261,8 @@ struct ExecPlan {
     /// Ingress-to-egress latency of one recurrence step, from the same
     /// arrival/egress model the static analysis uses.
     step_latency: u32,
+    /// Recurrence steps per packet (the graph's `sequence_steps`).
+    steps: u32,
 }
 
 impl ExecPlan {
@@ -377,6 +379,7 @@ impl ExecPlan {
             slab_len: off as usize,
             input_width: graph.input_width(),
             step_latency,
+            steps: graph.sequence_steps() as u32,
         }
     }
 
@@ -598,11 +601,10 @@ impl CgraSim {
     /// ingress-to-egress latency in cycles.
     fn run_packet(&mut self, input: &[i32]) -> u32 {
         assert_eq!(input.len(), self.plan.input_width, "input width mismatch");
-        let steps = self.program.graph.sequence_steps();
-        for _ in 0..steps {
+        for _ in 0..self.plan.steps {
             self.exec_step(input);
         }
-        self.plan.step_latency * steps as u32
+        self.plan.step_latency * self.plan.steps
     }
 
     /// Streams a batch of packets and reports throughput.
@@ -718,7 +720,11 @@ impl CgraSim {
             }
         }
         // Commit state at end of step (reads within the step saw the
-        // previous packet/step's values).
+        // previous packet/step's values). A stateless program — every
+        // feed-forward model — has nothing staged and skips the walk.
+        if state.is_empty() {
+            return;
+        }
         for (i, written) in pending_written.iter_mut().enumerate() {
             if *written {
                 state[i].copy_from_slice(&pending[i]);

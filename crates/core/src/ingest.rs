@@ -18,6 +18,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use taurus_dataset::trace::{TracePacket, TCP_ACK, TCP_SYN};
 use taurus_pisa::registers::PacketObs;
@@ -251,6 +252,55 @@ pub fn flow_start_flags_ok(tp: &TracePacket) -> bool {
     tp.tuple.proto != 6 || tp.tcp_flags & TCP_SYN != 0 && tp.tcp_flags & TCP_ACK == 0
 }
 
+/// A set of connection ids — the first-seen probe every flow start goes
+/// through ([`ObsBuilder`]'s seen-set, the parse stage's per-epoch
+/// candidates, the merge stage's requeue).
+///
+/// Connection ids are dense counters handed out by the trace front end,
+/// not wire fields a sender chooses, so the set trades the default
+/// hasher's collision-attack resistance for a fixed-key integer mix: a
+/// probe is two multiplies, not a SipHash round trip.
+pub type ConnSet = HashSet<u32, BuildHasherDefault<ConnIdHasher>>;
+
+/// The [`ConnSet`] hasher: splitmix64's finalizer over the keyed id.
+///
+/// The table behind `HashSet` indexes with a hash's low bits and tags
+/// entries with its top seven; the finalizer is a bijection on `u64`
+/// whose every output bit depends on every input bit, so consecutive
+/// ids spread over both.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ConnIdHasher(u64);
+
+impl ConnIdHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        let mut z = (self.0 ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+}
+
+impl Hasher for ConnIdHasher {
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.mix(u64::from(id));
+    }
+
+    /// Not reached by `u32` keys; any other key type still hashes all
+    /// of its input, a byte per mix.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.mix(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Builds register-stage observations the way hardware would, tracking
 /// first-seen connections to mark flow starts. Must observe packets in
 /// arrival order; one builder per packet stream.
@@ -264,7 +314,7 @@ pub fn flow_start_flags_ok(tp: &TracePacket) -> bool {
 pub struct ObsBuilder {
     /// `Some`: the classic tracked builder. `None`: untracked — flow
     /// starts are somebody else's (the keyed table's) problem.
-    seen_flows: Option<HashSet<u32>>,
+    seen_flows: Option<ConnSet>,
 }
 
 impl Default for ObsBuilder {
@@ -276,7 +326,7 @@ impl Default for ObsBuilder {
 impl ObsBuilder {
     /// A fresh tracked builder with no flows seen.
     pub fn new() -> Self {
-        Self { seen_flows: Some(HashSet::new()) }
+        Self { seen_flows: Some(ConnSet::default()) }
     }
 
     /// A builder that never tracks connections and never marks a flow
@@ -338,6 +388,57 @@ mod tests {
     use super::*;
     use taurus_dataset::kdd::KddGenerator;
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
+
+    fn conn_hash(id: u32) -> u64 {
+        let mut h = ConnIdHasher::default();
+        h.write_u32(id);
+        h.finish()
+    }
+
+    #[test]
+    fn conn_hash_spreads_every_id_bit_over_index_and_tag_bits() {
+        // hashbrown indexes with the low bits and tags with the top
+        // seven: flipping any one id bit must flip each of those output
+        // bits about half the time, dense counter ids included.
+        const WATCHED: [u32; 14] = [0, 1, 2, 3, 4, 5, 6, 57, 58, 59, 60, 61, 62, 63];
+        let ids = 0..1024u32;
+        for in_bit in 0..32 {
+            let mut flips = [0usize; WATCHED.len()];
+            for id in ids.clone() {
+                let diff = conn_hash(id) ^ conn_hash(id ^ 1 << in_bit);
+                for (n, out_bit) in flips.iter_mut().zip(WATCHED) {
+                    *n += (diff >> out_bit & 1) as usize;
+                }
+            }
+            for (n, out_bit) in flips.into_iter().zip(WATCHED) {
+                assert!(
+                    (ids.len() * 3 / 8..=ids.len() * 5 / 8).contains(&n),
+                    "id bit {in_bit} flips hash bit {out_bit} in {n} of {} ids",
+                    ids.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn conn_set_keeps_set_semantics() {
+        let mut fast = ConnSet::default();
+        let mut reference = HashSet::<u32>::new();
+        let mut state = 0x5EED_u64;
+        for _ in 0..20_000 {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            // Ids cluster low (dense counters) with the odd far outlier.
+            let id =
+                if state >> 60 == 0 { (state >> 8) as u32 } else { (state >> 40) as u32 % 4096 };
+            match state >> 32 & 3 {
+                0 => assert_eq!(fast.remove(&id), reference.remove(&id)),
+                1 => assert_eq!(fast.contains(&id), reference.contains(&id)),
+                _ => assert_eq!(fast.insert(id), reference.insert(id)),
+            }
+        }
+        assert_eq!(fast.len(), reference.len());
+        assert!(fast.iter().all(|id| reference.contains(id)));
+    }
 
     #[test]
     fn flow_start_marked_once_per_connection() {

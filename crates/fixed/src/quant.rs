@@ -195,12 +195,15 @@ impl Requantizer {
         // fractional precision is lost.
         let acc =
             if self.shift < 0 { acc.saturating_mul(1i32 << (-self.shift).min(30)) } else { acc };
-        // Rounding doubling high multiply (SQRDMULH semantics). The final
-        // division truncates toward zero, as in gemmlowp — an arithmetic
-        // shift would floor and bias negative results by one code.
+        // Rounding doubling high multiply (SQRDMULH semantics):
+        // gemmlowp's `(prod + nudge) / 2^31`, nudge `2^30` for `prod ≥ 0`
+        // and `1 − 2^30` below, division truncating toward zero. For
+        // `prod ≥ 0` truncation is the floor; for `prod < 0` it is the
+        // ceiling, `⌈n / 2^31⌉ = ⌊(n + 2^31 − 1) / 2^31⌋`, and
+        // `prod + (1 − 2^30) + (2^31 − 1) = prod + 2^30`. Both signs are
+        // one add and one arithmetic shift.
         let prod = acc as i64 * self.multiplier as i64;
-        let nudge = if prod >= 0 { 1i64 << 30 } else { 1 - (1i64 << 30) };
-        let high = ((prod + nudge) / (1i64 << 31)) as i32;
+        let high = ((prod + (1i64 << 30)) >> 31) as i32;
         // Rounding arithmetic right shift by `shift` (if positive).
         let shifted = if self.shift > 0 {
             let s = self.shift;
@@ -294,7 +297,71 @@ mod tests {
         assert_eq!(r.apply(123456), 7);
     }
 
+    /// `apply_i32` as gemmlowp writes it — sign-dependent nudge, then a
+    /// division truncating toward zero — kept as the reference the
+    /// shift form is pinned against.
+    fn apply_i32_by_division(r: &Requantizer, acc: i32) -> i32 {
+        let acc = if r.shift < 0 { acc.saturating_mul(1i32 << (-r.shift).min(30)) } else { acc };
+        let prod = acc as i64 * r.multiplier as i64;
+        let nudge = if prod >= 0 { 1i64 << 30 } else { 1 - (1i64 << 30) };
+        let high = ((prod + nudge) / (1i64 << 31)) as i32;
+        let shifted = if r.shift > 0 {
+            let s = r.shift;
+            let mask = (1i32 << s) - 1;
+            let rem = high & mask;
+            let threshold = (mask >> 1) + i32::from(high < 0);
+            (high >> s) + i32::from(rem > threshold)
+        } else {
+            high
+        };
+        shifted + r.zero_point
+    }
+
+    const EDGE_ACCS: [i32; 5] = [i32::MIN, -1, 0, 1, i32::MAX];
+
+    #[test]
+    #[ignore = "2^32 accumulators x 40 requantizers: minutes even in release (CI hot-path step)"]
+    fn shift_form_equals_division_form_for_every_accumulator() {
+        let mut requantizers = Vec::new();
+        for multiplier in [0, 1 << 30, i32::MAX, 0x5A82_799A] {
+            for shift in [-3, 0, 1, 7, 30] {
+                for zero_point in [-128, 128] {
+                    requantizers.push(Requantizer { multiplier, shift, zero_point });
+                }
+            }
+        }
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::thread::scope(|scope| {
+            for share in requantizers.chunks(requantizers.len().div_ceil(threads)) {
+                scope.spawn(move || {
+                    for &r in share {
+                        for acc in i32::MIN..=i32::MAX {
+                            assert_eq!(
+                                r.apply_i32(acc),
+                                apply_i32_by_division(&r, acc),
+                                "{r:?} {acc}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+    }
+
     proptest! {
+        #[test]
+        fn prop_shift_form_equals_division_form(
+            multiplier in 0i32..i32::MAX,
+            shift in -31i32..31,
+            zero_point in -128i32..129,
+            acc in any::<i32>(),
+        ) {
+            let r = Requantizer { multiplier, shift, zero_point };
+            for acc in EDGE_ACCS.into_iter().chain([acc]) {
+                prop_assert_eq!(r.apply_i32(acc), apply_i32_by_division(&r, acc), "{:?} {}", r, acc);
+            }
+        }
+
         #[test]
         fn prop_quantize_within_half_step(x in -100.0f32..100.0, lo in -50.0f32..0.0, hi in 0.1f32..50.0) {
             let p = QuantParams::from_range(lo, hi);

@@ -6,9 +6,11 @@
 //! hardware disciplines behind one interface:
 //!
 //! - **Direct-mapped** (the classic PISA register-array view): slot =
-//!   `key % slots`, unrelated flows that hash together silently share a
-//!   slot, and the only reclamation is the lazy idle-timeout check that
-//!   rides each access (the former `IdleTable`, byte-for-byte).
+//!   `key % slots` (computed by a [`SlotIndex`]: a mask for the
+//!   power-of-two sizes hardware uses), unrelated flows that hash
+//!   together silently share a slot, and the only reclamation is the
+//!   lazy idle-timeout check that rides each access (the former
+//!   `IdleTable`, byte-for-byte).
 //! - **Keyed** (`B` buckets × `W` ways): each occupant stores its full
 //!   64-bit key, lookups probe one bucket's ways, a hit one-step
 //!   robin-hood-promotes toward way 0, and a miss into a full bucket
@@ -27,11 +29,14 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::slot_index::SlotIndex;
+
 /// Flow-table geometry selector, carried by `PipelineConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum FlowTableKind {
-    /// Slot = `key % flow_slots`; colliding flows share state. The
-    /// default — byte-identical to the historical register arrays.
+    /// Slot = `key % flow_slots`, exactly what the table's [`SlotIndex`]
+    /// computes; colliding flows share state. The default —
+    /// byte-identical to the historical register arrays.
     #[default]
     DirectMapped,
     /// Set-associative keyed table: `buckets × ways` occupants, each
@@ -108,6 +113,8 @@ struct FlowSlot {
 pub struct FlowTable {
     kind: FlowTableKind,
     slots: Vec<FlowSlot>,
+    /// `key ↦ key % slots` direct-mapped, `key ↦ key % buckets` keyed.
+    index: SlotIndex,
     idle_timeout_ns: u64,
     idle_evictions: u64,
     capacity_evictions: u64,
@@ -136,6 +143,7 @@ impl FlowTable {
         Self {
             kind: FlowTableKind::DirectMapped,
             slots: vec![FlowSlot::default(); slots],
+            index: SlotIndex::of(slots),
             idle_timeout_ns,
             idle_evictions: 0,
             capacity_evictions: 0,
@@ -150,6 +158,7 @@ impl FlowTable {
         Self {
             kind: FlowTableKind::Keyed { buckets, ways },
             slots: vec![FlowSlot::default(); buckets * ways],
+            index: SlotIndex::of(buckets),
             idle_timeout_ns,
             idle_evictions: 0,
             capacity_evictions: 0,
@@ -236,14 +245,14 @@ impl FlowTable {
     pub fn access(&mut self, key: u64, now_ns: u64) -> (usize, Access) {
         match self.kind {
             FlowTableKind::DirectMapped => self.access_direct(key, now_ns),
-            FlowTableKind::Keyed { buckets, ways } => self.access_keyed(key, now_ns, buckets, ways),
+            FlowTableKind::Keyed { ways, .. } => self.access_keyed(key, now_ns, ways),
         }
     }
 
     /// The direct-mapped path replicates the historical `IdleTable::touch`
     /// exactly: disabled tables never stamp and never evict.
     fn access_direct(&mut self, key: u64, now_ns: u64) -> (usize, Access) {
-        let idx = (key % self.slots.len() as u64) as usize;
+        let idx = self.index.reduce(key);
         if self.idle_timeout_ns == 0 {
             return (idx, Access::Hit);
         }
@@ -263,14 +272,8 @@ impl FlowTable {
         }
     }
 
-    fn access_keyed(
-        &mut self,
-        key: u64,
-        now_ns: u64,
-        buckets: usize,
-        ways: usize,
-    ) -> (usize, Access) {
-        let base = (key % buckets as u64) as usize * ways;
+    fn access_keyed(&mut self, key: u64, now_ns: u64, ways: usize) -> (usize, Access) {
+        let base = self.index.reduce(key) * ways;
         let stamp = (now_ns as i64).wrapping_add(1);
         // Probe the bucket for this key.
         for w in 0..ways {

@@ -19,6 +19,8 @@
 //!   sorted thresholds — the preprocessing MAT behind feature formatters.
 //! - [`registers`]: stateful register arrays and the flow-feature
 //!   extractor used by the anomaly-detection application (§5.2.2).
+//! - [`slot_index`]: `key mod len` for one table, as a mask when the
+//!   length is a power of two — behind every table above.
 //! - [`sched`]: FIFO queues, the round-robin ML/bypass join, and a
 //!   strict-priority + deficit-round-robin egress scheduler.
 //! - [`pipeline`]: the assembled Taurus data plane with per-block latency
@@ -33,6 +35,7 @@ pub mod pipeline;
 pub mod range_table;
 pub mod registers;
 pub mod sched;
+pub mod slot_index;
 
 pub use flow_table::{Access, FlowEntry, FlowTable, FlowTableKind};
 pub use mat::{Action, MatchKind, MatchTable, VliwOp};
@@ -45,3 +48,4 @@ pub use pipeline::{
 };
 pub use range_table::{RangeTable, RangeTableError};
 pub use registers::{CrossFlowWindows, FlowFeatures, FlowTracker, PacketObs, RegisterArray};
+pub use slot_index::SlotIndex;

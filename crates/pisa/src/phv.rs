@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 /// PHV fields. Header fields come from the parser; `Meta*` fields carry
-//  intermediate MAT results; `Feature*` fields hold the formatted
+/// intermediate MAT results; `Feature*` fields hold the formatted
 /// fixed-point features the MapReduce block consumes; `MlOut` carries the
 /// verdict back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

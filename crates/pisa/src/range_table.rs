@@ -6,8 +6,8 @@
 //! register it is a monotone step function onto at most 256 codes — i.e.
 //! a range-match table. [`RangeTable::compile`] derives the table from
 //! the defining function by bisection, once; [`RangeTable::lookup`] is
-//! then *exactly* that function, at the cost of one short search and no
-//! floating point.
+//! then *exactly* that function, at the cost of one bucket read and a
+//! fixed run of compares — no search, no floating point.
 
 /// Why a function could not be compiled to a [`RangeTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,15 +38,66 @@ impl core::fmt::Display for RangeTableError {
 
 impl std::error::Error for RangeTableError {}
 
+/// Mantissa bits of a lookup bucket below the leading one: a bucket is
+/// a sixteenth of an octave. A log-compressed lane that spends all 255
+/// steps on ten octaves puts under two steps in each, so its lookups
+/// take one [`SPAN`]-wide trip; the AD-DNN's five lanes peak at three.
+/// (Measured on the formatter: 3 bits need a second trip on the duration
+/// lane, 5 bits and a 2-wide span gain 1 ns for twice the index.)
+const MANTISSA_BITS: u32 = 4;
+
+/// Buckets over all of `u64`: the values below `2^(MANTISSA_BITS + 1)`
+/// one each, then `2^MANTISSA_BITS` per remaining bit length.
+const BUCKETS: usize = ((65 - MANTISSA_BITS) << MANTISSA_BITS) as usize;
+
+/// Thresholds one lookup trip compares, all of them, whatever `v` is.
+/// Four compiles to a compare/add-with-carry chain at the baseline x86-64
+/// target; eight gets vectorized through an emulated unsigned 64-bit
+/// compare and took the AD-DNN formatter from 17 to 46 ns.
+const SPAN: usize = 4;
+
+/// The bucket of `v`: its bit length and the [`MANTISSA_BITS`] bits
+/// after the leading one (the value itself while it has no more bits
+/// than that). Non-decreasing in `v`.
+#[inline]
+fn bucket_of(v: u64) -> usize {
+    // Bits dropped below the mantissa; 0 for the small values.
+    let e = 63 - (v | 1 << MANTISSA_BITS).leading_zeros() - MANTISSA_BITS;
+    ((e << MANTISSA_BITS) as u64 + (v >> e)) as usize
+}
+
+/// The smallest `v` with `bucket_of(v) == b`.
+fn bucket_start(b: usize) -> u64 {
+    let e = (b >> MANTISSA_BITS).saturating_sub(1);
+    ((b - (e << MANTISSA_BITS)) as u64) << e
+}
+
 /// A non-decreasing step function from `u64` to at most 256 consecutive
 /// `i32` codes: `lookup(v) = base + #{thresholds ≤ v}`.
+///
+/// The count is taken without a search. `below[bucket_of(v)]` is the
+/// number of thresholds at or under the bucket's first value — all of
+/// them `≤ v` — and the thresholds above that, being sorted, start at
+/// that index: comparing the next `trips · SPAN` of them with `v` counts
+/// the rest, because `trips · SPAN` is at least the number of thresholds
+/// inside any one bucket and every later one exceeds the bucket, hence
+/// `v`. The trip count is a property of the table, not of `v`, so the
+/// loop runs the same way for every packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeTable {
-    /// `thresholds[k]` is the smallest input whose code is at least
-    /// `base + k + 1`; sorted, repeated where the function skips codes.
+    /// `thresholds[k]`, `k < steps`, is the smallest input whose code is
+    /// at least `base + k + 1`; sorted, repeated where the function
+    /// skips codes. Then `trips · SPAN` sentinels (`u64::MAX`) so every
+    /// compare window is in bounds.
     thresholds: Vec<u64>,
+    /// Real thresholds in `thresholds`.
+    steps: usize,
     /// The code of input 0.
     base: i32,
+    /// `below[b] = #{thresholds ≤ bucket_start(b)}`.
+    below: Box<[u8; BUCKETS]>,
+    /// Compare windows per lookup: `⌈widest bucket / SPAN⌉`.
+    trips: usize,
 }
 
 impl RangeTable {
@@ -94,18 +145,46 @@ impl RangeTable {
             thresholds.extend((code_lo..code_hi).map(|_| hi));
             (lo, code_lo) = (hi, code_hi);
         }
-        Ok(Self { thresholds, base })
+        Ok(Self::index(thresholds, base))
+    }
+
+    /// Builds the bucket index over sorted `thresholds`.
+    fn index(mut thresholds: Vec<u64>, base: i32) -> Self {
+        let steps = thresholds.len();
+        let mut below = Box::new([0u8; BUCKETS]);
+        let (mut k, mut widest) = (0, 0);
+        for (b, below) in below.iter_mut().enumerate() {
+            while k < steps && thresholds[k] <= bucket_start(b) {
+                k += 1;
+            }
+            *below = k as u8; // k ≤ MAX_STEPS
+            let last = if b + 1 < BUCKETS { bucket_start(b + 1) - 1 } else { u64::MAX };
+            widest = widest.max(thresholds[k..].iter().take_while(|&&t| t <= last).count());
+        }
+        let trips = widest.div_ceil(SPAN);
+        thresholds.resize(steps + trips * SPAN, u64::MAX);
+        Self { thresholds, steps, base, below, trips }
     }
 
     /// The code of `v`.
     #[inline]
     pub fn lookup(&self, v: u64) -> i32 {
-        self.base + self.thresholds.partition_point(|&t| t <= v) as i32
+        let mut at = usize::from(self.below[bucket_of(v)]);
+        let mut count = at;
+        for _ in 0..self.trips {
+            let window: &[u64; SPAN] =
+                self.thresholds[at..].first_chunk().expect("padded by trips * SPAN");
+            count += window.iter().filter(|&&t| t <= v).count();
+            at += SPAN;
+        }
+        // Only `v == u64::MAX` can count a sentinel, and then every real
+        // threshold counted too.
+        self.base + count.min(self.steps) as i32
     }
 
     /// The step positions, ascending.
     pub fn thresholds(&self) -> &[u64] {
-        &self.thresholds
+        &self.thresholds[..self.steps]
     }
 }
 
@@ -123,6 +202,74 @@ mod tests {
         v
     }
 
+    /// `lookup` as a binary search over the sorted thresholds: the
+    /// reference the bucket-indexed count is pinned against.
+    fn lookup_by_search(t: &RangeTable, v: u64) -> i32 {
+        t.base + t.thresholds().partition_point(|&th| th <= v) as i32
+    }
+
+    /// The table whose steps sit exactly at `thresholds`.
+    fn table_of(thresholds: &[u64]) -> RangeTable {
+        let t = RangeTable::compile(|v| thresholds.partition_point(|&th| th <= v) as i32 - 100)
+            .expect("monotone");
+        assert_eq!(t.thresholds(), thresholds);
+        t
+    }
+
+    fn assert_lookup_is_the_search(t: &RangeTable) {
+        for v in edges(t).into_iter().chain(0..1 << 20) {
+            assert_eq!(t.lookup(v), lookup_by_search(t, v), "v={v}");
+        }
+    }
+
+    #[test]
+    fn buckets_tile_u64_in_order() {
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        for b in 0..BUCKETS {
+            let start = bucket_start(b);
+            assert_eq!(bucket_of(start), b, "a bucket holds its own start");
+            if b > 0 {
+                assert_eq!(bucket_of(start - 1), b - 1, "and nothing of the one before");
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_equals_the_search_on_sparse_dense_and_empty_tables() {
+        // Steps of every magnitude, some repeated, some adjacent, one at
+        // each end of a bucket and one at the very top.
+        let spread: Vec<u64> = (0..64)
+            .flat_map(|bit| [1u64 << bit, (1 << bit) + 1, (1 << bit) + 1, (3 << bit) >> 1])
+            .filter(|&t| t > 0)
+            .chain([u64::MAX - 1, u64::MAX])
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .take(RangeTable::MAX_STEPS)
+            .collect();
+        let t = table_of(&spread);
+        assert!(t.trips >= 1);
+        assert_lookup_is_the_search(&t);
+
+        let empty = table_of(&[]);
+        assert_eq!(empty.trips, 0, "nothing to compare");
+        assert_lookup_is_the_search(&empty);
+
+        // The widest window a table can need: all 255 steps on
+        // consecutive inputs inside one bucket (and inside the sweep).
+        let packed: Vec<u64> = (1 << 12..).take(RangeTable::MAX_STEPS).collect();
+        assert_eq!(bucket_of(packed[0]), bucket_of(packed[RangeTable::MAX_STEPS - 1]));
+        let t = table_of(&packed);
+        assert_eq!(t.trips, RangeTable::MAX_STEPS.div_ceil(SPAN));
+        assert_lookup_is_the_search(&t);
+
+        // Every step at the last input: the one lookup that reaches the
+        // sentinels.
+        let t = table_of(&[u64::MAX; 7]);
+        assert_lookup_is_the_search(&t);
+        assert_eq!(t.lookup(u64::MAX), -93);
+    }
+
     #[test]
     fn log_steps_match_their_source_at_every_edge() {
         let f = |v: u64| (v as f32).ln_1p().round() as i32 - 7;
@@ -134,6 +281,7 @@ mod tests {
         for v in 0..100_000u64 {
             assert_eq!(t.lookup(v), f(v), "v={v}");
         }
+        assert_lookup_is_the_search(&t);
     }
 
     #[test]

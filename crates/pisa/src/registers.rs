@@ -18,6 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::flow_table::{FlowTable, FlowTableKind};
+use crate::slot_index::SlotIndex;
 
 /// A register array: the PISA stateful primitive (bounded memory, indexed
 /// by a hash — collisions are a modeled artifact, as in real switches).
@@ -25,6 +26,8 @@ use crate::flow_table::{FlowTable, FlowTableKind};
 pub struct RegisterArray {
     name: String,
     data: Vec<i64>,
+    /// `key ↦ key % data.len()`.
+    index: SlotIndex,
 }
 
 impl RegisterArray {
@@ -35,7 +38,7 @@ impl RegisterArray {
     /// Panics if `size` is zero.
     pub fn new(name: impl Into<String>, size: usize) -> Self {
         assert!(size > 0, "register array needs at least one cell");
-        Self { name: name.into(), data: vec![0; size] }
+        Self { name: name.into(), data: vec![0; size], index: SlotIndex::of(size) }
     }
 
     /// Number of cells.
@@ -48,8 +51,9 @@ impl RegisterArray {
         self.data.is_empty()
     }
 
+    #[inline]
     fn idx(&self, key: u64) -> usize {
-        (key % self.data.len() as u64) as usize
+        self.index.reduce(key)
     }
 
     /// Reads the cell for a key.

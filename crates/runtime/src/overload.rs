@@ -46,6 +46,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use taurus_core::ingest::IngestError;
+use taurus_pisa::SlotIndex;
 
 use crate::fault::IngestFaults;
 
@@ -189,11 +190,12 @@ impl OverloadReport {
 /// shard that sheds and then panics recovers with its shed counters
 /// intact (the supervisor replaces the worker; the accounting was never
 /// inside it).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct OverloadState {
     policy: OverloadPolicy,
     faults: IngestFaults,
-    route_slots: usize,
+    /// `flow_key ↦ flow_key % route_slots`: routing's own slot.
+    route_slots: SlotIndex,
     shed_packets: u64,
     degraded_verdicts: u64,
     degraded_anomalous: u64,
@@ -204,7 +206,17 @@ pub(crate) struct OverloadState {
 
 impl OverloadState {
     pub(crate) fn new(policy: OverloadPolicy, faults: IngestFaults, route_slots: usize) -> Self {
-        Self { policy, faults, route_slots, ..Self::default() }
+        Self {
+            policy,
+            faults,
+            route_slots: SlotIndex::of(route_slots),
+            shed_packets: 0,
+            degraded_verdicts: 0,
+            degraded_anomalous: 0,
+            per_shard: Vec::new(),
+            flow_buckets: HashMap::new(),
+            quarantine: QuarantineCounts::default(),
+        }
     }
 
     pub(crate) fn policy(&self) -> OverloadPolicy {
@@ -235,8 +247,7 @@ impl OverloadState {
             self.per_shard.resize(shard + 1, 0);
         }
         self.per_shard[shard] += 1;
-        let bucket = if self.route_slots == 0 { 0 } else { flow_key % self.route_slots as u64 };
-        *self.flow_buckets.entry(bucket).or_insert(0) += 1;
+        *self.flow_buckets.entry(self.route_slots.reduce(flow_key) as u64).or_insert(0) += 1;
     }
 
     /// Accounts one quarantined packet.

@@ -15,14 +15,12 @@
 //! worker's loop; whatever arenas it still holds are returned through
 //! the thread's join value so the cross-run pool stays provisioned.
 
-use std::collections::HashSet;
-
-use taurus_core::ingest::{flow_start_flags_ok, to_packet_into, wire_obs};
+use taurus_core::ingest::{flow_start_flags_ok, to_packet_into, wire_obs, ConnSet};
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::registers::PacketObs;
 
 use crate::pipeline::epoch::{epoch_count, EpochBatch, FlowHint, ParsedSlot, ARENAS_PER_WORKER};
-use crate::runtime::shard_of;
+use crate::runtime::Route;
 use crate::spsc;
 
 /// The order-free parse of one packet, minus its wire form: fills
@@ -34,14 +32,13 @@ use crate::spsc;
 pub(crate) fn parse_obs(
     tp: &TracePacket,
     obs: &mut PacketObs,
-    route_slots: usize,
-    shards: usize,
+    route: Route,
     candidate: bool,
 ) -> FlowHint {
     wire_obs(tp, obs);
     FlowHint {
         conn_id: tp.conn_id,
-        shard: shard_of(obs.flow_key, route_slots, shards) as u32,
+        shard: route.shard_of(obs.flow_key) as u32,
         candidate,
         start_flags_ok: flow_start_flags_ok(tp),
     }
@@ -49,9 +46,10 @@ pub(crate) fn parse_obs(
 
 /// Fills one slot with everything derivable from the packet alone:
 /// wire form, keyed observation (first-seen bit left unresolved),
-/// flow-start flag predicate, and home shard. The caller supplies
-/// `candidate` (epoch-local first-seen — per-epoch state the worker
-/// owns).
+/// flow-start flag predicate, and home shard
+/// ([`crate::runtime::shard_of`] over `route_slots` and `shards`). The
+/// caller supplies `candidate` (epoch-local first-seen — per-epoch
+/// state the worker owns).
 pub fn parse_packet(
     tp: &TracePacket,
     slot: &mut ParsedSlot,
@@ -59,7 +57,13 @@ pub fn parse_packet(
     shards: usize,
     candidate: bool,
 ) {
-    let hint = parse_obs(tp, &mut slot.prepared.obs, route_slots, shards, candidate);
+    parse_slot(tp, slot, Route::new(route_slots, shards), candidate);
+}
+
+/// [`parse_packet`] over a prebuilt [`Route`]: the parse workers' form.
+#[inline]
+fn parse_slot(tp: &TracePacket, slot: &mut ParsedSlot, route: Route, candidate: bool) {
+    let hint = parse_obs(tp, &mut slot.prepared.obs, route, candidate);
     to_packet_into(tp, &mut slot.prepared.pkt);
     slot.prepared.dst_count = 0;
     slot.prepared.srv_count = 0;
@@ -80,12 +84,10 @@ pub(crate) struct ParsePlan {
     pub workers: usize,
     /// Packets per epoch.
     pub epoch_len: usize,
-    /// Register-slot count the routing hash folds through
-    /// (`crate::runtime::shard_of`'s `flow_slots`); the bucket count in
-    /// keyed mode.
-    pub route_slots: usize,
-    /// Engine shard count.
-    pub shards: usize,
+    /// Flow key → home shard: [`crate::runtime::shard_of`] over the
+    /// register-slot count (keyed: the bucket count) and the engine
+    /// shard count.
+    pub route: Route,
     /// Keyed flow table active: flow starts resolve by table miss on
     /// the merge stage, so the epoch-local candidate filter is dead
     /// weight — workers skip it entirely.
@@ -115,12 +117,12 @@ pub(crate) fn parse_worker(
     out: &spsc::Sender<EpochBatch>,
     recycle: &spsc::Receiver<EpochBatch>,
 ) -> Vec<EpochBatch> {
-    let ParsePlan { workers, epoch_len, route_slots, shards, keyed } = plan;
+    let ParsePlan { workers, epoch_len, route, keyed } = plan;
     let epochs = epoch_count(packets.len(), epoch_len);
     // Epoch-local first-seen: cleared per epoch, capacity provisioned
     // once so steady-state epochs never reallocate it (an epoch holds
     // at most `epoch_len` distinct connections).
-    let mut epoch_seen: HashSet<u32> = HashSet::with_capacity(epoch_len);
+    let mut epoch_seen = ConnSet::with_capacity_and_hasher(epoch_len, Default::default());
     let mut kept = Vec::with_capacity(ARENAS_PER_WORKER);
     let mut mine = 0usize;
     for epoch in (worker..epochs).step_by(workers) {
@@ -135,7 +137,7 @@ pub(crate) fn parse_worker(
                 arena.slots.push(ParsedSlot::default()); // first-run growth
             }
             let candidate = !keyed && epoch_seen.insert(tp.conn_id);
-            parse_packet(tp, &mut arena.slots[i], route_slots, shards, candidate);
+            parse_slot(tp, &mut arena.slots[i], route, candidate);
         }
         arena.epoch = epoch as u64;
         arena.base = base as u64;
@@ -158,6 +160,7 @@ pub(crate) fn parse_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::shard_of;
     use taurus_core::ingest::ObsBuilder;
     use taurus_dataset::kdd::KddGenerator;
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
@@ -186,7 +189,7 @@ mod tests {
         let records = KddGenerator::new(72).take(40);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         let epoch_len = 16;
-        let mut seen = HashSet::new();
+        let mut seen = ConnSet::default();
         for chunk in trace.packets.chunks(epoch_len) {
             seen.clear();
             let mut slot = ParsedSlot::default();

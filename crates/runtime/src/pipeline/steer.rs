@@ -355,7 +355,7 @@ mod tests {
             seq_windows.clear();
             merge_builder.reset();
             merge_windows.clear();
-            let mut epoch_seen = std::collections::HashSet::new();
+            let mut epoch_seen = taurus_core::ingest::ConnSet::default();
             let mut slot = ParsedSlot::default();
             for chunk in trace.packets.chunks(epoch_len) {
                 epoch_seen.clear(); // epoch boundary

@@ -13,8 +13,10 @@
 //!
 //! 1. **Per-flow registers** (bytes, packets, flags), keyed by the
 //!    canonical five-tuple hash. Packets are routed by the hash's
-//!    *register slot*: [`shard_of`] folds `flow_key % flow_slots` onto
-//!    the shard count, so a flow's packets always land on one shard —
+//!    *register slot*: [`shard_of`] folds `flow_key % flow_slots` (the
+//!    replicas' own [`taurus_pisa::SlotIndex`] reduction, so routing
+//!    and tables agree on the slot by construction) onto the shard
+//!    count, so a flow's packets always land on one shard —
 //!    and two flows that collide in a register slot share a shard for
 //!    **any** shard count, not just divisors of `flow_slots`. Because
 //!    every shard also keeps the full `flow_slots` register capacity,
@@ -56,7 +58,7 @@ use serde::{Deserialize, Serialize};
 use taurus_core::{DuplicateAppError, EngineBackend, SwitchBuilder, SwitchReport, TaurusApp};
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineConfig};
+use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineConfig, SlotIndex};
 
 use crate::fault::{FaultPlan, FaultReport};
 use crate::overload::{OverloadPolicy, OverloadReport, OverloadState};
@@ -103,7 +105,8 @@ impl Default for PreparedPacket {
 }
 
 /// The home shard for a flow key: the key's per-flow register slot
-/// (`flow_key % flow_slots`) folded onto the shard count.
+/// (`flow_key % flow_slots`) folded onto the shard count
+/// (`slot % shards`).
 ///
 /// Routing by the *slot* rather than the raw key is what makes sharding
 /// exact for **any** shard count: two flows that collide in a register
@@ -113,8 +116,30 @@ impl Default for PreparedPacket {
 /// bit for bit. (For power-of-two `flow_slots` and a dividing shard
 /// count this reduces to the old `key % shards`, so existing goldens
 /// are unchanged.)
+///
+/// Both remainders are taken by [`SlotIndex`] reducers — the same
+/// reducer type, hence the same slot, as the replicas' tables; the
+/// ingest loop builds its pair once (`Route`) instead of per packet.
 pub fn shard_of(flow_key: u64, flow_slots: usize, shards: usize) -> usize {
-    (flow_key % flow_slots as u64) as usize % shards
+    Route::new(flow_slots, shards).shard_of(flow_key)
+}
+
+/// [`shard_of`] for one geometry, its two reducers built once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Route {
+    slots: SlotIndex,
+    shards: SlotIndex,
+}
+
+impl Route {
+    pub(crate) fn new(route_slots: usize, shards: usize) -> Self {
+        Self { slots: SlotIndex::of(route_slots), shards: SlotIndex::of(shards) }
+    }
+
+    #[inline]
+    pub(crate) fn shard_of(self, flow_key: u64) -> usize {
+        self.shards.reduce(self.slots.reduce(flow_key) as u64)
+    }
 }
 
 /// Why [`RuntimeBuilder::try_build`] rejected a configuration.
@@ -486,8 +511,7 @@ impl<'a> RuntimeBuilder<'a> {
             ParsePlan {
                 workers: parse_workers,
                 epoch_len: self.epoch_len,
-                route_slots,
-                shards: self.shards,
+                route: Route::new(route_slots, self.shards),
                 keyed: directory.is_some(),
             },
             Steer::new(self.shards, self.batch_size, self.queue_depth, overload),

@@ -11,10 +11,9 @@
 //! step both reach, so every geometry produces the same stream by
 //! construction.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use taurus_core::ingest::{to_packet_into, IngestValidator, ObsBuilder};
+use taurus_core::ingest::{to_packet_into, ConnSet, IngestValidator, ObsBuilder};
 use taurus_core::ModelUpdate;
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::registers::PacketObs;
@@ -55,7 +54,7 @@ pub(crate) struct Ingest {
     /// on the filtered stream. Cleared at each epoch boundary
     /// (candidates are epoch-local); empty on every clean run, so the
     /// steady state allocates nothing.
-    requeue: HashSet<u32>,
+    requeue: ConnSet,
     /// Cross-feed pool of epoch arenas.
     pub(crate) epoch_pool: Vec<EpochBatch>,
     /// Updates awaiting their global stream index, sorted by it (stable
@@ -86,7 +85,7 @@ impl Ingest {
             directory,
             steer,
             validator: IngestValidator::new(),
-            requeue: HashSet::new(),
+            requeue: ConnSet::default(),
             epoch_pool: Vec::new(),
             pending: Vec::new(),
             installed: 0,
@@ -124,11 +123,11 @@ impl Ingest {
             // one — the merge step probes the seen-set per packet, the
             // same one hash the epoch filter would have cost on this
             // thread.
-            let ParsePlan { route_slots, shards, keyed, .. } = self.plan;
+            let ParsePlan { route, keyed, .. } = self.plan;
             self.requeue.clear();
             for (i, tp) in packets.iter().enumerate() {
                 let mut obs = PacketObs::default();
-                let hint = parse_obs(tp, &mut obs, route_slots, shards, !keyed);
+                let hint = parse_obs(tp, &mut obs, route, !keyed);
                 let index = self.position + i as u64;
                 let merged = self
                     .merge_packet(lanes, tp, hint, &mut obs, index, |pkt| to_packet_into(tp, pkt));
