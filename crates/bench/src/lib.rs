@@ -98,7 +98,7 @@ pub fn table5_models() -> Vec<(&'static str, f64, f64, GridProgram)> {
 
     // Anomaly DNN: the paper's 6 → 12 → 6 → 3 → 1 network.
     let detector = taurus_core::apps::AnomalyDetector::train_default(52, 3_000);
-    let dnn_prog = detector.program.as_ref().clone();
+    let dnn_prog = GridProgram::clone(&detector.program);
 
     // Indigo LSTM: 32 units, softmax head, capped at ~60 CUs (the
     // paper's area budget) via time-multiplexing. The paper does not

@@ -12,7 +12,7 @@
 //!
 //! The pipeline is static: the firing order, every operand location,
 //! and the whole cycle calculation depend only on the program, never on
-//! a packet's values. [`CgraSim::shared`] therefore compiles the unit
+//! a packet's values. [`PreparedProgram::new`] therefore compiles the unit
 //! list once into an [`ExecPlan`] — a dense `NodeId → (offset, width)`
 //! slot map into one reusable `i32` slab plus a flattened op schedule
 //! with all graph lookups (weight banks, biases, requantizers, LUT ids,
@@ -247,8 +247,8 @@ enum PlanOp {
 }
 
 /// The compiled per-packet schedule for one [`GridProgram`]: built once
-/// in [`CgraSim::shared`], executed allocation-free per packet.
-#[derive(Debug, Clone)]
+/// in [`PreparedProgram::new`], executed allocation-free per packet.
+#[derive(Debug)]
 struct ExecPlan {
     /// Flattened firing schedule in unit (level, index) order.
     ops: Vec<PlanOp>,
@@ -501,18 +501,63 @@ impl ExecPlan {
     }
 }
 
-/// The simulator: owns persistent state, shares the compiled program
-/// (`Arc`, so many simulators/switches can run one compilation without
-/// borrow lifetimes), and streams packets through its precompiled
-/// [`ExecPlan`].
+/// A compiled program together with its [`ExecPlan`]: prepared **once**
+/// wherever the program is (an app's registration, a control plane
+/// preparing a live update) and shared by handle with every simulator
+/// that runs it — cloning is two reference-count bumps, so installing a
+/// prepared program on N replicas compiles nothing N times.
+#[derive(Debug, Clone)]
+pub struct PreparedProgram {
+    program: Arc<GridProgram>,
+    plan: Arc<ExecPlan>,
+}
+
+impl PreparedProgram {
+    /// Compiles `program`'s execution plan.
+    pub fn new(program: impl Into<Arc<GridProgram>>) -> Self {
+        let program = program.into();
+        let plan = Arc::new(ExecPlan::compile(&program));
+        Self { program, plan }
+    }
+
+    /// The shared program handle.
+    pub fn program(&self) -> &Arc<GridProgram> {
+        &self.program
+    }
+}
+
+impl core::ops::Deref for PreparedProgram {
+    type Target = GridProgram;
+
+    fn deref(&self) -> &GridProgram {
+        &self.program
+    }
+}
+
+impl From<Arc<GridProgram>> for PreparedProgram {
+    fn from(program: Arc<GridProgram>) -> Self {
+        Self::new(program)
+    }
+}
+
+impl From<GridProgram> for PreparedProgram {
+    fn from(program: GridProgram) -> Self {
+        Self::new(program)
+    }
+}
+
+/// The simulator: owns persistent state, shares the prepared program
+/// (by handle, so many simulators/switches run one compilation and one
+/// plan without borrow lifetimes), and streams packets through the
+/// precompiled [`ExecPlan`].
 #[derive(Debug, Clone)]
 pub struct CgraSim {
-    program: Arc<GridProgram>,
+    /// The program and its compiled schedule (per-program,
+    /// allocation-free per packet).
+    prepared: PreparedProgram,
     /// Persistent state vectors (survive across packets, like MU-resident
     /// LSTM state).
     state: Vec<Vec<i32>>,
-    /// The compiled schedule (per-program, allocation-free per packet).
-    plan: ExecPlan,
     /// The reusable value slab all plan ops read and write.
     slab: Vec<i32>,
     /// Staged state writes (committed at end of each recurrence step).
@@ -525,24 +570,60 @@ impl CgraSim {
     /// program (cloned into shared ownership; use [`CgraSim::shared`] to
     /// avoid the copy when an `Arc` is already at hand).
     pub fn new(program: &GridProgram) -> Self {
-        Self::shared(Arc::new(program.clone()))
+        Self::shared(program.clone())
     }
 
-    /// Creates a simulator sharing an already-compiled program, compiling
-    /// its execution plan once.
-    pub fn shared(program: Arc<GridProgram>) -> Self {
-        let state: Vec<Vec<i32>> =
-            program.graph.states().iter().map(|s| vec![0i32; s.width]).collect();
-        let plan = ExecPlan::compile(&program);
-        let slab = vec![0i32; plan.slab_len];
-        let pending = state.clone();
-        let pending_written = vec![false; state.len()];
-        Self { program, state, plan, slab, pending, pending_written }
+    /// Creates a simulator sharing an already-compiled program. A bare
+    /// program handle gets its execution plan compiled here; a
+    /// [`PreparedProgram`] brings its own.
+    pub fn shared(program: impl Into<PreparedProgram>) -> Self {
+        let mut sim = Self {
+            prepared: program.into(),
+            state: Vec::new(),
+            slab: Vec::new(),
+            pending: Vec::new(),
+            pending_written: Vec::new(),
+        };
+        sim.restart();
+        sim
+    }
+
+    /// Points the simulator at another prepared program — a live model
+    /// update, as if the grid's weight memories were rewritten.
+    /// Persistent state restarts zeroed (it was computed under the old
+    /// weights), exactly as on a fresh simulator; the slab and state
+    /// buffers are reused, so a swap between programs of one shape
+    /// allocates nothing.
+    pub fn retarget(&mut self, program: PreparedProgram) {
+        self.prepared = program;
+        self.restart();
+    }
+
+    /// Sizes and zeroes every buffer for `self.prepared`, keeping
+    /// whatever capacity is already there.
+    fn restart(&mut self) {
+        let states = self.prepared.program.graph.states();
+        for buffers in [&mut self.state, &mut self.pending] {
+            buffers.resize_with(states.len(), Vec::new);
+            for (buf, s) in buffers.iter_mut().zip(states) {
+                buf.clear();
+                buf.resize(s.width, 0);
+            }
+        }
+        self.pending_written.clear();
+        self.pending_written.resize(states.len(), false);
+        self.slab.clear();
+        self.slab.resize(self.prepared.plan.slab_len, 0);
+    }
+
+    /// The prepared program this simulator executes.
+    pub fn prepared(&self) -> &PreparedProgram {
+        &self.prepared
     }
 
     /// The compiled program this simulator executes.
     pub fn program(&self) -> &Arc<GridProgram> {
-        &self.program
+        &self.prepared.program
     }
 
     /// Current persistent state (for tests).
@@ -576,8 +657,8 @@ impl CgraSim {
     /// Panics if `input` width differs from the program's input node.
     pub fn process_into(&mut self, input: &[i32], outputs: &mut Vec<Vec<i32>>) -> u32 {
         let latency = self.run_packet(input);
-        outputs.resize_with(self.plan.outputs.len(), Vec::new);
-        for (buf, slot) in outputs.iter_mut().zip(&self.plan.outputs) {
+        outputs.resize_with(self.plan().outputs.len(), Vec::new);
+        for (buf, slot) in outputs.iter_mut().zip(&self.plan().outputs) {
             buf.clear();
             buf.extend_from_slice(&self.slab[slot.range()]);
         }
@@ -594,17 +675,22 @@ impl CgraSim {
     /// Panics if `input` width differs from the program's input node.
     pub fn process_verdict(&mut self, input: &[i32]) -> i32 {
         self.run_packet(input);
-        self.plan.outputs.first().and_then(|s| self.slab[s.range()].first()).copied().unwrap_or(0)
+        self.plan().outputs.first().and_then(|s| self.slab[s.range()].first()).copied().unwrap_or(0)
     }
 
     /// All recurrence steps of one packet over the slab; returns the
     /// ingress-to-egress latency in cycles.
     fn run_packet(&mut self, input: &[i32]) -> u32 {
-        assert_eq!(input.len(), self.plan.input_width, "input width mismatch");
-        for _ in 0..self.plan.steps {
+        let steps = self.plan().steps;
+        assert_eq!(input.len(), self.plan().input_width, "input width mismatch");
+        for _ in 0..steps {
             self.exec_step(input);
         }
-        self.plan.step_latency * self.plan.steps
+        self.plan().step_latency * steps
+    }
+
+    fn plan(&self) -> &ExecPlan {
+        &self.prepared.plan
     }
 
     /// Streams a batch of packets and reports throughput.
@@ -616,7 +702,7 @@ impl CgraSim {
             latency = r.latency_cycles;
             outputs.push(r.outputs);
         }
-        let ii = self.program.timing.initiation_interval;
+        let ii = self.prepared.timing.initiation_interval;
         let n = inputs.len() as u64;
         let total = if n == 0 { 0 } else { u64::from(latency) + (n - 1) * u64::from(ii) };
         StreamStats {
@@ -637,8 +723,8 @@ impl CgraSim {
     /// source/destination slices — the inner loops are plain slice zips
     /// the compiler can keep in registers and autovectorize.
     fn exec_step(&mut self, input: &[i32]) {
-        let Self { state, plan, slab, pending, pending_written, .. } = self;
-        for op in &plan.ops {
+        let Self { prepared, state, slab, pending, pending_written } = self;
+        for op in &prepared.plan.ops {
             match op {
                 PlanOp::Input { dst } => slab[dst.range()].copy_from_slice(input),
                 PlanOp::Const { values, dst } => slab[dst.range()].copy_from_slice(values),
@@ -831,6 +917,41 @@ mod tests {
         assert_eq!(sim.process(&[5]).outputs, vec![vec![5]]);
         assert_eq!(sim.process(&[3]).outputs, vec![vec![8]]);
         assert_eq!(sim.state(), &[vec![8]]);
+    }
+
+    #[test]
+    fn a_retargeted_simulator_is_a_fresh_one() {
+        // A live program swap must leave nothing of the old program
+        // behind — persistent state included — whatever the two shapes
+        // are: walk one simulator through every microbenchmark (and a
+        // stateful accumulator, twice, so its state has to restart)
+        // and compare each stop with a simulator built there.
+        let mut b = GraphBuilder::new();
+        let x = b.input(4);
+        let s = b.state("acc", 4);
+        let prev = b.state_read(s);
+        let sum = b.map(MapOp::Add, x, prev);
+        let wr = b.state_write(s, sum);
+        b.output(wr);
+        let stateful = b.finish().expect("valid");
+        let mut graphs = vec![stateful.clone()];
+        graphs.extend(microbench::ALL_MICROBENCHMARKS.iter().map(|n| microbench::by_name(n)));
+        graphs.push(stateful);
+
+        let mut sim = CgraSim::new(&compile_default(&graphs[0]));
+        sim.process(&[1, 2, 3, 4]);
+        for g in &graphs[1..] {
+            let prepared = PreparedProgram::new(compile_default(g));
+            sim.retarget(prepared.clone());
+            let mut fresh = CgraSim::shared(prepared.clone());
+            assert!(Arc::ptr_eq(sim.program(), prepared.program()));
+            for k in 0..3 {
+                let x: Vec<i32> =
+                    (0..g.input_width() as i32).map(|j| k * 29 + j * 5 - 40).collect();
+                assert_eq!(sim.process(&x), fresh.process(&x));
+                assert_eq!(sim.state(), fresh.state());
+            }
+        }
     }
 
     #[test]

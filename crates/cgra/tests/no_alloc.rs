@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use taurus_cgra::CgraSim;
+use taurus_cgra::{CgraSim, PreparedProgram};
 use taurus_compiler::{compile, CompileOptions, GridConfig};
 use taurus_ir::{microbench, GraphBuilder, MapOp};
 
@@ -126,4 +126,33 @@ fn steady_state_recurrent_state_program_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "stateful steady state allocated {n} times");
+}
+
+#[test]
+fn retargeting_between_programs_of_one_shape_allocates_nothing() {
+    // A live model update swaps two handles and rewinds the buffers the
+    // simulator already owns: same shape in, same shape out, nothing
+    // compiled, nothing allocated — stateful program included.
+    let mut b = GraphBuilder::new();
+    let x = b.input(4);
+    let s = b.state("acc", 4);
+    let prev = b.state_read(s);
+    let sum = b.map(MapOp::Add, x, prev);
+    let wr = b.state_write(s, sum);
+    b.output(wr);
+    let g = b.finish().expect("valid");
+    let compile = || compile(&g, &GridConfig::default(), &CompileOptions::default()).expect("fits");
+    let (first, second) = (PreparedProgram::new(compile()), PreparedProgram::new(compile()));
+    let mut sim = CgraSim::shared(first.clone());
+    let mut outputs = Vec::new();
+    sim.process_into(&[1, 2, 3, 4], &mut outputs);
+
+    let n = allocations_in(|| {
+        for k in 0..50 {
+            sim.retarget(if k % 2 == 0 { second.clone() } else { first.clone() });
+            sim.process_into(&[k, 1, 2, 3], &mut outputs);
+        }
+    });
+    assert_eq!(n, 0, "retarget allocated {n} times");
+    assert_eq!(outputs, vec![vec![49, 1, 2, 3]], "state restarted at every swap");
 }

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
+use taurus_cgra::PreparedProgram;
 use taurus_compiler::{compile, frontend, CompileOptions, GridConfig, GridProgram};
 use taurus_dataset::kdd::{FeatureView, KddGenerator};
 use taurus_dataset::Standardizer;
@@ -12,11 +13,12 @@ use taurus_ir::GraphBuilder;
 use taurus_ml::mlp::MlpConfig;
 use taurus_ml::{Mlp, QuantizedMlp, TrainParams};
 use taurus_pisa::mat::MatchTable;
-use taurus_pisa::pipeline::{anomaly_post_table, proto_select_table};
+use taurus_pisa::pipeline::{anomaly_post_table, proto_select_table, ThresholdEngine};
 use taurus_pisa::registers::FlowFeatures;
 use taurus_pisa::RangeTable;
 
-use crate::app::{EngineBackend, FeatureFormatter, TaurusApp, VerdictPolicy};
+use crate::app::{BoxedEngine, EngineBackend, FeatureFormatter, TaurusApp, VerdictPolicy};
+use crate::engine::CgraEngine;
 use crate::update::{EngineUpdate, FormatterFactory, ModelUpdate};
 
 /// Reaction-time classes from Table 1.
@@ -85,8 +87,9 @@ pub struct AnomalyDetector {
     pub quantized: QuantizedMlp,
     /// Standardizer fitted on the training features.
     pub standardizer: Standardizer,
-    /// The compiled MapReduce program (shared: engines hold clones).
-    pub program: Arc<GridProgram>,
+    /// The compiled MapReduce program with its execution plan, prepared
+    /// once here (shared: every replica's engine holds the handle).
+    pub program: PreparedProgram,
     /// Output code meaning "anomalous" (quantized 0.5 of the sigmoid).
     pub threshold_code: i64,
     /// Offline F1 (×100) on the held-out connection test set.
@@ -229,11 +232,7 @@ impl AnomalyDetector {
             &TrainParams { epochs: 30, lr: 0.08, ..TrainParams::default() },
         );
         let quantized = QuantizedMlp::quantize(&model, &train_x);
-        let graph = frontend::mlp_to_graph(&quantized);
-        let program = Arc::new(
-            compile(&graph, &GridConfig::default(), &CompileOptions::default())
-                .expect("AD DNN fits the default grid"),
-        );
+        let program = compile_dnn(&quantized);
         let threshold_code = i64::from(quantized.output_params().quantize(0.5));
         let offline_f1 = taurus_ml::BinaryMetrics::from_pairs(
             test_x.iter().zip(&test_y).map(|(x, &y)| (quantized.predict_class(x) == 1, y == 1)),
@@ -276,8 +275,9 @@ impl AnomalyDetector {
     /// 1. post-training int8 quantization against `calibration`
     ///    (**standardized** feature rows — typically the sample buffer
     ///    the round trained on, the only data the control plane has),
-    /// 2. lowering + compilation into a fresh [`GridProgram`] shared via
-    ///    `Arc` by every replica that installs the update,
+    /// 2. lowering + compilation into a fresh [`GridProgram`] and its
+    ///    execution plan, one [`PreparedProgram`] shared by handle by
+    ///    every replica that installs the update,
     /// 3. a new feature-formatter factory (the model's input
     ///    quantization range moved with the weights) and a new verdict
     ///    MAT (the quantized 0.5 cutoff lives in the new output range).
@@ -297,22 +297,26 @@ impl AnomalyDetector {
         version: u64,
     ) -> ModelUpdate {
         let quantized = QuantizedMlp::quantize(model, calibration);
-        let graph = frontend::mlp_to_graph(&quantized);
-        let program = Arc::new(
-            compile(&graph, &GridConfig::default(), &CompileOptions::default())
-                .expect("AD DNN fits the default grid"),
-        );
         let threshold_code = i64::from(quantized.output_params().quantize(0.5));
         let tables = Arc::new(Dnn6Tables::compile(&self.standardizer, &quantized));
         ModelUpdate {
             app: self.name().to_string(),
             version,
-            weights: Some(model.export_weights()),
-            engine: EngineUpdate::Program(program),
+            weights: Some(Arc::new(model.export_weights())),
+            engine: EngineUpdate::Program(compile_dnn(&quantized)),
             formatter: Some(dnn6_formatter_factory(tables)),
-            post_tables: Some(vec![anomaly_post_table(threshold_code)]),
+            post_tables: Some([anomaly_post_table(threshold_code)].into()),
         }
     }
+}
+
+/// Lowers the quantized AD DNN and compiles it — program and execution
+/// plan — for the default grid.
+fn compile_dnn(quantized: &QuantizedMlp) -> PreparedProgram {
+    let graph = frontend::mlp_to_graph(quantized);
+    compile(&graph, &GridConfig::default(), &CompileOptions::default())
+        .expect("AD DNN fits the default grid")
+        .into()
 }
 
 impl TaurusApp for AnomalyDetector {
@@ -329,7 +333,18 @@ impl TaurusApp for AnomalyDetector {
     }
 
     fn program(&self) -> Option<Arc<GridProgram>> {
-        Some(Arc::clone(&self.program))
+        Some(Arc::clone(self.program.program()))
+    }
+
+    fn build_engine(&self, backend: EngineBackend) -> BoxedEngine {
+        match backend {
+            // The prepared handle, not `program()`: replicas share the
+            // execution plan instead of compiling one each.
+            EngineBackend::CgraSim => Box::new(CgraEngine::new(self.program.clone())),
+            EngineBackend::Threshold => {
+                Box::new(ThresholdEngine { threshold: self.heuristic_threshold() })
+            }
+        }
     }
 
     fn formatter(&self) -> FeatureFormatter {
@@ -361,8 +376,8 @@ impl TaurusApp for AnomalyDetector {
 /// row, proving the switch hosts heterogeneous models side by side.
 #[derive(Debug)]
 pub struct SynFloodDetector {
-    /// The compiled one-row scorer.
-    pub program: Arc<GridProgram>,
+    /// The compiled one-row scorer with its execution plan.
+    pub program: PreparedProgram,
     /// Score at or above which the packet is dropped.
     pub threshold: i64,
 }
@@ -382,7 +397,7 @@ impl SynFloodDetector {
         let graph = b.finish().expect("scorer graph is valid");
         let program = compile(&graph, &GridConfig::default(), &CompileOptions::default())
             .expect("a one-row scorer always fits");
-        Self { program: Arc::new(program), threshold }
+        Self { program: program.into(), threshold }
     }
 
     /// The default deployment: drop once the weighted half-open score
@@ -409,9 +424,9 @@ impl SynFloodDetector {
                 app: self.name().to_string(),
                 version,
                 weights: None,
-                engine: EngineUpdate::Program(Arc::clone(&self.program)),
+                engine: EngineUpdate::Program(self.program.clone()),
                 formatter: None,
-                post_tables: Some(vec![anomaly_post_table(threshold)]),
+                post_tables: Some([anomaly_post_table(threshold)].into()),
             },
             // The engine fires strictly above its cutoff; the MAT fires
             // at >= threshold. Same off-by-one as build_engine.
@@ -436,14 +451,12 @@ impl TaurusApp for SynFloodDetector {
     }
 
     fn program(&self) -> Option<Arc<GridProgram>> {
-        Some(Arc::clone(&self.program))
+        Some(Arc::clone(self.program.program()))
     }
 
-    fn build_engine(&self, backend: EngineBackend) -> crate::app::BoxedEngine {
+    fn build_engine(&self, backend: EngineBackend) -> BoxedEngine {
         match backend {
-            EngineBackend::CgraSim => {
-                Box::new(crate::engine::CgraEngine::new(Arc::clone(&self.program)))
-            }
+            EngineBackend::CgraSim => Box::new(CgraEngine::new(self.program.clone())),
             // The model is linear, so the heuristic backend can apply the
             // exact weights (crucially the negative packet-count weight —
             // an unweighted sum would drop every long-lived flow).

@@ -1,9 +1,6 @@
 //! Adapter: the CGRA simulator as the pipeline's inference engine.
 
-use std::sync::Arc;
-
-use taurus_cgra::CgraSim;
-use taurus_compiler::GridProgram;
+use taurus_cgra::{CgraSim, PreparedProgram};
 use taurus_pisa::InferenceEngine;
 
 /// Runs a compiled MapReduce program as the pipeline's ML block. The
@@ -19,10 +16,11 @@ pub struct CgraEngine {
 }
 
 impl CgraEngine {
-    /// Wraps a compiled program. Accepts anything convertible into a
-    /// shared program handle: an owned [`GridProgram`] or an existing
-    /// `Arc<GridProgram>`.
-    pub fn new(program: impl Into<Arc<GridProgram>>) -> Self {
+    /// Wraps a compiled program. Accepts a [`PreparedProgram`] (shared
+    /// as is) or anything convertible into one — an owned
+    /// [`taurus_compiler::GridProgram`] or an `Arc` of one, whose
+    /// execution plan is then compiled here.
+    pub fn new(program: impl Into<PreparedProgram>) -> Self {
         let program = program.into();
         Self {
             latency_ns: program.timing.latency_ns.round() as u64,
@@ -36,16 +34,17 @@ impl CgraEngine {
         self.invocations
     }
 
-    /// Hot-swaps the compiled program (a live model update): the shared
-    /// handle is retargeted at the new compilation and a fresh simulator
-    /// is built around it, exactly as if the grid's weight memories were
-    /// rewritten. Persistent model state (e.g. MU-resident recurrent
-    /// state) restarts zeroed — it was computed under the old weights —
-    /// while the invocation counter, which describes the device rather
-    /// than the model, keeps counting.
-    pub fn swap_program(&mut self, program: Arc<GridProgram>) {
+    /// Hot-swaps the compiled program (a live model update): the
+    /// simulator is retargeted at the new program and its already
+    /// compiled plan, exactly as if the grid's weight memories were
+    /// rewritten — a handle swap, nothing is compiled or allocated here.
+    /// Persistent model state (e.g. MU-resident recurrent state)
+    /// restarts zeroed — it was computed under the old weights — while
+    /// the invocation counter, which describes the device rather than
+    /// the model, keeps counting.
+    pub fn swap_program(&mut self, program: PreparedProgram) {
         self.latency_ns = program.timing.latency_ns.round() as u64;
-        self.sim = CgraSim::shared(program);
+        self.sim.retarget(program);
     }
 
     /// The underlying simulator (e.g., to inspect persistent state).
@@ -68,6 +67,7 @@ impl InferenceEngine for CgraEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use taurus_compiler::{compile, CompileOptions, GridConfig};
     use taurus_ir::microbench;
 

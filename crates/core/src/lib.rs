@@ -68,4 +68,7 @@ pub use switch::{
     AppCounters, AppReport, DuplicateAppError, ReportMergeError, SwitchBuilder, SwitchReport,
     SwitchResult, SwitchVerdict, TaurusSwitch,
 };
-pub use update::{EngineUpdate, FormatterFactory, ModelUpdate, RollbackPoint, UpdateError};
+pub use update::{
+    check_install, EngineKind, EngineUpdate, FormatterFactory, ModelUpdate, RollbackPoint,
+    UpdateError,
+};

@@ -15,9 +15,11 @@ use taurus_pisa::{Packet, PipelineConfig, TaurusPipeline, Verdict};
 
 use crate::app::{BoxedEngine, EngineBackend, ReactionTime, TaurusApp, VerdictPolicy};
 use crate::apps::AnomalyDetector;
-use crate::engine::CgraEngine;
 use crate::ingest::{to_packet, ObsBuilder};
-use crate::update::{EngineUpdate, FormatterFactory, ModelUpdate, RollbackPoint, UpdateError};
+use crate::update::{
+    check_install, EngineKind, EngineUpdate, FormatterFactory, ModelUpdate, RollbackPoint,
+    UpdateError,
+};
 
 /// Per-app counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -208,6 +210,9 @@ struct HostedApp {
     /// Installed model version: 0 for the build-time model, then the
     /// version of the last [`ModelUpdate`] applied.
     version: u64,
+    /// What kind of engine the pipeline hosts (fixed at build: updates
+    /// rewire an engine, never replace it).
+    engine_kind: EngineKind,
     /// Factory that can rebuild the *currently active* formatter:
     /// seeded from [`TaurusApp::formatter_factory`] at registration and
     /// replaced whenever an installed update carries a formatter. `None`
@@ -355,9 +360,10 @@ impl SwitchBuilder {
         let apps = self
             .apps
             .into_iter()
-            .map(|r| {
+            .map(|mut r| {
                 let app_config =
                     PipelineConfig { feature_count: r.feature_count, ..config.clone() };
+                let engine_kind = EngineKind::of(r.engine.as_mut().as_any_mut());
                 let mut pipeline = TaurusPipeline::new(app_config, r.engine, r.formatter);
                 pipeline.pre_tables = r.pre_tables;
                 pipeline.post_tables = r.post_tables;
@@ -368,6 +374,7 @@ impl SwitchBuilder {
                     pipeline,
                     counters: AppCounters::default(),
                     version: 0,
+                    engine_kind,
                     formatter_origin: r.formatter_origin,
                 }
             })
@@ -574,42 +581,16 @@ impl TaurusSwitch {
     /// does not fit the hosted engine (e.g. a compiled program offered
     /// to a threshold backend).
     pub fn install_update(&mut self, update: &ModelUpdate) -> Result<(), UpdateError> {
-        let app = self
-            .apps
-            .iter_mut()
-            .find(|a| a.name == update.app)
-            .ok_or_else(|| UpdateError::UnknownApp { app: update.app.clone() })?;
-        if update.version <= app.version {
-            return Err(UpdateError::StaleVersion {
-                app: app.name.clone(),
-                installed: app.version,
-                offered: update.version,
-            });
-        }
-        let engine = app.pipeline.engine_mut().as_mut().as_any_mut();
-        match &update.engine {
-            EngineUpdate::Program(program) => match engine.downcast_mut::<CgraEngine>() {
-                Some(cgra) => cgra.swap_program(std::sync::Arc::clone(program)),
-                None => return Err(UpdateError::BackendMismatch { app: app.name.clone() }),
-            },
-            EngineUpdate::Threshold(t) => {
-                if let Some(e) = engine.downcast_mut::<taurus_pisa::pipeline::ThresholdEngine>() {
-                    e.threshold = *t;
-                } else if let Some(e) = engine.downcast_mut::<taurus_pisa::LinearThresholdEngine>()
-                {
-                    e.threshold = *t;
-                } else {
-                    return Err(UpdateError::BackendMismatch { app: app.name.clone() });
-                }
-            }
-            EngineUpdate::KeepEngine => {}
-        }
+        let app = self.apps.iter_mut().find(|a| a.name == update.app);
+        check_install(update, app.as_ref().map(|a| (a.version, a.engine_kind)))?;
+        let app = app.expect("check_install rejects an unknown app");
+        update.engine.apply_to(app.pipeline.engine_mut().as_mut().as_any_mut());
         if let Some(factory) = &update.formatter {
             app.pipeline.set_formatter(factory());
             app.formatter_origin = Some(FormatterFactory::clone(factory));
         }
         if let Some(tables) = &update.post_tables {
-            app.pipeline.post_tables = tables.clone();
+            app.pipeline.post_tables = tables.to_vec();
         }
         app.version = update.version;
         Ok(())
@@ -641,18 +622,7 @@ impl TaurusSwitch {
             .formatter_origin
             .clone()
             .ok_or_else(|| UpdateError::UnrestorableFormatter { app: app_name.to_string() })?;
-        let engine = app.pipeline.engine_mut().as_mut().as_any_mut();
-        let engine = if let Some(cgra) = engine.downcast_mut::<CgraEngine>() {
-            EngineUpdate::Program(std::sync::Arc::clone(cgra.sim().program()))
-        } else if let Some(e) = engine.downcast_mut::<taurus_pisa::pipeline::ThresholdEngine>() {
-            EngineUpdate::Threshold(e.threshold)
-        } else if let Some(e) = engine.downcast_mut::<taurus_pisa::LinearThresholdEngine>() {
-            EngineUpdate::Threshold(e.threshold)
-        } else {
-            // An exotic engine backend we cannot snapshot: leave it
-            // alone on rollback (formatter/tables/version still restore).
-            EngineUpdate::KeepEngine
-        };
+        let engine = EngineUpdate::capture(app.pipeline.engine_mut().as_mut().as_any_mut());
         Ok(RollbackPoint {
             app: app.name.clone(),
             version: app.version,
@@ -688,24 +658,10 @@ impl TaurusSwitch {
             .iter_mut()
             .find(|a| a.name == point.app)
             .ok_or_else(|| UpdateError::UnknownApp { app: point.app.clone() })?;
-        let engine = app.pipeline.engine_mut().as_mut().as_any_mut();
-        match &point.engine {
-            EngineUpdate::Program(program) => match engine.downcast_mut::<CgraEngine>() {
-                Some(cgra) => cgra.swap_program(std::sync::Arc::clone(program)),
-                None => return Err(UpdateError::BackendMismatch { app: app.name.clone() }),
-            },
-            EngineUpdate::Threshold(t) => {
-                if let Some(e) = engine.downcast_mut::<taurus_pisa::pipeline::ThresholdEngine>() {
-                    e.threshold = *t;
-                } else if let Some(e) = engine.downcast_mut::<taurus_pisa::LinearThresholdEngine>()
-                {
-                    e.threshold = *t;
-                } else {
-                    return Err(UpdateError::BackendMismatch { app: app.name.clone() });
-                }
-            }
-            EngineUpdate::KeepEngine => {}
+        if !point.engine.fits(app.engine_kind) {
+            return Err(UpdateError::BackendMismatch { app: app.name.clone() });
         }
+        point.engine.apply_to(app.pipeline.engine_mut().as_mut().as_any_mut());
         app.pipeline.set_formatter((point.formatter)());
         app.formatter_origin = Some(FormatterFactory::clone(&point.formatter));
         app.pipeline.post_tables = point.post_tables.clone();
@@ -723,6 +679,14 @@ impl TaurusSwitch {
     /// order.
     pub fn app_versions(&self) -> Vec<(String, u64)> {
         self.apps.iter().map(|a| (a.name.clone(), a.version)).collect()
+    }
+
+    /// The [`EngineKind`] of every hosted app, in registration order —
+    /// with [`TaurusSwitch::app_versions`], everything
+    /// [`check_install`] needs to render an install verdict for this
+    /// switch from outside it.
+    pub fn engine_kinds(&self) -> Vec<EngineKind> {
+        self.apps.iter().map(|a| a.engine_kind).collect()
     }
 
     /// Number of hosted apps.

@@ -8,29 +8,37 @@
 //!
 //! - exported float weights ([`taurus_ml::MlpWeights`], the control
 //!   plane's source of truth, kept for audit/telemetry),
-//! - an [`EngineUpdate`]: a freshly compiled MapReduce program to swap
-//!   into CGRA engines via `Arc` retargeting, a new cutoff for
-//!   threshold engines (updated in place), or "keep the engine"
-//!   (formatter/table-only updates),
+//! - an [`EngineUpdate`]: a freshly compiled MapReduce program *and
+//!   its execution plan* to swap into CGRA engines by handle, a new
+//!   cutoff for threshold engines (updated in place), or "keep the
+//!   engine" (formatter/table-only updates),
 //! - optionally a new feature-formatter factory (quantization ranges
 //!   move with the weights) and new postprocessing MATs (the verdict
 //!   threshold lives in the model's output code domain).
 //!
-//! An update is *prepared once* (quantize + compile on the control
-//! plane — see [`crate::apps::AnomalyDetector::prepare_update`]) and
-//! then installed on any number of replicas: all shards of a sharded
-//! runtime share the same compiled program through the `Arc`.
-//! Installation is transactional per app — validation happens before
-//! any mutation, so a failed install leaves the switch untouched —
-//! and versions are strictly increasing, which lets a distributed
-//! installer reason about which replicas have converged.
+//! An update is *prepared once* (quantize + compile + plan on the
+//! control plane — see [`crate::apps::AnomalyDetector::prepare_update`])
+//! and then installed on any number of replicas: every part is behind a
+//! shared handle, so cloning an update copies no weights and all shards
+//! of a sharded runtime run the one compiled program and plan.
+//! Installation is transactional per app — [`check_install`] renders
+//! the verdict before any mutation, so a failed install leaves the
+//! switch untouched — and versions are strictly increasing, which lets
+//! a distributed installer reason about which replicas have converged.
+//! The verdict needs only the hosted app's installed version and
+//! [`EngineKind`], so an installer that mirrors those (the sharded
+//! runtime's feeder) renders it without asking a replica.
 
+use std::any::Any;
 use std::sync::Arc;
 
-use taurus_compiler::GridProgram;
+use taurus_cgra::PreparedProgram;
 use taurus_ml::MlpWeights;
 use taurus_pisa::mat::MatchTable;
-use taurus_pisa::pipeline::FeatureFormatter;
+use taurus_pisa::pipeline::{FeatureFormatter, ThresholdEngine};
+use taurus_pisa::LinearThresholdEngine;
+
+use crate::engine::CgraEngine;
 
 /// Builds fresh [`FeatureFormatter`]s for an update: each replica's
 /// pipeline needs its own boxed closure, so updates carry the factory
@@ -41,9 +49,9 @@ pub type FormatterFactory = Arc<dyn Fn() -> FeatureFormatter + Send + Sync>;
 #[derive(Clone)]
 pub enum EngineUpdate {
     /// Swap in a freshly compiled MapReduce program (CGRA engines): the
-    /// engine retargets its shared program handle — one compilation
-    /// serves every replica.
-    Program(Arc<GridProgram>),
+    /// engine retargets its shared handle — one compilation and one
+    /// execution plan serve every replica.
+    Program(PreparedProgram),
     /// Rewrite a threshold engine's cutoff in place (the
     /// [`taurus_pisa::pipeline::ThresholdEngine`] /
     /// [`taurus_pisa::LinearThresholdEngine`] backends).
@@ -64,7 +72,107 @@ impl core::fmt::Debug for EngineUpdate {
     }
 }
 
-/// A versioned model update for one hosted app.
+impl EngineUpdate {
+    /// Whether an engine of `kind` can take this update.
+    pub(crate) fn fits(&self, kind: EngineKind) -> bool {
+        match self {
+            EngineUpdate::Program(_) => kind == EngineKind::Cgra,
+            EngineUpdate::Threshold(_) => kind == EngineKind::Threshold,
+            EngineUpdate::KeepEngine => true,
+        }
+    }
+
+    /// Rewires `engine`. The caller has already matched the update
+    /// against the engine's [`EngineKind`] ([`check_install`], or
+    /// [`EngineUpdate::fits`] directly), which is what keeps installs
+    /// transactional.
+    pub(crate) fn apply_to(&self, engine: &mut dyn Any) {
+        const CHECKED: &str = "the caller matched the update against the engine kind";
+        match self {
+            EngineUpdate::Program(program) => {
+                engine.downcast_mut::<CgraEngine>().expect(CHECKED).swap_program(program.clone());
+            }
+            EngineUpdate::Threshold(t) => *threshold_of(engine).expect(CHECKED) = *t,
+            EngineUpdate::KeepEngine => {}
+        }
+    }
+
+    /// The engine's current state in update form (what a rollback
+    /// restores). An exotic backend that cannot be snapshotted is left
+    /// alone on rollback: `KeepEngine`.
+    pub(crate) fn capture(engine: &mut dyn Any) -> Self {
+        if let Some(cgra) = engine.downcast_mut::<CgraEngine>() {
+            return EngineUpdate::Program(cgra.sim().prepared().clone());
+        }
+        threshold_of(engine).map_or(EngineUpdate::KeepEngine, |t| EngineUpdate::Threshold(*t))
+    }
+}
+
+/// The cutoff of either threshold backend.
+fn threshold_of(engine: &mut dyn Any) -> Option<&mut i64> {
+    if engine.is::<ThresholdEngine>() {
+        engine.downcast_mut::<ThresholdEngine>().map(|e| &mut e.threshold)
+    } else {
+        engine.downcast_mut::<LinearThresholdEngine>().map(|e| &mut e.threshold)
+    }
+}
+
+/// What an [`EngineUpdate`] has to match on the hosting side: the one
+/// fact about a hosted engine an install verdict depends on. It is
+/// fixed at registration — updates rewire an engine, never replace it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineKind {
+    /// A [`CgraEngine`]: takes program swaps.
+    Cgra,
+    /// [`ThresholdEngine`] or [`LinearThresholdEngine`]: takes in-place
+    /// cutoff edits.
+    Threshold,
+    /// Any other backend: only [`EngineUpdate::KeepEngine`] fits.
+    Other,
+}
+
+impl EngineKind {
+    /// Classifies a hosted engine.
+    pub(crate) fn of(engine: &mut dyn Any) -> Self {
+        if engine.is::<CgraEngine>() {
+            EngineKind::Cgra
+        } else if threshold_of(engine).is_some() {
+            EngineKind::Threshold
+        } else {
+            EngineKind::Other
+        }
+    }
+}
+
+/// The accept/reject verdict of installing `update`, given what hosts
+/// its app: `(installed version, engine kind)`, or `None` when no app
+/// of that name is hosted. [`crate::switch::TaurusSwitch::install_update`]
+/// calls this before mutating anything, and so does any installer that
+/// mirrors a fleet's versions — one function, so the two cannot drift.
+///
+/// # Errors
+///
+/// In this order: [`UpdateError::UnknownApp`],
+/// [`UpdateError::StaleVersion`] unless the version strictly increases,
+/// [`UpdateError::BackendMismatch`] when the engine update's kind does
+/// not fit the hosted engine.
+pub fn check_install(
+    update: &ModelUpdate,
+    hosted: Option<(u64, EngineKind)>,
+) -> Result<(), UpdateError> {
+    let app = || update.app.clone();
+    let (installed, kind) = hosted.ok_or_else(|| UpdateError::UnknownApp { app: app() })?;
+    if update.version <= installed {
+        return Err(UpdateError::StaleVersion { app: app(), installed, offered: update.version });
+    }
+    if !update.engine.fits(kind) {
+        return Err(UpdateError::BackendMismatch { app: app() });
+    }
+    Ok(())
+}
+
+/// A versioned model update for one hosted app. Cloning is shallow:
+/// every bulky part sits behind a shared handle.
 #[derive(Clone)]
 pub struct ModelUpdate {
     /// Target app ([`crate::app::TaurusApp::name`]).
@@ -75,15 +183,16 @@ pub struct ModelUpdate {
     pub version: u64,
     /// The float weights this update was built from, when it came from
     /// retraining (`None` for e.g. threshold retunes).
-    pub weights: Option<MlpWeights>,
+    pub weights: Option<Arc<MlpWeights>>,
     /// The engine-side change.
     pub engine: EngineUpdate,
     /// Replacement feature formatter, if quantization ranges moved with
     /// the weights.
     pub formatter: Option<FormatterFactory>,
     /// Replacement postprocessing MATs, if the verdict threshold moved
-    /// with the model's output quantization.
-    pub post_tables: Option<Vec<MatchTable>>,
+    /// with the model's output quantization. Each replica installs its
+    /// own copy (tables count their hits).
+    pub post_tables: Option<Arc<[MatchTable]>>,
 }
 
 impl ModelUpdate {
@@ -109,7 +218,7 @@ impl core::fmt::Debug for ModelUpdate {
             .field("engine", &self.engine)
             .field("weights", &self.weights.as_ref().map(|w| w.shape()))
             .field("new_formatter", &self.formatter.is_some())
-            .field("new_post_tables", &self.post_tables.as_ref().map(Vec::len))
+            .field("new_post_tables", &self.post_tables.as_ref().map(|t| t.len()))
             .finish()
     }
 }
@@ -122,7 +231,7 @@ impl core::fmt::Debug for ModelUpdate {
 /// Captured by [`crate::switch::TaurusSwitch::capture_rollback`] just
 /// before a risky install (a canary) and replayed by
 /// [`crate::switch::TaurusSwitch::rollback_to`]. Restoration is exact
-/// because every piece is either shared-by-handle (`Arc<GridProgram>`),
+/// because every piece is either shared-by-handle ([`PreparedProgram`]),
 /// a value (`i64` threshold, MATs), or rebuilt from the same factory
 /// the original formatter came from — there is no lossy re-derivation.
 #[derive(Clone)]

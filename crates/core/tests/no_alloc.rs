@@ -13,7 +13,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::{CgraEngine, EngineBackend, SwitchBuilder, TaurusApp};
@@ -114,7 +113,7 @@ fn steady_state_pipeline_process_prepared_allocates_nothing() {
     let detector = AnomalyDetector::train_default(7, 400);
     let mut pipeline = TaurusPipeline::new(
         PipelineConfig { feature_count: detector.feature_count(), ..PipelineConfig::default() },
-        CgraEngine::new(Arc::clone(&detector.program)),
+        CgraEngine::new(detector.program.clone()),
         detector.formatter(),
     );
     pipeline.pre_tables = detector.pre_tables();

@@ -215,12 +215,9 @@ pub struct TaurusPipeline<E> {
 }
 
 impl<E: InferenceEngine> TaurusPipeline<E> {
-    /// Builds a pipeline.
-    pub fn new(
-        config: PipelineConfig,
-        engine: E,
-        formatter: impl FnMut(&FlowFeatures, &mut Vec<i32>) + Send + 'static,
-    ) -> Self {
+    /// Builds a pipeline. The formatter arrives boxed and is stored as
+    /// is: one indirect call per packet.
+    pub fn new(config: PipelineConfig, engine: E, formatter: FeatureFormatter) -> Self {
         let mut tracker =
             FlowTracker::with_kind(config.flow_table, config.flow_slots, config.window_ns);
         tracker.set_idle_timeout(config.idle_timeout_ns);
@@ -228,7 +225,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
             parser: Parser::new(),
             pre_tables: Vec::new(),
             tracker,
-            formatter: Box::new(formatter),
+            formatter,
             engine,
             post_tables: Vec::new(),
             join: RoundRobinJoin::new(config.queue_capacity, config.queue_capacity),
@@ -254,11 +251,8 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
     /// update whose quantization ranges moved (the formatter bakes in
     /// the model's input `QuantParams`, so new weights need a matching
     /// encoder or the engine would read codes under the wrong scale).
-    pub fn set_formatter(
-        &mut self,
-        formatter: impl FnMut(&FlowFeatures, &mut Vec<i32>) + Send + 'static,
-    ) {
-        self.formatter = Box::new(formatter);
+    pub fn set_formatter(&mut self, formatter: FeatureFormatter) {
+        self.formatter = formatter;
     }
 
     /// Clears flow state between runs.
@@ -455,9 +449,9 @@ mod tests {
         let mut p = TaurusPipeline::new(
             PipelineConfig { feature_count: 6, ..PipelineConfig::default() },
             ThresholdEngine { threshold: 100 },
-            |f: &FlowFeatures, out: &mut Vec<i32>| {
+            Box::new(|f: &FlowFeatures, out: &mut Vec<i32>| {
                 out.extend(f.encode_dnn6().iter().map(|&v| (v * 10.0) as i32));
-            },
+            }),
         );
         p.pre_tables.push(ml_bypass_table());
         p.post_tables.push(anomaly_post_table(1));
@@ -545,9 +539,11 @@ mod tests {
                 1_000
             }
         }
-        let mut p = TaurusPipeline::new(PipelineConfig::default(), Unreachable, |f, out| {
-            out.extend(f.encode_dnn6().iter().map(|&v| v as i32));
-        });
+        let mut p = TaurusPipeline::new(
+            PipelineConfig::default(),
+            Unreachable,
+            Box::new(|f, out| out.extend(f.encode_dnn6().iter().map(|&v| v as i32))),
+        );
         p.pre_tables.push(ml_bypass_table());
         p.post_tables.push(anomaly_post_table(1));
         let mut icmp = Packet::tcp(1, 2, 0, 0, 0, 100);
@@ -575,9 +571,11 @@ mod tests {
             }
         }
         let cfg = PipelineConfig { feature_count: 4, ..PipelineConfig::default() };
-        let mut p = TaurusPipeline::new(cfg, WidthCheck { expect: 4 }, |_f, out| {
-            out.extend([1, 2, 3, 4, 100, 200]); // over-emits two codes
-        });
+        let mut p = TaurusPipeline::new(
+            cfg,
+            WidthCheck { expect: 4 },
+            Box::new(|_f, out| out.extend([1, 2, 3, 4, 100, 200])), // over-emits two codes
+        );
         let pkt = Packet::tcp(1, 2, 1000, 80, 0x02, 100);
         let r = p.process(&pkt, obs_for(&pkt, true));
         assert!(!r.bypassed);
@@ -587,9 +585,11 @@ mod tests {
     #[test]
     fn configured_idle_timeout_reaches_the_tracker_and_surfaces_evictions() {
         let cfg = PipelineConfig { idle_timeout_ns: 10_000, ..PipelineConfig::default() };
-        let mut p = TaurusPipeline::new(cfg, ThresholdEngine { threshold: i64::MAX }, |f, out| {
-            out.extend(f.encode_dnn6().iter().map(|&v| v as i32));
-        });
+        let mut p = TaurusPipeline::new(
+            cfg,
+            ThresholdEngine { threshold: i64::MAX },
+            Box::new(|f, out| out.extend(f.encode_dnn6().iter().map(|&v| v as i32))),
+        );
         let mut pkt = Packet::tcp(1, 2, 1000, 80, 0x02, 100);
         pkt.ts_ns = 1_000;
         let first = p.process(&pkt, obs_for(&pkt, true));

@@ -10,9 +10,9 @@
 //! - [`InstallError`] / [`ShardError`]: the control-plane paths that
 //!   used to panic on a dead shard now return typed errors, so a
 //!   degraded fleet keeps serving.
-//! - [`FaultPlan`]: deterministic fault injection — engine panics,
-//!   stalled shards, and dropped install replies at exact
-//!   (shard, global stream index) points. The existing
+//! - [`FaultPlan`]: deterministic fault injection — engine panics and
+//!   stalled shards at exact (shard, global stream index) points, and
+//!   ingest-side saturation windows. The existing
 //!   `catch_unwind`/poisoned-run machinery becomes directly drivable
 //!   instead of merely stress-tested.
 //! - [`CanaryGuardrails`] + [`canary_decision`]: the promote/rollback
@@ -322,8 +322,6 @@ struct SaturationWindow {
 pub struct FaultPlan {
     /// (shard, packet fault) pairs.
     packet: Vec<(usize, PacketFault)>,
-    /// (shard, nth-install-on-that-shard) pairs whose reply is dropped.
-    drop_install_replies: Vec<(usize, u64)>,
     /// Injected ingest-side saturation windows.
     saturate: Vec<SaturationWindow>,
 }
@@ -348,14 +346,6 @@ impl FaultPlan {
         self
     }
 
-    /// Swallows the reply of the `nth` control-plane install (0-based,
-    /// counted per shard) on `shard` — the install still happens; only
-    /// the acknowledgement is lost, as with a wedged reply lane.
-    pub fn drop_install_reply(mut self, shard: usize, nth: u64) -> Self {
-        self.drop_install_replies.push((shard, nth));
-        self
-    }
-
     /// Marks `shard` saturated for the `len` packets with global stream
     /// index in `[from, from + len)` that are home-routed to it. Under
     /// a non-blocking [`crate::OverloadPolicy`] those packets are shed
@@ -370,7 +360,7 @@ impl FaultPlan {
 
     /// `true` when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.packet.is_empty() && self.drop_install_replies.is_empty() && self.saturate.is_empty()
+        self.packet.is_empty() && self.saturate.is_empty()
     }
 
     /// Splits out the faults armed for one shard (the worker carries
@@ -378,13 +368,6 @@ impl FaultPlan {
     pub(crate) fn for_shard(&self, shard: usize) -> WorkerFaults {
         WorkerFaults {
             packet: self.packet.iter().filter(|(s, _)| *s == shard).map(|&(_, f)| f).collect(),
-            drop_install_replies: self
-                .drop_install_replies
-                .iter()
-                .filter(|(s, _)| *s == shard)
-                .map(|&(_, n)| n)
-                .collect(),
-            installs_seen: 0,
         }
     }
 
@@ -399,8 +382,6 @@ impl FaultPlan {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WorkerFaults {
     packet: Vec<PacketFault>,
-    drop_install_replies: Vec<u64>,
-    installs_seen: u64,
 }
 
 impl WorkerFaults {
@@ -421,13 +402,6 @@ impl WorkerFaults {
             FaultAction::Panic => panic!("injected engine fault at stream index {index}"),
             FaultAction::Stall(pause) => std::thread::sleep(pause),
         }
-    }
-
-    /// `true` when this install's reply should be swallowed.
-    pub(crate) fn drop_this_install(&mut self) -> bool {
-        let n = self.installs_seen;
-        self.installs_seen += 1;
-        self.drop_install_replies.contains(&n)
     }
 
     /// Cheap emptiness check so the hot batch loop can skip the scan.
@@ -523,18 +497,6 @@ mod tests {
     fn injected_panics_carry_their_index() {
         let mut faults = FaultPlan::new().engine_panic(0, 7).for_shard(0);
         faults.check_packet(7);
-    }
-
-    #[test]
-    fn install_reply_drops_count_per_shard() {
-        let plan = FaultPlan::new().drop_install_reply(1, 1);
-        let mut faults = plan.for_shard(1);
-        assert!(!faults.drop_this_install(), "install 0 replies normally");
-        assert!(faults.drop_this_install(), "install 1 is swallowed");
-        assert!(!faults.drop_this_install());
-        let mut other = plan.for_shard(0);
-        assert!(!other.drop_this_install());
-        assert!(!other.drop_this_install());
     }
 
     #[test]

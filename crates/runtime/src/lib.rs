@@ -30,9 +30,10 @@
 //! [`StreamingRuntime::schedule_update`] is applied on every shard at
 //! the same global stream index (an in-band message at a batch
 //! boundary), extending the exactness guarantee across weight swaps;
-//! [`StreamingRuntime::install_update`] and the canary protocol
-//! ([`StreamingRuntime::begin_canary`] /
-//! [`StreamingRuntime::conclude_canary`]) are the synchronous control
+//! [`StreamingRuntime::install_update`] is the same barrier at the
+//! current position, its verdict rendered feeder-side, nobody waited
+//! for; the canary protocol ([`StreamingRuntime::begin_canary`] /
+//! [`StreamingRuntime::conclude_canary`]) is the synchronous control
 //! plane; and [`deploy::run_online_deployment`] closes the §5.2.3 loop
 //! by training online against the live runtime and measuring the
 //! *deployed* F1.

@@ -49,13 +49,13 @@ pub(crate) enum ShardMsg {
     /// A batch of routed packets (all slots live — truncated at flush).
     Batch(Batch),
     /// Install this model update now (shared: one prepared update, one
-    /// compiled program, every shard). In-band and panic-on-failure:
-    /// the scheduled-update barrier.
-    Update(Arc<ModelUpdate>),
-    /// Install this update now and *reply* with the result instead of
-    /// panicking — the control-plane path behind
-    /// `StreamingRuntime::install_update`.
-    Install(Arc<ModelUpdate>),
+    /// compiled program and plan, every shard). In-band, no reply: the
+    /// feeder already rendered the verdict, so a replica that refuses
+    /// anyway poisons its run and surfaces at the next drain.
+    /// `open_segment` is the only difference between the two callers: a
+    /// scheduled update starts a fresh metrics segment,
+    /// `StreamingRuntime::install_update` does not.
+    Update { update: Arc<ModelUpdate>, open_segment: bool },
     /// Capture a rollback point for the update's app, then install the
     /// update; reply `WorkerReply::Canary` with the point (or the
     /// install error). In-band, so the canary model activates at one
@@ -280,8 +280,9 @@ impl Steer {
 
     /// Flushes every staged partial batch, then enqueues the update
     /// in-band on every live lane: the FIFO order guarantees each
-    /// worker applies it at exactly this global packet boundary. Lost
-    /// shards are skipped — they serve no traffic to decide.
+    /// worker applies it at exactly this global packet boundary, and
+    /// nobody waits for it — a full lane's backpressure is the only
+    /// delay. Lost shards are skipped — they serve no traffic to decide.
     ///
     /// # Errors
     ///
@@ -294,10 +295,12 @@ impl Steer {
         &mut self,
         lanes: &[Lane],
         update: &Arc<ModelUpdate>,
+        open_segment: bool,
     ) -> Result<(), ShardError> {
         self.flush_partials(lanes)?;
         for (shard, lane) in lanes.iter().enumerate().filter(|(_, lane)| !lane.lost) {
-            if lane.tx.send(ShardMsg::Update(Arc::clone(update))).is_err() {
+            let msg = ShardMsg::Update { update: Arc::clone(update), open_segment };
+            if lane.tx.send(msg).is_err() {
                 return Err(ShardError::Dead { shard });
             }
         }

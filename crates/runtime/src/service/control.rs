@@ -1,6 +1,10 @@
-//! The synchronous control plane: one request/reply exchange with a
-//! shard ([`StreamingRuntime::request`]), and the fleet operations
-//! built on it — transactional installs and the canary protocol.
+//! The control plane. An install is a barrier message: the verdict is
+//! rendered feeder-side from the version mirror, the update is enqueued
+//! in-band on every live lane, and nobody waits for a worker
+//! ([`StreamingRuntime::install_update`]). The canary protocol is the
+//! one synchronous part — it needs rollback points and probation
+//! metrics *back* from the shards — built on one request/reply exchange
+//! ([`StreamingRuntime::request`]).
 
 use std::sync::Arc;
 
@@ -10,8 +14,8 @@ use taurus_ml::BinaryMetrics;
 use super::worker::WorkerReply;
 use super::{CanaryRun, StreamingRuntime};
 use crate::fault::{
-    canary_decision, CanaryDecision, CanaryGuardrails, CanaryVerdictRecord, FaultRecord,
-    FaultRecordKind, InstallError, ShardError,
+    canary_decision, CanaryDecision, CanaryGuardrails, CanaryVerdictRecord, InstallError,
+    ShardError,
 };
 use crate::pipeline::steer::ShardMsg;
 use crate::spsc::RecvTimeoutError;
@@ -46,13 +50,13 @@ impl StreamingRuntime {
 
     /// [`StreamingRuntime::request`] for a canary promote/rollback,
     /// which a worker acknowledges with [`WorkerReply::Install`]. The
-    /// replica's own verdict is not consulted — the canary shards
-    /// already vetted the candidate, and a rollback point restores the
-    /// replica it was captured from — so only the exchange can fail.
-    fn request_ack(&self, shard: usize, msg: ShardMsg) -> Result<(), ShardError> {
+    /// canary shards already vetted the candidate, and a rollback point
+    /// restores the replica it was captured from, so a replica refusing
+    /// here means the fleet has diverged: it is reported, not dropped.
+    fn request_ack(&self, shard: usize, msg: ShardMsg) -> Result<(), InstallError> {
         match self.request(shard, msg)? {
-            WorkerReply::Install(_) => Ok(()),
-            _ => Err(ShardError::Dead { shard }),
+            WorkerReply::Install(result) => result.map_err(InstallError::Rejected),
+            _ => Err(ShardError::Dead { shard }.into()),
         }
     }
 
@@ -61,69 +65,43 @@ impl StreamingRuntime {
         (0..self.lanes.len()).filter(|&shard| !self.lanes[shard].lost)
     }
 
-    /// Installs a model update on every live shard *now* (at the
+    /// Installs a model update on every live shard *now* — at the
     /// current stream barrier: after everything already fed, before
-    /// anything fed next). The install is **broadcast before any reply
-    /// is awaited**: replicas are identical by construction, so they
-    /// all render the same accept/reject verdict, and a shard whose
-    /// acknowledgement is lost cannot leave the rest of the fleet
-    /// behind — the model still reached every live worker, and the next
-    /// [`StreamingRuntime::drain`] re-syncs the version mirror from the
-    /// worker snapshots. Retired shards are skipped.
+    /// anything fed next — and returns as soon as it is queued: the
+    /// degenerate case of [`StreamingRuntime::schedule_update`], at
+    /// [`StreamingRuntime::stream_position`]. The accept/reject verdict
+    /// is rendered here, from the service's mirror of what the
+    /// (identical) replicas run, by the same
+    /// [`taurus_core::check_install`] they apply; the `Arc`-shared
+    /// update then rides every live lane in-band and each worker
+    /// applies it at that FIFO position. No worker is waited for, so
+    /// the call costs at most one batch of lane backpressure. Unlike a
+    /// scheduled update it opens no metrics segment. Retired shards are
+    /// skipped.
+    ///
+    /// A replica that refuses an update this call accepted (the mirror
+    /// drifted — a bug) poisons its run and surfaces at the next
+    /// [`StreamingRuntime::drain`], like any in-band failure; a stalled
+    /// worker is the drain watchdog's to find.
     ///
     /// # Errors
     ///
-    /// [`InstallError::Rejected`] wraps the replica's verdict (see
-    /// [`taurus_core::TaurusSwitch::install_update`]);
-    /// [`InstallError::Shard`] means a shard is dead or did not reply
-    /// within the control timeout; [`InstallError::CanaryActive`] means
-    /// a canary rollout must be concluded first.
+    /// [`InstallError::Rejected`] is the verdict (see
+    /// [`taurus_core::TaurusSwitch::install_update`]) — nothing was
+    /// sent; [`InstallError::Shard`] means a live shard's lane is
+    /// closed — its worker is dead, shards before it did get the
+    /// update, and the next drain diagnoses it and re-syncs the mirror;
+    /// [`InstallError::CanaryActive`] means a canary rollout must be
+    /// concluded first.
     pub fn install_update(&mut self, update: &ModelUpdate) -> Result<(), InstallError> {
         if self.canary.is_some() {
             return Err(InstallError::CanaryActive);
         }
+        self.deployed.check(update)?;
         let shared = Arc::new(update.clone());
-        let mut first_err: Option<InstallError> = None;
-        // Shards below `sent_below` (the live ones) got the broadcast.
-        let mut sent_below = self.lanes.len();
-        for shard in self.live_shards() {
-            if self.lanes[shard].tx.send(ShardMsg::Install(Arc::clone(&shared))).is_err() {
-                first_err = Some(ShardError::Dead { shard }.into());
-                sent_below = shard;
-                break;
-            }
-        }
-        // Gather every outstanding reply even after a failure so the
-        // reply lanes stay aligned for the next control operation.
-        for shard in 0..sent_below {
-            if self.lanes[shard].lost {
-                continue;
-            }
-            let outcome = match self.await_reply(shard) {
-                Ok(WorkerReply::Install(result)) => result.map_err(InstallError::Rejected),
-                Ok(_) => Err(ShardError::Dead { shard }.into()),
-                Err(err) => {
-                    if let ShardError::Unresponsive { waited, .. } = &err {
-                        self.fault_acc.records.push(FaultRecord {
-                            shard,
-                            kind: FaultRecordKind::Unresponsive,
-                            detail: format!("no install reply within {} ms", waited.as_millis()),
-                        });
-                    }
-                    Err(err.into())
-                }
-            };
-            if let Err(e) = outcome {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => {
-                self.deployed.note(&shared, self.supervised);
-                Ok(())
-            }
-            Some(e) => Err(e),
-        }
+        self.ingest.steer.flush_and_update(&self.lanes, &shared, false)?;
+        self.deployed.note(&shared, self.supervised);
+        Ok(())
     }
 
     /// Starts a canary rollout: installs `update` on the **last**

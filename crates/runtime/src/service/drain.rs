@@ -27,7 +27,7 @@ impl StreamingRuntime {
     ///
     /// Without supervision (no spare replicas configured), re-raises
     /// the first panic a worker caught since the last drain (an app
-    /// engine panicking, a scheduled update failing to install) — after
+    /// engine panicking, an in-band update failing to install) — after
     /// the barrier completed on every shard, so the service is quiesced
     /// and can be [`StreamingRuntime::reset`] and reused. With spares,
     /// the fault becomes accounting instead: the pre-panic snapshot
@@ -37,7 +37,7 @@ impl StreamingRuntime {
         // Leftover updates land after the last fed packet.
         let mut installed = 0usize;
         for (_, update) in &self.ingest.pending {
-            if let Err(err) = self.ingest.steer.flush_and_update(&self.lanes, update) {
+            if let Err(err) = self.ingest.steer.flush_and_update(&self.lanes, update, true) {
                 self.fault_acc.records.push(FaultRecord {
                     shard: err.shard(),
                     kind: FaultRecordKind::InstallFailed,
@@ -53,7 +53,7 @@ impl StreamingRuntime {
         // Undelivered leftovers are dropped with the fault record: the
         // stream they were scheduled against has ended.
         for (_, update) in self.ingest.pending.drain(..).take(installed) {
-            self.deployed.note(&update, self.supervised);
+            self.deployed.note_scheduled(&update, self.supervised);
         }
         let _ = self.ingest.steer.flush_partials(&self.lanes);
         for lane in &self.lanes {
@@ -139,9 +139,9 @@ impl StreamingRuntime {
                     self.deployed.versions = snapshot.versions;
                     versions_seeded = true;
                 }
-                // Absorb segments element-wise as a prefix: a panicked
-                // worker skipped in-band updates while poisoned, so its
-                // segment list may be shorter than a healthy shard's.
+                // Absorb segments element-wise as a prefix: a poisoned
+                // worker opens no segments, so its list may be shorter
+                // than a healthy shard's.
                 if !any_faulted && !segments.is_empty() {
                     debug_assert_eq!(segments.len(), snapshot.segments.len());
                 }

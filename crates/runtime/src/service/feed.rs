@@ -201,7 +201,7 @@ impl Ingest {
         while let Some((_, update)) =
             self.pending.get(self.installed).filter(|(at, _)| *at <= index)
         {
-            self.steer.flush_and_update(lanes, update)?;
+            self.steer.flush_and_update(lanes, update, true)?;
             self.installed += 1;
         }
         let shard = hint.shard as usize;
@@ -261,7 +261,7 @@ impl StreamingRuntime {
     pub fn feed(&mut self, packets: &[TracePacket]) -> usize {
         let consumed = self.ingest.feed(&self.lanes, packets);
         for (_, update) in self.ingest.pending.drain(..consumed) {
-            self.deployed.note(&update, self.supervised);
+            self.deployed.note_scheduled(&update, self.supervised);
         }
         consumed
     }
@@ -281,7 +281,8 @@ impl StreamingRuntime {
     ///
     /// Invalid updates (unknown app, stale version, wrong backend)
     /// surface as a re-raised panic at the next drain — scheduling
-    /// cannot check them against the future stream.
+    /// cannot check them against the future stream — and leave
+    /// [`StreamingRuntime::app_versions`] where it was.
     pub fn schedule_update(&mut self, at_stream_index: u64, update: ModelUpdate) {
         self.ingest.pending.push((at_stream_index, Arc::new(update)));
         self.ingest.pending.sort_by_key(|&(at, _)| at);

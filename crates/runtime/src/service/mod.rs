@@ -11,12 +11,16 @@
 //!   pushes a slice of the stream through the one ingest loop with
 //!   bounded-SPSC backpressure. Partial batches are flushed at every
 //!   feed boundary, so the engines observe each feed completely.
-//! - **Asynchronous updates.** [`StreamingRuntime::schedule_update`]
-//!   keys on the *global stream index* (monotone across feeds) and is
-//!   applied in-band at exactly that barrier;
-//!   [`StreamingRuntime::install_update`] installs "now" via a
-//!   request/reply message and keeps the fleet transactional
-//!   (`control.rs`, which also hosts the canary protocol).
+//! - **Asynchronous updates.** One install path: an `Arc`-shared update
+//!   enqueued in-band on every lane, applied by each worker at exactly
+//!   that FIFO position, acknowledged by nobody.
+//!   [`StreamingRuntime::schedule_update`] places the barrier at a
+//!   *global stream index* (monotone across feeds);
+//!   [`StreamingRuntime::install_update`] places it at the current
+//!   position, after rendering the accept/reject verdict feeder-side
+//!   from the [`Deployed`] mirror — it returns once the update is
+//!   queued, and the pipeline never empties for it (`control.rs`, which
+//!   also hosts the canary protocol).
 //! - **Deterministic drain** (`drain.rs`). [`StreamingRuntime::drain`]
 //!   installs any still-pending updates, flushes every staged partial
 //!   batch, and barriers on every worker for a snapshot: the merged
@@ -42,7 +46,9 @@ pub(crate) mod worker;
 use std::sync::Arc;
 use std::time::Duration;
 
-use taurus_core::{EngineUpdate, ModelUpdate, RollbackPoint, TaurusSwitch};
+use taurus_core::{
+    check_install, EngineKind, EngineUpdate, ModelUpdate, RollbackPoint, TaurusSwitch, UpdateError,
+};
 
 use crate::fault::{FaultPlan, FaultReport};
 use crate::overload::OverloadPolicy;
@@ -99,8 +105,8 @@ pub struct StreamingRuntime {
     /// Stays true after the spares run out so fault accounting (rather
     /// than a re-raised panic) remains the drain's contract.
     supervised: bool,
-    /// How long a control-plane exchange (install reply, drain
-    /// snapshot) may take before the shard is declared unresponsive.
+    /// How long a control-plane exchange (drain snapshot, canary
+    /// reply) may take before the shard is declared unresponsive.
     control_timeout: Duration,
     /// Fault accounting accumulated since the last drain.
     fault_acc: FaultReport,
@@ -113,6 +119,10 @@ struct Deployed {
     /// Mirror of the fleet's installed versions (all replicas agree by
     /// construction), refreshed from a healthy snapshot at every drain.
     versions: Vec<(String, u64)>,
+    /// Each app's engine kind, parallel to `versions` (fixed at build).
+    /// With the versions, everything a replica's install verdict
+    /// depends on — so the feeder renders it without asking one.
+    engines: Vec<EngineKind>,
     /// What a cold spare must replay to reach the fleet's current
     /// models: the accepted updates folded to one effective update per
     /// app. Installs are per-app and every field is last-writer-wins,
@@ -123,6 +133,27 @@ struct Deployed {
 }
 
 impl Deployed {
+    /// The verdict every replica will render for `update`: the same
+    /// [`check_install`] a [`TaurusSwitch`] runs, over the mirror.
+    fn check(&self, update: &ModelUpdate) -> Result<(), UpdateError> {
+        let hosted = self
+            .versions
+            .iter()
+            .zip(&self.engines)
+            .find(|((name, _), _)| *name == update.app)
+            .map(|((_, version), kind)| (*version, *kind));
+        check_install(update, hosted)
+    }
+
+    /// Records a scheduled update that reached its barrier. One the
+    /// replicas will refuse leaves the mirror alone: it poisons their
+    /// runs and surfaces at the next drain.
+    fn note_scheduled(&mut self, update: &ModelUpdate, keep_history: bool) {
+        if self.check(update).is_ok() {
+            self.note(update, keep_history);
+        }
+    }
+
     /// Records an update the fleet accepted; `keep_history` is the
     /// service's `supervised` flag.
     fn note(&mut self, update: &ModelUpdate, keep_history: bool) {
@@ -169,6 +200,7 @@ impl StreamingRuntime {
         ingest: Ingest,
     ) -> Self {
         let versions = switches.first().map(TaurusSwitch::app_versions).unwrap_or_default();
+        let engines = switches.first().map(TaurusSwitch::engine_kinds).unwrap_or_default();
         let (lanes, handles) = switches
             .into_iter()
             .enumerate()
@@ -179,7 +211,7 @@ impl StreamingRuntime {
             handles,
             queue_depth,
             ingest,
-            deployed: Deployed { versions, history: Vec::new() },
+            deployed: Deployed { versions, engines, history: Vec::new() },
             supervised: !spares.is_empty(),
             spares,
             control_timeout,
@@ -238,7 +270,7 @@ impl StreamingRuntime {
     /// position — reset separates experiment phases, it does not roll
     /// back deployments or rewind the stream clock. The reset message
     /// travels in-band, so it takes effect after everything already fed
-    /// and before anything fed next.
+    /// (and installed) and before anything fed next.
     pub fn reset(&mut self) {
         for lane in &self.lanes {
             let _ = lane.tx.send(ShardMsg::Reset);
@@ -303,7 +335,7 @@ mod tests {
                 let update = if version % 3 == 0 {
                     ModelUpdate {
                         engine: EngineUpdate::KeepEngine,
-                        post_tables: Some(tables.clone()),
+                        post_tables: Some(tables.clone().into()),
                         ..ModelUpdate::retune_threshold(syn.name(), version, 0)
                     }
                 } else {
@@ -324,7 +356,7 @@ mod tests {
             // non-KeepEngine engine; the tables came from version 99.
             let newest = syn.retune(130, 100, EngineBackend::Threshold);
             assert_eq!(format!("{:?}", folded.engine), format!("{:?}", newest.engine));
-            assert_eq!(folded.post_tables.as_ref().map(Vec::len), Some(tables.len()));
+            assert_eq!(folded.post_tables.as_ref().map(|t| t.len()), Some(tables.len()));
         }
     }
 }

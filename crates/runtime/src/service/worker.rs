@@ -4,7 +4,7 @@
 //!
 //! # Panic containment
 //!
-//! A panic inside a worker (an app engine exploding, a scheduled update
+//! A panic inside a worker (an app engine exploding, an in-band update
 //! failing to install) must not kill a resident thread, but it must
 //! also not be swallowed. Workers catch panics, keep draining their
 //! lanes (discarding batches — the run is poisoned anyway) so ingest
@@ -40,8 +40,8 @@ pub(crate) struct WorkerSnapshot {
 pub(crate) enum WorkerReply {
     /// Drain barrier reached; per-run counters were reset.
     Snapshot(Box<WorkerSnapshot>),
-    /// Result of a control-plane [`ShardMsg::Install`],
-    /// [`ShardMsg::Rollback`], or [`ShardMsg::Promote`].
+    /// Result of a canary's [`ShardMsg::Rollback`] or
+    /// [`ShardMsg::Promote`].
     Install(Result<(), UpdateError>),
     /// Result of a [`ShardMsg::CanaryInstall`]: the rollback point
     /// captured *before* the canary model was activated, or the
@@ -170,23 +170,22 @@ fn engine_worker(
                 // already be gone on teardown paths; dropping is fine).
                 let _ = pool_tx.send(batch);
             }
-            ShardMsg::Update(update) => {
-                if poisoned.is_none() {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        switch
-                            .install_update(&update)
-                            .unwrap_or_else(|e| panic!("live model update failed on a shard: {e}"));
-                    }));
-                    match outcome {
-                        Ok(()) => run.open_segment(),
-                        Err(payload) => poisoned = Some(payload),
+            ShardMsg::Update { update, open_segment } => {
+                // An install is not traffic: it lands on a poisoned
+                // replica too, so a fleet that is reset and keeps
+                // serving runs one model on every shard. Only the
+                // segment boundary belongs to the (dead) run.
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    switch
+                        .install_update(&update)
+                        .unwrap_or_else(|e| panic!("live model update failed on a shard: {e}"));
+                }));
+                match outcome {
+                    Ok(()) if open_segment && poisoned.is_none() => run.open_segment(),
+                    Ok(()) => {}
+                    Err(payload) => {
+                        poisoned.get_or_insert(payload);
                     }
-                }
-            }
-            ShardMsg::Install(update) => {
-                let result = switch.install_update(&update);
-                if !faults.drop_this_install() {
-                    let _ = reply_tx.send(WorkerReply::Install(result));
                 }
             }
             ShardMsg::CanaryInstall(update) => {

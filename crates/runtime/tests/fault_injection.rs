@@ -2,22 +2,22 @@
 //! injected engine panic lands at an exact (shard, stream index) point
 //! every run, a supervised fleet absorbs it (respawn from a spare,
 //! exact accounting in `RuntimeReport::faults`), an unsupervised fleet
-//! keeps the legacy re-raise contract, and control-plane faults
-//! (dropped install acks, stalled shards) degrade into typed errors
-//! and watchdog records instead of hangs.
+//! keeps the legacy re-raise contract — and still takes the updates
+//! that land while it is poisoned — an install waits for no worker,
+//! and a stalled shard degrades into a watchdog record instead of a
+//! hang.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use taurus_core::apps::SynFloodDetector;
-use taurus_core::{EngineBackend, EngineUpdate, ModelUpdate, TaurusApp};
+use taurus_core::{EngineBackend, EngineUpdate, FormatterFactory, ModelUpdate, TaurusApp};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig, TracePacket};
 use taurus_pisa::mat::TableEntry;
 use taurus_pisa::{Action, Field, MatchKind, MatchTable, VliwOp};
-use taurus_runtime::{
-    shard_of, FaultPlan, FaultRecordKind, InstallError, RuntimeBuilder, ShardError,
-    StreamingRuntime,
-};
+use taurus_runtime::{shard_of, FaultPlan, FaultRecordKind, RuntimeBuilder, StreamingRuntime};
 
 const SHARDS: usize = 4;
 const FLOW_SLOTS: usize = 4096; // the builder default
@@ -145,7 +145,7 @@ fn a_respawned_replica_replays_the_folded_update_history() {
     });
     let table_only = ModelUpdate {
         engine: EngineUpdate::KeepEngine,
-        post_tables: Some(vec![inverted]),
+        post_tables: Some([inverted].into()),
         ..ModelUpdate::retune_threshold(syn.name(), 21, 0)
     };
 
@@ -210,47 +210,100 @@ fn a_panic_without_spares_reraises_at_the_drain() {
 }
 
 #[test]
-fn a_dropped_install_ack_times_out_without_forking_the_fleet() {
-    // The install broadcast reaches every worker before any reply is
-    // awaited, so losing one acknowledgement costs an error and a
-    // fault record — never a fleet whose shards disagree on versions.
+fn an_update_lands_on_a_poisoned_shard_too() {
+    // Regression (fleet fork): a poisoned worker used to skip in-band
+    // updates although the feeder had already recorded them, so an
+    // unsupervised caller that caught the drain's re-raised panic,
+    // reset and kept serving ran model v on the healthy shards and v-1
+    // on the recovered one. An install is not traffic: it lands
+    // regardless, and after the reset both shards decide exactly like a
+    // fleet that never faulted.
+    let syn = SynFloodDetector::default_deployment();
+    let trace = kdd_trace(150, 91);
+    let validation = kdd_trace(200, 92);
+    let retune = syn.retune(8, 1, EngineBackend::Threshold);
+    let k = trace.packets.len() as u64 / 2;
+
+    let mut subject = builder(&syn, 2).fault_plan(FaultPlan::new().engine_panic(0, 0)).build();
+    let mut twin = builder(&syn, 2).build();
+    let mut frozen = builder(&syn, 2).build();
+    for service in [&mut subject, &mut twin] {
+        // Past the panic index: shard 0 is already poisoned when the
+        // barrier reaches it.
+        service.schedule_update(k, retune.clone());
+        service.feed(&trace.packets);
+    }
+    frozen.feed(&trace.packets);
+    catch_unwind(AssertUnwindSafe(|| subject.drain()))
+        .expect_err("an unsupervised drain re-raises the worker's panic");
+    twin.drain();
+    frozen.drain();
+
+    for service in [&mut subject, &mut twin, &mut frozen] {
+        service.reset();
+    }
+    let after = drain_report(&mut subject, &validation);
+    let control = drain_report(&mut twin, &validation);
+    let stale = drain_report(&mut frozen, &validation);
+    assert_ne!(
+        stale.shards[0].report, control.shards[0].report,
+        "the retune must change shard 0's verdicts, or this test is vacuous"
+    );
+    assert_eq!(after, control, "the recovered shard must run the fleet's model");
+    assert_eq!(subject.app_versions(), twin.app_versions());
+}
+
+#[test]
+fn an_install_needs_no_ack() {
+    // `install_update` renders its verdict feeder-side and enqueues the
+    // update in-band: it returns — and the version mirror advances —
+    // while no worker has finished applying it. The interleaving is
+    // forced, not timed: the update's formatter factory blocks every
+    // worker inside its install until the test opens a gate, which it
+    // only does after the call has returned. A control plane that
+    // waited for acknowledgements would deadlock here (and used to
+    // answer `Unresponsive` after the control timeout).
     let syn = SynFloodDetector::default_deployment();
     let trace = kdd_trace(150, 84);
-    let mut subject = builder(&syn, 2)
-        .fault_plan(FaultPlan::new().drop_install_reply(0, 0))
-        .control_timeout(Duration::from_millis(50))
-        .build();
+    let mut subject = builder(&syn, 2).control_timeout(Duration::from_millis(50)).build();
     let mut twin = builder(&syn, 2).build();
 
-    let update = syn.retune(45, 1, EngineBackend::Threshold);
-    let err = subject.install_update(&update).expect_err("the ack was swallowed");
-    assert_eq!(
-        err,
-        InstallError::Shard(ShardError::Unresponsive {
-            shard: 0,
-            waited: Duration::from_millis(50)
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let rebuild = syn.formatter_factory().expect("the SYN formatter is stateless");
+    let gated: FormatterFactory = {
+        let gate = Arc::clone(&gate);
+        Arc::new(move || {
+            let (open, opened) = &*gate;
+            let mut open = open.lock().expect("gate");
+            while !*open {
+                open = opened.wait(open).expect("gate");
+            }
+            rebuild()
         })
+    };
+    let update =
+        ModelUpdate { formatter: Some(gated), ..syn.retune(45, 1, EngineBackend::Threshold) };
+
+    subject.install_update(&update).expect("a fresh version of a hosted app");
+    assert_eq!(
+        subject.app_versions(),
+        vec![("syn-flood".to_string(), 1)],
+        "the mirror advances with the verdict, not with an acknowledgement"
     );
-    // The mirror is conservative until the fleet confirms…
-    assert_eq!(subject.app_versions(), vec![("syn-flood".to_string(), 0)]);
+    *gate.0.lock().expect("gate") = true;
+    gate.1.notify_all();
     twin.install_update(&update).expect("fresh version");
 
-    // …but the model really is live on every shard: the traffic report
-    // matches the twin's, and the next drain re-syncs the mirror from
-    // the worker snapshots.
+    // The model is live on every shard at the barrier the call chose:
+    // traffic fed afterwards matches the twin's bit for bit, and
+    // nothing was recorded as a fault.
     let subject_report = drain_report(&mut subject, &trace);
     let twin_report = drain_report(&mut twin, &trace);
     assert_eq!(subject_report.merged, twin_report.merged);
     assert_eq!(subject_report.shards, twin_report.shards);
     assert_eq!(subject_report.segments, twin_report.segments);
-    assert_eq!(subject.app_versions(), vec![("syn-flood".to_string(), 1)], "mirror re-synced");
-
-    assert_eq!(subject_report.faults.worker_restarts, 0, "the worker never misbehaved");
-    assert_eq!(subject_report.faults.records.len(), 1);
-    let record = &subject_report.faults.records[0];
-    assert_eq!(record.shard, 0);
-    assert_eq!(record.kind, FaultRecordKind::Unresponsive);
-    assert!(record.detail.contains("no install reply"), "{}", record.detail);
+    assert!(subject_report.faults.is_empty(), "{:?}", subject_report.faults);
+    assert_eq!(subject.app_versions(), vec![("syn-flood".to_string(), 1)]);
 
     // Control flow continues normally afterwards.
     subject.install_update(&syn.retune(50, 2, EngineBackend::Threshold)).expect("fleet moved on");

@@ -18,9 +18,12 @@
 //! counted too, not just the ingest thread. `cargo test` runs the
 //! `#[test]`s of this file on parallel threads, so every measured
 //! section (warm-ups included) runs under one file-wide lock: a
-//! neighbour's allocations never land in another test's count.
+//! neighbour's allocations never land in another test's count. A
+//! second, per-thread counter tells the feeding thread's allocations
+//! from the workers' where a guard needs the split.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -36,17 +39,25 @@ struct CountingAlloc;
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's share of `ALLOCS`. Const-initialized and without a
+    /// destructor, so touching it from inside the allocator neither
+    /// allocates nor outlives the thread.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
 impl CountingAlloc {
     fn record() {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
         }
     }
 }
 
 // SAFETY: defers all allocation to `System`; the bookkeeping touches
-// only lock-free statics (no lazy init, no recursion into the
-// allocator).
+// only lock-free statics and a const-initialized thread-local cell (no
+// lazy init, no recursion into the allocator).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::record();
@@ -90,6 +101,15 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     f();
     COUNTING.store(false, Ordering::SeqCst);
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocations `f` performs, split `(calling thread, every other
+/// thread)`. Call with [`measuring`] held.
+fn allocations_by_thread(f: impl FnOnce()) -> (u64, u64) {
+    THREAD_ALLOCS.with(|n| n.set(0));
+    let all = allocations_in(f);
+    let here = THREAD_ALLOCS.with(Cell::get);
+    (here, all - here)
 }
 
 fn trace(n: usize, seed: u64) -> PacketTrace {
@@ -196,6 +216,73 @@ fn resident_service_feeds_allocate_nothing_after_the_first() {
     assert_eq!(third, 0, "feed three allocated {third} times");
     let report = service.shutdown();
     assert_eq!(report.merged.packets, 3 * single.packets.len() as u64, "every feed processed");
+}
+
+#[test]
+fn an_install_between_feeds_allocates_a_named_handful_and_compiles_nothing() {
+    let _serial = measuring();
+    // A live full-program install on the CGRA roster is a handle swap:
+    // no plan compilation, no slab, no weight copy — on either side of
+    // the lane. Pinned exactly, after one warm-up install of the same
+    // shapes, over `feed → install_update → feed` (the worker applies
+    // the update while the second feed is already running, hence the
+    // per-thread split):
+    //
+    // - the **feeds** allocate nothing on the feeding thread, installed
+    //   model or not;
+    // - `install_update` itself allocates twice there — the `Arc` box
+    //   the shards share, and the clone's app-name `String` (every
+    //   other part of a `ModelUpdate` is a handle);
+    // - each **worker** allocates `PER_INSTALL` times per install: the
+    //   boxed formatter closure the factory builds for this replica (1)
+    //   and its own copy of the verdict MAT (8: the `Vec` of tables,
+    //   the table's name, its entry list, the entry's match list, and
+    //   name + op list of the entry's action and of the default
+    //   action), whose dispatch span list is then compiled lazily by
+    //   the first packet that reaches it (1).
+    const PER_INSTALL: u64 = 10;
+    const SHARDS: u64 = 2;
+    let detector = AnomalyDetector::train_default(9, 400);
+    let single = trace(250, 57);
+    let standardized: Vec<Vec<f32>> = (0..64)
+        .map(|i| (0..6).map(|j| ((i * 7 + j * 13) % 17) as f32 / 8.0 - 1.0).collect())
+        .collect();
+    let mut update = detector.prepare_update(&detector.float_model, &standardized, 0);
+    let mut service = RuntimeBuilder::new()
+        .shards(SHARDS as usize)
+        .batch_size(32)
+        .parse_workers(0)
+        .register(&detector)
+        .build();
+    let mut install = |service: &mut StreamingRuntime| {
+        update.version += 1;
+        service.install_update(&update).expect("a fresh version of a hosted app");
+    };
+    // Warm-up: arenas, flow state, and one install of the same shapes.
+    service.feed(&single.packets);
+    install(&mut service);
+    service.feed(&single.packets);
+    service.drain();
+
+    // The window closes when the second feed returns. Backpressure
+    // makes that late enough for the workers: a lane holds at most
+    // `queue_depth` messages, the install went in ahead of ~50 batches
+    // per shard, and the first of those already compiled the MAT.
+    let here = || THREAD_ALLOCS.with(Cell::get);
+    let (mut fed, mut installed) = (0, 0);
+    let (feeder, workers) = allocations_by_thread(|| {
+        service.feed(&single.packets);
+        fed = here();
+        install(&mut service);
+        installed = here();
+        service.feed(&single.packets);
+    });
+    service.drain();
+    let feeder_in_install = installed - fed;
+    let feeder_in_feeds = feeder - feeder_in_install;
+    assert_eq!(feeder_in_feeds, 0, "feeds around an install must stay allocation-free");
+    assert_eq!(feeder_in_install, 2, "install_update: the shared Arc and the app name");
+    assert_eq!(workers, SHARDS * PER_INSTALL, "worker-side allocations per install");
 }
 
 #[test]

@@ -3,16 +3,21 @@
 //! bit-identical to the sequential [`TaurusSwitch`] updated at *k*,
 //! for shard counts {1, 2, 4} — the invariant that makes hot weight
 //! swaps a semantics-preserving operation rather than a best-effort
-//! one (§5.2.3's "install at flow-rule latency, no loss" claim).
+//! one (§5.2.3's "install at flow-rule latency, no loss" claim) —
+//! whichever of the two calls placed the barrier, and with the
+//! accept/reject verdict the sequential switch would have rendered.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use proptest::prelude::*;
 use taurus_controlplane::training::derive_round_seed;
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
-use taurus_core::{EngineBackend, ModelUpdate, SwitchBuilder, SwitchReport};
+use taurus_core::{EngineBackend, ModelUpdate, SwitchBuilder, SwitchReport, TaurusApp};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_ml::{BinaryMetrics, TrainParams};
 use taurus_pisa::Verdict;
-use taurus_runtime::RuntimeBuilder;
+use taurus_runtime::{InstallError, RuntimeBuilder};
 
 fn default_kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
     let records = KddGenerator::new(seed).take(n_records);
@@ -42,12 +47,10 @@ fn sequential_with_update(
     (switch.report(), segments)
 }
 
-#[test]
-fn cgra_weight_swap_at_k_matches_sequential_for_shards_1_2_4() {
-    // A real retrain: continue the detector's float model with more SGD
-    // on freshly generated data, so the swapped-in program genuinely
-    // differs from the build-time one.
-    let detector = AnomalyDetector::train_default(51, 1_200);
+/// A real retrain: continues the detector's float model with more SGD
+/// on freshly generated data, so the swapped-in program genuinely
+/// differs from the build-time one.
+fn retrained_update(detector: &AnomalyDetector, version: u64) -> ModelUpdate {
     let mut retrained = detector.float_model.clone();
     let mut gen = KddGenerator::new(52);
     let mut ds = gen.binary_dataset(600, taurus_dataset::kdd::FeatureView::Dnn6);
@@ -57,7 +60,13 @@ fn cgra_weight_swap_at_k_matches_sequential_for_shards_1_2_4() {
         ds.labels(),
         &TrainParams { epochs: 6, seed: derive_round_seed(52, 0), ..TrainParams::default() },
     );
-    let update = detector.prepare_update(&retrained, ds.features(), 1);
+    detector.prepare_update(&retrained, ds.features(), version)
+}
+
+#[test]
+fn cgra_weight_swap_at_k_matches_sequential_for_shards_1_2_4() {
+    let detector = AnomalyDetector::train_default(51, 1_200);
+    let update = retrained_update(&detector, 1);
 
     let trace = default_kdd_trace(160, 53);
     let k = trace.packets.len() / 2;
@@ -193,4 +202,197 @@ fn two_updates_at_the_same_index_install_in_schedule_order() {
         // empty on both sides: the barrier admitted no packets.
         assert_eq!(report.segments[1].total(), 0);
     }
+}
+
+#[test]
+fn an_install_between_feeds_at_k_is_a_schedule_at_k_is_the_sequential_install() {
+    // One install path: `install_update` issued at stream position k
+    // places the same in-band barrier `schedule_update(k, …)` does, and
+    // both equal the sequential switch updated before packet k — for
+    // every shard count and ingest geometry, on the program-swap path
+    // (a replica retargets its resident simulator at the shared plan).
+    // The one intended difference: a scheduled update opens a metrics
+    // segment, an immediate install does not.
+    let detector = AnomalyDetector::train_default(51, 1_200);
+    let update = retrained_update(&detector, 1);
+    let trace = default_kdd_trace(160, 58);
+    let k = trace.packets.len() / 2;
+    let (golden, golden_segments) = sequential_with_update(
+        || SwitchBuilder::new().register(&detector).build(),
+        &trace,
+        k,
+        &[&update],
+    );
+    let mut whole_run = BinaryMetrics::default();
+    golden_segments.iter().for_each(|s| whole_run.absorb(s));
+
+    for shards in [1usize, 2, 3, 5] {
+        for parse_workers in [0usize, 2] {
+            let label = format!("{shards} shards, {parse_workers} parse workers");
+            let build = || {
+                RuntimeBuilder::new()
+                    .shards(shards)
+                    .batch_size(32)
+                    .parse_workers(parse_workers)
+                    .epoch_len(64)
+                    .register(&detector)
+                    .build()
+            };
+            let mut scheduled = build();
+            scheduled.schedule_update(k as u64, update.clone());
+            let scheduled_report = scheduled.run_trace(&trace);
+
+            let mut installed = build();
+            installed.feed(&trace.packets[..k]);
+            assert_eq!(installed.stream_position(), k as u64);
+            installed.install_update(&update).expect("a fresh version of a hosted app");
+            installed.feed(&trace.packets[k..]);
+            let installed_report = installed.drain();
+
+            assert_eq!(scheduled_report.merged, golden, "scheduled: {label}");
+            assert_eq!(installed_report.merged, golden, "installed: {label}");
+            assert_eq!(scheduled_report.segments, golden_segments, "{label}");
+            assert_eq!(installed_report.segments, vec![whole_run], "{label}");
+            for (a, b) in scheduled_report.shards.iter().zip(&installed_report.shards) {
+                // Batch counts aside: the extra feed boundary flushes
+                // partial batches early.
+                assert_eq!((a.packets, &a.report), (b.packets, &b.report), "{label}");
+            }
+            assert_eq!(installed.app_versions(), scheduled.app_versions());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The feeder-side verdict is the replica's verdict: for random
+    /// interleavings of fresh, equal-version, stale, unknown-app and
+    /// wrong-backend updates through `install_update` and
+    /// `schedule_update`, `StreamingRuntime::install_update` returns
+    /// what a twin `TaurusSwitch::install_update` returns and
+    /// `app_versions()` equals the twin's after every call and every
+    /// drain. A scheduled update the twin refuses poisons the workers
+    /// instead (that drain re-raises), and moves no version.
+    #[test]
+    fn prop_install_verdicts_and_versions_match_a_sequential_twin(
+        ops in proptest::collection::vec(0u8..12, 1..40),
+        picks in proptest::collection::vec(0u32..1_000, 40),
+        shards in 1usize..4,
+    ) {
+        let detector = verdict_roster_detector();
+        let syn = SynFloodDetector::default_deployment();
+        let trace = verdict_roster_trace();
+        let mut rt = RuntimeBuilder::new()
+            .shards(shards)
+            .batch_size(16)
+            .register_on(detector, EngineBackend::CgraSim)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build();
+        let mut twin = SwitchBuilder::new()
+            .register_on(detector, EngineBackend::CgraSim)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build();
+
+        // The twin's schedule: (index, update), stable in index.
+        let mut pending: Vec<(u64, ModelUpdate)> = Vec::new();
+        let mut fed = 0usize;
+        let mut poisoned = false;
+        for (&op, &pick) in ops.iter().zip(&picks) {
+            match op {
+                // An update of a random kind, installed now or scheduled
+                // a little ahead.
+                0..=7 => {
+                    let update = random_update(detector, &syn, &twin, pick);
+                    if op < 5 {
+                        let expect = twin.install_update(&update).map_err(InstallError::Rejected);
+                        prop_assert_eq!(rt.install_update(&update), expect);
+                    } else {
+                        let at = rt.stream_position() + u64::from(pick % 48);
+                        rt.schedule_update(at, update.clone());
+                        pending.push((at, update));
+                        pending.sort_by_key(|&(at, _)| at);
+                    }
+                }
+                8..=10 => {
+                    let n = (pick as usize % 64).min(trace.packets.len() - fed);
+                    rt.feed(&trace.packets[fed..fed + n]);
+                    fed += n;
+                    // Every barrier the feed crossed (or found behind it).
+                    let crossed =
+                        pending.iter().take_while(|(at, _)| n > 0 && *at < rt.stream_position());
+                    let crossed = crossed.count();
+                    for (_, update) in pending.drain(..crossed) {
+                        poisoned |= twin.install_update(&update).is_err();
+                    }
+                }
+                _ => {
+                    // A drain installs whatever is still pending.
+                    for (_, update) in pending.drain(..) {
+                        poisoned |= twin.install_update(&update).is_err();
+                    }
+                    let drained = catch_unwind(AssertUnwindSafe(|| rt.drain()));
+                    prop_assert_eq!(drained.is_err(), poisoned);
+                    poisoned = false;
+                }
+            }
+            prop_assert_eq!(rt.app_versions(), twin.app_versions());
+        }
+    }
+}
+
+/// The CGRA half of the verdict property's roster, trained once.
+fn verdict_roster_detector() -> &'static AnomalyDetector {
+    static DETECTOR: std::sync::OnceLock<AnomalyDetector> = std::sync::OnceLock::new();
+    DETECTOR.get_or_init(|| AnomalyDetector::train_default(59, 400))
+}
+
+fn verdict_roster_trace() -> &'static PacketTrace {
+    static TRACE: std::sync::OnceLock<PacketTrace> = std::sync::OnceLock::new();
+    TRACE.get_or_init(|| default_kdd_trace(120, 60))
+}
+
+/// One update of a kind `pick` selects, relative to what `twin` runs:
+/// fresh, equal-version, stale, for an unknown app, or for the other
+/// app's engine backend.
+fn random_update(
+    detector: &AnomalyDetector,
+    syn: &SynFloodDetector,
+    twin: &taurus_core::TaurusSwitch,
+    pick: u32,
+) -> ModelUpdate {
+    let on_syn = pick.is_multiple_of(2);
+    let name = if on_syn { syn.name() } else { detector.name() };
+    let installed = twin.app_version(name).expect("hosted");
+    let fresh = installed + 1 + u64::from(pick % 3);
+    // What the app's own backend takes.
+    let fitting = |version: u64| {
+        if on_syn {
+            syn.retune(30 + i64::from(pick % 20), version, EngineBackend::Threshold)
+        } else {
+            ModelUpdate { version, ..verdict_roster_program_update().clone() }
+        }
+    };
+    match (pick / 2) % 7 {
+        0..=2 => fitting(fresh),
+        3 => fitting(installed),
+        4 => fitting(installed.saturating_sub(1)),
+        5 => ModelUpdate::retune_threshold("no-such-app", fresh, 1),
+        // A compiled program for the threshold engine, a cutoff for
+        // the CGRA one.
+        _ if on_syn => syn.retune(30, fresh, EngineBackend::CgraSim),
+        _ => ModelUpdate::retune_threshold(name, fresh, 1),
+    }
+}
+
+/// A full program update for the roster's detector, prepared once.
+fn verdict_roster_program_update() -> &'static ModelUpdate {
+    static UPDATE: std::sync::OnceLock<ModelUpdate> = std::sync::OnceLock::new();
+    UPDATE.get_or_init(|| {
+        let detector = verdict_roster_detector();
+        let mut gen = KddGenerator::new(61);
+        let mut ds = gen.binary_dataset(200, taurus_dataset::kdd::FeatureView::Dnn6);
+        detector.standardizer.apply(&mut ds);
+        detector.prepare_update(&detector.float_model, ds.features(), 0)
+    })
 }

@@ -18,7 +18,7 @@ use taurus_ml::{KMeans, QuantizedKMeans, QuantizedSvm, Svm};
 #[test]
 fn dnn_hardware_path_matches_golden_model_bit_for_bit() {
     let detector = AnomalyDetector::train_default(100, 2_000);
-    let mut sim = CgraSim::shared(std::sync::Arc::clone(&detector.program));
+    let mut sim = CgraSim::shared(detector.program.clone());
     let mut gen = KddGenerator::new(101);
     let ds = gen.binary_dataset(300, FeatureView::Dnn6);
     for x in ds.features() {
