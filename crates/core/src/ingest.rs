@@ -100,10 +100,8 @@ impl std::error::Error for IngestError {}
 
 /// The order-free validity checks: everything [`IngestValidator`]
 /// enforces except timestamp monotonicity, derived from the packet
-/// alone. A parallel parse stage could run this on any worker — but the
-/// runtime deliberately validates in its *merge* stage (arrival order)
-/// so inline and pipelined ingest quarantine identically, error-priority
-/// included.
+/// alone. [`IngestValidator::admit`] runs them first, then the
+/// monotonicity check, in arrival order.
 pub fn validate_wire(tp: &TracePacket) -> Result<(), IngestError> {
     if tp.len == 0 {
         return Err(IngestError::ZeroLength);
@@ -218,10 +216,10 @@ pub fn to_packet_into(tp: &TracePacket, p: &mut Packet) {
 /// The order-free half of an observation: everything [`PacketObs`]
 /// carries except `is_flow_start`, derived from the packet alone (keys
 /// from the canonical tuple and responder endpoint, direction, wire
-/// fields). Because it needs no cross-packet state, a parallel ingest
-/// pipeline can compute it on any worker, for any packet, in any order
-/// — only the first-seen bit (see [`ObsBuilder::mark_seen`]) remains
-/// order-bound. `obs.is_flow_start` is left `false`.
+/// fields). It needs no cross-packet state — only the first-seen bit
+/// (see [`ObsBuilder::mark_seen`]) is order-bound — so the runtime can
+/// parse a packet and then refuse it with no flow state touched.
+/// `obs.is_flow_start` is left `false`.
 pub fn wire_obs(tp: &TracePacket, obs: &mut PacketObs) {
     let canonical = tp.tuple.canonical();
     // The responder is the destination of forward packets.
@@ -245,16 +243,14 @@ pub fn wire_obs(tp: &TracePacket, obs: &mut PacketObs) {
 
 /// Whether a packet's flags qualify it as a flow start *if* it is the
 /// connection's first packet: non-TCP always does, TCP requires a bare
-/// SYN (SYN set, ACK clear). Packet-local, so a parallel parse stage
-/// can precompute it; the order-bound first-seen bit is resolved
-/// separately ([`ObsBuilder::mark_seen`]).
+/// SYN (SYN set, ACK clear). Packet-local; the order-bound first-seen
+/// bit is resolved separately ([`ObsBuilder::mark_seen`]).
 pub fn flow_start_flags_ok(tp: &TracePacket) -> bool {
     tp.tuple.proto != 6 || tp.tcp_flags & TCP_SYN != 0 && tp.tcp_flags & TCP_ACK == 0
 }
 
 /// A set of connection ids — the first-seen probe every flow start goes
-/// through ([`ObsBuilder`]'s seen-set, the parse stage's per-epoch
-/// candidates, the merge stage's requeue).
+/// through ([`ObsBuilder`]'s seen-set).
 ///
 /// Connection ids are dense counters handed out by the trace front end,
 /// not wire fields a sender chooses, so the set trades the default
@@ -362,12 +358,9 @@ impl ObsBuilder {
 
     /// Records that `conn_id` has been observed, returning whether this
     /// is its first sighting (always `false` untracked). This is the
-    /// *only* order-bound piece of observation building: a parallel
-    /// ingest pipeline calls it from its merge stage, in global arrival
-    /// order, on the per-epoch first-seen candidates its parse workers
-    /// pre-filtered — every other packet of a connection inside an epoch
-    /// is provably not the global first, so the merge stage touches this
-    /// set once per (connection, epoch), not once per packet.
+    /// *only* order-bound piece of observation building: the runtime's
+    /// ingest loop calls it per admitted packet, in global arrival
+    /// order, after [`wire_obs`].
     pub fn mark_seen(&mut self, conn_id: u32) -> bool {
         match &mut self.seen_flows {
             Some(seen) => seen.insert(conn_id),

@@ -153,9 +153,6 @@ pub fn run_online_deployment(
         })
         .collect();
 
-    // The ingest mode (inline or pipelined) is the builder's to
-    // resolve from the host: it changes wall clock only, never the
-    // report.
     let mut runtime = RuntimeBuilder::new()
         .shards(config.shards)
         .batch_size(config.batch_size)

@@ -305,8 +305,8 @@ struct PacketFault {
 /// *ingest* side, before steering — a pure predicate of
 /// (home shard, global index), so an overload episode replays exactly:
 /// the same plan against the same stream sheds the same packets under
-/// any shard geometry, feed slicing, or parse-worker count, and a
-/// single-threaded oracle can enumerate them.
+/// any shard geometry or feed slicing, and a single-threaded oracle can
+/// enumerate them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SaturationWindow {
     shard: usize,

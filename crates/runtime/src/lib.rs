@@ -22,8 +22,8 @@
 //! workers are spawned once and stay resident across
 //! [`StreamingRuntime::feed`] / [`StreamingRuntime::drain`] cycles
 //! ([`StreamingRuntime::run_trace`] is one of each), and one ingest
-//! loop serves every geometry — `parse_workers` only moves the
-//! order-free parse half onto worker threads ([`pipeline`]).
+//! loop on the feeding thread — parse, merge, steer, packet by packet
+//! ([`pipeline`]) — serves every geometry.
 //!
 //! The runtime also serves **live model updates**: a
 //! [`taurus_core::ModelUpdate`] scheduled via
@@ -86,7 +86,7 @@ pub use fault::{
     FaultRecordKind, FaultReport, InstallError, ShardError,
 };
 pub use overload::{OverloadPolicy, OverloadReport, QuarantineCounts};
-pub use pipeline::{epoch_count, parse_packet, resolve_and_count, EpochBatch, ParsedSlot};
+pub use pipeline::{parse_packet, resolve_and_count, ParsedSlot};
 pub use runtime::{
     shard_of, BuildError, PreparedPacket, RuntimeBuilder, RuntimeReport, ShardStats,
 };

@@ -28,7 +28,7 @@
 //! runtime recognizes two kinds of over-budget packet. *Injected*
 //! saturation ([`crate::FaultPlan::saturate_shard`]) is a pure
 //! predicate of (home shard, global stream index): it replays exactly
-//! under any shard geometry, parse-worker count, or feed slicing, and a
+//! under any shard geometry or feed slicing, and a
 //! single-threaded oracle can enumerate the shed set — that is what the
 //! pinning tests key on. *Organic* saturation (a lane that really
 //! stayed full past its patience, observed at a batch barrier) sheds a

@@ -1,55 +1,53 @@
-//! The parse/flow-steer stage: N workers that each parse a slice of
-//! the trace in parallel.
-//!
-//! A parse worker owns epochs `w, w+N, w+2N, …` of the stream. For each
-//! epoch it pulls a recycled [`EpochBatch`] arena off its recycle lane,
-//! rewrites the slots in place — wire form, keyed observation,
-//! epoch-local first-seen candidates, home shard — and ships the epoch
-//! to the merge stage over its output lane. Everything here is
-//! **order-free**: no worker reads or writes any cross-packet state
-//! that another worker could observe, which is why the stage scales
-//! with cores while the merged result stays bit-identical.
-//!
-//! Shutdown mirrors the engine lanes: a closed output lane (the merge
-//! stage died or stopped consuming) or a closed recycle lane ends the
-//! worker's loop; whatever arenas it still holds are returned through
-//! the thread's join value so the cross-run pool stays provisioned.
+//! The order-free half of ingest: everything a packet says about
+//! itself — wire form, register keys, flow-start flag predicate, home
+//! shard — derived with no cross-packet state at all. The order-bound
+//! half (`steer.rs`) finishes the packet.
 
-use taurus_core::ingest::{flow_start_flags_ok, to_packet_into, wire_obs, ConnSet};
+use taurus_core::ingest::{flow_start_flags_ok, to_packet_into, wire_obs};
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::registers::PacketObs;
 
-use crate::pipeline::epoch::{epoch_count, EpochBatch, FlowHint, ParsedSlot, ARENAS_PER_WORKER};
-use crate::runtime::Route;
-use crate::spsc;
+use crate::runtime::{PreparedPacket, Route};
+
+/// One packet after [`parse_packet`]: the fully prepared form (window
+/// counts still zero — [`crate::resolve_and_count`] fills them) plus
+/// the inputs that resolution needs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ParsedSlot {
+    /// The packet as it will cross the steer→engine channel. Its
+    /// `obs.is_flow_start`, `dst_count`, and `srv_count` are finalized
+    /// by [`crate::resolve_and_count`]; everything else is parse output.
+    pub prepared: PreparedPacket,
+    /// Originating connection, for global first-seen resolution.
+    pub conn_id: u32,
+    /// Home shard (`shard_of` over the precomputed flow key), so
+    /// steering routes without rehashing.
+    pub shard: u32,
+    /// Whether the packet can be its connection's global first. A
+    /// caller that pre-filters (say, marking only the first packet of a
+    /// connection within a block) saves the seen-set probe on the rest;
+    /// the runtime's own ingest does not filter and treats every packet
+    /// as a candidate.
+    pub candidate: bool,
+    /// Whether the packet's flags qualify it as a flow start if it is
+    /// the global first ([`taurus_core::ingest::flow_start_flags_ok`]).
+    pub start_flags_ok: bool,
+}
 
 /// The order-free parse of one packet, minus its wire form: fills
-/// `obs` (first-seen bit left unresolved) and returns what the merge
-/// step needs besides — connection, home shard, flow-start flag
-/// predicate. The caller supplies `candidate` (whether the packet can
-/// be its connection's global first).
+/// `obs` (first-seen bit left unresolved) and returns the home shard.
 #[inline]
-pub(crate) fn parse_obs(
-    tp: &TracePacket,
-    obs: &mut PacketObs,
-    route: Route,
-    candidate: bool,
-) -> FlowHint {
+pub(crate) fn parse_obs(tp: &TracePacket, obs: &mut PacketObs, route: Route) -> usize {
     wire_obs(tp, obs);
-    FlowHint {
-        conn_id: tp.conn_id,
-        shard: route.shard_of(obs.flow_key) as u32,
-        candidate,
-        start_flags_ok: flow_start_flags_ok(tp),
-    }
+    route.shard_of(obs.flow_key)
 }
 
 /// Fills one slot with everything derivable from the packet alone:
 /// wire form, keyed observation (first-seen bit left unresolved),
 /// flow-start flag predicate, and home shard
-/// ([`crate::runtime::shard_of`] over `route_slots` and `shards`). The
-/// caller supplies `candidate` (epoch-local first-seen — per-epoch
-/// state the worker owns).
+/// ([`crate::runtime::shard_of`] over `route_slots` and `shards`) — the
+/// same [`parse_obs`] the runtime's ingest loop runs per packet. The
+/// caller supplies `candidate` (see [`ParsedSlot::candidate`]).
 pub fn parse_packet(
     tp: &TracePacket,
     slot: &mut ParsedSlot,
@@ -57,111 +55,22 @@ pub fn parse_packet(
     shards: usize,
     candidate: bool,
 ) {
-    parse_slot(tp, slot, Route::new(route_slots, shards), candidate);
-}
-
-/// [`parse_packet`] over a prebuilt [`Route`]: the parse workers' form.
-#[inline]
-fn parse_slot(tp: &TracePacket, slot: &mut ParsedSlot, route: Route, candidate: bool) {
-    let hint = parse_obs(tp, &mut slot.prepared.obs, route, candidate);
+    let shard = parse_obs(tp, &mut slot.prepared.obs, Route::new(route_slots, shards));
     to_packet_into(tp, &mut slot.prepared.pkt);
     slot.prepared.dst_count = 0;
     slot.prepared.srv_count = 0;
     slot.prepared.anomalous = tp.anomalous;
-    slot.conn_id = hint.conn_id;
-    slot.candidate = hint.candidate;
-    slot.start_flags_ok = hint.start_flags_ok;
-    slot.shard = hint.shard;
-}
-
-/// The ingest geometry: what the parse stage needs to cut the stream
-/// into epochs and route each packet.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ParsePlan {
-    /// Parse worker threads (worker `w` owns epochs `w, w+workers, …`);
-    /// `0` parses each packet on the feeding thread, right before its
-    /// merge step.
-    pub workers: usize,
-    /// Packets per epoch.
-    pub epoch_len: usize,
-    /// Flow key → home shard: [`crate::runtime::shard_of`] over the
-    /// register-slot count (keyed: the bucket count) and the engine
-    /// shard count.
-    pub route: Route,
-    /// Keyed flow table active: flow starts resolve by table miss on
-    /// the merge stage, so the epoch-local candidate filter is dead
-    /// weight — workers skip it entirely.
-    pub keyed: bool,
-}
-
-/// The parse-worker loop: parse epochs `worker, worker+workers, …` of
-/// `packets`, recycling arenas through `recycle` and shipping finished
-/// epochs over `out`. Returns the arenas the worker still holds when
-/// the run winds down, so the caller can repool them.
-///
-/// On a clean run the worker ends holding a deterministic share of the
-/// `ARENAS_PER_WORKER` arenas preloaded on its recycle lane: if it
-/// parsed at least one epoch, the merge stage keeps the final arena
-/// (pushing it straight to the pool) and returns every other one here,
-/// so exactly `ARENAS_PER_WORKER - 1` remain to drain; a worker with no
-/// epochs at all (more workers than epochs) drains all
-/// `ARENAS_PER_WORKER` untouched preloads. Either way a blocking recv
-/// terminates, and every arena is recovered — which is what keeps the
-/// counting-allocator guard's run-to-run equality exact. On shutdown
-/// paths (a dropped output or recycle lane) the worker returns
-/// immediately with whatever it has.
-pub(crate) fn parse_worker(
-    worker: usize,
-    plan: ParsePlan,
-    packets: &[TracePacket],
-    out: &spsc::Sender<EpochBatch>,
-    recycle: &spsc::Receiver<EpochBatch>,
-) -> Vec<EpochBatch> {
-    let ParsePlan { workers, epoch_len, route, keyed } = plan;
-    let epochs = epoch_count(packets.len(), epoch_len);
-    // Epoch-local first-seen: cleared per epoch, capacity provisioned
-    // once so steady-state epochs never reallocate it (an epoch holds
-    // at most `epoch_len` distinct connections).
-    let mut epoch_seen = ConnSet::with_capacity_and_hasher(epoch_len, Default::default());
-    let mut kept = Vec::with_capacity(ARENAS_PER_WORKER);
-    let mut mine = 0usize;
-    for epoch in (worker..epochs).step_by(workers) {
-        let Ok(mut arena) = recycle.recv() else {
-            return kept; // the merge stage is gone
-        };
-        let base = epoch * epoch_len;
-        let end = (base + epoch_len).min(packets.len());
-        epoch_seen.clear();
-        for (i, tp) in packets[base..end].iter().enumerate() {
-            if arena.slots.len() == i {
-                arena.slots.push(ParsedSlot::default()); // first-run growth
-            }
-            let candidate = !keyed && epoch_seen.insert(tp.conn_id);
-            parse_slot(tp, &mut arena.slots[i], route, candidate);
-        }
-        arena.epoch = epoch as u64;
-        arena.base = base as u64;
-        arena.len = end - base;
-        mine += 1;
-        if out.send(arena).is_err() {
-            return kept; // downstream died; surface at join
-        }
-    }
-    let reclaim = if mine > 0 { ARENAS_PER_WORKER - 1 } else { ARENAS_PER_WORKER };
-    for _ in 0..reclaim {
-        match recycle.recv() {
-            Ok(arena) => kept.push(arena),
-            Err(_) => break, // shutdown race: merge stage bailed early
-        }
-    }
-    kept
+    slot.conn_id = tp.conn_id;
+    slot.shard = shard as u32;
+    slot.candidate = candidate;
+    slot.start_flags_ok = flow_start_flags_ok(tp);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::shard_of;
-    use taurus_core::ingest::ObsBuilder;
+    use taurus_core::ingest::{ConnSet, ObsBuilder};
     use taurus_dataset::kdd::KddGenerator;
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
 

@@ -1,16 +1,12 @@
-//! The steer/merge side of the ingest pipeline: the order-bound
-//! residue of ingest, plus the machinery that routes finished packets
-//! onto the engine shards' recycled-arena SPSC lanes.
+//! The order-bound half of ingest, plus the machinery that routes
+//! finished packets onto the engine shards' recycled-arena SPSC lanes.
 //!
 //! Two things live here:
 //!
-//! - [`resolve_and_count`]: the order-bound core of the merge step.
-//!   Given a [`ParsedSlot`], it resolves the global first-seen bit (a
-//!   set probe only for flow-start *candidates*) and runs the one shared
-//!   [`CrossFlowWindows`] in global arrival order — the only work in
-//!   the whole ingest path that is inherently sequential. Everything
-//!   expensive (parsing, hashing, candidate filtering, routing) already
-//!   happened in parallel on the parse stage.
+//! - [`resolve_and_count`] / `resolve`: the order-bound core of the
+//!   merge step. It resolves the global first-seen bit and runs the one
+//!   shared [`CrossFlowWindows`] in global arrival order — the only
+//!   work in the whole ingest path that is inherently sequential.
 //! - `Steer`: the per-shard staging arenas and flush discipline the
 //!   one merge step (`service::feed`) writes through. It owns the
 //!   recycle cycle (drained buffers return over reverse SPSC lanes;
@@ -28,7 +24,7 @@ use taurus_pisa::{CrossFlowWindows, FlowTable};
 
 use crate::fault::ShardError;
 use crate::overload::OverloadState;
-use crate::pipeline::epoch::{FlowHint, ParsedSlot};
+use crate::pipeline::stage::ParsedSlot;
 use crate::runtime::PreparedPacket;
 use crate::service::worker::Lane;
 use crate::spsc::SendTimeoutError;
@@ -87,53 +83,60 @@ pub(crate) enum ShardMsg {
 }
 
 /// Finishes one parsed slot: resolves the global flow-start bit and
-/// stamps the shared cross-flow window counts. Must be called in
-/// global arrival order — this is the sequential heart the epoch merge
-/// exists to keep small.
+/// stamps the shared cross-flow window counts — the same `resolve` the
+/// runtime's ingest loop runs per packet. Must be called in global
+/// arrival order.
 ///
-/// Bit-exactness argument (direct-mapped, `directory` = `None`):
-/// `candidate` is true only for the first packet of a connection within
-/// its epoch, and epochs partition the stream in order, so the first
-/// candidate of a connection across all epochs is exactly the
-/// connection's first packet — `mark_seen` then returns precisely what
-/// the sequential builder's per-packet insert would have.
-/// Non-candidates short-circuit without touching the set. With
-/// identical flow-start bits, feeding the same [`CrossFlowWindows`] in
-/// the same order yields identical counts.
+/// Bit-exactness argument (direct-mapped, `directory` = `None`): a
+/// connection's first packet must be a `candidate`, and `mark_seen`
+/// then returns for it precisely what the sequential builder's
+/// per-packet insert would have. Non-candidates short-circuit without
+/// touching the set, so a caller may clear the bit on any packet it
+/// knows is not its connection's first (the runtime's ingest clears it
+/// on none). With identical flow-start bits, feeding the same
+/// [`CrossFlowWindows`] in the same order yields identical counts.
 ///
 /// With a keyed `directory` the flow-start bit is table-miss semantics
 /// instead: one access on the shared set-associative [`FlowTable`], in
-/// the same global order the replicas will see, so every ingest mode
-/// resolves the identical start bit from the identical table state. The
-/// epoch-local `candidate` bit is ignored (parse workers don't compute
-/// it in keyed mode) and the unbounded seen-set is never touched.
+/// the same global order the replicas will see, so ingest resolves the
+/// identical start bit from the identical table state. The `candidate`
+/// bit is ignored and the unbounded seen-set is never touched.
 pub fn resolve_and_count(
     slot: &mut ParsedSlot,
     seen: &mut ObsBuilder,
     windows: &mut CrossFlowWindows,
     directory: Option<&mut FlowTable>,
 ) {
-    let hint = slot.hint();
-    let (dst, srv) = resolve(&mut slot.prepared.obs, hint, seen, windows, directory);
+    let (dst, srv) = resolve(
+        &mut slot.prepared.obs,
+        slot.conn_id,
+        slot.candidate,
+        slot.start_flags_ok,
+        seen,
+        windows,
+        directory,
+    );
     slot.prepared.dst_count = dst;
     slot.prepared.srv_count = srv;
 }
 
 /// The body of [`resolve_and_count`] over an observation wherever it
-/// lives (an epoch arena slot, or a local not yet placed anywhere):
-/// resolves `obs.is_flow_start` and returns the shared windows'
-/// `(dst_count, srv_count)` for the packet.
+/// lives (a caller's slot, or a local not yet placed anywhere):
+/// resolves `obs.is_flow_start` for a packet of connection `conn_id`
+/// and returns the shared windows' `(dst_count, srv_count)` for it.
 #[inline]
 pub(crate) fn resolve(
     obs: &mut PacketObs,
-    hint: FlowHint,
+    conn_id: u32,
+    candidate: bool,
+    start_flags_ok: bool,
     seen: &mut ObsBuilder,
     windows: &mut CrossFlowWindows,
     directory: Option<&mut FlowTable>,
 ) -> (u64, u64) {
     obs.is_flow_start = match directory {
         Some(dir) => dir.access(obs.flow_key, obs.ts_ns).1.is_start(),
-        None => hint.candidate && seen.mark_seen(hint.conn_id) && hint.start_flags_ok,
+        None => candidate && seen.mark_seen(conn_id) && start_flags_ok,
     };
     windows.observe(obs)
 }
@@ -340,8 +343,8 @@ mod tests {
 
     #[test]
     fn candidate_resolution_reproduces_sequential_flow_starts_and_counts() {
-        // Drive resolve_and_count the way the merge loop does (epoch
-        // partition + per-epoch candidates) and pin it against the
+        // Drive resolve_and_count the way a pre-filtering caller does
+        // (epoch partition + per-epoch candidates) and pin it against the
         // classic sequential ObsBuilder + CrossFlowWindows fold.
         let records = KddGenerator::new(73).take(150);
         let trace = PacketTrace::expand(records, &TraceConfig::default());

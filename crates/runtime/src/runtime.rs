@@ -1,9 +1,7 @@
 //! Building and reporting on the sharded runtime: N [`TaurusSwitch`]
 //! replicas on worker threads, fed fixed-size packet batches over
-//! bounded SPSC channels by one ingest loop that owns everything
-//! order-sensitive (`service::feed`). The order-free parse half of
-//! ingest may run on N scoped parse workers ([`crate::pipeline`]) or on
-//! the feeding thread; the stream the engines observe is the same.
+//! bounded SPSC channels by one ingest loop, on the feeding thread,
+//! that owns everything order-sensitive (`service::feed`).
 //!
 //! [`TaurusSwitch`]: taurus_core::TaurusSwitch
 //!
@@ -30,9 +28,8 @@
 //!    paper's hardware computes register features before any egress
 //!    fan-out.
 //! 3. **Flow-start bookkeeping** ([`taurus_core::ingest::ObsBuilder`]),
-//!    also sequential — though the parse stage pre-filters per-epoch
-//!    candidates so the merge step probes the seen-set once per
-//!    (connection, epoch) instead of once per packet.
+//!    also sequential: the ingest loop probes the one seen-set per
+//!    packet, in global arrival order.
 //!
 //! With a **keyed** flow table
 //! ([`taurus_pisa::FlowTableKind::Keyed`]) the same argument holds
@@ -49,8 +46,8 @@
 //! inference — the expensive part) in parallel, and the merged report
 //! equals the sequential switch's report exactly. The determinism test
 //! suite (`tests/determinism.rs`) pins this for shard counts 1/2/4/8,
-//! and `tests/prop_pipeline.rs` extends the pin across random epoch
-//! lengths and parse-worker counts.
+//! for non-dividing counts, and across random shard × batch-size
+//! geometries.
 
 use std::time::Duration;
 
@@ -62,7 +59,6 @@ use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineCo
 
 use crate::fault::{FaultPlan, FaultReport};
 use crate::overload::{OverloadPolicy, OverloadReport, OverloadState};
-use crate::pipeline::stage::ParsePlan;
 use crate::pipeline::steer::Steer;
 use crate::service::feed::Ingest;
 use crate::service::StreamingRuntime;
@@ -220,8 +216,6 @@ pub struct RuntimeBuilder<'a> {
     shards: usize,
     batch_size: usize,
     queue_depth: usize,
-    parse_workers: Option<usize>,
-    epoch_len: usize,
     config: PipelineConfig,
     backend: EngineBackend,
     apps: Vec<(&'a dyn TaurusApp, EngineBackend)>,
@@ -237,8 +231,6 @@ impl Default for RuntimeBuilder<'_> {
             shards: 1,
             batch_size: 64,
             queue_depth: 4,
-            parse_workers: None,
-            epoch_len: 512,
             config: PipelineConfig::default(),
             backend: EngineBackend::default(),
             apps: Vec::new(),
@@ -274,35 +266,11 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Number of parse worker threads running the order-free half of
-    /// ingest ([`crate::pipeline`]); at `0` the feeding thread parses
-    /// each packet itself. Either way the same merge step finishes the
-    /// packet, so reports are bit-identical — this knob trades threads
-    /// for ingest throughput, never semantics.
-    ///
-    /// Default (unset): derived from [`std::thread::available_parallelism`]
-    /// at build, leaving cores for the merge step and the engine
-    /// workers — `cores.saturating_sub(shards + 1).min(4)` — which
-    /// resolves to `0` on small hosts.
-    pub fn parse_workers(mut self, n: usize) -> Self {
-        self.parse_workers = Some(n);
-        self
-    }
-
-    /// Packets per ingest epoch: the granularity at which parse
-    /// workers slice a feed and the merge step reassembles it.
-    /// Irrelevant to results (any epoch length merges to the same
-    /// stream); larger epochs amortize lane traffic, smaller ones bound
-    /// the merge step's reorder latency. Only consulted with
-    /// `parse_workers > 0` — a feeding thread that parses for itself
-    /// does so packet by packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn epoch_len(mut self, n: usize) -> Self {
-        assert!(n > 0, "epoch_len must be positive");
-        self.epoch_len = n;
+    /// Accepted and ignored: ingest always parses on the feeding
+    /// thread. Kept for callers written when a parse-worker stage
+    /// existed.
+    #[doc(hidden)]
+    pub fn parse_workers(self, _n: usize) -> Self {
         self
     }
 
@@ -483,13 +451,6 @@ impl<'a> RuntimeBuilder<'a> {
                 flow_slots: route_slots,
             });
         }
-        let parse_workers = self.parse_workers.unwrap_or_else(|| {
-            let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            // Leave a core each for the merge step and the engine
-            // workers before dedicating any to parsing; cap the stage
-            // where parse stops being the bottleneck.
-            cores.saturating_sub(self.shards + 1).min(4)
-        });
         let build_replica = || {
             self.apps
                 .iter()
@@ -508,12 +469,7 @@ impl<'a> RuntimeBuilder<'a> {
         // `StreamingRuntime::new`.
         let overload = OverloadState::new(self.overload, self.fault_plan.for_ingest(), route_slots);
         let ingest = Ingest::new(
-            ParsePlan {
-                workers: parse_workers,
-                epoch_len: self.epoch_len,
-                route: Route::new(route_slots, self.shards),
-                keyed: directory.is_some(),
-            },
+            Route::new(route_slots, self.shards),
             Steer::new(self.shards, self.batch_size, self.queue_depth, overload),
             CrossFlowWindows::new(self.config.flow_slots, self.config.window_ns),
             directory,
@@ -622,8 +578,8 @@ impl RuntimeReport {
     /// displacing its oldest occupant to admit a new flow. Only the
     /// keyed table evicts on capacity, so this is always 0 direct-mapped
     /// — and, because replacement is bucket-local and every replica
-    /// hosts the full table, the sum is invariant across shard and
-    /// parse-worker geometries.
+    /// hosts the full table, the sum is invariant across shard
+    /// geometries.
     pub fn capacity_evictions(&self) -> u64 {
         self.merged.capacity_evictions
     }
@@ -906,33 +862,6 @@ mod tests {
         assert_eq!(report.segments.len(), 2);
         assert_eq!(report.segments[1].total(), 0, "nothing left to decide");
         assert_eq!(rt.app_versions(), vec![("syn-flood".to_string(), 1)]);
-    }
-
-    #[test]
-    fn pipelined_ingest_reports_bit_identical_to_inline() {
-        let syn = SynFloodDetector::default_deployment();
-        let t = trace(300, 39);
-        let build = |workers: usize, epoch_len: usize| {
-            RuntimeBuilder::new()
-                .shards(4)
-                .batch_size(16)
-                .parse_workers(workers)
-                .epoch_len(epoch_len)
-                .register_on(&syn, EngineBackend::Threshold)
-                .build()
-        };
-        let golden = build(0, 512).run_trace(&t);
-        for (workers, epoch_len) in [(1, 64), (2, 64), (3, 7), (2, 1), (2, 100_000)] {
-            let mut rt = build(workers, epoch_len);
-            assert_eq!(rt.parse_worker_count(), workers);
-            let report = rt.run_trace(&t);
-            assert_eq!(
-                report, golden,
-                "workers={workers} epoch_len={epoch_len} must match inline ingest"
-            );
-            // A second run on the warm runtime (recycled arenas) too.
-            assert_eq!(rt.run_trace(&t).merged.packets, 2 * golden.merged.packets);
-        }
     }
 
     #[test]

@@ -1,37 +1,35 @@
-//! The one ingest loop: everything order-bound between a fed slice of
-//! the stream and the engine lanes.
+//! The one ingest loop: everything between a fed slice of the stream
+//! and the engine lanes, on the thread that called `feed`.
 //!
-//! Every packet is *parsed* (order-free: wire form, keys, home shard,
-//! flow-start candidacy) and then *merged* (order-bound: update
-//! barrier, ingest frontier, admission, flow-start resolution, the
-//! shared cross-flow windows, steering). `parse_workers` only chooses
-//! where the parse runs — epoch by epoch on scoped worker threads
-//! ([`crate::pipeline::run`]) or, at `0`, packet by packet on the
-//! feeding thread — and [`Ingest::merge_packet`] is the single merge
-//! step both reach, so every geometry produces the same stream by
-//! construction.
+//! Every packet is *parsed* (order-free: wire form, keys, home shard)
+//! and then *merged* (order-bound: update barrier, ingest frontier,
+//! admission, flow-start resolution, the shared cross-flow windows,
+//! steering) by [`Ingest::merge_packet`], in global arrival order —
+//! the single driver every geometry runs, so the engines observe the
+//! same stream by construction.
 
 use std::sync::Arc;
 
-use taurus_core::ingest::{to_packet_into, ConnSet, IngestValidator, ObsBuilder};
+use taurus_core::ingest::{flow_start_flags_ok, to_packet_into, IngestValidator, ObsBuilder};
 use taurus_core::ModelUpdate;
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{CrossFlowWindows, FlowTable, Packet};
+use taurus_pisa::{CrossFlowWindows, FlowTable};
 
 use super::worker::Lane;
 use super::StreamingRuntime;
 use crate::fault::ShardError;
-use crate::pipeline;
-use crate::pipeline::epoch::{EpochBatch, FlowHint};
-use crate::pipeline::stage::{parse_obs, ParsePlan};
+use crate::pipeline::stage::parse_obs;
 use crate::pipeline::steer::{resolve, Steer};
+use crate::runtime::Route;
 
 /// The order-bound ingest state of a resident service: one instance,
 /// touched only by the feeding thread, in global arrival order.
 pub(crate) struct Ingest {
-    /// Epoch/routing geometry, shared with the parse stage.
-    pub(crate) plan: ParsePlan,
+    /// Flow key → home shard: [`crate::runtime::shard_of`] over the
+    /// register-slot count (keyed: the bucket count) and the engine
+    /// shard count.
+    route: Route,
     /// Global first-seen bookkeeping (direct-mapped flow starts);
     /// untracked in keyed mode.
     seen: ObsBuilder,
@@ -46,17 +44,6 @@ pub(crate) struct Ingest {
     pub(super) steer: Steer,
     /// The ingest frontier; its monotonicity clock restarts every feed.
     validator: IngestValidator,
-    /// Per-epoch candidate requeue: when an epoch's first-seen
-    /// candidate for a connection is refused, the next surviving packet
-    /// of that connection *in the same epoch* inherits the candidate
-    /// bit — so the first admitted packet of every connection still
-    /// probes the global seen-set, exactly as a sequential switch would
-    /// on the filtered stream. Cleared at each epoch boundary
-    /// (candidates are epoch-local); empty on every clean run, so the
-    /// steady state allocates nothing.
-    requeue: ConnSet,
-    /// Cross-feed pool of epoch arenas.
-    pub(crate) epoch_pool: Vec<EpochBatch>,
     /// Updates awaiting their global stream index, sorted by it (stable
     /// for equal indices: scheduling order is install order).
     pub(super) pending: Vec<(u64, Arc<ModelUpdate>)>,
@@ -71,13 +58,13 @@ pub(crate) struct Ingest {
 
 impl Ingest {
     pub(crate) fn new(
-        plan: ParsePlan,
+        route: Route,
         steer: Steer,
         windows: CrossFlowWindows,
         directory: Option<FlowTable>,
     ) -> Self {
         Self {
-            plan,
+            route,
             // With a keyed directory, flow starts are table-miss
             // semantics: the builder keeps no seen-set at all.
             seen: if directory.is_some() { ObsBuilder::untracked() } else { ObsBuilder::new() },
@@ -85,8 +72,6 @@ impl Ingest {
             directory,
             steer,
             validator: IngestValidator::new(),
-            requeue: ConnSet::default(),
-            epoch_pool: Vec::new(),
             pending: Vec::new(),
             installed: 0,
             position: 0,
@@ -115,28 +100,10 @@ impl Ingest {
         // whose timestamps restart.
         self.validator.start_feed();
         self.installed = 0;
-        if self.plan.workers == 0 {
-            // No parse stage to hand off to: parse each packet right
-            // before its merge step, which writes the wire form
-            // straight into the steer slot. Nothing pre-filtered the
-            // flow-start candidates, so (direct-mapped) every packet is
-            // one — the merge step probes the seen-set per packet, the
-            // same one hash the epoch filter would have cost on this
-            // thread.
-            let ParsePlan { route, keyed, .. } = self.plan;
-            self.requeue.clear();
-            for (i, tp) in packets.iter().enumerate() {
-                let mut obs = PacketObs::default();
-                let hint = parse_obs(tp, &mut obs, route, !keyed);
-                let index = self.position + i as u64;
-                let merged = self
-                    .merge_packet(lanes, tp, hint, &mut obs, index, |pkt| to_packet_into(tp, pkt));
-                if merged.is_err() {
-                    break;
-                }
+        for (i, tp) in packets.iter().enumerate() {
+            if self.merge_packet(lanes, tp, self.position + i as u64).is_err() {
+                break;
             }
-        } else {
-            pipeline::run(self, lanes, packets);
         }
         // A dead shard here is diagnosed (and possibly recovered) at
         // the next drain barrier, not mid-feed.
@@ -145,40 +112,11 @@ impl Ingest {
         self.installed
     }
 
-    /// Merges one parsed epoch of the current feed (`packets`) in slot
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// See [`Ingest::merge_packet`].
-    pub(crate) fn merge_epoch(
-        &mut self,
-        lanes: &[Lane],
-        packets: &[TracePacket],
-        arena: &mut EpochBatch,
-    ) -> Result<(), ShardError> {
-        self.requeue.clear(); // candidates are epoch-local
-        let base = arena.base as usize;
-        for (i, slot) in arena.slots[..arena.len].iter_mut().enumerate() {
-            // Arena bases are feed-relative; updates, saturation
-            // windows, and fault plans key on the global stream index.
-            let index = self.position + (base + i) as u64;
-            let (hint, wire) = (slot.hint(), &slot.prepared.pkt);
-            let obs = &mut slot.prepared.obs;
-            self.merge_packet(lanes, &packets[base + i], hint, obs, index, |pkt| {
-                pkt.clone_from(wire)
-            })?;
-        }
-        Ok(())
-    }
-
-    /// The merge step — everything order-bound about one packet, in
-    /// global arrival order: update barrier → ingest frontier →
-    /// admission → flow-start resolution → shared windows → steer.
-    /// `hint` and `obs` are the parse stage's output for `tp`, `index`
-    /// its global stream index; `wire` writes the packet's wire form
-    /// into its steer slot once it is admitted. The staging slot is
-    /// only ever written, last: its cache lines were the engine
+    /// One packet of the feed, `index` its global stream index: the
+    /// order-free parse, then everything order-bound, in global arrival
+    /// order — update barrier → ingest frontier → admission →
+    /// flow-start resolution → shared windows → steer. The staging slot
+    /// is only ever written, last: its cache lines were the engine
     /// worker's a moment ago, and reading them back would stall ingest
     /// on the other core.
     ///
@@ -191,10 +129,7 @@ impl Ingest {
         &mut self,
         lanes: &[Lane],
         tp: &TracePacket,
-        mut hint: FlowHint,
-        obs: &mut PacketObs,
         index: u64,
-        wire: impl FnOnce(&mut Packet),
     ) -> Result<(), ShardError> {
         // `<=`: an update whose index an earlier feed already passed
         // installs before this packet rather than never.
@@ -204,38 +139,39 @@ impl Ingest {
             self.steer.flush_and_update(lanes, update, true)?;
             self.installed += 1;
         }
-        let shard = hint.shard as usize;
+        let mut obs = PacketObs::default();
+        let shard = parse_obs(tp, &mut obs, self.route);
         // Refusals come before any stateful ingest: a refused packet
         // costs one counter, still occupies its global stream index,
         // and leaves the seen-set, directory, and windows exactly as a
         // stream without it would.
-        let refused = if let Err(err) = self.validator.admit(tp) {
+        if let Err(err) = self.validator.admit(tp) {
             self.steer.overload.record_quarantine(err);
-            true
-        } else if lanes[shard].lost {
-            self.lost_shard_packets += 1;
-            true
-        } else if self.steer.overload.saturated(shard, index) {
-            self.steer.overload.record_bypass(shard, obs.flow_key, tp.anomalous);
-            true
-        } else {
-            false
-        };
-        if refused {
-            if hint.candidate {
-                self.requeue.insert(hint.conn_id);
-            }
             return Ok(());
         }
-        if !self.requeue.is_empty() && !hint.candidate && self.requeue.remove(&hint.conn_id) {
-            hint.candidate = true;
+        if lanes[shard].lost {
+            self.lost_shard_packets += 1;
+            return Ok(());
         }
-        let (dst_count, srv_count) =
-            resolve(obs, hint, &mut self.seen, &mut self.windows, self.directory.as_mut());
+        if self.steer.overload.saturated(shard, index) {
+            self.steer.overload.record_bypass(shard, obs.flow_key, tp.anomalous);
+            return Ok(());
+        }
+        // Nothing pre-filtered the first-seen probes, so (direct-mapped)
+        // every packet is a flow-start candidate.
+        let (dst_count, srv_count) = resolve(
+            &mut obs,
+            tp.conn_id,
+            true,
+            flow_start_flags_ok(tp),
+            &mut self.seen,
+            &mut self.windows,
+            self.directory.as_mut(),
+        );
         // Rewrite a recycled staging slot in place.
         let out = self.steer.slot(shard);
-        wire(&mut out.pkt);
-        out.obs = *obs;
+        to_packet_into(tp, &mut out.pkt);
+        out.obs = obs;
         out.dst_count = dst_count;
         out.srv_count = srv_count;
         out.anomalous = tp.anomalous;
@@ -247,13 +183,11 @@ impl Ingest {
 impl StreamingRuntime {
     /// Pushes a slice of the stream through the resident service:
     /// parsing, the shared cross-flow windows, flow-consistent routing,
-    /// and batching run on the calling thread (with
-    /// `parse_workers > 0` the parse half moves onto scoped worker
-    /// threads), while the resident engine workers consume over the
-    /// bounded SPSC lanes — the lanes' backpressure is the feed's
-    /// backpressure. Partial batches are flushed before returning, so
-    /// the engines observe the whole feed without waiting for the next
-    /// one.
+    /// and batching run on the calling thread, while the resident
+    /// engine workers consume over the bounded SPSC lanes — the lanes'
+    /// backpressure is the feed's backpressure. Partial batches are
+    /// flushed before returning, so the engines observe the whole feed
+    /// without waiting for the next one.
     ///
     /// Packets must be in arrival order; timestamps should be monotone
     /// across feeds (the stream is one logical trace). Returns the

@@ -8,9 +8,10 @@
 //!   and stays alive across feeds — no per-run thread spawn/join (or
 //!   its allocations) in the steady state.
 //! - **Push-style ingest** (`feed.rs`). [`StreamingRuntime::feed`]
-//!   pushes a slice of the stream through the one ingest loop with
-//!   bounded-SPSC backpressure. Partial batches are flushed at every
-//!   feed boundary, so the engines observe each feed completely.
+//!   pushes a slice of the stream through the one ingest loop, on the
+//!   calling thread, with bounded-SPSC backpressure. Partial batches
+//!   are flushed at every feed boundary, so the engines observe each
+//!   feed completely.
 //! - **Asynchronous updates.** One install path: an `Arc`-shared update
 //!   enqueued in-band on every lane, applied by each worker at exactly
 //!   that FIFO position, acknowledged by nobody.
@@ -230,18 +231,6 @@ impl StreamingRuntime {
         self.ingest.steer.batch_size()
     }
 
-    /// Parse worker threads per feed (`0` = the feeding thread parses);
-    /// see [`crate::RuntimeBuilder::parse_workers`].
-    pub fn parse_worker_count(&self) -> usize {
-        self.ingest.plan.workers
-    }
-
-    /// Packets per parse-worker epoch; see
-    /// [`crate::RuntimeBuilder::epoch_len`].
-    pub fn epoch_len(&self) -> usize {
-        self.ingest.plan.epoch_len
-    }
-
     /// Global stream position: packets offered across all feeds since
     /// construction — the stream index the next fed packet will get
     /// (monotone — [`StreamingRuntime::reset`] clears flow state, not
@@ -303,8 +292,6 @@ impl core::fmt::Debug for StreamingRuntime {
         f.debug_struct("StreamingRuntime")
             .field("shards", &self.shard_count())
             .field("batch_size", &self.batch_size())
-            .field("parse_workers", &self.parse_worker_count())
-            .field("epoch_len", &self.epoch_len())
             .field("stream_position", &self.stream_position())
             .finish()
     }

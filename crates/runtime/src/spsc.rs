@@ -4,12 +4,11 @@
 //! of these: bounded so a slow shard back-pressures ingest instead of
 //! ballooning memory (the software analogue of a switch's ingress
 //! queues), SPSC because routing is deterministic — every packet has
-//! exactly one home shard. The parallel ingest pipeline
-//! (`crate::pipeline`) builds all four of its lane kinds on the same
-//! primitive: parse→merge epoch lanes and their recycle returns, plus
-//! the merge→engine steer lanes and *their* recycle returns — each
-//! pair is single-producer/single-consumer by construction (one worker
-//! per epoch lane, one merge stage, one engine per steer lane).
+//! exactly one home shard. The steer stage (`crate::pipeline`) builds
+//! both of its lane kinds on this primitive: the ingest→engine steer
+//! lanes and their recycle returns — each pair is
+//! single-producer/single-consumer by construction (one feeding
+//! thread, one engine per steer lane).
 //!
 //! Implemented on `Mutex<VecDeque>` + two condvars rather than a
 //! lock-free ring: the payload is a whole packet batch, so the channel

@@ -3,8 +3,7 @@
 //! verdict must be a pure function of the merged probation metrics,
 //! a tripped guardrail must restore the canary shards **bit-exactly**
 //! (the fleet afterwards is indistinguishable from one that never saw
-//! the candidate), and all of it must be invariant to shard / parse
-//! worker geometry.
+//! the candidate), and all of it must be invariant to shard geometry.
 
 use proptest::prelude::*;
 use taurus_core::apps::SynFloodDetector;
@@ -20,12 +19,10 @@ fn kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
     PacketTrace::expand(records, &TraceConfig { seed, ..TraceConfig::default() })
 }
 
-fn build_service(shards: usize, workers: usize, syn: &SynFloodDetector) -> StreamingRuntime {
+fn build_service(shards: usize, syn: &SynFloodDetector) -> StreamingRuntime {
     RuntimeBuilder::new()
         .shards(shards)
         .batch_size(16)
-        .parse_workers(workers)
-        .epoch_len(64)
         .register_on(syn, EngineBackend::Threshold)
         .build()
 }
@@ -34,7 +31,7 @@ fn build_service(shards: usize, workers: usize, syn: &SynFloodDetector) -> Strea
 fn a_sane_canary_promotes_fleet_wide() {
     let syn = SynFloodDetector::default_deployment();
     let trace = kdd_trace(200, 71);
-    let mut service = build_service(4, 0, &syn);
+    let mut service = build_service(4, &syn);
     // Same cutoff as the incumbent: canary and control behave
     // identically, so any metric gap is pure slice noise — the canary
     // group sees different flows than the control group. Guardrails
@@ -76,7 +73,7 @@ fn a_bad_canary_rolls_back_and_the_fleet_matches_a_never_installed_run() {
     let probation = kdd_trace(150, 72);
     let validation = kdd_trace(150, 73);
 
-    let mut subject = build_service(4, 0, &syn);
+    let mut subject = build_service(4, &syn);
     let bad = syn.retune(-1_000, 1, EngineBackend::Threshold);
     subject.begin_canary(&bad, 1).expect("fresh rollout");
     subject.feed(&probation.packets);
@@ -93,7 +90,7 @@ fn a_bad_canary_rolls_back_and_the_fleet_matches_a_never_installed_run() {
     );
 
     // Control runtime: identical lifecycle, no canary ever.
-    let mut control = build_service(4, 0, &syn);
+    let mut control = build_service(4, &syn);
     control.feed(&probation.packets);
     control.drain();
 
@@ -123,14 +120,14 @@ fn promote_then_validate_matches_a_direct_install() {
     let guardrails =
         CanaryGuardrails { max_f1_drop: 100.0, max_positive_rate_delta: 1.0, min_samples: 1 };
 
-    let mut canaried = build_service(3, 0, &syn);
+    let mut canaried = build_service(3, &syn);
     canaried.begin_canary(&candidate, 1).expect("fresh rollout");
     canaried.feed(&probation.packets);
     let verdict = canaried.conclude_canary(&guardrails).expect("concludes");
     assert_eq!(verdict.decision, CanaryDecision::Promote);
     canaried.drain();
 
-    let mut direct = build_service(3, 0, &syn);
+    let mut direct = build_service(3, &syn);
     direct.install_update(&candidate).expect("fresh version");
     direct.feed(&probation.packets);
     direct.drain();
@@ -149,7 +146,7 @@ fn promote_then_validate_matches_a_direct_install() {
 #[test]
 fn canary_probation_serializes_against_other_installs() {
     let syn = SynFloodDetector::default_deployment();
-    let mut service = build_service(2, 0, &syn);
+    let mut service = build_service(2, &syn);
     let candidate = syn.retune(40, 1, EngineBackend::Threshold);
     service.begin_canary(&candidate, 1).expect("fresh rollout");
     // A second rollout and a direct install must both wait.
@@ -173,7 +170,7 @@ fn canary_probation_serializes_against_other_installs() {
 #[test]
 fn a_rejected_candidate_leaves_the_fleet_untouched() {
     let syn = SynFloodDetector::default_deployment();
-    let mut service = build_service(2, 0, &syn);
+    let mut service = build_service(2, &syn);
     service.install_update(&syn.retune(45, 3, EngineBackend::Threshold)).expect("fresh version");
     // Version 3 again: stale, rejected by the first canary shard before
     // any replica changes.
@@ -195,11 +192,10 @@ proptest! {
 
     /// Geometry invariance: for random traces, the canary *decision*
     /// and the post-decision validation report are bit-identical across
-    /// shard counts {1,2,3,5,8} × parse workers {0,2}. The scenarios
-    /// are decisive by construction — a model that drops everything
-    /// under real guardrails (always rolls back), and an
-    /// incumbent-equivalent model under permissive guardrails (always
-    /// promotes) — because for *borderline* candidates the shard split
+    /// shard counts {1,2,3,5,8}. The scenarios are decisive by
+    /// construction — a model that drops everything under real
+    /// guardrails (always rolls back), and an incumbent-equivalent
+    /// model under permissive guardrails (always promotes) — because for *borderline* candidates the shard split
     /// itself changes which flows sit in each group, and no controller
     /// can be geometry-blind about genuinely slice-dependent evidence.
     /// (The single-shard fleet has no control group — its own
@@ -226,33 +222,25 @@ proptest! {
             if rolls_back { CanaryDecision::Rollback } else { CanaryDecision::Promote };
         let mut golden: Option<(_, _)> = None;
         for shards in [1usize, 2, 3, 5, 8] {
-            for workers in [0usize, 2] {
-                let mut service = build_service(shards, workers, &syn);
-                // Baseline traffic before the rollout so even the
-                // single-shard fleet has a pre-canary segment to
-                // compare against.
-                service.feed(&baseline.packets);
-                service.begin_canary(&candidate, 1).expect("fresh rollout");
-                service.feed(&probation.packets);
-                let verdict = service.conclude_canary(&guardrails).expect("concludes");
-                prop_assert_eq!(
-                    verdict.decision, expected,
-                    "shards={} workers={}", shards, workers
-                );
-                service.drain();
-                service.reset();
-                service.feed(&validation.packets);
-                let after = service.drain();
-                prop_assert!(after.faults.is_empty());
-                let key = (after.merged.clone(), after.segments.clone());
-                match &golden {
-                    None => golden = Some(key),
-                    Some(g) => prop_assert!(
-                        g == &key,
-                        "shards={} workers={}: validation reports diverged",
-                        shards,
-                        workers
-                    ),
+            let mut service = build_service(shards, &syn);
+            // Baseline traffic before the rollout so even the
+            // single-shard fleet has a pre-canary segment to
+            // compare against.
+            service.feed(&baseline.packets);
+            service.begin_canary(&candidate, 1).expect("fresh rollout");
+            service.feed(&probation.packets);
+            let verdict = service.conclude_canary(&guardrails).expect("concludes");
+            prop_assert_eq!(verdict.decision, expected, "shards={}", shards);
+            service.drain();
+            service.reset();
+            service.feed(&validation.packets);
+            let after = service.drain();
+            prop_assert!(after.faults.is_empty());
+            let key = (after.merged.clone(), after.segments.clone());
+            match &golden {
+                None => golden = Some(key),
+                Some(g) => {
+                    prop_assert!(g == &key, "shards={}: validation reports diverged", shards)
                 }
             }
         }

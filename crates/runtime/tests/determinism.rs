@@ -3,12 +3,14 @@
 //! For the default KDD trace, the sharded runtime's merged
 //! [`SwitchReport`] must equal the single-thread [`TaurusSwitch`]'s
 //! report bit for bit — counters, drops, flags, per-app breakdowns —
-//! for every shard count in {1, 2, 4, 8}. This is the property that
-//! makes the runtime a legitimate scaling layer rather than an
-//! approximation: flow-consistent hashing + full-capacity per-shard
-//! registers + ingest-ordered cross-flow windows preserve register-stage
-//! semantics exactly.
+//! for every shard count in {1, 2, 4, 8}, for non-dividing counts, and
+//! for random shard × batch-size geometries over random traces. This
+//! is the property that makes the runtime a legitimate scaling layer
+//! rather than an approximation: flow-consistent hashing +
+//! full-capacity per-shard registers + ingest-ordered cross-flow
+//! windows preserve register-stage semantics exactly.
 
+use proptest::prelude::*;
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::{EngineBackend, SwitchBuilder, SwitchReport, TaurusSwitch};
 use taurus_dataset::kdd::KddGenerator;
@@ -102,11 +104,10 @@ fn sharded_equals_sequential_on_threshold_backend_large_trace() {
 }
 
 #[test]
-fn non_dividing_shard_counts_and_parse_workers_stay_exact() {
+fn non_dividing_shard_counts_stay_exact() {
     // Slot-based routing lifts the old power-of-two restriction: shard
     // counts that do not divide the register slot count (3, 5, 6) must
-    // be exact too, with ingest inline (0 parse workers) and pipelined
-    // (1..3 parse workers) producing the same merged report bit for bit.
+    // be exact too.
     let detector = AnomalyDetector::train_default(24, 1_000);
     let syn = SynFloodDetector::default_deployment();
     let trace = default_kdd_trace(600, 24);
@@ -122,56 +123,17 @@ fn non_dividing_shard_counts_and_parse_workers_stay_exact() {
     );
 
     for shards in [3usize, 5, 6] {
-        for parse_workers in [0usize, 1, 2, 3] {
-            let mut rt = RuntimeBuilder::new()
-                .shards(shards)
-                .batch_size(17) // deliberately unaligned with everything
-                .parse_workers(parse_workers)
-                .epoch_len(48)
-                .backend(EngineBackend::Threshold)
-                .register(&detector)
-                .register(&syn)
-                .build();
-            let report = rt.run_trace(&trace);
-            assert_eq!(
-                report.merged, golden,
-                "diverged at shards={shards} parse_workers={parse_workers}"
-            );
-            let routed: u64 = report.shards.iter().map(|s| s.packets).sum();
-            assert_eq!(routed, golden.packets, "every packet routed exactly once");
-        }
-    }
-}
-
-#[test]
-fn pipelined_cgra_roster_matches_sequential() {
-    // The compiled-CGRA deployment through the full parse → merge →
-    // steer pipeline: the heavyweight backend must see exactly the
-    // packets (and window counts) the sequential switch saw.
-    let detector = AnomalyDetector::train_default(25, 1_200);
-    let syn = SynFloodDetector::default_deployment();
-    let trace = default_kdd_trace(150, 25);
-
-    let golden = sequential_report(
-        || SwitchBuilder::new().register(&detector).register(&syn).build(),
-        &trace,
-    );
-    assert!(golden.ml_packets > 0, "trace exercises the ML path");
-
-    for (shards, parse_workers) in [(2usize, 1usize), (4, 2), (8, 3)] {
         let mut rt = RuntimeBuilder::new()
             .shards(shards)
-            .batch_size(32)
-            .parse_workers(parse_workers)
-            .epoch_len(64)
+            .batch_size(17) // deliberately unaligned with everything
+            .backend(EngineBackend::Threshold)
             .register(&detector)
             .register(&syn)
             .build();
         let report = rt.run_trace(&trace);
-        assert_eq!(
-            report.merged, golden,
-            "pipelined CGRA run diverged at shards={shards} workers={parse_workers}"
-        );
+        assert_eq!(report.merged, golden, "diverged at shards={shards}");
+        let routed: u64 = report.shards.iter().map(|s| s.packets).sum();
+        assert_eq!(routed, golden.packets, "every packet routed exactly once");
     }
 }
 
@@ -180,8 +142,8 @@ fn idle_gap_traces_stay_exact_across_ingest_modes() {
     // Streams with long quiet periods exercise the cross-flow window
     // rotation on *read* paths: after an idle gap, the first packets —
     // flow starts and non-starts alike — must observe freshly rotated
-    // (often zeroed) windows, identically in sequential, inline-sharded,
-    // and pipelined ingest. Gaps of 1x, 2x, and 10x the window length
+    // (often zeroed) windows, identically in sequential and sharded
+    // ingest. Gaps of 1x, 2x, and 10x the window length
     // cover the swap-one-epoch and clear-both rotation branches.
     let syn = SynFloodDetector::default_deployment();
     let base = default_kdd_trace(200, 26);
@@ -208,20 +170,15 @@ fn idle_gap_traces_stay_exact_across_ingest_modes() {
             switch.report()
         };
 
-        for (shards, parse_workers) in [(2usize, 0usize), (4, 0), (2, 2), (3, 2)] {
+        for shards in [2usize, 3, 4] {
             let mut rt = RuntimeBuilder::new()
                 .shards(shards)
                 .batch_size(16)
-                .parse_workers(parse_workers)
-                .epoch_len(48)
                 .register_on(&syn, EngineBackend::Threshold)
                 .build();
             rt.feed(&packets);
             let report = rt.drain();
-            assert_eq!(
-                report.merged, golden,
-                "gap={gap_mult}x window diverged at shards={shards} workers={parse_workers}"
-            );
+            assert_eq!(report.merged, golden, "gap={gap_mult}x window diverged at shards={shards}");
         }
     }
 }
@@ -274,5 +231,38 @@ fn observe_only_apps_report_identically_when_sharded() {
             .register(&observer)
             .build();
         assert_eq!(rt.run_trace(&trace).merged, golden);
+    }
+}
+
+proptest! {
+    // Each case spawns engine threads; keep the count modest so the
+    // suite stays fast on small CI hosts.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn sharded_runtime_matches_sequential_for_arbitrary_geometry(
+        seed in 0u64..1_000,
+        n_records in 20usize..80,
+        shard_idx in 0usize..6,
+        batch_size in 1usize..48,
+    ) {
+        // The non-dividing counts exercise slot-based routing.
+        let shards = [1usize, 2, 3, 4, 5, 8][shard_idx];
+        let syn = SynFloodDetector::default_deployment();
+        let records = KddGenerator::new(seed).take(n_records);
+        let trace = PacketTrace::expand(records, &TraceConfig { seed, ..TraceConfig::default() });
+        let golden = sequential_report(
+            || SwitchBuilder::new().register_on(&syn, EngineBackend::Threshold).build(),
+            &trace,
+        );
+
+        let mut rt = RuntimeBuilder::new()
+            .shards(shards)
+            .batch_size(batch_size)
+            .backend(EngineBackend::Threshold)
+            .register(&syn)
+            .build();
+        let report = rt.run_trace(&trace);
+        prop_assert_eq!(report.merged, golden, "shards={} batch={}", shards, batch_size);
     }
 }

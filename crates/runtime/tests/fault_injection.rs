@@ -5,12 +5,16 @@
 //! keeps the legacy re-raise contract — and still takes the updates
 //! that land while it is poisoned — an install waits for no worker,
 //! and a stalled shard degrades into a watchdog record instead of a
-//! hang.
+//! hang. Whatever dies, the feeder must neither deadlock on a closed
+//! engine lane nor lose the service.
+
+mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use common::within;
 use taurus_core::apps::SynFloodDetector;
 use taurus_core::{EngineBackend, EngineUpdate, FormatterFactory, ModelUpdate, TaurusApp};
 use taurus_dataset::kdd::KddGenerator;
@@ -28,11 +32,7 @@ fn kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
 }
 
 fn builder(syn: &SynFloodDetector, shards: usize) -> RuntimeBuilder<'_> {
-    RuntimeBuilder::new()
-        .shards(shards)
-        .batch_size(16)
-        .epoch_len(64)
-        .register_on(syn, EngineBackend::Threshold)
+    RuntimeBuilder::new().shards(shards).batch_size(16).register_on(syn, EngineBackend::Threshold)
 }
 
 /// Global stream indices the router assigns to `shard`.
@@ -210,6 +210,59 @@ fn a_panic_without_spares_reraises_at_the_drain() {
 }
 
 #[test]
+fn engine_worker_panic_mid_run_propagates_without_deadlock() {
+    // An invalid live update (unknown app) makes every engine worker
+    // panic at its install barrier. At that moment the feeder is still
+    // steering packets — its next send hits a dead lane. The panic must
+    // surface from the run's drain; the feeder and the remaining engine
+    // workers must all wind down. Early index: the poison fires while
+    // plenty of stream remains. Index 0: the engines die before the
+    // first packet, so the feeder's very first flush fails.
+    within(Duration::from_secs(60), || {
+        let syn = SynFloodDetector::default_deployment();
+        let trace = kdd_trace(400, 81);
+        for (shards, batch_size, at) in [(2usize, 8usize, 40u64), (4, 4, 0)] {
+            let mut rt = builder(&syn, shards)
+                .batch_size(batch_size)
+                .queue_depth(1) // tiny lanes: the steer side is often blocked
+                .build();
+            rt.schedule_update(at, ModelUpdate::retune_threshold("no-such-app", 1, 40));
+            let result = catch_unwind(AssertUnwindSafe(|| rt.run_trace(&trace)));
+            let payload = result.expect_err("the poisoned update must panic the run");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(msg.contains("live model update failed"), "unexpected panic payload: {msg}");
+        }
+    });
+}
+
+#[test]
+fn runtime_survives_a_panicked_run_and_completes_the_next_one() {
+    // The previous run's unwind left batches staged and lanes
+    // half-drained; after a reset the runtime must run a full trace to
+    // completion.
+    within(Duration::from_secs(60), || {
+        let syn = SynFloodDetector::default_deployment();
+        let trace = kdd_trace(300, 83);
+        let mut rt = builder(&syn, 2).batch_size(8).build();
+        rt.schedule_update(50, ModelUpdate::retune_threshold("no-such-app", 1, 40));
+        let poisoned = catch_unwind(AssertUnwindSafe(|| rt.run_trace(&trace)));
+        assert!(poisoned.is_err());
+        // Clean follow-up run on the same runtime.
+        rt.reset();
+        let report = rt.run_trace(&trace);
+        assert_eq!(
+            report.merged.packets,
+            trace.packets.len() as u64,
+            "no packet lost after recovery"
+        );
+    });
+}
+
+#[test]
 fn an_update_lands_on_a_poisoned_shard_too() {
     // Regression (fleet fork): a poisoned worker used to skip in-band
     // updates although the feeder had already recorded them, so an
@@ -373,63 +426,60 @@ fn a_lost_shard_costs_its_own_traffic_and_nothing_else() {
     let refused = (followup.packets.len() - survivors.len()) as u64;
     assert!(refused > 0 && !survivors.is_empty(), "seed must load both shards");
 
-    for parse_workers in [0usize, 2] {
-        // One spare, two panics: shard 0 takes the spare, shard 1 is
-        // retired.
-        let mut subject = builder(&syn, 2)
-            .parse_workers(parse_workers)
-            .fault_plan(FaultPlan::new().engine_panic(0, 0).engine_panic(1, 0))
-            .spare_replicas(1)
-            .build();
-        let mut twin = builder(&syn, 2).parse_workers(parse_workers).build();
+    // One spare, two panics: shard 0 takes the spare, shard 1 is
+    // retired.
+    let mut subject = builder(&syn, 2)
+        .fault_plan(FaultPlan::new().engine_panic(0, 0).engine_panic(1, 0))
+        .spare_replicas(1)
+        .build();
+    let mut twin = builder(&syn, 2).build();
 
-        let crashed = drain_report(&mut subject, &trace);
-        let kinds: Vec<_> = crashed.faults.records.iter().map(|r| (r.shard, r.kind)).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (0, FaultRecordKind::WorkerPanic),
-                (1, FaultRecordKind::WorkerPanic),
-                (1, FaultRecordKind::ShardLost),
-            ]
-        );
-        assert_eq!(crashed.faults.worker_restarts, 1);
+    let crashed = drain_report(&mut subject, &trace);
+    let kinds: Vec<_> = crashed.faults.records.iter().map(|r| (r.shard, r.kind)).collect();
+    assert_eq!(
+        kinds,
+        vec![
+            (0, FaultRecordKind::WorkerPanic),
+            (1, FaultRecordKind::WorkerPanic),
+            (1, FaultRecordKind::ShardLost),
+        ]
+    );
+    assert_eq!(crashed.faults.worker_restarts, 1);
 
-        // The control plane skips the lost shard instead of failing
-        // half-applied: immediate and in-band installs both land.
-        let retune = syn.retune(45, 1, EngineBackend::Threshold);
-        subject.install_update(&retune).expect("the live shard accepts; the lost one is skipped");
-        twin.install_update(&retune).expect("fresh version");
-        let at = 10u64;
-        let scheduled = syn.retune(50, 2, EngineBackend::Threshold);
-        subject.schedule_update(subject.stream_position() + at, scheduled.clone());
-        // The twin sees only the survivors, so the same barrier sits
-        // before its first survivor at or past packet `at`.
-        let twin_at = survivors_of(&followup.packets[..at as usize]).len() as u64;
-        twin.schedule_update(twin.stream_position() + twin_at, scheduled);
+    // The control plane skips the lost shard instead of failing
+    // half-applied: immediate and in-band installs both land.
+    let retune = syn.retune(45, 1, EngineBackend::Threshold);
+    subject.install_update(&retune).expect("the live shard accepts; the lost one is skipped");
+    twin.install_update(&retune).expect("fresh version");
+    let at = 10u64;
+    let scheduled = syn.retune(50, 2, EngineBackend::Threshold);
+    subject.schedule_update(subject.stream_position() + at, scheduled.clone());
+    // The twin sees only the survivors, so the same barrier sits
+    // before its first survivor at or past packet `at`.
+    let twin_at = survivors_of(&followup.packets[..at as usize]).len() as u64;
+    twin.schedule_update(twin.stream_position() + twin_at, scheduled);
 
-        subject.reset();
-        twin.reset();
-        let before = subject.stream_position();
-        subject.feed(&followup.packets);
-        assert_eq!(
-            subject.stream_position(),
-            before + followup.packets.len() as u64,
-            "refused packets still hold their stream index"
-        );
-        let degraded = subject.drain();
-        twin.feed(&survivors);
-        let clean = twin.drain();
+    subject.reset();
+    twin.reset();
+    let before = subject.stream_position();
+    subject.feed(&followup.packets);
+    assert_eq!(
+        subject.stream_position(),
+        before + followup.packets.len() as u64,
+        "refused packets still hold their stream index"
+    );
+    let degraded = subject.drain();
+    twin.feed(&survivors);
+    let clean = twin.drain();
 
-        assert_eq!(degraded.faults.lost_shard_packets, refused, "workers={parse_workers}");
-        assert!(degraded.faults.records.is_empty(), "a known-lost shard is not re-diagnosed");
-        assert_eq!(degraded.shards.len(), 1, "the lost shard reports nothing");
-        assert_eq!(
-            degraded.shards[0], clean.shards[0],
-            "workers={parse_workers}: the survivor must not notice its neighbour's loss"
-        );
-        assert_eq!(degraded.segments, clean.segments);
-        assert_eq!(subject.app_versions(), vec![("syn-flood".to_string(), 2)]);
-        assert!(clean.faults.is_empty());
-    }
+    assert_eq!(degraded.faults.lost_shard_packets, refused);
+    assert!(degraded.faults.records.is_empty(), "a known-lost shard is not re-diagnosed");
+    assert_eq!(degraded.shards.len(), 1, "the lost shard reports nothing");
+    assert_eq!(
+        degraded.shards[0], clean.shards[0],
+        "the survivor must not notice its neighbour's loss"
+    );
+    assert_eq!(degraded.segments, clean.segments);
+    assert_eq!(subject.app_versions(), vec![("syn-flood".to_string(), 2)]);
+    assert!(clean.faults.is_empty());
 }

@@ -1,7 +1,6 @@
 //! Adversarial ingest: malformed trace records must cost exactly one
 //! quarantine counter — never a panic, never a state mutation — and the
-//! accounting must be identical for inline and pipelined ingest, under
-//! every shard geometry.
+//! accounting must be identical under every shard geometry.
 //!
 //! The oracle is the frontier itself: replay the same
 //! [`IngestValidator`] sequentially over the corrupted stream to
@@ -75,17 +74,10 @@ fn sequential_report(syn: &SynFloodDetector, packets: &[TracePacket]) -> SwitchR
     switch.report()
 }
 
-fn run(
-    syn: &SynFloodDetector,
-    shards: usize,
-    parse_workers: usize,
-    packets: &[TracePacket],
-) -> RuntimeReport {
+fn run(syn: &SynFloodDetector, shards: usize, packets: &[TracePacket]) -> RuntimeReport {
     let mut rt = RuntimeBuilder::new()
         .shards(shards)
         .batch_size(16)
-        .parse_workers(parse_workers)
-        .epoch_len(48)
         .register_on(syn, EngineBackend::Threshold)
         .build();
     rt.feed(packets);
@@ -93,7 +85,7 @@ fn run(
 }
 
 proptest! {
-    // Each case runs four threaded runtimes; keep the count modest so
+    // Each case runs two threaded runtimes; keep the count modest so
     // the suite stays fast on small CI hosts.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -115,27 +107,23 @@ proptest! {
         let golden = sequential_report(&syn, &admitted);
 
         for shards in [1usize, 3] {
-            for parse_workers in [0usize, 2] {
-                // The hard property is "no panic"; the exact one is that
-                // every mode reproduces the sequential frontier bit for bit.
-                let report = run(&syn, shards, parse_workers, &packets);
-                prop_assert_eq!(
-                    report.overload.quarantine, counts,
-                    "quarantine accounting diverged at shards={} workers={}",
-                    shards, parse_workers
-                );
-                prop_assert_eq!(
-                    &report.merged, &golden,
-                    "merged report diverged from the filtered oracle at shards={} workers={}",
-                    shards, parse_workers
-                );
-                prop_assert_eq!(
-                    report.merged.packets + report.overload.quarantine.total(),
-                    packets.len() as u64,
-                    "conservation: admitted + quarantined == offered"
-                );
-                prop_assert_eq!(report.overload.shed_packets, 0, "quarantine is not shedding");
-            }
+            // The hard property is "no panic"; the exact one is that
+            // every geometry reproduces the sequential frontier bit for bit.
+            let report = run(&syn, shards, &packets);
+            prop_assert_eq!(
+                report.overload.quarantine, counts,
+                "quarantine accounting diverged at shards={}", shards
+            );
+            prop_assert_eq!(
+                &report.merged, &golden,
+                "merged report diverged from the filtered oracle at shards={}", shards
+            );
+            prop_assert_eq!(
+                report.merged.packets + report.overload.quarantine.total(),
+                packets.len() as u64,
+                "conservation: admitted + quarantined == offered"
+            );
+            prop_assert_eq!(report.overload.shed_packets, 0, "quarantine is not shedding");
         }
     }
 }
@@ -171,12 +159,9 @@ fn each_quarantine_reason_lands_in_its_own_counter() {
     assert_eq!(admitted.len(), packets.len() - 6);
     let golden = sequential_report(&syn, &admitted);
 
-    for (shards, parse_workers) in [(1usize, 0usize), (3, 0), (3, 2), (5, 2)] {
-        let report = run(&syn, shards, parse_workers, &packets);
-        assert_eq!(
-            report.overload.quarantine, counts,
-            "counters diverged at shards={shards} workers={parse_workers}"
-        );
+    for shards in [1usize, 3, 5] {
+        let report = run(&syn, shards, &packets);
+        assert_eq!(report.overload.quarantine, counts, "counters diverged at shards={shards}");
         assert_eq!(report.merged, golden);
         // Quarantined packets still occupy their stream indices.
         assert_eq!(report.merged.packets, admitted.len() as u64);
@@ -186,8 +171,8 @@ fn each_quarantine_reason_lands_in_its_own_counter() {
 #[test]
 fn a_fully_garbage_stream_is_refused_without_a_panic() {
     // Every packet malformed: the runtime must come back with an empty
-    // merged report and a full quarantine ledger, through both ingest
-    // modes — the degenerate case a panic would hide in.
+    // merged report and a full quarantine ledger — the degenerate case
+    // a panic would hide in.
     let syn = SynFloodDetector::default_deployment();
     let mut packets = kdd_trace(30, 9).packets;
     for (i, tp) in packets.iter_mut().enumerate() {
@@ -198,10 +183,8 @@ fn a_fully_garbage_stream_is_refused_without_a_panic() {
         }
     }
 
-    for parse_workers in [0usize, 2] {
-        let report = run(&syn, 2, parse_workers, &packets);
-        assert_eq!(report.merged.packets, 0, "nothing survives the frontier");
-        assert_eq!(report.overload.quarantine.total(), packets.len() as u64);
-        assert_eq!(report.overload.refused(), packets.len() as u64);
-    }
+    let report = run(&syn, 2, &packets);
+    assert_eq!(report.merged.packets, 0, "nothing survives the frontier");
+    assert_eq!(report.overload.quarantine.total(), packets.len() as u64);
+    assert_eq!(report.overload.refused(), packets.len() as u64);
 }

@@ -6,9 +6,9 @@
 //! of a bucket (and therefore every displacement or replacement
 //! decision, which only ever involves one bucket) lands on one shard.
 //! The merged report must equal the sequential keyed switch bit for bit
-//! across shard counts {1, 2, 3, 5, 8} and both ingest modes, and the
-//! table statistics — capacity evictions, occupancy, probe histogram —
-//! must be invariant across all of those geometries.
+//! across shard counts {1, 2, 3, 5, 8}, and the table statistics —
+//! capacity evictions, occupancy, probe histogram — must be invariant
+//! across all of those geometries.
 
 use taurus_core::apps::SynFloodDetector;
 use taurus_core::{EngineBackend, SwitchBuilder, SwitchReport, TaurusSwitch};
@@ -55,23 +55,16 @@ fn keyed_sharded_equals_keyed_sequential_for_all_geometries() {
     assert!(golden.packets > 0 && golden.flow_occupancy > 0, "trace populates the table");
 
     for shards in [1usize, 2, 3, 5, 8] {
-        for parse_workers in [0usize, 2] {
-            let mut rt = RuntimeBuilder::new()
-                .shards(shards)
-                .batch_size(17) // deliberately unaligned with everything
-                .parse_workers(parse_workers)
-                .epoch_len(48)
-                .config(config.clone())
-                .register_on(&syn, EngineBackend::Threshold)
-                .build();
-            let report = rt.run_trace(&trace);
-            assert_eq!(
-                report.merged, golden,
-                "keyed run diverged at shards={shards} workers={parse_workers}"
-            );
-            let routed: u64 = report.shards.iter().map(|s| s.packets).sum();
-            assert_eq!(routed, golden.packets, "every packet routed exactly once");
-        }
+        let mut rt = RuntimeBuilder::new()
+            .shards(shards)
+            .batch_size(17) // deliberately unaligned with everything
+            .config(config.clone())
+            .register_on(&syn, EngineBackend::Threshold)
+            .build();
+        let report = rt.run_trace(&trace);
+        assert_eq!(report.merged, golden, "keyed run diverged at shards={shards}");
+        let routed: u64 = report.shards.iter().map(|s| s.packets).sum();
+        assert_eq!(routed, golden.packets, "every packet routed exactly once");
     }
 }
 
@@ -104,26 +97,19 @@ fn keyed_replacement_pressure_stays_exact_and_geometry_invariant() {
     );
 
     for shards in [1usize, 2, 3, 5, 8] {
-        for parse_workers in [0usize, 2] {
-            let mut service = RuntimeBuilder::new()
-                .shards(shards)
-                .batch_size(16)
-                .parse_workers(parse_workers)
-                .epoch_len(32)
-                .config(config.clone())
-                .register_on(&syn, EngineBackend::Threshold)
-                .build();
-            for burst in &bursts {
-                service.feed(&burst.packets);
-            }
-            let report = service.shutdown();
-            assert_eq!(
-                report.merged, golden,
-                "stressed keyed stream diverged at shards={shards} workers={parse_workers}"
-            );
-            assert_eq!(report.capacity_evictions(), golden.capacity_evictions);
-            assert_eq!(report.flow_occupancy(), golden.flow_occupancy);
+        let mut service = RuntimeBuilder::new()
+            .shards(shards)
+            .batch_size(16)
+            .config(config.clone())
+            .register_on(&syn, EngineBackend::Threshold)
+            .build();
+        for burst in &bursts {
+            service.feed(&burst.packets);
         }
+        let report = service.shutdown();
+        assert_eq!(report.merged, golden, "stressed keyed stream diverged at shards={shards}");
+        assert_eq!(report.capacity_evictions(), golden.capacity_evictions);
+        assert_eq!(report.flow_occupancy(), golden.flow_occupancy);
     }
 }
 

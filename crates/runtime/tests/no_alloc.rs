@@ -175,12 +175,7 @@ fn sharded_cgra_roster_allocates_independent_of_stream_length() {
     let _serial = measuring();
     let detector = AnomalyDetector::train_default(9, 400);
     let single = trace(250, 52);
-    let rt = RuntimeBuilder::new()
-        .shards(2)
-        .batch_size(32)
-        .parse_workers(0) // pin the classic inline ingest path
-        .register(&detector)
-        .build();
+    let rt = RuntimeBuilder::new().shards(2).batch_size(32).register(&detector).build();
     assert_scale_invariant(rt, &single, "cgra x2");
 }
 
@@ -188,9 +183,9 @@ fn sharded_cgra_roster_allocates_independent_of_stream_length() {
 fn resident_service_feeds_allocate_nothing_after_the_first() {
     let _serial = measuring();
     // The streaming tentpole's allocation story, stated at its
-    // strongest: on a resident StreamingRuntime with inline ingest, a
-    // warmed `feed` performs ZERO heap allocations — not "a constant
-    // amount", literally none. Engine workers are already resident (no
+    // strongest: on a resident StreamingRuntime, a warmed `feed`
+    // performs ZERO heap allocations — not "a constant amount",
+    // literally none. Engine workers are already resident (no
     // thread spawn), arenas are provisioned and grown, the recycle
     // lanes are primed, and the same trace re-observes only known
     // flows. The allocator is process-global, so the resident workers'
@@ -200,7 +195,6 @@ fn resident_service_feeds_allocate_nothing_after_the_first() {
     let mut service = RuntimeBuilder::new()
         .shards(2)
         .batch_size(32)
-        .parse_workers(0) // inline ingest: the fully allocation-free feed path
         .register_on(&syn, EngineBackend::Threshold)
         .build();
     // Cold feed: grows every arena to capacity, populates flow state.
@@ -248,12 +242,8 @@ fn an_install_between_feeds_allocates_a_named_handful_and_compiles_nothing() {
         .map(|i| (0..6).map(|j| ((i * 7 + j * 13) % 17) as f32 / 8.0 - 1.0).collect())
         .collect();
     let mut update = detector.prepare_update(&detector.float_model, &standardized, 0);
-    let mut service = RuntimeBuilder::new()
-        .shards(SHARDS as usize)
-        .batch_size(32)
-        .parse_workers(0)
-        .register(&detector)
-        .build();
+    let mut service =
+        RuntimeBuilder::new().shards(SHARDS as usize).batch_size(32).register(&detector).build();
     let mut install = |service: &mut StreamingRuntime| {
         update.version += 1;
         service.install_update(&update).expect("a fresh version of a hosted app");
@@ -299,7 +289,6 @@ fn keyed_resident_service_feeds_allocate_nothing_after_the_first() {
     let mut service = RuntimeBuilder::new()
         .shards(2)
         .batch_size(32)
-        .parse_workers(0)
         .config(PipelineConfig {
             flow_table: FlowTableKind::Keyed { buckets: 8, ways: 2 },
             ..PipelineConfig::default()
@@ -317,46 +306,37 @@ fn keyed_resident_service_feeds_allocate_nothing_after_the_first() {
 }
 
 #[test]
-fn keyed_pipelined_ingest_allocates_independent_of_stream_length() {
+fn a_feed_of_rejected_packets_costs_counters_and_allocates_nothing() {
     let _serial = measuring();
-    // Keyed mode through the parallel pipeline: parse workers skip the
-    // candidate filter, the merge stage drives the shared directory —
-    // doubling the stream doubles directory accesses and replacement
-    // decisions, none of which may allocate.
+    // "Malformed input costs a counter": a feed made only of packets
+    // the ingest frontier rejects touches no flow state, reaches no
+    // worker, and allocates nowhere — the first refusal included.
     let syn = SynFloodDetector::default_deployment();
-    let single = trace(400, 56);
-    let rt = RuntimeBuilder::new()
+    let single = trace(400, 58);
+    let mut garbage = single.packets.clone();
+    for (i, tp) in garbage.iter_mut().enumerate() {
+        match i % 3 {
+            0 => tp.len = 0,                                   // zero-length
+            1 => (tp.tuple.proto, tp.tuple.src_port) = (6, 0), // garbage port
+            _ => tp.tuple.proto = 250,                         // unknown protocol
+        }
+    }
+    let mut service = RuntimeBuilder::new()
         .shards(2)
         .batch_size(32)
-        .parse_workers(2)
-        .epoch_len(64)
-        .config(PipelineConfig {
-            flow_table: FlowTableKind::Keyed { buckets: 64, ways: 4 },
-            ..PipelineConfig::default()
-        })
         .register_on(&syn, EngineBackend::Threshold)
         .build();
-    assert_scale_invariant(rt, &single, "keyed pipelined threshold x2 (2 parse workers)");
-}
-
-#[test]
-fn pipelined_ingest_allocates_independent_of_stream_length() {
-    let _serial = measuring();
-    // The parallel ingest pipeline adds epoch arenas, per-worker SPSC
-    // lanes, and per-epoch candidate sets to the hot path; all of that
-    // must be provisioned per *run* (epoch pool, preloaded lanes,
-    // capacity-pinned HashSet), never per packet or per epoch. Doubling
-    // the stream doubles the epochs a worker parses — so any per-epoch
-    // allocation (arena growth, lane churn, set rehash) would break the
-    // equality below.
-    let syn = SynFloodDetector::default_deployment();
-    let single = trace(400, 53);
-    let rt = RuntimeBuilder::new()
-        .shards(2)
-        .batch_size(32)
-        .parse_workers(2)
-        .epoch_len(64)
-        .register_on(&syn, EngineBackend::Threshold)
-        .build();
-    assert_scale_invariant(rt, &single, "pipelined threshold x2 (2 parse workers)");
+    service.feed(&single.packets); // warm-up: one clean feed
+    let before = service.stream_position();
+    let (feeder, workers) = allocations_by_thread(|| {
+        service.feed(&garbage);
+    });
+    assert_eq!((feeder, workers), (0, 0), "a refused packet costs a counter, nothing else");
+    assert_eq!(service.stream_position(), before + garbage.len() as u64);
+    let report = service.shutdown();
+    let quarantine = report.overload.quarantine;
+    assert_eq!(quarantine.total(), garbage.len() as u64);
+    assert!(quarantine.zero_length > 0 && quarantine.garbage_port > 0);
+    assert!(quarantine.unknown_protocol > 0);
+    assert_eq!(report.merged.packets, single.packets.len() as u64, "only the clean feed ran");
 }

@@ -4,19 +4,22 @@
 //! [`FaultPlan::saturate_shard`] marks packets over budget by a pure
 //! predicate of (home shard, global stream index), so a non-blocking
 //! [`OverloadPolicy`] must shed (or degrade) *exactly* the enumerable
-//! window set — under every shard geometry, parse-worker count, and
-//! feed slicing — and the merged report must equal the sequential
-//! switch run over the filtered trace. `Block` remains byte-identical
-//! to the historical runtime: saturation windows are ignored and the
-//! `overload` report section stays empty.
+//! window set — under every shard geometry and feed slicing — and the
+//! merged report must equal the sequential switch run over the
+//! filtered trace. `Block` remains byte-identical to the historical
+//! runtime: saturation windows are ignored and the `overload` report
+//! section stays empty.
 //!
 //! One test saturates a lane *organically* instead — a stalled worker
 //! behind shallow queues — because that is the only way to reach the
 //! steer stage's patience timeout; its assertions are counts, never
 //! wall clock.
 
-use std::time::{Duration, Instant};
+mod common;
 
+use std::time::Duration;
+
+use common::within;
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::{EngineBackend, SwitchBuilder, SwitchReport};
 use taurus_dataset::kdd::KddGenerator;
@@ -90,7 +93,6 @@ fn builder<'a>(
     RuntimeBuilder::new()
         .shards(shards)
         .batch_size(16)
-        .epoch_len(48)
         .register_on(anomaly, EngineBackend::Threshold)
         .register_on(syn, EngineBackend::Threshold)
 }
@@ -105,18 +107,6 @@ fn assert_conserved(report: &RuntimeReport, offered: usize) {
     );
 }
 
-/// Runs `f` on a watchdog thread so a policy that never gives up on a
-/// wedged lane fails the test instead of hanging the suite.
-fn within(timeout: Duration, f: impl FnOnce() + Send + 'static) {
-    let start = Instant::now();
-    let handle = std::thread::spawn(f);
-    while !handle.is_finished() {
-        assert!(start.elapsed() < timeout, "overload run deadlocked (> {timeout:?})");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    handle.join().expect("watchdogged closure panicked");
-}
-
 #[test]
 fn a_stalled_shard_is_ridden_out_by_block_and_refused_by_shed_and_degrade() {
     // Organic saturation: shard 0's worker stalls on its first packet
@@ -127,49 +117,46 @@ fn a_stalled_shard_is_ridden_out_by_block_and_refused_by_shed_and_degrade() {
     // lane times out) and keeps the healthy shard's traffic on the ML
     // path; `Degrade` waits for nothing and hands the overflow the
     // line-rate default.
-    for parse_workers in [0usize, 2] {
-        within(Duration::from_secs(60), move || {
-            let syn = SynFloodDetector::default_deployment();
-            let trace = kdd_trace(400, 39);
-            let offered = trace.packets.len() as u64;
-            let run = |policy: OverloadPolicy, plan: FaultPlan| {
-                let mut rt = RuntimeBuilder::new()
-                    .shards(2)
-                    .batch_size(64)
-                    .queue_depth(2)
-                    .parse_workers(parse_workers)
-                    .overload_policy(policy)
-                    .fault_plan(plan)
-                    .register_on(&syn, EngineBackend::Threshold)
-                    .build();
-                rt.feed(&trace.packets);
-                let report = rt.drain();
-                assert_conserved(&report, trace.packets.len());
-                rt.shutdown();
-                report
-            };
-            let stall = || FaultPlan::new().stall(0, 0, Duration::from_millis(100));
+    within(Duration::from_secs(60), || {
+        let syn = SynFloodDetector::default_deployment();
+        let trace = kdd_trace(400, 39);
+        let offered = trace.packets.len() as u64;
+        let run = |policy: OverloadPolicy, plan: FaultPlan| {
+            let mut rt = RuntimeBuilder::new()
+                .shards(2)
+                .batch_size(64)
+                .queue_depth(2)
+                .overload_policy(policy)
+                .fault_plan(plan)
+                .register_on(&syn, EngineBackend::Threshold)
+                .build();
+            rt.feed(&trace.packets);
+            let report = rt.drain();
+            assert_conserved(&report, trace.packets.len());
+            rt.shutdown();
+            report
+        };
+        let stall = || FaultPlan::new().stall(0, 0, Duration::from_millis(100));
 
-            let quiet = run(OverloadPolicy::Block, FaultPlan::new());
-            assert_eq!(quiet.overload, OverloadReport::default(), "a quiet run refuses nothing");
+        let quiet = run(OverloadPolicy::Block, FaultPlan::new());
+        assert_eq!(quiet.overload, OverloadReport::default(), "a quiet run refuses nothing");
 
-            let blocked = run(OverloadPolicy::Block, stall());
-            assert_eq!(blocked.merged.packets, offered, "Block refuses nothing, however long");
+        let blocked = run(OverloadPolicy::Block, stall());
+        assert_eq!(blocked.merged.packets, offered, "Block refuses nothing, however long");
 
-            let shed = run(OverloadPolicy::Shed { patience: Duration::from_millis(2) }, stall());
-            assert!(shed.overload.shed_packets > 0, "the wedged lane must time out");
-            assert_eq!(shed.overload.degraded_verdicts, 0, "Shed never degrades");
-            assert!(
-                shed.merged.packets * 4 >= offered,
-                "Shed went indiscriminate: only {} of {offered} packets kept an ML verdict",
-                shed.merged.packets
-            );
+        let shed = run(OverloadPolicy::Shed { patience: Duration::from_millis(2) }, stall());
+        assert!(shed.overload.shed_packets > 0, "the wedged lane must time out");
+        assert_eq!(shed.overload.degraded_verdicts, 0, "Shed never degrades");
+        assert!(
+            shed.merged.packets * 4 >= offered,
+            "Shed went indiscriminate: only {} of {offered} packets kept an ML verdict",
+            shed.merged.packets
+        );
 
-            let degraded = run(OverloadPolicy::Degrade { patience: Duration::ZERO }, stall());
-            assert_eq!(degraded.overload.shed_packets, 0, "Degrade never sheds");
-            assert!(degraded.overload.degraded_verdicts > 0, "the wedged lane must overflow");
-        });
-    }
+        let degraded = run(OverloadPolicy::Degrade { patience: Duration::ZERO }, stall());
+        assert_eq!(degraded.overload.shed_packets, 0, "Degrade never sheds");
+        assert!(degraded.overload.degraded_verdicts > 0, "the wedged lane must overflow");
+    });
 }
 
 #[test]
@@ -200,8 +187,7 @@ fn shed_matches_the_filtered_sequential_oracle_across_geometries() {
     // The acceptance pin: under `Shed`, the merged report equals the
     // sequential switch fed only the admitted packets, and the shed
     // accounting equals the analytic window membership — for shard
-    // counts that divide nothing in particular and for inline and
-    // pipelined ingest alike. The windows reference global indices, the
+    // counts that divide nothing in particular. The windows reference global indices, the
     // filter references the geometry's own routing, so the oracle is
     // recomputed per geometry.
     let syn = SynFloodDetector::default_deployment();
@@ -218,44 +204,39 @@ fn shed_matches_the_filtered_sequential_oracle_across_geometries() {
         assert!(!refused.is_empty(), "windows must actually refuse packets at {shards} shards");
         let golden = sequential_report(&syn, &anomaly, &admitted);
 
-        for parse_workers in [0usize, 2] {
-            let mut rt = builder(&syn, &anomaly, shards)
-                .parse_workers(parse_workers)
-                .overload_policy(OverloadPolicy::Shed { patience: PATIENCE })
-                .fault_plan(
-                    windows
-                        .iter()
-                        .fold(FaultPlan::new(), |p, &(s, f, l)| p.saturate_shard(s, f, l)),
-                )
-                .build();
-            let report = rt.run_trace(&trace);
-            assert_eq!(
-                report.merged, golden,
-                "merged diverges from the filtered oracle at shards={shards} workers={parse_workers}"
-            );
-            assert_eq!(report.overload.shed_packets, refused.len() as u64);
-            assert_eq!(report.overload.degraded_verdicts, 0, "Shed never degrades");
-            assert_conserved(&report, trace.packets.len());
+        let mut rt = builder(&syn, &anomaly, shards)
+            .overload_policy(OverloadPolicy::Shed { patience: PATIENCE })
+            .fault_plan(
+                windows.iter().fold(FaultPlan::new(), |p, &(s, f, l)| p.saturate_shard(s, f, l)),
+            )
+            .build();
+        let report = rt.run_trace(&trace);
+        assert_eq!(
+            report.merged, golden,
+            "merged diverges from the filtered oracle at shards={shards}"
+        );
+        assert_eq!(report.overload.shed_packets, refused.len() as u64);
+        assert_eq!(report.overload.degraded_verdicts, 0, "Shed never degrades");
+        assert_conserved(&report, trace.packets.len());
 
-            // Per-shard accounting: padded to the geometry, each entry
-            // the analytic count of refused packets homed there.
-            assert_eq!(report.overload.per_shard.len(), shards);
-            for shard in 0..shards {
-                let expected =
-                    refused.iter().filter(|tp| home_shard(tp, shards) == shard).count() as u64;
-                assert_eq!(
-                    report.overload.per_shard[shard], expected,
-                    "per-shard count off at shard {shard}/{shards}"
-                );
-            }
-            // Flow buckets: sorted, zero-free, summing to the shed total.
-            let bucket_sum: u64 = report.overload.flow_buckets.iter().map(|&(_, c)| c).sum();
-            assert_eq!(bucket_sum, refused.len() as u64);
-            assert!(
-                report.overload.flow_buckets.windows(2).all(|w| w[0].0 < w[1].0),
-                "buckets sorted and deduplicated"
+        // Per-shard accounting: padded to the geometry, each entry
+        // the analytic count of refused packets homed there.
+        assert_eq!(report.overload.per_shard.len(), shards);
+        for shard in 0..shards {
+            let expected =
+                refused.iter().filter(|tp| home_shard(tp, shards) == shard).count() as u64;
+            assert_eq!(
+                report.overload.per_shard[shard], expected,
+                "per-shard count off at shard {shard}/{shards}"
             );
         }
+        // Flow buckets: sorted, zero-free, summing to the shed total.
+        let bucket_sum: u64 = report.overload.flow_buckets.iter().map(|&(_, c)| c).sum();
+        assert_eq!(bucket_sum, refused.len() as u64);
+        assert!(
+            report.overload.flow_buckets.windows(2).all(|w| w[0].0 < w[1].0),
+            "buckets sorted and deduplicated"
+        );
     }
 }
 
@@ -273,7 +254,7 @@ fn degrade_issues_line_rate_defaults_and_counts_ground_truth() {
     let trace = kdd_trace(350, 33);
     let n = trace.packets.len() as u64;
 
-    for (shards, parse_workers) in [(2usize, 0usize), (3, 2), (5, 0), (8, 2)] {
+    for shards in [2usize, 3, 5, 8] {
         let windows = [(0usize, 0u64, n / 3), (1usize, n / 2, n / 6)];
         let (admitted, refused) = split_by_windows(&trace, shards, &windows);
         assert!(!refused.is_empty());
@@ -281,7 +262,6 @@ fn degrade_issues_line_rate_defaults_and_counts_ground_truth() {
         let anomalous_refused = refused.iter().filter(|tp| tp.anomalous).count() as u64;
 
         let mut rt = builder(&syn, &anomaly, shards)
-            .parse_workers(parse_workers)
             .overload_policy(OverloadPolicy::Degrade { patience: PATIENCE })
             .fault_plan(
                 windows.iter().fold(FaultPlan::new(), |p, &(s, f, l)| p.saturate_shard(s, f, l)),
@@ -290,7 +270,7 @@ fn degrade_issues_line_rate_defaults_and_counts_ground_truth() {
         let report = rt.run_trace(&trace);
         assert_eq!(
             report.merged, golden,
-            "degraded packets must leave no register residue (shards={shards} workers={parse_workers})"
+            "degraded packets must leave no register residue (shards={shards})"
         );
         assert_eq!(report.overload.degraded_verdicts, refused.len() as u64);
         assert_eq!(report.overload.degraded_anomalous, anomalous_refused);
@@ -313,13 +293,7 @@ fn feed_slicing_never_changes_the_admission_decision() {
     let plan = || FaultPlan::new().saturate_shard(windows[0].0, windows[0].1, windows[0].2);
     let policy = OverloadPolicy::Shed { patience: PATIENCE };
 
-    let make = || {
-        builder(&syn, &anomaly, 3)
-            .parse_workers(2)
-            .overload_policy(policy)
-            .fault_plan(plan())
-            .build()
-    };
+    let make = || builder(&syn, &anomaly, 3).overload_policy(policy).fault_plan(plan()).build();
 
     // One feed, one drain: the reference.
     let mut whole = make();

@@ -2,9 +2,13 @@
 //! [`StreamingRuntime`] fed in pieces must be indistinguishable from a
 //! one-shot run over the concatenated stream — across feeds, scheduled
 //! updates, drains, shutdown, and idle-timeout eviction — and the
-//! eviction stat must be bit-deterministic across shard/worker
-//! geometries.
+//! eviction stat must be bit-deterministic across shard geometries.
 
+mod common;
+
+use std::time::Duration;
+
+use common::within;
 use taurus_core::apps::SynFloodDetector;
 use taurus_core::{EngineBackend, SwitchBuilder};
 use taurus_dataset::kdd::KddGenerator;
@@ -46,13 +50,11 @@ fn successive_feeds_match_a_one_shot_run_over_the_concatenation() {
     let (a, rest) = trace.packets.split_at(third);
     let (b, c) = rest.split_at(third);
 
-    for (shards, workers) in [(1usize, 0usize), (2, 0), (4, 2), (3, 1)] {
+    for shards in [1usize, 2, 3, 4] {
         let build = || {
             RuntimeBuilder::new()
                 .shards(shards)
                 .batch_size(16)
-                .parse_workers(workers)
-                .epoch_len(64)
                 .register_on(&syn, EngineBackend::Threshold)
                 .build()
         };
@@ -66,7 +68,7 @@ fn successive_feeds_match_a_one_shot_run_over_the_concatenation() {
         let report = service.drain();
         assert_eq!(
             report.merged, golden.merged,
-            "shards={shards} workers={workers}: split feeds diverge from the one-shot run"
+            "shards={shards}: split feeds diverge from the one-shot run"
         );
         assert_eq!(report.segments, golden.segments);
         for (split, whole) in report.shards.iter().zip(&golden.shards) {
@@ -86,7 +88,6 @@ fn drain_resets_per_run_stats_but_keeps_flow_state() {
     let mut service = RuntimeBuilder::new()
         .shards(2)
         .batch_size(16)
-        .parse_workers(0)
         .register_on(&syn, EngineBackend::Threshold)
         .build();
     let first = service.run_trace(&trace);
@@ -109,7 +110,6 @@ fn scheduled_updates_key_on_the_global_stream_index() {
     let mut service = RuntimeBuilder::new()
         .shards(2)
         .batch_size(16)
-        .parse_workers(0)
         .register_on(&syn, EngineBackend::Threshold)
         .build();
     // An absurdly high cutoff: the post-update segment can never drop.
@@ -198,18 +198,16 @@ fn idle_eviction_is_deterministic_across_shard_and_worker_geometries() {
     };
     assert!(golden.evictions > 0, "the idle gaps actually evict");
 
-    for (shards, workers) in [(1usize, 0usize), (2, 0), (4, 2), (3, 1)] {
+    for shards in [1usize, 2, 3, 4] {
         let mut rt = RuntimeBuilder::new()
             .shards(shards)
             .batch_size(16)
-            .parse_workers(workers)
-            .epoch_len(64)
             .config(cfg.clone())
             .register_on(&syn, EngineBackend::Threshold)
             .build();
         rt.feed(&packets);
         let report = rt.drain();
-        assert_eq!(report.merged, golden, "shards={shards} workers={workers}");
+        assert_eq!(report.merged, golden, "shards={shards}");
         assert_eq!(report.evictions(), golden.evictions);
         assert!(report.evictions() > 0);
     }
@@ -229,11 +227,10 @@ fn eviction_disabled_by_default_keeps_reports_eviction_free() {
 
 #[test]
 fn every_feed_advances_the_stream_clock_by_its_length() {
-    // Both ingest geometries agree on the stream clock: a feed advances
-    // `stream_position` by exactly `packets.len()`, whatever became of
-    // the packets — processed, quarantined at the frontier, bypassed by
-    // a saturation window, or refused because their home shard is lost.
-    use std::time::Duration;
+    // A feed advances `stream_position` by exactly `packets.len()`,
+    // whatever became of the packets — processed, quarantined at the
+    // frontier, bypassed by a saturation window, or refused because
+    // their home shard is lost.
     use taurus_runtime::{FaultPlan, FaultRecordKind, OverloadPolicy};
 
     let syn = SynFloodDetector::default_deployment();
@@ -244,50 +241,73 @@ fn every_feed_advances_the_stream_clock_by_its_length() {
         corrupted[i].len = 0; // quarantined: zero-length
     }
 
-    for workers in [0usize, 2] {
-        for shards in [1usize, 3] {
-            // Shards 0 and 1 both panic at their first packet with one
-            // spare between them: the second is retired at the first
-            // drain. (A one-shard fleet only arms shard 0, which takes
-            // the spare — nothing left to lose.)
-            let mut plan = FaultPlan::new().saturate_shard(0, n / 4, n / 2).engine_panic(0, 0);
-            if shards > 1 {
-                plan = plan.engine_panic(1, 0);
-            }
+    for shards in [1usize, 3] {
+        // Shards 0 and 1 both panic at their first packet with one
+        // spare between them: the second is retired at the first
+        // drain. (A one-shard fleet only arms shard 0, which takes
+        // the spare — nothing left to lose.)
+        let mut plan = FaultPlan::new().saturate_shard(0, n / 4, n / 2).engine_panic(0, 0);
+        if shards > 1 {
+            plan = plan.engine_panic(1, 0);
+        }
+        let mut rt = RuntimeBuilder::new()
+            .shards(shards)
+            .batch_size(16)
+            .overload_policy(OverloadPolicy::Shed { patience: Duration::from_secs(5) })
+            .fault_plan(plan)
+            .spare_replicas(1)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build();
+        let mut expected = 0u64;
+        let mut feed =
+            |rt: &mut taurus_runtime::StreamingRuntime, packets: &[TracePacket], what: &str| {
+                rt.feed(packets);
+                expected += packets.len() as u64;
+                assert_eq!(rt.stream_position(), expected, "{what} feed, shards={shards}");
+            };
+        // Saturated (the window covers this feed) and panicking.
+        feed(&mut rt, &trace.packets, "saturated");
+        let first = rt.drain();
+        assert!(first.overload.shed_packets > 0, "the window was live");
+        let lost = first.faults.records.iter().any(|r| r.kind == FaultRecordKind::ShardLost);
+        assert_eq!(lost, shards > 1);
+        // Clean, quarantining, and empty feeds on the degraded fleet.
+        feed(&mut rt, &trace.packets, "clean");
+        feed(&mut rt, &corrupted, "quarantining");
+        feed(&mut rt, &[], "empty");
+        let second = rt.drain();
+        assert!(second.overload.quarantine.zero_length > 0);
+        assert_eq!(second.faults.lost_shard_packets > 0, lost, "dead-shard feeds counted");
+    }
+}
+
+#[test]
+fn drain_on_stop_leaves_no_packet_unmerged() {
+    // Awkward end-of-stream geometries: feeds of a whole number of
+    // batches, one packet more, a ragged tail, less than one batch, and
+    // nothing at all. Every packet must be merged, steered, and counted
+    // exactly once.
+    within(Duration::from_secs(120), || {
+        let syn = SynFloodDetector::default_deployment();
+        let trace = kdd_trace(300, 84);
+        for packets in [256usize, 257, 300, 40, 10, 3, 0] {
+            let stream = &trace.packets[..packets];
+            let n = packets as u64;
             let mut rt = RuntimeBuilder::new()
-                .shards(shards)
+                .shards(2)
                 .batch_size(16)
-                .parse_workers(workers)
-                .epoch_len(48)
-                .overload_policy(OverloadPolicy::Shed { patience: Duration::from_secs(5) })
-                .fault_plan(plan)
-                .spare_replicas(1)
                 .register_on(&syn, EngineBackend::Threshold)
                 .build();
-            let mut expected = 0u64;
-            let mut feed =
-                |rt: &mut taurus_runtime::StreamingRuntime, packets: &[TracePacket], what: &str| {
-                    rt.feed(packets);
-                    expected += packets.len() as u64;
-                    assert_eq!(
-                        rt.stream_position(),
-                        expected,
-                        "{what} feed, workers={workers} shards={shards}"
-                    );
-                };
-            // Saturated (the window covers this feed) and panicking.
-            feed(&mut rt, &trace.packets, "saturated");
-            let first = rt.drain();
-            assert!(first.overload.shed_packets > 0, "the window was live");
-            let lost = first.faults.records.iter().any(|r| r.kind == FaultRecordKind::ShardLost);
-            assert_eq!(lost, shards > 1);
-            // Clean, quarantining, and empty feeds on the degraded fleet.
-            feed(&mut rt, &trace.packets, "clean");
-            feed(&mut rt, &corrupted, "quarantining");
-            feed(&mut rt, &[], "empty");
-            let second = rt.drain();
-            assert!(second.overload.quarantine.zero_length > 0);
-            assert_eq!(second.faults.lost_shard_packets > 0, lost, "dead-shard feeds counted");
+            rt.feed(stream);
+            let report = rt.drain();
+            assert_eq!(report.merged.packets, n, "{packets}p");
+            let routed: u64 = report.shards.iter().map(|s| s.packets).sum();
+            assert_eq!(routed, n, "{packets}p: steered == merged");
+            // And the run is repeatable on the warm runtime (arenas all
+            // recycled).
+            rt.feed(stream);
+            let again = rt.drain();
+            assert_eq!(again.merged.packets, 2 * n);
         }
-    }
+    });
 }

@@ -135,47 +135,6 @@ fn threshold_retune_mid_stream_matches_sequential_for_shards_1_2_4() {
 }
 
 #[test]
-fn update_landing_mid_epoch_applies_at_the_same_global_index_under_the_pipeline() {
-    // The parallel ingest pipeline consumes packets epoch by epoch, but
-    // the update barrier keys on *global packet index* — an index that
-    // falls in the middle of an epoch must split segments at exactly
-    // that packet, just like inline ingest and the sequential switch.
-    let detector = AnomalyDetector::train_default(54, 1_000);
-    let syn = SynFloodDetector::default_deployment();
-    let retune = syn.retune(15, 1, EngineBackend::Threshold);
-    let trace = default_kdd_trace(500, 57);
-    let epoch_len = 64usize;
-    // Deliberately mid-epoch: well inside epoch 3, aligned to nothing.
-    let k = 3 * epoch_len + 17;
-    assert!(k < trace.packets.len());
-
-    let build = || {
-        SwitchBuilder::new()
-            .register_on(&detector, EngineBackend::Threshold)
-            .register_on(&syn, EngineBackend::Threshold)
-            .build()
-    };
-    let (golden, golden_segments) = sequential_with_update(build, &trace, k, &[&retune]);
-
-    for shards in [1usize, 2, 4] {
-        let mut rt = RuntimeBuilder::new()
-            .shards(shards)
-            .batch_size(7) // unaligned with k and with epoch_len
-            .parse_workers(2)
-            .epoch_len(epoch_len)
-            .backend(EngineBackend::Threshold)
-            .register(&detector)
-            .register(&syn)
-            .build();
-        rt.schedule_update(k as u64, retune.clone());
-        let report = rt.run_trace(&trace);
-        assert_eq!(report.merged, golden, "pipelined run diverged at {shards} shards");
-        assert_eq!(report.segments, golden_segments, "segment split moved at {shards} shards");
-        assert_eq!(report.segments[0].total(), k as u64, "old model decided exactly {k} packets");
-    }
-}
-
-#[test]
 fn two_updates_at_the_same_index_install_in_schedule_order() {
     let syn = SynFloodDetector::default_deployment();
     let trace = default_kdd_trace(200, 56);
@@ -209,7 +168,7 @@ fn an_install_between_feeds_at_k_is_a_schedule_at_k_is_the_sequential_install() 
     // One install path: `install_update` issued at stream position k
     // places the same in-band barrier `schedule_update(k, …)` does, and
     // both equal the sequential switch updated before packet k — for
-    // every shard count and ingest geometry, on the program-swap path
+    // every shard count, on the program-swap path
     // (a replica retargets its resident simulator at the shared plan).
     // The one intended difference: a scheduled update opens a metrics
     // segment, an immediate install does not.
@@ -227,39 +186,30 @@ fn an_install_between_feeds_at_k_is_a_schedule_at_k_is_the_sequential_install() 
     golden_segments.iter().for_each(|s| whole_run.absorb(s));
 
     for shards in [1usize, 2, 3, 5] {
-        for parse_workers in [0usize, 2] {
-            let label = format!("{shards} shards, {parse_workers} parse workers");
-            let build = || {
-                RuntimeBuilder::new()
-                    .shards(shards)
-                    .batch_size(32)
-                    .parse_workers(parse_workers)
-                    .epoch_len(64)
-                    .register(&detector)
-                    .build()
-            };
-            let mut scheduled = build();
-            scheduled.schedule_update(k as u64, update.clone());
-            let scheduled_report = scheduled.run_trace(&trace);
+        let label = format!("{shards} shards");
+        let build =
+            || RuntimeBuilder::new().shards(shards).batch_size(32).register(&detector).build();
+        let mut scheduled = build();
+        scheduled.schedule_update(k as u64, update.clone());
+        let scheduled_report = scheduled.run_trace(&trace);
 
-            let mut installed = build();
-            installed.feed(&trace.packets[..k]);
-            assert_eq!(installed.stream_position(), k as u64);
-            installed.install_update(&update).expect("a fresh version of a hosted app");
-            installed.feed(&trace.packets[k..]);
-            let installed_report = installed.drain();
+        let mut installed = build();
+        installed.feed(&trace.packets[..k]);
+        assert_eq!(installed.stream_position(), k as u64);
+        installed.install_update(&update).expect("a fresh version of a hosted app");
+        installed.feed(&trace.packets[k..]);
+        let installed_report = installed.drain();
 
-            assert_eq!(scheduled_report.merged, golden, "scheduled: {label}");
-            assert_eq!(installed_report.merged, golden, "installed: {label}");
-            assert_eq!(scheduled_report.segments, golden_segments, "{label}");
-            assert_eq!(installed_report.segments, vec![whole_run], "{label}");
-            for (a, b) in scheduled_report.shards.iter().zip(&installed_report.shards) {
-                // Batch counts aside: the extra feed boundary flushes
-                // partial batches early.
-                assert_eq!((a.packets, &a.report), (b.packets, &b.report), "{label}");
-            }
-            assert_eq!(installed.app_versions(), scheduled.app_versions());
+        assert_eq!(scheduled_report.merged, golden, "scheduled: {label}");
+        assert_eq!(installed_report.merged, golden, "installed: {label}");
+        assert_eq!(scheduled_report.segments, golden_segments, "{label}");
+        assert_eq!(installed_report.segments, vec![whole_run], "{label}");
+        for (a, b) in scheduled_report.shards.iter().zip(&installed_report.shards) {
+            // Batch counts aside: the extra feed boundary flushes
+            // partial batches early.
+            assert_eq!((a.packets, &a.report), (b.packets, &b.report), "{label}");
         }
+        assert_eq!(installed.app_versions(), scheduled.app_versions());
     }
 }
 
