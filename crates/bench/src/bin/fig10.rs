@@ -37,5 +37,4 @@ fn main() {
         "\nPaper shape: exp-series variants cost 2-5x the piecewise ones; shallow\n\
          activations (ReLU) waste stages as depth grows; LUT stays small."
     );
-    taurus_bench::save_json("fig10", &rows);
 }

@@ -30,7 +30,6 @@ fn main() {
     let (pool_y, eval_y) = labels.split_at(half);
 
     let mut rows = Vec::new();
-    let mut curves = Vec::new();
     for rate in [1e-5, 1e-4, 1e-3, 1e-2] {
         // Fresh, untrained model per curve: training from scratch online.
         let mut model = Mlp::new(&MlpConfig::anomaly_dnn(), 5);
@@ -45,7 +44,6 @@ fn main() {
         for p in curve.iter().step_by(5) {
             rows.push(vec![format!("{rate:.0e}"), f(p.time_s, 3), f(p.f1_percent, 1)]);
         }
-        curves.push((rate, curve));
     }
     print_table(
         "Figure 13: online training — F1 vs time by sampling rate",
@@ -53,5 +51,4 @@ fn main() {
         &rows,
     );
     println!("\nPaper shape: higher sampling rates converge in less wall time\n(tens to hundreds of milliseconds at 1e-2).");
-    taurus_bench::save_json("fig13", &curves);
 }

@@ -28,7 +28,6 @@ fn main() {
     let (pool_y, eval_y) = labels.split_at(half);
 
     let mut rows = Vec::new();
-    let mut curves = Vec::new();
     for (epochs, batch) in [(1usize, 64usize), (1, 256), (10, 64), (10, 256)] {
         let mut model = Mlp::new(&MlpConfig::anomaly_dnn(), 6);
         let curve = run_online_training(
@@ -50,7 +49,6 @@ fn main() {
             f(curve.last().map_or(0.0, |p| p.time_s), 3),
             f(final_f1(&curve), 1),
         ]);
-        curves.push(((epochs, batch), curve));
     }
     print_table(
         "Figure 14: convergence vs epochs/batch at sampling 1e-2",
@@ -58,5 +56,4 @@ fn main() {
         &rows,
     );
     println!("\nPaper shape: smaller batches with more epochs converge to the highest F1;\nthe extra training time is offset by faster convergence.");
-    taurus_bench::save_json("fig14", &curves);
 }

@@ -43,5 +43,4 @@ fn main() {
         &power_rows,
     );
     println!("\nPaper shape: per-FU cost falls as lanes amortize control (16 lanes/4 stages\nchosen: 670 um2, 456 uW).");
-    taurus_bench::save_json("fig9", &(area_rows, power_rows));
 }

@@ -39,5 +39,4 @@ fn main() {
         &rows,
     );
     println!("\nPaper: N2Net needs 48 MATs for the anomaly DNN — Taurus consumes ~3 iso-area\nMATs; IIsy's SVM/KMeans need 8/2 MATs vs ~1 for Taurus.");
-    taurus_bench::save_json("mat_only", &rows_data);
 }

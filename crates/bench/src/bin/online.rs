@@ -18,7 +18,7 @@
 //! Run with: `cargo run --release -p taurus-bench --bin online`
 //! (append `-- --smoke` for the small CI configuration).
 
-use taurus_bench::{f, print_table, save_rendered_json};
+use taurus_bench::{f, print_table, save_json};
 use taurus_controlplane::training::TrainingRunConfig;
 use taurus_core::e2e::build_detector_from_packets;
 use taurus_dataset::kdd::KddGenerator;
@@ -165,7 +165,7 @@ fn main() {
         golden.curve.iter().map(|p| p.f1_percent as i64).collect::<Vec<_>>()
     );
 
-    save_rendered_json("online_deployment", golden);
+    save_json("online_deployment", golden);
     println!(
         "determinism: deployment reports matched bit-for-bit at every shard count \
          ({} model installs over {:.2} ms of trace time)",

@@ -29,5 +29,4 @@ fn main() {
         &["Category", "Application", "Pkt", "Flowlet", "Flow", "µburst"],
         &rows,
     );
-    taurus_bench::save_json("table1", &registry());
 }

@@ -31,5 +31,4 @@ fn main() {
         "\nData-plane DNN on Taurus: ~221 ns (paper) — even the fastest control-plane\n\
          option is >10^3x slower; framework-laden stacks are >10^6x slower."
     );
-    taurus_bench::save_json("table2", &rows);
 }

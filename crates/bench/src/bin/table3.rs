@@ -24,7 +24,6 @@ fn main() {
     let (train, test) = ds.split(0.75);
 
     let mut rows = Vec::new();
-    let mut results = Vec::new();
     for (name, widths, paper_f32) in kernels {
         let mut mlp = Mlp::new(&MlpConfig::tmc_kernel(&widths), 7);
         mlp.train(
@@ -42,12 +41,10 @@ fn main() {
             f(acc_fix8 - acc_f32, 2),
             f(paper_f32, 2),
         ]);
-        results.push((name.to_string(), acc_f32, acc_fix8));
     }
     print_table(
         "Table 3: TMC IoT DNN accuracy, float32 vs fix8 (paper diff <= 0.07)",
         &["DNN Kernel", "float32 (%)", "fix8 (%)", "Diff", "paper f32 (%)"],
         &rows,
     );
-    taurus_bench::save_json("table3", &results);
 }

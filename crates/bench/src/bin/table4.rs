@@ -28,5 +28,4 @@ fn main() {
         &["Precision", "Area (um2)", "paper", "Power (uW)", "paper"],
         &rows,
     );
-    taurus_bench::save_json("table4", &rows);
 }

@@ -10,7 +10,6 @@ fn main() {
     let grid = GridConfig::default();
     let chip = SwitchChip::default();
     let mut rows = Vec::new();
-    let mut results = Vec::new();
 
     for (name, paper_ns, paper_mm2, program) in table5_models() {
         let hw = model_report(&program.resources, &grid, &chip, 0.1);
@@ -32,7 +31,6 @@ fn main() {
             program.resources.cus.to_string(),
             program.resources.mus.to_string(),
         ]);
-        results.push((name, program.timing.latency_ns, hw));
     }
 
     let gr = grid_report(&grid, &chip, 0.1);
@@ -71,6 +69,4 @@ fn main() {
         "\nPaper anchors: grid 4.8 mm2, +3.8% area, +2.8% power; KMeans 61 ns/0.3 mm2,\n\
          SVM 83 ns/0.6 mm2, DNN 221 ns/1.0 mm2, LSTM 805 ns/3.0 mm2 (not line rate)."
     );
-    taurus_bench::save_json("table5", &rows);
-    let _ = results;
 }

@@ -42,5 +42,4 @@ fn main() {
         &["ubmark", "mm2", "paper", "ns", "paper", "CUs", "MUs"],
         &rows,
     );
-    taurus_bench::save_json("table6", &rows);
 }

@@ -48,5 +48,4 @@ fn main() {
         &["ubmark", "Unroll", "Line Rate", "paper", "Area (mm2)", "paper"],
         &rows,
     );
-    taurus_bench::save_json("table7", &rows);
 }

@@ -76,5 +76,5 @@ fn main() {
          sampling rate (paper: two orders of magnitude); mean switch latency {:.0} ns.",
         rows_data[0].taurus.mean_latency_ns
     );
-    taurus_bench::save_rendered_json("table8", &rows_data);
+    taurus_bench::save_json("table8", &rows_data);
 }

@@ -26,7 +26,7 @@
 
 use std::time::{Duration, Instant};
 
-use taurus_bench::{f, print_table, save_rendered_json};
+use taurus_bench::{f, print_table, save_json};
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::{EngineBackend, SwitchBuilder};
 use taurus_dataset::kdd::KddGenerator;
@@ -117,7 +117,7 @@ fn main() {
     );
 
     if let Some(report) = last_report {
-        save_rendered_json("throughput_shards8", &report);
+        save_json("throughput_shards8", &report);
     }
 
     // The resident streaming service: same 4-shard geometry, but the

@@ -1,12 +1,11 @@
-//! A real, deterministic JSON encoder for experiment artifacts.
+//! The workspace's serializer: a deterministic JSON encoder for
+//! experiment artifacts.
 //!
-//! The workspace's vendored `serde`/`serde_json` are offline marker
-//! shims that cannot serialize (see `vendor/serde_json`), so result
-//! files — including the golden Table 8 snapshot under `results/` —
-//! are produced by this hand-rolled encoder instead. Determinism is the
-//! point: object keys are emitted in declaration order, floats use
-//! Rust's shortest round-trip formatting, and there is no hash-map
-//! anywhere, so the same run produces the same bytes.
+//! Every result file under `results/` — including the golden Table 8
+//! snapshot — is a [`ToJson`] impl rendered by [`crate::save_json`].
+//! Determinism is the point: object keys are emitted in declaration
+//! order, floats use Rust's shortest round-trip formatting, and there
+//! is no hash-map anywhere, so the same run produces the same bytes.
 
 use taurus_controlplane::baseline::BaselineReport;
 use taurus_controlplane::training::ConvergencePoint;
@@ -28,8 +27,7 @@ pub enum Json {
     UInt(u64),
     /// Signed integer.
     Int(i64),
-    /// Finite double (non-finite values render as `null`, matching
-    /// `serde_json`).
+    /// Finite double (non-finite values render as `null`).
     Float(f64),
     /// String.
     Str(String),
@@ -40,7 +38,8 @@ pub enum Json {
 }
 
 impl Json {
-    /// Renders pretty-printed JSON (2-space indent, `serde_json` style).
+    /// Renders pretty-printed JSON: one key or element per line, 2-space
+    /// indent, `"key": value`, and `[]` / `{}` for empty containers.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
@@ -126,8 +125,8 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-/// Shortest round-trip float formatting, with `serde_json`'s convention
-/// that integral doubles keep a `.0`.
+/// Shortest round-trip float formatting; integral doubles keep a `.0`
+/// (`321.0`, not `321`), so a float field never reads as an integer.
 fn format_f64(v: f64) -> String {
     let s = format!("{v}");
     if s.contains(['.', 'e', 'E']) {
@@ -301,9 +300,8 @@ impl ToJson for RuntimeReport {
             ("shards", self.shards.to_json()),
             ("segments", self.segments.to_json()),
         ];
-        // Same compatibility contract as the serde derive: a run in
-        // which the admission layer did nothing serializes byte-for-byte
-        // like a report from before the section existed.
+        // A run in which the admission layer did nothing renders
+        // byte-for-byte like a report from before the section existed.
         if !self.overload.is_empty() {
             fields.push(("overload", self.overload.to_json()));
         }
@@ -347,6 +345,7 @@ impl ToJson for DeploymentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taurus_runtime::FaultReport;
 
     #[test]
     fn rendering_is_deterministic_and_shaped_like_json() {
@@ -409,5 +408,45 @@ mod tests {
         assert!(packets_at < apps_at, "declaration order preserved: {s}");
         assert!(s.contains("\"policy\": \"enforce\""));
         assert!(s.contains("\"reaction\": \"per-packet\""));
+    }
+
+    fn fields(json: &Json) -> &[(&'static str, Json)] {
+        match json {
+            Json::Object(fields) => fields,
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
+
+    fn keys(json: &Json) -> Vec<&'static str> {
+        fields(json).iter().map(|&(key, _)| key).collect()
+    }
+
+    #[test]
+    fn runtime_reports_render_the_overload_section_only_when_the_admission_layer_acted() {
+        let mut report = RuntimeReport {
+            merged: SwitchReport::default(),
+            shards: Vec::new(),
+            segments: vec![BinaryMetrics::default()],
+            faults: FaultReport::default(),
+            overload: OverloadReport::default(),
+        };
+        assert_eq!(keys(&report.to_json()), ["merged", "shards", "segments"]);
+
+        report.overload = OverloadReport {
+            shed_packets: 3,
+            per_shard: vec![2, 1],
+            flow_buckets: vec![(5, 2), (9, 1)],
+            quarantine: QuarantineCounts { truncated: 1, ..QuarantineCounts::default() },
+            ..OverloadReport::default()
+        };
+        let json = report.to_json();
+        assert_eq!(keys(&json), ["merged", "shards", "segments", "overload"]);
+        let overload = &fields(&json)[3].1;
+        let field = |key| &fields(overload).iter().find(|(k, _)| *k == key).unwrap().1;
+        let pair = |bucket, n| Json::Array(vec![Json::UInt(bucket), Json::UInt(n)]);
+        assert_eq!(*field("shed_packets"), Json::UInt(3));
+        assert_eq!(*field("per_shard"), Json::Array(vec![Json::UInt(2), Json::UInt(1)]));
+        assert_eq!(*field("flow_buckets"), Json::Array(vec![pair(5, 2), pair(9, 1)]));
+        assert!(json.pretty().contains("\"truncated\": 1,"));
     }
 }

@@ -6,6 +6,9 @@
 //! that regenerates it: same workloads, same parameter sweeps, printed in
 //! the paper's row/series structure with the published values alongside
 //! our measured ones. `EXPERIMENTS.md` records the comparison.
+//!
+//! Results that persist under `results/` go through [`save_json`] and
+//! the [`json`] encoder, the workspace's one serializer.
 
 pub mod json;
 
@@ -44,31 +47,20 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes experiment results as JSON under `results/` for provenance.
-/// With the vendored `serde_json` stub this silently skips the sidecar
-/// file; types with a [`json::ToJson`] impl should prefer
-/// [`save_rendered_json`], which always writes.
-pub fn save_json(name: &str, value: &impl serde::Serialize) {
+/// Renders `value` with [`json::ToJson`] and writes it to
+/// `results/<name>.json`.
+///
+/// # Panics
+///
+/// If `results/` cannot be created or the file cannot be written: a
+/// result either persists or the run fails, naming the path.
+pub fn save_json(name: &str, value: &impl json::ToJson) {
     let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
     let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(path, json);
-    }
-}
-
-/// Renders a [`json::ToJson`] value with the deterministic hand-rolled
-/// encoder and writes it under `results/<name>.json`.
-pub fn save_rendered_json(name: &str, value: &impl json::ToJson) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
     let mut text = value.to_json().pretty();
     text.push('\n');
-    let _ = std::fs::write(dir.join(format!("{name}.json")), text);
+    std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
 /// The Table 5 application models, compiled for the default grid:

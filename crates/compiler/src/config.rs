@@ -1,13 +1,11 @@
 //! Grid and compilation configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical parameters of a MapReduce block.
 ///
 /// Defaults are the paper's final ASIC configuration (§5.1.1): 16 lanes ×
 /// 4 stages per CU, a 12×10 grid with a 3:1 CU:MU ratio, 16-bank MUs with
 /// 1024 8-bit entries per bank, clocked at 1 GHz.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridConfig {
     /// SIMD lanes per CU.
     pub lanes: usize,
@@ -77,7 +75,7 @@ impl GridConfig {
 }
 
 /// Knobs for a single compilation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompileOptions {
     /// Outer-loop unroll factor for graphs with `outer_iters > 1`:
     /// `Some(u)` instantiates `u` parallel iteration slots (initiation

@@ -5,8 +5,6 @@
 //! MU cells, so deeper pipeline stages sit further from the PHV ingress.
 //! Route lengths are Manhattan distances on the static interconnect.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::GridConfig;
 use crate::program::CompileError;
 use crate::vu::{Vu, VuKind};
@@ -15,7 +13,7 @@ use crate::vu::{Vu, VuKind};
 pub type Pos = (i32, i32);
 
 /// Placement result: a position for every VU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Resolved position per VU (wires adopt their producer's position;
     /// the interface sits off-grid at column −1).

@@ -18,18 +18,17 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use taurus_ir::{Graph, NodeId, Op};
 
 use crate::config::{CompileOptions, GridConfig};
 use crate::program::CompileError;
 
 /// Identifies a virtual unit within a [`crate::GridProgram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VuId(pub u32);
 
 /// The physical flavour of a virtual unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VuKind {
     /// The PHV ingress interface (produces the input vector).
     Interface,
@@ -60,7 +59,7 @@ impl VuKind {
 }
 
 /// Dot-product row work assigned to one [`VuKind::DotCu`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowWork {
     /// The `MatVec` or `SqDist` node.
     pub node: NodeId,
@@ -71,7 +70,7 @@ pub struct RowWork {
 }
 
 /// One virtual unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vu {
     /// Flavour.
     pub kind: VuKind,

@@ -14,11 +14,10 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
 use taurus_ml::Mlp;
 
 /// A control-plane inference device from Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Accelerator {
     /// Vectorized CPU (Broadwell Xeon).
     BroadwellXeon,

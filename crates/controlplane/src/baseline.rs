@@ -17,12 +17,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use taurus_events::{EventQueue, SimTime};
 use taurus_ml::{BinaryMetrics, Mlp};
 
 /// One packet of the offered trace, as the baseline sees it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketSample {
     /// Arrival time, ns.
     pub ts_ns: u64,
@@ -36,7 +35,7 @@ pub struct PacketSample {
 
 /// Baseline configuration. Latency constants default to values
 /// calibrated against Table 8's measured components.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineConfig {
     /// Telemetry sampling probability (Table 8's rows: 1e-5 … 1e-2).
     pub sampling_rate: f64,
@@ -85,7 +84,7 @@ impl Default for BaselineConfig {
 }
 
 /// Aggregate results of one baseline run (one Table 8 row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineReport {
     /// Mean XDP batch size.
     pub xdp_batch: f64,

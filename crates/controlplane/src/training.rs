@@ -20,7 +20,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use taurus_ml::{BinaryMetrics, Mlp};
 
 /// Derives the RNG seed for one update round with a SplitMix64 step:
@@ -40,7 +39,7 @@ pub fn derive_round_seed(seed: u64, round: u64) -> u64 {
 }
 
 /// One point of a convergence curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergencePoint {
     /// Virtual time since training began, seconds.
     pub time_s: f64,
@@ -49,7 +48,7 @@ pub struct ConvergencePoint {
 }
 
 /// Configuration for one online-training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingRunConfig {
     /// Telemetry sampling probability (Fig. 13's axis).
     pub sampling_rate: f64,

@@ -40,9 +40,7 @@ pub enum EngineBackend {
 }
 
 /// How an app's per-packet decision affects forwarding.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VerdictPolicy {
     /// The app's postprocessing MATs write the decision field and the
     /// switch enforces it (drop/flag packets).

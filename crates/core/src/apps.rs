@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use taurus_cgra::PreparedProgram;
 use taurus_compiler::{compile, frontend, CompileOptions, GridConfig, GridProgram};
 use taurus_dataset::kdd::{FeatureView, KddGenerator};
@@ -22,7 +21,7 @@ use crate::engine::CgraEngine;
 use crate::update::{EngineUpdate, FormatterFactory, ModelUpdate};
 
 /// Reaction-time classes from Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReactionTime {
     /// Must decide on every packet.
     PerPacket,
@@ -36,7 +35,7 @@ pub enum ReactionTime {
 
 /// One Table 1 row: an in-network application and its demanded reaction
 /// times.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppInfo {
     /// Application name as printed in Table 1.
     pub name: &'static str,

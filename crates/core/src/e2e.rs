@@ -10,7 +10,6 @@
 //!
 //! [`FlowTracker`]: taurus_pisa::FlowTracker
 
-use serde::{Deserialize, Serialize};
 use taurus_controlplane::baseline::{run_baseline, BaselineConfig, BaselineReport, PacketSample};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
@@ -23,7 +22,7 @@ use crate::ingest::ObsBuilder;
 use crate::switch::SwitchBuilder;
 
 /// One packet's extracted stream features and ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamSample {
     /// Raw (unstandardized) 6-feature DNN view.
     pub features: Vec<f32>,
@@ -93,7 +92,7 @@ pub fn build_detector_from_packets(trace: &PacketTrace, seed: u64) -> AnomalyDet
 }
 
 /// Taurus-side evaluation results.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaurusEvalReport {
     /// Percentage of anomalous packets dropped at the switch.
     pub detected_pct: f64,
@@ -137,7 +136,7 @@ pub fn run_taurus_only(
 
 /// One Table 8 row: baseline and Taurus on the same trace at one
 /// sampling rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table8Row {
     /// Control-plane sampling rate.
     pub sampling_rate: f64,

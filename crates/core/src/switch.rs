@@ -7,7 +7,6 @@
 //! no borrow lifetimes — because engines share compiled programs via
 //! `Arc` ([`crate::engine::CgraEngine`]).
 
-use serde::{Deserialize, Serialize};
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::pipeline::PipelineResult;
 use taurus_pisa::registers::PacketObs;
@@ -22,7 +21,7 @@ use crate::update::{
 };
 
 /// Per-app counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AppCounters {
     /// Packets this app's pipeline processed.
     pub packets: u64,
@@ -45,7 +44,7 @@ impl AppCounters {
 }
 
 /// One hosted app's identity and counters, as reported.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppReport {
     /// The app's [`TaurusApp::name`].
     pub name: String,
@@ -58,7 +57,7 @@ pub struct AppReport {
 }
 
 /// Aggregate switch counters plus the per-app breakdown.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SwitchReport {
     /// Packets processed by the switch.
     pub packets: u64,

@@ -16,13 +16,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dist;
 use crate::split::Dataset;
 
 /// Device category of a traffic record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IotCategory {
     /// IP camera: large steady upstream volume.
     Camera,
@@ -58,7 +57,7 @@ impl IotCategory {
 }
 
 /// One device-traffic observation window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IotRecord {
     /// Mean packet size (bytes).
     pub mean_pkt_size: f32,

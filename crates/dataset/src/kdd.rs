@@ -16,13 +16,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dist;
 use crate::split::Dataset;
 
 /// Transport protocol of a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// TCP.
     Tcp,
@@ -47,7 +46,7 @@ impl Protocol {
 }
 
 /// Application service of a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Service {
     /// HTTP traffic.
     Http,
@@ -83,7 +82,7 @@ impl Service {
 }
 
 /// TCP connection status flag (KDD `flag` field, abbreviated set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnFlag {
     /// Normal establishment and termination.
     Sf,
@@ -111,7 +110,7 @@ impl ConnFlag {
 }
 
 /// Connection label: normal or one of the four KDD attack families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KddClass {
     /// Benign traffic.
     Normal,
@@ -142,7 +141,7 @@ impl KddClass {
 }
 
 /// One synthesized connection record with KDD-style features.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnRecord {
     /// Connection duration in seconds.
     pub duration: f32,
@@ -185,7 +184,7 @@ impl ConnRecord {
 
 /// Feature-vector views of a [`ConnRecord`], matching the models in the
 /// paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureView {
     /// The 6-feature anomaly-detection DNN view (Tang et al.):
     /// duration, protocol likelihood, src bytes, dst bytes, count, srv count.

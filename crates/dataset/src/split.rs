@@ -3,10 +3,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A labelled dataset of dense `f32` feature vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     x: Vec<Vec<f32>>,
     y: Vec<usize>,
@@ -96,7 +95,7 @@ impl Dataset {
 }
 
 /// Per-feature mean/std standardizer (fit on train, apply to both splits).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Standardizer {
     mean: Vec<f32>,
     std: Vec<f32>,

@@ -16,7 +16,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dist;
 use crate::kdd::{ConnRecord, Protocol};
@@ -33,7 +32,7 @@ pub const TCP_URG: u8 = 0x20;
 pub const TCP_RST: u8 = 0x04;
 
 /// The classic five-tuple identifying a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FiveTuple {
     /// Source IPv4 address.
     pub src_ip: u32,
@@ -91,7 +90,7 @@ impl FiveTuple {
 }
 
 /// One trace element — a packet (bin) with its metadata and ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePacket {
     /// Arrival time in nanoseconds from trace start.
     pub ts_ns: u64,
@@ -111,7 +110,7 @@ pub struct TracePacket {
 }
 
 /// Parameters for trace expansion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// RNG seed.
     pub seed: u64,
@@ -141,7 +140,7 @@ impl Default for TraceConfig {
 }
 
 /// A fully expanded, time-sorted packet trace plus its source records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketTrace {
     /// All packets, sorted by `ts_ns`.
     pub packets: Vec<TracePacket>,

@@ -18,8 +18,6 @@
 //! documents the operation count the compiler uses when mapping it to CU
 //! stages.
 
-use serde::{Deserialize, Serialize};
-
 use crate::q::Q32;
 
 /// Fractional bits used by the wide fixed-point activation path.
@@ -28,7 +26,7 @@ pub const ACT_FRAC: u32 = 16;
 pub type ActQ = Q32<ACT_FRAC>;
 
 /// The activation functions supported by the Taurus datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Identity (no nonlinearity).
     Identity,

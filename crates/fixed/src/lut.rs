@@ -6,8 +6,6 @@
 //! is a clamp + index + load, which maps onto one MU access plus one CU
 //! address-computation stage.
 
-use serde::{Deserialize, Serialize};
-
 use crate::act::{ActQ, ACT_FRAC};
 use crate::quant::QuantParams;
 
@@ -16,7 +14,7 @@ pub const LUT_ENTRIES: usize = 1024;
 
 /// A 1024-entry 8-bit lookup table approximating a scalar function over
 /// a symmetric input range `[-range, range]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActLut {
     table: Vec<i8>,
     /// Half-width of the covered input interval.

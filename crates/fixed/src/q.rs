@@ -13,16 +13,13 @@ use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, Div, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! define_q {
     (
         $(#[$meta:meta])*
         $name:ident, $raw:ty, $wide:ty, $bits:expr
     ) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
         pub struct $name<const F: u32>($raw);
 
         impl<const F: u32> $name<F> {

@@ -8,10 +8,8 @@
 //! [`Requantizer`] (integer multiplier + right shift), exactly the
 //! mechanism integer-only inference hardware uses.
 
-use serde::{Deserialize, Serialize};
-
 /// Affine quantization parameters for one tensor: `x ≈ scale · (q - zero_point)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     /// Real-value step size between adjacent quantized codes. Always > 0.
     pub scale: f32,
@@ -101,7 +99,7 @@ impl Default for QuantParams {
 }
 
 /// A quantized tensor: int8 codes plus their shared [`QuantParams`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedVec {
     /// Quantized codes.
     pub data: Vec<i8>,
@@ -143,7 +141,7 @@ impl QuantizedVec {
 /// using only integer operations — the standard TF-Lite/gemmlowp
 /// requantization pipeline that maps directly onto shift-capable fixed
 /// point ALUs like the Taurus FUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Requantizer {
     /// Fixed-point multiplier in Q0.31 (always in `[2^30, 2^31)` unless zero).
     pub multiplier: i32,

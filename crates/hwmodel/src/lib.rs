@@ -22,11 +22,10 @@
 //! exact) and report the derived block overhead, recording the
 //! discrepancy in `EXPERIMENTS.md`.
 
-use serde::{Deserialize, Serialize};
 use taurus_compiler::{GridConfig, ResourceReport};
 
 /// Datapath precision of the functional units (Table 4's axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 8-bit fixed point (the paper's final design).
     Fix8,
@@ -57,7 +56,7 @@ impl Precision {
 }
 
 /// CU geometry for the design-space exploration (Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CuGeometry {
     /// SIMD lanes.
     pub lanes: usize,
@@ -147,7 +146,7 @@ pub fn mu_power_mw(banks: usize, bank_entries: usize, switching: f64) -> f64 {
 
 /// The reference switch chip Taurus extends (§5.1.1: a 500–600 mm²,
 /// 64×100 GbE, 270 W device with four reconfigurable pipelines).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchChip {
     /// Die area in mm².
     pub area_mm2: f64,
@@ -164,7 +163,7 @@ impl Default for SwitchChip {
 }
 
 /// Area/power roll-up for one model or grid (a Table 5 row).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwReport {
     /// Block area in mm² (one pipeline's worth).
     pub area_mm2: f64,
@@ -323,7 +322,7 @@ pub mod mat_compare {
     }
 
     /// One §5.1.4 comparison row.
-    #[derive(Debug, Clone, PartialEq, serde::Serialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct MatOnlyRow {
         /// Implementation name.
         pub name: &'static str,

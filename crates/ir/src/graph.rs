@@ -1,28 +1,27 @@
 //! Dataflow-graph representation of MapReduce programs.
 
-use serde::{Deserialize, Serialize};
 use taurus_fixed::quant::Requantizer;
 
 /// Identifies a node within a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Identifies a weight bank within a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WeightId(pub u32);
 
 /// Identifies a 256-entry lookup table within a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LutId(pub u32);
 
 /// Identifies a persistent state vector within a [`Graph`] (e.g. LSTM
 /// hidden state, kept in MUs across packets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StateId(pub u32);
 
 /// Element-wise (map) operations. Two-operand ops take the second operand
 /// from another node or a constant vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapOp {
     /// Lane-wise wrapping addition.
     Add,
@@ -41,7 +40,7 @@ pub enum MapOp {
 }
 
 /// Vector-to-scalar (reduce) operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceOp {
     /// Sum of lanes (wrapping).
     Add,
@@ -56,7 +55,7 @@ pub enum ReduceOp {
 }
 
 /// The second operand of a two-input map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
     /// Another node's output (must have equal width, or width 1 for a
     /// broadcast scalar).
@@ -66,7 +65,7 @@ pub enum Operand {
 }
 
 /// A dataflow operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// The packet's feature vector (int8 codes in lanes).
     Input {
@@ -174,7 +173,7 @@ pub enum Op {
 }
 
 /// A node: an [`Op`] plus its statically known output width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The operation.
     pub op: Op,
@@ -187,7 +186,7 @@ pub struct Node {
 }
 
 /// An int8 weight bank (stored in MUs on hardware).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightBank {
     /// Debug name.
     pub name: String,
@@ -207,7 +206,7 @@ impl WeightBank {
 }
 
 /// A persistent state vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateBank {
     /// Debug name.
     pub name: String,
@@ -216,7 +215,7 @@ pub struct StateBank {
 }
 
 /// A complete MapReduce program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     pub(crate) weights: Vec<WeightBank>,

@@ -6,10 +6,8 @@
 //! vectorized MapReduce (many small inner reductions), which is exactly
 //! the behaviour the compiler benches reproduce in Table 7.
 
-use serde::{Deserialize, Serialize};
-
 /// A valid-padding 1-D convolution: `y[i] = Σ_k w[k]·x[i+k] + b`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conv1D {
     /// Kernel taps.
     pub kernel: Vec<f32>,

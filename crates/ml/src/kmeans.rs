@@ -8,12 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::linalg::{argmin, sq_dist};
 
 /// A trained KMeans model: `k` centroids of dimension `d`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     centroids: Vec<Vec<f32>>,
 }

@@ -11,12 +11,11 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::linalg::{argmax, softmax, Matrix};
 
 /// LSTM architecture description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LstmConfig {
     /// Input feature width per step.
     pub input: usize,
@@ -52,7 +51,7 @@ struct StepCache {
 }
 
 /// An LSTM with a softmax classification head on the final hidden state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
     /// Input weights, `4·hidden × input`, gate order `[i, f, o, g]`.
     wx: Matrix,

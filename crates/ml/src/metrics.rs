@@ -6,10 +6,8 @@
 //! to 0–100 (e.g. 71.1); [`BinaryMetrics::f1_percent`] matches that
 //! convention.
 
-use serde::{Deserialize, Serialize};
-
 /// Binary-classification counts (positive class = anomalous).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BinaryMetrics {
     /// True positives.
     pub tp: u64,
@@ -102,7 +100,7 @@ impl BinaryMetrics {
 }
 
 /// A k×k multiclass confusion matrix (`rows = truth`, `cols = predicted`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     k: usize,
     counts: Vec<u64>,

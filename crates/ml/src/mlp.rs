@@ -9,14 +9,13 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use taurus_fixed::Activation;
 
 use crate::linalg::{argmax, softmax, Matrix};
 use crate::weights::{LayerWeights, MlpWeights, WeightShapeError};
 
 /// Output head: decides both the final nonlinearity and the loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputHead {
     /// Softmax over `k ≥ 2` logits with cross-entropy loss.
     Softmax,
@@ -27,7 +26,7 @@ pub enum OutputHead {
 }
 
 /// One dense layer: `y = act(W·x + b)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     /// Weight matrix, `out × in`.
     pub w: Matrix,
@@ -73,7 +72,7 @@ fn act_deriv(act: Activation, x: f32, y: f32) -> f32 {
 }
 
 /// Architecture description for an [`Mlp`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlpConfig {
     /// Layer widths, input first, output last (e.g. `[6, 12, 6, 3, 1]`).
     pub layers: Vec<usize>,
@@ -97,7 +96,7 @@ impl MlpConfig {
 }
 
 /// SGD hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainParams {
     /// Learning rate.
     pub lr: f32,
@@ -120,7 +119,7 @@ impl Default for TrainParams {
 }
 
 /// A multilayer perceptron.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Dense>,
     head: OutputHead,

@@ -15,7 +15,6 @@
 //! model**: the compiler/simulator stack must reproduce its outputs
 //! bit-for-bit (enforced by cross-crate integration tests).
 
-use serde::{Deserialize, Serialize};
 use taurus_fixed::quant::{QuantParams, Requantizer};
 use taurus_fixed::Activation;
 
@@ -85,7 +84,7 @@ pub fn sq_dist_codes(a: &[i8], b: &[i8]) -> i32 {
 }
 
 /// A 256-entry int8→int8 lookup table (primitive (4)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lut256 {
     table: Vec<i8>,
 }
@@ -115,7 +114,7 @@ impl Lut256 {
 }
 
 /// One quantized dense layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedDense {
     /// Row-major int8 weights (`out × in`), symmetric quantization.
     pub w: Vec<i8>,
@@ -156,7 +155,7 @@ impl QuantizedDense {
 }
 
 /// A fully quantized MLP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMlp {
     layers: Vec<QuantizedDense>,
     head: OutputHead,
@@ -311,7 +310,7 @@ impl QuantizedMlp {
 }
 
 /// A quantized KMeans classifier: nearest centroid in int8 code space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedKMeans {
     centroids: Vec<Vec<i8>>,
     params: QuantParams,
@@ -381,7 +380,7 @@ impl QuantizedKMeans {
 }
 
 /// A quantized RBF SVM: per-SV distance → requant → exp LUT → weighted sum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedSvm {
     support: Vec<Vec<i8>>,
     alpha: Vec<i8>,

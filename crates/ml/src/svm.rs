@@ -13,12 +13,11 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::linalg::sq_dist;
 
 /// SVM hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvmConfig {
     /// RBF width: `K(x, z) = exp(−γ‖x−z‖²)`.
     pub gamma: f32,
@@ -39,7 +38,7 @@ impl Default for SvmConfig {
 }
 
 /// A trained budgeted RBF SVM (binary: positive = anomalous).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Svm {
     support: Vec<Vec<f32>>,
     alpha: Vec<f32>,

@@ -4,19 +4,18 @@
 //! data-plane model online and installs new weights at flow-rule
 //! latency. The artifact that crosses the control→data boundary is not
 //! a model object but its *parameters*: this module defines that
-//! artifact ([`MlpWeights`]) as a plain, serializable value that can be
+//! artifact ([`MlpWeights`]) as a plain, owned value that can be
 //! exported from a training-side [`Mlp`](crate::Mlp), shipped to a
 //! switch, and either imported into another float model or requantized
 //! into a fresh int8 deployment pipeline
 //! ([`QuantizedMlp::quantize`](crate::QuantizedMlp::quantize)).
 
-use serde::{Deserialize, Serialize};
 use taurus_fixed::Activation;
 
 use crate::mlp::OutputHead;
 
 /// One dense layer's parameters, row-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {
     /// Output count.
     pub rows: usize,
@@ -32,7 +31,7 @@ pub struct LayerWeights {
 
 /// A complete, architecture-tagged snapshot of an MLP's parameters —
 /// what `ModelUpdate` carries across the control/data-plane boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlpWeights {
     /// Per-layer parameters, input side first.
     pub layers: Vec<LayerWeights>,

@@ -27,12 +27,10 @@
 //! geometries — the direct-mapped slot-routing argument carries over
 //! with "slot" → "bucket".
 
-use serde::{Deserialize, Serialize};
-
 use crate::slot_index::SlotIndex;
 
 /// Flow-table geometry selector, carried by `PipelineConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlowTableKind {
     /// Slot = `key % flow_slots`, exactly what the table's [`SlotIndex`]
     /// computes; colliding flows share state. The default —
@@ -79,7 +77,7 @@ impl Access {
 /// the six parallel `RegisterArray`s. All fields keep `i64` register
 /// semantics (wrapping adds, `ts + 1` first-seen sentinel) so the
 /// direct-mapped path stays bit-identical to the historical arrays.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowEntry {
     /// Packets so far, both directions.
     pub pkt_count: i64,
@@ -96,7 +94,7 @@ pub struct FlowEntry {
 }
 
 /// One table slot: occupancy clock plus the occupant's key and counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct FlowSlot {
     key: u64,
     /// Last access as `ts_ns + 1` (0 = slot empty / never stamped).
@@ -109,7 +107,7 @@ struct FlowSlot {
 /// eviction. An idle timeout of 0 disables expiration; a disabled
 /// direct-mapped table never stamps, so it is bit-identical to the
 /// historical bare register arrays.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowTable {
     kind: FlowTableKind,
     slots: Vec<FlowSlot>,

@@ -7,8 +7,6 @@
 //! §3.1 preprocessing lookup tables that turn raw header values into
 //! feature codes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::phv::{Field, Phv};
 
 /// Per-action VLIW operation budget (Tofino-class, §2.1.1).
@@ -17,7 +15,7 @@ pub const MAX_OPS_PER_ACTION: usize = 12;
 pub const MAT_LATENCY_NS: u64 = 1;
 
 /// How one field is matched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchKind {
     /// Field equals the value exactly.
     Exact(i64),
@@ -65,7 +63,7 @@ impl MatchKind {
 }
 
 /// A primitive VLIW operation on the PHV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VliwOp {
     /// `dst = value`.
     Set(Field, i64),
@@ -108,7 +106,7 @@ impl VliwOp {
 }
 
 /// A compound action: a named, budget-checked op list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Action {
     /// Debug name.
     pub name: String,
@@ -145,7 +143,7 @@ impl Action {
 }
 
 /// One table entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableEntry {
     /// Per-field match specs (all must match).
     pub matches: Vec<(Field, MatchKind)>,
@@ -176,7 +174,7 @@ enum FastPath {
 }
 
 /// A match-action table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatchTable {
     /// Debug name.
     pub name: String,
@@ -186,7 +184,6 @@ pub struct MatchTable {
     misses: u64,
     /// Lazily compiled dispatch structure (derived from `entries`;
     /// excluded from equality).
-    #[serde(skip)]
     fast: FastPath,
 }
 

@@ -1,7 +1,6 @@
 //! Packets with byte-level Ethernet/IPv4/TCP/UDP serialization.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// EtherType for IPv4.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
@@ -9,7 +8,7 @@ pub const ETHERTYPE_IPV4: u16 = 0x0800;
 /// A network packet: the parsed header fields plus an opaque payload
 /// length (bodies are never materialized — switches forward them from
 /// packet buffers, Fig. 6's body bypass).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Destination MAC.
     pub dst_mac: [u8; 6],

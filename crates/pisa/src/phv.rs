@@ -1,13 +1,11 @@
 //! The Packet Header Vector: the fixed-layout field container that flows
 //! between pipeline stages (Bosshart et al., the paper's [15]).
 
-use serde::{Deserialize, Serialize};
-
 /// PHV fields. Header fields come from the parser; `Meta*` fields carry
 /// intermediate MAT results; `Feature*` fields hold the formatted
 /// fixed-point features the MapReduce block consumes; `MlOut` carries the
 /// verdict back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Field {
     /// Source IPv4 address.
     SrcIp,
@@ -44,7 +42,7 @@ pub enum Field {
 pub const MAX_FEATURES: usize = 16;
 
 /// The Packet Header Vector: a small, fixed set of typed fields.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Phv {
     header: [i64; 8],
     bypass_ml: i64,

@@ -7,8 +7,6 @@
 //! integration crate wires in the cycle-level CGRA simulator; unit tests
 //! here use a trivial threshold engine.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow_table::FlowTableKind;
 use crate::mat::{MatchTable, MAT_LATENCY_NS};
 use crate::packet::Packet;
@@ -90,7 +88,7 @@ impl InferenceEngine for LinearThresholdEngine {
 
 /// The final forwarding decision (written to [`Field::Decision`] by the
 /// postprocessing MATs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// Forward normally.
     Forward,
@@ -142,7 +140,7 @@ impl Verdict {
 }
 
 /// Pipeline construction parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Register cells per flow-state array.
     pub flow_slots: usize,

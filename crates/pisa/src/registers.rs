@@ -15,14 +15,12 @@
 //! data plane, which is how Taurus "achieves the same F1 score as the
 //! model in isolation" — training and inference see identical features.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow_table::{FlowTable, FlowTableKind};
 use crate::slot_index::SlotIndex;
 
 /// A register array: the PISA stateful primitive (bounded memory, indexed
 /// by a hash — collisions are a modeled artifact, as in real switches).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegisterArray {
     name: String,
     data: Vec<i64>,
@@ -92,7 +90,7 @@ impl RegisterArray {
 
 /// Cumulative features for one flow at one packet, in raw (pre-encoding)
 /// units.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FlowFeatures {
     /// Time since the flow's first packet, ns.
     pub duration_ns: u64,
@@ -153,7 +151,7 @@ pub fn proto_likelihood(proto: u8) -> f32 {
 /// Sliding-window counter bank: the classic two-epoch approximation
 /// switches use (current + previous epoch counts bound the true windowed
 /// count within 2×).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct WindowCounters {
     current: RegisterArray,
     previous: RegisterArray,
@@ -217,7 +215,7 @@ impl WindowCounters {
 /// [`FlowTracker::observe_prepared`] — which is exactly how the paper's
 /// hardware partitions the work (the register stage sits before any
 /// fan-out, so cross-flow state sees every packet in arrival order).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossFlowWindows {
     dst: WindowCounters,
     srv: WindowCounters,
@@ -254,7 +252,7 @@ impl CrossFlowWindows {
 }
 
 /// Per-flow and cross-flow feature state for the data plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowTracker {
     /// Per-flow occupancy and counters: direct-mapped (the historical
     /// register arrays, byte-identical) or keyed set-associative.
@@ -264,7 +262,7 @@ pub struct FlowTracker {
 }
 
 /// One packet's worth of observation input to [`FlowTracker::observe`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacketObs {
     /// Direction-independent flow key (canonical five-tuple hash).
     pub flow_key: u64,

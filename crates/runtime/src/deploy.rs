@@ -47,7 +47,6 @@ use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use taurus_controlplane::training::{ConvergencePoint, TrainingRunConfig};
 use taurus_core::apps::AnomalyDetector;
 use taurus_core::e2e::extract_stream_features;
@@ -58,7 +57,7 @@ use crate::runtime::{RuntimeBuilder, RuntimeReport};
 
 /// Configuration of one online-deployment run: the control-plane
 /// training knobs plus the data-plane geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentConfig {
     /// Training-loop knobs (sampling rate, buffer, epochs, batch,
     /// modeled train/install latencies, seed). `rounds` caps how many
@@ -78,7 +77,7 @@ impl Default for DeploymentConfig {
 }
 
 /// One completed control-plane round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeploymentRound {
     /// Round index (0-based).
     pub round: usize,
@@ -96,7 +95,7 @@ pub struct DeploymentRound {
 
 /// Outcome of an online deployment: what the switch actually did, per
 /// model segment, over virtual time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentReport {
     /// Deployed F1 (×100) per model segment, stamped at each segment's
     /// end time — segment *i* was decided by version *i + 1* (the

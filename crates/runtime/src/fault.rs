@@ -25,12 +25,11 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use taurus_core::UpdateError;
 use taurus_ml::BinaryMetrics;
 
 /// What kind of fault a [`FaultRecord`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultRecordKind {
     /// An engine worker panicked mid-run (caught, surfaced at drain).
     WorkerPanic,
@@ -46,7 +45,7 @@ pub enum FaultRecordKind {
 
 /// One diagnosed fault: which shard, what kind, and a human-readable
 /// detail line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRecord {
     /// The shard the fault was observed on.
     pub shard: usize,
@@ -57,7 +56,7 @@ pub struct FaultRecord {
 }
 
 /// The verdict of a concluded canary probation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CanaryDecision {
     /// Guardrails held: the update is promoted fleet-wide.
     Promote,
@@ -68,7 +67,7 @@ pub enum CanaryDecision {
 
 /// One concluded canary: what was on trial, what the segments showed,
 /// and how it ended.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CanaryVerdictRecord {
     /// The app the canaried update targeted.
     pub app: String,
@@ -90,7 +89,7 @@ pub struct CanaryVerdictRecord {
 /// A fault-free run is `FaultReport::default()` — so reports from runs
 /// that never faulted compare bit-identical to reports from before this
 /// section existed.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultReport {
     /// Engine workers respawned from a spare replica after a panic or
     /// a watchdog timeout.
@@ -103,7 +102,6 @@ pub struct FaultReport {
     /// Packets refused at ingest because their home shard was lost
     /// (see [`FaultRecordKind::ShardLost`]): they hold their stream
     /// index but reach no engine and leave no ingest-side state.
-    #[serde(default)]
     pub lost_shard_packets: u64,
     /// Concluded canaries, in conclusion order.
     pub canary_verdicts: Vec<CanaryVerdictRecord>,
@@ -124,7 +122,7 @@ impl FaultReport {
 /// the control shards' (see [`canary_decision`]): both metrics come
 /// from the same probation window over disjoint shard subsets of the
 /// same stream, so systematic model regressions show up as deltas.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CanaryGuardrails {
     /// Maximum tolerated F1 drop, in percentage points, of canary
     /// versus control before the canary rolls back.

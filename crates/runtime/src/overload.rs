@@ -41,7 +41,6 @@
 //! packet is refused before any stateful ingest under *every* policy,
 //! Block included — validation is about input trust, not load.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -98,9 +97,9 @@ impl OverloadPolicy {
 }
 
 /// Per-reason quarantine counters for the hardened ingest frontier —
-/// one field per [`IngestError`] variant, fixed order, so serialized
+/// one field per [`IngestError`] variant, fixed order, so rendered
 /// reports are stable across runs and geometries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuarantineCounts {
     /// Zero-length flow records.
     pub zero_length: u64,
@@ -143,11 +142,10 @@ impl QuarantineCounts {
 /// the admission layer did since the last drain.
 ///
 /// A run that never shed, degraded, or quarantined anything equals
-/// `OverloadReport::default()` — and the report field carries
-/// `skip_serializing_if`, so such runs serialize byte-identical to
-/// reports from before this section existed (the same compatibility
-/// contract as [`crate::FaultReport`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// `OverloadReport::default()`, so such runs compare bit-identical to
+/// reports from before this section existed (the same contract as
+/// [`crate::FaultReport`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OverloadReport {
     /// Packets dropped by [`OverloadPolicy::Shed`] admission control.
     pub shed_packets: u64,

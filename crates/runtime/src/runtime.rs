@@ -51,7 +51,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use taurus_core::{DuplicateAppError, EngineBackend, SwitchBuilder, SwitchReport, TaurusApp};
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::registers::PacketObs;
@@ -322,9 +321,9 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Arms a deterministic fault-injection plan: engine panics,
-    /// stalls, and dropped install replies at exact
-    /// (shard, global stream index) points — see [`FaultPlan`]. Empty
+    /// Arms a deterministic fault-injection plan: engine panics and
+    /// stalls at exact (shard, global stream index) points, and
+    /// ingest-side saturation windows — see [`FaultPlan`]. Empty
     /// by default (nothing is injected, and the per-packet check is
     /// skipped entirely).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -486,7 +485,7 @@ impl<'a> RuntimeBuilder<'a> {
 }
 
 /// Per-shard outcome of a run: routing stats plus the replica's report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
@@ -499,7 +498,7 @@ pub struct ShardStats {
 }
 
 /// Merged outcome of a sharded run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeReport {
     /// The global report: per-shard reports merged by
     /// [`SwitchReport::merged`]. Equals the sequential switch's report
@@ -519,9 +518,7 @@ pub struct RuntimeReport {
     /// Fault accounting since the last drain: worker restarts, batches
     /// dropped while degraded, rollbacks taken, canary verdicts. A run
     /// with no faults reports exactly [`FaultReport::default`], so
-    /// fault-free reports compare bit-identical to pre-fault-era ones
-    /// (`#[serde(default)]`: older serialized reports still load).
-    #[serde(default, skip_serializing_if = "FaultReport::is_empty")]
+    /// fault-free reports compare bit-identical to pre-fault-era ones.
     pub faults: FaultReport,
     /// Overload accounting since the last drain: packets shed by
     /// admission control, degraded to the line-rate default verdict, or
@@ -529,9 +526,7 @@ pub struct RuntimeReport {
     /// [`OverloadReport`]. A run in which the admission layer did
     /// nothing (every [`crate::OverloadPolicy::Block`] run on a clean
     /// trace) reports exactly [`OverloadReport::default`], so such
-    /// reports compare — and serialize — bit-identical to pre-overload
-    /// ones (`#[serde(default)]`: older serialized reports still load).
-    #[serde(default, skip_serializing_if = "OverloadReport::is_empty")]
+    /// reports compare bit-identical to pre-overload ones.
     pub overload: OverloadReport,
 }
 
