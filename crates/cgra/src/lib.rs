@@ -20,10 +20,14 @@
 //! that plan by reading and writing slab slices in place. A dense layer
 //! is **one** op of that schedule: the dot-product node, the bias and
 //! requant the compiler fused into its CUs and the activation LUT that
-//! consumes them run as reduce → requantize → look up over
-//! column-major weight panels, straight into the layer's output region
+//! consumes them run as reduce → requantize → look up over `i16`
+//! column-pair weight panels, straight into the layer's output region
 //! (the per-unit cycle model is untouched: timing is per CU, not per
-//! plan op). Steady-state
+//! plan op). On x86-64 the reduction is one SSE2 multiply-add-pairs per
+//! two columns and four rows, and a fused requantize → LUT runs on each
+//! four-row panel in a register; the private `simd` module holds those
+//! two steps and their plain-Rust twins for every other target.
+//! Steady-state
 //! [`CgraSim::process_into`] performs **zero heap allocations** (pinned
 //! by the counting-allocator test in `tests/no_alloc.rs`), where the
 //! previous implementation built a `HashMap` of lane vectors per packet
@@ -43,6 +47,8 @@
 //!    not per-packet — using the identical arrival/egress model.)
 //!
 //! [`TimingReport`]: taurus_compiler::TimingReport
+
+mod simd;
 
 use std::sync::Arc;
 
@@ -93,10 +99,10 @@ impl Slot {
     }
 }
 
-/// Rows a [`DenseOp`] reduces together: one panel of accumulators, one
-/// weight per lane per column. Four `i32` lanes are one vector register
-/// of every x86-64 and aarch64 target, and the paper's dense layers are
-/// 1–12 rows tall: a wider panel would mostly multiply padding.
+/// Rows a [`DenseOp`] reduces together: one panel of accumulators. Four
+/// `i32` lanes are one vector register of every x86-64 and aarch64
+/// target, and the paper's dense layers are 1–12 rows tall: a wider
+/// panel would mostly multiply padding.
 const PANEL: usize = 4;
 
 /// One dense layer as the grid runs it — reduce → bias → requantize →
@@ -106,28 +112,32 @@ const PANEL: usize = 4;
 /// Only the last node of the chain gets a slab value; the nodes folded
 /// into it have no other reader.
 ///
-/// The int8 bank is laid out for the reduction at plan-build time:
-/// pre-widened to `i32`, **column-major in panels of [`PANEL`] rows**
-/// (`weights[(p·cols + j)·PANEL + l]` is row `p·PANEL + l`, column `j`,
-/// zero past the last row), so a panel's accumulators advance together
-/// by one column per step and the widened `x[j] − zero_point` is shared
-/// by all of them. All arithmetic is wrapping `i32`, so the order of
-/// summation — and a bias as the accumulator's start value — cannot
-/// change a bit.
+/// The int8 bank is laid out for SSE2's multiply-add-pairs at plan-build
+/// time: `i16` **column pairs per panel of [`PANEL`] rows**
+/// (`bank[p·pairs + k][2l + c]` is row `p·PANEL + l`, column `2k + c`,
+/// zero past the last row and column), so one [`simd::madd`] advances a
+/// panel's four accumulators by two columns. Everything else about a row
+/// moves into its accumulator's start value, by identities of wrapping
+/// `i32` arithmetic (the ring ℤ/2³², where the order of summation cannot
+/// change a bit either):
+///
+/// - MatVec: `Σⱼ w·(x − zp) = Σⱼ w·x − zp·Σⱼ w`, so `init = bias − zp·Σⱼ w`;
+/// - SqDist: `Σⱼ (x − w)² = Σⱼ (−2w)·x + Σⱼ w² + Σⱼ x²`, so the bank holds
+///   `−2w` (which fits `i16`), `init = bias + Σⱼ w²`, and the per-call
+///   `Σⱼ x²` is added to every row.
+///
+/// Both are then the same reduction, `init + Σⱼ bank·x`.
 #[derive(Debug, Clone)]
 struct DenseOp {
-    /// The bank, panel-major as above (`panels · cols · PANEL`).
-    weights: Vec<i32>,
-    /// Accumulator start per padded row: the bias fused directly onto
-    /// the reduction, else zero.
+    /// The bank, panel-major as above (`panels · pairs`).
+    bank: Vec<[i16; 2 * PANEL]>,
+    /// Accumulator start per padded row, as above.
     init: Vec<i32>,
     /// Bank columns (= input width).
     cols: usize,
     /// Input vector location.
     input: Slot,
-    /// MatVec zero point (unused for SqDist).
-    zero_point: i32,
-    /// Squared-distance rather than dot-product rows.
+    /// Squared-distance rather than dot-product rows: add `Σⱼ x²`.
     sqdist: bool,
     /// `acc[r] = requant(acc[r])`, if fused.
     requant: Option<Requantizer>,
@@ -139,17 +149,25 @@ struct DenseOp {
 
 impl DenseOp {
     /// The whole layer: reduce every panel over the columns straight
-    /// into the destination region, then run the tail over its rows in
-    /// place.
+    /// into the destination region. A fused requant → LUT runs on each
+    /// panel while it is still in a register ([`simd::requant4`], whose
+    /// `packs` saturation is the LUT's clamp); any other tail runs over
+    /// the rows in place afterwards.
     fn run(&self, slab: &mut [i32]) {
         let (lo, hi) = slab.split_at_mut(self.dst.off as usize);
-        let x = &slot_in(lo, self.input)[..self.cols];
-        // Slots are padded to whole panels, so every panel stores whole.
+        // Slots are padded to whole panels, so an odd-width input has a
+        // pad lane to complete its last pair; that column's weights are
+        // zero, so whatever the lane holds adds nothing.
+        let x = &lo[self.input.off as usize..][..self.cols.next_multiple_of(2)];
         let (panels, _) = hi[..self.init.len()].as_chunks_mut::<PANEL>();
-        if self.sqdist {
-            self.reduce::<true>(x, panels);
-        } else {
-            self.reduce::<false>(x, panels);
+        match (self.requant, &self.lut) {
+            (Some(rq), Some(table)) if (0..=30).contains(&rq.shift) && rq.multiplier >= 0 => {
+                return self.reduce(x, panels, |acc| {
+                    simd::requant4(acc, rq)
+                        .map(|code| i32::from(table[usize::from(code as u8 ^ 0x80)]))
+                });
+            }
+            _ => self.reduce(x, panels, |acc| acc),
         }
         let rows = &mut hi[..self.dst.len as usize];
         // The requantizer by value: a slab store cannot alias a local,
@@ -174,26 +192,65 @@ impl DenseOp {
         }
     }
 
-    #[inline]
-    fn reduce<const SQDIST: bool>(&self, x: &[i32], panels: &mut [[i32; PANEL]]) {
-        let (weights, _) = self.weights.as_chunks::<PANEL>();
+    /// Stores `tail(init + Σⱼ bank·x)` for every panel. `pmaddwd` takes
+    /// `i16` lanes, so one check per call picks the loop: every live
+    /// lane fits `i16` (each pair sum then stays below 2²⁴), or the lanes
+    /// split as `x = lo + hi·2¹⁶` and the reduction runs twice.
+    #[inline(always)]
+    fn reduce(
+        &self,
+        x: &[i32],
+        panels: &mut [[i32; PANEL]],
+        tail: impl Fn([i32; PANEL]) -> [i32; PANEL],
+    ) {
+        let live = &x[..self.cols];
+        let base = if self.sqdist {
+            live.iter().fold(0i32, |s, &v| s.wrapping_add(v.wrapping_mul(v)))
+        } else {
+            0
+        };
+        if live.iter().all(|&v| i16::try_from(v).is_ok()) {
+            self.reduce_pairs::<false>(x, base, panels, tail);
+        } else {
+            self.reduce_pairs::<true>(x, base, panels, tail);
+        }
+    }
+
+    /// The one reduction loop, over column pairs. With `SPLIT`, the low
+    /// halves (`lo`, sign-extended) and the high halves
+    /// (`hi = (x − lo) >> 16`) reduce side by side and meet as
+    /// `acc + (acc_hi << 16)`, exact mod 2³².
+    #[inline(always)]
+    fn reduce_pairs<const SPLIT: bool>(
+        &self,
+        x: &[i32],
+        base: i32,
+        panels: &mut [[i32; PANEL]],
+        tail: impl Fn([i32; PANEL]) -> [i32; PANEL],
+    ) {
+        // `pmaddwd` reads `a` from the low half of a pair, `b` from the high.
+        let pair = |a: i32, b: i32| (a & 0xFFFF) | (b << 16);
+        let high = |v: i32| v.wrapping_sub(i32::from(v as i16)) >> 16;
+        let (xs, _) = x.as_chunks::<2>();
         let (init, _) = self.init.as_chunks::<PANEL>();
-        for (p, (out, init)) in panels.iter_mut().zip(init).enumerate() {
-            let mut acc = *init;
-            for (w, &xv) in weights[p * x.len()..].iter().zip(x) {
-                if SQDIST {
-                    for l in 0..PANEL {
-                        let d = xv.wrapping_sub(w[l]);
-                        acc[l] = acc[l].wrapping_add(d.wrapping_mul(d));
-                    }
-                } else {
-                    let xz = xv.wrapping_sub(self.zero_point);
-                    for l in 0..PANEL {
-                        acc[l] = acc[l].wrapping_add(w[l].wrapping_mul(xz));
-                    }
+        let banks = self.bank.chunks_exact(xs.len());
+        for ((out, init), bank) in panels.iter_mut().zip(init).zip(banks) {
+            let mut acc = init.map(|v| v.wrapping_add(base));
+            if SPLIT {
+                let mut acc_hi = [0; PANEL];
+                for (w, &[a, b]) in bank.iter().zip(xs) {
+                    acc = simd::madd(acc, w, pair(a, b));
+                    acc_hi = simd::madd(acc_hi, w, pair(high(a), high(b)));
+                }
+                for (a, h) in acc.iter_mut().zip(acc_hi) {
+                    *a = a.wrapping_add(h << 16);
+                }
+            } else {
+                for (w, &[a, b]) in bank.iter().zip(xs) {
+                    acc = simd::madd(acc, w, pair(a, b));
                 }
             }
-            *out = acc;
+            *out = tail(acc);
         }
     }
 }
@@ -405,19 +462,31 @@ impl ExecPlan {
         };
         let bank = graph.weight(bank);
         let padded = bank.rows.next_multiple_of(PANEL);
-        let mut weights = vec![0i32; padded * bank.cols];
-        for r in 0..bank.rows {
-            for (j, &w) in bank.row(r).iter().enumerate() {
-                weights[((r / PANEL) * bank.cols + j) * PANEL + r % PANEL] = i32::from(w);
+        let pairs = bank.cols.div_ceil(2);
+        let mut panels = vec![[0i16; 2 * PANEL]; padded / PANEL * pairs];
+        let mut init = vec![0i32; padded];
+        for (r, start) in init.iter_mut().enumerate().take(bank.rows) {
+            let row = bank.row(r);
+            for (j, &w) in row.iter().enumerate() {
+                let w = i16::from(w);
+                panels[r / PANEL * pairs + j / 2][2 * (r % PANEL) + j % 2] =
+                    if sqdist { -2 * w } else { w };
             }
+            let row = row.iter().map(|&w| i32::from(w));
+            *start = if sqdist {
+                row.fold(0i32, |s, w| s.wrapping_add(w * w))
+            } else {
+                row.fold(0i32, i32::wrapping_add).wrapping_mul(zero_point).wrapping_neg()
+            };
         }
 
-        let mut init = vec![0i32; padded];
         let mut requant = None;
         let mut last = rw.node;
         let mut chain = rw.fused.iter().copied().peekable();
         if let Some(Op::AddBias { bias, .. }) = chain.peek().map(|&f| &graph.node(f).op) {
-            init[..bank.rows].copy_from_slice(bias);
+            for (start, &b) in init.iter_mut().zip(bias) {
+                *start = start.wrapping_add(b);
+            }
             last = chain.next().expect("peeked");
         }
         if let Some(Op::Requant { requant: rq, .. }) = chain.peek().map(|&f| &graph.node(f).op) {
@@ -437,11 +506,10 @@ impl ExecPlan {
             None
         };
         ops.push(PlanOp::Dense(DenseOp {
-            weights,
+            bank: panels,
             init,
             cols: bank.cols,
             input: slot(input),
-            zero_point,
             sqdist,
             requant,
             lut: lut.map(|(_, table)| lut_table(graph, table)),
@@ -1027,9 +1095,12 @@ mod tests {
         /// pre-activation value that must survive the fusion because
         /// it is also an output or has a second consumer — plus
         /// persistent state accumulation and wire ops (concat/slice),
-        /// fed packets that carry `i32::MIN`/`i32::MAX` lanes. Every
-        /// output bit-identical to the `taurus-ir` reference
-        /// interpreter across a stream of packets.
+        /// fed packets that carry `i32::MIN`/`i32::MAX` lanes and lanes
+        /// on both sides of the `i16` bound that picks the split
+        /// reduction, over banks that may hold only −128 and 127 (so a
+        /// sq-dist bank's `−2w` reaches 256). Every output bit-identical
+        /// to the `taurus-ir` reference interpreter across a stream of
+        /// packets.
         #[test]
         fn prop_random_dot_programs_match_interpreter(
             rows in 1usize..41,
@@ -1040,6 +1111,7 @@ mod tests {
             mult in 0.01f64..1.5,
             rq_zp in -10i32..10,
             lut_mul in 1i32..7,
+            extreme_weights in proptest::any::<bool>(),
             use_sqdist in proptest::any::<bool>(),
             use_bias in proptest::any::<bool>(),
             use_requant in proptest::any::<bool>(),
@@ -1050,16 +1122,25 @@ mod tests {
             use_state in proptest::any::<bool>(),
             inputs in proptest::collection::vec(
                 proptest::collection::vec(-100i32..100, 9), 1..5),
-            // Per lane of the first packet: 0 → i32::MIN, 1 → i32::MAX.
-            extremes in proptest::collection::vec(0u8..6, 9),
+            // Per lane of the first packet: an index into `EXTREMES`, or
+            // past it to keep the lane.
+            extremes in proptest::collection::vec(0usize..11, 9),
         ) {
+            const EXTREMES: [i32; 7] = [i32::MIN, i32::MAX, 32767, -32768, 32768, -32769, 65535];
             let mut b = GraphBuilder::new();
             let x_full = b.input(cols);
             let w = b.weights(
                 "w",
                 rows,
                 cols,
-                weights[..rows * cols].iter().map(|&v| v as i8).collect(),
+                weights[..rows * cols]
+                    .iter()
+                    .map(|&v| match (extreme_weights, v < 0) {
+                        (false, _) => v as i8,
+                        (true, true) => i8::MIN,
+                        (true, false) => i8::MAX,
+                    })
+                    .collect(),
             );
             let mut h = if use_sqdist {
                 b.sq_dist_rows(w, x_full)
@@ -1111,10 +1192,8 @@ mod tests {
             let mut interp = Interpreter::new(&g);
             let mut inputs = inputs;
             for (lane, &e) in inputs[0].iter_mut().zip(&extremes) {
-                match e {
-                    0 => *lane = i32::MIN,
-                    1 => *lane = i32::MAX,
-                    _ => {}
+                if let Some(&v) = EXTREMES.get(e) {
+                    *lane = v;
                 }
             }
             for x in &inputs {

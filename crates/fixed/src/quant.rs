@@ -155,7 +155,17 @@ impl Requantizer {
     /// Builds a requantizer for a real rescale factor
     /// `real = in_scale / out_scale` (must be positive and < 1 after the
     /// shift normalization; factors ≥ 1 are supported via negative shift).
+    ///
+    /// A factor that would need a `shift` of 32 or more is below 2⁻³²:
+    /// it rescales every `i32` to less than ½ in magnitude, so it yields
+    /// the zero-multiplier requantizer, exactly. Every other positive
+    /// factor gets a `shift` of at most 31.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `real` is infinite or NaN.
     pub fn from_real_multiplier(real: f64, zero_point: i32) -> Self {
+        assert!(real.is_finite(), "requantizer factor must be finite, got {real}");
         if real <= 0.0 {
             return Self { multiplier: 0, shift: 0, zero_point };
         }
@@ -174,6 +184,9 @@ impl Requantizer {
         if multiplier == (1i64 << 31) {
             multiplier /= 2;
             shift -= 1;
+        }
+        if shift >= 32 {
+            return Self { multiplier: 0, shift: 0, zero_point };
         }
         Self { multiplier: multiplier as i32, shift, zero_point }
     }
@@ -202,17 +215,20 @@ impl Requantizer {
         // one add and one arithmetic shift.
         let prod = acc as i64 * self.multiplier as i64;
         let high = ((prod + (1i64 << 30)) >> 31) as i32;
-        // Rounding arithmetic right shift by `shift` (if positive).
+        // Rounding arithmetic right shift by `shift` (if positive); the
+        // mask is built unsigned so that `shift = 31` does not overflow.
         let shifted = if self.shift > 0 {
             let s = self.shift;
-            let mask = (1i32 << s) - 1;
+            let mask = ((1u32 << s) - 1) as i32;
             let rem = high & mask;
             let threshold = (mask >> 1) + i32::from(high < 0);
             (high >> s) + i32::from(rem > threshold)
         } else {
             high
         };
-        shifted + self.zero_point
+        // Wrapping, as release builds always computed it: `shifted` is
+        // within 128 of an `i32` bound only for a near-extreme accumulator.
+        shifted.wrapping_add(self.zero_point)
     }
 }
 
@@ -305,17 +321,53 @@ mod tests {
         let high = ((prod + nudge) / (1i64 << 31)) as i32;
         let shifted = if r.shift > 0 {
             let s = r.shift;
-            let mask = (1i32 << s) - 1;
+            let mask = ((1u32 << s) - 1) as i32;
             let rem = high & mask;
             let threshold = (mask >> 1) + i32::from(high < 0);
             (high >> s) + i32::from(rem > threshold)
         } else {
             high
         };
-        shifted + r.zero_point
+        shifted.wrapping_add(r.zero_point)
     }
 
     const EDGE_ACCS: [i32; 5] = [i32::MIN, -1, 0, 1, i32::MAX];
+
+    #[test]
+    fn a_factor_below_two_to_the_minus_32_is_the_zero_requantizer() {
+        let r = Requantizer::from_real_multiplier(1e-12, 3);
+        assert_eq!(r, Requantizer { multiplier: 0, shift: 0, zero_point: 3 });
+        for acc in EDGE_ACCS {
+            assert_eq!(r.apply(acc), 3, "{acc}");
+        }
+    }
+
+    #[test]
+    fn the_smallest_shifts_apply_without_overflow() {
+        // 1.5·2⁻³¹ normalizes to shift 30, 1.5·2⁻³² to shift 31: the
+        // widest mask `apply` builds.
+        for (real, shift) in [(1.5 / 2f64.powi(31), 30), (1.5 / 2f64.powi(32), 31)] {
+            let r = Requantizer::from_real_multiplier(real, -5);
+            assert_eq!((r.multiplier, r.shift), (0x6000_0000, shift));
+            for acc in EDGE_ACCS.into_iter().chain([1 << 30, -(1 << 30), 0x5555_5555]) {
+                let want = (acc as f64 * real).round() as i32 - 5;
+                assert!((r.apply_i32(acc) - want).abs() <= 1, "{r:?} {acc}");
+                assert_eq!(r.apply_i32(acc), apply_i32_by_division(&r, acc), "{r:?} {acc}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite, got inf")]
+    fn an_infinite_factor_panics() {
+        Requantizer::from_real_multiplier(f64::INFINITY, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite, got NaN")]
+    fn a_nan_factor_panics() {
+        Requantizer::from_real_multiplier(f64::NAN, 0);
+    }
 
     #[test]
     #[ignore = "2^32 accumulators x 40 requantizers: minutes even in release (CI hot-path step)"]

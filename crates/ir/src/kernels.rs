@@ -28,7 +28,7 @@
 //!   `i32` weights, processed `ROW_BLOCK` rows at a time so the
 //!   `x − zero_point` widening is shared across rows. The row-major
 //!   reference for small dense layers; the CGRA simulator's `ExecPlan`
-//!   runs the column-major form of the same reduction inside its fused
+//!   runs the same reduction over `i16` column pairs inside its fused
 //!   dense op.
 
 /// Accumulator lanes in the chunked single-row kernels.
