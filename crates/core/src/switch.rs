@@ -680,12 +680,13 @@ impl TaurusSwitch {
         self.apps.iter().map(|a| (a.name.clone(), a.version)).collect()
     }
 
-    /// The [`EngineKind`] of every hosted app, in registration order —
-    /// with [`TaurusSwitch::app_versions`], everything
-    /// [`check_install`] needs to render an install verdict for this
-    /// switch from outside it.
-    pub fn engine_kinds(&self) -> Vec<EngineKind> {
-        self.apps.iter().map(|a| a.engine_kind).collect()
+    /// Per hosted app, in registration order: its [`EngineKind`] and
+    /// whether its active formatter has a factory. With
+    /// [`TaurusSwitch::app_versions`], everything [`check_install`] and
+    /// [`TaurusSwitch::capture_rollback`] need to render a verdict for
+    /// this switch from outside it.
+    pub fn install_facts(&self) -> Vec<(EngineKind, bool)> {
+        self.apps.iter().map(|a| (a.engine_kind, a.formatter_origin.is_some())).collect()
     }
 
     /// Number of hosted apps.

@@ -61,7 +61,7 @@ pub enum CanaryDecision {
     /// Guardrails held: the update is promoted fleet-wide.
     Promote,
     /// A guardrail tripped: the canary shards roll back to their
-    /// captured [`taurus_core::RollbackPoint`]s.
+    /// captured rollback points.
     Rollback,
 }
 

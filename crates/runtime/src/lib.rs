@@ -33,10 +33,10 @@
 //! [`StreamingRuntime::install_update`] is the same barrier at the
 //! current position, its verdict rendered feeder-side, nobody waited
 //! for; the canary protocol ([`StreamingRuntime::begin_canary`] /
-//! [`StreamingRuntime::conclude_canary`]) is the synchronous control
-//! plane; and [`deploy::run_online_deployment`] closes the §5.2.3 loop
-//! by training online against the live runtime and measuring the
-//! *deployed* F1.
+//! [`StreamingRuntime::conclude_canary`]) is in-band too, its probation
+//! metrics the one reply the control plane reads; and
+//! [`deploy::run_online_deployment`] closes the §5.2.3 loop by training
+//! online against the live runtime and measuring the *deployed* F1.
 //!
 //! Flow state stays bounded on endless streams: the per-flow table
 //! supports idle-timeout eviction

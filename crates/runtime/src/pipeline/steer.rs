@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use taurus_core::ingest::ObsBuilder;
-use taurus_core::{ModelUpdate, RollbackPoint};
+use taurus_core::ModelUpdate;
 use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{CrossFlowWindows, FlowTable};
 
@@ -41,6 +41,9 @@ pub(crate) type Batch = Vec<PreparedPacket>;
 /// staged batch before enqueuing the update, a worker applies it after
 /// every packet with global index < k and before any with index ≥ k —
 /// the batch-boundary barrier that makes live updates deterministic.
+/// Only [`ShardMsg::Metrics`] and [`ShardMsg::Drain`] get a reply. A
+/// model change (`Update`, `Canary`, `Conclude`) lands on a poisoned
+/// worker too, but opens a segment only on a healthy one.
 pub(crate) enum ShardMsg {
     /// A batch of routed packets (all slots live — truncated at flush).
     Batch(Batch),
@@ -48,31 +51,26 @@ pub(crate) enum ShardMsg {
     /// compiled program and plan, every shard). In-band, no reply: the
     /// feeder already rendered the verdict, so a replica that refuses
     /// anyway poisons its run and surfaces at the next drain.
-    /// `open_segment` is the only difference between the two callers: a
-    /// scheduled update starts a fresh metrics segment,
-    /// `StreamingRuntime::install_update` does not.
+    /// `open_segment`: a scheduled update or a canary promote starts a
+    /// fresh metrics segment, `StreamingRuntime::install_update` does
+    /// not.
     Update { update: Arc<ModelUpdate>, open_segment: bool },
-    /// Capture a rollback point for the update's app, then install the
-    /// update; reply `WorkerReply::Canary` with the point (or the
-    /// install error). In-band, so the canary model activates at one
-    /// exact global packet boundary on the canary shards.
-    CanaryInstall(Arc<ModelUpdate>),
-    /// Start a fresh metrics segment without installing anything — sent
-    /// to the shards a canary event does *not* touch, so every shard's
-    /// segment list stays element-wise aligned at every canary barrier.
+    /// Capture a rollback point for the update's app into the worker's
+    /// own slot, then install the update. Opens no segment:
+    /// `begin_canary` marks one on every shard right after, and a
+    /// respawned spare replaying the canary must not.
+    Canary(Arc<ModelUpdate>),
+    /// End a canary on a canary shard: restore the worker's rollback
+    /// point (`rollback`) or drop it (promote), then open a segment.
+    Conclude { rollback: bool },
+    /// Start a fresh metrics segment without installing anything, so
+    /// every shard's segment list stays element-wise aligned at every
+    /// canary barrier.
     MarkSegment,
     /// Reply `WorkerReply::Metrics` with the last two segments'
     /// confusion (previous, current) without resetting anything — the
     /// probation read a canary verdict is computed from.
     Metrics,
-    /// Restore the app captured in this rollback point; reply
-    /// `WorkerReply::Install` with the result. Starts a fresh segment
-    /// on success.
-    Rollback(Box<RollbackPoint>),
-    /// Install this update (a concluded canary promoting fleet-wide on
-    /// the control shards); reply `WorkerReply::Install`. Starts a
-    /// fresh segment on success.
-    Promote(Arc<ModelUpdate>),
     /// Snapshot per-run stats and the replica report, reply, and reset
     /// the per-run counters — the drain barrier. If the worker caught a
     /// panic earlier in the run, the reply carries the payload instead.

@@ -343,8 +343,8 @@ impl<'a> RuntimeBuilder<'a> {
         self
     }
 
-    /// Watchdog for synchronous control-plane exchanges (drain
-    /// snapshots, canary replies): a shard that stays silent this long
+    /// Watchdog for the control plane's replies (drain snapshots,
+    /// canary probation metrics): a shard that stays silent this long
     /// is declared unresponsive instead of hanging the caller forever.
     /// Defaults to 30 s.
     ///

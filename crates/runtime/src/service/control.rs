@@ -1,14 +1,13 @@
-//! The control plane. An install is a barrier message: the verdict is
-//! rendered feeder-side from the version mirror, the update is enqueued
-//! in-band on every live lane, and nobody waits for a worker
-//! ([`StreamingRuntime::install_update`]). The canary protocol is the
-//! one synchronous part — it needs rollback points and probation
-//! metrics *back* from the shards — built on one request/reply exchange
-//! ([`StreamingRuntime::request`]).
+//! The control plane. Every control action is an in-band message at a
+//! stream index that no worker acknowledges, its verdict rendered
+//! feeder-side from the version mirror: installs and the canary alike
+//! (each canary worker keeps its own rollback point). The canary's
+//! probation metrics are the one reply the control plane reads.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use taurus_core::{ModelUpdate, RollbackPoint};
+use taurus_core::ModelUpdate;
 use taurus_ml::BinaryMetrics;
 
 use super::worker::WorkerReply;
@@ -36,33 +35,24 @@ impl StreamingRuntime {
         })
     }
 
-    /// One control-plane exchange: sends `msg` in-band on `shard`'s
-    /// lane and waits for the reply.
+    /// Sends `msg()` in-band on every live lane in `shards`. A closed
+    /// lane never keeps the others from getting theirs.
     ///
     /// # Errors
     ///
-    /// [`ShardError::Dead`] when either lane is closed,
-    /// [`ShardError::Unresponsive`] when the watchdog expires.
-    fn request(&self, shard: usize, msg: ShardMsg) -> Result<WorkerReply, ShardError> {
-        self.lanes[shard].tx.send(msg).map_err(|_| ShardError::Dead { shard })?;
-        self.await_reply(shard)
-    }
-
-    /// [`StreamingRuntime::request`] for a canary promote/rollback,
-    /// which a worker acknowledges with [`WorkerReply::Install`]. The
-    /// canary shards already vetted the candidate, and a rollback point
-    /// restores the replica it was captured from, so a replica refusing
-    /// here means the fleet has diverged: it is reported, not dropped.
-    fn request_ack(&self, shard: usize, msg: ShardMsg) -> Result<(), InstallError> {
-        match self.request(shard, msg)? {
-            WorkerReply::Install(result) => result.map_err(InstallError::Rejected),
-            _ => Err(ShardError::Dead { shard }.into()),
+    /// [`ShardError::Dead`] naming the first closed lane.
+    fn broadcast(
+        &self,
+        shards: Range<usize>,
+        msg: impl Fn() -> ShardMsg,
+    ) -> Result<(), ShardError> {
+        let mut first_dead = Ok(());
+        for shard in shards.filter(|&shard| !self.lanes[shard].lost) {
+            if self.lanes[shard].tx.send(msg()).is_err() {
+                first_dead = first_dead.and(Err(ShardError::Dead { shard }));
+            }
         }
-    }
-
-    /// Shards still serving (not retired).
-    fn live_shards(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.lanes.len()).filter(|&shard| !self.lanes[shard].lost)
+        first_dead
     }
 
     /// Installs a model update on every live shard *now* — at the
@@ -97,7 +87,7 @@ impl StreamingRuntime {
         if self.canary.is_some() {
             return Err(InstallError::CanaryActive);
         }
-        self.deployed.check(update)?;
+        self.deployed.check(update, false)?;
         let shared = Arc::new(update.clone());
         self.ingest.steer.flush_and_update(&self.lanes, &shared, false)?;
         self.deployed.note(&shared, self.supervised);
@@ -106,20 +96,24 @@ impl StreamingRuntime {
 
     /// Starts a canary rollout: installs `update` on the **last**
     /// `canary_shards` shards (clamped to `1..=shards`; shard 0 always
-    /// stays in the control group) at the current stream barrier, after
-    /// capturing a bit-exact rollback point on each. Control shards
-    /// take a synchronized segment boundary, so from this barrier on,
-    /// every shard's *current* segment isolates probation traffic.
-    /// Conclude with [`StreamingRuntime::conclude_canary`] before the
-    /// next drain.
+    /// stays in the control group) at the current stream barrier, and
+    /// returns once it is queued — verdict and delivery as
+    /// [`StreamingRuntime::install_update`], except that each canary
+    /// worker first captures a bit-exact rollback point of its own.
+    /// Every shard takes a synchronized segment boundary, so from this
+    /// barrier on, every shard's *current* segment isolates probation
+    /// traffic. Conclude with [`StreamingRuntime::conclude_canary`]
+    /// before the next drain.
     ///
     /// # Errors
     ///
     /// [`InstallError::CanaryActive`] if a rollout is already in
     /// flight; [`InstallError::Rejected`] if the candidate is invalid
-    /// (stale version, wrong backend, no formatter factory to capture a
-    /// rollback point from) — the fleet is untouched in that case;
-    /// [`InstallError::Shard`] on a dead or unresponsive shard.
+    /// (unknown app, no formatter factory to capture a rollback point
+    /// from, stale version, wrong backend — in that order) — nothing
+    /// was sent; [`InstallError::Shard`] when a live shard's lane is
+    /// closed — the rollout is in flight anyway, for
+    /// [`StreamingRuntime::conclude_canary`] to settle.
     pub fn begin_canary(
         &mut self,
         update: &ModelUpdate,
@@ -128,47 +122,44 @@ impl StreamingRuntime {
         if self.canary.is_some() {
             return Err(InstallError::CanaryActive);
         }
+        self.deployed.check(update, true)?;
         let shards = self.lanes.len();
         let first_canary = shards - canary_shards.clamp(1, shards);
         self.ingest.steer.flush_partials(&self.lanes)?;
-        let shared = Arc::new(update.clone());
-        let mut points: Vec<(usize, RollbackPoint)> = Vec::new();
-        for shard in first_canary..shards {
-            match self.request(shard, ShardMsg::CanaryInstall(Arc::clone(&shared)))? {
-                WorkerReply::Canary(Ok(point)) => points.push((shard, *point)),
-                WorkerReply::Canary(Err(e)) => {
-                    // Replicas are identical, so the first canary shard
-                    // vets the candidate for all of them: a rejection
-                    // lands here before any other replica changed. (If
-                    // a later shard disagreed anyway, restore the ones
-                    // already switched.)
-                    for (s, p) in points {
-                        let _ = self.request_ack(s, ShardMsg::Rollback(Box::new(p)));
-                    }
-                    return Err(InstallError::Rejected(e));
-                }
-                _ => return Err(ShardError::Dead { shard }.into()),
-            }
-        }
-        // Synchronized segment boundary on the control shards: segment
-        // lists stay aligned across the fleet and each shard's current
-        // segment now covers exactly the probation window.
-        self.mark_segment(0..first_canary);
-        self.canary = Some(CanaryRun { update: shared, first_canary, points });
-        Ok(())
-    }
-
-    /// Opens a fresh metrics segment on `shards` without installing
-    /// anything (fire-and-forget; a retired lane just refuses it).
-    fn mark_segment(&self, shards: std::ops::Range<usize>) {
-        for lane in &self.lanes[shards] {
-            let _ = lane.tx.send(ShardMsg::MarkSegment);
-        }
+        let update = Arc::new(update.clone());
+        self.canary = Some(CanaryRun { update: Arc::clone(&update), first_canary });
+        let sent = self.broadcast(first_canary..shards, || ShardMsg::Canary(Arc::clone(&update)));
+        let _ = self.broadcast(0..shards, || ShardMsg::MarkSegment);
+        Ok(sent?)
     }
 
     /// Whether a canary rollout is currently in flight.
     pub fn canary_active(&self) -> bool {
         self.canary.is_some()
+    }
+
+    /// The probation read, at one barrier: asks every live shard for
+    /// its last two segments' confusion, then collects every reply, and
+    /// returns (canary current, control current, fleet previous).
+    ///
+    /// # Errors
+    ///
+    /// The first [`ShardError`] met, once every reply has been awaited.
+    fn probation_metrics(&self, first_canary: usize) -> Result<[BinaryMetrics; 3], ShardError> {
+        let shards = 0..self.lanes.len();
+        let mut result = self.broadcast(shards.clone(), || ShardMsg::Metrics);
+        let [mut canary, mut control, mut before] = [BinaryMetrics::default(); 3];
+        for shard in shards.filter(|&shard| !self.lanes[shard].lost) {
+            match self.await_reply(shard) {
+                Ok(WorkerReply::Metrics { previous, current }) => {
+                    before.absorb(&previous);
+                    if shard >= first_canary { &mut canary } else { &mut control }.absorb(&current);
+                }
+                Ok(_) => result = result.and(Err(ShardError::Dead { shard })),
+                Err(e) => result = result.and(Err(e)),
+            }
+        }
+        result.map(|()| [canary, control, before])
     }
 
     /// Ends the probation window at the current stream barrier and
@@ -177,10 +168,10 @@ impl StreamingRuntime {
     /// [`canary_decision`] — a pure function of the merged metrics, so
     /// the verdict is invariant to shard geometry for models the two
     /// groups score identically). **Promote** installs the candidate on
-    /// the control shards; **Rollback** restores every canary shard
-    /// from its captured point, bit-exactly. Either way the fleet is
-    /// uniform again and the verdict lands in the next drain's
-    /// [`crate::RuntimeReport::faults`].
+    /// the control shards; **Rollback** has every canary shard restore
+    /// its own captured point, bit-exactly. Both go in-band, with no
+    /// ack. Either way the fleet is uniform again and the verdict lands
+    /// in the next drain's [`crate::RuntimeReport::faults`].
     ///
     /// With a single shard there is no control group; the shard's own
     /// pre-canary segment is the baseline instead.
@@ -188,51 +179,33 @@ impl StreamingRuntime {
     /// # Errors
     ///
     /// [`InstallError::NoCanary`] without a rollout in flight;
-    /// [`InstallError::Shard`] on a dead or unresponsive shard.
+    /// [`InstallError::Shard`] on a dead or unresponsive shard. The
+    /// rollout then stays in flight: recover with
+    /// [`StreamingRuntime::drain`], which replaces the shard, and
+    /// conclude again.
     pub fn conclude_canary(
         &mut self,
         guardrails: &CanaryGuardrails,
     ) -> Result<CanaryVerdictRecord, InstallError> {
-        let run = self.canary.take().ok_or(InstallError::NoCanary)?;
+        let first_canary = self.canary.as_ref().ok_or(InstallError::NoCanary)?.first_canary;
         self.ingest.steer.flush_partials(&self.lanes)?;
-        let mut canary_now = BinaryMetrics::default();
-        let mut control_now = BinaryMetrics::default();
-        let mut fleet_before = BinaryMetrics::default();
-        for shard in self.live_shards() {
-            let WorkerReply::Metrics { previous, current } =
-                self.request(shard, ShardMsg::Metrics)?
-            else {
-                return Err(ShardError::Dead { shard }.into());
-            };
-            fleet_before.absorb(&previous);
-            if shard >= run.first_canary {
-                canary_now.absorb(&current);
-            } else {
-                control_now.absorb(&current);
-            }
-        }
-        let control = if run.first_canary == 0 { fleet_before } else { control_now };
+        let [canary_now, control_now, fleet_before] = self.probation_metrics(first_canary)?;
+        let run = self.canary.take().expect("checked above");
+        let control = if first_canary == 0 { fleet_before } else { control_now };
         let decision = canary_decision(&canary_now, &control, guardrails);
-        let shards = self.lanes.len();
-        match decision {
-            CanaryDecision::Promote => {
-                for shard in self.live_shards().take_while(|&s| s < run.first_canary) {
-                    self.request_ack(shard, ShardMsg::Promote(Arc::clone(&run.update)))?;
-                }
-                self.mark_segment(run.first_canary..shards);
-                self.deployed.note(&run.update, self.supervised);
-            }
-            CanaryDecision::Rollback => {
-                for (shard, point) in &run.points {
-                    if self.lanes[*shard].lost {
-                        continue;
-                    }
-                    self.request_ack(*shard, ShardMsg::Rollback(Box::new(point.clone())))?;
-                }
-                self.mark_segment(0..run.first_canary);
-                self.fault_acc.rollbacks_taken += 1;
-            }
+        let rollback = decision == CanaryDecision::Rollback;
+        // A closed lane here is the next drain's to diagnose; the spare
+        // it respawns replays the history the mirror now holds.
+        if rollback {
+            let _ = self.broadcast(0..first_canary, || ShardMsg::MarkSegment);
+            self.fault_acc.rollbacks_taken += 1;
+        } else {
+            let update =
+                || ShardMsg::Update { update: Arc::clone(&run.update), open_segment: true };
+            let _ = self.broadcast(0..first_canary, update);
+            self.deployed.note(&run.update, self.supervised);
         }
+        let _ = self.broadcast(first_canary..self.lanes.len(), || ShardMsg::Conclude { rollback });
         let record = CanaryVerdictRecord {
             app: run.update.app.clone(),
             version: run.update.version,

@@ -3,6 +3,7 @@
 //! that faulted since the last barrier.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use taurus_core::SwitchReport;
 use taurus_dataset::trace::PacketTrace;
@@ -168,8 +169,10 @@ impl StreamingRuntime {
 
     /// Replaces a faulted worker with a spare replica rehydrated to the
     /// fleet's current models (builder roster + the folded update
-    /// history, plus the in-flight canary model on canary shards).
-    /// Returns `false` when no spare is left.
+    /// history). On a canary shard the in-flight candidate is the fresh
+    /// lane's first message, so the spare captures its own rollback
+    /// point before it installs it. Returns `false` when no spare is
+    /// left.
     fn respawn(&mut self, shard: usize) -> bool {
         let Some(mut switch) = self.spares.pop() else {
             return false;
@@ -180,19 +183,10 @@ impl StreamingRuntime {
             // supervisor.
             let _ = switch.install_update(update);
         }
-        if let Some(run) = &mut self.canary {
-            if shard >= run.first_canary {
-                if let Ok(point) = switch.capture_rollback(&run.update.app) {
-                    if switch.install_update(&run.update).is_ok() {
-                        match run.points.iter_mut().find(|(s, _)| *s == shard) {
-                            Some(entry) => entry.1 = point,
-                            None => run.points.push((shard, point)),
-                        }
-                    }
-                }
-            }
-        }
         let (lane, handle) = spawn_worker(switch, self.queue_depth, WorkerFaults::none());
+        if let Some(run) = self.canary.as_ref().filter(|run| shard >= run.first_canary) {
+            let _ = lane.tx.send(ShardMsg::Canary(Arc::clone(&run.update)));
+        }
         // Dropping the old lane ends the old worker's loop; its handle
         // stays in `handles` and is joined at teardown.
         self.lanes[shard] = lane;

@@ -21,7 +21,8 @@
 //!   position, after rendering the accept/reject verdict feeder-side
 //!   from the [`Deployed`] mirror — it returns once the update is
 //!   queued, and the pipeline never empties for it (`control.rs`, which
-//!   also hosts the canary protocol).
+//!   also hosts the canary protocol: in-band too, with the probation
+//!   metrics its one reply).
 //! - **Deterministic drain** (`drain.rs`). [`StreamingRuntime::drain`]
 //!   installs any still-pending updates, flushes every staged partial
 //!   batch, and barriers on every worker for a snapshot: the merged
@@ -48,7 +49,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use taurus_core::{
-    check_install, EngineKind, EngineUpdate, ModelUpdate, RollbackPoint, TaurusSwitch, UpdateError,
+    check_install, EngineKind, EngineUpdate, ModelUpdate, TaurusSwitch, UpdateError,
 };
 
 use crate::fault::{FaultPlan, FaultReport};
@@ -106,8 +107,8 @@ pub struct StreamingRuntime {
     /// Stays true after the spares run out so fault accounting (rather
     /// than a re-raised panic) remains the drain's contract.
     supervised: bool,
-    /// How long a control-plane exchange (drain snapshot, canary
-    /// reply) may take before the shard is declared unresponsive.
+    /// How long a control-plane reply (drain snapshot, canary probation
+    /// metrics) may take before the shard is declared unresponsive.
     control_timeout: Duration,
     /// Fault accounting accumulated since the last drain.
     fault_acc: FaultReport,
@@ -120,10 +121,10 @@ struct Deployed {
     /// Mirror of the fleet's installed versions (all replicas agree by
     /// construction), refreshed from a healthy snapshot at every drain.
     versions: Vec<(String, u64)>,
-    /// Each app's engine kind, parallel to `versions` (fixed at build).
-    /// With the versions, everything a replica's install verdict
-    /// depends on — so the feeder renders it without asking one.
-    engines: Vec<EngineKind>,
+    /// Each app's engine kind and whether its active formatter has a
+    /// factory, parallel to `versions`: with them, everything a
+    /// replica's install or canary verdict depends on.
+    hosting: Vec<(EngineKind, bool)>,
     /// What a cold spare must replay to reach the fleet's current
     /// models: the accepted updates folded to one effective update per
     /// app. Installs are per-app and every field is last-writer-wins,
@@ -134,23 +135,28 @@ struct Deployed {
 }
 
 impl Deployed {
-    /// The verdict every replica will render for `update`: the same
-    /// [`check_install`] a [`TaurusSwitch`] runs, over the mirror.
-    fn check(&self, update: &ModelUpdate) -> Result<(), UpdateError> {
+    /// The verdict every replica will render for `update`, over the
+    /// mirror: the same [`check_install`] a [`TaurusSwitch`] runs, after
+    /// (for a `canary`) the factory check a replica's capture runs
+    /// first.
+    fn check(&self, update: &ModelUpdate, canary: bool) -> Result<(), UpdateError> {
         let hosted = self
             .versions
             .iter()
-            .zip(&self.engines)
+            .zip(&self.hosting)
             .find(|((name, _), _)| *name == update.app)
-            .map(|((_, version), kind)| (*version, *kind));
-        check_install(update, hosted)
+            .map(|((_, version), &(kind, restorable))| (*version, kind, restorable));
+        if canary && matches!(hosted, Some((_, _, false))) {
+            return Err(UpdateError::UnrestorableFormatter { app: update.app.clone() });
+        }
+        check_install(update, hosted.map(|(version, kind, _)| (version, kind)))
     }
 
     /// Records a scheduled update that reached its barrier. One the
     /// replicas will refuse leaves the mirror alone: it poisons their
     /// runs and surfaces at the next drain.
     fn note_scheduled(&mut self, update: &ModelUpdate, keep_history: bool) {
-        if self.check(update).is_ok() {
+        if self.check(update, false).is_ok() {
             self.note(update, keep_history);
         }
     }
@@ -158,8 +164,9 @@ impl Deployed {
     /// Records an update the fleet accepted; `keep_history` is the
     /// service's `supervised` flag.
     fn note(&mut self, update: &ModelUpdate, keep_history: bool) {
-        if let Some(entry) = self.versions.iter_mut().find(|(name, _)| *name == update.app) {
-            entry.1 = update.version;
+        if let Some(i) = self.versions.iter().position(|(name, _)| *name == update.app) {
+            self.versions[i].1 = update.version;
+            self.hosting[i].1 |= update.formatter.is_some();
         }
         if !keep_history {
             return;
@@ -179,14 +186,13 @@ impl Deployed {
     }
 }
 
-/// An in-flight canary rollout: the candidate update, the shard split,
-/// and the rollback points captured on each canary shard.
+/// An in-flight canary rollout: the candidate update and the shard
+/// split. The rollback points stay with the canary workers.
 struct CanaryRun {
     update: Arc<ModelUpdate>,
     /// Shards `first_canary..shards` run the candidate; `0..first_canary`
     /// stay on the incumbent as the control group.
     first_canary: usize,
-    points: Vec<(usize, RollbackPoint)>,
 }
 
 impl StreamingRuntime {
@@ -201,7 +207,7 @@ impl StreamingRuntime {
         ingest: Ingest,
     ) -> Self {
         let versions = switches.first().map(TaurusSwitch::app_versions).unwrap_or_default();
-        let engines = switches.first().map(TaurusSwitch::engine_kinds).unwrap_or_default();
+        let hosting = switches.first().map(TaurusSwitch::install_facts).unwrap_or_default();
         let (lanes, handles) = switches
             .into_iter()
             .enumerate()
@@ -212,7 +218,7 @@ impl StreamingRuntime {
             handles,
             queue_depth,
             ingest,
-            deployed: Deployed { versions, engines, history: Vec::new() },
+            deployed: Deployed { versions, hosting, history: Vec::new() },
             supervised: !spares.is_empty(),
             spares,
             control_timeout,

@@ -13,7 +13,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use taurus_core::{RollbackPoint, SwitchReport, TaurusSwitch, UpdateError};
+use taurus_core::{RollbackPoint, SwitchReport, TaurusSwitch};
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::Verdict;
 
@@ -36,17 +36,11 @@ pub(crate) struct WorkerSnapshot {
     pub(crate) versions: Vec<(String, u64)>,
 }
 
-/// A worker's answer on its reply lane.
+/// A worker's answer on its reply lane: to a [`ShardMsg::Drain`] or a
+/// [`ShardMsg::Metrics`], the only two messages that have one.
 pub(crate) enum WorkerReply {
     /// Drain barrier reached; per-run counters were reset.
     Snapshot(Box<WorkerSnapshot>),
-    /// Result of a canary's [`ShardMsg::Rollback`] or
-    /// [`ShardMsg::Promote`].
-    Install(Result<(), UpdateError>),
-    /// Result of a [`ShardMsg::CanaryInstall`]: the rollback point
-    /// captured *before* the canary model was activated, or the
-    /// rejection (in which case the replica is untouched).
-    Canary(Result<Box<RollbackPoint>, UpdateError>),
     /// Segment confusions read at a [`ShardMsg::Metrics`] probe:
     /// the segment before the last boundary and the one after it.
     Metrics { previous: BinaryMetrics, current: BinaryMetrics },
@@ -69,7 +63,7 @@ pub(crate) struct Lane {
     pub(crate) tx: spsc::Sender<ShardMsg>,
     /// Reverse lane returning drained batch arenas to ingest.
     pub(crate) recycle: spsc::Receiver<Batch>,
-    /// Reply lane for the synchronous control-plane exchanges.
+    /// Reply lane: drain snapshots and canary probation metrics.
     pub(crate) replies: spsc::Receiver<WorkerReply>,
     /// The shard was retired (its worker faulted with no spare left):
     /// ingest refuses its packets and every barrier skips it.
@@ -116,6 +110,25 @@ impl RunCounters {
     }
 }
 
+/// Applies one in-band model change. It is not traffic: it lands on a
+/// poisoned replica too, so a fleet that is reset and keeps serving
+/// runs one model on every shard; only the segment boundary belongs to
+/// the (dead) run. A change that panics poisons the run.
+fn apply_change(
+    run: &mut RunCounters,
+    poisoned: &mut Option<Box<dyn Any + Send>>,
+    open_segment: bool,
+    change: impl FnOnce(),
+) {
+    match catch_unwind(AssertUnwindSafe(change)) {
+        Ok(()) if open_segment && poisoned.is_none() => run.open_segment(),
+        Ok(()) => {}
+        Err(payload) => {
+            poisoned.get_or_insert(payload);
+        }
+    }
+}
+
 /// The resident engine-worker loop: owns one [`TaurusSwitch`] replica
 /// for the lifetime of the service and serves its steer lane until the
 /// sender side is dropped (shutdown). `faults` is this shard's slice of
@@ -134,6 +147,9 @@ fn engine_worker(
     // so ingest keeps its backpressure guarantees and never deadlocks
     // on a full lane.
     let mut poisoned: Option<Box<dyn Any + Send>> = None;
+    // The in-flight canary's rollback point on a canary shard, captured
+    // and restored here: it never leaves this thread.
+    let mut rollback: Option<RollbackPoint> = None;
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Batch(batch) => {
@@ -171,34 +187,34 @@ fn engine_worker(
                 let _ = pool_tx.send(batch);
             }
             ShardMsg::Update { update, open_segment } => {
-                // An install is not traffic: it lands on a poisoned
-                // replica too, so a fleet that is reset and keeps
-                // serving runs one model on every shard. Only the
-                // segment boundary belongs to the (dead) run.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                apply_change(&mut run, &mut poisoned, open_segment, || {
                     switch
                         .install_update(&update)
                         .unwrap_or_else(|e| panic!("live model update failed on a shard: {e}"));
-                }));
-                match outcome {
-                    Ok(()) if open_segment && poisoned.is_none() => run.open_segment(),
-                    Ok(()) => {}
-                    Err(payload) => {
-                        poisoned.get_or_insert(payload);
-                    }
-                }
+                });
             }
-            ShardMsg::CanaryInstall(update) => {
-                // Capture first: a rejected install leaves the replica
+            ShardMsg::Canary(update) => {
+                // Capture first: a rejected capture leaves the replica
                 // untouched and nothing to restore.
-                let result = match switch.capture_rollback(&update.app) {
-                    Ok(point) => switch.install_update(&update).map(|()| Box::new(point)),
-                    Err(e) => Err(e),
-                };
-                if result.is_ok() {
-                    run.open_segment();
-                }
-                let _ = reply_tx.send(WorkerReply::Canary(result));
+                apply_change(&mut run, &mut poisoned, false, || {
+                    let point = switch
+                        .capture_rollback(&update.app)
+                        .unwrap_or_else(|e| panic!("canary capture failed on a shard: {e}"));
+                    switch
+                        .install_update(&update)
+                        .unwrap_or_else(|e| panic!("canary install failed on a shard: {e}"));
+                    rollback = Some(point);
+                });
+            }
+            ShardMsg::Conclude { rollback: restore } => {
+                let point = rollback.take().filter(|_| restore);
+                apply_change(&mut run, &mut poisoned, true, || {
+                    if let Some(point) = point {
+                        switch
+                            .rollback_to(&point)
+                            .unwrap_or_else(|e| panic!("canary rollback failed on a shard: {e}"));
+                    }
+                });
             }
             ShardMsg::MarkSegment => {
                 // Segment boundary with no model change: keeps segment
@@ -216,20 +232,6 @@ fn engine_worker(
                     BinaryMetrics::default()
                 };
                 let _ = reply_tx.send(WorkerReply::Metrics { previous, current });
-            }
-            ShardMsg::Rollback(point) => {
-                let result = switch.rollback_to(&point);
-                if result.is_ok() {
-                    run.open_segment();
-                }
-                let _ = reply_tx.send(WorkerReply::Install(result));
-            }
-            ShardMsg::Promote(update) => {
-                let result = switch.install_update(&update);
-                if result.is_ok() {
-                    run.open_segment();
-                }
-                let _ = reply_tx.send(WorkerReply::Install(result));
             }
             ShardMsg::Drain => {
                 let snapshot = Box::new(WorkerSnapshot {
@@ -274,9 +276,11 @@ pub(crate) fn spawn_worker(
     // with one extra slot of slack the worker's return send can never
     // block — no deadlock against a blocked forward send.
     let (pool_tx, recycle) = spsc::channel::<Batch>(queue_depth + 4);
-    // Reply lane for the synchronous control-plane exchanges (drain
-    // snapshots, install/canary/metrics results): at most one request
-    // is ever outstanding per shard.
+    // Reply lane for the two messages that have a reply (drain
+    // snapshots, canary probation metrics). The service reads each
+    // reply before it asks again, except after a watchdog expiry: the
+    // next drain then reads the stale reply first and replaces the
+    // shard.
     let (reply_tx, replies) = spsc::channel::<WorkerReply>(2);
     let handle = std::thread::spawn(move || {
         engine_worker(switch, rx, pool_tx, reply_tx, faults);

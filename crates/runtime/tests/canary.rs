@@ -5,13 +5,20 @@
 //! (the fleet afterwards is indistinguishable from one that never saw
 //! the candidate), and all of it must be invariant to shard geometry.
 
+use std::time::Duration;
+
 use proptest::prelude::*;
 use taurus_core::apps::SynFloodDetector;
-use taurus_core::EngineBackend;
+use taurus_core::{
+    EngineBackend, FeatureFormatter, ReactionTime, TaurusApp, UpdateError, VerdictPolicy,
+};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
+use taurus_pisa::mat::{Action, MatchTable, VliwOp};
+use taurus_pisa::Field;
 use taurus_runtime::{
-    CanaryDecision, CanaryGuardrails, InstallError, RuntimeBuilder, StreamingRuntime,
+    CanaryDecision, CanaryGuardrails, FaultPlan, InstallError, RuntimeBuilder, ShardError,
+    StreamingRuntime,
 };
 
 fn kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
@@ -172,8 +179,8 @@ fn a_rejected_candidate_leaves_the_fleet_untouched() {
     let syn = SynFloodDetector::default_deployment();
     let mut service = build_service(2, &syn);
     service.install_update(&syn.retune(45, 3, EngineBackend::Threshold)).expect("fresh version");
-    // Version 3 again: stale, rejected by the first canary shard before
-    // any replica changes.
+    // Version 3 again: stale, rejected feeder-side before any replica
+    // changes.
     let err = service
         .begin_canary(&syn.retune(45, 3, EngineBackend::Threshold), 1)
         .expect_err("stale candidate");
@@ -184,6 +191,163 @@ fn a_rejected_candidate_leaves_the_fleet_untouched() {
     let report = service.drain();
     assert_eq!(report.merged.packets, trace.packets.len() as u64);
     assert_eq!(report.segments.len(), 1, "no canary barriers were planted");
+    assert!(report.faults.is_empty());
+}
+
+#[test]
+fn a_failed_conclusion_keeps_the_rollout_in_flight_until_a_drain_recovers_it() {
+    // The metrics barrier times out on a stalled control shard. The
+    // rollout must survive the error: a forgotten one would leave the
+    // canary shard running the candidate under a mirror that says v0.
+    let syn = SynFloodDetector::default_deployment();
+    let probation = kdd_trace(20, 77);
+    let validation = kdd_trace(100, 78);
+    let build = |plan: FaultPlan| {
+        RuntimeBuilder::new()
+            .shards(2)
+            .batch_size(16)
+            .queue_depth(64)
+            .spare_replicas(1)
+            .control_timeout(Duration::from_millis(100))
+            .fault_plan(plan)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build()
+    };
+    let mut subject = build(FaultPlan::new().stall(0, 0, Duration::from_secs(1)));
+    let mut twin = build(FaultPlan::new());
+    let bad = syn.retune(-1_000, 1, EngineBackend::Threshold);
+    subject.begin_canary(&bad, 1).expect("fresh rollout");
+    subject.feed(&probation.packets);
+    twin.feed(&probation.packets);
+    let err = subject.conclude_canary(&CanaryGuardrails::default()).expect_err("stalled shard");
+    assert!(matches!(err, InstallError::Shard(ShardError::Unresponsive { shard: 0, .. })), "{err}");
+    assert!(subject.canary_active(), "a failed conclusion leaves the rollout in flight");
+    let direct = subject.install_update(&syn.retune(50, 2, EngineBackend::Threshold));
+    assert_eq!(direct, Err(InstallError::CanaryActive));
+
+    // Recovery: a drain replaces the out-of-protocol shard, then the
+    // rollout concludes (thin evidence after the drain ⇒ rollback).
+    std::thread::sleep(Duration::from_millis(1_200));
+    let recovered = subject.drain();
+    assert_eq!(recovered.faults.worker_restarts, 1);
+    twin.drain();
+    let verdict = subject.conclude_canary(&CanaryGuardrails::default()).expect("concludes");
+    assert_eq!(verdict.decision, CanaryDecision::Rollback);
+    assert!(!subject.canary_active());
+    subject.drain();
+
+    subject.reset();
+    twin.reset();
+    subject.feed(&validation.packets);
+    twin.feed(&validation.packets);
+    assert_eq!(subject.drain().merged, twin.drain().merged, "shard 1 was rolled back");
+    assert_eq!(subject.app_versions(), twin.app_versions());
+}
+
+#[test]
+fn a_canary_shard_respawned_mid_probation_lands_on_the_verdict_side() {
+    // Shard 2 is the canary shard and panics mid-probation. Its spare
+    // must run the candidate for the rest of the probation and then
+    // follow the verdict like every other canary shard.
+    let syn = SynFloodDetector::default_deployment();
+    let first = kdd_trace(80, 79);
+    let second = kdd_trace(80, 80);
+    let validation = kdd_trace(100, 81);
+    let cases = [
+        (-1_000, CanaryGuardrails::default(), CanaryDecision::Rollback),
+        (
+            55,
+            CanaryGuardrails { max_f1_drop: 100.0, max_positive_rate_delta: 1.0, min_samples: 1 },
+            CanaryDecision::Promote,
+        ),
+    ];
+    for (cutoff, guardrails, expected) in cases {
+        let candidate = syn.retune(cutoff, 1, EngineBackend::Threshold);
+        let mut subject = RuntimeBuilder::new()
+            .shards(3)
+            .batch_size(16)
+            .spare_replicas(1)
+            .fault_plan(FaultPlan::new().engine_panic(2, 10))
+            .register_on(&syn, EngineBackend::Threshold)
+            .build();
+        let mut twin = build_service(3, &syn);
+        if expected == CanaryDecision::Promote {
+            twin.install_update(&candidate).expect("fresh version");
+        }
+        subject.begin_canary(&candidate, 1).expect("fresh rollout");
+        subject.feed(&first.packets);
+        assert_eq!(subject.drain().faults.worker_restarts, 1, "the canary shard was respawned");
+        subject.feed(&second.packets);
+        let verdict = subject.conclude_canary(&guardrails).expect("concludes");
+        assert_eq!(verdict.decision, expected);
+        assert!(verdict.canary.total() > 0, "the spare served probation traffic");
+        subject.drain();
+        for trace in [&first, &second] {
+            twin.feed(&trace.packets);
+            twin.drain();
+        }
+
+        subject.reset();
+        twin.reset();
+        subject.feed(&validation.packets);
+        twin.feed(&validation.packets);
+        assert_eq!(subject.drain().merged, twin.drain().merged, "{expected:?}");
+        assert_eq!(subject.app_versions(), twin.app_versions(), "{expected:?}");
+    }
+}
+
+/// An app whose formatter is a one-off closure: no
+/// `formatter_factory`, so no rollback point can be captured for it.
+struct NoFactoryApp;
+
+impl TaurusApp for NoFactoryApp {
+    fn name(&self) -> &str {
+        "no-factory"
+    }
+
+    fn reaction_time(&self) -> ReactionTime {
+        ReactionTime::PerPacket
+    }
+
+    fn feature_count(&self) -> usize {
+        1
+    }
+
+    fn formatter(&self) -> FeatureFormatter {
+        Box::new(|f, out| out.push(f.packets.min(127) as i32))
+    }
+
+    fn post_tables(&self, _backend: EngineBackend) -> Vec<MatchTable> {
+        vec![MatchTable::new("forward", Action::new("vote", vec![VliwOp::Set(Field::Decision, 0)]))]
+    }
+
+    fn verdict_policy(&self) -> VerdictPolicy {
+        VerdictPolicy::Enforce
+    }
+}
+
+#[test]
+fn a_canary_without_a_formatter_factory_is_refused_feeder_side() {
+    let app = NoFactoryApp;
+    let mut service = RuntimeBuilder::new()
+        .shards(2)
+        .batch_size(16)
+        .register_on(&app, EngineBackend::Threshold)
+        .build();
+    let unrestorable =
+        InstallError::Rejected(UpdateError::UnrestorableFormatter { app: app.name().to_string() });
+    let fresh = taurus_core::ModelUpdate::retune_threshold(app.name(), 1, 10);
+    assert_eq!(service.begin_canary(&fresh, 1), Err(unrestorable.clone()));
+    assert!(!service.canary_active());
+    // Precedence: capture is checked before the version, so a stale
+    // candidate reports the formatter too.
+    let stale = taurus_core::ModelUpdate::retune_threshold(app.name(), 0, 10);
+    assert_eq!(service.begin_canary(&stale, 1), Err(unrestorable));
+    assert!(!service.canary_active());
+    let trace = kdd_trace(40, 82);
+    service.feed(&trace.packets);
+    let report = service.drain();
+    assert_eq!(report.segments.len(), 1, "no canary message reached a lane");
     assert!(report.faults.is_empty());
 }
 
