@@ -10,7 +10,9 @@
 //!
 //! - [`linalg`]: minimal dense matrix/vector kernels.
 //! - [`mlp`]: multilayer perceptrons with SGD + momentum, softmax/CE and
-//!   sigmoid/BCE heads.
+//!   sigmoid/BCE heads. Training validates its rows up front, then
+//!   allocates once per call, not per sample, and stays bit-identical to
+//!   a plain per-sample loop.
 //! - [`svm`]: budgeted kernelized (RBF) SVM trained with Pegasos-style
 //!   subgradient descent.
 //! - [`kmeans`]: k-means++ initialization + Lloyd iterations.

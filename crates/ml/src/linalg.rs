@@ -132,10 +132,26 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
 
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0; logits.len()];
+    softmax_into(logits, &mut out);
+    out
+}
+
+/// [`softmax`] into a caller buffer of the same length.
+///
+/// # Panics
+///
+/// Panics if lengths differ.
+pub fn softmax_into(logits: &[f32], out: &mut [f32]) {
+    assert_eq!(logits.len(), out.len(), "softmax of unequal lengths");
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    for (o, &l) in out.iter_mut().zip(logits) {
+        *o = (l - max).exp();
+    }
+    let sum: f32 = out.iter().sum();
+    for o in out.iter_mut() {
+        *o /= sum;
+    }
 }
 
 /// Index of the maximum element (first on ties).

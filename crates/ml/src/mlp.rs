@@ -5,13 +5,21 @@
 //! output — trained in the control plane and executed per-packet on the
 //! MapReduce block. This module provides the float training side; the
 //! int8 deployment side lives in [`crate::quantized`].
+//!
+//! [`Mlp::train`] sizes one scratch working set per call (per-layer
+//! activations, the back-propagated error, the gradient banks) and
+//! allocates nothing per sample or per batch. Its loops run over
+//! contiguous rows, but every accumulator sees the same operands in the
+//! same order as a textbook per-sample loop, so the trained weights are
+//! a function of the data, the seed and the parameters alone — pinned
+//! bit for bit against that loop in this module's tests.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use taurus_fixed::Activation;
 
-use crate::linalg::{argmax, softmax, Matrix};
+use crate::linalg::{argmax, dot, softmax, softmax_into, Matrix};
 use crate::weights::{LayerWeights, MlpWeights, WeightShapeError};
 
 /// Output head: decides both the final nonlinearity and the loss.
@@ -37,14 +45,23 @@ pub struct Dense {
 }
 
 impl Dense {
-    /// Forward pass returning `(pre_activation, post_activation)`.
-    pub fn forward(&self, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        let mut pre = self.w.matvec(x);
-        for (p, &bias) in pre.iter_mut().zip(&self.b) {
-            *p += bias;
+    /// Forward pass into caller buffers: `pre = W·x + b` (one [`dot`] per
+    /// row), `post = act(pre)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not the layer's input width or `pre` / `post` are
+    /// not its output width.
+    pub fn forward(&self, x: &[f32], pre: &mut [f32], post: &mut [f32]) {
+        assert_eq!(x.len(), self.w.cols(), "input length must equal the layer's input width");
+        assert!(
+            pre.len() == self.b.len() && post.len() == self.b.len(),
+            "output buffers must be the layer's output width"
+        );
+        for (r, ((p, q), &bias)) in pre.iter_mut().zip(post.iter_mut()).zip(&self.b).enumerate() {
+            *p = dot(self.w.row(r), x) + bias;
+            *q = self.act.eval_f32(*p);
         }
-        let post = pre.iter().map(|&p| self.act.eval_f32(p)).collect();
-        (pre, post)
     }
 }
 
@@ -118,6 +135,38 @@ impl Default for TrainParams {
     }
 }
 
+/// The working set of one [`Mlp::train`] call, sized once from the
+/// layer shapes.
+struct Scratch {
+    /// Per layer: pre- and post-activation of the current sample.
+    pre: Vec<Vec<f32>>,
+    post: Vec<Vec<f32>>,
+    /// Error w.r.t. the current layer's pre-activation, and the one being
+    /// propagated to the layer below (both as wide as the widest layer).
+    delta: Vec<f32>,
+    next: Vec<f32>,
+    /// Per layer: the minibatch's summed gradients, shaped like `w` / `b`.
+    grad_w: Vec<Vec<f32>>,
+    grad_b: Vec<Vec<f32>>,
+}
+
+impl Scratch {
+    fn new(layers: &[Dense]) -> Self {
+        let per_layer = |len: fn(&Dense) -> usize| -> Vec<Vec<f32>> {
+            layers.iter().map(|l| vec![0.0; len(l)]).collect()
+        };
+        let widest = layers.iter().map(|l| l.w.rows().max(l.w.cols())).max().unwrap_or(0);
+        Self {
+            pre: per_layer(|l| l.b.len()),
+            post: per_layer(|l| l.b.len()),
+            delta: vec![0.0; widest],
+            next: vec![0.0; widest],
+            grad_w: per_layer(|l| l.w.data().len()),
+            grad_b: per_layer(|l| l.b.len()),
+        }
+    }
+}
+
 /// A multilayer perceptron.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
@@ -188,7 +237,10 @@ impl Mlp {
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         let mut h = x.to_vec();
         for layer in &self.layers {
-            h = layer.forward(&h).1;
+            let mut pre = vec![0.0; layer.b.len()];
+            let mut post = vec![0.0; layer.b.len()];
+            layer.forward(&h, &mut pre, &mut post);
+            h = post;
         }
         match self.head {
             OutputHead::Softmax => softmax(&h),
@@ -222,132 +274,181 @@ impl Mlp {
         }
     }
 
-    /// Trains on `(x, y)` class-labelled data for `params.epochs`,
-    /// returning the mean loss of the final epoch.
+    /// Trains on `(x, y)` class-labelled data for `params.epochs` of
+    /// minibatch SGD with momentum, reshuffling every epoch.
+    ///
+    /// Returns the final epoch's loss as `Σ batch mean losses / max(1,
+    /// rows / batch_size)`, the ratio taken in `f32` (a `batch_size` of 0
+    /// counts as 1). That divisor is not the batch count, so a ragged last
+    /// batch weighs as much as a full one; `0.0` when `epochs` is 0.
     ///
     /// # Panics
     ///
-    /// Panics if `x` and `y` lengths differ or `x` is empty.
+    /// Before the first step, if `x` and `y` lengths differ, `x` is
+    /// empty, a row is not [`Mlp::input_width`] wide, or a label is out of
+    /// range for the head (≥ 2 for a sigmoid head, ≥ the output width for
+    /// a softmax head; linear targets are unrestricted). The message names
+    /// the first offending row.
     pub fn train(&mut self, x: &[Vec<f32>], y: &[usize], params: &TrainParams) -> f32 {
         assert_eq!(x.len(), y.len(), "feature/label length mismatch");
         assert!(!x.is_empty(), "cannot train on empty data");
+        self.check_rows(x, y);
+        let batch_size = params.batch_size.max(1);
         let mut order: Vec<usize> = (0..x.len()).collect();
+        let mut scratch = Scratch::new(&self.layers);
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut lr = params.lr;
         let mut last_loss = 0.0;
-        for _ in 0..params.epochs {
+        for epoch in 0..params.epochs {
             order.shuffle(&mut rng);
+            // Each epoch restarts the sum, so only the final one's loss
+            // can reach the caller; the others skip its `ln`s.
+            let with_loss = epoch + 1 == params.epochs;
             last_loss = 0.0;
-            for chunk in order.chunks(params.batch_size.max(1)) {
-                last_loss +=
-                    self.train_batch(chunk.iter().map(|&i| (&x[i], y[i])), lr, params.momentum);
+            for chunk in order.chunks(batch_size) {
+                let batch = chunk.iter().map(|&i| (x[i].as_slice(), y[i]));
+                last_loss += self.train_batch(batch, lr, params.momentum, with_loss, &mut scratch);
             }
-            last_loss /= (x.len() as f32 / params.batch_size.max(1) as f32).max(1.0);
+            last_loss /= (x.len() as f32 / batch_size as f32).max(1.0);
             lr *= params.lr_decay;
         }
         last_loss
     }
 
-    /// Runs one minibatch of SGD with momentum; returns the batch loss.
-    pub fn train_batch<'a>(
-        &mut self,
-        batch: impl IntoIterator<Item = (&'a Vec<f32>, usize)>,
-        lr: f32,
-        momentum: f32,
-    ) -> f32 {
-        let mut grad_w: Vec<Matrix> =
-            self.layers.iter().map(|l| Matrix::zeros(l.w.rows(), l.w.cols())).collect();
-        let mut grad_b: Vec<Vec<f32>> = self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-        let mut count = 0usize;
-        let mut loss = 0.0f32;
-
-        for (x, label) in batch {
-            count += 1;
-            // Forward, keeping pre/post activations.
-            let mut pres = Vec::with_capacity(self.layers.len());
-            let mut posts: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len() + 1);
-            posts.push(x.clone());
-            for layer in &self.layers {
-                let (pre, post) = layer.forward(posts.last().expect("nonempty"));
-                pres.push(pre);
-                posts.push(post);
-            }
-            let out = posts.last().expect("nonempty").clone();
-
-            // Output delta dL/d(pre_last) and loss.
-            let delta_out: Vec<f32> = match self.head {
-                OutputHead::Softmax => {
-                    let p = softmax(&out);
-                    loss += -(p[label].max(1e-9)).ln();
-                    let mut d = p;
-                    d[label] -= 1.0;
-                    d
-                }
-                OutputHead::Sigmoid => {
-                    let p = out[0].clamp(1e-7, 1.0 - 1e-7);
-                    let t = label as f32;
-                    loss += -(t * p.ln() + (1.0 - t) * (1.0 - p).ln());
-                    // d BCE/d pre = p - t for sigmoid output.
-                    vec![p - t]
-                }
-                OutputHead::Linear => {
-                    let t = label as f32;
-                    loss += (out[0] - t) * (out[0] - t);
-                    vec![2.0 * (out[0] - t)]
-                }
-            };
-
-            // Backward.
-            let mut delta = delta_out;
-            for l in (0..self.layers.len()).rev() {
-                // The final layer's delta is already w.r.t. the
-                // pre-activation (softmax/sigmoid shortcuts; linear heads
-                // use an identity activation), so only hidden layers fold
-                // in the activation derivative.
-                if l + 1 != self.layers.len() {
-                    for (d, (&pre, &post)) in
-                        delta.iter_mut().zip(pres[l].iter().zip(posts[l + 1].iter()))
-                    {
-                        *d *= act_deriv(self.layers[l].act, pre, post);
-                    }
-                }
-                let input = &posts[l];
-                for (i, &d) in delta.iter().enumerate() {
-                    grad_b[l][i] += d;
-                    for (j, &xin) in input.iter().enumerate() {
-                        *grad_w[l].get_mut(i, j) += d * xin;
-                    }
-                }
-                if l > 0 {
-                    let mut next = vec![0.0f32; self.layers[l].w.cols()];
-                    for (i, &d) in delta.iter().enumerate() {
-                        for (j, n) in next.iter_mut().enumerate() {
-                            *n += d * self.layers[l].w.get(i, j);
-                        }
-                    }
-                    delta = next;
-                }
+    /// Panics, naming the row, on a width or label `train` cannot use.
+    fn check_rows(&self, x: &[Vec<f32>], y: &[usize]) {
+        let width = self.input_width();
+        let classes = match self.head {
+            OutputHead::Sigmoid => Some(2),
+            OutputHead::Softmax => Some(self.output_width()),
+            OutputHead::Linear => None,
+        };
+        for (i, (row, &label)) in x.iter().zip(y).enumerate() {
+            assert!(
+                row.len() == width,
+                "training row {i} has {} features; the model takes {width}",
+                row.len()
+            );
+            if let Some(k) = classes {
+                assert!(
+                    label < k,
+                    "training row {i} has label {label}; a {:?} head takes 0..{k}",
+                    self.head
+                );
             }
         }
-        if count == 0 {
-            return 0.0;
+    }
+
+    /// Runs one non-empty minibatch of SGD with momentum; returns the
+    /// batch's mean loss, or 0 unless `with_loss`.
+    fn train_batch<'a>(
+        &mut self,
+        batch: impl Iterator<Item = (&'a [f32], usize)>,
+        lr: f32,
+        momentum: f32,
+        with_loss: bool,
+        s: &mut Scratch,
+    ) -> f32 {
+        for g in s.grad_w.iter_mut().chain(&mut s.grad_b) {
+            g.fill(0.0);
+        }
+        let mut count = 0usize;
+        let mut loss = 0.0f32;
+        for (x, label) in batch {
+            count += 1;
+            if let Some(sample_loss) = self.accumulate(x, label, with_loss, s) {
+                loss += sample_loss;
+            }
         }
 
         // Momentum update.
         let inv = 1.0 / count as f32;
-        for l in 0..self.layers.len() {
-            self.velocity_w[l].scale(momentum);
-            self.velocity_w[l].add_scaled(&grad_w[l], -lr * inv);
-            let vw = self.velocity_w[l].clone();
-            self.layers[l].w.add_scaled(&vw, 1.0);
-            for ((v, g), b) in
-                self.velocity_b[l].iter_mut().zip(&grad_b[l]).zip(self.layers[l].b.iter_mut())
-            {
+        let step = -lr * inv;
+        let params = self.layers.iter_mut().zip(&mut self.velocity_w).zip(&mut self.velocity_b);
+        for (((layer, vw), vb), (gw, gb)) in params.zip(s.grad_w.iter().zip(&s.grad_b)) {
+            for ((w, v), &g) in layer.w.data_mut().iter_mut().zip(vw.data_mut()).zip(gw) {
+                *v *= momentum;
+                *v += step * g;
+                *w += *v;
+            }
+            for ((b, v), &g) in layer.b.iter_mut().zip(vb).zip(gb) {
                 *v = momentum * *v - lr * inv * g;
                 *b += *v;
             }
         }
         loss * inv
+    }
+
+    /// Forward and backward pass of one sample: adds its gradient to the
+    /// banks in `s` and returns its loss when `with_loss`.
+    fn accumulate(&self, x: &[f32], label: usize, with_loss: bool, s: &mut Scratch) -> Option<f32> {
+        let Scratch { pre, post, delta, next, grad_w, grad_b } = s;
+        let n = self.layers.len();
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (below, here) = post.split_at_mut(l);
+            let input = below.last().map_or(x, Vec::as_slice);
+            layer.forward(input, &mut pre[l], &mut here[0]);
+        }
+
+        // Output delta dL/d(pre_last) and loss.
+        let out = &post[n - 1];
+        let mut len = 1;
+        let loss = match self.head {
+            OutputHead::Softmax => {
+                len = out.len();
+                let p = &mut delta[..len];
+                softmax_into(out, p);
+                let loss = with_loss.then(|| -(p[label].max(1e-9)).ln());
+                p[label] -= 1.0;
+                loss
+            }
+            OutputHead::Sigmoid => {
+                let p = out[0].clamp(1e-7, 1.0 - 1e-7);
+                let t = label as f32;
+                // d BCE/d pre = p - t for sigmoid output.
+                delta[0] = p - t;
+                with_loss.then(|| -(t * p.ln() + (1.0 - t) * (1.0 - p).ln()))
+            }
+            OutputHead::Linear => {
+                // Only the first output is fitted, whatever the width.
+                let t = label as f32;
+                delta[0] = 2.0 * (out[0] - t);
+                with_loss.then(|| (out[0] - t) * (out[0] - t))
+            }
+        };
+
+        // Backward.
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let d = &mut delta[..len];
+            // The final layer's delta is already w.r.t. the pre-activation
+            // (softmax/sigmoid shortcuts; linear heads use an identity
+            // activation), so only hidden layers fold in the derivative.
+            if l + 1 != n {
+                for ((d, &pre), &post) in d.iter_mut().zip(&pre[l]).zip(&post[l]) {
+                    *d *= act_deriv(layer.act, pre, post);
+                }
+            }
+            let input = if l == 0 { x } else { &post[l - 1] };
+            let cols = layer.w.cols();
+            for (i, (&d, gb)) in d.iter().zip(&mut grad_b[l]).enumerate() {
+                *gb += d;
+                for (g, &xin) in grad_w[l][i * cols..(i + 1) * cols].iter_mut().zip(input) {
+                    *g += d * xin;
+                }
+            }
+            if l > 0 {
+                let below = &mut next[..cols];
+                below.fill(0.0);
+                for (i, &d) in d.iter().enumerate() {
+                    for (b, &w) in below.iter_mut().zip(layer.w.row(i)) {
+                        *b += d * w;
+                    }
+                }
+                std::mem::swap(delta, next);
+                len = cols;
+            }
+        }
+        loss
     }
 
     /// Exports the current parameters as a portable snapshot — the
@@ -458,6 +559,304 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::metrics::BinaryMetrics;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// `train` as a per-sample loop that allocates its activations,
+    /// deltas and gradient banks as it goes — kept as the reference the
+    /// scratch loop is pinned against, bit for bit.
+    fn train_reference(mlp: &mut Mlp, x: &[Vec<f32>], y: &[usize], params: &TrainParams) -> f32 {
+        let mut order: Vec<usize> = (0..x.len()).collect();
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut lr = params.lr;
+        let mut last_loss = 0.0;
+        for _ in 0..params.epochs {
+            order.shuffle(&mut rng);
+            last_loss = 0.0;
+            for chunk in order.chunks(params.batch_size.max(1)) {
+                last_loss += train_batch_reference(
+                    mlp,
+                    chunk.iter().map(|&i| (&x[i], y[i])),
+                    lr,
+                    params.momentum,
+                );
+            }
+            last_loss /= (x.len() as f32 / params.batch_size.max(1) as f32).max(1.0);
+            lr *= params.lr_decay;
+        }
+        last_loss
+    }
+
+    fn forward_reference(layer: &Dense, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let mut pre = layer.w.matvec(x);
+        for (p, &bias) in pre.iter_mut().zip(&layer.b) {
+            *p += bias;
+        }
+        let post = pre.iter().map(|&p| layer.act.eval_f32(p)).collect();
+        (pre, post)
+    }
+
+    fn train_batch_reference<'a>(
+        mlp: &mut Mlp,
+        batch: impl IntoIterator<Item = (&'a Vec<f32>, usize)>,
+        lr: f32,
+        momentum: f32,
+    ) -> f32 {
+        let mut grad_w: Vec<Matrix> =
+            mlp.layers.iter().map(|l| Matrix::zeros(l.w.rows(), l.w.cols())).collect();
+        let mut grad_b: Vec<Vec<f32>> = mlp.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
+        let mut count = 0usize;
+        let mut loss = 0.0f32;
+
+        for (x, label) in batch {
+            count += 1;
+            let mut pres = Vec::with_capacity(mlp.layers.len());
+            let mut posts: Vec<Vec<f32>> = Vec::with_capacity(mlp.layers.len() + 1);
+            posts.push(x.clone());
+            for layer in &mlp.layers {
+                let (pre, post) = forward_reference(layer, posts.last().expect("nonempty"));
+                pres.push(pre);
+                posts.push(post);
+            }
+            let out = posts.last().expect("nonempty").clone();
+
+            let delta_out: Vec<f32> = match mlp.head {
+                OutputHead::Softmax => {
+                    let p = softmax(&out);
+                    loss += -(p[label].max(1e-9)).ln();
+                    let mut d = p;
+                    d[label] -= 1.0;
+                    d
+                }
+                OutputHead::Sigmoid => {
+                    let p = out[0].clamp(1e-7, 1.0 - 1e-7);
+                    let t = label as f32;
+                    loss += -(t * p.ln() + (1.0 - t) * (1.0 - p).ln());
+                    vec![p - t]
+                }
+                OutputHead::Linear => {
+                    let t = label as f32;
+                    loss += (out[0] - t) * (out[0] - t);
+                    vec![2.0 * (out[0] - t)]
+                }
+            };
+
+            let mut delta = delta_out;
+            for l in (0..mlp.layers.len()).rev() {
+                if l + 1 != mlp.layers.len() {
+                    for (d, (&pre, &post)) in
+                        delta.iter_mut().zip(pres[l].iter().zip(posts[l + 1].iter()))
+                    {
+                        *d *= act_deriv(mlp.layers[l].act, pre, post);
+                    }
+                }
+                let input = &posts[l];
+                for (i, &d) in delta.iter().enumerate() {
+                    grad_b[l][i] += d;
+                    for (j, &xin) in input.iter().enumerate() {
+                        *grad_w[l].get_mut(i, j) += d * xin;
+                    }
+                }
+                if l > 0 {
+                    let mut next = vec![0.0f32; mlp.layers[l].w.cols()];
+                    for (i, &d) in delta.iter().enumerate() {
+                        for (j, n) in next.iter_mut().enumerate() {
+                            *n += d * mlp.layers[l].w.get(i, j);
+                        }
+                    }
+                    delta = next;
+                }
+            }
+        }
+        if count == 0 {
+            return 0.0;
+        }
+
+        let inv = 1.0 / count as f32;
+        for l in 0..mlp.layers.len() {
+            mlp.velocity_w[l].scale(momentum);
+            mlp.velocity_w[l].add_scaled(&grad_w[l], -lr * inv);
+            let vw = mlp.velocity_w[l].clone();
+            mlp.layers[l].w.add_scaled(&vw, 1.0);
+            for ((v, g), b) in
+                mlp.velocity_b[l].iter_mut().zip(&grad_b[l]).zip(mlp.layers[l].b.iter_mut())
+            {
+                *v = momentum * *v - lr * inv * g;
+                *b += *v;
+            }
+        }
+        loss * inv
+    }
+
+    /// The bits of `x`, with every NaN mapped to one pattern: Rust leaves
+    /// the sign and payload of a NaN result unspecified (the compiler may
+    /// commute an `fadd` of two NaNs), so a diverged run is only required
+    /// to diverge in both loops.
+    fn bits_of(x: f32) -> u32 {
+        if x.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    /// Asserts every weight, bias, velocity and the two losses are the
+    /// same bits.
+    fn assert_same_bits(got: (&Mlp, f32), want: (&Mlp, f32), case: &str) {
+        let bits = |v: &[f32]| v.iter().copied().map(bits_of).collect::<Vec<_>>();
+        assert_eq!(bits_of(got.1), bits_of(want.1), "loss {} vs {}: {case}", got.1, want.1);
+        let (a, b) = (got.0, want.0);
+        for l in 0..a.layers.len() {
+            assert_eq!(bits(a.layers[l].w.data()), bits(b.layers[l].w.data()), "w[{l}]: {case}");
+            assert_eq!(bits(&a.layers[l].b), bits(&b.layers[l].b), "b[{l}]: {case}");
+            assert_eq!(
+                bits(a.velocity_w[l].data()),
+                bits(b.velocity_w[l].data()),
+                "velocity_w[{l}]: {case}"
+            );
+            assert_eq!(bits(&a.velocity_b[l]), bits(&b.velocity_b[l]), "velocity_b[{l}]: {case}");
+        }
+    }
+
+    /// Uniform features in `[-2, 2)` and labels below `labels`.
+    fn random_rows(
+        rows: usize,
+        width: usize,
+        labels: usize,
+        seed: u64,
+    ) -> (Vec<Vec<f32>>, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = (0..rows).map(|_| (0..width).map(|_| rng.gen_range(-2.0..2.0)).collect()).collect();
+        let y = (0..rows).map(|_| rng.gen_range(0..labels)).collect();
+        (x, y)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn prop_train_equals_the_reference_loop_bit_for_bit(
+            head in 0usize..3,
+            outputs in 2usize..5,
+            hidden in 0usize..3,
+            depth in 2usize..6,
+            widths in collection::vec(1usize..17, 5),
+            rows in 1usize..80,
+            batch in 0usize..5,
+            lr in 0.01f32..0.1,
+            lr_decay in 0.5f32..1.0,
+            epochs in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            // Sigmoid: one output, labels {0, 1}. Softmax: 2..=4 classes.
+            // Linear: 1..=3 outputs (only the first is fitted), targets
+            // 0..=2 at a tenth of the rate, so MSE rarely diverges.
+            let (head, outputs, labels, lr) = match head {
+                0 => (OutputHead::Sigmoid, 1, 2, lr),
+                1 => (OutputHead::Softmax, outputs, outputs, lr),
+                _ => (OutputHead::Linear, outputs - 1, 3, lr / 10.0),
+            };
+            let hidden = [Activation::Relu, Activation::LeakyRelu, Activation::TanhExp][hidden];
+            let mut layers = widths[..depth - 1].to_vec();
+            layers.push(outputs);
+            let batch_size = [0, 1, 7, 32, rows + 3][batch];
+            let params =
+                TrainParams { lr, batch_size, epochs, lr_decay, seed, ..TrainParams::default() };
+            let case = format!("{head:?} {hidden:?} {layers:?} rows {rows} {params:?}");
+            let (x, y) = random_rows(rows, layers[0], labels, seed ^ 0x5EED);
+            let mut got = Mlp::new(&MlpConfig { layers, hidden, head }, seed);
+            let mut want = got.clone();
+            let got_loss = got.train(&x, &y, &params);
+            let want_loss = train_reference(&mut want, &x, &y, &params);
+            assert_same_bits((&got, got_loss), (&want, want_loss), &case);
+        }
+    }
+
+    #[test]
+    fn anomaly_dnn_training_equals_the_reference_loop_bit_for_bit() {
+        let (x, y) = random_rows(1_500, 6, 2, 29);
+        let params = TrainParams { epochs: 30, lr: 0.08, ..TrainParams::default() };
+        let mut got = Mlp::new(&MlpConfig::anomaly_dnn(), 0x7A);
+        let mut want = got.clone();
+        let got_loss = got.train(&x, &y, &params);
+        let want_loss = train_reference(&mut want, &x, &y, &params);
+        assert_same_bits((&got, got_loss), (&want, want_loss), "anomaly DNN, 1500 rows");
+    }
+
+    #[test]
+    #[should_panic(expected = "training row 2 has 3 features; the model takes 2")]
+    fn a_row_of_the_wrong_width_panics_naming_it() {
+        let (mut x, y) = blobs(4);
+        x[2].push(0.0);
+        Mlp::new(&MlpConfig::tmc_kernel(&[2, 4, 2]), 0).train(&x, &y, &TrainParams::default());
+    }
+
+    #[test]
+    fn a_bad_row_panics_before_the_first_step() {
+        // The bad row is the last one, so a loop that checked as it went
+        // would have moved the weights on the batches before it.
+        let (mut x, y) = blobs(100);
+        x[99].pop();
+        let mut mlp = Mlp::new(&MlpConfig::tmc_kernel(&[2, 4, 2]), 0);
+        let before = mlp.clone();
+        let params = TrainParams { batch_size: 8, ..TrainParams::default() };
+        let trained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mlp.train(&x, &y, &params);
+        }));
+        assert!(trained.is_err());
+        assert_eq!(mlp, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "training row 3 has label 2; a Sigmoid head takes 0..2")]
+    fn a_sigmoid_label_above_one_panics_naming_its_row() {
+        let (x, mut y) = blobs(4);
+        y[3] = 2;
+        let cfg = MlpConfig {
+            layers: vec![2, 4, 1],
+            hidden: Activation::Relu,
+            head: OutputHead::Sigmoid,
+        };
+        Mlp::new(&cfg, 0).train(&x, &y, &TrainParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "training row 1 has label 3; a Softmax head takes 0..3")]
+    fn a_softmax_label_past_the_classes_panics_naming_its_row() {
+        let (x, mut y) = blobs(4);
+        y[1] = 3;
+        Mlp::new(&MlpConfig::tmc_kernel(&[2, 4, 3]), 0).train(&x, &y, &TrainParams::default());
+    }
+
+    #[test]
+    fn linear_targets_are_unrestricted() {
+        let (x, _) = blobs(16);
+        let y: Vec<usize> = (0..16).map(|i| 1_000 * i).collect();
+        let cfg =
+            MlpConfig { layers: vec![2, 4, 1], hidden: Activation::Relu, head: OutputHead::Linear };
+        let loss =
+            Mlp::new(&cfg, 0).train(&x, &y, &TrainParams { epochs: 1, ..TrainParams::default() });
+        assert!(loss > 0.0);
+    }
+
+    #[test]
+    fn the_returned_loss_divides_by_rows_over_batch_size_not_the_batch_count() {
+        // 10 rows in batches of 4 are 3 batches; the sum of their mean
+        // losses is divided by 10 / 4 = 2.5.
+        let (x, y) = blobs(10);
+        let params = TrainParams { batch_size: 4, epochs: 1, lr: 0.0, ..TrainParams::default() };
+        let mut mlp = Mlp::new(&MlpConfig::tmc_kernel(&[2, 3, 2]), 4);
+        let frozen = mlp.clone();
+        let loss = mlp.train(&x, &y, &params);
+        let mut order: Vec<usize> = (0..10).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(params.seed));
+        let sample_loss = |i: usize| -(frozen.forward(&x[i])[y[i]].max(1e-9)).ln();
+        let batch_means: f32 = order
+            .chunks(4)
+            .map(|b| b.iter().map(|&i| sample_loss(i)).sum::<f32>() / b.len() as f32)
+            .sum();
+        assert!((loss - batch_means / 2.5).abs() < 1e-5, "{loss} vs {}", batch_means / 2.5);
+        assert!((loss - batch_means / 3.0).abs() > 1e-3);
+    }
 
     /// Tiny two-blob binary problem the MLP must solve essentially
     /// perfectly.
@@ -465,7 +864,6 @@ mod tests {
         let mut x = Vec::new();
         let mut y = Vec::new();
         let mut rng = StdRng::seed_from_u64(0);
-        use rand::Rng;
         for i in 0..n {
             let label = i % 2;
             let cx = if label == 0 { -1.5 } else { 1.5 };

@@ -176,23 +176,26 @@ impl QuantizedMlp {
             "calibration width mismatch"
         );
 
-        // Collect per-layer input / pre-activation / post-activation values.
+        // Collect per-layer pre-/post-activation values, each row's forward
+        // pass writing straight into the tail of the per-layer columns
+        // (layer l's input is the tail of layer l − 1's post-activations).
         let n_layers = mlp.layers().len();
-        let mut inputs: Vec<Vec<f32>> = vec![Vec::new(); n_layers];
-        let mut pres: Vec<Vec<f32>> = vec![Vec::new(); n_layers];
-        let mut posts: Vec<Vec<f32>> = vec![Vec::new(); n_layers];
+        let column = || -> Vec<Vec<f32>> {
+            mlp.layers().iter().map(|l| Vec::with_capacity(calibration.len() * l.b.len())).collect()
+        };
+        let (mut pres, mut posts) = (column(), column());
         for x in calibration {
-            let mut h = x.clone();
             for (l, layer) in mlp.layers().iter().enumerate() {
-                inputs[l].extend_from_slice(&h);
-                let (pre, post) = layer.forward(&h);
-                pres[l].extend_from_slice(&pre);
-                posts[l].extend_from_slice(&post);
-                h = post;
+                let (below, here) = posts.split_at_mut(l);
+                let input = below.last().map_or(x.as_slice(), |p| &p[p.len() - layer.w.cols()..]);
+                let start = here[0].len();
+                pres[l].resize(start + layer.b.len(), 0.0);
+                here[0].resize(start + layer.b.len(), 0.0);
+                layer.forward(input, &mut pres[l][start..], &mut here[0][start..]);
             }
         }
 
-        let input_params = QuantParams::from_values(&inputs[0]);
+        let input_params = QuantParams::from_values(&calibration.concat());
         let mut layers = Vec::with_capacity(n_layers);
         let mut in_params = input_params;
         for (l, layer) in mlp.layers().iter().enumerate() {
