@@ -146,10 +146,9 @@ fn main() {
     let _ = service.shutdown();
 
     // Overload policies against an oversubscribed fleet. No warm-up:
-    // the stall fires once per runtime, so all four runs are equally
-    // cold. `Shed` is goodput-first (a small bounded patience, so only
-    // the wedged lane times out); `Degrade` is line-rate-first and
-    // waits for nothing.
+    // the stall fires once per runtime, so all three runs are equally
+    // cold. `Degrade` with zero patience is line-rate-first and waits
+    // for nothing.
     let syn = SynFloodDetector::default_deployment();
     let stall = Duration::from_millis(if smoke { 100 } else { 250 });
     let offered = trace.packets.len() as f64;
@@ -170,8 +169,6 @@ fn main() {
     };
     let (quiet_pps, _) = overloaded(OverloadPolicy::Block, false);
     let (block_pps, _) = overloaded(OverloadPolicy::Block, true);
-    let (shed_pps, shed) =
-        overloaded(OverloadPolicy::Shed { patience: Duration::from_millis(2) }, true);
     let (degrade_pps, degraded) =
         overloaded(OverloadPolicy::Degrade { patience: Duration::ZERO }, true);
     print_table(
@@ -180,11 +177,6 @@ fn main() {
         &[
             vec!["quiet (no stall)".into(), quiet_pps, String::new()],
             vec!["block".into(), block_pps, "rides out the stall".into()],
-            vec![
-                "shed".into(),
-                shed_pps,
-                format!("goodput {:.2}", shed.merged.packets as f64 / offered),
-            ],
             vec![
                 "degrade".into(),
                 degrade_pps,

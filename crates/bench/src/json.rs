@@ -277,17 +277,10 @@ impl ToJson for QuarantineCounts {
 
 impl ToJson for OverloadReport {
     fn to_json(&self) -> Json {
-        let buckets = self
-            .flow_buckets
-            .iter()
-            .map(|&(bucket, n)| Json::Array(vec![Json::UInt(bucket), Json::UInt(n)]))
-            .collect();
         Json::Object(vec![
-            ("shed_packets", Json::UInt(self.shed_packets)),
             ("degraded_verdicts", Json::UInt(self.degraded_verdicts)),
             ("degraded_anomalous", Json::UInt(self.degraded_anomalous)),
             ("per_shard", Json::Array(self.per_shard.iter().map(|&n| Json::UInt(n)).collect())),
-            ("flow_buckets", Json::Array(buckets)),
             ("quarantine", self.quarantine.to_json()),
         ])
     }
@@ -433,9 +426,8 @@ mod tests {
         assert_eq!(keys(&report.to_json()), ["merged", "shards", "segments"]);
 
         report.overload = OverloadReport {
-            shed_packets: 3,
+            degraded_verdicts: 3,
             per_shard: vec![2, 1],
-            flow_buckets: vec![(5, 2), (9, 1)],
             quarantine: QuarantineCounts { truncated: 1, ..QuarantineCounts::default() },
             ..OverloadReport::default()
         };
@@ -443,10 +435,12 @@ mod tests {
         assert_eq!(keys(&json), ["merged", "shards", "segments", "overload"]);
         let overload = &fields(&json)[3].1;
         let field = |key| &fields(overload).iter().find(|(k, _)| *k == key).unwrap().1;
-        let pair = |bucket, n| Json::Array(vec![Json::UInt(bucket), Json::UInt(n)]);
-        assert_eq!(*field("shed_packets"), Json::UInt(3));
+        assert_eq!(
+            keys(overload),
+            ["degraded_verdicts", "degraded_anomalous", "per_shard", "quarantine"]
+        );
+        assert_eq!(*field("degraded_verdicts"), Json::UInt(3));
         assert_eq!(*field("per_shard"), Json::Array(vec![Json::UInt(2), Json::UInt(1)]));
-        assert_eq!(*field("flow_buckets"), Json::Array(vec![pair(5, 2), pair(9, 1)]));
         assert!(json.pretty().contains("\"truncated\": 1,"));
     }
 }

@@ -296,13 +296,12 @@ struct PacketFault {
 
 /// A window of injected saturation: every packet whose home shard is
 /// `shard` and whose global stream index lies in `[from, from + len)`
-/// is treated as over budget by a non-blocking
-/// [`crate::OverloadPolicy`].
+/// is treated as over budget by [`crate::OverloadPolicy::Degrade`].
 ///
 /// Unlike the worker-side packet faults, saturation is consulted on the
 /// *ingest* side, before steering — a pure predicate of
 /// (home shard, global index), so an overload episode replays exactly:
-/// the same plan against the same stream sheds the same packets under
+/// the same plan against the same stream degrades the same packets under
 /// any shard geometry or feed slicing, and a single-threaded oracle can
 /// enumerate them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -346,9 +345,9 @@ impl FaultPlan {
 
     /// Marks `shard` saturated for the `len` packets with global stream
     /// index in `[from, from + len)` that are home-routed to it. Under
-    /// a non-blocking [`crate::OverloadPolicy`] those packets are shed
-    /// (or degraded to the line-rate default verdict) deterministically
-    /// — the replayable stand-in for a lane that filled past its
+    /// [`crate::OverloadPolicy::Degrade`] those packets are degraded to
+    /// the line-rate default verdict deterministically — the
+    /// replayable stand-in for a lane that filled past its
     /// patience. A `Block` fleet ignores saturation entirely (there is
     /// no admission decision to force).
     pub fn saturate_shard(mut self, shard: usize, from: u64, len: u64) -> Self {

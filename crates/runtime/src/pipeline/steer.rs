@@ -155,8 +155,8 @@ pub(crate) struct Steer {
     /// construction so steady-state feeds allocate no batch memory.
     pool: Vec<Batch>,
     /// The admission layer: policy, injected saturation windows, and
-    /// the shed/degrade/quarantine accounting. Ingest-side by design —
-    /// a shard that sheds and then panics recovers with its counters
+    /// the degrade/quarantine accounting. Ingest-side by design — a
+    /// shard that degrades and then panics recovers with its counters
     /// intact, because they were never inside the worker.
     pub(crate) overload: OverloadState,
 }
@@ -240,10 +240,10 @@ impl Steer {
     ///
     /// Under [`crate::OverloadPolicy::Block`] (the default) the send
     /// blocks until the lane has room — the historical backpressure.
-    /// Under `Shed`/`Degrade` it waits at most the configured patience:
-    /// a lane still full past the deadline means *organic* saturation,
-    /// and the whole staged batch is refused at once — every packet
-    /// accounted through [`OverloadState::record_bypass`], the arena
+    /// Under `Degrade` it waits at most the configured patience: a lane
+    /// still full past the deadline means *organic* saturation, and the
+    /// whole staged batch is degraded at once — every packet accounted
+    /// through [`OverloadState::record_bypass`], the arena
     /// recycled, and the flush reported as success (the fleet rode the
     /// overload out instead of stalling on it).
     ///
@@ -262,11 +262,11 @@ impl Steer {
             Some(patience) => match tx.send_timeout(ShardMsg::Batch(batch), patience) {
                 Ok(()) => false,
                 Err(SendTimeoutError::Timeout(msg)) => {
-                    if let ShardMsg::Batch(refused) = msg {
-                        for p in &refused {
-                            self.overload.record_bypass(shard, p.obs.flow_key, p.anomalous);
+                    if let ShardMsg::Batch(degraded) = msg {
+                        for p in &degraded {
+                            self.overload.record_bypass(shard, p.anomalous);
                         }
-                        self.pool.push(refused);
+                        self.pool.push(degraded);
                     }
                     false
                 }

@@ -299,10 +299,10 @@ impl<'a> RuntimeBuilder<'a> {
     /// What the steer stage does when a shard's lane saturates — see
     /// [`OverloadPolicy`]. The default, [`OverloadPolicy::Block`], is
     /// the historical behavior: ingest waits for the slow shard and
-    /// reports stay byte-identical to pre-overload runs. The
-    /// non-blocking policies shed ([`OverloadPolicy::Shed`]) or
-    /// line-rate-bypass ([`OverloadPolicy::Degrade`]) over-budget
-    /// packets and account them in [`RuntimeReport::overload`].
+    /// reports stay byte-identical to pre-overload runs.
+    /// [`OverloadPolicy::Degrade`] hands over-budget packets the
+    /// line-rate default verdict instead and accounts them in
+    /// [`RuntimeReport::overload`].
     pub fn overload_policy(mut self, policy: OverloadPolicy) -> Self {
         self.overload = policy;
         self
@@ -466,7 +466,7 @@ impl<'a> RuntimeBuilder<'a> {
         // Ingest-side overload state: the saturation windows are carved
         // off the fault plan; the per-shard worker slices follow in
         // `StreamingRuntime::new`.
-        let overload = OverloadState::new(self.overload, self.fault_plan.for_ingest(), route_slots);
+        let overload = OverloadState::new(self.overload, self.fault_plan.for_ingest(), self.shards);
         let ingest = Ingest::new(
             Route::new(route_slots, self.shards),
             Steer::new(self.shards, self.batch_size, self.queue_depth, overload),
@@ -520,9 +520,9 @@ pub struct RuntimeReport {
     /// with no faults reports exactly [`FaultReport::default`], so
     /// fault-free reports compare bit-identical to pre-fault-era ones.
     pub faults: FaultReport,
-    /// Overload accounting since the last drain: packets shed by
-    /// admission control, degraded to the line-rate default verdict, or
-    /// quarantined at the hardened ingest frontier — see
+    /// Overload accounting since the last drain: packets degraded to
+    /// the line-rate default verdict or quarantined at the hardened
+    /// ingest frontier — see
     /// [`OverloadReport`]. A run in which the admission layer did
     /// nothing (every [`crate::OverloadPolicy::Block`] run on a clean
     /// trace) reports exactly [`OverloadReport::default`], so such

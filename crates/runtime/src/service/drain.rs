@@ -163,7 +163,7 @@ impl StreamingRuntime {
         let merged = SwitchReport::merged(shards.iter().map(|s| &s.report)).unwrap_or_default();
         self.fault_acc.lost_shard_packets += std::mem::take(&mut self.ingest.lost_shard_packets);
         let faults = std::mem::take(&mut self.fault_acc);
-        let overload = self.ingest.steer.overload.take_report(self.lanes.len());
+        let overload = self.ingest.steer.overload.take_report();
         RuntimeReport { merged, shards, segments, faults, overload }
     }
 

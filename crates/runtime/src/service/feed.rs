@@ -154,7 +154,7 @@ impl Ingest {
             return Ok(());
         }
         if self.steer.overload.saturated(shard, index) {
-            self.steer.overload.record_bypass(shard, obs.flow_key, tp.anomalous);
+            self.steer.overload.record_bypass(shard, tp.anomalous);
             return Ok(());
         }
         // Nothing pre-filtered the first-seen probes, so (direct-mapped)

@@ -137,6 +137,12 @@ pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
 }
 
+/// The instant `timeout` from now, or `None` — wait without a deadline
+/// — when that lies beyond what [`Instant`] can represent.
+fn deadline(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
+}
+
 impl<T> Shared<T> {
     /// The one wait loop behind every blocking call: returns the locked
     /// state once `ready` holds, or `None` once `deadline` has passed.
@@ -215,11 +221,12 @@ impl<T> Sender<T> {
     /// Sends one item, giving up after `timeout`.
     ///
     /// This is the patience flavor of [`Sender::send`]: the steer stage
-    /// uses it under a non-blocking [`crate::OverloadPolicy`], so a
-    /// saturated shard costs ingest at most the configured patience per
-    /// batch instead of backpressuring the whole fleet into a stall. A
-    /// zero timeout degrades to a single immediate attempt, without the
-    /// spin phase's yields.
+    /// uses it under [`crate::OverloadPolicy::Degrade`], so a saturated
+    /// shard costs ingest at most the configured patience per batch
+    /// instead of backpressuring the whole fleet into a stall. A zero
+    /// timeout is a single immediate attempt, without the spin phase's
+    /// yields; a timeout past the clock's range (`Duration::MAX`) is no
+    /// deadline at all.
     ///
     /// # Errors
     ///
@@ -227,7 +234,7 @@ impl<T> Sender<T> {
     /// deadline, [`SendTimeoutError::Disconnected`] if the receiver was
     /// dropped; both carry the item back.
     pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        self.send_by(value, Some(Instant::now() + timeout))
+        self.send_by(value, deadline(timeout))
     }
 }
 
@@ -291,7 +298,8 @@ impl<T> Receiver<T> {
     /// yields a diagnostic instead of hanging `drain()` forever. Same
     /// drain-first semantics as `recv` — buffered items are returned
     /// even after the sender is gone — and the same single attempt at a
-    /// zero timeout as [`Sender::send_timeout`].
+    /// zero timeout, and the same deadline-free wait past the clock's
+    /// range, as [`Sender::send_timeout`].
     ///
     /// # Errors
     ///
@@ -299,7 +307,7 @@ impl<T> Receiver<T> {
     /// deadline, [`RecvTimeoutError::Disconnected`] once the channel is
     /// empty and the sender was dropped.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        self.recv_by(Some(Instant::now() + timeout))
+        self.recv_by(deadline(timeout))
     }
 }
 
@@ -548,6 +556,21 @@ mod tests {
         );
         tx.send(7u64).unwrap();
         assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(7), "buffered: immediate success");
+    }
+
+    #[test]
+    fn timeouts_beyond_the_clock_range_wait_without_a_deadline() {
+        // `Instant::now() + Duration::MAX` overflows; the endpoints must
+        // treat such a timeout as "no deadline", not panic.
+        let (tx, rx) = channel(1);
+        assert_eq!(tx.send_timeout(1u8, Duration::MAX), Ok(()), "room: immediate success");
+        assert_eq!(rx.recv_timeout(Duration::MAX), Ok(1), "buffered: immediate success");
+        tx.send(2).unwrap(); // full: only the dropped receiver can end the wait
+        drop(rx);
+        assert_eq!(tx.send_timeout(3, Duration::MAX), Err(SendTimeoutError::Disconnected(3)));
+        let (tx, rx) = channel::<u8>(1);
+        drop(tx);
+        assert_eq!(rx.recv_timeout(Duration::MAX), Err(RecvTimeoutError::Disconnected));
     }
 
     #[test]

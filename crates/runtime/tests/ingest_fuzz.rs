@@ -123,7 +123,7 @@ proptest! {
                 packets.len() as u64,
                 "conservation: admitted + quarantined == offered"
             );
-            prop_assert_eq!(report.overload.shed_packets, 0, "quarantine is not shedding");
+            prop_assert_eq!(report.overload.degraded_verdicts, 0, "quarantine is not degrading");
         }
     }
 }

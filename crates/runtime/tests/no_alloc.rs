@@ -26,13 +26,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::EngineBackend;
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_pisa::{FlowTableKind, PipelineConfig};
-use taurus_runtime::{RuntimeBuilder, StreamingRuntime};
+use taurus_runtime::{FaultPlan, OverloadPolicy, RuntimeBuilder, StreamingRuntime};
 
 struct CountingAlloc;
 
@@ -339,4 +340,36 @@ fn a_feed_of_rejected_packets_costs_counters_and_allocates_nothing() {
     assert!(quarantine.zero_length > 0 && quarantine.garbage_port > 0);
     assert!(quarantine.unknown_protocol > 0);
     assert_eq!(report.merged.packets, single.packets.len() as u64, "only the clean feed ran");
+}
+
+#[test]
+fn a_degraded_feed_allocates_nothing_on_the_feeder() {
+    let _serial = measuring();
+    // Degrading a packet is three counter increments: the overload
+    // accounting is sized once at build time and zeroed in place at
+    // every drain, so the first degraded packet after a drain grows
+    // nothing on the feeding thread — and a lane the window starves
+    // costs its worker nothing either.
+    let syn = SynFloodDetector::default_deployment();
+    let single = trace(400, 59);
+    let n = single.packets.len() as u64;
+    let mut service = RuntimeBuilder::new()
+        .shards(2)
+        .batch_size(32)
+        // A patience no healthy lane outlasts: only the window degrades.
+        .overload_policy(OverloadPolicy::Degrade { patience: Duration::from_secs(5) })
+        .fault_plan(FaultPlan::new().saturate_shard(0, n, 2 * n))
+        .register_on(&syn, EngineBackend::Threshold)
+        .build();
+    service.feed(&single.packets); // warm-up: one clean feed
+    service.feed(&single.packets); // and one degraded feed
+    let warm = service.drain();
+    assert!(warm.overload.degraded_verdicts > 0, "the window covers the second feed");
+    let (feeder, workers) = allocations_by_thread(|| {
+        service.feed(&single.packets);
+    });
+    assert_eq!((feeder, workers), (0, 0), "a degraded packet costs counters, nothing else");
+    let report = service.shutdown();
+    assert!(report.overload.degraded_verdicts > 0, "the window covers the measured feed");
+    assert_eq!(report.overload.per_shard[1], 0, "only shard 0 is saturated");
 }

@@ -3,7 +3,7 @@
 //!
 //! [`FaultPlan::saturate_shard`] marks packets over budget by a pure
 //! predicate of (home shard, global stream index), so a non-blocking
-//! [`OverloadPolicy`] must shed (or degrade) *exactly* the enumerable
+//! [`OverloadPolicy::Degrade`] must degrade *exactly* the enumerable
 //! window set — under every shard geometry and feed slicing — and the
 //! merged report must equal the sequential switch run over the
 //! filtered trace. `Block` remains byte-identical to the historical
@@ -33,8 +33,8 @@ use taurus_runtime::{
 const FLOW_SLOTS: usize = 4096; // the builder default
 
 /// Patience long enough that organic lane timeouts can never fire in a
-/// healthy test run: every shed in this suite comes from the injected
-/// windows, keeping the accounting exactly enumerable.
+/// healthy test run: every degraded packet in this suite comes from the
+/// injected windows, keeping the accounting exactly enumerable.
 const PATIENCE: Duration = Duration::from_secs(5);
 
 fn kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
@@ -108,15 +108,15 @@ fn assert_conserved(report: &RuntimeReport, offered: usize) {
 }
 
 #[test]
-fn a_stalled_shard_is_ridden_out_by_block_and_refused_by_shed_and_degrade() {
+fn a_stalled_shard_is_ridden_out_by_block_and_degraded_by_degrade() {
     // Organic saturation: shard 0's worker stalls on its first packet
     // behind a two-batch lane, so the steer stage's own patience — not
-    // an injected window — decides what is refused. `Block` eats the
-    // stall; `Shed` waits a bounded patience per staged batch (a
-    // healthy engine drains one in microseconds, so only the wedged
-    // lane times out) and keeps the healthy shard's traffic on the ML
-    // path; `Degrade` waits for nothing and hands the overflow the
-    // line-rate default.
+    // an injected window — decides what is degraded. `Block` eats the
+    // stall. `Degrade` with a bounded patience waits that long per
+    // staged batch (a healthy engine drains one in microseconds, so
+    // only the wedged lane times out) and keeps the healthy shard's
+    // traffic on the ML path; with zero patience it waits for nothing
+    // and hands the overflow the line-rate default.
     within(Duration::from_secs(60), || {
         let syn = SynFloodDetector::default_deployment();
         let trace = kdd_trace(400, 39);
@@ -144,17 +144,15 @@ fn a_stalled_shard_is_ridden_out_by_block_and_refused_by_shed_and_degrade() {
         let blocked = run(OverloadPolicy::Block, stall());
         assert_eq!(blocked.merged.packets, offered, "Block refuses nothing, however long");
 
-        let shed = run(OverloadPolicy::Shed { patience: Duration::from_millis(2) }, stall());
-        assert!(shed.overload.shed_packets > 0, "the wedged lane must time out");
-        assert_eq!(shed.overload.degraded_verdicts, 0, "Shed never degrades");
+        let patient = run(OverloadPolicy::Degrade { patience: Duration::from_millis(2) }, stall());
+        assert!(patient.overload.degraded_verdicts > 0, "the wedged lane must time out");
         assert!(
-            shed.merged.packets * 4 >= offered,
-            "Shed went indiscriminate: only {} of {offered} packets kept an ML verdict",
-            shed.merged.packets
+            patient.merged.packets * 4 >= offered,
+            "Degrade went indiscriminate: only {} of {offered} packets kept an ML verdict",
+            patient.merged.packets
         );
 
         let degraded = run(OverloadPolicy::Degrade { patience: Duration::ZERO }, stall());
-        assert_eq!(degraded.overload.shed_packets, 0, "Degrade never sheds");
         assert!(degraded.overload.degraded_verdicts > 0, "the wedged lane must overflow");
     });
 }
@@ -179,15 +177,16 @@ fn block_ignores_saturation_and_reports_stay_byte_identical() {
 
     assert_eq!(blocked, clean, "Block must ignore injected saturation entirely");
     assert!(blocked.overload.is_empty(), "no admission decisions => empty overload section");
-    assert_eq!(blocked.merged.packets as usize, trace.packets.len(), "nothing shed");
+    assert_eq!(blocked.merged.packets as usize, trace.packets.len(), "nothing refused");
 }
 
 #[test]
 fn shed_matches_the_filtered_sequential_oracle_across_geometries() {
-    // The acceptance pin: under `Shed`, the merged report equals the
-    // sequential switch fed only the admitted packets, and the shed
-    // accounting equals the analytic window membership — for shard
-    // counts that divide nothing in particular. The windows reference global indices, the
+    // The acceptance pin: `Degrade` sheds the over-budget packets off
+    // the ML path, and the merged report equals the sequential switch
+    // fed only the admitted packets, while the accounting equals the
+    // analytic window membership — for shard counts that divide
+    // nothing in particular. The windows reference global indices, the
     // filter references the geometry's own routing, so the oracle is
     // recomputed per geometry.
     let syn = SynFloodDetector::default_deployment();
@@ -205,7 +204,7 @@ fn shed_matches_the_filtered_sequential_oracle_across_geometries() {
         let golden = sequential_report(&syn, &anomaly, &admitted);
 
         let mut rt = builder(&syn, &anomaly, shards)
-            .overload_policy(OverloadPolicy::Shed { patience: PATIENCE })
+            .overload_policy(OverloadPolicy::Degrade { patience: PATIENCE })
             .fault_plan(
                 windows.iter().fold(FaultPlan::new(), |p, &(s, f, l)| p.saturate_shard(s, f, l)),
             )
@@ -215,12 +214,11 @@ fn shed_matches_the_filtered_sequential_oracle_across_geometries() {
             report.merged, golden,
             "merged diverges from the filtered oracle at shards={shards}"
         );
-        assert_eq!(report.overload.shed_packets, refused.len() as u64);
-        assert_eq!(report.overload.degraded_verdicts, 0, "Shed never degrades");
+        assert_eq!(report.overload.degraded_verdicts, refused.len() as u64);
         assert_conserved(&report, trace.packets.len());
 
-        // Per-shard accounting: padded to the geometry, each entry
-        // the analytic count of refused packets homed there.
+        // Per-shard accounting: one entry per shard, each the analytic
+        // count of refused packets homed there.
         assert_eq!(report.overload.per_shard.len(), shards);
         for shard in 0..shards {
             let expected =
@@ -230,13 +228,6 @@ fn shed_matches_the_filtered_sequential_oracle_across_geometries() {
                 "per-shard count off at shard {shard}/{shards}"
             );
         }
-        // Flow buckets: sorted, zero-free, summing to the shed total.
-        let bucket_sum: u64 = report.overload.flow_buckets.iter().map(|&(_, c)| c).sum();
-        assert_eq!(bucket_sum, refused.len() as u64);
-        assert!(
-            report.overload.flow_buckets.windows(2).all(|w| w[0].0 < w[1].0),
-            "buckets sorted and deduplicated"
-        );
     }
 }
 
@@ -274,7 +265,6 @@ fn degrade_issues_line_rate_defaults_and_counts_ground_truth() {
         );
         assert_eq!(report.overload.degraded_verdicts, refused.len() as u64);
         assert_eq!(report.overload.degraded_anomalous, anomalous_refused);
-        assert_eq!(report.overload.shed_packets, 0, "Degrade never sheds");
         assert_conserved(&report, trace.packets.len());
     }
 }
@@ -282,8 +272,8 @@ fn degrade_issues_line_rate_defaults_and_counts_ground_truth() {
 #[test]
 fn feed_slicing_never_changes_the_admission_decision() {
     // Saturation keys on *global* stream index, so a resident service
-    // fed the stream in ragged slices must shed the identical set — and
-    // split drains must partition the accounting without losing a
+    // fed the stream in ragged slices must degrade the identical set —
+    // and split drains must partition the accounting without losing a
     // packet.
     let syn = SynFloodDetector::default_deployment();
     let anomaly = AnomalyDetector::train_default(34, 1_000);
@@ -291,7 +281,7 @@ fn feed_slicing_never_changes_the_admission_decision() {
     let n = trace.packets.len();
     let windows = [(0usize, (n as u64) / 5, (n as u64) / 3)];
     let plan = || FaultPlan::new().saturate_shard(windows[0].0, windows[0].1, windows[0].2);
-    let policy = OverloadPolicy::Shed { patience: PATIENCE };
+    let policy = OverloadPolicy::Degrade { patience: PATIENCE };
 
     let make = || builder(&syn, &anomaly, 3).overload_policy(policy).fault_plan(plan()).build();
 
@@ -299,7 +289,7 @@ fn feed_slicing_never_changes_the_admission_decision() {
     let mut whole = make();
     whole.feed(&trace.packets);
     let reference = whole.drain();
-    assert!(reference.overload.shed_packets > 0, "the window must be live");
+    assert!(reference.overload.degraded_verdicts > 0, "the window must be live");
     whole.shutdown();
 
     // Ragged feeds (37 is aligned with nothing), one drain.
@@ -312,7 +302,7 @@ fn feed_slicing_never_changes_the_admission_decision() {
     // batches); everything semantic — the merged report, the per-shard
     // traffic, the admission accounting — must not.
     assert_eq!(sliced_report.merged, reference.merged, "feed slicing changed the merged report");
-    assert_eq!(sliced_report.overload, reference.overload, "feed slicing changed the shed set");
+    assert_eq!(sliced_report.overload, reference.overload, "feed slicing changed the degraded set");
     for (s, r) in sliced_report.shards.iter().zip(&reference.shards) {
         assert_eq!(s.packets, r.packets, "feed slicing changed shard {} traffic", s.shard);
         assert_eq!(s.report, r.report, "feed slicing changed shard {} semantics", s.shard);
@@ -327,9 +317,9 @@ fn feed_slicing_never_changes_the_admission_decision() {
     cycled.feed(second);
     let r2 = cycled.drain();
     assert_eq!(
-        r1.overload.shed_packets + r2.overload.shed_packets,
-        reference.overload.shed_packets,
-        "split drains must partition the shed count"
+        r1.overload.degraded_verdicts + r2.overload.degraded_verdicts,
+        reference.overload.degraded_verdicts,
+        "split drains must partition the degraded count"
     );
     // The merged switch report is cumulative across drains (replica
     // state persists), so the second drain must land exactly where the
@@ -386,9 +376,9 @@ fn degraded_packets_leave_no_residue_for_later_feeds() {
 }
 
 #[test]
-fn a_shard_that_sheds_and_then_panics_recovers_with_its_counters_intact() {
-    // The accounting lives on the ingest side, not in the worker: shed
-    // counters must survive the shedding shard's own crash and
+fn a_shard_that_degrades_and_then_panics_recovers_with_its_counters_intact() {
+    // The accounting lives on the ingest side, not in the worker: the
+    // degraded counters must survive the degrading shard's own crash and
     // supervised respawn, and the post-recovery fleet keeps admitting.
     let syn = SynFloodDetector::default_deployment();
     let anomaly = AnomalyDetector::train_default(37, 1_000);
@@ -404,18 +394,18 @@ fn a_shard_that_sheds_and_then_panics_recovers_with_its_counters_intact() {
         .collect();
     assert!(assigned.len() >= 9, "seed must give the victim shard real traffic");
 
-    // Shed the victim's first third, then panic it on a later packet
+    // Degrade the victim's first third, then panic it on a later packet
     // that *was* admitted — the engine only ever sees admitted traffic,
     // so the trigger index must survive admission.
-    let shed_upto = assigned[assigned.len() / 3 - 1] + 1; // covers exactly the first third
+    let degrade_upto = assigned[assigned.len() / 3 - 1] + 1; // covers exactly the first third
     let fire_at = assigned[2 * assigned.len() / 3];
-    assert!(fire_at >= shed_upto, "the panic trigger must be an admitted packet");
-    let expected_shed = (assigned.len() / 3) as u64;
+    assert!(fire_at >= degrade_upto, "the panic trigger must be an admitted packet");
+    let expected_degraded = (assigned.len() / 3) as u64;
 
     let mut rt = builder(&syn, &anomaly, shards)
-        .overload_policy(OverloadPolicy::Shed { patience: PATIENCE })
+        .overload_policy(OverloadPolicy::Degrade { patience: PATIENCE })
         .fault_plan(
-            FaultPlan::new().saturate_shard(victim, 0, shed_upto).engine_panic(victim, fire_at),
+            FaultPlan::new().saturate_shard(victim, 0, degrade_upto).engine_panic(victim, fire_at),
         )
         .spare_replicas(1)
         .build();
@@ -428,17 +418,17 @@ fn a_shard_that_sheds_and_then_panics_recovers_with_its_counters_intact() {
     assert_eq!(report.faults.records[0].shard, victim);
     assert_eq!(report.faults.records[0].kind, FaultRecordKind::WorkerPanic);
 
-    // The shed accounting survived the crash bit-exactly.
-    assert_eq!(report.overload.shed_packets, expected_shed);
-    assert_eq!(report.overload.per_shard[victim], expected_shed);
+    // The degraded accounting survived the crash bit-exactly.
+    assert_eq!(report.overload.degraded_verdicts, expected_degraded);
+    assert_eq!(report.overload.per_shard[victim], expected_degraded);
     for (shard, &count) in report.overload.per_shard.iter().enumerate() {
         if shard != victim {
-            assert_eq!(count, 0, "only the victim's window shed");
+            assert_eq!(count, 0, "only the victim's window degraded");
         }
     }
 
     // And the recovered fleet still runs the policy: a fresh feed with
-    // a live window sheds deterministically on the respawned worker.
+    // a live window degrades deterministically on the respawned worker.
     let followup = kdd_trace(120, 38);
     let base = rt.stream_position();
     rt.feed(&followup.packets);
@@ -450,12 +440,12 @@ fn a_shard_that_sheds_and_then_panics_recovers_with_its_counters_intact() {
         .filter(|(i, tp)| {
             home_shard(tp, shards) == victim && {
                 let index = base + *i as u64;
-                index < shed_upto // the original window is far behind the stream now
+                index < degrade_upto // the original window is far behind the stream now
             }
         })
         .count() as u64;
     assert_eq!(expected_followup, 0, "the window must be exhausted after recovery");
-    assert_eq!(after.overload.shed_packets, 0);
+    assert_eq!(after.overload.degraded_verdicts, 0);
     assert_eq!(after.faults.worker_restarts, 0, "the respawned worker holds");
     assert!(after.merged.packets > 0, "the fleet keeps serving after recovery");
     rt.shutdown();

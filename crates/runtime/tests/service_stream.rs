@@ -253,7 +253,7 @@ fn every_feed_advances_the_stream_clock_by_its_length() {
         let mut rt = RuntimeBuilder::new()
             .shards(shards)
             .batch_size(16)
-            .overload_policy(OverloadPolicy::Shed { patience: Duration::from_secs(5) })
+            .overload_policy(OverloadPolicy::Degrade { patience: Duration::from_secs(5) })
             .fault_plan(plan)
             .spare_replicas(1)
             .register_on(&syn, EngineBackend::Threshold)
@@ -268,7 +268,7 @@ fn every_feed_advances_the_stream_clock_by_its_length() {
         // Saturated (the window covers this feed) and panicking.
         feed(&mut rt, &trace.packets, "saturated");
         let first = rt.drain();
-        assert!(first.overload.shed_packets > 0, "the window was live");
+        assert!(first.overload.degraded_verdicts > 0, "the window was live");
         let lost = first.faults.records.iter().any(|r| r.kind == FaultRecordKind::ShardLost);
         assert_eq!(lost, shards > 1);
         // Clean, quarantining, and empty feeds on the degraded fleet.
@@ -279,6 +279,37 @@ fn every_feed_advances_the_stream_clock_by_its_length() {
         assert!(second.overload.quarantine.zero_length > 0);
         assert_eq!(second.faults.lost_shard_packets > 0, lost, "dead-shard feeds counted");
     }
+}
+
+#[test]
+fn unbounded_timeouts_wait_forever_instead_of_overflowing_the_clock() {
+    // `Duration::MAX` is a legal patience and a legal watchdog: both
+    // mean "no deadline". Neither may overflow the clock — not the
+    // drain's reply wait, not a lane send under `Degrade`.
+    use taurus_runtime::{FaultPlan, OverloadPolicy};
+
+    within(Duration::from_secs(60), || {
+        let syn = SynFloodDetector::default_deployment();
+        let trace = kdd_trace(150, 99);
+        let n = trace.packets.len() as u64;
+        let mut rt = RuntimeBuilder::new()
+            .shards(2)
+            .batch_size(16)
+            .control_timeout(Duration::MAX)
+            .overload_policy(OverloadPolicy::Degrade { patience: Duration::MAX })
+            .fault_plan(FaultPlan::new().saturate_shard(0, n / 4, n / 2))
+            .register_on(&syn, EngineBackend::Threshold)
+            .build();
+        rt.feed(&trace.packets);
+        let report = rt.drain();
+        assert!(report.overload.degraded_verdicts > 0, "the window was live");
+        assert_eq!(
+            report.merged.packets + report.overload.refused(),
+            n,
+            "admitted + refused must equal offered"
+        );
+        rt.shutdown();
+    });
 }
 
 #[test]
