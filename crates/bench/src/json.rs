@@ -1,8 +1,9 @@
 //! The workspace's serializer: a deterministic JSON encoder for
 //! experiment artifacts.
 //!
-//! Every result file under `results/` — including the golden Table 8
-//! snapshot — is a [`ToJson`] impl rendered by [`crate::save_json`].
+//! Every JSON file under `results/` — the golden Table 8 snapshot and
+//! the online-deployment report — is a [`ToJson`] impl rendered by
+//! [`Json::pretty`].
 //! Determinism is the point: object keys are emitted in declaration
 //! order, floats use Rust's shortest round-trip formatting, and there
 //! is no hash-map anywhere, so the same run produces the same bytes.

@@ -1,16 +1,21 @@
-//! Experiment harness: shared model builders and table printing for the
-//! per-table/per-figure binaries.
+//! Experiment harness: the paper's tables and figures, their shared
+//! model builders, and the one table renderer.
 //!
-//! Every table and figure in the paper's evaluation has a binary in
-//! `src/bin/` (`table1` … `table8`, `fig9`, `fig10`, `fig13`, `fig14`)
-//! that regenerates it: same workloads, same parameter sweeps, printed in
+//! Every table and figure in the paper's evaluation is a function in
+//! [`repro`] (`table1` … `table8`, `fig9`, `fig10`, `fig13`, `fig14`,
+//! `mat_only`, plus the sharded-runtime `throughput` and `online` runs)
+//! that renders it: same workloads, same parameter sweeps, printed in
 //! the paper's row/series structure with the published values alongside
-//! our measured ones. `EXPERIMENTS.md` records the comparison.
+//! our measured ones. The `repro` binary prints them; the golden test
+//! `tests/golden_repro.rs` pins them. `EXPERIMENTS.md` records the
+//! comparison.
 //!
-//! Results that persist under `results/` go through [`save_json`] and
-//! the [`json`] encoder, the workspace's one serializer.
+//! [`json`] is the workspace's one serializer; the golden fixtures
+//! `results/table8_golden.json` and `results/online_deployment.json`
+//! are its renderings.
 
 pub mod json;
+pub mod repro;
 
 use taurus_compiler::{compile, frontend, CompileOptions, GridConfig, GridProgram};
 use taurus_dataset::kdd::{FeatureView, KddGenerator};
@@ -19,9 +24,10 @@ use taurus_ml::lstm::LstmConfig;
 use taurus_ml::svm::SvmConfig;
 use taurus_ml::{KMeans, Lstm, QuantizedKMeans, QuantizedSvm, Svm};
 
-/// Prints a formatted table with a title and column headers.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
+/// Renders a table with a title and right-aligned columns into `out`:
+/// the one table format every experiment in [`repro`] prints.
+pub(crate) fn write_table(out: &mut String, title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    out.push_str(&format!("\n=== {title} ===\n"));
     let widths: Vec<usize> = headers
         .iter()
         .enumerate()
@@ -33,39 +39,24 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
                 .unwrap_or(h.len())
         })
         .collect();
-    let line = |cells: Vec<String>| {
+    let mut line = |cells: &[String]| {
         let mut s = String::new();
         for (c, w) in cells.iter().zip(&widths) {
             s.push_str(&format!("{c:>w$}  ", w = w));
         }
-        println!("{}", s.trim_end());
+        out.push_str(s.trim_end());
+        out.push('\n');
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
-        line(row.clone());
+        line(row);
     }
-}
-
-/// Renders `value` with [`json::ToJson`] and writes it to
-/// `results/<name>.json`.
-///
-/// # Panics
-///
-/// If `results/` cannot be created or the file cannot be written: a
-/// result either persists or the run fails, naming the path.
-pub fn save_json(name: &str, value: &impl json::ToJson) {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-    let path = dir.join(format!("{name}.json"));
-    let mut text = value.to_json().pretty();
-    text.push('\n');
-    std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
 /// The Table 5 application models, compiled for the default grid:
 /// `(name, paper latency ns, paper area mm², program)`.
-pub fn table5_models() -> Vec<(&'static str, f64, f64, GridProgram)> {
+pub(crate) fn table5_models() -> Vec<(&'static str, f64, f64, GridProgram)> {
     let grid = GridConfig::default();
 
     // IoT KMeans: 11 features, 5 categories.
@@ -111,7 +102,7 @@ pub fn table5_models() -> Vec<(&'static str, f64, f64, GridProgram)> {
 }
 
 /// Formats a float with the given precision.
-pub fn f(v: f64, prec: usize) -> String {
+pub(crate) fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
 }
 
