@@ -33,6 +33,7 @@ pub enum Activation {
 impl Activation {
     /// Float reference for this activation: the function its LUT
     /// tabulates (LUT evaluates as tanh, its default table).
+    #[inline]
     pub fn eval_f32(&self, x: f32) -> f32 {
         match self {
             Activation::Identity => x,

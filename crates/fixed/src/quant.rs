@@ -41,25 +41,17 @@ impl QuantParams {
         Self { scale, zero_point }
     }
 
-    /// Chooses parameters from the observed values of a tensor.
+    /// Chooses parameters from the observed values of a tensor: the
+    /// [`MinMax`] of `values`, folded in order.
     ///
-    /// Empty input yields the unit range `[-1, 1]`.
+    /// Input with no finite value, empty input included, yields the unit
+    /// range `[-1, 1]`.
     pub fn from_values(values: &[f32]) -> Self {
-        if values.is_empty() {
-            return Self::from_range(-1.0, 1.0);
-        }
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
+        let mut range = MinMax::EMPTY;
         for &v in values {
-            if v.is_finite() {
-                min = min.min(v);
-                max = max.max(v);
-            }
+            range.observe(v);
         }
-        if !min.is_finite() || !max.is_finite() {
-            return Self::from_range(-1.0, 1.0);
-        }
-        Self::from_range(min, max)
+        range.params()
     }
 
     /// Symmetric parameters (zero point 0) covering `[-absmax, absmax]`.
@@ -89,6 +81,39 @@ impl QuantParams {
     #[inline]
     pub fn dequantize(&self, q: i8) -> f32 {
         self.scale * (q as i32 - self.zero_point) as f32
+    }
+}
+
+/// The running range of a tensor's finite values, folded one value at a
+/// time: what [`QuantParams::from_values`] computes over a slice, for a
+/// caller that sees the values once and does not keep them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MinMax {
+    min: f32,
+    max: f32,
+}
+
+impl MinMax {
+    /// No value observed yet.
+    pub const EMPTY: Self = Self { min: f32::INFINITY, max: f32::NEG_INFINITY };
+
+    /// Folds in one value; NaN and ±∞ are skipped.
+    #[inline]
+    pub fn observe(&mut self, v: f32) {
+        if v.is_finite() {
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+    }
+
+    /// Parameters covering the finite values observed, or the unit range
+    /// `[-1, 1]` if there were none.
+    pub fn params(self) -> QuantParams {
+        if self.min.is_finite() && self.max.is_finite() {
+            QuantParams::from_range(self.min, self.max)
+        } else {
+            QuantParams::from_range(-1.0, 1.0)
+        }
     }
 }
 

@@ -108,7 +108,13 @@ impl Matrix {
     }
 }
 
-/// Dot product of two equal-length slices.
+/// Where [`dot`]'s fold starts: `-0.0`, the start of `f32`'s `Sum`, so
+/// an empty or all-`-0.0` product sums to `-0.0`. Lane-wise dot products
+/// (`crate::mlp`) start from it too and match [`dot`] bit for bit.
+pub(crate) const DOT_START: f32 = -0.0;
+
+/// Dot product of two equal-length slices: `Σ a[i]·b[i]`, folded in
+/// index order from `-0.0`.
 ///
 /// # Panics
 ///
@@ -116,7 +122,7 @@ impl Matrix {
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot of unequal lengths");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(DOT_START, |acc, (x, y)| acc + x * y)
 }
 
 /// Squared Euclidean distance.

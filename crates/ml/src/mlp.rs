@@ -6,20 +6,23 @@
 //! MapReduce block. This module provides the float training side; the
 //! int8 deployment side lives in [`crate::quantized`].
 //!
-//! [`Mlp::train`] sizes one scratch working set per call (per-layer
-//! activations, the back-propagated error, the gradient banks) and
-//! allocates nothing per sample or per batch. Its loops run over
-//! contiguous rows, but every accumulator sees the same operands in the
-//! same order as a textbook per-sample loop, so the trained weights are
-//! a function of the data, the seed and the parameters alone — pinned
-//! bit for bit against that loop in this module's tests.
+//! [`Mlp::train`] runs each minibatch in lane-major form, one sample per
+//! lane: activations, deltas and the back-propagated error are stored
+//! `[unit][lane]`, so each weight meets a block of samples in one
+//! vectorizable loop. It sizes that working set once per call and
+//! allocates nothing per sample or per batch. Every lane computes its
+//! sample's values in a textbook per-sample loop's order, and every
+//! gradient sum and the loss take the samples in batch order, so the
+//! trained weights are a function of the data, the seed and the
+//! parameters alone — pinned bit for bit against that loop in this
+//! module's tests.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use taurus_fixed::Activation;
 
-use crate::linalg::{argmax, dot, softmax, softmax_into, Matrix};
+use crate::linalg::{argmax, dot, softmax, softmax_into, Matrix, DOT_START};
 use crate::weights::{LayerWeights, MlpWeights, WeightShapeError};
 
 /// Output head: decides both the final nonlinearity and the loss.
@@ -88,6 +91,15 @@ fn act_deriv(act: Activation, x: f32, y: f32) -> f32 {
     }
 }
 
+/// `d *= act'(pre, post)`, lane by lane.
+fn scale_by_deriv(act: Activation, d: &mut [f32], pre: &[f32], post: &[f32]) {
+    with_act(act, |act| {
+        for ((d, &pre), &post) in d.iter_mut().zip(pre).zip(post) {
+            *d *= act_deriv(act, pre, post);
+        }
+    });
+}
+
 /// Architecture description for an [`Mlp`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlpConfig {
@@ -135,36 +147,227 @@ impl Default for TrainParams {
     }
 }
 
-/// The working set of one [`Mlp::train`] call, sized once from the
-/// layer shapes.
-struct Scratch {
-    /// Per layer: pre- and post-activation of the current sample.
+/// Samples per lane block. The lane loops run over `[f32; LANES]` blocks,
+/// four SSE2 registers of independent sums, and a batch's lane count is
+/// its size rounded up to whole blocks.
+const LANES: usize = 16;
+
+/// Columns per gradient chunk, one SSE2 register: each `grad_w` row is
+/// padded to whole chunks, so a sample's row update has no scalar tail.
+const CHUNK: usize = 4;
+
+/// A batch in lane-major form: one sample per lane, and every per-unit
+/// value (the inputs, each layer's pre- and post-activations) stored
+/// `[unit][lane]`, so each weight is loaded once and meets a whole block
+/// of samples.
+pub(crate) struct LaneBatch {
+    /// Lanes per unit: the largest batch rounded up to whole blocks.
+    lanes: usize,
+    /// Samples loaded. Lanes past it are padding holding stale values.
+    count: usize,
+    /// The loaded samples, `[feature][lane]`.
+    input: Vec<f32>,
+    /// Per layer: pre- and post-activations, `[unit][lane]`.
     pre: Vec<Vec<f32>>,
     post: Vec<Vec<f32>>,
+}
+
+impl LaneBatch {
+    /// Sized for batches of up to `batch` samples through `layers`.
+    pub(crate) fn new(layers: &[Dense], batch: usize) -> Self {
+        let lanes = batch.max(1).div_ceil(LANES) * LANES;
+        let per_layer = || layers.iter().map(|l| vec![0.0; l.b.len() * lanes]).collect();
+        let inputs = layers.first().map_or(0, |l| l.w.cols());
+        Self {
+            lanes,
+            count: 0,
+            input: vec![0.0; inputs * lanes],
+            pre: per_layer(),
+            post: per_layer(),
+        }
+    }
+
+    /// Lanes per unit: the most samples one [`LaneBatch::forward`] takes.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Loads `rows`, one per lane, and runs them through `layers`. Each
+    /// lane computes exactly what [`Dense::forward`] computes for its row.
+    pub(crate) fn forward<'a>(&mut self, layers: &[Dense], rows: impl Iterator<Item = &'a [f32]>) {
+        let Self { lanes, count, input, pre, post } = self;
+        let lanes = *lanes;
+        *count = 0;
+        for (k, row) in rows.enumerate() {
+            assert!(k < lanes, "a lane batch takes at most {lanes} rows");
+            for (j, &v) in row.iter().enumerate() {
+                input[j * lanes + k] = v;
+            }
+            *count += 1;
+        }
+        let used = count.div_ceil(LANES) * LANES;
+        for (l, layer) in layers.iter().enumerate() {
+            let (below, here) = post.split_at_mut(l);
+            let x = below.last().unwrap_or(input);
+            forward_lanes(layer, x, &mut pre[l], &mut here[0], lanes, used);
+        }
+    }
+
+    /// Layer `l`'s input, `[feature][lane]`: the loaded samples, or the
+    /// layer below's post-activations.
+    fn input_of(&self, l: usize) -> &[f32] {
+        if l == 0 {
+            &self.input
+        } else {
+            &self.post[l - 1]
+        }
+    }
+
+    /// Layer `l`'s pre- and post-activations, `[unit][lane]`.
+    pub(crate) fn layer(&self, l: usize) -> (&[f32], &[f32]) {
+        (&self.pre[l], &self.post[l])
+    }
+}
+
+/// `pre = W·x + b` and `post = act(pre)` over lanes `..used`, every
+/// operand `[unit][lane]` with `lanes` lanes. Each lane folds its dot
+/// product as [`dot`] does, from [`DOT_START`] in column order, then
+/// adds the bias: the per-sample [`Dense::forward`], bit for bit.
+fn forward_lanes(
+    layer: &Dense,
+    x: &[f32],
+    pre: &mut [f32],
+    post: &mut [f32],
+    lanes: usize,
+    used: usize,
+) {
+    let act = layer.act;
+    for (r, (pre, post)) in
+        pre.chunks_exact_mut(lanes).zip(post.chunks_exact_mut(lanes)).enumerate()
+    {
+        let (w, bias) = (layer.w.row(r), layer.b[r]);
+        for k in (0..used).step_by(LANES) {
+            let mut acc = [DOT_START; LANES];
+            for (j, &wj) in w.iter().enumerate() {
+                for (a, &xv) in acc.iter_mut().zip(&x[j * lanes + k..][..LANES]) {
+                    *a += wj * xv;
+                }
+            }
+            for (p, a) in pre[k..k + LANES].iter_mut().zip(acc) {
+                *p = a + bias;
+            }
+        }
+        activate(act, &pre[..used], &mut post[..used]);
+    }
+}
+
+/// Calls `f` with `act` as a constant: each arm inlines `f` with its own
+/// variant, so the `match` inside [`Activation::eval_f32`] and
+/// [`act_deriv`] folds away and the loop in `f` can vectorize.
+#[inline(always)]
+fn with_act(act: Activation, mut f: impl FnMut(Activation)) {
+    match act {
+        Activation::Identity => f(Activation::Identity),
+        Activation::Relu => f(Activation::Relu),
+        Activation::LeakyRelu => f(Activation::LeakyRelu),
+        // Transcendental: one libm call per lane either way.
+        _ => f(act),
+    }
+}
+
+/// `post = act(pre)`, lane by lane.
+fn activate(act: Activation, pre: &[f32], post: &mut [f32]) {
+    with_act(act, |act| {
+        for (q, &p) in post.iter_mut().zip(pre) {
+            *q = act.eval_f32(p);
+        }
+    });
+}
+
+/// The working set of one [`Mlp::train`] call, sized once from the
+/// layer shapes and the batch size.
+struct Scratch {
+    /// The minibatch, forward pass included.
+    batch: LaneBatch,
     /// Error w.r.t. the current layer's pre-activation, and the one being
-    /// propagated to the layer below (both as wide as the widest layer).
+    /// propagated to the layer below: `[unit][lane]`, as many units as
+    /// the widest layer.
     delta: Vec<f32>,
     next: Vec<f32>,
-    /// Per layer: the minibatch's summed gradients, shaped like `w` / `b`.
-    grad_w: Vec<Vec<f32>>,
+    /// A layer's inputs again, `[chunk][lane]`: [`CHUNK`] columns per
+    /// chunk, the last one zero-padded.
+    xs: Vec<[f32; CHUNK]>,
+    /// A softmax head's logits and probabilities for one sample.
+    head: Vec<f32>,
+    /// Per layer: the minibatch's summed gradients. `grad_w` is `out`
+    /// rows of [`chunks`] chunks, the columns past `in` padding;
+    /// `grad_b` is `out`.
+    grad_w: Vec<Vec<[f32; CHUNK]>>,
     grad_b: Vec<Vec<f32>>,
 }
 
+/// Gradient chunks in a row of `cols` columns.
+fn chunks(cols: usize) -> usize {
+    cols.div_ceil(CHUNK)
+}
+
 impl Scratch {
-    fn new(layers: &[Dense]) -> Self {
-        let per_layer = |len: fn(&Dense) -> usize| -> Vec<Vec<f32>> {
-            layers.iter().map(|l| vec![0.0; len(l)]).collect()
-        };
+    fn new(layers: &[Dense], batch: usize) -> Self {
+        let batch = LaneBatch::new(layers, batch);
         let widest = layers.iter().map(|l| l.w.rows().max(l.w.cols())).max().unwrap_or(0);
+        let outputs = layers.last().map_or(0, |l| l.b.len());
         Self {
-            pre: per_layer(|l| l.b.len()),
-            post: per_layer(|l| l.b.len()),
-            delta: vec![0.0; widest],
-            next: vec![0.0; widest],
-            grad_w: per_layer(|l| l.w.data().len()),
-            grad_b: per_layer(|l| l.b.len()),
+            delta: vec![0.0; widest * batch.lanes],
+            next: vec![0.0; widest * batch.lanes],
+            xs: vec![[0.0; CHUNK]; chunks(widest) * batch.lanes],
+            head: vec![0.0; 2 * outputs],
+            grad_w: layers
+                .iter()
+                .map(|l| vec![[0.0; CHUNK]; l.w.rows() * chunks(l.w.cols())])
+                .collect(),
+            grad_b: layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
+            batch,
         }
     }
+}
+
+/// Adds samples `k..k + S` to one layer's gradient sums: `d` is the
+/// layer's delta and `xs` its inputs, both with `lanes` lanes (`xs` as
+/// `[chunk][lane]`), and `grad_w` has `chunks` chunks per unit. Each sum
+/// takes the samples in order, as the per-sample loop does; taking `S` of
+/// them per pass keeps a chunk of `grad_w` in a register across them.
+#[inline(always)]
+fn add_gradients<const S: usize>(
+    k: usize,
+    d: &[f32],
+    xs: &[[f32; CHUNK]],
+    lanes: usize,
+    chunks: usize,
+    grad_w: &mut [[f32; CHUNK]],
+    grad_b: &mut [f32],
+) {
+    for (i, gb) in grad_b.iter_mut().enumerate() {
+        let d: &[f32; S] = d[i * lanes + k..][..S].try_into().expect("S lanes");
+        for &d in d {
+            *gb += d;
+        }
+        for (c, g) in grad_w[i * chunks..][..chunks].iter_mut().enumerate() {
+            let xs: &[[f32; CHUNK]; S] = xs[c * lanes + k..][..S].try_into().expect("S lanes");
+            let mut acc = *g;
+            for (&d, x) in d.iter().zip(xs) {
+                acc = [acc[0] + d * x[0], acc[1] + d * x[1], acc[2] + d * x[2], acc[3] + d * x[3]];
+            }
+            *g = acc;
+        }
+    }
+}
+
+/// One minibatch: the rows of `x` and `y` that `rows` names, in order.
+#[derive(Clone, Copy)]
+struct Batch<'a> {
+    x: &'a [Vec<f32>],
+    y: &'a [usize],
+    rows: &'a [usize],
 }
 
 /// A multilayer perceptron.
@@ -295,7 +498,7 @@ impl Mlp {
         self.check_rows(x, y);
         let batch_size = params.batch_size.max(1);
         let mut order: Vec<usize> = (0..x.len()).collect();
-        let mut scratch = Scratch::new(&self.layers);
+        let mut scratch = Scratch::new(&self.layers, batch_size.min(x.len()));
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut lr = params.lr;
         let mut last_loss = 0.0;
@@ -305,8 +508,8 @@ impl Mlp {
             // can reach the caller; the others skip its `ln`s.
             let with_loss = epoch + 1 == params.epochs;
             last_loss = 0.0;
-            for chunk in order.chunks(batch_size) {
-                let batch = chunk.iter().map(|&i| (x[i].as_slice(), y[i]));
+            for rows in order.chunks(batch_size) {
+                let batch = Batch { x, y, rows };
                 last_loss += self.train_batch(batch, lr, params.momentum, with_loss, &mut scratch);
             }
             last_loss /= (x.len() as f32 / batch_size as f32).max(1.0);
@@ -341,23 +544,124 @@ impl Mlp {
 
     /// Runs one non-empty minibatch of SGD with momentum; returns the
     /// batch's mean loss, or 0 unless `with_loss`.
-    fn train_batch<'a>(
+    ///
+    /// Per-sample values (activations, deltas, the back-propagated error)
+    /// are computed lane by lane, each lane in the per-sample loop's
+    /// order. The shared sums (`grad_w`, `grad_b`, the loss) then take
+    /// the samples in batch order, lanes `..count` only, so every sum sees
+    /// the per-sample loop's operands in its order and no padding lane
+    /// reaches one.
+    fn train_batch(
         &mut self,
-        batch: impl Iterator<Item = (&'a [f32], usize)>,
+        batch: Batch<'_>,
         lr: f32,
         momentum: f32,
         with_loss: bool,
         s: &mut Scratch,
     ) -> f32 {
-        for g in s.grad_w.iter_mut().chain(&mut s.grad_b) {
+        let Scratch { batch: b, delta, next, xs, head, grad_w, grad_b } = s;
+        for g in grad_w.iter_mut() {
+            g.fill([0.0; CHUNK]);
+        }
+        for g in grad_b.iter_mut() {
             g.fill(0.0);
         }
-        let mut count = 0usize;
+        b.forward(&self.layers, batch.rows.iter().map(|&i| batch.x[i].as_slice()));
+        let (lanes, count) = (b.lanes, b.count);
+        let used = count.div_ceil(LANES) * LANES;
+        let n = self.layers.len();
+
+        // Output delta dL/d(pre_last) and loss, sample by sample.
+        let out = b.layer(n - 1).1;
+        // Units with a delta: every output for softmax, else the first.
+        let mut len = if self.head == OutputHead::Softmax { head.len() / 2 } else { 1 };
         let mut loss = 0.0f32;
-        for (x, label) in batch {
-            count += 1;
-            if let Some(sample_loss) = self.accumulate(x, label, with_loss, s) {
+        for (k, &i) in batch.rows.iter().enumerate() {
+            let label = batch.y[i];
+            let sample_loss = match self.head {
+                OutputHead::Softmax => {
+                    let (logits, probs) = head.split_at_mut(len);
+                    for (u, logit) in logits.iter_mut().enumerate() {
+                        *logit = out[u * lanes + k];
+                    }
+                    softmax_into(logits, probs);
+                    let loss = with_loss.then(|| -(probs[label].max(1e-9)).ln());
+                    probs[label] -= 1.0;
+                    for (u, &p) in probs.iter().enumerate() {
+                        delta[u * lanes + k] = p;
+                    }
+                    loss
+                }
+                OutputHead::Sigmoid => {
+                    let p = out[k].clamp(1e-7, 1.0 - 1e-7);
+                    let t = label as f32;
+                    // d BCE/d pre = p - t for sigmoid output.
+                    delta[k] = p - t;
+                    with_loss.then(|| -(t * p.ln() + (1.0 - t) * (1.0 - p).ln()))
+                }
+                OutputHead::Linear => {
+                    // Only the first output is fitted, whatever the width.
+                    let (o, t) = (out[k], label as f32);
+                    delta[k] = 2.0 * (o - t);
+                    with_loss.then_some((o - t) * (o - t))
+                }
+            };
+            if let Some(sample_loss) = sample_loss {
                 loss += sample_loss;
+            }
+        }
+
+        // Backward.
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let d = &mut delta[..len * lanes];
+            // The final layer's delta is already w.r.t. the pre-activation
+            // (softmax/sigmoid shortcuts; linear heads use an identity
+            // activation), so only hidden layers fold in the derivative.
+            if l + 1 != n {
+                let (pre, post) = b.layer(l);
+                scale_by_deriv(layer.act, d, pre, post);
+            }
+            let input = b.input_of(l);
+            let cols = layer.w.cols();
+            let chunks = chunks(cols);
+            // The inputs again, `[chunk][lane]`: one sample's chunk of a
+            // row update is one load.
+            let xs = &mut xs[..chunks * lanes];
+            for (c, xs) in xs.chunks_exact_mut(lanes).enumerate() {
+                for (k, x) in xs[..count].iter_mut().enumerate() {
+                    *x = std::array::from_fn(|q| {
+                        let col = c * CHUNK + q;
+                        if col < cols {
+                            input[col * lanes + k]
+                        } else {
+                            0.0
+                        }
+                    });
+                }
+            }
+            let (gw, gb) = (&mut grad_w[l][..], &mut grad_b[l][..len]);
+            let whole = count / LANES * LANES;
+            for k in (0..whole).step_by(LANES) {
+                add_gradients::<LANES>(k, d, xs, lanes, chunks, gw, gb);
+            }
+            for k in whole..count {
+                add_gradients::<1>(k, d, xs, lanes, chunks, gw, gb);
+            }
+            if l > 0 {
+                for (j, below) in next[..cols * lanes].chunks_exact_mut(lanes).enumerate() {
+                    for k in (0..used).step_by(LANES) {
+                        let mut acc = [0.0f32; LANES];
+                        for i in 0..len {
+                            let w = layer.w.get(i, j);
+                            for (a, &dv) in acc.iter_mut().zip(&d[i * lanes + k..][..LANES]) {
+                                *a += dv * w;
+                            }
+                        }
+                        below[k..k + LANES].copy_from_slice(&acc);
+                    }
+                }
+                std::mem::swap(delta, next);
+                len = cols;
             }
         }
 
@@ -365,11 +669,17 @@ impl Mlp {
         let inv = 1.0 / count as f32;
         let step = -lr * inv;
         let params = self.layers.iter_mut().zip(&mut self.velocity_w).zip(&mut self.velocity_b);
-        for (((layer, vw), vb), (gw, gb)) in params.zip(s.grad_w.iter().zip(&s.grad_b)) {
-            for ((w, v), &g) in layer.w.data_mut().iter_mut().zip(vw.data_mut()).zip(gw) {
-                *v *= momentum;
-                *v += step * g;
-                *w += *v;
+        for (((layer, vw), vb), (gw, gb)) in params.zip(grad_w.iter().zip(grad_b.iter())) {
+            let (cols, chunks) = (layer.w.cols(), chunks(layer.w.cols()));
+            let (w, v) = (layer.w.data_mut(), vw.data_mut());
+            for r in 0..layer.b.len() {
+                let (w, v) = (&mut w[r * cols..(r + 1) * cols], &mut v[r * cols..(r + 1) * cols]);
+                let g = gw[r * chunks..(r + 1) * chunks].as_flattened();
+                for ((w, v), &g) in w.iter_mut().zip(v).zip(g) {
+                    *v *= momentum;
+                    *v += step * g;
+                    *w += *v;
+                }
             }
             for ((b, v), &g) in layer.b.iter_mut().zip(vb).zip(gb) {
                 *v = momentum * *v - lr * inv * g;
@@ -377,78 +687,6 @@ impl Mlp {
             }
         }
         loss * inv
-    }
-
-    /// Forward and backward pass of one sample: adds its gradient to the
-    /// banks in `s` and returns its loss when `with_loss`.
-    fn accumulate(&self, x: &[f32], label: usize, with_loss: bool, s: &mut Scratch) -> Option<f32> {
-        let Scratch { pre, post, delta, next, grad_w, grad_b } = s;
-        let n = self.layers.len();
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (below, here) = post.split_at_mut(l);
-            let input = below.last().map_or(x, Vec::as_slice);
-            layer.forward(input, &mut pre[l], &mut here[0]);
-        }
-
-        // Output delta dL/d(pre_last) and loss.
-        let out = &post[n - 1];
-        let mut len = 1;
-        let loss = match self.head {
-            OutputHead::Softmax => {
-                len = out.len();
-                let p = &mut delta[..len];
-                softmax_into(out, p);
-                let loss = with_loss.then(|| -(p[label].max(1e-9)).ln());
-                p[label] -= 1.0;
-                loss
-            }
-            OutputHead::Sigmoid => {
-                let p = out[0].clamp(1e-7, 1.0 - 1e-7);
-                let t = label as f32;
-                // d BCE/d pre = p - t for sigmoid output.
-                delta[0] = p - t;
-                with_loss.then(|| -(t * p.ln() + (1.0 - t) * (1.0 - p).ln()))
-            }
-            OutputHead::Linear => {
-                // Only the first output is fitted, whatever the width.
-                let t = label as f32;
-                delta[0] = 2.0 * (out[0] - t);
-                with_loss.then(|| (out[0] - t) * (out[0] - t))
-            }
-        };
-
-        // Backward.
-        for (l, layer) in self.layers.iter().enumerate().rev() {
-            let d = &mut delta[..len];
-            // The final layer's delta is already w.r.t. the pre-activation
-            // (softmax/sigmoid shortcuts; linear heads use an identity
-            // activation), so only hidden layers fold in the derivative.
-            if l + 1 != n {
-                for ((d, &pre), &post) in d.iter_mut().zip(&pre[l]).zip(&post[l]) {
-                    *d *= act_deriv(layer.act, pre, post);
-                }
-            }
-            let input = if l == 0 { x } else { &post[l - 1] };
-            let cols = layer.w.cols();
-            for (i, (&d, gb)) in d.iter().zip(&mut grad_b[l]).enumerate() {
-                *gb += d;
-                for (g, &xin) in grad_w[l][i * cols..(i + 1) * cols].iter_mut().zip(input) {
-                    *g += d * xin;
-                }
-            }
-            if l > 0 {
-                let below = &mut next[..cols];
-                below.fill(0.0);
-                for (i, &d) in d.iter().enumerate() {
-                    for (b, &w) in below.iter_mut().zip(layer.w.row(i)) {
-                        *b += d * w;
-                    }
-                }
-                std::mem::swap(delta, next);
-                len = cols;
-            }
-        }
-        loss
     }
 
     /// Exports the current parameters as a portable snapshot — the
@@ -741,7 +979,7 @@ mod tests {
             depth in 2usize..6,
             widths in collection::vec(1usize..17, 5),
             rows in 1usize..80,
-            batch in 0usize..5,
+            batch in 0usize..15,
             lr in 0.01f32..0.1,
             lr_decay in 0.5f32..1.0,
             epochs in 1usize..4,
@@ -758,7 +996,9 @@ mod tests {
             let hidden = [Activation::Relu, Activation::LeakyRelu, Activation::TanhExp][hidden];
             let mut layers = widths[..depth - 1].to_vec();
             layers.push(outputs);
-            let batch_size = [0, 1, 7, 32, rows + 3][batch];
+            // Around the 16-lane block and the 4-column chunk, and a
+            // batch larger than the rows.
+            let batch_size = [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, rows + 3][batch];
             let params =
                 TrainParams { lr, batch_size, epochs, lr_decay, seed, ..TrainParams::default() };
             let case = format!("{head:?} {hidden:?} {layers:?} rows {rows} {params:?}");
@@ -768,6 +1008,35 @@ mod tests {
             let got_loss = got.train(&x, &y, &params);
             let want_loss = train_reference(&mut want, &x, &y, &params);
             assert_same_bits((&got, got_loss), (&want, want_loss), &case);
+        }
+    }
+
+    #[test]
+    fn a_run_diverged_before_a_ragged_last_batch_equals_the_reference_loop_bit_for_bit() {
+        // Every fifth of the first 40 rows is scaled far out of range, so
+        // the early batches carry ±∞ and NaN through activations, deltas
+        // and loss terms. The last batch is ragged (70 rows in batches of
+        // 32 end with 6), so those values sit in its padding lanes. A
+        // padding lane that reached `grad_w`, `grad_b` or the loss would
+        // add a stale value to a sum; even multiplied by zero, a stale ±∞
+        // or NaN turns NaN a sum the reference keeps finite.
+        let heads = [(OutputHead::Sigmoid, 1, 1e10f32), (OutputHead::Softmax, 2, 1e19)];
+        for (head, outputs, scale) in heads {
+            for seed in 0..16 {
+                let (mut x, y) = random_rows(70, 5, 2, seed);
+                for row in x.iter_mut().take(40).step_by(5) {
+                    row.iter_mut().for_each(|v| *v *= scale);
+                }
+                let layers = vec![5, 9, 6, outputs];
+                let cfg = MlpConfig { layers, hidden: Activation::Relu, head };
+                let params = TrainParams { epochs: 3, seed, ..TrainParams::default() };
+                let mut got = Mlp::new(&cfg, seed);
+                let mut want = got.clone();
+                let got_loss = got.train(&x, &y, &params);
+                let want_loss = train_reference(&mut want, &x, &y, &params);
+                let case = format!("{head:?} seed {seed}");
+                assert_same_bits((&got, got_loss), (&want, want_loss), &case);
+            }
         }
     }
 

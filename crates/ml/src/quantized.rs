@@ -15,18 +15,22 @@
 //! model**: the compiler/simulator stack must reproduce its outputs
 //! bit-for-bit (enforced by cross-crate integration tests).
 
-use taurus_fixed::quant::{QuantParams, Requantizer};
+use taurus_fixed::quant::{MinMax, QuantParams, Requantizer};
 use taurus_fixed::Activation;
 
 use crate::kmeans::KMeans;
 use crate::linalg::argmax;
-use crate::mlp::{Mlp, OutputHead};
+use crate::mlp::{LaneBatch, Mlp, OutputHead};
 use crate::svm::Svm;
 
 /// Accumulator lanes in the chunked int8 kernels below — the same
 /// multi-accumulator shape as `taurus_ir::kernels` (this crate sits
 /// below the IR, so the layout is mirrored rather than imported).
 const LANES: usize = 8;
+
+/// Calibration rows per lane batch in [`QuantizedMlp::quantize`]: the
+/// working set is this many lanes per unit, whatever the row count.
+const CALIBRATION_LANES: usize = 64;
 
 /// Zero-point-corrected int8 dot product with `i32` accumulation —
 /// primitive (1) of the integer pipeline. Chunked over [`LANES`]
@@ -176,26 +180,31 @@ impl QuantizedMlp {
             "calibration width mismatch"
         );
 
-        // Collect per-layer pre-/post-activation values, each row's forward
-        // pass writing straight into the tail of the per-layer columns
-        // (layer l's input is the tail of layer l − 1's post-activations).
+        // Fold each layer's pre- and post-activation range as the rows
+        // go through, a lane batch at a time, in the order
+        // `QuantParams::from_values` would walk a per-layer column of them
+        // (row by row, unit by unit): only the ranges are kept.
         let n_layers = mlp.layers().len();
-        let column = || -> Vec<Vec<f32>> {
-            mlp.layers().iter().map(|l| Vec::with_capacity(calibration.len() * l.b.len())).collect()
-        };
-        let (mut pres, mut posts) = (column(), column());
-        for x in calibration {
-            for (l, layer) in mlp.layers().iter().enumerate() {
-                let (below, here) = posts.split_at_mut(l);
-                let input = below.last().map_or(x.as_slice(), |p| &p[p.len() - layer.w.cols()..]);
-                let start = here[0].len();
-                pres[l].resize(start + layer.b.len(), 0.0);
-                here[0].resize(start + layer.b.len(), 0.0);
-                layer.forward(input, &mut pres[l][start..], &mut here[0][start..]);
+        let mut input_range = MinMax::EMPTY;
+        let mut ranges = vec![(MinMax::EMPTY, MinMax::EMPTY); n_layers];
+        let mut batch = LaneBatch::new(mlp.layers(), calibration.len().min(CALIBRATION_LANES));
+        for rows in calibration.chunks(batch.lanes()) {
+            for &v in rows.iter().flatten() {
+                input_range.observe(v);
+            }
+            batch.forward(mlp.layers(), rows.iter().map(Vec::as_slice));
+            for (l, (pre_range, post_range)) in ranges.iter_mut().enumerate() {
+                let (pre, post) = batch.layer(l);
+                for k in 0..rows.len() {
+                    for (&p, &q) in pre[k..].iter().zip(&post[k..]).step_by(batch.lanes()) {
+                        pre_range.observe(p);
+                        post_range.observe(q);
+                    }
+                }
             }
         }
 
-        let input_params = QuantParams::from_values(&calibration.concat());
+        let input_params = input_range.params();
         let mut layers = Vec::with_capacity(n_layers);
         let mut in_params = input_params;
         for (l, layer) in mlp.layers().iter().enumerate() {
@@ -204,7 +213,8 @@ impl QuantizedMlp {
             let acc_scale = f64::from(in_params.scale) * f64::from(w_params.scale);
             let bias: Vec<i32> =
                 layer.b.iter().map(|&b| (f64::from(b) / acc_scale).round() as i32).collect();
-            let pre_params = QuantParams::from_values(&pres[l]);
+            let (pre_range, post_range) = ranges[l];
+            let pre_params = pre_range.params();
             let out_params = match layer.act {
                 // Bounded activations get their natural fixed ranges so
                 // downstream layers see stable scales.
@@ -212,7 +222,7 @@ impl QuantizedMlp {
                 Activation::TanhExp | Activation::TanhPw | Activation::Lut => {
                     QuantParams::from_range(-1.0, 1.0)
                 }
-                _ => QuantParams::from_values(&posts[l]),
+                _ => post_range.params(),
             };
             let requant = Requantizer::from_real_multiplier(
                 acc_scale / f64::from(pre_params.scale),
@@ -538,6 +548,7 @@ mod tests {
     use super::*;
     use crate::mlp::{MlpConfig, TrainParams};
     use crate::svm::SvmConfig;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -552,6 +563,108 @@ mod tests {
             y.push(label);
         }
         (x, y)
+    }
+
+    /// `QuantizedMlp::quantize` in its column form: every row's pre- and
+    /// post-activations kept per layer, and each range taken from its
+    /// column by `QuantParams::from_values`. Kept as the reference the
+    /// folded ranges are pinned against.
+    fn quantize_from_columns(mlp: &Mlp, calibration: &[Vec<f32>]) -> QuantizedMlp {
+        let column = || -> Vec<Vec<f32>> { mlp.layers().iter().map(|_| Vec::new()).collect() };
+        let (mut pres, mut posts) = (column(), column());
+        for x in calibration {
+            let mut h = x.clone();
+            for (l, layer) in mlp.layers().iter().enumerate() {
+                let (mut pre, mut post) = (vec![0.0; layer.b.len()], vec![0.0; layer.b.len()]);
+                layer.forward(&h, &mut pre, &mut post);
+                pres[l].extend(&pre);
+                posts[l].extend(&post);
+                h = post;
+            }
+        }
+        let input_params = QuantParams::from_values(&calibration.concat());
+        let mut layers = Vec::new();
+        let mut in_params = input_params;
+        for (l, layer) in mlp.layers().iter().enumerate() {
+            let w_params = QuantParams::symmetric_from_values(layer.w.data());
+            let acc_scale = f64::from(in_params.scale) * f64::from(w_params.scale);
+            let pre_params = QuantParams::from_values(&pres[l]);
+            let out_params = match layer.act {
+                Activation::SigmoidExp | Activation::SigmoidPw => QuantParams::from_range(0.0, 1.0),
+                Activation::TanhExp | Activation::TanhPw | Activation::Lut => {
+                    QuantParams::from_range(-1.0, 1.0)
+                }
+                _ => QuantParams::from_values(&posts[l]),
+            };
+            layers.push(QuantizedDense {
+                w: layer.w.data().iter().map(|&v| w_params.quantize(v)).collect(),
+                rows: layer.w.rows(),
+                cols: layer.w.cols(),
+                bias: layer.b.iter().map(|&b| (f64::from(b) / acc_scale).round() as i32).collect(),
+                in_params,
+                pre_params,
+                out_params,
+                requant: Requantizer::from_real_multiplier(
+                    acc_scale / f64::from(pre_params.scale),
+                    pre_params.zero_point,
+                ),
+                act_lut: Lut256::activation(layer.act, pre_params, out_params),
+                act: layer.act,
+            });
+            in_params = out_params;
+        }
+        QuantizedMlp { layers, head: mlp.head(), input_params }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_quantize_folds_the_ranges_its_columns_held(
+            head in 0usize..3,
+            hidden in 0usize..5,
+            depth in 2usize..5,
+            widths in collection::vec(1usize..14, 4),
+            rows in 1usize..150,
+            specials in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            // Random models with random biases, and rows in which about
+            // one value in `4 / specials` is NaN, ±∞, ±0.0 or huge.
+            let head = [OutputHead::Sigmoid, OutputHead::Softmax, OutputHead::Linear][head];
+            let hidden = [
+                Activation::Relu,
+                Activation::LeakyRelu,
+                Activation::TanhExp,
+                Activation::SigmoidExp,
+                Activation::Identity,
+            ][hidden];
+            let mut layers = widths[..depth - 1].to_vec();
+            layers.push(if head == OutputHead::Sigmoid { 1 } else { widths[depth - 1] + 1 });
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut weights = Mlp::new(&MlpConfig { layers, hidden, head }, seed).export_weights();
+            for b in weights.layers.iter_mut().flat_map(|l| &mut l.b) {
+                *b = rng.gen_range(-1.0..1.0);
+            }
+            let mlp = Mlp::from_weights(&weights);
+            let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e30, -1e30];
+            let x: Vec<Vec<f32>> = (0..rows)
+                .map(|_| {
+                    (0..mlp.input_width())
+                        .map(|_| {
+                            if rng.gen_range(0..4) < specials {
+                                special[rng.gen_range(0..special.len())]
+                            } else {
+                                rng.gen_range(-3.0..3.0)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            // `Debug` prints every field, the sign of a zero scale
+            // included: the two must agree to the bit.
+            let (got, want) = (QuantizedMlp::quantize(&mlp, &x), quantize_from_columns(&mlp, &x));
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
     }
 
     #[test]
