@@ -157,10 +157,25 @@ impl PacketTrace {
     /// connection's packets are spread over its duration with sizes
     /// proportioned from its byte counts.
     ///
+    /// Packets come out in arrival order (`ts_ns`, ties in generation
+    /// order) as they are generated, so the trace is never held twice:
+    /// see [`ArrivalOrder`].
+    ///
     /// # Panics
     ///
     /// Panics if `records` is empty or `config.rate_gbps` is not positive.
     pub fn expand(records: Vec<ConnRecord>, config: &TraceConfig) -> Self {
+        let mut arrivals = ArrivalOrder::default();
+        Self::generate(&records, config, &mut arrivals);
+        Self { packets: arrivals.finish(), records }
+    }
+
+    /// Draws every packet of `records` and hands each to `sink` in
+    /// generation order: connection by connection, each connection's
+    /// packets in sequence. Before connection `c`'s packets,
+    /// [`PacketSink::connection_starts`] announces `⌊t_start(c)·1e9⌋`,
+    /// a floor no packet generated from then on falls below.
+    fn generate(records: &[ConnRecord], config: &TraceConfig, sink: &mut impl PacketSink) {
         assert!(!records.is_empty(), "cannot expand an empty record set");
         assert!(config.rate_gbps > 0.0, "rate_gbps must be positive");
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -175,19 +190,19 @@ impl PacketTrace {
                 (dist::poisson(&mut rng, lambda) as usize + 1).min(config.max_packets_per_conn)
             })
             .collect();
+        let total: usize = pkt_counts.iter().sum();
+        sink.reserve(total);
 
         let mut total_bytes = 0u64;
-        let mut sizes: Vec<Vec<u16>> = Vec::with_capacity(records.len());
+        let mut sizes: Vec<u16> = Vec::with_capacity(total);
         for (r, &n) in records.iter().zip(&pkt_counts) {
-            let mut conn_sizes = Vec::with_capacity(n);
             let mean_size = ((r.src_bytes + r.dst_bytes) / n as f32).clamp(64.0, 1500.0) as f64;
             for _ in 0..n {
                 let s = dist::normal(&mut rng, mean_size, mean_size * 0.3).clamp(64.0, 1500.0);
                 let s = s as u16;
                 total_bytes += u64::from(s);
-                conn_sizes.push(s);
+                sizes.push(s);
             }
-            sizes.push(conn_sizes);
         }
 
         // Duration of the trace at the configured rate, then the Poisson
@@ -195,24 +210,27 @@ impl PacketTrace {
         let total_bits = total_bytes as f64 * 8.0;
         let trace_secs = total_bits / (config.rate_gbps * 1e9);
         let arrival_rate = records.len() as f64 / trace_secs.max(1e-9);
+        // Packets spread over the connection duration, clamped to a
+        // fraction of the trace length — the binned-trace compression
+        // step of §5.2.2 (connection durations are seconds, the trace
+        // itself is tens of milliseconds at 5 Gb/s). A trace shorter
+        // than 20 µs would put that cap below the 1 µs floor; the floor
+        // wins.
+        let max_dur = (trace_secs * 0.05).max(1e-6);
 
-        let mut packets = Vec::with_capacity(pkt_counts.iter().sum());
         let mut t_start = 0.0f64;
-        for (conn_id, (record, conn_sizes)) in records.iter().zip(&sizes).enumerate() {
+        let mut conn_sizes = sizes.iter().copied();
+        for (conn_id, (record, &n)) in records.iter().zip(&pkt_counts).enumerate() {
             t_start += dist::exponential(&mut rng, arrival_rate);
+            sink.connection_starts((t_start * 1e9) as u64);
             let tuple = Self::tuple_for(record, conn_id, config, &mut rng);
             // Direction split: the share of reverse-direction packets
             // follows the connection's responder byte share.
             let total_conn = (record.src_bytes + record.dst_bytes).max(1.0);
             let rev_frac = f64::from(record.dst_bytes / total_conn);
-            let n = conn_sizes.len();
-            // Packets spread over the connection duration, clamped to a
-            // fraction of the trace length — the binned-trace compression
-            // step of §5.2.2 (connection durations are seconds, the trace
-            // itself is tens of milliseconds at 5 Gb/s).
-            let dur = f64::from(record.duration).clamp(1e-6, trace_secs * 0.05);
+            let dur = f64::from(record.duration).clamp(1e-6, max_dur);
             let urgent_budget = record.urgent as usize;
-            for (i, &len) in conn_sizes.iter().enumerate() {
+            for (i, len) in conn_sizes.by_ref().take(n).enumerate() {
                 let frac = if n == 1 { 0.0 } else { i as f64 / (n - 1) as f64 };
                 let jitter = dist::exponential(&mut rng, 1.0 / (dur / n as f64 + 1e-9)) * 0.1;
                 let ts = t_start + frac * dur + jitter;
@@ -223,7 +241,7 @@ impl PacketTrace {
                 };
                 // First packet always travels forward (SYN direction).
                 let reverse = i > 0 && rng.gen_bool(rev_frac);
-                packets.push(TracePacket {
+                sink.push(TracePacket {
                     ts_ns: (ts * 1e9) as u64,
                     tuple: if reverse { tuple.reversed() } else { tuple },
                     len,
@@ -234,8 +252,6 @@ impl PacketTrace {
                 });
             }
         }
-        packets.sort_by_key(|p| p.ts_ns);
-        Self { packets, records }
     }
 
     fn tuple_for(
@@ -333,10 +349,108 @@ impl PacketTrace {
     }
 }
 
+/// Where [`PacketTrace::generate`] puts the packets it draws.
+trait PacketSink {
+    /// Room for `total` packets, all told.
+    fn reserve(&mut self, total: usize);
+    /// A connection starts: no packet pushed from now on has a
+    /// `ts_ns` below `floor_ns`.
+    fn connection_starts(&mut self, floor_ns: u64);
+    /// The next packet in generation order.
+    fn push(&mut self, packet: TracePacket);
+}
+
+/// Arrival-order emission without a second copy of the trace.
+///
+/// The order is that of a stable sort of the generated packets by
+/// `ts_ns`. Connection start times never decrease and every packet of a
+/// connection lands at or after its start, so once connection `c`
+/// starts, a pending packet at or below `⌊t_start(c)·1e9⌋` precedes
+/// every packet still to come (on a tie, by generation order) and is
+/// final. Final packets move from `pending` to `packets`, which is
+/// sized for the whole trace up front. `pending` holds only the packets
+/// still in flight; it is sorted stably, so ties keep generation order,
+/// and released only once it has doubled since the last release, which
+/// keeps the sorting amortized `O(log n)` per packet.
+#[derive(Default)]
+struct ArrivalOrder {
+    packets: Vec<TracePacket>,
+    pending: Vec<TracePacket>,
+    /// `pending.len()` after the last release.
+    kept: usize,
+}
+
+impl ArrivalOrder {
+    /// The smallest pending buffer worth a sort.
+    const MIN_RELEASE: usize = 256;
+
+    /// Moves every pending packet at or below `floor_ns` to `packets`,
+    /// in order.
+    fn release_through(&mut self, floor_ns: u64) {
+        self.pending.sort_by_key(|p| p.ts_ns);
+        let n = self.pending.partition_point(|p| p.ts_ns <= floor_ns);
+        self.packets.extend(self.pending.drain(..n));
+        self.kept = self.pending.len();
+    }
+
+    /// The whole trace in arrival order.
+    fn finish(mut self) -> Vec<TracePacket> {
+        self.release_through(u64::MAX);
+        self.packets
+    }
+}
+
+impl PacketSink for ArrivalOrder {
+    fn reserve(&mut self, total: usize) {
+        self.packets.reserve_exact(total);
+    }
+
+    fn connection_starts(&mut self, floor_ns: u64) {
+        if self.pending.len() >= (2 * self.kept).max(Self::MIN_RELEASE) {
+            self.release_through(floor_ns);
+        }
+    }
+
+    fn push(&mut self, packet: TracePacket) {
+        self.pending.push(packet);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kdd::KddGenerator;
+    use proptest::prelude::*;
+
+    /// The reference order: every packet in generation order, then one
+    /// stable sort by `ts_ns` over the whole trace.
+    #[derive(Default)]
+    struct SortAtEnd(Vec<TracePacket>);
+
+    impl PacketSink for SortAtEnd {
+        fn reserve(&mut self, total: usize) {
+            self.0.reserve_exact(total);
+        }
+
+        fn connection_starts(&mut self, _floor_ns: u64) {}
+
+        fn push(&mut self, packet: TracePacket) {
+            self.0.push(packet);
+        }
+    }
+
+    fn expand_by_sorting(records: Vec<ConnRecord>, config: &TraceConfig) -> PacketTrace {
+        let mut all = SortAtEnd::default();
+        PacketTrace::generate(&records, config, &mut all);
+        all.0.sort_by_key(|p| p.ts_ns);
+        PacketTrace { packets: all.0, records }
+    }
+
+    /// Neighbours that share a timestamp: the ties whose order only
+    /// generation order decides.
+    fn ties(t: &PacketTrace) -> usize {
+        t.packets.windows(2).filter(|w| w[0].ts_ns == w[1].ts_ns).count()
+    }
 
     fn trace(n: usize, seed: u64) -> PacketTrace {
         let records = KddGenerator::new(seed).take(n);
@@ -461,6 +575,60 @@ mod tests {
     fn batches_reject_zero_size() {
         let t = trace(10, 21);
         let _ = t.batches(0);
+    }
+
+    #[test]
+    fn traces_shorter_than_the_duration_floor_expand() {
+        // One connection at 5 Gb/s is a trace of a few µs: 5 % of it is
+        // below the 1 µs duration floor.
+        let one = PacketTrace::expand(KddGenerator::new(1).take(1), &TraceConfig::default());
+        assert!(!one.packets.is_empty());
+        assert_eq!(one, expand_by_sorting(KddGenerator::new(1).take(1), &TraceConfig::default()));
+        // No packets at all: a trace of length zero.
+        let none = TraceConfig { max_packets_per_conn: 0, ..TraceConfig::default() };
+        let empty = PacketTrace::expand(KddGenerator::new(2).take(5), &none);
+        assert!(empty.packets.is_empty());
+        assert_eq!(empty.records.len(), 5);
+    }
+
+    #[test]
+    fn equal_timestamps_keep_generation_order() {
+        // 100 Gb/s and sub-µs durations pack many packets into one ns.
+        let mut records = KddGenerator::new(3).take(3_000);
+        records.iter_mut().for_each(|r| r.duration *= 1e-7);
+        let config = TraceConfig { seed: 4, rate_gbps: 100.0, ..TraceConfig::default() };
+        let t = PacketTrace::expand(records.clone(), &config);
+        assert!(ties(&t) > 1_000, "only {} equal-timestamp neighbours", ties(&t));
+        assert_eq!(t, expand_by_sorting(records, &config));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn arrival_order_emission_is_the_stable_sort(
+            conns in 1usize..3_000,
+            seed in any::<u64>(),
+            rate in 0usize..3,
+            short in any::<bool>(),
+            mean_packets in 1.0f64..16.0,
+            max_packets in 1usize..64,
+        ) {
+            let mut records = KddGenerator::new(seed).take(conns);
+            if short {
+                records.iter_mut().for_each(|r| r.duration *= 1e-7);
+            }
+            let config = TraceConfig {
+                seed,
+                rate_gbps: [5.0, 100.0, 1_000.0][rate],
+                mean_packets_per_conn: mean_packets,
+                max_packets_per_conn: max_packets,
+                ..TraceConfig::default()
+            };
+            let t = PacketTrace::expand(records.clone(), &config);
+            prop_assert_eq!(t.packets.capacity(), t.packets.len(), "no slack in the trace");
+            prop_assert_eq!(t, expand_by_sorting(records, &config));
+        }
     }
 
     #[test]

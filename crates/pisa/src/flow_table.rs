@@ -17,6 +17,13 @@
 //!   evicts the bucket's oldest-last-seen occupant. Collisions no longer
 //!   merge flows — they displace, bounded to one bucket.
 //!
+//! Each slot carries a payload: the register stage's per-flow
+//! [`FlowEntry`] counters by default, or nothing (`FlowTable<()>`) where
+//! only occupancy matters — the runtime's keyed ingest directory keeps
+//! keys and clocks alone, 16 B a slot, so a 4-way bucket is one cache
+//! line. The payload changes no decision: occupancy, promotion and
+//! eviction read only keys and clocks.
+//!
 //! Both modes share the `ts + 1` last-seen sentinel (0 = never seen) and
 //! the lazy idle check: no background sweeper thread, no timer wheel —
 //! the check rides the packet that would observe the stale state anyway,
@@ -93,13 +100,13 @@ pub struct FlowEntry {
     pub first_ts: i64,
 }
 
-/// One table slot: occupancy clock plus the occupant's key and counters.
+/// One table slot: occupancy clock plus the occupant's key and payload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct FlowSlot {
+struct FlowSlot<P> {
     key: u64,
     /// Last access as `ts_ns + 1` (0 = slot empty / never stamped).
     last_seen: i64,
-    entry: FlowEntry,
+    entry: P,
 }
 
 /// Bounded per-flow state: a direct-mapped or set-associative keyed
@@ -107,10 +114,14 @@ struct FlowSlot {
 /// eviction. An idle timeout of 0 disables expiration; a disabled
 /// direct-mapped table never stamps, so it is bit-identical to the
 /// historical bare register arrays.
+///
+/// `P` is the per-slot payload, reset to `P::default()` where
+/// [`FlowTable::access`] hands out a fresh entry: [`FlowEntry`] for the
+/// register stage, `()` for a directory that only resolves flow starts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FlowTable {
+pub struct FlowTable<P = FlowEntry> {
     kind: FlowTableKind,
-    slots: Vec<FlowSlot>,
+    slots: Vec<FlowSlot<P>>,
     /// `key ↦ key % slots` direct-mapped, `key ↦ key % buckets` keyed.
     index: SlotIndex,
     idle_timeout_ns: u64,
@@ -122,41 +133,41 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
-    /// Builds a table for `kind`. `flow_slots` sizes the direct-mapped
-    /// variant (ignored for keyed, whose capacity is `buckets × ways`).
+    /// A direct-mapped [`FlowEntry`] table over `slots` cells.
+    pub fn direct_mapped(slots: usize, idle_timeout_ns: u64) -> Self {
+        Self::with_kind(FlowTableKind::DirectMapped, slots, idle_timeout_ns)
+    }
+
+    /// A keyed set-associative [`FlowEntry`] table of `buckets × ways`
+    /// occupants.
+    pub fn keyed(buckets: usize, ways: usize, idle_timeout_ns: u64) -> Self {
+        Self::with_kind(FlowTableKind::Keyed { buckets, ways }, 0, idle_timeout_ns)
+    }
+}
+
+impl<P: Copy + Default> FlowTable<P> {
+    /// Builds a table for `kind`; the payload `P` comes from the
+    /// caller's context. `flow_slots` sizes the direct-mapped variant
+    /// (ignored for keyed, whose capacity is `buckets × ways`).
     ///
     /// # Panics
     ///
     /// Panics on a zero-capacity geometry.
     pub fn with_kind(kind: FlowTableKind, flow_slots: usize, idle_timeout_ns: u64) -> Self {
-        match kind {
-            FlowTableKind::DirectMapped => Self::direct_mapped(flow_slots, idle_timeout_ns),
-            FlowTableKind::Keyed { buckets, ways } => Self::keyed(buckets, ways, idle_timeout_ns),
-        }
-    }
-
-    /// A direct-mapped table over `slots` cells.
-    pub fn direct_mapped(slots: usize, idle_timeout_ns: u64) -> Self {
-        assert!(slots > 0, "flow table needs at least one slot");
+        let (slots, index_len, ways) = match kind {
+            FlowTableKind::DirectMapped => {
+                assert!(flow_slots > 0, "flow table needs at least one slot");
+                (flow_slots, flow_slots, 0)
+            }
+            FlowTableKind::Keyed { buckets, ways } => {
+                assert!(buckets > 0 && ways > 0, "keyed flow table needs buckets > 0 and ways > 0");
+                (buckets * ways, buckets, ways)
+            }
+        };
         Self {
-            kind: FlowTableKind::DirectMapped,
+            kind,
             slots: vec![FlowSlot::default(); slots],
-            index: SlotIndex::of(slots),
-            idle_timeout_ns,
-            idle_evictions: 0,
-            capacity_evictions: 0,
-            occupancy: 0,
-            probe_hist: Vec::new(),
-        }
-    }
-
-    /// A keyed set-associative table of `buckets × ways` occupants.
-    pub fn keyed(buckets: usize, ways: usize, idle_timeout_ns: u64) -> Self {
-        assert!(buckets > 0 && ways > 0, "keyed flow table needs buckets > 0 and ways > 0");
-        Self {
-            kind: FlowTableKind::Keyed { buckets, ways },
-            slots: vec![FlowSlot::default(); buckets * ways],
-            index: SlotIndex::of(buckets),
+            index: SlotIndex::of(index_len),
             idle_timeout_ns,
             idle_evictions: 0,
             capacity_evictions: 0,
@@ -223,13 +234,13 @@ impl FlowTable {
 
     /// The occupant entry at a slot index returned by
     /// [`FlowTable::access`].
-    pub fn entry(&self, idx: usize) -> &FlowEntry {
+    pub fn entry(&self, idx: usize) -> &P {
         &self.slots[idx].entry
     }
 
     /// Mutable occupant entry at a slot index returned by
     /// [`FlowTable::access`].
-    pub fn entry_mut(&mut self, idx: usize) -> &mut FlowEntry {
+    pub fn entry_mut(&mut self, idx: usize) -> &mut P {
         &mut self.slots[idx].entry
     }
 
@@ -262,7 +273,7 @@ impl FlowTable {
         }
         let last = (prev - 1).max(0) as u64;
         if now_ns.saturating_sub(last) >= self.idle_timeout_ns {
-            self.slots[idx].entry = FlowEntry::default();
+            self.slots[idx].entry = P::default();
             self.idle_evictions += 1;
             (idx, Access::IdleEvicted)
         } else {
@@ -282,7 +293,7 @@ impl FlowTable {
                 let idled = self.idle_timeout_ns != 0
                     && now_ns.saturating_sub((prev - 1).max(0) as u64) >= self.idle_timeout_ns;
                 if idled {
-                    self.slots[i].entry = FlowEntry::default();
+                    self.slots[i].entry = P::default();
                     self.idle_evictions += 1;
                 }
                 let fin = self.promote(base, w);
@@ -294,7 +305,7 @@ impl FlowTable {
         for w in 0..ways {
             let i = base + w;
             if self.slots[i].last_seen == 0 {
-                self.slots[i] = FlowSlot { key, last_seen: stamp, entry: FlowEntry::default() };
+                self.slots[i] = FlowSlot { key, last_seen: stamp, entry: P::default() };
                 self.occupancy += 1;
                 self.probe_hist[w] += 1;
                 return (i, Access::Miss);
@@ -308,7 +319,7 @@ impl FlowTable {
                 victim = base + w;
             }
         }
-        self.slots[victim] = FlowSlot { key, last_seen: stamp, entry: FlowEntry::default() };
+        self.slots[victim] = FlowSlot { key, last_seen: stamp, entry: P::default() };
         self.capacity_evictions += 1;
         self.probe_hist[victim - base] += 1;
         (victim, Access::CapacityEvicted)
@@ -452,6 +463,15 @@ mod tests {
         assert_eq!(t.entry(i2).pkt_count, 0, "idled occupant restarts fresh");
         assert_eq!(t.idle_evictions(), 1);
         assert_eq!(t.occupancy(), 1, "same occupant, re-opened in place");
+    }
+
+    #[test]
+    fn a_payload_free_slot_is_a_quarter_cache_line() {
+        assert_eq!(std::mem::size_of::<FlowSlot<()>>(), 16, "key + clock");
+        assert_eq!(std::mem::size_of::<FlowSlot<FlowEntry>>(), 64, "key + clock + counters");
+        let directory =
+            FlowTable::<()>::with_kind(FlowTableKind::Keyed { buckets: 4_096, ways: 4 }, 0, 0);
+        assert_eq!(directory.capacity() * std::mem::size_of::<FlowSlot<()>>(), 256 << 10);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! unbounded `HashMap` plus an explicit per-bucket LRU oracle must agree
 //! with the real table on every access outcome, occupant counter, and
 //! eviction statistic over random traces — including bucket-overflow
-//! displacement and idle-eviction interleaving.
+//! displacement and idle-eviction interleaving. A payload-free table
+//! (`FlowTable<()>`, the runtime's ingest directory) runs the same
+//! accesses and must resolve every one to the same slot and outcome.
 //!
 //! Timestamps are strictly increasing so no two occupants ever share a
 //! last-seen stamp: the table breaks eviction ties by way position
@@ -12,7 +14,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use taurus_pisa::{Access, FlowTable};
+use taurus_pisa::{Access, FlowTable, FlowTableKind};
 
 #[derive(Clone, Copy)]
 struct Live {
@@ -31,6 +33,8 @@ proptest! {
         steps in collection::vec(any::<u64>(), 1..300),
     ) {
         let mut table = FlowTable::keyed(buckets, ways, timeout);
+        let mut directory =
+            FlowTable::<()>::with_kind(FlowTableKind::Keyed { buckets, ways }, 0, timeout);
         let mut oracle: HashMap<u64, Live> = HashMap::new();
         let total = steps.len() as u64;
         let mut now = 0u64;
@@ -44,6 +48,7 @@ proptest! {
             let gap = 1 + (step >> 8) % 500;
             now += gap;
             let (idx, access) = table.access(key, now);
+            prop_assert_eq!(directory.access(key, now), (idx, access), "payload-free twin");
             let expect = if let Some(live) = oracle.get_mut(&key) {
                 let idled = timeout != 0 && now - live.last_seen >= timeout;
                 live.last_seen = now;
@@ -85,5 +90,9 @@ proptest! {
         prop_assert_eq!(table.idle_evictions(), idle);
         prop_assert_eq!(table.capacity_evictions(), cap);
         prop_assert_eq!(table.probe_hist().iter().sum::<u64>(), total);
+        prop_assert_eq!(directory.occupancy(), table.occupancy());
+        prop_assert_eq!(directory.idle_evictions(), idle);
+        prop_assert_eq!(directory.capacity_evictions(), cap);
+        prop_assert_eq!(directory.probe_hist(), table.probe_hist());
     }
 }

@@ -98,12 +98,14 @@ pub(crate) enum ShardMsg {
 /// instead: one access on the shared set-associative [`FlowTable`], in
 /// the same global order the replicas will see, so ingest resolves the
 /// identical start bit from the identical table state. The `candidate`
-/// bit is ignored and the unbounded seen-set is never touched.
+/// bit is ignored and the unbounded seen-set is never touched. The
+/// directory carries no payload: a start is decided by keys and clocks
+/// alone.
 pub fn resolve_and_count(
     slot: &mut ParsedSlot,
     seen: &mut ObsBuilder,
     windows: &mut CrossFlowWindows,
-    directory: Option<&mut FlowTable>,
+    directory: Option<&mut FlowTable<()>>,
 ) {
     let (dst, srv) = resolve(
         &mut slot.prepared.obs,
@@ -130,7 +132,7 @@ pub(crate) fn resolve(
     start_flags_ok: bool,
     seen: &mut ObsBuilder,
     windows: &mut CrossFlowWindows,
-    directory: Option<&mut FlowTable>,
+    directory: Option<&mut FlowTable<()>>,
 ) -> (u64, u64) {
     obs.is_flow_start = match directory {
         Some(dir) => dir.access(obs.flow_key, obs.ts_ns).1.is_start(),
@@ -335,7 +337,7 @@ mod tests {
     use taurus_core::ingest::{flow_start_flags_ok, ObsBuilder};
     use taurus_dataset::kdd::KddGenerator;
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
-    use taurus_pisa::PipelineConfig;
+    use taurus_pisa::{FlowTableKind, PipelineConfig};
 
     use crate::pipeline::stage::parse_packet;
 
@@ -403,8 +405,9 @@ mod tests {
         let cfg = PipelineConfig::default();
         let mut builder = ObsBuilder::untracked();
         let mut windows = CrossFlowWindows::new(cfg.flow_slots, cfg.window_ns);
-        let mut directory = FlowTable::keyed(64, 4, 0);
-        let mut oracle = FlowTable::keyed(64, 4, 0);
+        let geometry = FlowTableKind::Keyed { buckets: 64, ways: 4 };
+        let mut directory = FlowTable::with_kind(geometry, 0, 0);
+        let mut oracle = FlowTable::with_kind(geometry, 0, 0);
         let mut slot = ParsedSlot::default();
         for tp in &trace.packets {
             // Candidate bit deliberately false for every packet: the

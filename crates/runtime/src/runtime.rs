@@ -39,8 +39,9 @@
 //! involve occupants of one bucket — stay shard-local and
 //! geometry-invariant. Flow starts come from table-miss semantics,
 //! resolved in global arrival order by a shared ingest-side directory
-//! (the same [`taurus_pisa::FlowTable`] geometry), which replaces the
-//! unbounded per-connection seen-set with bounded state.
+//! (the same [`taurus_pisa::FlowTable`] geometry, holding keys and
+//! clocks only), which replaces the unbounded per-connection seen-set
+//! with bounded state.
 //!
 //! Workers therefore run pure flow-local computation (MATs + MapReduce
 //! inference — the expensive part) in parallel, and the merged report
@@ -438,7 +439,9 @@ impl<'a> RuntimeBuilder<'a> {
                 if buckets == 0 || ways == 0 {
                     return Err(BuildError::NoFlowSlots);
                 }
-                (buckets, Some(FlowTable::keyed(buckets, ways, self.config.idle_timeout_ns)))
+                let directory: FlowTable<()> =
+                    FlowTable::with_kind(self.config.flow_table, 0, self.config.idle_timeout_ns);
+                (buckets, Some(directory))
             }
         };
         if route_slots == 0 {

@@ -38,8 +38,9 @@ pub(crate) struct Ingest {
     /// Keyed mode's shared ingest-side flow directory: the same
     /// set-associative [`FlowTable`] geometry as every replica, run in
     /// global arrival order so flow starts resolve by table-miss
-    /// semantics with bounded state (`None` direct-mapped).
-    directory: Option<FlowTable>,
+    /// semantics with bounded state (`None` direct-mapped). It keeps
+    /// keys and clocks only: no replica's counters are read here.
+    directory: Option<FlowTable<()>>,
     /// Staging arenas, batch pool, and the admission layer.
     pub(super) steer: Steer,
     /// The ingest frontier; its monotonicity clock restarts every feed.
@@ -61,7 +62,7 @@ impl Ingest {
         route: Route,
         steer: Steer,
         windows: CrossFlowWindows,
-        directory: Option<FlowTable>,
+        directory: Option<FlowTable<()>>,
     ) -> Self {
         Self {
             route,
