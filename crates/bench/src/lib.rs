@@ -9,12 +9,7 @@
 //! our measured ones. The `repro` binary prints them; the golden test
 //! `tests/golden_repro.rs` pins them. `EXPERIMENTS.md` records the
 //! comparison.
-//!
-//! [`json`] is the workspace's one serializer; the golden fixtures
-//! `results/table8_golden.json` and `results/online_deployment.json`
-//! are its renderings.
 
-pub mod json;
 pub mod repro;
 
 use taurus_compiler::{compile, frontend, CompileOptions, GridConfig, GridProgram};

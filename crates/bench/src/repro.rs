@@ -743,7 +743,7 @@ pub struct OnlineSize {
 impl OnlineSize {
     /// What `repro online` runs.
     pub const FULL: Self = Self { train_records: 1_500, trace_records: 1_200, rounds: 12 };
-    /// The small run whose report `results/online_deployment.json` pins.
+    /// The small run whose report `results/online_deployment.txt` pins.
     pub const SMOKE: Self = Self { train_records: 500, trace_records: 300, rounds: 8 };
 }
 

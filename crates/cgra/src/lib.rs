@@ -13,7 +13,7 @@
 //! The pipeline is static: the firing order and every operand location
 //! depend only on the program, never on a packet's values.
 //! [`PreparedProgram::new`] therefore compiles the unit list once into
-//! an [`ExecPlan`] — a dense `NodeId → (offset, width)`
+//! an `ExecPlan` — a dense `NodeId → (offset, width)`
 //! slot map into one reusable `i32` slab plus a flattened op schedule
 //! with all graph lookups (weight banks, biases, requantizers, LUT ids,
 //! const vectors) resolved up front — and the per-packet path executes
@@ -517,7 +517,7 @@ impl ExecPlan {
     }
 }
 
-/// A compiled program together with its [`ExecPlan`]: prepared **once**
+/// A compiled program together with its `ExecPlan`: prepared **once**
 /// wherever the program is (an app's registration, a control plane
 /// preparing a live update) and shared by handle with every simulator
 /// that runs it — cloning is two reference-count bumps, so installing a
@@ -565,7 +565,7 @@ impl From<GridProgram> for PreparedProgram {
 /// The simulator: owns persistent state, shares the prepared program
 /// (by handle, so many simulators/switches run one compilation and one
 /// plan without borrow lifetimes), and streams packets through the
-/// precompiled [`ExecPlan`].
+/// precompiled `ExecPlan`.
 #[derive(Debug, Clone)]
 pub struct CgraSim {
     /// The program and its compiled schedule (per-program,

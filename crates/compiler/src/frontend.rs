@@ -10,7 +10,6 @@
 
 use taurus_fixed::quant::{QuantParams, Requantizer};
 use taurus_ir::{Graph, GraphBuilder, MapOp, NodeId, ReduceOp};
-use taurus_ml::conv::Conv1D;
 use taurus_ml::lstm::Lstm;
 use taurus_ml::quantized::{Lut256, QuantizedKMeans, QuantizedMlp, QuantizedSvm};
 
@@ -69,31 +68,6 @@ pub fn svm_to_graph(q: &QuantizedSvm) -> Graph {
     let decision = b.greater_zero(biased);
     b.output(decision);
     b.finish().expect("svm lowering is structurally valid")
-}
-
-/// Lowers a Conv1D to the paper's microbenchmark form: one dot-product
-/// iteration per output position, tagged for Table 7 unrolling.
-pub fn conv1d_to_graph(conv: &Conv1D, input_len: usize) -> Graph {
-    let k = conv.kernel.len();
-    let outputs = conv.output_len(input_len);
-    assert!(outputs > 0, "input shorter than kernel");
-    let w_params = QuantParams::symmetric_from_values(&conv.kernel);
-    let kernel_q: Vec<i8> = conv.kernel.iter().map(|&v| w_params.quantize(v)).collect();
-    let mut b = GraphBuilder::new();
-    let x = b.input(input_len);
-    let w = b.weights("kernel", 1, k, kernel_q);
-    let mut outs = Vec::with_capacity(outputs);
-    for i in 0..outputs {
-        b.set_iteration(Some(i as u32));
-        let window = b.slice(x, i, k);
-        let y = b.map_reduce_rows(w, window, 0);
-        outs.push(y);
-    }
-    b.set_iteration(None);
-    let cat = b.concat(outs);
-    b.output(cat);
-    b.outer_iters(outputs);
-    b.finish().expect("conv lowering is structurally valid")
 }
 
 /// Lowers one recurrence *step* of an LSTM plus its softmax head, with
@@ -274,16 +248,6 @@ mod tests {
             let got = interp.run_flat(&input)[0] as usize;
             assert_eq!(got, q.predict_codes(&codes), "input {xi:?}");
         }
-    }
-
-    #[test]
-    fn conv_graph_matches_float_shape() {
-        let conv = Conv1D::paper_microbench();
-        let g = conv1d_to_graph(&conv, 9);
-        assert_eq!(g.outer_iters(), 8);
-        let mut interp = Interpreter::new(&g);
-        let out = interp.run_flat(&[10; 9]);
-        assert_eq!(out.len(), 8);
     }
 
     #[test]

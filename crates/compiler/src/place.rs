@@ -29,11 +29,6 @@ impl Placement {
         let (br, bc) = self.positions[b];
         ar.abs_diff(br) + ac.abs_diff(bc)
     }
-
-    /// Rightmost occupied column (for egress distance).
-    pub fn max_col(&self) -> i32 {
-        self.positions.iter().map(|&(_, c)| c).max().unwrap_or(0)
-    }
 }
 
 /// Places units on the grid.

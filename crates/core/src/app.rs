@@ -57,7 +57,7 @@ pub enum VerdictPolicy {
 /// edits on the heuristic engines). Implemented automatically for every
 /// `InferenceEngine + Send + 'static` type.
 pub trait SwitchEngine: InferenceEngine + Send {
-    /// The engine as [`Any`], so [`crate::update::ModelUpdate`]
+    /// The engine as [`Any`](std::any::Any), so [`crate::update::ModelUpdate`]
     /// installation can downcast to the concrete backend type.
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }

@@ -12,7 +12,6 @@ use taurus_pisa::InferenceEngine;
 pub struct CgraEngine {
     sim: CgraSim,
     latency_ns: u64,
-    invocations: u64,
 }
 
 impl CgraEngine {
@@ -22,16 +21,7 @@ impl CgraEngine {
     /// execution plan is then compiled here.
     pub fn new(program: impl Into<PreparedProgram>) -> Self {
         let program = program.into();
-        Self {
-            latency_ns: program.timing.latency_ns.round() as u64,
-            sim: CgraSim::shared(program),
-            invocations: 0,
-        }
-    }
-
-    /// Number of inferences executed.
-    pub fn invocations(&self) -> u64 {
-        self.invocations
+        Self { latency_ns: program.timing.latency_ns.round() as u64, sim: CgraSim::shared(program) }
     }
 
     /// Hot-swaps the compiled program (a live model update): the
@@ -39,9 +29,7 @@ impl CgraEngine {
     /// compiled plan, exactly as if the grid's weight memories were
     /// rewritten — a handle swap, nothing is compiled or allocated here.
     /// Persistent model state (e.g. MU-resident recurrent state)
-    /// restarts zeroed — it was computed under the old weights — while
-    /// the invocation counter, which describes the device rather than
-    /// the model, keeps counting.
+    /// restarts zeroed — it was computed under the old weights.
     pub fn swap_program(&mut self, program: PreparedProgram) {
         self.latency_ns = program.timing.latency_ns.round() as u64;
         self.sim.retarget(program);
@@ -55,7 +43,6 @@ impl CgraEngine {
 
 impl InferenceEngine for CgraEngine {
     fn infer(&mut self, features: &[i32]) -> i64 {
-        self.invocations += 1;
         i64::from(self.sim.process_verdict(features))
     }
 
@@ -82,7 +69,6 @@ mod tests {
         let expect: i64 = (0..16).map(|i| (i % 5) - 2).sum();
         assert_eq!(out, expect);
         assert_eq!(e.latency_ns(), latency);
-        assert_eq!(e.invocations(), 1);
     }
 
     #[test]

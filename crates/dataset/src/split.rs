@@ -141,16 +141,6 @@ impl Standardizer {
     pub fn apply(&self, ds: &mut Dataset) {
         ds.map_features(|row| self.apply_row(row));
     }
-
-    /// Fitted means.
-    pub fn mean(&self) -> &[f32] {
-        &self.mean
-    }
-
-    /// Fitted standard deviations.
-    pub fn std(&self) -> &[f32] {
-        &self.std
-    }
 }
 
 #[cfg(test)]

@@ -159,7 +159,7 @@ impl PacketTrace {
     ///
     /// Packets come out in arrival order (`ts_ns`, ties in generation
     /// order) as they are generated, so the trace is never held twice:
-    /// see [`ArrivalOrder`].
+    /// see `ArrivalOrder`.
     ///
     /// # Panics
     ///

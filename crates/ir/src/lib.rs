@@ -23,10 +23,7 @@
 //!   groups) shared by the interpreter and the CGRA simulator.
 //! - [`microbench`]: Table 6's microbenchmark programs (inner product,
 //!   Conv1D, and the seven activation implementations).
-//! - [`apps`]: the §3.3.2 non-ML applications (Count-Min Sketch, Elastic
-//!   RSS) built from the same Map/Reduce primitives.
 
-pub mod apps;
 pub mod builder;
 pub mod graph;
 pub mod interp;

@@ -87,19 +87,6 @@ impl KMeans {
         Self { centroids }
     }
 
-    /// Builds a model directly from centroids (e.g. supervised per-class
-    /// means, the form the paper's classifier effectively uses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `centroids` is empty or ragged.
-    pub fn from_centroids(centroids: Vec<Vec<f32>>) -> Self {
-        assert!(!centroids.is_empty(), "need at least one centroid");
-        let d = centroids[0].len();
-        assert!(centroids.iter().all(|c| c.len() == d), "ragged centroids");
-        Self { centroids }
-    }
-
     /// Fits one centroid per class from labelled data (nearest-class-mean
     /// classifier — the supervised use of KMeans in the paper's IoT
     /// application).
@@ -208,7 +195,7 @@ mod tests {
 
     #[test]
     fn predict_is_nearest() {
-        let km = KMeans::from_centroids(vec![vec![0.0, 0.0], vec![5.0, 5.0]]);
+        let km = KMeans::fit_supervised(&[vec![0.0, 0.0], vec![5.0, 5.0]], &[0, 1], 2);
         assert_eq!(km.predict(&[1.0, 1.0]), 0);
         assert_eq!(km.predict(&[4.0, 4.0]), 1);
         assert_eq!(km.dim(), 2);

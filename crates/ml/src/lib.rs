@@ -18,13 +18,11 @@
 //! - [`kmeans`]: k-means++ initialization + Lloyd iterations.
 //! - [`lstm`]: a full LSTM cell with truncated BPTT, for the Indigo-like
 //!   congestion-control workload.
-//! - [`conv`]: 1-D convolution (the Table 6 linear microbenchmark).
 //! - [`metrics`]: accuracy, precision/recall/F1, confusion matrices.
 //! - [`quantized`]: post-training int8 quantization with integer-only
 //!   inference — the golden model the CGRA simulator must match
 //!   bit-for-bit.
 
-pub mod conv;
 pub mod kmeans;
 pub mod linalg;
 pub mod lstm;

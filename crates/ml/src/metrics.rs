@@ -146,22 +146,6 @@ impl ConfusionMatrix {
         let correct: u64 = (0..self.k).map(|i| self.get(i, i)).sum();
         correct as f64 / total as f64
     }
-
-    /// Macro-averaged F1 across classes (one-vs-rest).
-    pub fn macro_f1(&self) -> f64 {
-        let mut sum = 0.0;
-        for c in 0..self.k {
-            let tp = self.get(c, c) as f64;
-            let fp: f64 = (0..self.k).filter(|&t| t != c).map(|t| self.get(t, c) as f64).sum();
-            let fn_: f64 = (0..self.k).filter(|&p| p != c).map(|p| self.get(c, p) as f64).sum();
-            let precision = if tp + fp > 0.0 { tp / (tp + fp) } else { 0.0 };
-            let recall = if tp + fn_ > 0.0 { tp / (tp + fn_) } else { 0.0 };
-            if precision + recall > 0.0 {
-                sum += 2.0 * precision * recall / (precision + recall);
-            }
-        }
-        sum / self.k as f64
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn confusion_accuracy_and_macro_f1() {
+    fn confusion_counts_and_accuracy() {
         let mut c = ConfusionMatrix::new(3);
         for _ in 0..8 {
             c.record(0, 0);
@@ -211,7 +195,6 @@ mod tests {
         assert_eq!(c.get(0, 0), 8);
         assert_eq!(c.get(0, 1), 1);
         assert!((c.accuracy() - 10.0 / 11.0).abs() < 1e-9);
-        assert!(c.macro_f1() > 0.8);
         assert_eq!(c.classes(), 3);
     }
 

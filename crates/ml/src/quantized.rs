@@ -33,7 +33,7 @@ const LANES: usize = 8;
 const CALIBRATION_LANES: usize = 64;
 
 /// Zero-point-corrected int8 dot product with `i32` accumulation —
-/// primitive (1) of the integer pipeline. Chunked over [`LANES`]
+/// primitive (1) of the integer pipeline. Chunked over `LANES`
 /// independent accumulators so the compiler autovectorizes it;
 /// reassociating the `i32` sum is exact (int8×int8 partial products
 /// cannot overflow an `i32` accumulator at any realistic width).
@@ -468,11 +468,6 @@ impl QuantizedSvm {
             kernel_params,
             bias_acc,
         }
-    }
-
-    /// Input quantization parameters.
-    pub fn in_params(&self) -> QuantParams {
-        self.in_params
     }
 
     /// Quantized support vectors.

@@ -176,11 +176,6 @@ impl<P: Copy + Default> FlowTable<P> {
         }
     }
 
-    /// The geometry this table was built with.
-    pub fn kind(&self) -> FlowTableKind {
-        self.kind
-    }
-
     /// Whether this is the keyed set-associative variant.
     pub fn is_keyed(&self) -> bool {
         matches!(self.kind, FlowTableKind::Keyed { .. })

@@ -1,19 +1,18 @@
-//! Software PISA switch pipeline: parser, MATs, registers, scheduler.
+//! Software PISA switch pipeline: parser, MATs, registers.
 //!
 //! Taurus reuses a standard PISA (Protocol-Independent Switch
 //! Architecture) pipeline for everything except inference (§4, Fig. 6):
 //! packets parse into PHVs, preprocessing MATs and stateful registers
 //! extract and format features, the MapReduce block (or a bypass path)
-//! produces a verdict, postprocessing MATs turn it into a forwarding
-//! decision, and a scheduler drains queues. This crate implements that
-//! substrate in software with the same structural budgets the paper
-//! cites (Tofino-like ops-per-stage limits, exact/LPM/ternary/range
-//! matching, register arrays indexed by five-tuple hash).
+//! produces a verdict, and postprocessing MATs turn it into a forwarding
+//! decision. This crate implements that substrate in software with the
+//! same structural budgets the paper cites (Tofino-like ops-per-stage
+//! limits, exact/LPM/ternary/range matching, register arrays indexed by
+//! five-tuple hash).
 //!
-//! - [`packet`]: Ethernet/IPv4/TCP/UDP packets with byte-level
-//!   serialization (built on `bytes`).
+//! - [`packet`]: the parsed header fields of one packet.
 //! - [`phv`]: the Packet Header Vector, a fixed-layout field container.
-//! - [`parser`]: the parse-graph state machine (wire bytes → PHV).
+//! - [`parser`]: loads a packet's header fields into a PHV.
 //! - [`mat`]: match-action tables with VLIW action budgets.
 //! - [`range_table`]: monotone `u64 → code` step functions compiled to
 //!   sorted thresholds — the preprocessing MAT behind feature formatters.
@@ -21,8 +20,6 @@
 //!   extractor used by the anomaly-detection application (§5.2.2).
 //! - [`slot_index`]: `key mod len` for one table, as a mask when the
 //!   length is a power of two — behind every table above.
-//! - [`sched`]: FIFO queues, the round-robin ML/bypass join, and a
-//!   strict-priority + deficit-round-robin egress scheduler.
 //! - [`pipeline`]: the assembled Taurus data plane with per-block latency
 //!   accounting and a pluggable inference engine.
 
@@ -34,7 +31,6 @@ pub mod phv;
 pub mod pipeline;
 pub mod range_table;
 pub mod registers;
-pub mod sched;
 pub mod slot_index;
 
 pub use flow_table::{Access, FlowEntry, FlowTable, FlowTableKind};

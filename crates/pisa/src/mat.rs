@@ -129,11 +129,6 @@ impl Action {
         Self { name: name.into(), ops }
     }
 
-    /// The no-op action.
-    pub fn nop() -> Self {
-        Self { name: "nop".into(), ops: Vec::new() }
-    }
-
     /// Applies all ops.
     pub fn apply(&self, phv: &mut Phv) {
         for op in &self.ops {

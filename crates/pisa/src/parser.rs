@@ -1,12 +1,10 @@
-//! The parse-graph state machine: wire bytes → PHV.
+//! The parser stage: packet header fields → PHV.
 //!
 //! Real PISA parsers walk a programmable state machine over header bytes
-//! (Gibb et al., the paper's [56]); this one implements the
-//! Ethernet → IPv4 → {TCP, UDP, ICMP} graph the anomaly-detection
-//! application needs, reusing the byte-level decoding in
-//! [`crate::packet`] and charging a fixed per-packet parse latency.
-
-use bytes::Bytes;
+//! (Gibb et al., the paper's \[56\]). Packets here arrive already decoded
+//! (the Ethernet → IPv4 → {TCP, UDP, ICMP} fields of [`crate::packet`]),
+//! so this stage loads those fields into the PHV and charges a fixed
+//! per-packet parse latency.
 
 use crate::packet::Packet;
 use crate::phv::{Field, Phv};
@@ -16,47 +14,18 @@ pub const PARSE_LATENCY_NS: u64 = 5;
 
 /// The parser.
 #[derive(Debug, Clone, Default)]
-pub struct Parser {
-    packets_parsed: u64,
-    parse_errors: u64,
-}
+pub struct Parser;
 
 impl Parser {
     /// Creates a parser.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Parses wire bytes into a PHV.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed header, and counts the
-    /// error.
-    pub fn parse_bytes(&mut self, data: Bytes, ts_ns: u64) -> Result<Phv, String> {
-        match Packet::from_bytes(data, ts_ns) {
-            Ok(p) => Ok(self.parse(&p)),
-            Err(e) => {
-                self.parse_errors += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// Loads an already-decoded packet into a PHV (the fast path used by
-    /// the trace-driven simulations; byte round-trips are covered by
-    /// [`Parser::parse_bytes`] tests).
-    pub fn parse(&mut self, p: &Packet) -> Phv {
-        let mut phv = Phv::new();
-        self.parse_into(p, &mut phv);
-        phv
-    }
-
-    /// Loads an already-decoded packet into a caller-owned (resident)
-    /// PHV, resetting it first — the pipeline's per-packet entry point,
-    /// which recycles one PHV instead of constructing a fresh one.
+    /// Loads a packet into a caller-owned (resident) PHV, resetting it
+    /// first — the pipeline's per-packet entry point, which recycles one
+    /// PHV instead of constructing a fresh one.
     pub fn parse_into(&mut self, p: &Packet, phv: &mut Phv) {
-        self.packets_parsed += 1;
         phv.reset();
         phv.set(Field::SrcIp, i64::from(p.src_ip));
         phv.set(Field::DstIp, i64::from(p.dst_ip));
@@ -66,16 +35,6 @@ impl Parser {
         phv.set(Field::TcpFlags, i64::from(p.tcp_flags));
         phv.set(Field::Len, i64::from(p.wire_len));
         phv.set(Field::TsNs, p.ts_ns as i64);
-    }
-
-    /// Packets successfully parsed.
-    pub fn packets_parsed(&self) -> u64 {
-        self.packets_parsed
-    }
-
-    /// Frames rejected by the parse graph.
-    pub fn parse_errors(&self) -> u64 {
-        self.parse_errors
     }
 }
 
@@ -88,23 +47,13 @@ mod tests {
         let mut parser = Parser::new();
         let mut p = Packet::tcp(0x0A000001, 0xC0A80002, 40000, 443, 0x02, 128);
         p.ts_ns = 77;
-        let phv = parser.parse(&p);
+        let mut phv = Phv::new();
+        phv.set(Field::MlOut, 9);
+        parser.parse_into(&p, &mut phv);
         assert_eq!(phv.get(Field::SrcIp), 0x0A000001);
         assert_eq!(phv.get(Field::DstPort), 443);
         assert_eq!(phv.get(Field::TcpFlags), 0x02);
         assert_eq!(phv.get(Field::TsNs), 77);
-        assert_eq!(parser.packets_parsed(), 1);
-    }
-
-    #[test]
-    fn parse_bytes_round_trip_and_errors() {
-        let mut parser = Parser::new();
-        let p = Packet::tcp(1, 2, 3, 4, 0x10, 64);
-        let phv = parser.parse_bytes(p.to_bytes(), 9).expect("parses");
-        assert_eq!(phv.get(Field::SrcPort), 3);
-        assert_eq!(phv.get(Field::TsNs), 9);
-        assert!(parser.parse_bytes(Bytes::from_static(&[1, 2, 3]), 0).is_err());
-        assert_eq!(parser.parse_errors(), 1);
-        assert_eq!(parser.packets_parsed(), 1);
+        assert_eq!(phv.get(Field::MlOut), 0, "a recycled PHV starts clean");
     }
 }

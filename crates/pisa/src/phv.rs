@@ -1,5 +1,5 @@
 //! The Packet Header Vector: the fixed-layout field container that flows
-//! between pipeline stages (Bosshart et al., the paper's [15]).
+//! between pipeline stages (Bosshart et al., the paper's \[15\]).
 
 /// PHV fields. Header fields come from the parser; `Meta*` fields carry
 /// intermediate MAT results; `Feature*` fields hold the formatted

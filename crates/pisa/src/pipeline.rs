@@ -1,8 +1,8 @@
 //! The assembled Taurus data-plane pipeline (Fig. 6).
 //!
 //! `Parse → preprocessing MATs (+ flow registers) → {MapReduce | bypass}
-//! → RR join → postprocessing MATs → scheduler`, with per-block latency
-//! accounting so end-to-end packet latency can be reported. The
+//! → postprocessing MATs`, with per-block latency accounting so
+//! end-to-end packet latency can be reported. The
 //! MapReduce block itself is pluggable via [`InferenceEngine`] — the
 //! integration crate wires in the cycle-level CGRA simulator; unit tests
 //! here use a trivial threshold engine.
@@ -13,7 +13,6 @@ use crate::packet::Packet;
 use crate::parser::{Parser, PARSE_LATENCY_NS};
 use crate::phv::{Field, Phv};
 use crate::registers::{FlowFeatures, FlowTracker, PacketObs};
-use crate::sched::RoundRobinJoin;
 
 /// The per-packet ML block: consumes formatted feature codes, produces a
 /// verdict value for [`Field::MlOut`] plus its processing latency.
@@ -148,8 +147,6 @@ pub struct PipelineConfig {
     pub window_ns: u64,
     /// Number of feature codes handed to the MapReduce block.
     pub feature_count: usize,
-    /// Queue capacity on each of the three sub-queues.
-    pub queue_capacity: usize,
     /// Idle timeout for per-flow register slots, ns (0 = never expire).
     /// Slots idle at least this long are evicted before their next
     /// packet accumulates, bounding live flow state for long streams.
@@ -167,7 +164,6 @@ impl Default for PipelineConfig {
             flow_slots: 4096,
             window_ns: 5_000_000,
             feature_count: 6,
-            queue_capacity: 1024,
             idle_timeout_ns: 0,
             flow_table: FlowTableKind::DirectMapped,
         }
@@ -202,7 +198,6 @@ pub struct TaurusPipeline<E> {
     engine: E,
     /// Postprocessing MATs (verdict thresholding, queue selection).
     pub post_tables: Vec<MatchTable>,
-    join: RoundRobinJoin<()>,
     config: PipelineConfig,
     packets: u64,
     ml_packets: u64,
@@ -223,7 +218,6 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
             formatter,
             engine,
             post_tables: Vec::new(),
-            join: RoundRobinJoin::new(config.queue_capacity, config.queue_capacity),
             feature_scratch: Vec::with_capacity(config.feature_count),
             config,
             packets: 0,
@@ -299,8 +293,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
     }
 
     /// The shared pipeline tail after the register stage: preprocessing
-    /// MATs, inference or bypass, the round-robin join, and the
-    /// postprocessing MATs.
+    /// MATs, inference or bypass, and the postprocessing MATs.
     fn finish_packet(&mut self, features: FlowFeatures, mut latency: u64) -> PipelineResult {
         // Preprocessing MATs: bypass decision and metadata.
         for t in &mut self.pre_tables {
@@ -310,10 +303,8 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
 
         let bypassed = self.phv.get(Field::BypassMl) != 0;
         let mut ml_out = 0;
-        if bypassed {
-            // Fig. 6: bypass packets skip MapReduce with no added latency.
-            self.join.bypass.push(());
-        } else {
+        // Fig. 6: bypass packets skip MapReduce with no added latency.
+        if !bypassed {
             self.ml_packets += 1;
             self.feature_scratch.clear();
             (self.formatter)(&features, &mut self.feature_scratch);
@@ -325,9 +316,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
             ml_out = self.engine.infer(&self.feature_scratch);
             self.phv.set(Field::MlOut, ml_out);
             latency += self.engine.latency_ns();
-            self.join.ml.push(());
         }
-        let _ = self.join.pop();
 
         // Postprocessing MATs: verdict + queue.
         for t in &mut self.post_tables {

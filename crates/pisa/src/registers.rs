@@ -127,15 +127,6 @@ impl FlowFeatures {
             (self.srv_count as f32).ln_1p(),
         ]
     }
-
-    /// Encodes the 8-feature SVM view: the DNN view plus a SYN-error
-    /// proxy (bare-SYN fraction) and the urgent count.
-    pub fn encode_svm8(&self) -> [f32; 8] {
-        let d = self.encode_dnn6();
-        let syn_rate =
-            if self.packets == 0 { 0.0 } else { self.syn_only as f32 / self.packets as f32 };
-        [d[0], d[1], d[2], d[3], d[4], d[5], syn_rate, (self.urgent as f32).ln_1p()]
-    }
 }
 
 /// The §3.1 protocol→likelihood lookup (mirrors
@@ -683,10 +674,8 @@ mod tests {
         let mut t = FlowTracker::new(16, 1_000_000);
         let f = t.observe(&obs(1, 999, 1500, 0x22, true, false));
         let d = f.encode_dnn6();
-        let s = f.encode_svm8();
         assert_eq!(d.len(), 6);
-        assert_eq!(s.len(), 8);
-        assert!(d.iter().chain(s.iter()).all(|v| v.is_finite()));
+        assert!(d.iter().all(|v| v.is_finite()));
         assert_eq!(proto_likelihood(6), 0.45);
         assert_eq!(proto_likelihood(99), 0.55);
     }

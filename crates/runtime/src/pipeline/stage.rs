@@ -46,7 +46,7 @@ pub(crate) fn parse_obs(tp: &TracePacket, obs: &mut PacketObs, route: Route) -> 
 /// wire form, keyed observation (first-seen bit left unresolved),
 /// flow-start flag predicate, and home shard
 /// ([`crate::runtime::shard_of`] over `route_slots` and `shards`) — the
-/// same [`parse_obs`] the runtime's ingest loop runs per packet. The
+/// same `parse_obs` the runtime's ingest loop runs per packet. The
 /// caller supplies `candidate` (see [`ParsedSlot::candidate`]).
 pub fn parse_packet(
     tp: &TracePacket,

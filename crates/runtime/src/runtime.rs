@@ -63,12 +63,12 @@ use crate::pipeline::steer::Steer;
 use crate::service::feed::Ingest;
 use crate::service::StreamingRuntime;
 
-/// One packet as it crosses an ingest→worker channel: the wire packet,
-/// its register-stage observation, and the globally ordered cross-flow
-/// window counts.
+/// One packet as it crosses an ingest→worker channel: its header
+/// fields, its register-stage observation, and the globally ordered
+/// cross-flow window counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedPacket {
-    /// The parsed-from wire form.
+    /// The header fields the parser loads into the PHV.
     pub pkt: Packet,
     /// Register-stage observation (keys, direction, flow start).
     pub obs: PacketObs,
@@ -599,6 +599,14 @@ mod tests {
     fn trace(n: usize, seed: u64) -> PacketTrace {
         let records = KddGenerator::new(seed).take(n);
         PacketTrace::expand(records, &TraceConfig { seed, ..TraceConfig::default() })
+    }
+
+    #[test]
+    fn the_cross_core_handoff_is_96_bytes_a_packet() {
+        // Every packet is written on the feeder's core and read on a
+        // worker's, so these sizes are the lane's bytes per packet.
+        assert_eq!(std::mem::size_of::<Packet>(), 24);
+        assert_eq!(std::mem::size_of::<PreparedPacket>(), 96);
     }
 
     #[test]

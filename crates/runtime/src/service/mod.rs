@@ -19,7 +19,7 @@
 //!   *global stream index* (monotone across feeds);
 //!   [`StreamingRuntime::install_update`] places it at the current
 //!   position, after rendering the accept/reject verdict feeder-side
-//!   from the [`Deployed`] mirror — it returns once the update is
+//!   from the `Deployed` mirror — it returns once the update is
 //!   queued, and the pipeline never empties for it (`control.rs`, which
 //!   also hosts the canary protocol: in-band too, with the probation
 //!   metrics its one reply).

@@ -20,7 +20,7 @@
 //! engines drain batches in microseconds), a few polling retries with
 //! yields avoid the full park/unpark round trip through the scheduler
 //! that used to dominate the channel cost at high shard counts. The
-//! spin is bounded ([`SPIN_TRIES`]) and yields the core on every
+//! spin is bounded (`SPIN_TRIES`) and yields the core on every
 //! iteration, so oversubscribed configurations (more shards than
 //! cores) degrade to the old park-immediately behavior after a few
 //! scheduling quanta rather than burning the peer's CPU.

@@ -6,8 +6,9 @@
 //! baseline's event simulation — is deterministic by construction
 //! (seeded vendored RNG, no hash-map iteration in any result path).
 //! This test pins that property end to end: a small `run_table8`
-//! configuration must serialize to *exactly* the bytes stored in
-//! `results/table8_golden.json`.
+//! configuration's rows, rendered with `{:#?}` (Rust's `Debug` prints
+//! every `f64` in its shortest round-trip form), must equal *exactly*
+//! the bytes stored in `results/table8_golden.txt`.
 //!
 //! If an intentional change shifts the numbers (model tweaks, feature
 //! changes, baseline scheduling), regenerate the fixture and commit it:
@@ -24,10 +25,9 @@ use std::path::PathBuf;
 use taurus::core::e2e::{build_detector_from_trace, run_table8};
 use taurus::dataset::kdd::KddGenerator;
 use taurus::dataset::trace::{PacketTrace, TraceConfig};
-use taurus_bench::json::ToJson;
 
 fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results").join("table8_golden.json")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results").join("table8_golden.txt")
 }
 
 fn rendered_rows() -> String {
@@ -36,9 +36,7 @@ fn rendered_rows() -> String {
     let trace = PacketTrace::expand(records, &TraceConfig { seed: 777, ..Default::default() });
     let rows = run_table8(&detector, &trace, &[1e-3, 1e-2]);
     assert_eq!(rows.len(), 2);
-    let mut text = rows.to_json().pretty();
-    text.push('\n');
-    text
+    format!("{rows:#?}\n")
 }
 
 #[test]
@@ -60,7 +58,7 @@ fn table8_metrics_match_the_golden_fixture_bit_for_bit() {
     });
     assert_eq!(
         rendered, golden,
-        "Table 8 metrics diverged from results/table8_golden.json — if intentional, \
+        "Table 8 metrics diverged from results/table8_golden.txt — if intentional, \
          regenerate with `TAURUS_REGEN_GOLDEN=1 cargo test --test golden_table8`"
     );
 }
