@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn flow_start_marked_once_per_connection() {
         let records = KddGenerator::new(91).take(60);
-        let trace = PacketTrace::expand(records, &TraceConfig::default());
+        let trace = PacketTrace::expand(records.clone(), &TraceConfig::default());
         let mut b = ObsBuilder::new();
         let mut starts = 0usize;
         for tp in &trace.packets {
@@ -445,7 +445,7 @@ mod tests {
             }
         }
         assert!(starts > 0);
-        assert!(starts <= trace.records.len(), "at most one start per connection");
+        assert!(starts <= records.len(), "at most one start per connection");
         // A second pass over the same stream marks no starts at all.
         assert!(trace.packets.iter().all(|tp| !b.observe(tp).is_flow_start));
         b.reset();
@@ -619,8 +619,8 @@ mod tests {
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         for tp in trace.packets.iter().take(64) {
             let p = to_packet(tp);
-            assert_eq!(p.src_ip, tp.tuple.src_ip);
-            assert_eq!(p.dst_ip, tp.tuple.dst_ip);
+            assert_eq!(p.src_ip, { tp.tuple.src_ip });
+            assert_eq!(p.dst_ip, { tp.tuple.dst_ip });
             assert_eq!(p.proto, tp.tuple.proto);
             assert_eq!(p.wire_len, tp.len);
             assert_eq!(p.ts_ns, tp.ts_ns);

@@ -32,7 +32,12 @@ pub const TCP_URG: u8 = 0x20;
 pub const TCP_RST: u8 = 0x04;
 
 /// The classic five-tuple identifying a flow.
+///
+/// Packed to 14 bytes at alignment 2, which makes a [`TracePacket`] 32
+/// bytes. A reference to a field does not compile (E0793): read fields
+/// by value (`{ tuple.src_ip }`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(C, packed(2))]
 pub struct FiveTuple {
     /// Source IPv4 address.
     pub src_ip: u32,
@@ -101,7 +106,8 @@ pub struct TracePacket {
     pub len: u16,
     /// TCP flag bits ([`TCP_SYN`] etc.; 0 for non-TCP).
     pub tcp_flags: u8,
-    /// Index of the originating connection in [`PacketTrace::records`].
+    /// Index of the originating connection in the records the trace was
+    /// expanded from (see [`PacketTrace::expand`]).
     pub conn_id: u32,
     /// Ground-truth anomaly label (from the connection's class).
     pub anomalous: bool,
@@ -139,14 +145,12 @@ impl Default for TraceConfig {
     }
 }
 
-/// A fully expanded, time-sorted packet trace plus its source records.
+/// A fully expanded, time-sorted packet trace: its packets and nothing
+/// else.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PacketTrace {
     /// All packets, sorted by `ts_ns`.
     pub packets: Vec<TracePacket>,
-    /// The connection records the packets were expanded from, indexed by
-    /// [`TracePacket::conn_id`].
-    pub records: Vec<ConnRecord>,
 }
 
 impl PacketTrace {
@@ -159,7 +163,9 @@ impl PacketTrace {
     ///
     /// Packets come out in arrival order (`ts_ns`, ties in generation
     /// order) as they are generated, so the trace is never held twice:
-    /// see `ArrivalOrder`.
+    /// see `ArrivalOrder`. [`TracePacket::conn_id`] indexes `records`,
+    /// which are freed once the last connection is drawn: a caller that
+    /// needs them afterwards keeps its own copy.
     ///
     /// # Panics
     ///
@@ -167,7 +173,8 @@ impl PacketTrace {
     pub fn expand(records: Vec<ConnRecord>, config: &TraceConfig) -> Self {
         let mut arrivals = ArrivalOrder::default();
         Self::generate(&records, config, &mut arrivals);
-        Self { packets: arrivals.finish(), records }
+        drop(records);
+        Self { packets: arrivals.finish() }
     }
 
     /// Draws every packet of `records` and hands each to `sink` in
@@ -443,7 +450,7 @@ mod tests {
         let mut all = SortAtEnd::default();
         PacketTrace::generate(&records, config, &mut all);
         all.0.sort_by_key(|p| p.ts_ns);
-        PacketTrace { packets: all.0, records }
+        PacketTrace { packets: all.0 }
     }
 
     /// Neighbours that share a timestamp: the ties whose order only
@@ -503,9 +510,13 @@ mod tests {
 
     #[test]
     fn labels_match_source_records() {
-        let t = trace(400, 15);
+        let records = KddGenerator::new(15).take(400);
+        let t = PacketTrace::expand(
+            records.clone(),
+            &TraceConfig { seed: 15, ..TraceConfig::default() },
+        );
         for p in &t.packets {
-            assert_eq!(p.anomalous, t.records[p.conn_id as usize].is_anomalous());
+            assert_eq!(p.anomalous, records[p.conn_id as usize].is_anomalous());
         }
     }
 
@@ -545,6 +556,43 @@ mod tests {
         let distinct: std::collections::HashSet<u64> =
             t.packets.iter().map(|p| p.tuple.hash() % 4096).collect();
         assert!(distinct.len() > 50, "hash spreads over register slots");
+    }
+
+    #[test]
+    fn a_trace_packet_is_32_bytes() {
+        // Every consumer of a trace reads it packet by packet, so this is
+        // the trace's bytes per packet: two packets to a cache line.
+        assert_eq!(std::mem::size_of::<FiveTuple>(), 14);
+        assert_eq!(std::mem::size_of::<TracePacket>(), 32);
+    }
+
+    #[test]
+    fn five_tuple_keys_do_not_depend_on_its_layout() {
+        // `hash()` indexes every register slot and picks every shard, and
+        // `canonical()` decides which direction keys the flow. Pinned so
+        // that no layout change can re-key them.
+        let fwd = FiveTuple {
+            src_ip: 0x0A00_0001,
+            dst_ip: 0xC0A8_0005,
+            src_port: 40_000,
+            dst_port: 80,
+            proto: 6,
+        };
+        let rev = fwd.reversed();
+        let same_host = FiveTuple {
+            src_ip: 0xAC10_0007,
+            dst_ip: 0xAC10_0007,
+            src_port: 61_000,
+            dst_port: 53,
+            proto: 17,
+        };
+        assert_eq!(fwd.hash(), 0x2699_38d0_f0ca_9a23);
+        assert_eq!(rev.hash(), 0x2a22_307a_8aa4_6537);
+        assert_eq!(same_host.hash(), 0xe8ce_4b3e_d1e3_4157);
+        assert_eq!(fwd.canonical(), fwd);
+        assert_eq!(rev.canonical(), fwd);
+        assert_eq!(same_host.canonical(), same_host.reversed(), "equal hosts: the lower port");
+        assert_eq!(same_host.canonical().hash(), 0x01be_05ab_59af_c6db);
     }
 
     #[test]
@@ -588,7 +636,6 @@ mod tests {
         let none = TraceConfig { max_packets_per_conn: 0, ..TraceConfig::default() };
         let empty = PacketTrace::expand(KddGenerator::new(2).take(5), &none);
         assert!(empty.packets.is_empty());
-        assert_eq!(empty.records.len(), 5);
     }
 
     #[test]

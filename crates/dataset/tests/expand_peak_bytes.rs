@@ -5,13 +5,14 @@
 //! drawing the whole trace and sorting it (a stable sort's scratch is a
 //! second copy of the trace). A thread-local counting global allocator
 //! tracks live bytes and their high-water mark; the mark during an
-//! expansion must stay close to the bytes of the trace it returns.
+//! expansion must stay close to the bytes of the trace it returns, and
+//! those bytes are its packets alone, 32 a packet.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
 
-use taurus_dataset::{ConnRecord, KddGenerator, PacketTrace, TraceConfig, TracePacket};
+use taurus_dataset::{KddGenerator, PacketTrace, TraceConfig, TracePacket};
 
 struct CountingAlloc;
 
@@ -70,25 +71,20 @@ fn peak_bytes_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, PEAK.with(Cell::get) - before)
 }
 
-/// Heap bytes the trace owns: its packets and its source records.
-fn trace_bytes(trace: &PacketTrace) -> u64 {
-    (trace.packets.capacity() * size_of::<TracePacket>()
-        + trace.records.capacity() * size_of::<ConnRecord>()) as u64
-}
-
 #[test]
 fn expanding_holds_little_beyond_the_trace_it_returns() {
+    // The records are the caller's input: live before the call, moved
+    // in, and freed inside it. So the peak counted here is only what
+    // `expand` allocates, and the trace it returns is only its packets.
     let records = KddGenerator::new(42).take(6_000);
-    // The records are already live; they move into the trace.
-    let record_bytes = (records.capacity() * size_of::<ConnRecord>()) as u64;
     let config = TraceConfig { seed: 42 ^ 0xBEEF, ..TraceConfig::default() };
     let (trace, extra) = peak_bytes_of(|| PacketTrace::expand(records, &config));
-    let peak = extra + record_bytes;
-    let own = trace_bytes(&trace);
+    let own = (trace.packets.capacity() * size_of::<TracePacket>()) as u64;
     assert!(trace.packets.len() > 50_000, "a trace of realistic size");
+    assert_eq!(own, trace.packets.len() as u64 * 32, "the trace owns exactly 32 B a packet");
     assert!(
-        peak * 4 <= own * 5,
-        "expand peaked at {peak} B live for a {own} B trace ({:.2}x > 1.25x)",
-        peak as f64 / own as f64
+        extra * 4 <= own * 5,
+        "expand peaked at {extra} B live for a {own} B trace ({:.2}x > 1.25x)",
+        extra as f64 / own as f64
     );
 }
