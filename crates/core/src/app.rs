@@ -7,8 +7,8 @@
 //! - a model/engine factory ([`TaurusApp::build_engine`], selecting the
 //!   cycle-level CGRA simulator or the threshold heuristic),
 //! - a feature spec ([`TaurusApp::feature_count`]) and formatter
-//!   ([`TaurusApp::formatter`], raw register-stage features → int8
-//!   codes),
+//!   factory ([`TaurusApp::formatter_factory`], raw register-stage
+//!   features → int8 codes),
 //! - pre/post match-action tables ([`TaurusApp::pre_tables`],
 //!   [`TaurusApp::post_tables`]),
 //! - a verdict policy ([`TaurusApp::verdict_policy`]) and its Table 1
@@ -26,6 +26,7 @@ use taurus_pisa::pipeline::{ml_bypass_table, InferenceEngine, ThresholdEngine};
 
 pub use crate::apps::ReactionTime;
 use crate::engine::CgraEngine;
+use crate::update::FormatterFactory;
 
 /// Which inference backend executes an app's model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -124,17 +125,16 @@ pub trait TaurusApp {
         }
     }
 
-    /// Creates a fresh feature formatter for one hosted pipeline.
-    fn formatter(&self) -> FeatureFormatter;
+    /// The factory of this app's feature formatters. Every hosted
+    /// pipeline gets its own formatter from it, and a rollback point
+    /// ([`crate::switch::TaurusSwitch::capture_rollback`]) carries it
+    /// to rebuild the formatter later, bit-exactly.
+    fn formatter_factory(&self) -> FormatterFactory;
 
-    /// A factory that can rebuild this app's formatter later, enabling
-    /// bit-exact rollback ([`crate::switch::TaurusSwitch::capture_rollback`]
-    /// needs to re-create the formatter that was active at capture
-    /// time). Defaults to `None`: such apps still install and update
-    /// normally but cannot anchor a rollback point until an installed
-    /// [`crate::update::ModelUpdate`] carries a factory.
-    fn formatter_factory(&self) -> Option<crate::update::FormatterFactory> {
-        None
+    /// Creates a fresh feature formatter for one hosted pipeline, from
+    /// [`TaurusApp::formatter_factory`].
+    fn formatter(&self) -> FeatureFormatter {
+        self.formatter_factory()()
     }
 
     /// Preprocessing MATs (bypass decision, metadata). Defaults to the
@@ -160,6 +160,7 @@ pub trait TaurusApp {
 mod tests {
     use super::*;
     use taurus_pisa::pipeline::anomaly_post_table;
+    use taurus_pisa::registers::FlowFeatures;
 
     struct TinyApp;
 
@@ -180,9 +181,11 @@ mod tests {
             10
         }
 
-        fn formatter(&self) -> FeatureFormatter {
-            Box::new(|f, out| {
-                out.extend_from_slice(&[f.packets.min(127) as i32, f.syn_only.min(127) as i32]);
+        fn formatter_factory(&self) -> FormatterFactory {
+            Arc::new(|| {
+                Box::new(|f: &FlowFeatures, out: &mut Vec<i32>| {
+                    out.extend_from_slice(&[f.packets.min(127) as i32, f.syn_only.min(127) as i32]);
+                })
             })
         }
 

@@ -16,7 +16,7 @@ use taurus_pisa::pipeline::{anomaly_post_table, proto_select_table, ThresholdEng
 use taurus_pisa::registers::FlowFeatures;
 use taurus_pisa::RangeTable;
 
-use crate::app::{BoxedEngine, EngineBackend, FeatureFormatter, TaurusApp, VerdictPolicy};
+use crate::app::{BoxedEngine, EngineBackend, TaurusApp, VerdictPolicy};
 use crate::engine::CgraEngine;
 use crate::update::{EngineUpdate, FormatterFactory, ModelUpdate};
 
@@ -301,7 +301,6 @@ impl AnomalyDetector {
         ModelUpdate {
             app: self.name().to_string(),
             version,
-            weights: Some(Arc::new(model.export_weights())),
             engine: EngineUpdate::Program(compile_dnn(&quantized)),
             formatter: Some(dnn6_formatter_factory(tables)),
             post_tables: Some([anomaly_post_table(threshold_code)].into()),
@@ -346,12 +345,8 @@ impl TaurusApp for AnomalyDetector {
         }
     }
 
-    fn formatter(&self) -> FeatureFormatter {
-        dnn6_formatter_factory(Arc::clone(&self.tables))()
-    }
-
-    fn formatter_factory(&self) -> Option<FormatterFactory> {
-        Some(dnn6_formatter_factory(Arc::clone(&self.tables)))
+    fn formatter_factory(&self) -> FormatterFactory {
+        dnn6_formatter_factory(Arc::clone(&self.tables))
     }
 
     fn post_tables(&self, backend: EngineBackend) -> Vec<MatchTable> {
@@ -422,7 +417,6 @@ impl SynFloodDetector {
             EngineBackend::CgraSim => ModelUpdate {
                 app: self.name().to_string(),
                 version,
-                weights: None,
                 engine: EngineUpdate::Program(self.program.clone()),
                 formatter: None,
                 post_tables: Some([anomaly_post_table(threshold)].into()),
@@ -430,7 +424,7 @@ impl SynFloodDetector {
             // The engine fires strictly above its cutoff; the MAT fires
             // at >= threshold. Same off-by-one as build_engine.
             EngineBackend::Threshold => {
-                ModelUpdate::retune_threshold(self.name(), version, threshold - 1)
+                ModelUpdate::retune_threshold(self.name(), version, threshold.saturating_sub(1))
             }
         }
     }
@@ -461,26 +455,15 @@ impl TaurusApp for SynFloodDetector {
             // an unweighted sum would drop every long-lived flow).
             EngineBackend::Threshold => Box::new(taurus_pisa::LinearThresholdEngine {
                 weights: SYN_FLOOD_WEIGHTS.iter().map(|&w| i64::from(w)).collect(),
-                threshold: self.threshold - 1, // post table fires at ≥ threshold
+                threshold: self.threshold.saturating_sub(1), // post table fires at ≥ threshold
             }),
         }
     }
 
-    fn formatter(&self) -> FeatureFormatter {
-        Box::new(|f, out| {
-            out.extend_from_slice(&[
-                f.syn_only.min(127) as i32,
-                f.dst_count.min(127) as i32,
-                f.srv_count.min(127) as i32,
-                f.packets.min(127) as i32,
-            ]);
-        })
-    }
-
-    fn formatter_factory(&self) -> Option<FormatterFactory> {
+    fn formatter_factory(&self) -> FormatterFactory {
         // The formatter is stateless, so the factory just re-creates it.
-        Some(Arc::new(|| {
-            Box::new(|f: &taurus_pisa::registers::FlowFeatures, out: &mut Vec<i32>| {
+        Arc::new(|| {
+            Box::new(|f: &FlowFeatures, out: &mut Vec<i32>| {
                 out.extend_from_slice(&[
                     f.syn_only.min(127) as i32,
                     f.dst_count.min(127) as i32,
@@ -488,7 +471,7 @@ impl TaurusApp for SynFloodDetector {
                     f.packets.min(127) as i32,
                 ]);
             })
-        }))
+        })
     }
 
     fn pre_tables(&self) -> Vec<MatchTable> {
@@ -513,6 +496,7 @@ impl TaurusApp for SynFloodDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::FeatureFormatter;
 
     #[test]
     fn registry_matches_table1_shape() {
@@ -621,7 +605,7 @@ mod tests {
     fn every_formatter_of_a_model_reads_one_table_set() {
         let d = AnomalyDetector::train_default(5, 1_000);
         assert_eq!(Arc::strong_count(&d.tables), 1);
-        let replicas = [d.formatter(), d.formatter_factory().expect("rollback-capable")()];
+        let replicas = [d.formatter(), d.formatter_factory()()];
         assert_eq!(Arc::strong_count(&d.tables), 3, "two replicas share the detector's tables");
         drop(replicas);
         // The constructor `prepare_update` hands its tables to.

@@ -23,10 +23,11 @@
 //!   the public per-packet device API (Fig. 6's full pipeline, bypass
 //!   included), hosting any number of apps side by side.
 //! - [`update`]: live model updates ([`update::ModelUpdate`]) — the
-//!   versioned weight bundle the control plane installs onto running
-//!   switches ([`switch::TaurusSwitch::install_update`]): program swap
-//!   for CGRA engines, in-place edits for threshold engines, new
-//!   formatter/MATs when quantization ranges move.
+//!   one versioned model record: what the control plane installs onto
+//!   running switches ([`switch::TaurusSwitch::install_update`]) and
+//!   what a rollback restores: program swap for CGRA engines, in-place
+//!   edits for threshold engines, new formatter/MATs when quantization
+//!   ranges move.
 //! - [`e2e`]: the end-to-end experiment harness comparing Taurus against
 //!   the control-plane baseline over identical traces (Table 8).
 //!
@@ -69,6 +70,5 @@ pub use switch::{
     SwitchResult, SwitchVerdict, TaurusSwitch,
 };
 pub use update::{
-    check_install, EngineKind, EngineUpdate, FormatterFactory, ModelUpdate, RollbackPoint,
-    UpdateError,
+    check_install, EngineKind, EngineUpdate, FormatterFactory, ModelUpdate, UpdateError,
 };

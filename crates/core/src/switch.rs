@@ -16,8 +16,7 @@ use crate::app::{BoxedEngine, EngineBackend, ReactionTime, TaurusApp, VerdictPol
 use crate::apps::AnomalyDetector;
 use crate::ingest::{to_packet, ObsBuilder};
 use crate::update::{
-    check_install, EngineKind, EngineUpdate, FormatterFactory, ModelUpdate, RollbackPoint,
-    UpdateError,
+    check_install, EngineKind, EngineUpdate, FormatterFactory, ModelUpdate, UpdateError,
 };
 
 /// Per-app counters.
@@ -212,12 +211,26 @@ struct HostedApp {
     /// What kind of engine the pipeline hosts (fixed at build: updates
     /// rewire an engine, never replace it).
     engine_kind: EngineKind,
-    /// Factory that can rebuild the *currently active* formatter:
-    /// seeded from [`TaurusApp::formatter_factory`] at registration and
-    /// replaced whenever an installed update carries a formatter. `None`
-    /// means the active formatter is a one-off closure a rollback point
-    /// cannot restore.
-    formatter_origin: Option<FormatterFactory>,
+    /// Factory of the *currently active* formatter: seeded from
+    /// [`TaurusApp::formatter_factory`] at registration and replaced
+    /// whenever an applied update carries a formatter.
+    formatter_origin: FormatterFactory,
+}
+
+impl HostedApp {
+    /// Applies a checked update, in the order
+    /// [`TaurusSwitch::install_update`] documents.
+    fn apply(&mut self, update: &ModelUpdate) {
+        update.engine.apply_to(self.pipeline.engine_mut().as_mut().as_any_mut());
+        if let Some(factory) = &update.formatter {
+            self.pipeline.set_formatter(factory());
+            self.formatter_origin = FormatterFactory::clone(factory);
+        }
+        if let Some(tables) = &update.post_tables {
+            self.pipeline.post_tables = tables.to_vec();
+        }
+        self.version = update.version;
+    }
 }
 
 /// Builds a [`TaurusSwitch`]: configuration, engine backend selection,
@@ -266,8 +279,7 @@ struct RegisteredApp {
     policy: VerdictPolicy,
     feature_count: usize,
     engine: BoxedEngine,
-    formatter: crate::app::FeatureFormatter,
-    formatter_origin: Option<FormatterFactory>,
+    formatter: FormatterFactory,
     pre_tables: Vec<taurus_pisa::mat::MatchTable>,
     post_tables: Vec<taurus_pisa::mat::MatchTable>,
 }
@@ -339,8 +351,7 @@ impl SwitchBuilder {
             policy: app.verdict_policy(),
             feature_count: app.feature_count(),
             engine: app.build_engine(backend),
-            formatter: app.formatter(),
-            formatter_origin: app.formatter_factory(),
+            formatter: app.formatter_factory(),
             pre_tables: app.pre_tables(),
             post_tables: app.post_tables(backend),
         });
@@ -363,7 +374,7 @@ impl SwitchBuilder {
                 let app_config =
                     PipelineConfig { feature_count: r.feature_count, ..config.clone() };
                 let engine_kind = EngineKind::of(r.engine.as_mut().as_any_mut());
-                let mut pipeline = TaurusPipeline::new(app_config, r.engine, r.formatter);
+                let mut pipeline = TaurusPipeline::new(app_config, r.engine, (r.formatter)());
                 pipeline.pre_tables = r.pre_tables;
                 pipeline.post_tables = r.post_tables;
                 HostedApp {
@@ -374,7 +385,7 @@ impl SwitchBuilder {
                     counters: AppCounters::default(),
                     version: 0,
                     engine_kind,
-                    formatter_origin: r.formatter_origin,
+                    formatter_origin: r.formatter,
                 }
             })
             .collect();
@@ -562,7 +573,7 @@ impl TaurusSwitch {
     /// rewired first (program swap on CGRA engines, in-place cutoff
     /// edits on threshold engines), then the feature formatter and
     /// postprocessing MATs are replaced if the update carries them,
-    /// and finally the app's installed version advances.
+    /// and finally the app's version becomes the update's.
     ///
     /// Installation is transactional: every failure path is checked
     /// before any state is mutated, so an erroring install leaves the
@@ -582,22 +593,16 @@ impl TaurusSwitch {
     pub fn install_update(&mut self, update: &ModelUpdate) -> Result<(), UpdateError> {
         let app = self.apps.iter_mut().find(|a| a.name == update.app);
         check_install(update, app.as_ref().map(|a| (a.version, a.engine_kind)))?;
-        let app = app.expect("check_install rejects an unknown app");
-        update.engine.apply_to(app.pipeline.engine_mut().as_mut().as_any_mut());
-        if let Some(factory) = &update.formatter {
-            app.pipeline.set_formatter(factory());
-            app.formatter_origin = Some(FormatterFactory::clone(factory));
-        }
-        if let Some(tables) = &update.post_tables {
-            app.pipeline.post_tables = tables.to_vec();
-        }
-        app.version = update.version;
+        app.expect("check_install rejects an unknown app").apply(update);
         Ok(())
     }
 
-    /// Captures everything needed to restore one hosted app to its
-    /// current model, bit-exactly — taken just before a risky install
-    /// (a canary) so [`TaurusSwitch::rollback_to`] can undo it.
+    /// Captures one hosted app's current model as a [`ModelUpdate`]
+    /// with every part present — the engine state (program handle or
+    /// threshold), the factory of the active formatter, the
+    /// postprocessing MATs and the installed version — taken just
+    /// before a risky install (a canary) so
+    /// [`TaurusSwitch::rollback_to`] can undo it, bit-exactly.
     ///
     /// The capture is cheap: compiled programs are shared by `Arc`,
     /// thresholds are plain values, MATs are small tables, and the
@@ -606,37 +611,23 @@ impl TaurusSwitch {
     ///
     /// # Errors
     ///
-    /// [`UpdateError::UnknownApp`] when no hosted app matches;
-    /// [`UpdateError::UnrestorableFormatter`] when the app's active
-    /// formatter has no factory (the app returns `None` from
-    /// [`TaurusApp::formatter_factory`] and no installed update carried
-    /// one) — restoring it later would be impossible.
-    pub fn capture_rollback(&mut self, app_name: &str) -> Result<RollbackPoint, UpdateError> {
-        let app = self
-            .apps
-            .iter_mut()
-            .find(|a| a.name == app_name)
-            .ok_or_else(|| UpdateError::UnknownApp { app: app_name.to_string() })?;
-        let formatter = app
-            .formatter_origin
-            .clone()
-            .ok_or_else(|| UpdateError::UnrestorableFormatter { app: app_name.to_string() })?;
-        let engine = EngineUpdate::capture(app.pipeline.engine_mut().as_mut().as_any_mut());
-        Ok(RollbackPoint {
+    /// [`UpdateError::UnknownApp`] when no hosted app matches.
+    pub fn capture_rollback(&mut self, app_name: &str) -> Result<ModelUpdate, UpdateError> {
+        let app = self.hosted(app_name)?;
+        Ok(ModelUpdate {
             app: app.name.clone(),
             version: app.version,
-            engine,
-            formatter,
-            post_tables: app.pipeline.post_tables.clone(),
+            engine: EngineUpdate::capture(app.pipeline.engine_mut().as_mut().as_any_mut()),
+            formatter: Some(FormatterFactory::clone(&app.formatter_origin)),
+            post_tables: Some(app.pipeline.post_tables.as_slice().into()),
         })
     }
 
-    /// Restores one hosted app to a previously captured
-    /// [`RollbackPoint`]: engine state, formatter, postprocessing MATs,
-    /// and version all return to their capture-time values. Flow
-    /// registers, counters, and cross-flow windows are untouched — like
-    /// [`TaurusSwitch::install_update`], only the model interpreting
-    /// the features changes.
+    /// Restores one hosted app to a point captured by
+    /// [`TaurusSwitch::capture_rollback`]: the same apply as
+    /// [`TaurusSwitch::install_update`], minus its version guard. Flow
+    /// registers, counters, and cross-flow windows are untouched — only
+    /// the model interpreting the features changes.
     ///
     /// Unlike installs, rollback deliberately *rewinds* the version
     /// counter: a canary that installed v5 and rolled back reports the
@@ -651,21 +642,19 @@ impl TaurusSwitch {
     /// engine state does not fit the hosted engine (only possible if
     /// the point came from a differently configured switch). Both leave
     /// the switch untouched.
-    pub fn rollback_to(&mut self, point: &RollbackPoint) -> Result<(), UpdateError> {
-        let app = self
-            .apps
-            .iter_mut()
-            .find(|a| a.name == point.app)
-            .ok_or_else(|| UpdateError::UnknownApp { app: point.app.clone() })?;
+    pub fn rollback_to(&mut self, point: &ModelUpdate) -> Result<(), UpdateError> {
+        let app = self.hosted(&point.app)?;
         if !point.engine.fits(app.engine_kind) {
             return Err(UpdateError::BackendMismatch { app: app.name.clone() });
         }
-        point.engine.apply_to(app.pipeline.engine_mut().as_mut().as_any_mut());
-        app.pipeline.set_formatter((point.formatter)());
-        app.formatter_origin = Some(FormatterFactory::clone(&point.formatter));
-        app.pipeline.post_tables = point.post_tables.clone();
-        app.version = point.version;
+        app.apply(point);
         Ok(())
+    }
+
+    /// The hosted app named `name`.
+    fn hosted(&mut self, name: &str) -> Result<&mut HostedApp, UpdateError> {
+        let unknown = || UpdateError::UnknownApp { app: name.to_string() };
+        self.apps.iter_mut().find(|a| a.name == name).ok_or_else(unknown)
     }
 
     /// The installed model version of one hosted app (0 until the first
@@ -680,13 +669,11 @@ impl TaurusSwitch {
         self.apps.iter().map(|a| (a.name.clone(), a.version)).collect()
     }
 
-    /// Per hosted app, in registration order: its [`EngineKind`] and
-    /// whether its active formatter has a factory. With
-    /// [`TaurusSwitch::app_versions`], everything [`check_install`] and
-    /// [`TaurusSwitch::capture_rollback`] need to render a verdict for
-    /// this switch from outside it.
-    pub fn install_facts(&self) -> Vec<(EngineKind, bool)> {
-        self.apps.iter().map(|a| (a.engine_kind, a.formatter_origin.is_some())).collect()
+    /// Per hosted app, in registration order: its [`EngineKind`]. With
+    /// [`TaurusSwitch::app_versions`], everything [`check_install`]
+    /// needs to render a verdict for this switch from outside it.
+    pub fn engine_kinds(&self) -> Vec<EngineKind> {
+        self.apps.iter().map(|a| a.engine_kind).collect()
     }
 
     /// Number of hosted apps.
@@ -716,7 +703,7 @@ mod tests {
     use super::*;
     use crate::app::EngineBackend;
     use crate::apps::SynFloodDetector;
-    use taurus_dataset::kdd::KddGenerator;
+    use taurus_dataset::kdd::{FeatureView, KddGenerator};
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
 
     #[test]
@@ -884,25 +871,25 @@ mod tests {
         assert_eq!(SwitchReport::merged([]).unwrap_err(), ReportMergeError::Empty);
     }
 
+    /// Version 1 of `detector`'s model, retrained for five epochs on
+    /// `rows` fresh KDD rows drawn with `seed`.
+    fn retrained_update(detector: &AnomalyDetector, seed: u64, rows: usize) -> ModelUpdate {
+        let mut retrained = detector.float_model.clone();
+        let mut ds = KddGenerator::new(seed).binary_dataset(rows, FeatureView::Dnn6);
+        detector.standardizer.apply(&mut ds);
+        let params = taurus_ml::TrainParams { epochs: 5, ..Default::default() };
+        retrained.train(ds.features(), ds.labels(), &params);
+        detector.prepare_update(&retrained, ds.features(), 1)
+    }
+
     #[test]
     fn install_update_swaps_the_cgra_program_live() {
-        use taurus_ml::TrainParams;
-
         let detector = AnomalyDetector::train_default(31, 1_200);
         let mut switch = TaurusSwitch::new(&detector);
         assert_eq!(switch.app_version("anomaly-detection"), Some(0));
 
         // Retrain the float model so the new program behaves differently.
-        let mut retrained = detector.float_model.clone();
-        let mut gen = KddGenerator::new(32);
-        let mut ds = gen.binary_dataset(500, taurus_dataset::kdd::FeatureView::Dnn6);
-        detector.standardizer.apply(&mut ds);
-        retrained.train(
-            ds.features(),
-            ds.labels(),
-            &TrainParams { epochs: 5, ..TrainParams::default() },
-        );
-        let update = detector.prepare_update(&retrained, ds.features(), 1);
+        let update = retrained_update(&detector, 32, 500);
 
         let records = KddGenerator::new(33).take(120);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
@@ -960,8 +947,6 @@ mod tests {
 
     #[test]
     fn rollback_round_trip_is_bit_exact_against_a_never_updated_control() {
-        use taurus_ml::TrainParams;
-
         // Golden round-trip: capture → install a retrained model →
         // rollback, then verify the switch is indistinguishable from a
         // control switch that never installed anything — per-packet
@@ -970,16 +955,7 @@ mod tests {
         let mut subject = TaurusSwitch::new(&detector);
         let mut control = TaurusSwitch::new(&detector);
 
-        let mut retrained = detector.float_model.clone();
-        let mut gen = KddGenerator::new(42);
-        let mut ds = gen.binary_dataset(400, taurus_dataset::kdd::FeatureView::Dnn6);
-        detector.standardizer.apply(&mut ds);
-        retrained.train(
-            ds.features(),
-            ds.labels(),
-            &TrainParams { epochs: 5, ..TrainParams::default() },
-        );
-        let update = detector.prepare_update(&retrained, ds.features(), 1);
+        let update = retrained_update(&detector, 42, 400);
 
         let records = KddGenerator::new(43).take(120);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
@@ -1018,6 +994,88 @@ mod tests {
         switch.install_update(&syn.retune(999, 7, EngineBackend::Threshold)).expect("retune");
         switch.rollback_to(&point).expect("rollback");
         assert_eq!(switch.app_version("syn-flood"), Some(0));
+    }
+
+    #[test]
+    fn a_capture_is_a_complete_portable_model() {
+        use taurus_pisa::pipeline::anomaly_post_table;
+
+        let detector = AnomalyDetector::train_default(41, 1_200);
+        let syn = SynFloodDetector::default_deployment();
+        let dnn_update = retrained_update(&detector, 42, 400);
+        // On the heuristic backend: a new cutoff, the retrained model's
+        // formatter and a different verdict MAT.
+        let dnn_heuristic = ModelUpdate {
+            engine: EngineUpdate::Threshold(-3),
+            post_tables: Some([anomaly_post_table(0)].into()),
+            ..dnn_update.clone()
+        };
+        let trace = PacketTrace::expand(KddGenerator::new(43).take(150), &TraceConfig::default());
+        let cases: [(&dyn TaurusApp, EngineBackend, ModelUpdate); 4] = [
+            (&detector, EngineBackend::CgraSim, dnn_update),
+            (&detector, EngineBackend::Threshold, dnn_heuristic),
+            (&syn, EngineBackend::CgraSim, syn.retune(5, 1, EngineBackend::CgraSim)),
+            (&syn, EngineBackend::Threshold, syn.retune(5, 1, EngineBackend::Threshold)),
+        ];
+        let run = |switch: &mut TaurusSwitch| -> Vec<SwitchResult> {
+            switch.reset();
+            trace.packets.iter().map(|tp| switch.process_trace_packet(tp)).collect()
+        };
+        for (app, backend, other) in cases {
+            let build = || SwitchBuilder::new().register_on(app, backend).build();
+            let (mut source, mut replica) = (build(), build());
+            let mut capture = source.capture_rollback(app.name()).expect("hosted");
+            assert!(capture.formatter.is_some(), "{} on {backend:?}", app.name());
+            assert!(capture.post_tables.is_some(), "{} on {backend:?}", app.name());
+            assert!(!matches!(capture.engine, EngineUpdate::KeepEngine), "{}", app.name());
+
+            replica.install_update(&other).expect("a different model");
+            let reference = run(&mut source);
+            assert_ne!(run(&mut replica), reference, "{} on {backend:?}", app.name());
+            capture.version = 2;
+            replica.install_update(&capture).expect("the capture installs like any update");
+            assert_eq!(run(&mut replica), reference, "{} on {backend:?}", app.name());
+            assert_eq!(replica.app_version(app.name()), Some(2));
+        }
+
+        // A CGRA capture does not fit a threshold engine, and the refusal
+        // leaves the switch as it was.
+        for app in [&detector as &dyn TaurusApp, &syn] {
+            let mut cgra = SwitchBuilder::new().register_on(app, EngineBackend::CgraSim).build();
+            let point = cgra.capture_rollback(app.name()).expect("hosted");
+            let build = || SwitchBuilder::new().register_on(app, EngineBackend::Threshold).build();
+            let (mut subject, mut control) = (build(), build());
+            assert_eq!(
+                subject.rollback_to(&point),
+                Err(UpdateError::BackendMismatch { app: app.name().to_string() })
+            );
+            assert_eq!(subject.app_version(app.name()), Some(0));
+            assert_eq!(run(&mut subject), run(&mut control), "{}", app.name());
+        }
+    }
+
+    #[test]
+    fn syn_cutoff_at_i64_min_drops_every_ml_packet_on_the_threshold_backend() {
+        // The heuristic fires strictly above `threshold - 1`, which must
+        // saturate: a wrapped cutoff of `i64::MAX` would drop nothing.
+        let trace = PacketTrace::expand(KddGenerator::new(3).take(200), &TraceConfig::default());
+        let run = |switch: &mut TaurusSwitch| {
+            for tp in &trace.packets {
+                switch.process_trace_packet(tp);
+            }
+            switch.report().apps[0].counters
+        };
+        let built = SynFloodDetector::new(i64::MIN);
+        let mut switch = SwitchBuilder::new().register_on(&built, EngineBackend::Threshold).build();
+        let counters = run(&mut switch);
+        assert!(counters.ml_packets > 0);
+        assert_eq!(counters.dropped, counters.ml_packets, "built with cutoff i64::MIN");
+
+        let syn = SynFloodDetector::default_deployment();
+        let mut switch = SwitchBuilder::new().register_on(&syn, EngineBackend::Threshold).build();
+        switch.install_update(&syn.retune(i64::MIN, 1, EngineBackend::Threshold)).expect("retune");
+        let counters = run(&mut switch);
+        assert_eq!(counters.dropped, counters.ml_packets, "retuned to cutoff i64::MIN");
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! defines what actually crosses that boundary: a named, versioned
 //! bundle of
 //!
-//! - exported float weights ([`taurus_ml::MlpWeights`], the control
-//!   plane's source of truth, kept for audit/telemetry),
 //! - an [`EngineUpdate`]: a freshly compiled MapReduce program *and
 //!   its execution plan* to swap into CGRA engines by handle, a new
 //!   cutoff for threshold engines (updated in place), or "keep the
@@ -28,12 +26,14 @@
 //! The verdict needs only the hosted app's installed version and
 //! [`EngineKind`], so an installer that mirrors those (the sharded
 //! runtime's feeder) renders it without asking a replica.
+//!
+//! A rollback point is a [`ModelUpdate`] too, with every part present
+//! (see [`crate::switch::TaurusSwitch::capture_rollback`]).
 
 use std::any::Any;
 use std::sync::Arc;
 
 use taurus_cgra::PreparedProgram;
-use taurus_ml::MlpWeights;
 use taurus_pisa::mat::MatchTable;
 use taurus_pisa::pipeline::{FeatureFormatter, ThresholdEngine};
 use taurus_pisa::LinearThresholdEngine;
@@ -181,9 +181,6 @@ pub struct ModelUpdate {
     /// below the installed one are rejected (idempotence under retry,
     /// and no accidental rollback through a reordered channel).
     pub version: u64,
-    /// The float weights this update was built from, when it came from
-    /// retraining (`None` for e.g. threshold retunes).
-    pub weights: Option<Arc<MlpWeights>>,
     /// The engine-side change.
     pub engine: EngineUpdate,
     /// Replacement feature formatter, if quantization ranges moved with
@@ -202,7 +199,6 @@ impl ModelUpdate {
         Self {
             app: app.into(),
             version,
-            weights: None,
             engine: EngineUpdate::Threshold(threshold),
             formatter: None,
             post_tables: None,
@@ -216,46 +212,8 @@ impl core::fmt::Debug for ModelUpdate {
             .field("app", &self.app)
             .field("version", &self.version)
             .field("engine", &self.engine)
-            .field("weights", &self.weights.as_ref().map(|w| w.shape()))
             .field("new_formatter", &self.formatter.is_some())
             .field("new_post_tables", &self.post_tables.as_ref().map(|t| t.len()))
-            .finish()
-    }
-}
-
-/// Everything needed to restore a hosted app to a prior model,
-/// bit-exactly: the engine state (program handle or threshold), the
-/// formatter factory the app was registered/updated with, the
-/// postprocessing MATs, and the version to report afterwards.
-///
-/// Captured by [`crate::switch::TaurusSwitch::capture_rollback`] just
-/// before a risky install (a canary) and replayed by
-/// [`crate::switch::TaurusSwitch::rollback_to`]. Restoration is exact
-/// because every piece is either shared-by-handle ([`PreparedProgram`]),
-/// a value (`i64` threshold, MATs), or rebuilt from the same factory
-/// the original formatter came from — there is no lossy re-derivation.
-#[derive(Clone)]
-pub struct RollbackPoint {
-    /// The app this snapshot belongs to.
-    pub app: String,
-    /// Version to restore (rollback deliberately rewinds the version
-    /// counter, unlike installs which are strictly increasing).
-    pub version: u64,
-    /// Engine state to restore, in [`EngineUpdate`] form.
-    pub engine: EngineUpdate,
-    /// Factory for the formatter that was active at capture time.
-    pub formatter: FormatterFactory,
-    /// Postprocessing MATs active at capture time.
-    pub post_tables: Vec<MatchTable>,
-}
-
-impl core::fmt::Debug for RollbackPoint {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("RollbackPoint")
-            .field("app", &self.app)
-            .field("version", &self.version)
-            .field("engine", &self.engine)
-            .field("post_tables", &self.post_tables.len())
             .finish()
     }
 }
@@ -283,15 +241,6 @@ pub enum UpdateError {
         /// The app.
         app: String,
     },
-    /// A rollback point was requested for an app whose formatter cannot
-    /// be rebuilt: the app provides no
-    /// [`crate::app::TaurusApp::formatter_factory`] and no installed
-    /// update ever carried one, so the active formatter is a one-off
-    /// closure that cannot be restored bit-exactly later.
-    UnrestorableFormatter {
-        /// The app.
-        app: String,
-    },
 }
 
 impl core::fmt::Display for UpdateError {
@@ -309,11 +258,6 @@ impl core::fmt::Display for UpdateError {
                 f,
                 "update for `{app}` targets a different engine backend than the hosted one \
                  (program swaps need a CGRA engine; threshold edits need a threshold engine)"
-            ),
-            UpdateError::UnrestorableFormatter { app } => write!(
-                f,
-                "app `{app}` cannot be rolled back: its active feature formatter has no \
-                 factory to rebuild it from (implement `TaurusApp::formatter_factory`)"
             ),
         }
     }

@@ -30,7 +30,6 @@ pub mod metrics;
 pub mod mlp;
 pub mod quantized;
 pub mod svm;
-pub mod weights;
 
 pub use kmeans::KMeans;
 pub use linalg::Matrix;
@@ -39,4 +38,3 @@ pub use metrics::{BinaryMetrics, ConfusionMatrix};
 pub use mlp::{Mlp, MlpConfig, TrainParams};
 pub use quantized::{QuantizedKMeans, QuantizedMlp, QuantizedSvm};
 pub use svm::{Svm, SvmConfig};
-pub use weights::{LayerWeights, MlpWeights, WeightShapeError};

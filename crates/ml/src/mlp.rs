@@ -23,7 +23,6 @@ use rand::SeedableRng;
 use taurus_fixed::Activation;
 
 use crate::linalg::{argmax, dot, softmax, softmax_into, Matrix, DOT_START};
-use crate::weights::{LayerWeights, MlpWeights, WeightShapeError};
 
 /// Output head: decides both the final nonlinearity and the loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -420,6 +419,12 @@ impl Mlp {
         &self.layers
     }
 
+    /// The layers, mutably, for tests that set parameters directly.
+    #[cfg(test)]
+    pub(crate) fn layers_mut(&mut self) -> &mut [Dense] {
+        &mut self.layers
+    }
+
     /// The output head.
     pub fn head(&self) -> OutputHead {
         self.head
@@ -687,100 +692,6 @@ impl Mlp {
             }
         }
         loss * inv
-    }
-
-    /// Exports the current parameters as a portable snapshot — the
-    /// payload a live `ModelUpdate` carries to deployed switches.
-    pub fn export_weights(&self) -> MlpWeights {
-        MlpWeights {
-            layers: self
-                .layers
-                .iter()
-                .map(|l| LayerWeights {
-                    rows: l.w.rows(),
-                    cols: l.w.cols(),
-                    w: l.w.data().to_vec(),
-                    b: l.b.clone(),
-                    act: l.act,
-                })
-                .collect(),
-            head: self.head,
-        }
-    }
-
-    /// Replaces this model's parameters with a snapshot of the same
-    /// architecture. Momentum state is reset: the optimizer restarts
-    /// from the imported point (velocities accumulated under the old
-    /// weights would be meaningless).
-    ///
-    /// # Errors
-    ///
-    /// [`WeightShapeError`] when layer counts, dimensions, internal
-    /// value lengths, activations, or the output head disagree.
-    pub fn import_weights(&mut self, weights: &MlpWeights) -> Result<(), WeightShapeError> {
-        if weights.layers.len() != self.layers.len() {
-            return Err(WeightShapeError::LayerCount {
-                expected: self.layers.len(),
-                got: weights.layers.len(),
-            });
-        }
-        for (i, (mine, theirs)) in self.layers.iter().zip(&weights.layers).enumerate() {
-            if theirs.w.len() != theirs.rows * theirs.cols || theirs.b.len() != theirs.rows {
-                return Err(WeightShapeError::Malformed { layer: i });
-            }
-            if (theirs.rows, theirs.cols) != (mine.w.rows(), mine.w.cols()) {
-                return Err(WeightShapeError::LayerDims {
-                    layer: i,
-                    expected: (mine.w.rows(), mine.w.cols()),
-                    got: (theirs.rows, theirs.cols),
-                });
-            }
-            if theirs.act != mine.act {
-                return Err(WeightShapeError::FunctionMismatch { layer: i });
-            }
-        }
-        if weights.head != self.head {
-            return Err(WeightShapeError::FunctionMismatch { layer: self.layers.len() });
-        }
-        for (mine, theirs) in self.layers.iter_mut().zip(&weights.layers) {
-            mine.w = Matrix::from_vec(theirs.rows, theirs.cols, theirs.w.clone());
-            mine.b = theirs.b.clone();
-        }
-        for v in &mut self.velocity_w {
-            *v = Matrix::zeros(v.rows(), v.cols());
-        }
-        for v in &mut self.velocity_b {
-            v.iter_mut().for_each(|x| *x = 0.0);
-        }
-        Ok(())
-    }
-
-    /// Reconstructs a model from a snapshot (fresh optimizer state).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an internally inconsistent snapshot (value lengths
-    /// disagreeing with declared dimensions).
-    pub fn from_weights(weights: &MlpWeights) -> Self {
-        let layers: Vec<Dense> = weights
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                assert!(
-                    l.w.len() == l.rows * l.cols && l.b.len() == l.rows,
-                    "layer {i} value lengths disagree with its declared dimensions"
-                );
-                Dense {
-                    w: Matrix::from_vec(l.rows, l.cols, l.w.clone()),
-                    b: l.b.clone(),
-                    act: l.act,
-                }
-            })
-            .collect();
-        let velocity_w = layers.iter().map(|l| Matrix::zeros(l.w.rows(), l.w.cols())).collect();
-        let velocity_b = layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-        Self { layers, head: weights.head, velocity_w, velocity_b }
     }
 
     /// Classification accuracy over a labelled set.

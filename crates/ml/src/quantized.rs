@@ -636,11 +636,10 @@ mod tests {
             let mut layers = widths[..depth - 1].to_vec();
             layers.push(if head == OutputHead::Sigmoid { 1 } else { widths[depth - 1] + 1 });
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut weights = Mlp::new(&MlpConfig { layers, hidden, head }, seed).export_weights();
-            for b in weights.layers.iter_mut().flat_map(|l| &mut l.b) {
+            let mut mlp = Mlp::new(&MlpConfig { layers, hidden, head }, seed);
+            for b in mlp.layers_mut().iter_mut().flat_map(|l| &mut l.b) {
                 *b = rng.gen_range(-1.0..1.0);
             }
-            let mlp = Mlp::from_weights(&weights);
             let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e30, -1e30];
             let x: Vec<Vec<f32>> = (0..rows)
                 .map(|_| {

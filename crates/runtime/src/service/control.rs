@@ -87,7 +87,7 @@ impl StreamingRuntime {
         if self.canary.is_some() {
             return Err(InstallError::CanaryActive);
         }
-        self.deployed.check(update, false)?;
+        self.deployed.check(update)?;
         let shared = Arc::new(update.clone());
         self.ingest.steer.flush_and_update(&self.lanes, &shared, false)?;
         self.deployed.note(&shared, self.supervised);
@@ -109,10 +109,9 @@ impl StreamingRuntime {
     ///
     /// [`InstallError::CanaryActive`] if a rollout is already in
     /// flight; [`InstallError::Rejected`] if the candidate is invalid
-    /// (unknown app, no formatter factory to capture a rollback point
-    /// from, stale version, wrong backend — in that order) — nothing
-    /// was sent; [`InstallError::Shard`] when a live shard's lane is
-    /// closed — the rollout is in flight anyway, for
+    /// (unknown app, stale version, wrong backend — in that order) —
+    /// nothing was sent; [`InstallError::Shard`] when a live shard's
+    /// lane is closed — the rollout is in flight anyway, for
     /// [`StreamingRuntime::conclude_canary`] to settle.
     pub fn begin_canary(
         &mut self,
@@ -122,7 +121,7 @@ impl StreamingRuntime {
         if self.canary.is_some() {
             return Err(InstallError::CanaryActive);
         }
-        self.deployed.check(update, true)?;
+        self.deployed.check(update)?;
         let shards = self.lanes.len();
         let first_canary = shards - canary_shards.clamp(1, shards);
         self.ingest.steer.flush_partials(&self.lanes)?;

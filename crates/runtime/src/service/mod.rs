@@ -121,10 +121,9 @@ struct Deployed {
     /// Mirror of the fleet's installed versions (all replicas agree by
     /// construction), refreshed from a healthy snapshot at every drain.
     versions: Vec<(String, u64)>,
-    /// Each app's engine kind and whether its active formatter has a
-    /// factory, parallel to `versions`: with them, everything a
-    /// replica's install or canary verdict depends on.
-    hosting: Vec<(EngineKind, bool)>,
+    /// Each app's engine kind, parallel to `versions`: with them,
+    /// everything a replica's install verdict depends on.
+    hosting: Vec<EngineKind>,
     /// What a cold spare must replay to reach the fleet's current
     /// models: the accepted updates folded to one effective update per
     /// app. Installs are per-app and every field is last-writer-wins,
@@ -136,27 +135,22 @@ struct Deployed {
 
 impl Deployed {
     /// The verdict every replica will render for `update`, over the
-    /// mirror: the same [`check_install`] a [`TaurusSwitch`] runs, after
-    /// (for a `canary`) the factory check a replica's capture runs
-    /// first.
-    fn check(&self, update: &ModelUpdate, canary: bool) -> Result<(), UpdateError> {
+    /// mirror: the same [`check_install`] a [`TaurusSwitch`] runs.
+    fn check(&self, update: &ModelUpdate) -> Result<(), UpdateError> {
         let hosted = self
             .versions
             .iter()
             .zip(&self.hosting)
             .find(|((name, _), _)| *name == update.app)
-            .map(|((_, version), &(kind, restorable))| (*version, kind, restorable));
-        if canary && matches!(hosted, Some((_, _, false))) {
-            return Err(UpdateError::UnrestorableFormatter { app: update.app.clone() });
-        }
-        check_install(update, hosted.map(|(version, kind, _)| (version, kind)))
+            .map(|((_, version), &kind)| (*version, kind));
+        check_install(update, hosted)
     }
 
     /// Records a scheduled update that reached its barrier. One the
     /// replicas will refuse leaves the mirror alone: it poisons their
     /// runs and surfaces at the next drain.
     fn note_scheduled(&mut self, update: &ModelUpdate, keep_history: bool) {
-        if self.check(update, false).is_ok() {
+        if self.check(update).is_ok() {
             self.note(update, keep_history);
         }
     }
@@ -166,7 +160,6 @@ impl Deployed {
     fn note(&mut self, update: &ModelUpdate, keep_history: bool) {
         if let Some(i) = self.versions.iter().position(|(name, _)| *name == update.app) {
             self.versions[i].1 = update.version;
-            self.hosting[i].1 |= update.formatter.is_some();
         }
         if !keep_history {
             return;
@@ -182,7 +175,6 @@ impl Deployed {
         // The optional parts: the newest `Some` wins.
         folded.formatter = update.formatter.clone().or(folded.formatter.take());
         folded.post_tables = update.post_tables.clone().or(folded.post_tables.take());
-        folded.weights = update.weights.clone().or(folded.weights.take());
     }
 }
 
@@ -207,7 +199,7 @@ impl StreamingRuntime {
         ingest: Ingest,
     ) -> Self {
         let versions = switches.first().map(TaurusSwitch::app_versions).unwrap_or_default();
-        let hosting = switches.first().map(TaurusSwitch::install_facts).unwrap_or_default();
+        let hosting = switches.first().map(TaurusSwitch::engine_kinds).unwrap_or_default();
         let (lanes, handles) = switches
             .into_iter()
             .enumerate()

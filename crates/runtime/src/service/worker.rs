@@ -13,7 +13,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use taurus_core::{RollbackPoint, SwitchReport, TaurusSwitch};
+use taurus_core::{ModelUpdate, SwitchReport, TaurusSwitch};
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::Verdict;
 
@@ -149,7 +149,7 @@ fn engine_worker(
     let mut poisoned: Option<Box<dyn Any + Send>> = None;
     // The in-flight canary's rollback point on a canary shard, captured
     // and restored here: it never leaves this thread.
-    let mut rollback: Option<RollbackPoint> = None;
+    let mut rollback: Option<ModelUpdate> = None;
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Batch(batch) => {

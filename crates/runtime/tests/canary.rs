@@ -9,13 +9,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use taurus_core::apps::SynFloodDetector;
-use taurus_core::{
-    EngineBackend, FeatureFormatter, ReactionTime, TaurusApp, UpdateError, VerdictPolicy,
-};
+use taurus_core::EngineBackend;
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
-use taurus_pisa::mat::{Action, MatchTable, VliwOp};
-use taurus_pisa::Field;
 use taurus_runtime::{
     CanaryDecision, CanaryGuardrails, FaultPlan, InstallError, RuntimeBuilder, ShardError,
     StreamingRuntime,
@@ -294,61 +290,6 @@ fn a_canary_shard_respawned_mid_probation_lands_on_the_verdict_side() {
         assert_eq!(subject.drain().merged, twin.drain().merged, "{expected:?}");
         assert_eq!(subject.app_versions(), twin.app_versions(), "{expected:?}");
     }
-}
-
-/// An app whose formatter is a one-off closure: no
-/// `formatter_factory`, so no rollback point can be captured for it.
-struct NoFactoryApp;
-
-impl TaurusApp for NoFactoryApp {
-    fn name(&self) -> &str {
-        "no-factory"
-    }
-
-    fn reaction_time(&self) -> ReactionTime {
-        ReactionTime::PerPacket
-    }
-
-    fn feature_count(&self) -> usize {
-        1
-    }
-
-    fn formatter(&self) -> FeatureFormatter {
-        Box::new(|f, out| out.push(f.packets.min(127) as i32))
-    }
-
-    fn post_tables(&self, _backend: EngineBackend) -> Vec<MatchTable> {
-        vec![MatchTable::new("forward", Action::new("vote", vec![VliwOp::Set(Field::Decision, 0)]))]
-    }
-
-    fn verdict_policy(&self) -> VerdictPolicy {
-        VerdictPolicy::Enforce
-    }
-}
-
-#[test]
-fn a_canary_without_a_formatter_factory_is_refused_feeder_side() {
-    let app = NoFactoryApp;
-    let mut service = RuntimeBuilder::new()
-        .shards(2)
-        .batch_size(16)
-        .register_on(&app, EngineBackend::Threshold)
-        .build();
-    let unrestorable =
-        InstallError::Rejected(UpdateError::UnrestorableFormatter { app: app.name().to_string() });
-    let fresh = taurus_core::ModelUpdate::retune_threshold(app.name(), 1, 10);
-    assert_eq!(service.begin_canary(&fresh, 1), Err(unrestorable.clone()));
-    assert!(!service.canary_active());
-    // Precedence: capture is checked before the version, so a stale
-    // candidate reports the formatter too.
-    let stale = taurus_core::ModelUpdate::retune_threshold(app.name(), 0, 10);
-    assert_eq!(service.begin_canary(&stale, 1), Err(unrestorable));
-    assert!(!service.canary_active());
-    let trace = kdd_trace(40, 82);
-    service.feed(&trace.packets);
-    let report = service.drain();
-    assert_eq!(report.segments.len(), 1, "no canary message reached a lane");
-    assert!(report.faults.is_empty());
 }
 
 proptest! {

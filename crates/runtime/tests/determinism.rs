@@ -201,8 +201,8 @@ fn observe_only_apps_report_identically_when_sharded() {
         fn build_engine(&self, backend: EngineBackend) -> taurus_core::BoxedEngine {
             self.0.build_engine(backend)
         }
-        fn formatter(&self) -> taurus_core::FeatureFormatter {
-            self.0.formatter()
+        fn formatter_factory(&self) -> taurus_core::FormatterFactory {
+            self.0.formatter_factory()
         }
         fn pre_tables(&self) -> Vec<taurus_pisa::MatchTable> {
             self.0.pre_tables()

@@ -322,7 +322,7 @@ fn an_install_needs_no_ack() {
     let mut twin = builder(&syn, 2).build();
 
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let rebuild = syn.formatter_factory().expect("the SYN formatter is stateless");
+    let rebuild = syn.formatter_factory();
     let gated: FormatterFactory = {
         let gate = Arc::clone(&gate);
         Arc::new(move || {

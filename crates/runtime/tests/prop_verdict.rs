@@ -11,16 +11,18 @@
 //!    merged report equals the sequential switch's for arbitrary
 //!    shard/batch/queue geometry (power-of-two shard counts).
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use taurus_core::apps::SynFloodDetector;
 use taurus_core::{
-    EngineBackend, FeatureFormatter, ReactionTime, SwitchBuilder, TaurusApp, TaurusSwitch,
+    EngineBackend, FormatterFactory, ReactionTime, SwitchBuilder, TaurusApp, TaurusSwitch,
     VerdictPolicy,
 };
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_pisa::mat::{Action, MatchTable, VliwOp};
-use taurus_pisa::registers::PacketObs;
+use taurus_pisa::registers::{FlowFeatures, PacketObs};
 use taurus_pisa::{Field, Packet, Verdict};
 use taurus_runtime::RuntimeBuilder;
 
@@ -55,8 +57,10 @@ impl TaurusApp for FixedApp {
         1
     }
 
-    fn formatter(&self) -> FeatureFormatter {
-        Box::new(|f, out| out.push(f.packets.min(127) as i32))
+    fn formatter_factory(&self) -> FormatterFactory {
+        Arc::new(|| {
+            Box::new(|f: &FlowFeatures, out: &mut Vec<i32>| out.push(f.packets.min(127) as i32))
+        })
     }
 
     fn post_tables(&self, _backend: EngineBackend) -> Vec<MatchTable> {

@@ -91,13 +91,26 @@ fn unsafe_lives_only_in_the_simd_kernel() {
 
 #[test]
 fn rollback_points_never_cross_threads() {
+    // A rollback point is a plain `ModelUpdate`, so the type cannot say
+    // where one lives; the calls that take and restore one can.
     assert_clean(
-        "each canary worker keeps its own rollback point; only service/worker.rs names it",
+        "each canary worker keeps its own rollback point; only service/worker.rs captures or restores one",
         scan(
             "crates/runtime/src",
             |p| p != Path::new("crates/runtime/src/service/worker.rs"),
-            |line| line.contains("RollbackPoint"),
+            |line| line.contains("capture_rollback(") || line.contains("rollback_to("),
         ),
+    );
+}
+
+#[test]
+fn one_model_record() {
+    // A rollback point is a `ModelUpdate`, every app has a formatter
+    // factory, and updates carry no float weights.
+    let gone = ["RollbackPoint", "MlpWeights", "UnrestorableFormatter", "export_weights"];
+    assert_clean(
+        "the model record is `ModelUpdate` alone",
+        scan("crates", |_| true, |line| gone.iter().any(|needle| line.contains(needle))),
     );
 }
 
