@@ -23,9 +23,14 @@
 //! consumes them run as reduce → requantize → look up over `i16`
 //! column-pair weight panels, straight into the layer's output region.
 //! On x86-64 the reduction is one SSE2 multiply-add-pairs per
-//! two columns and four rows, and a fused requantize → LUT runs on each
-//! four-row panel in a register; the private `simd` module holds those
-//! two steps and their plain-Rust twins for every other target.
+//! two columns and four rows, column pairs outermost over groups of up
+//! to four panels, so each input pair is broadcast once per group; a
+//! fused requantize → LUT runs on each four-row panel in a register,
+//! with the requantizer's lane constants built with the plan. An input
+//! the plan proves int8 (a `Requant`, `Lut` or `GreaterZero` node: every
+//! hidden layer of an MLP) skips the per-call check that picks the
+//! reduction. The private `simd` module holds the vector steps and their
+//! plain-Rust twins for every other target.
 //! Steady-state
 //! [`CgraSim::process_into`] performs **zero heap allocations** (pinned
 //! by the counting-allocator test in `tests/no_alloc.rs`), where the
@@ -86,6 +91,11 @@ impl Slot {
 /// panel would mostly multiply padding.
 const PANEL: usize = 4;
 
+/// Panels a [`DenseOp`] reduces in one pass over the columns: one group.
+/// Its accumulators (twice that for a split reduction) and the
+/// broadcast input pair stay within SSE2's sixteen vector registers.
+const GROUP: usize = 4;
+
 /// One dense layer as the grid runs it — reduce → bias → requantize →
 /// activation — as **one** op: a dot-product (or squared-distance) node
 /// with the bias and requant the compiler fused into its CUs and the
@@ -94,13 +104,16 @@ const PANEL: usize = 4;
 /// into it have no other reader.
 ///
 /// The int8 bank is laid out for SSE2's multiply-add-pairs at plan-build
-/// time: `i16` **column pairs per panel of [`PANEL`] rows**
-/// (`bank[p·pairs + k][2l + c]` is row `p·PANEL + l`, column `2k + c`,
-/// zero past the last row and column), so one [`simd::madd`] advances a
-/// panel's four accumulators by two columns. Everything else about a row
-/// moves into its accumulator's start value, by identities of wrapping
-/// `i32` arithmetic (the ring ℤ/2³², where the order of summation cannot
-/// change a bit either):
+/// time: `i16` **column pairs of [`PANEL`] rows**, zero past the last
+/// row and column, so one [`simd::madd`] advances a panel's four
+/// accumulators by two columns. The panels run in groups of up to
+/// [`GROUP`], column pairs outermost, so each input pair is built and
+/// broadcast once per group; the bank is stored in that order (group by
+/// group, then pair by pair, then panel by panel: `[i16; 8]` entry
+/// `2l + c` of a panel `p` is row `p·PANEL + l`, column `2k + c`).
+/// Everything else about a row moves into its accumulator's start value,
+/// by identities of wrapping `i32` arithmetic (the ring ℤ/2³², where the
+/// order of summation cannot change a bit either):
 ///
 /// - MatVec: `Σⱼ w·(x − zp) = Σⱼ w·x − zp·Σⱼ w`, so `init = bias − zp·Σⱼ w`;
 /// - SqDist: `Σⱼ (x − w)² = Σⱼ (−2w)·x + Σⱼ w² + Σⱼ x²`, so the bank holds
@@ -110,30 +123,41 @@ const PANEL: usize = 4;
 /// Both are then the same reduction, `init + Σⱼ bank·x`.
 #[derive(Debug, Clone)]
 struct DenseOp {
-    /// The bank, panel-major as above (`panels · pairs`).
+    /// The bank, group-major as above (`panels · pairs`).
     bank: Vec<[i16; 2 * PANEL]>,
-    /// Accumulator start per padded row, as above.
+    /// Accumulator start per padded row, as above, plus the offset a
+    /// [`Tail::Panels`] requantizer reads (`simd::Requant4::OFFSET`).
     init: Vec<i32>,
     /// Bank columns (= input width).
     cols: usize,
     /// Input vector location.
     input: Slot,
+    /// The input is a `Requant`, `Lut` or `GreaterZero` node, whose lanes
+    /// fit int8 by construction: no per-call check of the `i16` fit.
+    int8_input: bool,
     /// Squared-distance rather than dot-product rows: add `Σⱼ x²`.
     sqdist: bool,
-    /// `acc[r] = requant(acc[r])`, if fused.
-    requant: Option<Requantizer>,
-    /// Then `acc[r] = table[clamp(acc[r])]`, if fused.
-    lut: Option<Box<[i8; 256]>>,
+    /// What runs on the accumulators.
+    tail: Tail,
     /// The last chain node's region, one lane per bank row.
     dst: Slot,
 }
 
+/// The stages of a [`DenseOp`] after the reduction.
+#[derive(Debug, Clone)]
+enum Tail {
+    /// Requantize → LUT on each panel while it is still in a register:
+    /// the requantizer is one the vector form computes exactly, prepared
+    /// with the plan, and its `packs` saturation is the LUT's clamp.
+    Panels(simd::Requant4, Box<[i8; 256]>),
+    /// Any other chain: optional requant, then optional LUT, as one
+    /// scalar loop over the rows in place.
+    Rows(Option<Requantizer>, Option<Box<[i8; 256]>>),
+}
+
 impl DenseOp {
     /// The whole layer: reduce every panel over the columns straight
-    /// into the destination region. A fused requant → LUT runs on each
-    /// panel while it is still in a register ([`simd::requant4`], whose
-    /// `packs` saturation is the LUT's clamp); any other tail runs over
-    /// the rows in place afterwards.
+    /// into the destination region, then the tail.
     fn run(&self, slab: &mut [i32]) {
         let (lo, hi) = slab.split_at_mut(self.dst.off as usize);
         // Slots are padded to whole panels, so an odd-width input has a
@@ -141,19 +165,19 @@ impl DenseOp {
         // zero, so whatever the lane holds adds nothing.
         let x = &lo[self.input.off as usize..][..self.cols.next_multiple_of(2)];
         let (panels, _) = hi[..self.init.len()].as_chunks_mut::<PANEL>();
-        match (self.requant, &self.lut) {
-            (Some(rq), Some(table)) if (0..=30).contains(&rq.shift) && rq.multiplier >= 0 => {
+        let (requant, lut) = match &self.tail {
+            Tail::Panels(rq, table) => {
                 return self.reduce(x, panels, |acc| {
-                    simd::requant4(acc, rq)
-                        .map(|code| i32::from(table[usize::from(code as u8 ^ 0x80)]))
+                    rq.apply(acc).map(|code| i32::from(table[usize::from(code as u8)]))
                 });
             }
-            _ => self.reduce(x, panels, |acc| acc),
-        }
+            Tail::Rows(requant, lut) => (requant, lut),
+        };
+        self.reduce(x, panels, |acc| acc);
         let rows = &mut hi[..self.dst.len as usize];
         // The requantizer by value: a slab store cannot alias a local,
         // so its fields stay in registers across the loop.
-        match (self.requant, &self.lut) {
+        match (*requant, lut) {
             (Some(rq), Some(table)) => {
                 for a in rows {
                     *a = lut_lookup(table, i32::from(rq.apply(*a)));
@@ -174,9 +198,10 @@ impl DenseOp {
     }
 
     /// Stores `tail(init + Σⱼ bank·x)` for every panel. `pmaddwd` takes
-    /// `i16` lanes, so one check per call picks the loop: every live
-    /// lane fits `i16` (each pair sum then stays below 2²⁴), or the lanes
-    /// split as `x = lo + hi·2¹⁶` and the reduction runs twice.
+    /// `i16` lanes, so the input picks the reduction: every live lane
+    /// fits `i16` (each pair sum then stays below 2²⁴) — known at plan
+    /// build for an int8 input, checked per call for any other — or the
+    /// lanes split as `x = lo + hi·2¹⁶` and the reduction runs twice.
     #[inline(always)]
     fn reduce(
         &self,
@@ -190,61 +215,98 @@ impl DenseOp {
         } else {
             0
         };
-        if live.iter().all(|&v| i16::try_from(v).is_ok()) {
-            self.reduce_pairs::<false>(x, base, panels, tail);
+        if self.int8_input || live.iter().all(|&v| i16::try_from(v).is_ok()) {
+            self.reduce_groups::<false>(x, base, panels, tail);
         } else {
-            self.reduce_pairs::<true>(x, base, panels, tail);
+            self.reduce_groups::<true>(x, base, panels, tail);
         }
     }
 
-    /// The one reduction loop, over column pairs. With `SPLIT`, the low
-    /// halves (`lo`, sign-extended) and the high halves
-    /// (`hi = (x − lo) >> 16`) reduce side by side and meet as
-    /// `acc + (acc_hi << 16)`, exact mod 2³².
+    /// Runs the panels in groups of [`GROUP`], then one group of the
+    /// rest: [`reduce_group`] for each.
     #[inline(always)]
-    fn reduce_pairs<const SPLIT: bool>(
+    fn reduce_groups<const SPLIT: bool>(
         &self,
         x: &[i32],
         base: i32,
         panels: &mut [[i32; PANEL]],
         tail: impl Fn([i32; PANEL]) -> [i32; PANEL],
     ) {
-        // `pmaddwd` reads `a` from the low half of a pair, `b` from the high.
-        let pair = |a: i32, b: i32| (a & 0xFFFF) | (b << 16);
-        let high = |v: i32| v.wrapping_sub(i32::from(v as i16)) >> 16;
         let (xs, _) = x.as_chunks::<2>();
         let (init, _) = self.init.as_chunks::<PANEL>();
-        let banks = self.bank.chunks_exact(xs.len());
-        for ((out, init), bank) in panels.iter_mut().zip(init).zip(banks) {
-            let mut acc = init.map(|v| v.wrapping_add(base));
-            if SPLIT {
-                let mut acc_hi = [0; PANEL];
-                for (w, &[a, b]) in bank.iter().zip(xs) {
-                    acc = simd::madd(acc, w, pair(a, b));
-                    acc_hi = simd::madd(acc_hi, w, pair(high(a), high(b)));
-                }
-                for (a, h) in acc.iter_mut().zip(acc_hi) {
-                    *a = a.wrapping_add(h << 16);
-                }
-            } else {
-                for (w, &[a, b]) in bank.iter().zip(xs) {
-                    acc = simd::madd(acc, w, pair(a, b));
-                }
-            }
-            *out = tail(acc);
+        let (full, rest) = panels.as_chunks_mut::<GROUP>();
+        let (init_full, init_rest) = init.as_chunks::<GROUP>();
+        let mut bank = self.bank.as_slice();
+        for (out, init) in full.iter_mut().zip(init_full) {
+            let (group, next) = bank.split_at(GROUP * xs.len());
+            bank = next;
+            reduce_group::<GROUP, SPLIT>(xs, group, init, base, &tail, out);
+        }
+        match rest.len() {
+            0 => {}
+            1 => reduce_group::<1, SPLIT>(xs, bank, init_rest, base, &tail, rest),
+            2 => reduce_group::<2, SPLIT>(xs, bank, init_rest, base, &tail, rest),
+            _ => reduce_group::<3, SPLIT>(xs, bank, init_rest, base, &tail, rest),
         }
     }
 }
 
-/// A graph LUT as the fixed-size table the exec loop indexes unchecked.
+/// The one reduction loop: `out[p] = tail(init[p] + base + Σ bank·x)` for
+/// a group of `G` panels, column pairs outermost, so each input pair
+/// `xs[k]` is built and broadcast once for the group while its `G`
+/// accumulators stay in registers. `bank` holds the group's entries pair
+/// by pair. With `SPLIT`, the low halves (`lo`, sign-extended) and the
+/// high halves (`hi = (x − lo) >> 16`) reduce side by side and meet as
+/// `acc + (acc_hi << 16)`, exact mod 2³².
+#[inline(always)]
+fn reduce_group<const G: usize, const SPLIT: bool>(
+    xs: &[[i32; 2]],
+    bank: &[[i16; 2 * PANEL]],
+    init: &[[i32; PANEL]],
+    base: i32,
+    tail: &impl Fn([i32; PANEL]) -> [i32; PANEL],
+    out: &mut [[i32; PANEL]],
+) {
+    let high = |v: i32| v.wrapping_sub(i32::from(v as i16)) >> 16;
+    let (bank, _) = bank.as_chunks::<G>();
+    let (init, out) = (&init[..G], &mut out[..G]);
+    let mut acc: [[i32; PANEL]; G] =
+        core::array::from_fn(|p| init[p].map(|v| v.wrapping_add(base)));
+    let mut acc_hi = [[0; PANEL]; G];
+    for (w, &[a, b]) in bank.iter().zip(xs) {
+        // `pmaddwd` reads the pair's low halves: `lo`.
+        let lo = simd::pair(a, b);
+        for p in 0..G {
+            acc[p] = simd::madd(acc[p], &w[p], lo);
+        }
+        if SPLIT {
+            let hi = simd::pair(high(a), high(b));
+            for p in 0..G {
+                acc_hi[p] = simd::madd(acc_hi[p], &w[p], hi);
+            }
+        }
+    }
+    for ((o, acc), acc_hi) in out.iter_mut().zip(acc).zip(acc_hi) {
+        *o = tail(if SPLIT {
+            core::array::from_fn(|l| acc[l].wrapping_add(acc_hi[l] << 16))
+        } else {
+            acc
+        });
+    }
+}
+
+/// A graph LUT as the fixed-size table the exec loop indexes unchecked,
+/// **byte-indexed**: entry `code as u8` holds code `code`'s value.
 fn lut_table(graph: &Graph, id: taurus_ir::LutId) -> Box<[i8; 256]> {
-    Box::new(graph.lut(id).try_into().expect("luts have 256 entries"))
+    let lut = graph.lut(id);
+    assert_eq!(lut.len(), 256, "luts have 256 entries");
+    Box::new(core::array::from_fn(|b| lut[b ^ 0x80]))
 }
 
 /// A 256-entry LUT access: out-of-range codes clamp to the table ends.
 #[inline]
 fn lut_lookup(table: &[i8; 256], v: i32) -> i32 {
-    i32::from(table[(v.clamp(-128, 127) + 128) as usize])
+    i32::from(table[usize::from(v.clamp(-128, 127) as u8)])
 }
 
 /// One precompiled firing: every graph lookup already resolved, every
@@ -410,14 +472,19 @@ impl ExecPlan {
         };
         let bank = graph.weight(bank);
         let padded = bank.rows.next_multiple_of(PANEL);
-        let pairs = bank.cols.div_ceil(2);
-        let mut panels = vec![[0i16; 2 * PANEL]; padded / PANEL * pairs];
+        let (panels, pairs) = (padded / PANEL, bank.cols.div_ceil(2));
+        let mut entries = vec![[0i16; 2 * PANEL]; panels * pairs];
         let mut init = vec![0i32; padded];
         for (r, start) in init.iter_mut().enumerate().take(bank.rows) {
             let row = bank.row(r);
+            // Panel `p` is number `p − first` of the group starting at
+            // panel `first`, which holds `size` panels.
+            let p = r / PANEL;
+            let first = p / GROUP * GROUP;
+            let size = (panels - first).min(GROUP);
             for (j, &w) in row.iter().enumerate() {
                 let w = i16::from(w);
-                panels[r / PANEL * pairs + j / 2][2 * (r % PANEL) + j % 2] =
+                entries[first * pairs + j / 2 * size + (p - first)][2 * (r % PANEL) + j % 2] =
                     if sqdist { -2 * w } else { w };
             }
             let row = row.iter().map(|&w| i32::from(w));
@@ -453,14 +520,30 @@ impl ExecPlan {
         } else {
             None
         };
+        let table = lut.map(|(_, table)| lut_table(graph, table));
+        let tail = match (requant.and_then(simd::Requant4::new), table) {
+            (Some(rq), Some(table)) => {
+                for start in &mut init {
+                    *start = start.wrapping_add(simd::Requant4::OFFSET);
+                }
+                Tail::Panels(rq, table)
+            }
+            (_, table) => Tail::Rows(requant, table),
+        };
         ops.push(PlanOp::Dense(DenseOp {
-            bank: panels,
+            bank: entries,
             init,
             cols: bank.cols,
             input: slot(input),
+            // Their values are int8 codes (or 0/1), and a node this op
+            // reads has a slab value: one folded into another op has no
+            // reader outside it.
+            int8_input: matches!(
+                graph.node(input).op,
+                Op::Requant { .. } | Op::Lut { .. } | Op::GreaterZero { .. }
+            ),
             sqdist,
-            requant,
-            lut: lut.map(|(_, table)| lut_table(graph, table)),
+            tail,
             dst: slot(lut.map_or(last, |(node, _)| node)),
         }));
         ops.extend(rest.into_iter().map(|f| Self::compile_node(graph, f, slot)));
@@ -967,6 +1050,73 @@ mod tests {
         }
     }
 
+    /// An MLP lowered the way the frontend lowers one: per layer
+    /// `map_reduce_rows → add_bias → requant → lookup`, weights and
+    /// biases from a seeded stream.
+    fn stacked_mlp(widths: &[usize]) -> Graph {
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut b = GraphBuilder::new();
+        let mut h = b.input(widths[0]);
+        for (l, pair) in widths.windows(2).enumerate() {
+            let (cols, rows) = (pair[0], pair[1]);
+            let w = b.weights(
+                format!("l{l}"),
+                rows,
+                cols,
+                (0..rows * cols).map(|_| next() as i8).collect(),
+            );
+            let dot = b.map_reduce_rows(w, h, (next() % 16) as i32 - 8);
+            let biased =
+                b.add_bias(dot, (0..rows).map(|_| (next() % 2001) as i32 - 1000).collect());
+            let rq = taurus_fixed::quant::Requantizer::from_real_multiplier(0.004, -3);
+            let pre = b.requant(biased, rq);
+            let table = b.lut((0..256).map(|i| ((i - 128) / 2) as i8).collect());
+            h = b.lookup(pre, table);
+        }
+        b.output(h);
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn an_mlp_plan_is_one_dense_op_per_layer_with_its_tail_fused() {
+        // The AD-DNN's shape. A lowering change that leaves a layer's
+        // requant or LUT as an op of its own, or loses the int8 proof of
+        // a hidden layer's input, costs a large share of the packet:
+        // pin the plan, not just its values.
+        let g = stacked_mlp(&[6, 12, 6, 3, 1]);
+        let prepared = PreparedProgram::new(compile_default(&g));
+        let ops = &prepared.plan.ops;
+        assert!(matches!(ops[0], PlanOp::Input { .. }), "{:?}", ops[0]);
+        let dense: Vec<&DenseOp> = ops[1..]
+            .iter()
+            .map(|op| match op {
+                PlanOp::Dense(d) => d,
+                other => panic!("expected only dense ops after the input, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(dense.len(), 4);
+        for d in &dense {
+            assert!(matches!(d.tail, Tail::Panels(..)), "requant → LUT not fused: {:?}", d.tail);
+        }
+        let proven: Vec<bool> = dense.iter().map(|d| d.int8_input).collect();
+        assert_eq!(
+            proven,
+            [false, true, true, true],
+            "the input is unproven, every hidden layer int8"
+        );
+        let x = [3, -7, 127, -128, 0, 55];
+        assert_eq!(
+            CgraSim::new(&compile_default(&g)).process(&x).outputs,
+            Interpreter::new(&g).run(&x)
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
@@ -1100,6 +1250,100 @@ mod tests {
             let g = b.finish().expect("valid");
             let p = compile_default(&g);
             let mut sim = CgraSim::new(&p);
+            let mut verdict_sim = CgraSim::new(&p);
+            let mut interp = Interpreter::new(&g);
+            let mut inputs = inputs;
+            for (lane, &e) in inputs[0].iter_mut().zip(&extremes) {
+                if let Some(&v) = EXTREMES.get(e) {
+                    *lane = v;
+                }
+            }
+            for x in &inputs {
+                let want = interp.run(&x[..cols]);
+                prop_assert_eq!(verdict_sim.process_verdict(&x[..cols]), want[0][0]);
+                prop_assert_eq!(sim.process(&x[..cols]).outputs, want);
+            }
+        }
+
+        /// Two dense layers, the second fed by one of three inputs: the
+        /// first layer's fused requant → LUT (a `Lut` node), an unfused
+        /// `Requant` node (the biased sum is also an output, so the
+        /// compiler stops the chain there), or a bias added after the
+        /// requant — not provably int8, so it keeps the per-call `i16`
+        /// check, and its ±100 000 lanes need the split reduction. Rows
+        /// run to 40 on both layers, so a layer is several groups of
+        /// four panels plus a remainder, and the `EXTREMES` lanes go to
+        /// the first layer's input. Every output bit-identical to the
+        /// interpreter.
+        #[test]
+        fn prop_stacked_dense_layers_match_interpreter(
+            rows in 1usize..41,
+            rows2 in 1usize..41,
+            cols in 1usize..9,
+            weights in proptest::collection::vec(-128i32..128, 320),
+            weights2 in proptest::collection::vec(-128i32..128, 1600),
+            bias in proptest::collection::vec(-5000i32..5000, 80),
+            late in proptest::collection::vec(-100_000i32..100_000, 40),
+            zp in -8i32..8,
+            mult in 0.0001f64..0.9,
+            mult2 in 0.0001f64..0.9,
+            source in 0usize..3,
+            inputs in proptest::collection::vec(
+                proptest::collection::vec(-100i32..100, 9), 1..5),
+            extremes in proptest::collection::vec(0usize..11, 9),
+        ) {
+            const EXTREMES: [i32; 7] = [i32::MIN, i32::MAX, 32767, -32768, 32768, -32769, 65535];
+            let rq = |m: f64| taurus_fixed::quant::Requantizer::from_real_multiplier(m, 3);
+            let mut b = GraphBuilder::new();
+            let x = b.input(cols);
+            let w = b.weights(
+                "w",
+                rows,
+                cols,
+                weights[..rows * cols].iter().map(|&v| v as i8).collect(),
+            );
+            let dot = b.map_reduce_rows(w, x, zp);
+            let biased = b.add_bias(dot, bias[..rows].to_vec());
+            let table = b.lut((0..256).map(|i| (((i - 128) * 3) % 127) as i8).collect());
+            let h = match source {
+                0 => {
+                    let pre = b.requant(biased, rq(mult));
+                    b.lookup(pre, table)
+                }
+                1 => {
+                    b.output(biased);
+                    b.requant(biased, rq(mult))
+                }
+                _ => {
+                    let pre = b.requant(biased, rq(mult));
+                    b.add_bias(pre, late[..rows].to_vec())
+                }
+            };
+            let w2 = b.weights(
+                "w2",
+                rows2,
+                rows,
+                weights2[..rows2 * rows].iter().map(|&v| v as i8).collect(),
+            );
+            let dot2 = b.map_reduce_rows(w2, h, -zp);
+            let biased2 = b.add_bias(dot2, bias[40..40 + rows2].to_vec());
+            let pre2 = b.requant(biased2, rq(mult2));
+            let out = b.lookup(pre2, table);
+            b.output(out);
+            b.output(h);
+            let g = b.finish().expect("valid");
+            let p = compile_default(&g);
+            let mut sim = CgraSim::new(&p);
+            let proven: Vec<bool> = sim
+                .plan()
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    PlanOp::Dense(d) => Some(d.int8_input),
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(proven, [false, source != 2]);
             let mut verdict_sim = CgraSim::new(&p);
             let mut interp = Interpreter::new(&g);
             let mut inputs = inputs;

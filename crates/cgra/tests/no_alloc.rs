@@ -5,8 +5,8 @@
 //! A counting global allocator (thread-local, so parallel test threads
 //! in this binary cannot interfere) wraps the system allocator; the
 //! steady-state loop replays packets through every microbenchmark
-//! program plus a recurrent state graph and asserts the counter stayed
-//! at zero.
+//! program, a recurrent state graph and an MLP of fused dense layers,
+//! and asserts the counter stayed at zero.
 //!
 //! [`CgraSim::process_into`]: taurus_cgra::CgraSim::process_into
 //! [`ExecPlan`]: taurus_cgra
@@ -16,6 +16,7 @@ use std::cell::Cell;
 
 use taurus_cgra::{CgraSim, PreparedProgram};
 use taurus_compiler::{compile, CompileOptions, GridConfig};
+use taurus_fixed::quant::Requantizer;
 use taurus_ir::{microbench, GraphBuilder, MapOp};
 
 struct CountingAlloc;
@@ -155,4 +156,49 @@ fn retargeting_between_programs_of_one_shape_allocates_nothing() {
     });
     assert_eq!(n, 0, "retarget allocated {n} times");
     assert_eq!(outputs, vec![vec![49, 1, 2, 3]], "state restarted at every swap");
+}
+
+#[test]
+fn steady_state_fused_dense_chain_allocates_nothing() {
+    // The AD-DNN's shape, lowered as the frontend lowers an MLP: each
+    // layer `map_reduce_rows → add_bias → requant → lookup`, which the
+    // plan runs as one dense op with the requant → LUT fused, every
+    // hidden layer's input proven int8.
+    let widths = [6, 12, 6, 3, 1];
+    let mut b = GraphBuilder::new();
+    let mut h = b.input(widths[0]);
+    for (l, pair) in widths.windows(2).enumerate() {
+        let (cols, rows) = (pair[0], pair[1]);
+        let w = b.weights(
+            format!("l{l}"),
+            rows,
+            cols,
+            (0..rows * cols).map(|i| (i * 37 % 255) as i8).collect(),
+        );
+        let dot = b.map_reduce_rows(w, h, 3);
+        let biased = b.add_bias(dot, (0..rows as i32).map(|r| r * 101 - 400).collect());
+        let pre = b.requant(biased, Requantizer::from_real_multiplier(0.004, -3));
+        let table = b.lut((0..256).map(|i| ((i - 128) / 2) as i8).collect());
+        h = b.lookup(pre, table);
+    }
+    b.output(h);
+    let g = b.finish().expect("valid");
+    let p = compile(&g, &GridConfig::default(), &CompileOptions::default()).expect("fits");
+    let mut sim = CgraSim::new(&p);
+    let inputs: Vec<Vec<i32>> =
+        (0..8).map(|k| (0..6).map(|j| ((k * 31 + j * 7) % 255) - 127).collect()).collect();
+
+    let mut outputs = Vec::new();
+    for x in &inputs {
+        sim.process_into(x, &mut outputs);
+    }
+    let n = allocations_in(|| {
+        for _ in 0..20 {
+            for x in &inputs {
+                sim.process_into(x, &mut outputs);
+                sim.process_verdict(x);
+            }
+        }
+    });
+    assert_eq!(n, 0, "fused dense chain: steady-state process_into allocated {n} times");
 }

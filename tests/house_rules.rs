@@ -161,6 +161,17 @@ fn one_model_per_block() {
 }
 
 #[test]
+fn one_reduction_loop_per_dense_layer() {
+    // The panel-outer reduction that built and broadcast every input
+    // pair once per panel; the pair-outer group loop replaced it.
+    let gone = ["reduce_pairs"];
+    assert_clean(
+        "a dense layer has one reduction loop, over column pairs of panel groups",
+        scan("crates", |_| true, |line| gone.iter().any(|w| has_word(line, w))),
+    );
+}
+
+#[test]
 fn public_surface_something_runs() {
     // Deleted because only their own unit tests ran them: the no-op
     // round-robin join and the queues beside it, the second Conv1D
