@@ -676,7 +676,7 @@ pub fn throughput(out: &mut String) {
 
     let mut sequential = SwitchBuilder::new().register(&detector).build();
     for tp in &trace.packets {
-        sequential.process_trace_packet(tp);
+        sequential.process_trace_verdict(tp);
     }
     let golden = sequential.report();
 

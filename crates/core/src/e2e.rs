@@ -110,7 +110,7 @@ pub fn run_taurus(detector: &AnomalyDetector, trace: &PacketTrace) -> TaurusEval
     let mut metrics = BinaryMetrics::default();
     let mut latency_sum = 0u64;
     for tp in &trace.packets {
-        let r = switch.process_trace_packet(tp);
+        let r = switch.process_trace_verdict(tp);
         latency_sum += r.latency_ns;
         metrics.record(r.verdict == Verdict::Drop, tp.anomalous);
     }
@@ -120,18 +120,6 @@ pub fn run_taurus(detector: &AnomalyDetector, trace: &PacketTrace) -> TaurusEval
         mean_latency_ns: latency_sum as f64 / trace.packets.len().max(1) as f64,
         packets: trace.packets.len(),
     }
-}
-
-/// Convenience wrapper used by docs/examples: evaluates a detector on a
-/// freshly generated small trace.
-pub fn run_taurus_only(
-    detector: &AnomalyDetector,
-    n_records: usize,
-    seed: u64,
-) -> TaurusEvalReport {
-    let records = KddGenerator::new(seed).take(n_records);
-    let trace = PacketTrace::expand(records, &TraceConfig { seed, ..Default::default() });
-    run_taurus(detector, &trace)
 }
 
 /// One Table 8 row: baseline and Taurus on the same trace at one

@@ -36,11 +36,15 @@
 //! ```
 //! use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 //! use taurus_core::{e2e, SwitchBuilder};
+//! use taurus_dataset::kdd::KddGenerator;
+//! use taurus_dataset::trace::{PacketTrace, TraceConfig};
 //!
 //! // Train + quantize + compile the paper's anomaly-detection DNN on a
-//! // small synthetic workload, then push packets through the switch.
+//! // small synthetic workload, then push a fresh trace through the switch.
 //! let detector = AnomalyDetector::train_default(42, 2_000);
-//! let report = e2e::run_taurus_only(&detector, 500, 99);
+//! let records = KddGenerator::new(99).take(500);
+//! let trace = PacketTrace::expand(records, &TraceConfig { seed: 99, ..Default::default() });
+//! let report = e2e::run_taurus(&detector, &trace);
 //! assert!(report.f1_percent > 0.0);
 //!
 //! // The same switch can host more apps, each with its own counters.
@@ -67,7 +71,7 @@ pub use engine::CgraEngine;
 pub use ingest::{IngestError, IngestValidator, ObsBuilder};
 pub use switch::{
     AppCounters, AppReport, DuplicateAppError, ReportMergeError, SwitchBuilder, SwitchReport,
-    SwitchResult, SwitchVerdict, TaurusSwitch,
+    SwitchVerdict, TaurusSwitch,
 };
 pub use update::{
     check_install, EngineKind, EngineUpdate, FormatterFactory, ModelUpdate, UpdateError,

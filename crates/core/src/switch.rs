@@ -170,30 +170,15 @@ impl SwitchReport {
     }
 }
 
-/// Result of pushing one packet through every hosted app.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SwitchResult {
+/// The combined outcome of pushing one packet through every hosted app.
+/// Per-app votes are counted, not returned: see [`SwitchReport::apps`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SwitchVerdict {
     /// The combined forwarding decision: the strictest verdict among
     /// enforcing apps (`Drop > Flag > Forward`).
     pub verdict: Verdict,
     /// End-to-end latency, ns: apps run in parallel hardware, so this is
     /// the slowest app pipeline's latency.
-    pub latency_ns: u64,
-    /// Whether every hosted app bypassed its ML block.
-    pub bypassed: bool,
-    /// Per-app pipeline results, in registration order.
-    pub per_app: Vec<PipelineResult>,
-}
-
-/// The combined per-packet outcome without the per-app breakdown — a
-/// plain value type, so hot loops that only need the verdict (the
-/// sharded runtime's workers) skip [`SwitchResult`]'s per-packet
-/// `per_app` vector allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwitchVerdict {
-    /// The combined forwarding decision (see [`SwitchResult::verdict`]).
-    pub verdict: Verdict,
-    /// Slowest app pipeline's latency, ns.
     pub latency_ns: u64,
     /// Whether every hosted app bypassed its ML block.
     pub bypassed: bool,
@@ -420,32 +405,16 @@ impl TaurusSwitch {
 
     /// Processes one raw packet with its register-stage observation
     /// through every hosted app.
-    pub fn process(&mut self, pkt: &Packet, obs: PacketObs) -> SwitchResult {
+    pub fn process(&mut self, pkt: &Packet, obs: PacketObs) -> SwitchVerdict {
         self.run_apps(|app| app.pipeline.process(pkt, obs))
     }
 
     /// Processes one raw packet whose cross-flow window counts were
-    /// computed upstream — the sharded runtime's entry point: ingest's
-    /// merge stage runs the one shared [`taurus_pisa::CrossFlowWindows`]
-    /// in global arrival order (destination keys are not
-    /// flow-consistent, so per-shard windows would diverge) and hands
-    /// each shard the counts along with the packet. Whether ingest is
-    /// inline or a parse/merge pipeline, the counts reaching a shard
-    /// are identical (see `taurus_runtime::pipeline`).
-    pub fn process_prepared(
-        &mut self,
-        pkt: &Packet,
-        obs: PacketObs,
-        dst_count: u64,
-        srv_count: u64,
-    ) -> SwitchResult {
-        self.run_apps(|app| app.pipeline.process_prepared(pkt, obs, dst_count, srv_count))
-    }
-
-    /// [`TaurusSwitch::process_prepared`] without the per-app result
-    /// collection: identical counters, identical combined verdict, no
-    /// per-packet allocation — the entry point the sharded runtime's
-    /// worker loops use.
+    /// computed upstream — the sharded runtime's entry point: ingest
+    /// runs the one shared [`taurus_pisa::CrossFlowWindows`] in global
+    /// arrival order (destination keys are not flow-consistent, so
+    /// per-shard windows would diverge) and hands each shard the counts
+    /// along with the packet.
     pub fn process_prepared_verdict(
         &mut self,
         pkt: &Packet,
@@ -453,27 +422,20 @@ impl TaurusSwitch {
         dst_count: u64,
         srv_count: u64,
     ) -> SwitchVerdict {
-        self.run_apps_core(
-            |app| app.pipeline.process_prepared(pkt, obs, dst_count, srv_count),
-            |_| {},
-        )
+        self.run_apps(|app| app.pipeline.process_prepared(pkt, obs, dst_count, srv_count))
     }
 
-    fn run_apps(&mut self, run: impl FnMut(&mut HostedApp) -> PipelineResult) -> SwitchResult {
-        let mut per_app = Vec::with_capacity(self.apps.len());
-        let v = self.run_apps_core(run, |r| per_app.push(r));
-        SwitchResult { verdict: v.verdict, latency_ns: v.latency_ns, bypassed: v.bypassed, per_app }
+    /// Processes one trace packet: derives its packet and register-stage
+    /// observation at ingest, then runs [`TaurusSwitch::process`].
+    pub fn process_trace_verdict(&mut self, tp: &TracePacket) -> SwitchVerdict {
+        let pkt = to_packet(tp);
+        let obs = self.obs_builder.observe(tp);
+        self.process(&pkt, obs)
     }
 
-    /// The shared per-packet loop: runs every hosted app, maintains
-    /// per-app and aggregate counters, and combines enforcing verdicts.
-    /// `each` observes every app's result (used by [`SwitchResult`] to
-    /// collect the breakdown; the verdict-only path passes a no-op).
-    fn run_apps_core(
-        &mut self,
-        mut run: impl FnMut(&mut HostedApp) -> PipelineResult,
-        mut each: impl FnMut(PipelineResult),
-    ) -> SwitchVerdict {
+    /// The per-packet loop: runs every hosted app, maintains per-app and
+    /// aggregate counters, and combines enforcing verdicts.
+    fn run_apps(&mut self, mut run: impl FnMut(&mut HostedApp) -> PipelineResult) -> SwitchVerdict {
         self.aggregate.packets += 1;
         let mut verdict = Verdict::Forward;
         let mut latency_ns = 0;
@@ -494,7 +456,6 @@ impl TaurusSwitch {
                 verdict = verdict.max_severity(r.verdict);
             }
             latency_ns = latency_ns.max(r.latency_ns);
-            each(r);
         }
         if !bypassed {
             self.aggregate.ml_packets += 1;
@@ -505,24 +466,6 @@ impl TaurusSwitch {
             Verdict::Forward => {}
         }
         SwitchVerdict { verdict, latency_ns, bypassed }
-    }
-
-    /// Processes one trace packet; returns the combined result.
-    pub fn process_trace_packet(&mut self, tp: &TracePacket) -> SwitchResult {
-        let pkt = to_packet(tp);
-        let obs = self.obs_builder.observe(tp);
-        self.process(&pkt, obs)
-    }
-
-    /// [`TaurusSwitch::process_trace_packet`] without the per-app
-    /// result collection: identical counters and combined verdict, no
-    /// per-packet `per_app` allocation — what a sequential hot loop
-    /// (the repo benchmark's `switch_pps` measurement) should call when
-    /// it only needs the forwarding decision.
-    pub fn process_trace_verdict(&mut self, tp: &TracePacket) -> SwitchVerdict {
-        let pkt = to_packet(tp);
-        let obs = self.obs_builder.observe(tp);
-        self.run_apps_core(|app| app.pipeline.process(&pkt, obs), |_| {})
     }
 
     /// Clears flow state and counters (between experiment phases).
@@ -706,6 +649,31 @@ mod tests {
     use taurus_dataset::kdd::{FeatureView, KddGenerator};
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
 
+    /// One packet's outcome in full: the switch's verdict and every
+    /// hosted app's pipeline result, features and model output included.
+    type Outcome = (SwitchVerdict, Vec<PipelineResult>);
+
+    /// Runs the switch's per-packet loop, keeping each app's result.
+    fn outcome(
+        switch: &mut TaurusSwitch,
+        mut run: impl FnMut(&mut HostedApp) -> PipelineResult,
+    ) -> Outcome {
+        let mut per_app = Vec::new();
+        let verdict = switch.run_apps(|app| {
+            let r = run(app);
+            per_app.push(r);
+            r
+        });
+        (verdict, per_app)
+    }
+
+    /// [`TaurusSwitch::process_trace_verdict`], keeping each app's result.
+    fn trace_outcome(switch: &mut TaurusSwitch, tp: &TracePacket) -> Outcome {
+        let pkt = to_packet(tp);
+        let obs = switch.obs_builder.observe(tp);
+        outcome(switch, |app| app.pipeline.process(&pkt, obs))
+    }
+
     #[test]
     fn switch_processes_a_trace() {
         let detector = AnomalyDetector::train_default(3, 1_500);
@@ -713,7 +681,7 @@ mod tests {
         let records = KddGenerator::new(11).take(60);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         for tp in trace.packets.iter().take(500) {
-            let r = switch.process_trace_packet(tp);
+            let r = switch.process_trace_verdict(tp);
             assert!(r.latency_ns > 0);
         }
         let report = switch.report();
@@ -731,7 +699,7 @@ mod tests {
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         let icmp = trace.packets.iter().find(|p| p.tuple.proto == 1);
         if let Some(tp) = icmp {
-            let r = switch.process_trace_packet(tp);
+            let r = switch.process_trace_verdict(tp);
             assert!(r.bypassed);
         }
     }
@@ -743,7 +711,7 @@ mod tests {
         let records = KddGenerator::new(13).take(20);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         for tp in trace.packets.iter().take(50) {
-            switch.process_trace_packet(tp);
+            switch.process_trace_verdict(tp);
         }
         assert!(switch.report().packets > 0);
         switch.reset();
@@ -762,14 +730,15 @@ mod tests {
         let records = KddGenerator::new(14).take(80);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         for tp in trace.packets.iter().take(800) {
-            let r = switch.process_trace_packet(tp);
-            assert_eq!(r.per_app.len(), 2);
+            switch.process_trace_verdict(tp);
         }
 
         let report = switch.report();
-        assert_eq!(report.apps.len(), 2);
-        assert_eq!(report.apps[0].name, "anomaly-detection");
-        assert_eq!(report.apps[1].name, "syn-flood");
+        let roster: Vec<_> = report.apps.iter().map(|a| (a.name.as_str(), a.policy)).collect();
+        assert_eq!(
+            roster,
+            [("anomaly-detection", VerdictPolicy::Enforce), ("syn-flood", VerdictPolicy::Enforce)]
+        );
         // Both apps saw every packet, on their own pipelines.
         assert_eq!(report.apps[0].counters.packets, report.packets);
         assert_eq!(report.apps[1].counters.packets, report.packets);
@@ -796,7 +765,7 @@ mod tests {
         let records = KddGenerator::new(15).take(40);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         for tp in trace.packets.iter().take(200) {
-            switch.process_trace_packet(tp);
+            switch.process_trace_verdict(tp);
         }
         // The threshold engine reports 1 ns; the DNN dominates.
         assert!(switch.ml_latency_ns() > 1);
@@ -851,10 +820,10 @@ mod tests {
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         let (left, right) = trace.packets.split_at(trace.packets.len() / 2);
         for tp in left {
-            a.process_trace_packet(tp);
+            a.process_trace_verdict(tp);
         }
         for tp in right {
-            b.process_trace_packet(tp);
+            b.process_trace_verdict(tp);
         }
         let merged = SwitchReport::merged([&a.report(), &b.report()]).expect("same roster");
         assert_eq!(merged.packets, trace.packets.len() as u64);
@@ -894,7 +863,7 @@ mod tests {
         let records = KddGenerator::new(33).take(120);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         let before: Vec<_> =
-            trace.packets.iter().map(|tp| switch.process_trace_packet(tp).verdict).collect();
+            trace.packets.iter().map(|tp| switch.process_trace_verdict(tp).verdict).collect();
 
         switch.install_update(&update).expect("CGRA program swap");
         assert_eq!(switch.app_version("anomaly-detection"), Some(1));
@@ -905,7 +874,7 @@ mod tests {
         let mut replay = ObsBuilder::new();
         let _ = &mut replay;
         let after: Vec<_> =
-            trace.packets.iter().map(|tp| switch.process_trace_packet(tp).verdict).collect();
+            trace.packets.iter().map(|tp| switch.process_trace_verdict(tp).verdict).collect();
         assert_eq!(before.len(), after.len());
         // Counters kept accumulating across the swap — no reset, no loss.
         assert_eq!(switch.report().packets, 2 * trace.packets.len() as u64);
@@ -950,7 +919,7 @@ mod tests {
         // Golden round-trip: capture → install a retrained model →
         // rollback, then verify the switch is indistinguishable from a
         // control switch that never installed anything — per-packet
-        // SwitchResults included, not just counters.
+        // verdicts and latencies included, not just counters.
         let detector = AnomalyDetector::train_default(41, 1_200);
         let mut subject = TaurusSwitch::new(&detector);
         let mut control = TaurusSwitch::new(&detector);
@@ -968,15 +937,15 @@ mod tests {
         // the old model on the control: flow registers advance
         // identically (verdicts never feed back into flow state).
         for tp in probation {
-            let _ = subject.process_trace_packet(tp);
-            let _ = control.process_trace_packet(tp);
+            let _ = subject.process_trace_verdict(tp);
+            let _ = control.process_trace_verdict(tp);
         }
         subject.rollback_to(&point).expect("rollback restores");
         assert_eq!(subject.app_version("anomaly-detection"), Some(0), "version rewinds");
 
         // From here on the two switches must agree on *everything*.
         for tp in suffix {
-            assert_eq!(subject.process_trace_packet(tp), control.process_trace_packet(tp));
+            assert_eq!(trace_outcome(&mut subject, tp), trace_outcome(&mut control, tp));
         }
         // A second capture still works: rollback restored the factory.
         let again = subject.capture_rollback("anomaly-detection").expect("still capturable");
@@ -1017,9 +986,9 @@ mod tests {
             (&syn, EngineBackend::CgraSim, syn.retune(5, 1, EngineBackend::CgraSim)),
             (&syn, EngineBackend::Threshold, syn.retune(5, 1, EngineBackend::Threshold)),
         ];
-        let run = |switch: &mut TaurusSwitch| -> Vec<SwitchResult> {
+        let run = |switch: &mut TaurusSwitch| -> Vec<Outcome> {
             switch.reset();
-            trace.packets.iter().map(|tp| switch.process_trace_packet(tp)).collect()
+            trace.packets.iter().map(|tp| trace_outcome(switch, tp)).collect()
         };
         for (app, backend, other) in cases {
             let build = || SwitchBuilder::new().register_on(app, backend).build();
@@ -1061,7 +1030,7 @@ mod tests {
         let trace = PacketTrace::expand(KddGenerator::new(3).take(200), &TraceConfig::default());
         let run = |switch: &mut TaurusSwitch| {
             for tp in &trace.packets {
-                switch.process_trace_packet(tp);
+                switch.process_trace_verdict(tp);
             }
             switch.report().apps[0].counters
         };
@@ -1086,14 +1055,14 @@ mod tests {
         let records = KddGenerator::new(34).take(200);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         for tp in &trace.packets {
-            switch.process_trace_packet(tp);
+            switch.process_trace_verdict(tp);
         }
         let strict_drops = switch.report().dropped;
         switch.reset();
         // Retune to an unreachable cutoff: nothing can drop any more.
         switch.install_update(&syn.retune(i64::MAX, 1, EngineBackend::CgraSim)).expect("retune");
         for tp in &trace.packets {
-            switch.process_trace_packet(tp);
+            switch.process_trace_verdict(tp);
         }
         assert!(strict_drops > 0, "baseline cutoff drops something");
         assert_eq!(switch.report().dropped, 0, "retuned cutoff drops nothing");
@@ -1103,13 +1072,12 @@ mod tests {
     fn process_prepared_with_shared_windows_matches_process() {
         use taurus_pisa::CrossFlowWindows;
 
-        use crate::ingest::{to_packet, ObsBuilder};
-
         let detector = AnomalyDetector::train_default(9, 1_200);
         let syn = SynFloodDetector::default_deployment();
         let build = || SwitchBuilder::new().register(&detector).register(&syn).build();
         let mut classic = build();
         let mut split = build();
+        let mut public = build();
 
         let config = PipelineConfig::default();
         let mut obs_builder = ObsBuilder::new();
@@ -1117,12 +1085,17 @@ mod tests {
         let records = KddGenerator::new(18).take(120);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
         for tp in &trace.packets {
-            let a = classic.process_trace_packet(tp);
+            let a = trace_outcome(&mut classic, tp);
             let obs = obs_builder.observe(tp);
             let (d, s) = windows.observe(&obs);
-            let b = split.process_prepared(&to_packet(tp), obs, d, s);
+            let pkt = to_packet(tp);
+            let b = outcome(&mut split, |app| app.pipeline.process_prepared(&pkt, obs, d, s));
+            // Every app's features (the cross-flow window counts
+            // included) and model output agree, not just the verdict.
             assert_eq!(a, b);
+            assert_eq!(public.process_prepared_verdict(&pkt, obs, d, s), b.0);
         }
         assert_eq!(classic.report(), split.report());
+        assert_eq!(public.report(), split.report());
     }
 }

@@ -188,7 +188,7 @@ pub struct ModelUpdate {
     pub formatter: Option<FormatterFactory>,
     /// Replacement postprocessing MATs, if the verdict threshold moved
     /// with the model's output quantization. Each replica installs its
-    /// own copy (tables count their hits).
+    /// own copy.
     pub post_tables: Option<Arc<[MatchTable]>>,
 }
 

@@ -69,18 +69,6 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     count
 }
 
-/// Samples a Pareto with scale `x_min` and shape `alpha` — the classic
-/// heavy-tailed flow-size distribution.
-///
-/// # Panics
-///
-/// Panics if `x_min` or `alpha` is not positive.
-pub fn pareto<R: Rng + ?Sized>(rng: &mut R, x_min: f64, alpha: f64) -> f64 {
-    assert!(x_min > 0.0 && alpha > 0.0, "x_min and alpha must be positive");
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    x_min / u.powf(1.0 / alpha)
-}
-
 /// Picks an index from a slice of non-negative weights.
 ///
 /// # Panics
@@ -155,14 +143,6 @@ mod tests {
         let (m, _) = mean_sd(&samples);
         // E[lognormal(0,1)] = exp(0.5) ≈ 1.6487
         assert!((m - 1.6487).abs() < 0.15, "mean {m}");
-    }
-
-    #[test]
-    fn pareto_respects_minimum() {
-        let mut r = rng();
-        for _ in 0..1_000 {
-            assert!(pareto(&mut r, 2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]

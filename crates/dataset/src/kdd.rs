@@ -434,15 +434,6 @@ impl KddGenerator {
         let y = records.iter().map(|r| usize::from(r.is_anomalous())).collect();
         Dataset::new(x, y, 2)
     }
-
-    /// Samples `n` records and encodes them as a five-class [`Dataset`]
-    /// under the given view.
-    pub fn multiclass_dataset(&mut self, n: usize, view: FeatureView) -> Dataset {
-        let records = self.take(n);
-        let x = records.iter().map(|r| view.encode(r)).collect();
-        let y = records.iter().map(|r| r.label.index()).collect();
-        Dataset::new(x, y, 5)
-    }
 }
 
 #[cfg(test)]
@@ -516,18 +507,6 @@ mod tests {
         assert_eq!(ds.width(), 6);
         assert_eq!(ds.classes(), 2);
         assert!(ds.labels().iter().all(|&y| y < 2));
-    }
-
-    #[test]
-    fn multiclass_dataset_has_all_big_classes() {
-        let ds = KddGenerator::new(9).multiclass_dataset(5_000, FeatureView::Full14);
-        assert_eq!(ds.classes(), 5);
-        for class in 0..3 {
-            assert!(
-                ds.labels().iter().filter(|&&y| y == class).count() > 50,
-                "class {class} missing"
-            );
-        }
     }
 
     #[test]

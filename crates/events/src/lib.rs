@@ -217,11 +217,6 @@ impl<E> EventQueue<E> {
         Some((s.at, s.event))
     }
 
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -230,19 +225,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drains events strictly before `deadline`, in order, into a vector;
-    /// the clock advances to the last drained event (not the deadline).
-    pub fn drain_before(&mut self, deadline: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while let Some(t) = self.peek_time() {
-            if t >= deadline {
-                break;
-            }
-            out.push(self.pop().expect("peeked event must pop"));
-        }
-        out
     }
 }
 
@@ -333,23 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn drain_before_stops_at_deadline() {
-        let mut q = EventQueue::new();
-        for i in 1..=5 {
-            q.schedule(SimTime::from_nanos(i * 10), i);
-        }
-        let drained = q.drain_before(SimTime::from_nanos(30));
-        assert_eq!(drained.iter().map(|(_, e)| *e).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.now().as_nanos(), 20);
-    }
-
-    #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
         assert_eq!(q.len(), 0);
     }
 

@@ -106,17 +106,6 @@ impl Svm {
         Self { support, alpha, bias, gamma: config.gamma }
     }
 
-    /// Builds an SVM from explicit parts (used by tests and the IR
-    /// frontend round-trips).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `support` and `alpha` lengths differ.
-    pub fn from_parts(support: Vec<Vec<f32>>, alpha: Vec<f32>, bias: f32, gamma: f32) -> Self {
-        assert_eq!(support.len(), alpha.len(), "support/alpha length mismatch");
-        Self { support, alpha, bias, gamma }
-    }
-
     /// Decision value `f(x)` (positive ⇒ anomalous).
     pub fn decision(&self, x: &[f32]) -> f32 {
         self.support
@@ -204,7 +193,7 @@ mod tests {
 
     #[test]
     fn decision_from_parts_is_exact() {
-        let svm = Svm::from_parts(vec![vec![0.0, 0.0]], vec![2.0], -0.5, 1.0);
+        let svm = Svm { support: vec![vec![0.0, 0.0]], alpha: vec![2.0], bias: -0.5, gamma: 1.0 };
         // f(x) = 2·exp(−‖x‖²) − 0.5; at origin = 1.5.
         assert!((svm.decision(&[0.0, 0.0]) - 1.5).abs() < 1e-6);
         assert_eq!(svm.predict(&[0.0, 0.0]), 1);

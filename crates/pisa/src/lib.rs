@@ -5,15 +5,15 @@
 //! packets parse into PHVs, preprocessing MATs and stateful registers
 //! extract and format features, the MapReduce block (or a bypass path)
 //! produces a verdict, and postprocessing MATs turn it into a forwarding
-//! decision. This crate implements that substrate in software with the
-//! same structural budgets the paper cites (Tofino-like ops-per-stage
-//! limits, exact/LPM/ternary/range matching, register arrays indexed by
-//! five-tuple hash).
+//! decision. This crate implements that substrate in software: MATs that
+//! each match one field's exact/range entries and write one field, and
+//! register arrays indexed by five-tuple hash.
 //!
 //! - [`packet`]: the parsed header fields of one packet.
 //! - [`phv`]: the Packet Header Vector, a fixed-layout field container.
 //! - [`parser`]: loads a packet's header fields into a PHV.
-//! - [`mat`]: match-action tables with VLIW action budgets.
+//! - [`mat`]: match-action tables — one key field, disjoint exact/range
+//!   entries, one field written per lookup.
 //! - [`range_table`]: monotone `u64 → code` step functions compiled to
 //!   sorted thresholds — the preprocessing MAT behind feature formatters.
 //! - [`registers`]: stateful register arrays and the flow-feature
@@ -34,7 +34,7 @@ pub mod registers;
 pub mod slot_index;
 
 pub use flow_table::{Access, FlowEntry, FlowTable, FlowTableKind};
-pub use mat::{Action, MatchKind, MatchTable, VliwOp};
+pub use mat::MatchTable;
 pub use packet::Packet;
 pub use parser::Parser;
 pub use phv::{Field, Phv};

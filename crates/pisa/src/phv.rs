@@ -106,12 +106,6 @@ impl Phv {
         }
     }
 
-    /// The dense feature slice handed to the MapReduce block (only the
-    /// feature headers enter the fabric — Fig. 7).
-    pub fn features(&self, n: usize) -> Vec<i32> {
-        self.features[..n.min(MAX_FEATURES)].iter().map(|&v| v as i32).collect()
-    }
-
     /// Writes the model's feature codes.
     pub fn set_features(&mut self, codes: &[i32]) {
         for (slot, &c) in self.features.iter_mut().zip(codes) {
@@ -155,8 +149,7 @@ mod tests {
     fn features_slice() {
         let mut phv = Phv::new();
         phv.set_features(&[1, -2, 3]);
-        assert_eq!(phv.features(3), vec![1, -2, 3]);
-        assert_eq!(phv.features(2), vec![1, -2]);
-        assert_eq!(phv.get(Field::Feature(1)), -2);
+        let codes: Vec<i64> = (0..4).map(|i| phv.get(Field::Feature(i))).collect();
+        assert_eq!(codes, vec![1, -2, 3, 0], "codes land in order; the rest stay zero");
     }
 }

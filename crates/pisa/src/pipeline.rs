@@ -296,7 +296,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
     /// MATs, inference or bypass, and the postprocessing MATs.
     fn finish_packet(&mut self, features: FlowFeatures, mut latency: u64) -> PipelineResult {
         // Preprocessing MATs: bypass decision and metadata.
-        for t in &mut self.pre_tables {
+        for t in &self.pre_tables {
             t.apply(&mut self.phv);
             latency += MAT_LATENCY_NS;
         }
@@ -319,7 +319,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
         }
 
         // Postprocessing MATs: verdict + queue.
-        for t in &mut self.post_tables {
+        for t in &self.post_tables {
             t.apply(&mut self.phv);
             latency += MAT_LATENCY_NS;
         }
@@ -375,16 +375,8 @@ impl<E: core::fmt::Debug> core::fmt::Debug for TaurusPipeline<E> {
 /// Builds the standard postprocessing table: `MlOut ≥ threshold ⇒ Drop`,
 /// else forward (the §3.2 anomaly-score interpretation).
 pub fn anomaly_post_table(threshold: i64) -> MatchTable {
-    use crate::mat::{Action, MatchKind, TableEntry, VliwOp};
-    let mut t = MatchTable::new(
-        "anomaly-verdict",
-        Action::new("forward", vec![VliwOp::Set(Field::Decision, 0)]),
-    );
-    t.add_entry(TableEntry {
-        matches: vec![(Field::MlOut, MatchKind::Range { lo: threshold, hi: i64::MAX })],
-        priority: 1,
-        action: Action::new("drop-anomaly", vec![VliwOp::Set(Field::Decision, 1)]),
-    });
+    let mut t = MatchTable::new("anomaly-verdict", Field::MlOut, Field::Decision, 0);
+    t.add_range(threshold, i64::MAX, 1);
     t
 }
 
@@ -392,15 +384,9 @@ pub fn anomaly_post_table(threshold: i64) -> MatchTable {
 /// in `protos` visit the model, everything else bypasses (Fig. 6's
 /// preprocessing decision, parameterized per application).
 pub fn proto_select_table(protos: &[i64]) -> MatchTable {
-    use crate::mat::{Action, MatchKind, TableEntry, VliwOp};
-    let mut t =
-        MatchTable::new("ml-select", Action::new("bypass", vec![VliwOp::Set(Field::BypassMl, 1)]));
+    let mut t = MatchTable::new("ml-select", Field::Proto, Field::BypassMl, 1);
     for &proto in protos {
-        t.add_entry(TableEntry {
-            matches: vec![(Field::Proto, MatchKind::Exact(proto))],
-            priority: 1,
-            action: Action::new("to-ml", vec![VliwOp::Set(Field::BypassMl, 0)]),
-        });
+        t.add_exact(proto, 0);
     }
     t
 }

@@ -60,19 +60,6 @@ impl RegisterArray {
         self.data[self.idx(key)]
     }
 
-    /// Writes the cell for a key.
-    pub fn write(&mut self, key: u64, v: i64) {
-        let i = self.idx(key);
-        self.data[i] = v;
-    }
-
-    /// Adds to the cell for a key, returning the new value.
-    pub fn add(&mut self, key: u64, v: i64) -> i64 {
-        let i = self.idx(key);
-        self.data[i] = self.data[i].wrapping_add(v);
-        self.data[i]
-    }
-
     /// Adds to the cell for a key with saturation at the `i64` bounds,
     /// returning the new value. Used where a wrapped counter would turn
     /// into a bogus small (or negative-clamped-to-zero) reading rather
@@ -452,8 +439,8 @@ mod tests {
     fn register_array_ops() {
         let mut r = RegisterArray::new("t", 8);
         assert_eq!(r.read(3), 0);
-        assert_eq!(r.add(3, 5), 5);
-        r.write(3, 100);
+        assert_eq!(r.add_saturating(3, 5), 5);
+        assert_eq!(r.add_saturating(3, 95), 100);
         assert_eq!(r.read(3), 100);
         assert_eq!(r.read(11), 100, "hash wraps modulo size");
         r.clear();
@@ -657,8 +644,8 @@ mod tests {
                 ops in proptest::collection::vec(any::<bool>(), 1..40),
             ) {
                 let mut w = WindowCounters::new("t", 4, u64::MAX);
-                w.current.write(0, prefill);
-                w.previous.write(0, prefill);
+                w.current.add_saturating(0, prefill);
+                w.previous.add_saturating(0, prefill);
                 let floor = prefill as u64;
                 for bump in ops {
                     let got = if bump { w.bump(0) } else { w.read(0) };

@@ -424,6 +424,10 @@ impl<'a> RuntimeBuilder<'a> {
                 return Err(DuplicateAppError { name: app.name().to_string() }.into());
             }
         }
+        // Both kinds size the cross-flow windows by `flow_slots`.
+        if self.config.flow_slots == 0 {
+            return Err(BuildError::NoFlowSlots);
+        }
         // Routing folds flow keys through the replicas' register
         // capacity so register collisions stay shard-local for any
         // shard count (see `shard_of`). Keyed mode routes by *bucket*
@@ -444,9 +448,6 @@ impl<'a> RuntimeBuilder<'a> {
                 (buckets, Some(directory))
             }
         };
-        if route_slots == 0 {
-            return Err(BuildError::NoFlowSlots);
-        }
         if self.shards > route_slots {
             return Err(BuildError::MoreShardsThanFlowSlots {
                 shards: self.shards,

@@ -160,9 +160,6 @@ fn engine_worker(
                             if faults.is_armed() {
                                 faults.check_packet(p.index);
                             }
-                            // Verdict-only entry point: same counters
-                            // and combined verdict as process_prepared,
-                            // minus the per-packet per_app allocation.
                             let r = switch.process_prepared_verdict(
                                 &p.pkt,
                                 p.obs,

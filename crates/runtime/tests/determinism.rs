@@ -27,7 +27,7 @@ fn default_kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
 fn sequential_report(build: impl Fn() -> TaurusSwitch, trace: &PacketTrace) -> SwitchReport {
     let mut switch = build();
     for tp in &trace.packets {
-        switch.process_trace_packet(tp);
+        switch.process_trace_verdict(tp);
     }
     switch.report()
 }
@@ -165,7 +165,7 @@ fn idle_gap_traces_stay_exact_across_ingest_modes() {
             let mut switch =
                 SwitchBuilder::new().register_on(&syn, EngineBackend::Threshold).build();
             for tp in &packets {
-                switch.process_trace_packet(tp);
+                switch.process_trace_verdict(tp);
             }
             switch.report()
         };

@@ -19,8 +19,7 @@ use taurus_core::apps::SynFloodDetector;
 use taurus_core::{EngineBackend, EngineUpdate, FormatterFactory, ModelUpdate, TaurusApp};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig, TracePacket};
-use taurus_pisa::mat::TableEntry;
-use taurus_pisa::{Action, Field, MatchKind, MatchTable, VliwOp};
+use taurus_pisa::{Field, MatchTable};
 use taurus_runtime::{shard_of, FaultPlan, FaultRecordKind, RuntimeBuilder, StreamingRuntime};
 
 const SHARDS: usize = 4;
@@ -134,15 +133,8 @@ fn a_respawned_replica_replays_the_folded_update_history() {
     let assigned = assigned_indices(&trace, victim, SHARDS);
     assert!(assigned.len() >= 4, "seed must give the victim shard real traffic");
 
-    let mut inverted = MatchTable::new(
-        "inverted-verdict",
-        Action::new("forward", vec![VliwOp::Set(Field::Decision, 0)]),
-    );
-    inverted.add_entry(TableEntry {
-        matches: vec![(Field::MlOut, MatchKind::Exact(0))],
-        priority: 1,
-        action: Action::new("drop-benign", vec![VliwOp::Set(Field::Decision, 1)]),
-    });
+    let mut inverted = MatchTable::new("inverted-verdict", Field::MlOut, Field::Decision, 0);
+    inverted.add_exact(0, 1);
     let table_only = ModelUpdate {
         engine: EngineUpdate::KeepEngine,
         post_tables: Some([inverted].into()),

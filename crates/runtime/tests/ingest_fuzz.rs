@@ -69,7 +69,7 @@ fn frontier_oracle(packets: &[TracePacket]) -> (Vec<TracePacket>, QuarantineCoun
 fn sequential_report(syn: &SynFloodDetector, packets: &[TracePacket]) -> SwitchReport {
     let mut switch = SwitchBuilder::new().register_on(syn, EngineBackend::Threshold).build();
     for tp in packets {
-        switch.process_trace_packet(tp);
+        switch.process_trace_verdict(tp);
     }
     switch.report()
 }

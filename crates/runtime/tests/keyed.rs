@@ -37,7 +37,7 @@ fn sequential_report(config: &PipelineConfig, trace: &[PacketTrace]) -> SwitchRe
         .build();
     for t in trace {
         for tp in &t.packets {
-            switch.process_trace_packet(tp);
+            switch.process_trace_verdict(tp);
         }
     }
     switch.report()
@@ -143,6 +143,14 @@ fn keyed_zero_geometry_is_a_typed_build_error() {
             .expect_err("a zero-capacity keyed table must be rejected");
         assert_eq!(err, taurus_runtime::BuildError::NoFlowSlots, "{buckets}x{ways}");
     }
+    // The cross-flow windows are sized by `flow_slots` in keyed mode
+    // too, so a keyed table with room for flows still needs them.
+    let err = RuntimeBuilder::new()
+        .config(PipelineConfig { flow_slots: 0, ..keyed_config(64, 4) })
+        .register_on(&syn, EngineBackend::Threshold)
+        .try_build()
+        .expect_err("zero window slots must be rejected");
+    assert_eq!(err, taurus_runtime::BuildError::NoFlowSlots);
     // And shards must fit under the bucket count: bucket routing covers
     // shard indices 0..buckets only.
     let err = RuntimeBuilder::new()

@@ -230,12 +230,10 @@ fn an_install_between_feeds_allocates_a_named_handful_and_compiles_nothing() {
     //   other part of a `ModelUpdate` is a handle);
     // - each **worker** allocates `PER_INSTALL` times per install: the
     //   boxed formatter closure the factory builds for this replica (1)
-    //   and its own copy of the verdict MAT (8: the `Vec` of tables,
-    //   the table's name, its entry list, the entry's match list, and
-    //   name + op list of the entry's action and of the default
-    //   action), whose dispatch span list is then compiled lazily by
-    //   the first packet that reaches it (1).
-    const PER_INSTALL: u64 = 10;
+    //   and its own copy of the verdict MAT (3: the `Vec` of tables,
+    //   the table's name and its sorted entry list). Lookups build
+    //   nothing.
+    const PER_INSTALL: u64 = 4;
     const SHARDS: u64 = 2;
     let detector = AnomalyDetector::train_default(9, 400);
     let single = trace(250, 57);
@@ -258,7 +256,7 @@ fn an_install_between_feeds_allocates_a_named_handful_and_compiles_nothing() {
     // The window closes when the second feed returns. Backpressure
     // makes that late enough for the workers: a lane holds at most
     // `queue_depth` messages, the install went in ahead of ~50 batches
-    // per shard, and the first of those already compiled the MAT.
+    // per shard, so every worker has applied it by then.
     let here = || THREAD_ALLOCS.with(Cell::get);
     let (mut fed, mut installed) = (0, 0);
     let (feeder, workers) = allocations_by_thread(|| {

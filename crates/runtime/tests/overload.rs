@@ -80,7 +80,7 @@ fn sequential_report(
         .register_on(syn, EngineBackend::Threshold)
         .build();
     for tp in packets {
-        switch.process_trace_packet(tp);
+        switch.process_trace_verdict(tp);
     }
     switch.report()
 }

@@ -21,7 +21,7 @@ use taurus_core::{
 };
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
-use taurus_pisa::mat::{Action, MatchTable, VliwOp};
+use taurus_pisa::mat::MatchTable;
 use taurus_pisa::registers::{FlowFeatures, PacketObs};
 use taurus_pisa::{Field, Packet, Verdict};
 use taurus_runtime::RuntimeBuilder;
@@ -64,10 +64,8 @@ impl TaurusApp for FixedApp {
     }
 
     fn post_tables(&self, _backend: EngineBackend) -> Vec<MatchTable> {
-        vec![MatchTable::new(
-            "fixed-verdict",
-            Action::new("vote", vec![VliwOp::Set(Field::Decision, self.verdict.code())]),
-        )]
+        // No entries: every lookup writes the default, this app's vote.
+        vec![MatchTable::new("fixed-verdict", Field::MlOut, Field::Decision, self.verdict.code())]
     }
 
     fn verdict_policy(&self) -> VerdictPolicy {
@@ -128,9 +126,20 @@ proptest! {
         let (pkt, obs) = tcp_probe();
         let r = switch.process(&pkt, obs);
         prop_assert_eq!(r.verdict, expected_verdict(&apps), "specs {:?}", specs);
-        // Every app's own vote is reported unchanged, enforcing or not.
-        for (app, pr) in apps.iter().zip(&r.per_app) {
-            prop_assert_eq!(pr.verdict, app.verdict);
+        // Every app's own vote is reported unchanged, enforcing or not:
+        // after one packet its counters hold exactly that vote.
+        let report = switch.report();
+        prop_assert_eq!(report.apps.len(), apps.len());
+        for (app, reported) in apps.iter().zip(&report.apps) {
+            let c = reported.counters;
+            let vote = match (c.dropped, c.flagged) {
+                (1, 0) => Verdict::Drop,
+                (0, 1) => Verdict::Flag,
+                (0, 0) => Verdict::Forward,
+                counts => panic!("one packet, two votes: {counts:?}"),
+            };
+            prop_assert_eq!(c.packets, 1);
+            prop_assert_eq!(vote, app.verdict);
         }
     }
 
@@ -200,7 +209,7 @@ proptest! {
         let mut sequential =
             SwitchBuilder::new().register_on(&syn, EngineBackend::Threshold).build();
         for tp in &trace.packets {
-            sequential.process_trace_packet(tp);
+            sequential.process_trace_verdict(tp);
         }
 
         let mut rt = RuntimeBuilder::new()

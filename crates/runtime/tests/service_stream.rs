@@ -192,7 +192,7 @@ fn idle_eviction_is_deterministic_across_shard_and_worker_geometries() {
             .register_on(&syn, EngineBackend::Threshold)
             .build();
         for tp in &packets {
-            switch.process_trace_packet(tp);
+            switch.process_trace_verdict(tp);
         }
         switch.report()
     };

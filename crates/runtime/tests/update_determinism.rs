@@ -41,7 +41,7 @@ fn sequential_with_update(
                 segments.push(BinaryMetrics::default());
             }
         }
-        let r = switch.process_trace_packet(tp);
+        let r = switch.process_trace_verdict(tp);
         segments.last_mut().unwrap().record(r.verdict == Verdict::Drop, tp.anomalous);
     }
     (switch.report(), segments)
@@ -80,7 +80,7 @@ fn cgra_weight_swap_at_k_matches_sequential_for_shards_1_2_4() {
     // The update must actually change behavior, or this test is vacuous.
     let mut frozen = SwitchBuilder::new().register(&detector).build();
     for tp in &trace.packets {
-        frozen.process_trace_packet(tp);
+        frozen.process_trace_verdict(tp);
     }
     assert_ne!(frozen.report(), golden, "the swapped weights must decide differently");
 

@@ -66,7 +66,7 @@ fn main() {
         .register(&SynFloodDetector::default_deployment())
         .build();
     for tp in &trace.packets {
-        switch.process_trace_packet(tp);
+        switch.process_trace_verdict(tp);
     }
     println!("\nmulti-app deployment over the same trace:");
     for app in switch.report().apps {

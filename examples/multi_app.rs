@@ -30,7 +30,7 @@ fn main() {
     let records = KddGenerator::new(12).take(800);
     let trace = PacketTrace::expand(records, &TraceConfig { seed: 12, ..Default::default() });
     for tp in &trace.packets {
-        switch.process_trace_packet(tp);
+        switch.process_trace_verdict(tp);
     }
 
     println!(
@@ -61,7 +61,7 @@ fn main() {
         .register(&syn_flood)
         .build();
     for tp in &trace.packets {
-        heuristic.process_trace_packet(tp);
+        heuristic.process_trace_verdict(tp);
     }
     println!(
         "\nthreshold-backend deployment drops {} (heuristic, {} ns ML path)",

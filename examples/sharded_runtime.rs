@@ -36,7 +36,7 @@ fn main() {
     // The sequential reference device.
     let mut switch = SwitchBuilder::new().register(&detector).register(&syn_flood).build();
     for tp in &trace.packets {
-        switch.process_trace_packet(tp);
+        switch.process_trace_verdict(tp);
     }
     let golden = switch.report();
 

@@ -172,6 +172,29 @@ fn one_reduction_loop_per_dense_layer() {
 }
 
 #[test]
+fn one_lookup_per_mat_one_result_per_switch() {
+    // A MAT is one field's disjoint exact/range entries, found by one
+    // binary search and writing one field; a switch returns one
+    // `SwitchVerdict` per packet, and per-app votes live in its report.
+    let gone = [
+        "VliwOp",
+        "MatchKind",
+        "TableEntry",
+        "FastPath",
+        "MAX_OPS_PER_ACTION",
+        "range_encoder",
+        "SwitchResult",
+        "process_trace_packet",
+    ];
+    let elsewhere = |p: &Path| p != Path::new("tests/house_rules.rs");
+    let mut offenders = Vec::new();
+    for dir in ["crates", "tests", "examples", "src"] {
+        offenders.extend(scan(dir, elsewhere, |line| gone.iter().any(|w| has_word(line, w))));
+    }
+    assert_clean("one lookup per MAT, one result per switch", offenders);
+}
+
+#[test]
 fn public_surface_something_runs() {
     // Deleted because only their own unit tests ran them: the no-op
     // round-robin join and the queues beside it, the second Conv1D

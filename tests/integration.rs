@@ -173,8 +173,8 @@ fn one_switch_hosts_two_apps_with_independent_counters() {
     let mut both = SwitchBuilder::new().register(&detector).register(&syn).build();
     let mut solo = SwitchBuilder::new().register(&syn).build();
     for tp in trace.packets.iter().take(1_000) {
-        both.process_trace_packet(tp);
-        solo.process_trace_packet(tp);
+        both.process_trace_verdict(tp);
+        solo.process_trace_verdict(tp);
     }
 
     let report = both.report();
