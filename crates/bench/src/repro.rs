@@ -37,7 +37,7 @@ use taurus_hw_model::{
 };
 use taurus_ir::microbench;
 use taurus_ml::mlp::MlpConfig;
-use taurus_ml::{Mlp, QuantizedMlp, TrainParams};
+use taurus_ml::{Mlp, QuantizedMlp, Rows, TrainParams};
 use taurus_runtime::{run_online_deployment, DeploymentConfig, DeploymentReport, RuntimeBuilder};
 
 use crate::{f, table5_models, write_table};
@@ -509,9 +509,9 @@ pub fn fig10(out: &mut String) {
 /// detector trained on another 1,500 records, split in half into the
 /// telemetry pool the control plane samples and the evaluation set.
 struct OnlinePools {
-    pool_x: Vec<Vec<f32>>,
+    pool_x: Rows,
     pool_y: Vec<usize>,
-    eval_x: Vec<Vec<f32>>,
+    eval_x: Rows,
     eval_y: Vec<usize>,
 }
 
@@ -522,10 +522,10 @@ impl OnlinePools {
         let trace =
             PacketTrace::expand(records, &TraceConfig { seed: trace_seed, ..Default::default() });
         let samples = extract_stream_features(&trace);
-        let mut pool_x: Vec<Vec<f32>> = samples
+        let mut pool_x: Rows = samples
             .iter()
             .map(|s| {
-                let mut row = s.features.clone();
+                let mut row = s.features;
                 detector.standardizer.apply_row(&mut row);
                 row
             })

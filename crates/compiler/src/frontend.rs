@@ -183,19 +183,19 @@ mod tests {
     use taurus_ml::lstm::LstmConfig;
     use taurus_ml::mlp::{Mlp, MlpConfig, OutputHead, TrainParams};
     use taurus_ml::svm::{Svm, SvmConfig};
-    use taurus_ml::KMeans;
+    use taurus_ml::{KMeans, Rows};
 
-    fn blobs(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn blobs(n: usize, seed: u64) -> (Rows, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut x = Vec::new();
         let mut y = Vec::new();
         for i in 0..n {
             let label = i % 2;
             let cx = if label == 0 { -1.5 } else { 1.5 };
-            x.push(vec![cx + rng.gen_range(-0.6..0.6), rng.gen_range(-0.6..0.6)]);
+            x.push([cx + rng.gen_range(-0.6..0.6), rng.gen_range(-0.6..0.6)]);
             y.push(label);
         }
-        (x, y)
+        (x.into_iter().collect(), y)
     }
 
     #[test]

@@ -299,6 +299,7 @@ mod tests {
     use super::*;
     use taurus_fixed::Activation;
     use taurus_ml::mlp::{MlpConfig, OutputHead, TrainParams};
+    use taurus_ml::Rows;
 
     /// A trace where anomalous packets have feature[0] = 1, benign 0, and
     /// each source IP sends 50 packets over 100 ms.
@@ -329,7 +330,7 @@ mod tests {
             head: OutputHead::Sigmoid,
         };
         let mut m = Mlp::new(&cfg, 1);
-        let x: Vec<Vec<f32>> = (0..200).map(|i| vec![(i % 2) as f32, 0.5]).collect();
+        let x: Rows = (0..200).map(|i| [(i % 2) as f32, 0.5]).collect();
         let y: Vec<usize> = (0..200).map(|i| i % 2).collect();
         m.train(&x, &y, &TrainParams { epochs: 40, ..TrainParams::default() });
         m

@@ -20,7 +20,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use taurus_ml::{BinaryMetrics, Mlp};
+use taurus_ml::{BinaryMetrics, Mlp, Rows};
 
 /// Derives the RNG seed for one update round with a SplitMix64 step:
 /// `mix(seed + (round + 1) · φ64)`.
@@ -127,9 +127,9 @@ impl TrainingRunConfig {
 /// Panics if the pool or evaluation set is empty.
 pub fn run_online_training(
     model: &mut Mlp,
-    pool_x: &[Vec<f32>],
+    pool_x: &Rows,
     pool_y: &[usize],
-    eval_x: &[Vec<f32>],
+    eval_x: &Rows,
     eval_y: &[usize],
     config: &TrainingRunConfig,
 ) -> Vec<ConvergencePoint> {
@@ -157,7 +157,7 @@ pub fn run_online_training(
         // 2. Draw the buffer and train for the configured epochs.
         let idx: Vec<usize> =
             (0..config.buffer_size).map(|_| rng.gen_range(0..pool_x.len())).collect();
-        let bx: Vec<Vec<f32>> = idx.iter().map(|&i| pool_x[i].clone()).collect();
+        let bx: Rows = idx.iter().map(|&i| &pool_x[i]).collect();
         let by: Vec<usize> = idx.iter().map(|&i| pool_y[i]).collect();
         model.train(&bx, &by, &config.train_params(round));
         // (Two additions, not one of `round_cost_ms`: the curve's time
@@ -187,17 +187,17 @@ mod tests {
     use taurus_fixed::Activation;
     use taurus_ml::mlp::{MlpConfig, OutputHead};
 
-    fn blobs(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn blobs(n: usize, seed: u64) -> (Rows, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut x = Vec::new();
         let mut y = Vec::new();
         for i in 0..n {
             let label = i % 2;
             let cx = if label == 0 { -1.2 } else { 1.2 };
-            x.push(vec![cx + rng.gen_range(-0.8..0.8), rng.gen_range(-0.8..0.8)]);
+            x.push([cx + rng.gen_range(-0.8..0.8), rng.gen_range(-0.8..0.8)]);
             y.push(label);
         }
-        (x, y)
+        (x.into_iter().collect(), y)
     }
 
     fn fresh_model(seed: u64) -> Mlp {

@@ -10,7 +10,7 @@ use taurus_dataset::kdd::{FeatureView, KddGenerator};
 use taurus_dataset::Standardizer;
 use taurus_ir::GraphBuilder;
 use taurus_ml::mlp::MlpConfig;
-use taurus_ml::{Mlp, QuantizedMlp, TrainParams};
+use taurus_ml::{Mlp, QuantizedMlp, Rows, TrainParams};
 use taurus_pisa::mat::MatchTable;
 use taurus_pisa::pipeline::{anomaly_post_table, proto_select_table, ThresholdEngine};
 use taurus_pisa::registers::FlowFeatures;
@@ -214,15 +214,15 @@ impl AnomalyDetector {
     /// Panics if the training set is empty or widths differ from the
     /// DNN's six inputs.
     pub fn from_data(
-        train_x: Vec<Vec<f32>>,
+        train_x: Rows,
         train_y: Vec<usize>,
-        test_x: Vec<Vec<f32>>,
+        test_x: Rows,
         test_y: Vec<usize>,
         standardizer: Standardizer,
         seed: u64,
     ) -> Self {
         assert!(!train_x.is_empty(), "empty training set");
-        assert!(train_x.iter().all(|x| x.len() == 6), "AD DNN takes 6 features");
+        assert!(train_x.width() == 6, "AD DNN takes 6 features");
         let cfg = MlpConfig::anomaly_dnn();
         let mut model = Mlp::new(&cfg, seed);
         model.train(
@@ -289,12 +289,7 @@ impl AnomalyDetector {
     ///
     /// Panics if `calibration` is empty, has non-6-wide rows, or the
     /// model does not fit the default grid (the AD DNN always does).
-    pub fn prepare_update(
-        &self,
-        model: &Mlp,
-        calibration: &[Vec<f32>],
-        version: u64,
-    ) -> ModelUpdate {
+    pub fn prepare_update(&self, model: &Mlp, calibration: &Rows, version: u64) -> ModelUpdate {
         let quantized = QuantizedMlp::quantize(model, calibration);
         let threshold_code = i64::from(quantized.output_params().quantize(0.5));
         let tables = Arc::new(Dnn6Tables::compile(&self.standardizer, &quantized));

@@ -25,7 +25,7 @@ use crate::switch::SwitchBuilder;
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSample {
     /// Raw (unstandardized) 6-feature DNN view.
-    pub features: Vec<f32>,
+    pub features: [f32; 6],
     /// Ground-truth anomaly label.
     pub anomalous: bool,
     /// Originator IP (rule key).
@@ -47,7 +47,7 @@ pub fn extract_stream_features(trace: &PacketTrace) -> Vec<StreamSample> {
             let obs = obs_builder.observe(tp);
             let f = tracker.observe(&obs);
             StreamSample {
-                features: f.encode_dnn6().to_vec(),
+                features: f.encode_dnn6(),
                 anomalous: tp.anomalous,
                 orig_ip: if tp.reverse { tp.tuple.dst_ip } else { tp.tuple.src_ip },
                 ts_ns: tp.ts_ns,
@@ -73,7 +73,7 @@ pub fn build_detector_from_trace(seed: u64, n_train_records: usize) -> AnomalyDe
 pub fn build_detector_from_packets(trace: &PacketTrace, seed: u64) -> AnomalyDetector {
     let samples = extract_stream_features(trace);
     // Decorrelate: take every 3rd packet for training.
-    let xs: Vec<Vec<f32>> = samples.iter().step_by(3).map(|s| s.features.clone()).collect();
+    let xs: Vec<[f32; 6]> = samples.iter().step_by(3).map(|s| s.features).collect();
     let ys: Vec<usize> = samples.iter().step_by(3).map(|s| usize::from(s.anomalous)).collect();
     let ds = taurus_dataset::Dataset::new(xs, ys, 2);
     let standardizer = Standardizer::fit(&ds);
@@ -145,12 +145,12 @@ pub fn run_table8(
     let baseline_samples: Vec<PacketSample> = samples
         .iter()
         .map(|s| {
-            let mut row = s.features.clone();
+            let mut row = s.features;
             detector.standardizer.apply_row(&mut row);
             PacketSample {
                 ts_ns: s.ts_ns,
                 src_ip: s.orig_ip,
-                features: row,
+                features: row.to_vec(),
                 anomalous: s.anomalous,
             }
         })

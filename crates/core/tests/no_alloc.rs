@@ -16,6 +16,7 @@ use std::cell::Cell;
 
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::{CgraEngine, EngineBackend, SwitchBuilder, TaurusApp};
+use taurus_ml::Rows;
 use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{Packet, PipelineConfig, TaurusPipeline};
 
@@ -167,7 +168,7 @@ fn a_replicas_formatter_is_a_pointer_to_the_models_tables() {
     // replica its formatter may box a closure (and, for `formatter()`,
     // the factory behind it) — it must never compile a table set again.
     let detector = AnomalyDetector::train_default(9, 400);
-    let calibration = vec![vec![-1.0f32; 6], vec![2.0; 6]];
+    let calibration: Rows = [[-1.0f32; 6], [2.0; 6]].into_iter().collect();
     let update = detector.prepare_update(&detector.float_model, &calibration, 1);
     let from_update = update.formatter.expect("a retrained model carries its formatter");
     let from_app = detector.formatter_factory();

@@ -3,29 +3,28 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use taurus_ml::Rows;
 
-/// A labelled dataset of dense `f32` feature vectors.
+/// A labelled dataset of dense `f32` feature vectors, stored as one flat
+/// [`Rows`] set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
-    x: Vec<Vec<f32>>,
+    x: Rows,
     y: Vec<usize>,
     classes: usize,
 }
 
 impl Dataset {
-    /// Creates a dataset.
+    /// Creates a dataset, copying the rows of `x` into one flat set.
     ///
     /// # Panics
     ///
     /// Panics if `x` and `y` lengths differ, rows have inconsistent
     /// widths, or any label is `≥ classes`.
-    pub fn new(x: Vec<Vec<f32>>, y: Vec<usize>, classes: usize) -> Self {
+    pub fn new<R: AsRef<[f32]>>(x: Vec<R>, y: Vec<usize>, classes: usize) -> Self {
         assert_eq!(x.len(), y.len(), "feature and label counts differ");
-        if let Some(w) = x.first().map(Vec::len) {
-            assert!(x.iter().all(|r| r.len() == w), "inconsistent feature widths");
-        }
         assert!(y.iter().all(|&l| l < classes), "label out of range");
-        Self { x, y, classes }
+        Self { x: x.into_iter().collect(), y, classes }
     }
 
     /// Number of examples.
@@ -38,9 +37,9 @@ impl Dataset {
         self.x.is_empty()
     }
 
-    /// Feature width (0 for an empty dataset).
+    /// Feature width (0 for a dataset built from no rows).
     pub fn width(&self) -> usize {
-        self.x.first().map_or(0, Vec::len)
+        self.x.width()
     }
 
     /// Number of classes.
@@ -49,7 +48,7 @@ impl Dataset {
     }
 
     /// Feature rows.
-    pub fn features(&self) -> &[Vec<f32>] {
+    pub fn features(&self) -> &Rows {
         &self.x
     }
 
@@ -60,7 +59,7 @@ impl Dataset {
 
     /// Iterates over `(features, label)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[f32], usize)> {
-        self.x.iter().map(Vec::as_slice).zip(self.y.iter().copied())
+        self.x.iter().zip(self.y.iter().copied())
     }
 
     /// Shuffles examples in place, deterministically under `seed`.
@@ -68,7 +67,7 @@ impl Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut idx: Vec<usize> = (0..self.len()).collect();
         idx.shuffle(&mut rng);
-        self.x = idx.iter().map(|&i| std::mem::take(&mut self.x[i])).collect();
+        self.x.permute(&idx);
         self.y = idx.iter().map(|&i| self.y[i]).collect();
     }
 
@@ -79,16 +78,16 @@ impl Dataset {
     /// Panics if `train_frac` is outside `[0, 1]`.
     pub fn split(mut self, train_frac: f64) -> (Dataset, Dataset) {
         assert!((0.0..=1.0).contains(&train_frac), "train_frac must be in [0,1]");
-        let n_train = (self.len() as f64 * train_frac).round() as usize;
-        let test_x = self.x.split_off(n_train.min(self.x.len()));
-        let test_y = self.y.split_off(n_train.min(self.y.len()));
+        let n_train = ((self.len() as f64 * train_frac).round() as usize).min(self.len());
+        let test_x = self.x.split_off(n_train);
+        let test_y = self.y.split_off(n_train);
         let classes = self.classes;
-        (Dataset::new(self.x, self.y, classes), Dataset::new(test_x, test_y, classes))
+        (self, Dataset { x: test_x, y: test_y, classes })
     }
 
     /// Applies a transform to every feature row.
-    pub fn map_features(&mut self, f: impl Fn(&mut Vec<f32>)) {
-        for row in &mut self.x {
+    pub fn map_features(&mut self, f: impl Fn(&mut [f32])) {
+        for row in self.x.iter_mut() {
             f(row);
         }
     }
@@ -170,7 +169,7 @@ mod tests {
         let (train, test) = toy().split(0.75);
         assert_eq!(train.len(), 3);
         assert_eq!(test.len(), 1);
-        assert_eq!(test.features()[0], vec![4.0, 40.0]);
+        assert_eq!(&test.features()[0], &[4.0, 40.0]);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::linalg::{argmin, sq_dist};
+use crate::rows::Rows;
 
 /// A trained KMeans model: `k` centroids of dimension `d`.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,14 +25,14 @@ impl KMeans {
     /// # Panics
     ///
     /// Panics if `k == 0`, `data` is empty, or `data.len() < k`.
-    pub fn fit(data: &[Vec<f32>], k: usize, max_iters: usize, seed: u64) -> Self {
+    pub fn fit(data: &Rows, k: usize, max_iters: usize, seed: u64) -> Self {
         assert!(k > 0, "k must be positive");
         assert!(data.len() >= k, "need at least k points, got {}", data.len());
         let mut rng = StdRng::seed_from_u64(seed);
 
         // k-means++ seeding.
         let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
-        centroids.push(data[rng.gen_range(0..data.len())].clone());
+        centroids.push(data[rng.gen_range(0..data.len())].to_vec());
         while centroids.len() < k {
             let d2: Vec<f32> = data
                 .iter()
@@ -52,11 +53,11 @@ impl KMeans {
                 }
                 target -= w;
             }
-            centroids.push(data[chosen].clone());
+            centroids.push(data[chosen].to_vec());
         }
 
         // Lloyd iterations.
-        let dim = data[0].len();
+        let dim = data.width();
         let mut assignment = vec![0usize; data.len()];
         for _ in 0..max_iters {
             let mut changed = false;
@@ -94,10 +95,10 @@ impl KMeans {
     /// # Panics
     ///
     /// Panics if any class has no examples.
-    pub fn fit_supervised(x: &[Vec<f32>], y: &[usize], classes: usize) -> Self {
+    pub fn fit_supervised(x: &Rows, y: &[usize], classes: usize) -> Self {
         assert_eq!(x.len(), y.len());
         assert!(!x.is_empty());
-        let dim = x[0].len();
+        let dim = x.width();
         let mut sums = vec![vec![0.0f32; dim]; classes];
         let mut counts = vec![0usize; classes];
         for (xi, &yi) in x.iter().zip(y) {
@@ -139,11 +140,11 @@ impl KMeans {
     }
 
     /// Clustering accuracy against labels when centroids are class-aligned.
-    pub fn accuracy(&self, x: &[Vec<f32>], y: &[usize]) -> f64 {
+    pub fn accuracy(&self, x: &Rows, y: &[usize]) -> f64 {
         if x.is_empty() {
             return 0.0;
         }
-        x.iter().zip(y).filter(|(xi, &yi)| self.predict(xi) == yi).count() as f64 / x.len() as f64
+        x.iter().zip(y).filter(|&(xi, &yi)| self.predict(xi) == yi).count() as f64 / x.len() as f64
     }
 }
 
@@ -151,20 +152,20 @@ impl KMeans {
 mod tests {
     use super::*;
 
-    fn blobs() -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn blobs() -> (Rows, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(0);
         let centers = [[0.0f32, 0.0], [10.0, 0.0], [0.0, 10.0]];
         let mut x = Vec::new();
         let mut y = Vec::new();
         for i in 0..300 {
             let c = i % 3;
-            x.push(vec![
+            x.push([
                 centers[c][0] + rng.gen_range(-1.0..1.0),
                 centers[c][1] + rng.gen_range(-1.0..1.0),
             ]);
             y.push(c);
         }
-        (x, y)
+        (x.into_iter().collect(), y)
     }
 
     #[test]
@@ -195,7 +196,7 @@ mod tests {
 
     #[test]
     fn predict_is_nearest() {
-        let km = KMeans::fit_supervised(&[vec![0.0, 0.0], vec![5.0, 5.0]], &[0, 1], 2);
+        let km = KMeans::fit_supervised(&Rows::new(vec![0.0, 0.0, 5.0, 5.0], 2), &[0, 1], 2);
         assert_eq!(km.predict(&[1.0, 1.0]), 0);
         assert_eq!(km.predict(&[4.0, 4.0]), 1);
         assert_eq!(km.dim(), 2);
@@ -204,12 +205,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least k points")]
     fn rejects_k_larger_than_data() {
-        let _ = KMeans::fit(&[vec![0.0]], 2, 10, 0);
+        let _ = KMeans::fit(&Rows::new(vec![0.0], 1), 2, 10, 0);
     }
 
     #[test]
     fn duplicate_points_do_not_hang() {
-        let data = vec![vec![1.0, 1.0]; 10];
+        let data = Rows::new(vec![1.0; 20], 2);
         let km = KMeans::fit(&data, 3, 10, 0);
         assert_eq!(km.k(), 3);
         assert_eq!(km.predict(&[1.0, 1.0]), 0);

@@ -22,6 +22,8 @@
 //! - [`quantized`]: post-training int8 quantization with integer-only
 //!   inference — the golden model the CGRA simulator must match
 //!   bit-for-bit.
+//! - [`rows`]: [`Rows`], the flat row-major feature set every trainer,
+//!   quantizer and `accuracy` takes.
 
 pub mod kmeans;
 pub mod linalg;
@@ -29,6 +31,7 @@ pub mod lstm;
 pub mod metrics;
 pub mod mlp;
 pub mod quantized;
+pub mod rows;
 pub mod svm;
 
 pub use kmeans::KMeans;
@@ -37,4 +40,5 @@ pub use lstm::{Lstm, LstmConfig};
 pub use metrics::{BinaryMetrics, ConfusionMatrix};
 pub use mlp::{Mlp, MlpConfig, TrainParams};
 pub use quantized::{QuantizedKMeans, QuantizedMlp, QuantizedSvm};
+pub use rows::Rows;
 pub use svm::{Svm, SvmConfig};

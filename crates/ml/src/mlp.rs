@@ -23,6 +23,7 @@ use rand::SeedableRng;
 use taurus_fixed::Activation;
 
 use crate::linalg::{argmax, dot, softmax, softmax_into, Matrix, DOT_START};
+use crate::rows::Rows;
 
 /// Output head: decides both the final nonlinearity and the loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -364,7 +365,7 @@ fn add_gradients<const S: usize>(
 /// One minibatch: the rows of `x` and `y` that `rows` names, in order.
 #[derive(Clone, Copy)]
 struct Batch<'a> {
-    x: &'a [Vec<f32>],
+    x: &'a Rows,
     y: &'a [usize],
     rows: &'a [usize],
 }
@@ -493,11 +494,11 @@ impl Mlp {
     /// # Panics
     ///
     /// Before the first step, if `x` and `y` lengths differ, `x` is
-    /// empty, a row is not [`Mlp::input_width`] wide, or a label is out of
-    /// range for the head (≥ 2 for a sigmoid head, ≥ the output width for
-    /// a softmax head; linear targets are unrestricted). The message names
-    /// the first offending row.
-    pub fn train(&mut self, x: &[Vec<f32>], y: &[usize], params: &TrainParams) -> f32 {
+    /// empty, its rows are not [`Mlp::input_width`] wide, or a label is
+    /// out of range for the head (≥ 2 for a sigmoid head, ≥ the output
+    /// width for a softmax head; linear targets are unrestricted). A label
+    /// message names the first offending row.
+    pub fn train(&mut self, x: &Rows, y: &[usize], params: &TrainParams) -> f32 {
         assert_eq!(x.len(), y.len(), "feature/label length mismatch");
         assert!(!x.is_empty(), "cannot train on empty data");
         self.check_rows(x, y);
@@ -523,27 +524,25 @@ impl Mlp {
         last_loss
     }
 
-    /// Panics, naming the row, on a width or label `train` cannot use.
-    fn check_rows(&self, x: &[Vec<f32>], y: &[usize]) {
+    /// Panics on a width `train` cannot use, or, naming the row, on a
+    /// label it cannot.
+    fn check_rows(&self, x: &Rows, y: &[usize]) {
         let width = self.input_width();
+        assert!(
+            x.width() == width,
+            "training rows have {} features; the model takes {width}",
+            x.width()
+        );
         let classes = match self.head {
-            OutputHead::Sigmoid => Some(2),
-            OutputHead::Softmax => Some(self.output_width()),
-            OutputHead::Linear => None,
+            OutputHead::Sigmoid => 2,
+            OutputHead::Softmax => self.output_width(),
+            OutputHead::Linear => return,
         };
-        for (i, (row, &label)) in x.iter().zip(y).enumerate() {
-            assert!(
-                row.len() == width,
-                "training row {i} has {} features; the model takes {width}",
-                row.len()
+        if let Some(i) = y.iter().position(|&label| label >= classes) {
+            panic!(
+                "training row {i} has label {}; a {:?} head takes 0..{classes}",
+                y[i], self.head
             );
-            if let Some(k) = classes {
-                assert!(
-                    label < k,
-                    "training row {i} has label {label}; a {:?} head takes 0..{k}",
-                    self.head
-                );
-            }
         }
     }
 
@@ -571,7 +570,7 @@ impl Mlp {
         for g in grad_b.iter_mut() {
             g.fill(0.0);
         }
-        b.forward(&self.layers, batch.rows.iter().map(|&i| batch.x[i].as_slice()));
+        b.forward(&self.layers, batch.rows.iter().map(|&i| &batch.x[i]));
         let (lanes, count) = (b.lanes, b.count);
         let used = count.div_ceil(LANES) * LANES;
         let n = self.layers.len();
@@ -695,11 +694,11 @@ impl Mlp {
     }
 
     /// Classification accuracy over a labelled set.
-    pub fn accuracy(&self, x: &[Vec<f32>], y: &[usize]) -> f64 {
+    pub fn accuracy(&self, x: &Rows, y: &[usize]) -> f64 {
         if x.is_empty() {
             return 0.0;
         }
-        let correct = x.iter().zip(y).filter(|(xi, &yi)| self.predict_class(xi) == yi).count();
+        let correct = x.iter().zip(y).filter(|&(xi, &yi)| self.predict_class(xi) == yi).count();
         correct as f64 / x.len() as f64
     }
 }
@@ -714,7 +713,7 @@ mod tests {
     /// `train` as a per-sample loop that allocates its activations,
     /// deltas and gradient banks as it goes — kept as the reference the
     /// scratch loop is pinned against, bit for bit.
-    fn train_reference(mlp: &mut Mlp, x: &[Vec<f32>], y: &[usize], params: &TrainParams) -> f32 {
+    fn train_reference(mlp: &mut Mlp, x: &Rows, y: &[usize], params: &TrainParams) -> f32 {
         let mut order: Vec<usize> = (0..x.len()).collect();
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut lr = params.lr;
@@ -747,7 +746,7 @@ mod tests {
 
     fn train_batch_reference<'a>(
         mlp: &mut Mlp,
-        batch: impl IntoIterator<Item = (&'a Vec<f32>, usize)>,
+        batch: impl IntoIterator<Item = (&'a [f32], usize)>,
         lr: f32,
         momentum: f32,
     ) -> f32 {
@@ -761,7 +760,7 @@ mod tests {
             count += 1;
             let mut pres = Vec::with_capacity(mlp.layers.len());
             let mut posts: Vec<Vec<f32>> = Vec::with_capacity(mlp.layers.len() + 1);
-            posts.push(x.clone());
+            posts.push(x.to_vec());
             for layer in &mlp.layers {
                 let (pre, post) = forward_reference(layer, posts.last().expect("nonempty"));
                 pres.push(pre);
@@ -868,14 +867,9 @@ mod tests {
     }
 
     /// Uniform features in `[-2, 2)` and labels below `labels`.
-    fn random_rows(
-        rows: usize,
-        width: usize,
-        labels: usize,
-        seed: u64,
-    ) -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn random_rows(rows: usize, width: usize, labels: usize, seed: u64) -> (Rows, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let x = (0..rows).map(|_| (0..width).map(|_| rng.gen_range(-2.0..2.0)).collect()).collect();
+        let x = Rows::new((0..rows * width).map(|_| rng.gen_range(-2.0..2.0)).collect(), width);
         let y = (0..rows).map(|_| rng.gen_range(0..labels)).collect();
         (x, y)
     }
@@ -963,19 +957,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "training row 2 has 3 features; the model takes 2")]
+    #[should_panic(expected = "training rows have 3 features; the model takes 2")]
     fn a_row_of_the_wrong_width_panics_naming_it() {
-        let (mut x, y) = blobs(4);
-        x[2].push(0.0);
-        Mlp::new(&MlpConfig::tmc_kernel(&[2, 4, 2]), 0).train(&x, &y, &TrainParams::default());
+        let (x, y) = blobs(4);
+        let wide: Rows = x.iter().map(|r| [r[0], r[1], 0.0]).collect();
+        Mlp::new(&MlpConfig::tmc_kernel(&[2, 4, 2]), 0).train(&wide, &y, &TrainParams::default());
     }
 
     #[test]
     fn a_bad_row_panics_before_the_first_step() {
         // The bad row is the last one, so a loop that checked as it went
         // would have moved the weights on the batches before it.
-        let (mut x, y) = blobs(100);
-        x[99].pop();
+        let (x, mut y) = blobs(100);
+        y[99] = 2;
         let mut mlp = Mlp::new(&MlpConfig::tmc_kernel(&[2, 4, 2]), 0);
         let before = mlp.clone();
         let params = TrainParams { batch_size: 8, ..TrainParams::default() };
@@ -1040,17 +1034,17 @@ mod tests {
 
     /// Tiny two-blob binary problem the MLP must solve essentially
     /// perfectly.
-    fn blobs(n: usize) -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn blobs(n: usize) -> (Rows, Vec<usize>) {
         let mut x = Vec::new();
         let mut y = Vec::new();
         let mut rng = StdRng::seed_from_u64(0);
         for i in 0..n {
             let label = i % 2;
             let cx = if label == 0 { -1.5 } else { 1.5 };
-            x.push(vec![cx + rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5)]);
+            x.push([cx + rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5)]);
             y.push(label);
         }
-        (x, y)
+        (x.into_iter().collect(), y)
     }
 
     #[test]
@@ -1081,10 +1075,10 @@ mod tests {
 
     #[test]
     fn learns_xor_nonlinear() {
-        let x: Vec<Vec<f32>> = vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
+        let x: Rows = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]].into_iter().collect();
         let y = vec![0, 1, 1, 0];
         // Replicate to form batches.
-        let xs: Vec<Vec<f32>> = x.iter().cycle().take(200).cloned().collect();
+        let xs: Rows = x.iter().cycle().take(200).collect();
         let ys: Vec<usize> = y.iter().cycle().take(200).copied().collect();
         let cfg = MlpConfig {
             layers: vec![2, 8, 1],

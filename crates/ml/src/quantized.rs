@@ -21,6 +21,7 @@ use taurus_fixed::Activation;
 use crate::kmeans::KMeans;
 use crate::linalg::argmax;
 use crate::mlp::{LaneBatch, Mlp, OutputHead};
+use crate::rows::Rows;
 use crate::svm::Svm;
 
 /// Accumulator lanes in the chunked int8 kernels below — the same
@@ -172,12 +173,15 @@ impl QuantizedMlp {
     ///
     /// # Panics
     ///
-    /// Panics if `calibration` is empty or has the wrong width.
-    pub fn quantize(mlp: &Mlp, calibration: &[Vec<f32>]) -> Self {
+    /// Panics if `calibration` is empty or its width is not the model's
+    /// input width.
+    pub fn quantize(mlp: &Mlp, calibration: &Rows) -> Self {
         assert!(!calibration.is_empty(), "need calibration data");
+        let width = calibration.width();
         assert!(
-            calibration.iter().all(|x| x.len() == mlp.input_width()),
-            "calibration width mismatch"
+            width == mlp.input_width(),
+            "calibration rows have {width} features; the model takes {}",
+            mlp.input_width()
         );
 
         // Fold each layer's pre- and post-activation range as the rows
@@ -188,14 +192,14 @@ impl QuantizedMlp {
         let mut input_range = MinMax::EMPTY;
         let mut ranges = vec![(MinMax::EMPTY, MinMax::EMPTY); n_layers];
         let mut batch = LaneBatch::new(mlp.layers(), calibration.len().min(CALIBRATION_LANES));
-        for rows in calibration.chunks(batch.lanes()) {
-            for &v in rows.iter().flatten() {
+        for rows in calibration.as_flat().chunks(batch.lanes() * width) {
+            for &v in rows {
                 input_range.observe(v);
             }
-            batch.forward(mlp.layers(), rows.iter().map(Vec::as_slice));
+            batch.forward(mlp.layers(), rows.chunks_exact(width));
             for (l, (pre_range, post_range)) in ranges.iter_mut().enumerate() {
                 let (pre, post) = batch.layer(l);
-                for k in 0..rows.len() {
+                for k in 0..rows.len() / width {
                     for (&p, &q) in pre[k..].iter().zip(&post[k..]).step_by(batch.lanes()) {
                         pre_range.observe(p);
                         post_range.observe(q);
@@ -307,11 +311,11 @@ impl QuantizedMlp {
     }
 
     /// Accuracy over a labelled set.
-    pub fn accuracy(&self, x: &[Vec<f32>], y: &[usize]) -> f64 {
+    pub fn accuracy(&self, x: &Rows, y: &[usize]) -> f64 {
         if x.is_empty() {
             return 0.0;
         }
-        x.iter().zip(y).filter(|(xi, &yi)| self.predict_class(xi) == yi).count() as f64
+        x.iter().zip(y).filter(|&(xi, &yi)| self.predict_class(xi) == yi).count() as f64
             / x.len() as f64
     }
 
@@ -335,10 +339,17 @@ impl QuantizedKMeans {
     ///
     /// # Panics
     ///
-    /// Panics if `calibration` is empty.
-    pub fn quantize(km: &KMeans, calibration: &[Vec<f32>]) -> Self {
+    /// Panics if `calibration` is empty or its width is not the
+    /// centroids'.
+    pub fn quantize(km: &KMeans, calibration: &Rows) -> Self {
         assert!(!calibration.is_empty(), "need calibration data");
-        let mut all: Vec<f32> = calibration.iter().flatten().copied().collect();
+        assert!(
+            calibration.width() == km.dim(),
+            "calibration rows have {} features; the centroids have {}",
+            calibration.width(),
+            km.dim()
+        );
+        let mut all: Vec<f32> = calibration.as_flat().to_vec();
         all.extend(km.centroids().iter().flatten().copied());
         let params = QuantParams::from_values(&all);
         let centroids = km
@@ -384,11 +395,11 @@ impl QuantizedKMeans {
     }
 
     /// Accuracy over a labelled set.
-    pub fn accuracy(&self, x: &[Vec<f32>], y: &[usize]) -> f64 {
+    pub fn accuracy(&self, x: &Rows, y: &[usize]) -> f64 {
         if x.is_empty() {
             return 0.0;
         }
-        x.iter().zip(y).filter(|(xi, &yi)| self.predict(xi) == yi).count() as f64 / x.len() as f64
+        x.iter().zip(y).filter(|&(xi, &yi)| self.predict(xi) == yi).count() as f64 / x.len() as f64
     }
 }
 
@@ -411,10 +422,17 @@ impl QuantizedSvm {
     ///
     /// # Panics
     ///
-    /// Panics if `calibration` is empty.
-    pub fn quantize(svm: &Svm, calibration: &[Vec<f32>]) -> Self {
+    /// Panics if `calibration` is empty or its width is not the support
+    /// vectors'.
+    pub fn quantize(svm: &Svm, calibration: &Rows) -> Self {
         assert!(!calibration.is_empty(), "need calibration data");
-        let mut all: Vec<f32> = calibration.iter().flatten().copied().collect();
+        assert!(
+            calibration.width() == svm.dim(),
+            "calibration rows have {} features; the support vectors have {}",
+            calibration.width(),
+            svm.dim()
+        );
+        let mut all: Vec<f32> = calibration.as_flat().to_vec();
         all.extend(svm.support_vectors().iter().flatten().copied());
         let in_params = QuantParams::from_values(&all);
 
@@ -530,11 +548,11 @@ impl QuantizedSvm {
     }
 
     /// Accuracy over a labelled set.
-    pub fn accuracy(&self, x: &[Vec<f32>], y: &[usize]) -> f64 {
+    pub fn accuracy(&self, x: &Rows, y: &[usize]) -> f64 {
         if x.is_empty() {
             return 0.0;
         }
-        x.iter().zip(y).filter(|(xi, &yi)| self.predict(xi) == yi).count() as f64 / x.len() as f64
+        x.iter().zip(y).filter(|&(xi, &yi)| self.predict(xi) == yi).count() as f64 / x.len() as f64
     }
 }
 
@@ -547,28 +565,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn blobs(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn blobs(n: usize, seed: u64) -> (Rows, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut x = Vec::new();
         let mut y = Vec::new();
         for i in 0..n {
             let label = i % 2;
             let cx = if label == 0 { -1.5 } else { 1.5 };
-            x.push(vec![cx + rng.gen_range(-0.6..0.6), rng.gen_range(-0.6..0.6)]);
+            x.push([cx + rng.gen_range(-0.6..0.6), rng.gen_range(-0.6..0.6)]);
             y.push(label);
         }
-        (x, y)
+        (x.into_iter().collect(), y)
     }
 
     /// `QuantizedMlp::quantize` in its column form: every row's pre- and
     /// post-activations kept per layer, and each range taken from its
     /// column by `QuantParams::from_values`. Kept as the reference the
     /// folded ranges are pinned against.
-    fn quantize_from_columns(mlp: &Mlp, calibration: &[Vec<f32>]) -> QuantizedMlp {
+    fn quantize_from_columns(mlp: &Mlp, calibration: &Rows) -> QuantizedMlp {
         let column = || -> Vec<Vec<f32>> { mlp.layers().iter().map(|_| Vec::new()).collect() };
         let (mut pres, mut posts) = (column(), column());
         for x in calibration {
-            let mut h = x.clone();
+            let mut h = x.to_vec();
             for (l, layer) in mlp.layers().iter().enumerate() {
                 let (mut pre, mut post) = (vec![0.0; layer.b.len()], vec![0.0; layer.b.len()]);
                 layer.forward(&h, &mut pre, &mut post);
@@ -577,7 +595,7 @@ mod tests {
                 h = post;
             }
         }
-        let input_params = QuantParams::from_values(&calibration.concat());
+        let input_params = QuantParams::from_values(calibration.as_flat());
         let mut layers = Vec::new();
         let mut in_params = input_params;
         for (l, layer) in mlp.layers().iter().enumerate() {
@@ -641,19 +659,18 @@ mod tests {
                 *b = rng.gen_range(-1.0..1.0);
             }
             let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e30, -1e30];
-            let x: Vec<Vec<f32>> = (0..rows)
-                .map(|_| {
-                    (0..mlp.input_width())
-                        .map(|_| {
-                            if rng.gen_range(0..4) < specials {
-                                special[rng.gen_range(0..special.len())]
-                            } else {
-                                rng.gen_range(-3.0..3.0)
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
+            let x = Rows::new(
+                (0..rows * mlp.input_width())
+                    .map(|_| {
+                        if rng.gen_range(0..4) < specials {
+                            special[rng.gen_range(0..special.len())]
+                        } else {
+                            rng.gen_range(-3.0..3.0)
+                        }
+                    })
+                    .collect(),
+                mlp.input_width(),
+            );
             // `Debug` prints every field, the sign of a zero scale
             // included: the two must agree to the bit.
             let (got, want) = (QuantizedMlp::quantize(&mlp, &x), quantize_from_columns(&mlp, &x));
@@ -699,9 +716,9 @@ mod tests {
         let (x, y) = blobs(300, 2);
         let cfg = MlpConfig::anomaly_dnn();
         let mut mlp = Mlp::new(&cfg, 3);
-        let wide: Vec<Vec<f32>> = x
+        let wide: Rows = x
             .iter()
-            .map(|p| vec![p[0], p[1], p[0] * 0.5, p[1] * 0.5, p[0] + p[1], p[0] - p[1]])
+            .map(|p| [p[0], p[1], p[0] * 0.5, p[1] * 0.5, p[0] + p[1], p[0] - p[1]])
             .collect();
         mlp.train(&wide, &y, &TrainParams { epochs: 15, ..TrainParams::default() });
         let q = QuantizedMlp::quantize(&mlp, &wide);
@@ -730,7 +747,7 @@ mod tests {
     #[test]
     fn weight_bytes_is_small() {
         let mlp = Mlp::new(&MlpConfig::anomaly_dnn(), 6);
-        let calib = vec![vec![0.5; 6]; 4];
+        let calib = Rows::new(vec![0.5; 24], 6);
         let q = QuantizedMlp::quantize(&mlp, &calib);
         // 6·12+12·6+6·3+3·1 = 165 weights + 22 biases·4B = 253 B ≪ 5.6 KB.
         assert!(q.weight_bytes() < 5_600, "{} bytes", q.weight_bytes());
@@ -747,12 +764,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "calibration rows have 3 features; the centroids have 2")]
+    fn quantized_kmeans_rejects_calibration_of_another_width() {
+        let (x, _) = blobs(40, 7);
+        let km = KMeans::fit(&x, 2, 30, 8);
+        let wide: Rows = x.iter().map(|p| [p[0], p[1], 9.0]).collect();
+        let _ = QuantizedKMeans::quantize(&km, &wide);
+    }
+
+    #[test]
     fn quantized_svm_tracks_float_predictions() {
         let (x, y) = blobs(400, 9);
         let svm = Svm::train(&x, &y, &SvmConfig { gamma: 0.8, ..SvmConfig::default() });
         let q = QuantizedSvm::quantize(&svm, &x);
         let agree = x.iter().filter(|xi| svm.predict(xi) == q.predict(xi)).count();
         assert!(agree as f64 / x.len() as f64 > 0.93, "agreement {agree}/400");
+    }
+
+    #[test]
+    #[should_panic(expected = "calibration rows have 1 features; the support vectors have 2")]
+    fn quantized_svm_rejects_calibration_of_another_width() {
+        let (x, y) = blobs(40, 9);
+        let svm = Svm::train(&x, &y, &SvmConfig::default());
+        let narrow: Rows = x.iter().map(|p| [p[0]]).collect();
+        let _ = QuantizedSvm::quantize(&svm, &narrow);
     }
 
     #[test]

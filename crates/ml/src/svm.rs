@@ -15,6 +15,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::linalg::sq_dist;
+use crate::rows::Rows;
 
 /// SVM hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,7 +24,7 @@ pub struct SvmConfig {
     pub gamma: f32,
     /// Regularization strength (Pegasos λ).
     pub lambda: f32,
-    /// Maximum number of support vectors kept.
+    /// Maximum number of support vectors kept (at least one).
     pub budget: usize,
     /// Training epochs.
     pub epochs: usize,
@@ -54,11 +55,12 @@ impl Svm {
     ///
     /// # Panics
     ///
-    /// Panics if inputs are empty, lengths mismatch, or only one class is
-    /// present.
-    pub fn train(x: &[Vec<f32>], y: &[usize], config: &SvmConfig) -> Self {
+    /// Panics if inputs are empty, lengths mismatch, only one class is
+    /// present, or the budget is 0.
+    pub fn train(x: &Rows, y: &[usize], config: &SvmConfig) -> Self {
         assert_eq!(x.len(), y.len(), "feature/label length mismatch");
         assert!(!x.is_empty(), "cannot train on empty data");
+        assert!(config.budget > 0, "an SVM budget of 0 keeps no support vector");
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // Class-balanced budget of candidate support vectors.
@@ -73,7 +75,7 @@ impl Svm {
         neg_pool.shuffle(&mut rng);
         chosen.extend(pos_pool.iter().take(half));
         chosen.extend(neg_pool.iter().take(config.budget - chosen.len().min(config.budget)));
-        let support: Vec<Vec<f32>> = chosen.iter().map(|&i| x[i].clone()).collect();
+        let support: Vec<Vec<f32>> = chosen.iter().map(|&i| x[i].to_vec()).collect();
 
         // Precompute kernel rows K[j][i] = K(x_j, sv_i) lazily per sample.
         let mut alpha = vec![0.0f32; support.len()];
@@ -126,6 +128,11 @@ impl Svm {
         &self.support
     }
 
+    /// Feature dimension: the support vectors' width.
+    pub fn dim(&self) -> usize {
+        self.support.first().map_or(0, Vec::len)
+    }
+
     /// Coefficients αᵢ.
     pub fn alphas(&self) -> &[f32] {
         &self.alpha
@@ -142,11 +149,11 @@ impl Svm {
     }
 
     /// Accuracy over a labelled set.
-    pub fn accuracy(&self, x: &[Vec<f32>], y: &[usize]) -> f64 {
+    pub fn accuracy(&self, x: &Rows, y: &[usize]) -> f64 {
         if x.is_empty() {
             return 0.0;
         }
-        x.iter().zip(y).filter(|(xi, &yi)| self.predict(xi) == yi).count() as f64 / x.len() as f64
+        x.iter().zip(y).filter(|&(xi, &yi)| self.predict(xi) == yi).count() as f64 / x.len() as f64
     }
 }
 
@@ -155,7 +162,7 @@ mod tests {
     use super::*;
     use rand::Rng;
 
-    fn ring_data(n: usize) -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn ring_data(n: usize) -> (Rows, Vec<usize>) {
         // Nonlinearly separable: class 1 inside radius 1, class 0 in a ring
         // at radius 2–3. RBF needed; a linear model fails.
         let mut rng = StdRng::seed_from_u64(0);
@@ -165,10 +172,10 @@ mod tests {
             let inner = i % 2 == 0;
             let r = if inner { rng.gen_range(0.0..1.0) } else { rng.gen_range(2.0..3.0) };
             let theta = rng.gen_range(0.0..std::f32::consts::TAU);
-            x.push(vec![r * theta.cos(), r * theta.sin()]);
+            x.push([r * theta.cos(), r * theta.sin()]);
             y.push(usize::from(inner));
         }
-        (x, y)
+        (x.into_iter().collect(), y)
     }
 
     #[test]
@@ -210,9 +217,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "an SVM budget of 0 keeps no support vector")]
+    fn rejects_a_zero_budget() {
+        let (x, y) = ring_data(20);
+        let _ = Svm::train(&x, &y, &SvmConfig { budget: 0, ..SvmConfig::default() });
+    }
+
+    #[test]
     #[should_panic(expected = "both classes")]
     fn rejects_single_class() {
-        let x = vec![vec![0.0]; 10];
+        let x = Rows::new(vec![0.0; 10], 1);
         let y = vec![1; 10];
         let _ = Svm::train(&x, &y, &SvmConfig::default());
     }

@@ -14,7 +14,7 @@ use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use taurus_ml::{Mlp, MlpConfig, QuantizedMlp, TrainParams};
+use taurus_ml::{Mlp, MlpConfig, QuantizedMlp, Rows, TrainParams};
 
 struct CountingAlloc;
 
@@ -75,14 +75,14 @@ fn allocations_in(f: impl FnOnce()) -> (u64, u64) {
 
 /// `rows` rows of the AD DNN's six uniform features and alternating
 /// labels.
-fn rows(rows: usize) -> (Vec<Vec<f32>>, Vec<usize>) {
+fn rows(rows: usize) -> (Rows, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(1);
-    let x = (0..rows).map(|_| (0..6).map(|_| rng.gen_range(-2.0..2.0)).collect()).collect();
+    let x = Rows::new((0..rows * 6).map(|_| rng.gen_range(-2.0..2.0)).collect(), 6);
     (x, (0..rows).map(|i| i % 2).collect())
 }
 
 /// Allocations of one `train` call on a fresh model.
-fn train_allocations(x: &[Vec<f32>], y: &[usize], params: &TrainParams) -> (u64, u64) {
+fn train_allocations(x: &Rows, y: &[usize], params: &TrainParams) -> (u64, u64) {
     let mut mlp = Mlp::new(&MlpConfig::anomaly_dnn(), 3);
     allocations_in(|| {
         mlp.train(x, y, params);
@@ -130,8 +130,8 @@ fn quantization_bytes_do_not_grow_with_calibration_rows() {
     let (x, y) = rows(2_000);
     let mut mlp = Mlp::new(&MlpConfig::anomaly_dnn(), 3);
     mlp.train(&x, &y, &TrainParams { epochs: 1, ..TrainParams::default() });
-    let quantize = |rows: usize| allocations_in(|| drop(QuantizedMlp::quantize(&mlp, &x[..rows])));
-    let (_, few) = quantize(200);
-    let (_, many) = quantize(2_000);
+    let quantize = |x: &Rows| allocations_in(|| drop(QuantizedMlp::quantize(&mlp, x)));
+    let (_, few) = quantize(&x.iter().take(200).collect());
+    let (_, many) = quantize(&x);
     assert_eq!(few, many, "200 calibration rows took {few} bytes, 2,000 took {many}");
 }

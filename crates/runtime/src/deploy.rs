@@ -51,7 +51,7 @@ use taurus_controlplane::training::{ConvergencePoint, TrainingRunConfig};
 use taurus_core::apps::AnomalyDetector;
 use taurus_core::e2e::extract_stream_features;
 use taurus_dataset::trace::PacketTrace;
-use taurus_ml::Mlp;
+use taurus_ml::{Mlp, Rows};
 
 use crate::runtime::{RuntimeBuilder, RuntimeReport};
 
@@ -143,10 +143,10 @@ pub fn run_online_deployment(
     // Control-plane telemetry tap: the same register-stage features the
     // switch computes, standardized with the deployment's parameters.
     let samples = extract_stream_features(trace);
-    let standardized: Vec<Vec<f32>> = samples
+    let standardized: Vec<[f32; 6]> = samples
         .iter()
         .map(|s| {
-            let mut row = s.features.clone();
+            let mut row = s.features;
             app.standardizer.apply_row(&mut row);
             row
         })
@@ -163,10 +163,11 @@ pub fn run_online_deployment(
     // plane uses its historical telemetry (modeled by a prefix of the
     // standardized stream).
     let calib_len = standardized.len().min(tcfg.buffer_size.max(32));
+    let calibration: Rows = standardized[..calib_len].iter().collect();
     let mut model = initial.clone();
     let mut version = 1u64;
     runtime
-        .install_update(&app.prepare_update(&model, &standardized[..calib_len], version))
+        .install_update(&app.prepare_update(&model, &calibration, version))
         .expect("initial deployment installs on a fresh runtime");
 
     // Walk the stream: Bernoulli-sample telemetry into the retained
@@ -175,7 +176,7 @@ pub fn run_online_deployment(
     // virtual install time lands.
     let pool_cap = tcfg.buffer_size * 8;
     let mut rng = StdRng::seed_from_u64(tcfg.seed);
-    let mut pool_x: VecDeque<Vec<f32>> = VecDeque::new();
+    let mut pool_x: VecDeque<[f32; 6]> = VecDeque::new();
     let mut pool_y: VecDeque<usize> = VecDeque::new();
     let mut fresh_samples = 0usize;
     let mut rounds: Vec<DeploymentRound> = Vec::new();
@@ -190,7 +191,7 @@ pub fn run_online_deployment(
                 pool_x.pop_front();
                 pool_y.pop_front();
             }
-            pool_x.push_back(row.clone());
+            pool_x.push_back(*row);
             pool_y.push_back(usize::from(sample.anomalous));
             fresh_samples += 1;
         }
@@ -211,12 +212,12 @@ pub fn run_online_deployment(
         }
 
         // Train: real SGD over the retained pool.
-        let (px, py) = (pool_x.make_contiguous(), pool_y.make_contiguous());
-        let train_loss = model.train(px, py, &tcfg.train_params(round));
+        let px: Rows = pool_x.iter().collect();
+        let train_loss = model.train(&px, pool_y.make_contiguous(), &tcfg.train_params(round));
 
         version += 1;
         // The runtime is fresh, so trace index == global stream index.
-        runtime.schedule_update(install_idx, app.prepare_update(&model, px, version));
+        runtime.schedule_update(install_idx, app.prepare_update(&model, &px, version));
         rounds.push(DeploymentRound {
             round,
             version,

@@ -32,6 +32,7 @@ use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::EngineBackend;
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
+use taurus_ml::Rows;
 use taurus_pisa::{FlowTableKind, PipelineConfig};
 use taurus_runtime::{FaultPlan, OverloadPolicy, RuntimeBuilder, StreamingRuntime};
 
@@ -237,9 +238,10 @@ fn an_install_between_feeds_allocates_a_named_handful_and_compiles_nothing() {
     const SHARDS: u64 = 2;
     let detector = AnomalyDetector::train_default(9, 400);
     let single = trace(250, 57);
-    let standardized: Vec<Vec<f32>> = (0..64)
-        .map(|i| (0..6).map(|j| ((i * 7 + j * 13) % 17) as f32 / 8.0 - 1.0).collect())
-        .collect();
+    let standardized = Rows::new(
+        (0..64 * 6).map(|k| ((k / 6 * 7 + k % 6 * 13) % 17) as f32 / 8.0 - 1.0).collect(),
+        6,
+    );
     let mut update = detector.prepare_update(&detector.float_model, &standardized, 0);
     let mut service =
         RuntimeBuilder::new().shards(SHARDS as usize).batch_size(32).register(&detector).build();

@@ -10,7 +10,7 @@ use taurus_core::e2e::{build_detector_from_trace, extract_stream_features};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_ml::mlp::MlpConfig;
-use taurus_ml::Mlp;
+use taurus_ml::{Mlp, Rows};
 
 fn main() {
     // Feature pools from a trace, standardized like the deployed model's.
@@ -18,17 +18,17 @@ fn main() {
     let records = KddGenerator::new(22).take(1_200);
     let trace = PacketTrace::expand(records, &TraceConfig { seed: 22, ..Default::default() });
     let samples = extract_stream_features(&trace);
-    let xs: Vec<Vec<f32>> = samples
+    let mut pool_x: Rows = samples
         .iter()
         .map(|s| {
-            let mut row = s.features.clone();
+            let mut row = s.features;
             detector.standardizer.apply_row(&mut row);
             row
         })
         .collect();
     let ys: Vec<usize> = samples.iter().map(|s| usize::from(s.anomalous)).collect();
-    let half = xs.len() / 2;
-    let (pool_x, eval_x) = xs.split_at(half);
+    let half = pool_x.len() / 2;
+    let eval_x = pool_x.split_off(half);
     let (pool_y, eval_y) = ys.split_at(half);
 
     println!("online training from a fresh (untrained) model:\n");
@@ -36,9 +36,9 @@ fn main() {
         let mut model = Mlp::new(&MlpConfig::anomaly_dnn(), 3);
         let curve = run_online_training(
             &mut model,
-            pool_x,
+            &pool_x,
             pool_y,
-            eval_x,
+            &eval_x,
             eval_y,
             &TrainingRunConfig { sampling_rate: rate, rounds: 25, ..Default::default() },
         );

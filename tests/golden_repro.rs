@@ -11,12 +11,8 @@
 //! If an intentional change moves a number, regenerate and commit:
 //!
 //! ```bash
-//! TAURUS_REGEN_GOLDEN=1 cargo test --release --test golden_repro -- --include-ignored
+//! TAURUS_REGEN_GOLDEN=1 cargo test --release --test golden_repro
 //! ```
-//!
-//! The experiments that train for seconds in a debug build are ignored
-//! there; `cargo test --release --test golden_repro -- --include-ignored`
-//! runs them all.
 
 use std::path::{Path, PathBuf};
 
@@ -45,7 +41,7 @@ fn check(path: &Path, rendered: &str) {
         rendered,
         golden,
         "rendering diverged from {} — if intentional, regenerate with \
-         `TAURUS_REGEN_GOLDEN=1 cargo test --release --test golden_repro -- --include-ignored`",
+         `TAURUS_REGEN_GOLDEN=1 cargo test --release --test golden_repro`",
         path.display()
     );
 }
@@ -61,13 +57,12 @@ fn pin(name: &str) {
 }
 
 macro_rules! golden {
-    ($($(#[$attr:meta])* $name:ident),* $(,)?) => {
+    ($($name:ident),* $(,)?) => {
         /// The experiments pinned as text.
         const PINNED: &[&str] = &[$(stringify!($name)),*];
 
         $(
             #[test]
-            $(#[$attr])*
             fn $name() {
                 pin(stringify!($name));
             }
@@ -76,24 +71,8 @@ macro_rules! golden {
 }
 
 golden!(
-    table1,
-    table2,
-    #[cfg_attr(debug_assertions, ignore = "trains three IoT DNNs: ≈ 8 s in debug")]
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-    #[cfg_attr(debug_assertions, ignore = "serves a 169k-packet trace: ≈ 7 s in debug")]
-    table8,
-    fig9,
-    fig10,
-    #[cfg_attr(debug_assertions, ignore = "four 25-round online-training runs: ≈ 11 s in debug")]
-    fig13,
-    #[cfg_attr(debug_assertions, ignore = "four 20-round online-training runs: ≈ 11 s in debug")]
-    fig14,
-    mat_only,
-    throughput,
+    table1, table2, table3, table4, table5, table6, table7, table8, fig9, fig10, fig13, fig14,
+    mat_only, throughput,
 );
 
 /// `repro online` runs [`OnlineSize::FULL`]; the pinned report is the

@@ -11,9 +11,9 @@ fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// `file:line: text` for each line matching `hit` in the files under
-/// `dir` (relative to the repo root) whose relative path passes `keep`.
-fn scan(dir: &str, keep: impl Fn(&Path) -> bool, hit: impl Fn(&str) -> bool) -> Vec<String> {
+/// `(relative path, text)` of each file under `dir` (relative to the
+/// repo root) whose relative path passes `keep`.
+fn sources(dir: &str, keep: impl Fn(&Path) -> bool) -> Vec<(String, String)> {
     let root = root();
     let mut found = Vec::new();
     let mut stack = vec![root.join(dir)];
@@ -35,10 +35,20 @@ fn scan(dir: &str, keep: impl Fn(&Path) -> bool, hit: impl Fn(&str) -> bool) -> 
             }
             // Non-UTF-8 files are not source.
             let Ok(text) = std::fs::read_to_string(&path) else { continue };
-            for (i, line) in text.lines().enumerate() {
-                if hit(line) {
-                    found.push(format!("{}:{}: {}", rel.display(), i + 1, line.trim()));
-                }
+            found.push((rel.display().to_string(), text));
+        }
+    }
+    found
+}
+
+/// `file:line: text` for each line matching `hit` in the files under
+/// `dir` (relative to the repo root) whose relative path passes `keep`.
+fn scan(dir: &str, keep: impl Fn(&Path) -> bool, hit: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut found = Vec::new();
+    for (file, text) in sources(dir, keep) {
+        for (i, line) in text.lines().enumerate() {
+            if hit(line) {
+                found.push(format!("{file}:{}: {}", i + 1, line.trim()));
             }
         }
     }
@@ -61,6 +71,17 @@ fn has_word(line: &str, word: &str) -> bool {
         !line[..i].chars().next_back().is_some_and(ident)
             && !line[i + word.len()..].chars().next().is_some_and(ident)
     })
+}
+
+/// The name of the function `line` declares, if it declares one.
+fn declared_fn(line: &str) -> Option<&str> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let (i, _) = line
+        .match_indices("fn ")
+        .find(|&(i, _)| !line[..i].chars().next_back().is_some_and(ident))?;
+    let rest = &line[i + 3..];
+    let name = &rest[..rest.find(|c: char| !ident(c)).unwrap_or(rest.len())];
+    (!name.is_empty()).then_some(name)
 }
 
 #[test]
@@ -195,6 +216,53 @@ fn one_lookup_per_mat_one_result_per_switch() {
 }
 
 #[test]
+fn trainers_take_one_flat_feature_set() {
+    // A feature set is a `Rows`: no trainer, quantizer, `accuracy`,
+    // `Dataset` or `AnomalyDetector` entry point takes or returns rows of
+    // `Vec`s. A set of LSTM sequences (`&[Vec<Vec<f32>>]`) is not a
+    // feature set.
+    let entry = [
+        "train",
+        "fit",
+        "fit_supervised",
+        "quantize",
+        "accuracy",
+        "new",
+        "features",
+        "map_features",
+        "from_data",
+        "prepare_update",
+        "run_online_training",
+    ];
+    let row_of_vecs = |sig: &str| {
+        let sig = sig.replace("[Vec<Vec<f32>>]", "");
+        sig.contains("Vec<Vec<f32>>") || sig.contains("[Vec<f32>]")
+    };
+    let mut offenders = Vec::new();
+    for dir in ["crates", "tests", "examples", "src"] {
+        for (file, text) in sources(dir, is_rs) {
+            let lines: Vec<&str> = text.lines().collect();
+            for (i, line) in lines.iter().enumerate() {
+                if !declared_fn(line).is_some_and(|name| entry.contains(&name)) {
+                    continue;
+                }
+                // The signature runs to the line that opens the body or
+                // ends the declaration.
+                let end = lines[i..]
+                    .iter()
+                    .position(|l| l.contains('{') || l.trim_end().ends_with(';'))
+                    .map_or(lines.len(), |k| i + k + 1);
+                if row_of_vecs(&lines[i..end].concat()) {
+                    offenders.push(format!("{file}:{}: {}", i + 1, line.trim()));
+                }
+            }
+        }
+    }
+    offenders.sort();
+    assert_clean("trainers take one flat feature set, `Rows`", offenders);
+}
+
+#[test]
 fn public_surface_something_runs() {
     // Deleted because only their own unit tests ran them: the no-op
     // round-robin join and the queues beside it, the second Conv1D
@@ -228,4 +296,13 @@ fn word_matching_respects_identifier_boundaries() {
     assert!(has_word("#[deny(unsafe)]", "unsafe"));
     assert!(!has_word("unsafe_op_in_unsafe_fn2", "unsafe"));
     assert!(!has_word("is_unsafe", "unsafe"));
+}
+
+#[test]
+fn declared_functions_are_found_by_name() {
+    assert_eq!(declared_fn("    pub fn train(&mut self, x: &Rows) {"), Some("train"));
+    assert_eq!(declared_fn("fn new<R: AsRef<[f32]>>(x: Vec<R>) -> Self {"), Some("new"));
+    assert_eq!(declared_fn("    pub(crate) unsafe fn fit("), Some("fit"));
+    assert_eq!(declared_fn("let f = defn (x);"), None);
+    assert_eq!(declared_fn("    // no declaration here"), None);
 }

@@ -22,7 +22,7 @@ fn dnn_hardware_path_matches_golden_model_bit_for_bit() {
     let mut gen = KddGenerator::new(101);
     let ds = gen.binary_dataset(300, FeatureView::Dnn6);
     for x in ds.features() {
-        let mut row = x.clone();
+        let mut row = x.to_vec();
         detector.standardizer.apply_row(&mut row);
         let codes = detector.quantized.quantize_input(&row);
         let golden: Vec<i32> =

@@ -9,7 +9,7 @@ use taurus_cgra::CgraSim;
 use taurus_compiler::{compile, frontend, CompileOptions, GridConfig};
 use taurus_fixed::Activation;
 use taurus_ml::mlp::{Mlp, MlpConfig, OutputHead, TrainParams};
-use taurus_ml::QuantizedMlp;
+use taurus_ml::{QuantizedMlp, Rows};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -36,12 +36,15 @@ proptest! {
 
         // Brief training on random blobs so weights are non-degenerate.
         let mut rng = StdRng::seed_from_u64(seed);
-        let x: Vec<Vec<f32>> = (0..60)
-            .map(|i| {
-                let c = if i % 2 == 0 { -1.0 } else { 1.0 };
-                (0..inputs).map(|_| c + rng.gen_range(-0.5..0.5)).collect()
-            })
-            .collect();
+        let x = Rows::new(
+            (0..60 * inputs)
+                .map(|k| {
+                    let c = if k / inputs % 2 == 0 { -1.0 } else { 1.0 };
+                    c + rng.gen_range(-0.5..0.5)
+                })
+                .collect(),
+            inputs,
+        );
         let y: Vec<usize> = (0..60).map(|i| i % 2).collect();
         let mut mlp = Mlp::new(&cfg, seed);
         mlp.train(&x, &y, &TrainParams { epochs: 3, ..TrainParams::default() });
