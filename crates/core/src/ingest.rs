@@ -102,6 +102,7 @@ impl std::error::Error for IngestError {}
 /// enforces except timestamp monotonicity, derived from the packet
 /// alone. [`IngestValidator::admit`] runs them first, then the
 /// monotonicity check, in arrival order.
+#[inline]
 pub fn validate_wire(tp: &TracePacket) -> Result<(), IngestError> {
     if tp.len == 0 {
         return Err(IngestError::ZeroLength);
@@ -168,6 +169,7 @@ impl IngestValidator {
     /// then monotonicity against the last admitted packet (with the
     /// restart tolerance described on the type). On `Ok` the clock
     /// advances; on `Err` the validator is untouched.
+    #[inline]
     pub fn admit(&mut self, tp: &TracePacket) -> Result<(), IngestError> {
         validate_wire(tp)?;
         if let (Some(start), Some(last)) = (self.feed_start_ts, self.last_ts_ns) {
@@ -189,28 +191,32 @@ impl IngestValidator {
     }
 }
 
-/// Renders a trace packet as the wire packet the parser consumes.
+/// Renders a trace packet as the wire packet the parser consumes: its
+/// five-tuple, flags and timestamp, with the wire length clamped up to
+/// [`Packet::MIN_LEN`] as [`Packet::tcp`] clamps it. The value is built
+/// once, field by field, so a caller's slot is written and never read
+/// back.
+#[inline]
 pub fn to_packet(tp: &TracePacket) -> Packet {
-    let mut p = Packet::tcp(0, 0, 0, 0, 0, 0);
-    to_packet_into(tp, &mut p);
-    p
+    Packet {
+        src_ip: tp.tuple.src_ip,
+        dst_ip: tp.tuple.dst_ip,
+        proto: tp.tuple.proto,
+        src_port: tp.tuple.src_port,
+        dst_port: tp.tuple.dst_port,
+        tcp_flags: tp.tcp_flags,
+        wire_len: tp.len.max(Packet::MIN_LEN),
+        ts_ns: tp.ts_ns,
+    }
 }
 
 /// In-place variant of [`to_packet`]: overwrites a resident [`Packet`]
 /// with the trace packet's wire form. Hot ingest loops (the sharded
 /// runtime's batch arena) rewrite recycled slots with this instead of
 /// constructing and copying a fresh value per packet.
+#[inline]
 pub fn to_packet_into(tp: &TracePacket, p: &mut Packet) {
-    *p = Packet::tcp(
-        tp.tuple.src_ip,
-        tp.tuple.dst_ip,
-        tp.tuple.src_port,
-        tp.tuple.dst_port,
-        tp.tcp_flags,
-        tp.len,
-    );
-    p.proto = tp.tuple.proto;
-    p.ts_ns = tp.ts_ns;
+    *p = to_packet(tp);
 }
 
 /// The order-free half of an observation: everything [`PacketObs`]
@@ -220,6 +226,7 @@ pub fn to_packet_into(tp: &TracePacket, p: &mut Packet) {
 /// (see [`ObsBuilder::mark_seen`]) is order-bound — so the runtime can
 /// parse a packet and then refuse it with no flow state touched.
 /// `obs.is_flow_start` is left `false`.
+#[inline]
 pub fn wire_obs(tp: &TracePacket, obs: &mut PacketObs) {
     let canonical = tp.tuple.canonical();
     // The responder is the destination of forward packets.
@@ -245,6 +252,7 @@ pub fn wire_obs(tp: &TracePacket, obs: &mut PacketObs) {
 /// connection's first packet: non-TCP always does, TCP requires a bare
 /// SYN (SYN set, ACK clear). Packet-local; the order-bound first-seen
 /// bit is resolved separately ([`ObsBuilder::mark_seen`]).
+#[inline]
 pub fn flow_start_flags_ok(tp: &TracePacket) -> bool {
     tp.tuple.proto != 6 || tp.tcp_flags & TCP_SYN != 0 && tp.tcp_flags & TCP_ACK == 0
 }
@@ -342,6 +350,7 @@ impl ObsBuilder {
     /// bookkeeping, flow start from first-seen (TCP flows additionally
     /// require a bare SYN), keys from the canonical tuple and responder
     /// endpoint.
+    #[inline]
     pub fn observe(&mut self, tp: &TracePacket) -> PacketObs {
         let mut obs = PacketObs::default();
         self.observe_into(tp, &mut obs);
@@ -351,6 +360,7 @@ impl ObsBuilder {
     /// In-place variant of [`ObsBuilder::observe`]: overwrites a
     /// resident [`PacketObs`] (a recycled batch-arena slot) instead of
     /// returning a fresh value.
+    #[inline]
     pub fn observe_into(&mut self, tp: &TracePacket, obs: &mut PacketObs) {
         wire_obs(tp, obs);
         obs.is_flow_start = self.mark_seen(tp.conn_id) && flow_start_flags_ok(tp);
@@ -361,6 +371,7 @@ impl ObsBuilder {
     /// *only* order-bound piece of observation building: the runtime's
     /// ingest loop calls it per admitted packet, in global arrival
     /// order, after [`wire_obs`].
+    #[inline]
     pub fn mark_seen(&mut self, conn_id: u32) -> bool {
         match &mut self.seen_flows {
             Some(seen) => seen.insert(conn_id),
@@ -625,6 +636,31 @@ mod tests {
             assert_eq!(p.wire_len, tp.len);
             assert_eq!(p.ts_ns, tp.ts_ns);
             assert_eq!(p.tcp_flags, tp.tcp_flags);
+        }
+    }
+
+    #[test]
+    fn to_packet_is_the_tcp_packet_with_the_trace_proto_and_clock() {
+        let records = KddGenerator::new(94).take(40);
+        let trace = PacketTrace::expand(records, &TraceConfig::default());
+        let lens =
+            [0, 1, Packet::MIN_LEN - 1, Packet::MIN_LEN, Packet::MIN_LEN + 1, 1500, u16::MAX];
+        for (tp, len) in trace.packets.iter().zip(lens.iter().cycle()).take(64) {
+            let tp = TracePacket { len: *len, ..*tp };
+            let mut expected = Packet::tcp(
+                tp.tuple.src_ip,
+                tp.tuple.dst_ip,
+                tp.tuple.src_port,
+                tp.tuple.dst_port,
+                tp.tcp_flags,
+                tp.len,
+            );
+            expected.proto = tp.tuple.proto;
+            expected.ts_ns = tp.ts_ns;
+            assert_eq!(to_packet(&tp), expected, "len {len}");
+            let mut slot = Packet::tcp(9, 9, 9, 9, 9, 9);
+            to_packet_into(&tp, &mut slot);
+            assert_eq!(slot, expected, "in place, len {len}");
         }
     }
 }

@@ -405,6 +405,7 @@ impl TaurusSwitch {
 
     /// Processes one raw packet with its register-stage observation
     /// through every hosted app.
+    #[inline]
     pub fn process(&mut self, pkt: &Packet, obs: PacketObs) -> SwitchVerdict {
         self.run_apps(|app| app.pipeline.process(pkt, obs))
     }
@@ -415,6 +416,7 @@ impl TaurusSwitch {
     /// arrival order (destination keys are not flow-consistent, so
     /// per-shard windows would diverge) and hands each shard the counts
     /// along with the packet.
+    #[inline]
     pub fn process_prepared_verdict(
         &mut self,
         pkt: &Packet,
@@ -427,6 +429,7 @@ impl TaurusSwitch {
 
     /// Processes one trace packet: derives its packet and register-stage
     /// observation at ingest, then runs [`TaurusSwitch::process`].
+    #[inline]
     pub fn process_trace_verdict(&mut self, tp: &TracePacket) -> SwitchVerdict {
         let pkt = to_packet(tp);
         let obs = self.obs_builder.observe(tp);
@@ -435,6 +438,7 @@ impl TaurusSwitch {
 
     /// The per-packet loop: runs every hosted app, maintains per-app and
     /// aggregate counters, and combines enforcing verdicts.
+    #[inline]
     fn run_apps(&mut self, mut run: impl FnMut(&mut HostedApp) -> PipelineResult) -> SwitchVerdict {
         self.aggregate.packets += 1;
         let mut verdict = Verdict::Forward;

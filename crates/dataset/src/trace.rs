@@ -53,6 +53,7 @@ pub struct FiveTuple {
 
 impl FiveTuple {
     /// The tuple with endpoints swapped (the reverse direction).
+    #[inline]
     pub fn reversed(&self) -> FiveTuple {
         FiveTuple {
             src_ip: self.dst_ip,
@@ -66,6 +67,7 @@ impl FiveTuple {
     /// A direction-independent flow key: both directions of a connection
     /// hash to the same value (how a switch keys bidirectional flow
     /// state).
+    #[inline]
     pub fn canonical(&self) -> FiveTuple {
         if (self.src_ip, self.src_port) <= (self.dst_ip, self.dst_port) {
             *self
@@ -76,6 +78,7 @@ impl FiveTuple {
 
     /// A stable non-cryptographic hash (FNV-1a), used to index register
     /// arrays the way a switch would.
+    #[inline]
     pub fn hash(&self) -> u64 {
         // Feed the 13 key bytes straight through FNV-1a — same byte
         // order as the old `concat()` formulation, but allocation-free:

@@ -75,6 +75,7 @@ pub enum Access {
 impl Access {
     /// Whether this access semantically opens a flow: in keyed mode a
     /// miss or any eviction *is* a flow start (table-miss semantics).
+    #[inline]
     pub fn is_start(self) -> bool {
         !matches!(self, Access::Hit)
     }
@@ -177,6 +178,7 @@ impl<P: Copy + Default> FlowTable<P> {
     }
 
     /// Whether this is the keyed set-associative variant.
+    #[inline]
     pub fn is_keyed(&self) -> bool {
         matches!(self.kind, FlowTableKind::Keyed { .. })
     }
@@ -235,6 +237,7 @@ impl<P: Copy + Default> FlowTable<P> {
 
     /// Mutable occupant entry at a slot index returned by
     /// [`FlowTable::access`].
+    #[inline]
     pub fn entry_mut(&mut self, idx: usize) -> &mut P {
         &mut self.slots[idx].entry
     }
@@ -246,6 +249,7 @@ impl<P: Copy + Default> FlowTable<P> {
     /// direct-mapped `Miss`, which leaves whatever the colliding
     /// previous occupants accumulated (the historical shared-slot
     /// semantics).
+    #[inline]
     pub fn access(&mut self, key: u64, now_ns: u64) -> (usize, Access) {
         match self.kind {
             FlowTableKind::DirectMapped => self.access_direct(key, now_ns),
@@ -255,6 +259,7 @@ impl<P: Copy + Default> FlowTable<P> {
 
     /// The direct-mapped path replicates the historical `IdleTable::touch`
     /// exactly: disabled tables never stamp and never evict.
+    #[inline]
     fn access_direct(&mut self, key: u64, now_ns: u64) -> (usize, Access) {
         let idx = self.index.reduce(key);
         if self.idle_timeout_ns == 0 {

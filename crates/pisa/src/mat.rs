@@ -76,6 +76,7 @@ impl MatchTable {
     /// Applies the table to a PHV: one binary search for the entry
     /// holding the key field's value, whose value (or the default on a
     /// miss) is written to the destination field.
+    #[inline]
     pub fn apply(&self, phv: &mut Phv) {
         let v = phv.get(self.key);
         let hit = self.spans.get(self.spans.partition_point(|s| s.hi < v)).filter(|s| s.lo <= v);

@@ -24,7 +24,13 @@ pub struct Packet {
 }
 
 impl Packet {
+    /// The shortest wire length a packet reports: its Ethernet, IPv4
+    /// and TCP headers (14 + 20 + 20 bytes). Shorter lengths are
+    /// clamped up to it.
+    pub const MIN_LEN: u16 = 54;
+
     /// A minimal TCP packet for tests and trace conversion.
+    #[inline]
     pub fn tcp(
         src_ip: u32,
         dst_ip: u32,
@@ -40,7 +46,7 @@ impl Packet {
             src_port,
             dst_port,
             tcp_flags: flags,
-            wire_len: len.max(54),
+            wire_len: len.max(Self::MIN_LEN),
             ts_ns: 0,
         }
     }

@@ -25,6 +25,7 @@ impl Parser {
     /// Loads a packet into a caller-owned (resident) PHV, resetting it
     /// first — the pipeline's per-packet entry point, which recycles one
     /// PHV instead of constructing a fresh one.
+    #[inline]
     pub fn parse_into(&mut self, p: &Packet, phv: &mut Phv) {
         phv.reset();
         phv.set(Field::SrcIp, i64::from(p.src_ip));

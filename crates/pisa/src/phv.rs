@@ -62,11 +62,13 @@ impl Phv {
     /// Zeroes every field in place — how a resident PHV is recycled
     /// between packets (the PHV is a fixed-layout value type, so this is
     /// a memset, never an allocation).
+    #[inline]
     pub fn reset(&mut self) {
         *self = Self::default();
     }
 
     /// Reads a field.
+    #[inline]
     pub fn get(&self, f: Field) -> i64 {
         match f {
             Field::SrcIp => self.header[0],
@@ -87,6 +89,7 @@ impl Phv {
     }
 
     /// Writes a field.
+    #[inline]
     pub fn set(&mut self, f: Field, v: i64) {
         match f {
             Field::SrcIp => self.header[0] = v,
@@ -107,6 +110,7 @@ impl Phv {
     }
 
     /// Writes the model's feature codes.
+    #[inline]
     pub fn set_features(&mut self, codes: &[i32]) {
         for (slot, &c) in self.features.iter_mut().zip(codes) {
             *slot = i64::from(c);

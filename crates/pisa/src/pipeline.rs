@@ -109,6 +109,7 @@ impl Verdict {
     }
 
     /// Decodes the PHV decision field (0 = forward, 1 = drop, 2 = flag).
+    #[inline]
     pub fn from_code(code: i64) -> Verdict {
         match code {
             1 => Verdict::Drop,
@@ -129,6 +130,7 @@ impl Verdict {
 
     /// The stricter of two verdicts (`Drop > Flag > Forward`) — how a
     /// switch combines the decisions of multiple hosted applications.
+    #[inline]
     pub fn max_severity(self, other: Verdict) -> Verdict {
         match (self, other) {
             (Verdict::Drop, _) | (_, Verdict::Drop) => Verdict::Drop,
@@ -255,6 +257,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
     /// from a single packet (direction, flow start); real hardware infers
     /// these from SYN/five-tuple state, and so does this hint builder in
     /// `taurus-core`.
+    #[inline]
     pub fn process(&mut self, pkt: &Packet, obs_hint: PacketObs) -> PipelineResult {
         self.packets += 1;
         let mut latency = PARSE_LATENCY_NS;
@@ -274,6 +277,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
     /// [`crate::registers::CrossFlowWindows`] in global arrival order) —
     /// the entry point sharded runtimes use so per-destination state
     /// stays coherent across shards.
+    #[inline]
     pub fn process_prepared(
         &mut self,
         pkt: &Packet,
@@ -294,6 +298,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
 
     /// The shared pipeline tail after the register stage: preprocessing
     /// MATs, inference or bypass, and the postprocessing MATs.
+    #[inline]
     fn finish_packet(&mut self, features: FlowFeatures, mut latency: u64) -> PipelineResult {
         // Preprocessing MATs: bypass decision and metadata.
         for t in &self.pre_tables {

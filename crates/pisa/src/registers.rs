@@ -56,6 +56,7 @@ impl RegisterArray {
     }
 
     /// Reads the cell for a key.
+    #[inline]
     pub fn read(&self, key: u64) -> i64 {
         self.data[self.idx(key)]
     }
@@ -64,6 +65,7 @@ impl RegisterArray {
     /// returning the new value. Used where a wrapped counter would turn
     /// into a bogus small (or negative-clamped-to-zero) reading rather
     /// than an obviously pegged one — the window counters.
+    #[inline]
     pub fn add_saturating(&mut self, key: u64, v: i64) -> i64 {
         let i = self.idx(key);
         self.data[i] = self.data[i].saturating_add(v);
@@ -148,6 +150,7 @@ impl WindowCounters {
         }
     }
 
+    #[inline]
     fn rotate_if_needed(&mut self, now_ns: u64) {
         let elapsed = now_ns.saturating_sub(self.epoch_start_ns);
         if elapsed >= 2 * self.window_ns {
@@ -166,11 +169,13 @@ impl WindowCounters {
     /// total. The caller must have rotated for this timestamp already.
     /// Saturating throughout: an adversarially long run pegs the count
     /// at `i64::MAX` instead of wrapping negative and clamping to 0.
+    #[inline]
     fn bump(&mut self, key: u64) -> u64 {
         let cur = self.current.add_saturating(key, 1);
         cur.saturating_add(self.previous.read(key)).max(0) as u64
     }
 
+    #[inline]
     fn read(&self, key: u64) -> u64 {
         self.current.read(key).saturating_add(self.previous.read(key)).max(0) as u64
     }
@@ -213,6 +218,7 @@ impl CrossFlowWindows {
     /// starts bump the windows, non-starts read them. Both banks rotate
     /// on *every* packet — a non-start arriving after an idle gap must
     /// not read fan-in counts that should have aged out of the window.
+    #[inline]
     pub fn observe(&mut self, obs: &PacketObs) -> (u64, u64) {
         self.dst.rotate_if_needed(obs.ts_ns);
         self.srv.rotate_if_needed(obs.ts_ns);
@@ -334,6 +340,7 @@ impl FlowTracker {
     /// incoming `is_flow_start` is ignored: a table miss (or any
     /// eviction) *is* the flow start, and that resolved bit drives the
     /// cross-flow windows.
+    #[inline]
     pub fn observe(&mut self, obs: &PacketObs) -> FlowFeatures {
         if self.table.is_keyed() {
             let (idx, access) = self.table.access(obs.flow_key, obs.ts_ns);
@@ -353,6 +360,7 @@ impl FlowTracker {
     /// tracker's own windows stay untouched. Accumulation never reads
     /// `obs.is_flow_start`, so keyed shards recompute table outcomes
     /// locally and stay bit-identical to a sequential tracker.
+    #[inline]
     pub fn observe_prepared(
         &mut self,
         obs: &PacketObs,
@@ -368,6 +376,7 @@ impl FlowTracker {
     /// `RegisterArray` semantics exactly (wrapping adds, `ts + 1`
     /// first-seen sentinel with a single read after the conditional
     /// stamp).
+    #[inline]
     fn accumulate_at(
         &mut self,
         idx: usize,

@@ -15,6 +15,18 @@
 //! is traversed once per *batch*, not per packet, and lock cost is
 //! amortized away. Endpoints are deliberately `!Clone`.
 //!
+//! A wake costs more than the lock: `Condvar::notify_one` makes a
+//! `FUTEX_WAKE` system call even when nothing waits (≈ 240 ns on a
+//! 2-vCPU x86 host, against ≈ 20 ns for an uncontended lock and
+//! unlock), and notifying on every send and every pop put four of them
+//! on each batch's round trip through a steer lane and its recycle
+//! lane. So an endpoint marks itself parked, under the lock, just
+//! before it waits on its condvar and clears the mark when it wakes,
+//! and its peer notifies only while the mark is set. Both sides read
+//! and write the marks under the one mutex, and a condvar wait releases
+//! that mutex atomically, so a wake-up cannot be lost. Dropping an
+//! endpoint still wakes every waiter unconditionally.
+//!
 //! Blocked endpoints **spin briefly before parking**: when the peer is
 //! one batch away from making room (the common hot-path case — cheap
 //! engines drain batches in microseconds), a few polling retries with
@@ -95,6 +107,10 @@ struct State<T> {
     buf: VecDeque<T>,
     sender_alive: bool,
     receiver_alive: bool,
+    /// The sender is waiting on `not_full`: a pop must notify it.
+    sender_parked: bool,
+    /// The receiver is waiting on `not_empty`: a send must notify it.
+    receiver_parked: bool,
 }
 
 struct Shared<T> {
@@ -129,6 +145,8 @@ pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             buf: VecDeque::with_capacity(capacity),
             sender_alive: true,
             receiver_alive: true,
+            sender_parked: false,
+            receiver_parked: false,
         }),
         capacity,
         not_empty: Condvar::new(),
@@ -147,13 +165,15 @@ impl<T> Shared<T> {
     /// The one wait loop behind every blocking call: returns the locked
     /// state once `ready` holds, or `None` once `deadline` has passed.
     /// Up to [`SPIN_TRIES`] failed checks release the lock and yield
-    /// (see the module docs) before the endpoint parks on `wake`; a
-    /// spurious or timed-out wake just re-checks. Without a deadline
-    /// the clock is never read; with one, every failed check reads it,
-    /// so a zero timeout is a single attempt.
+    /// (see the module docs) before the endpoint parks on `wake`, with
+    /// its `parked` mark set for the length of the wait; a spurious or
+    /// timed-out wake just re-checks. Without a deadline the clock is
+    /// never read; with one, every failed check reads it, so a zero
+    /// timeout is a single attempt.
     fn wait(
         &self,
         wake: &Condvar,
+        parked: fn(&mut State<T>) -> &mut bool,
         deadline: Option<Instant>,
         ready: impl Fn(&State<T>) -> bool,
     ) -> Option<MutexGuard<'_, State<T>>> {
@@ -167,17 +187,22 @@ impl<T> Shared<T> {
             if remaining.is_some_and(|r| r.is_zero()) {
                 return None;
             }
-            state = if spins < SPIN_TRIES {
+            if spins < SPIN_TRIES {
                 spins += 1;
                 drop(state);
                 std::hint::spin_loop();
                 std::thread::yield_now();
-                recover(self.state.lock())
-            } else if let Some(remaining) = remaining {
-                wake.wait_timeout(state, remaining).unwrap_or_else(PoisonError::into_inner).0
-            } else {
-                recover(wake.wait(state))
+                state = recover(self.state.lock());
+                continue;
+            }
+            *parked(&mut state) = true;
+            state = match remaining {
+                Some(remaining) => {
+                    wake.wait_timeout(state, remaining).unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => recover(wake.wait(state)),
             };
+            *parked(&mut state) = false;
         }
     }
 }
@@ -188,14 +213,17 @@ impl<T> Sender<T> {
     fn send_by(&self, value: T, deadline: Option<Instant>) -> Result<(), SendTimeoutError<T>> {
         let shared = &*self.shared;
         let unblocked = |s: &State<T>| !s.receiver_alive || s.buf.len() < shared.capacity;
-        let Some(mut state) = shared.wait(&shared.not_full, deadline, unblocked) else {
+        let parked: fn(&mut State<T>) -> &mut bool = |s| &mut s.sender_parked;
+        let Some(mut state) = shared.wait(&shared.not_full, parked, deadline, unblocked) else {
             return Err(SendTimeoutError::Timeout(value));
         };
         if !state.receiver_alive {
             return Err(SendTimeoutError::Disconnected(value));
         }
         state.buf.push_back(value);
-        shared.not_empty.notify_one();
+        if state.receiver_parked {
+            shared.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -239,10 +267,13 @@ impl<T> Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Pops the oldest buffered item, telling the sender there is room.
+    /// Pops the oldest buffered item, telling a parked sender there is
+    /// room.
     fn pop(&self, state: &mut State<T>) -> Option<T> {
         let value = state.buf.pop_front()?;
-        self.shared.not_full.notify_one();
+        if state.sender_parked {
+            self.shared.not_full.notify_one();
+        }
         Some(value)
     }
 
@@ -251,9 +282,10 @@ impl<T> Receiver<T> {
     /// reported.
     fn recv_by(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
         let unblocked = |s: &State<T>| !s.buf.is_empty() || !s.sender_alive;
+        let parked: fn(&mut State<T>) -> &mut bool = |s| &mut s.receiver_parked;
         let mut state = self
             .shared
-            .wait(&self.shared.not_empty, deadline, unblocked)
+            .wait(&self.shared.not_empty, parked, deadline, unblocked)
             .ok_or(RecvTimeoutError::Timeout)?;
         self.pop(&mut state).ok_or(RecvTimeoutError::Disconnected)
     }
@@ -335,6 +367,109 @@ mod tests {
     use super::*;
     use std::thread;
     use std::time::Duration;
+
+    /// How long a woken endpoint may take before the test calls its
+    /// wake-up lost.
+    const WAKE_DEADLINE: Duration = Duration::from_secs(20);
+
+    /// Runs `f` on its own thread; the returned receiver yields its
+    /// result. Waiting on it with a deadline turns a lost wake-up into
+    /// a failure instead of a hung suite.
+    fn spawn_endpoint<R: Send + 'static>(
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<R> {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        thread::spawn(move || done_tx.send(f()));
+        done_rx
+    }
+
+    /// Blocks until the endpoint whose mark `parked` reads has spun out
+    /// and parked on its condvar.
+    fn until_parked<T>(shared: &Shared<T>, parked: fn(&State<T>) -> bool) {
+        let start = std::time::Instant::now();
+        while !parked(&recover(shared.state.lock())) {
+            assert!(start.elapsed() < WAKE_DEADLINE, "the endpoint never parked");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn woken<R>(done: &std::sync::mpsc::Receiver<R>) -> R {
+        done.recv_timeout(WAKE_DEADLINE).expect("lost wake-up: the parked endpoint never woke")
+    }
+
+    #[test]
+    fn a_receiver_parked_on_an_empty_lane_is_woken_by_a_send() {
+        let (tx, rx) = channel::<u32>(2);
+        let shared = Arc::clone(&tx.shared);
+        let done = spawn_endpoint(move || rx.recv());
+        until_parked(&shared, |s| s.receiver_parked);
+        tx.send(7).unwrap();
+        assert_eq!(woken(&done), Ok(7));
+        assert!(!recover(shared.state.lock()).receiver_parked, "cleared on waking");
+    }
+
+    #[test]
+    fn a_sender_parked_on_a_full_lane_is_woken_by_a_pop() {
+        let (tx, rx) = channel::<u32>(1);
+        tx.send(0).unwrap();
+        let shared = Arc::clone(&rx.shared);
+        let done = spawn_endpoint(move || tx.send(1).map(|()| tx));
+        until_parked(&shared, |s| s.sender_parked);
+        assert_eq!(rx.recv(), Ok(0), "the pop makes room");
+        let tx = woken(&done).expect("the receiver is alive");
+        assert!(!recover(shared.state.lock()).sender_parked, "cleared on waking");
+        assert_eq!(rx.recv(), Ok(1));
+        drop(tx);
+    }
+
+    #[test]
+    fn timed_waits_parked_past_the_spin_phase_are_woken_by_their_peer() {
+        // Receiver: `recv_timeout` parks with a deadline far beyond the
+        // test's, so only the send can end its wait in time.
+        let (tx, rx) = channel::<u32>(1);
+        let shared = Arc::clone(&tx.shared);
+        let done =
+            spawn_endpoint(move || rx.recv_timeout(Duration::from_secs(600)).map(|v| (v, rx)));
+        until_parked(&shared, |s| s.receiver_parked);
+        tx.send(3).unwrap();
+        let (value, rx) = woken(&done).expect("woken before the deadline");
+        assert_eq!(value, 3);
+
+        // Sender: `send_timeout` parks on the full lane until a
+        // `try_recv` pops.
+        tx.send(4).unwrap();
+        let done =
+            spawn_endpoint(move || tx.send_timeout(5, Duration::from_secs(600)).map(|()| tx));
+        until_parked(&shared, |s| s.sender_parked);
+        assert_eq!(rx.try_recv(), Ok(4));
+        let tx = woken(&done).expect("woken before the deadline");
+        assert_eq!(rx.recv(), Ok(5));
+        drop(tx);
+    }
+
+    #[test]
+    fn a_two_thread_ping_pong_completes() {
+        // Each message waits for its echo, so every round trip finds
+        // one side parked or about to park: a lost wake-up anywhere in
+        // 10^5 of them stalls the exchange.
+        const ROUNDS: u64 = 100_000;
+        let (ping_tx, ping_rx) = channel::<u64>(1);
+        let (pong_tx, pong_rx) = channel::<u64>(1);
+        let echo = spawn_endpoint(move || {
+            while let Ok(v) = ping_rx.recv() {
+                pong_tx.send(v + 1).unwrap();
+            }
+        });
+        let done = spawn_endpoint(move || {
+            for i in 0..ROUNDS {
+                ping_tx.send(2 * i).unwrap();
+                assert_eq!(pong_rx.recv(), Ok(2 * i + 1));
+            }
+        });
+        let limit = Duration::from_secs(120);
+        done.recv_timeout(limit).expect("the ping-pong stalled: a wake-up was lost");
+        echo.recv_timeout(limit).expect("the echo ends when the pinger hangs up");
+    }
 
     #[test]
     fn fifo_order_within_capacity() {

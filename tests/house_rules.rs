@@ -262,6 +262,104 @@ fn trainers_take_one_flat_feature_set() {
     assert_clean("trainers take one flat feature set, `Rows`", offenders);
 }
 
+/// The attributes written on the lines just above line `at` (the
+/// attribute block between a declaration's docs and its `fn`), with
+/// trailing comments stripped.
+fn attributes_above<'a>(lines: &[&'a str], at: usize) -> Vec<&'a str> {
+    let attribute = |l: &&str| l.trim_start().starts_with("#[");
+    let block = lines[..at].iter().copied().rev().take_while(attribute);
+    block.map(|l| l.split("//").next().unwrap_or("").trim()).collect()
+}
+
+/// `file:line` of each non-test declaration of `name` in `file` that
+/// lacks `attribute`, or one line saying no declaration was found.
+fn lacking(file: &str, name: &str, attribute: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(root().join(file))
+        .unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
+    let lines: Vec<&str> = text.lines().collect();
+    let tests = lines.iter().position(|l| l.starts_with("#[cfg(test)]")).unwrap_or(lines.len());
+    let decls: Vec<usize> = (0..tests).filter(|&i| declared_fn(lines[i]) == Some(name)).collect();
+    if decls.is_empty() {
+        return vec![format!("{file}: no `fn {name}` (renamed? update this rule)")];
+    }
+    decls
+        .into_iter()
+        .filter(|&i| !attributes_above(&lines, i).contains(&attribute))
+        .map(|i| format!("{file}:{}: {} (wants `{attribute}`)", i + 1, lines[i].trim()))
+        .collect()
+}
+
+#[test]
+fn the_packet_path_crosses_no_crate_boundary_by_call() {
+    // `benchmark/` and the runtime reach these per packet from another
+    // crate, and a release build without LTO inlines a non-generic
+    // function across a crate boundary only when it is `#[inline]`. A
+    // name with two declarations in one file (`read`, `observe`) wants
+    // the attribute on both.
+    let per_packet: [(&str, &[&str]); 10] = [
+        ("crates/dataset/src/trace.rs", &["canonical", "reversed", "hash"]),
+        ("crates/pisa/src/packet.rs", &["tcp"]),
+        ("crates/pisa/src/parser.rs", &["parse_into"]),
+        ("crates/pisa/src/phv.rs", &["reset", "get", "set", "set_features"]),
+        ("crates/pisa/src/mat.rs", &["apply"]),
+        (
+            "crates/pisa/src/registers.rs",
+            &[
+                "read",
+                "add_saturating",
+                "rotate_if_needed",
+                "bump",
+                "observe",
+                "observe_prepared",
+                "accumulate_at",
+            ],
+        ),
+        (
+            "crates/pisa/src/flow_table.rs",
+            &["is_start", "is_keyed", "entry_mut", "access", "access_direct"],
+        ),
+        (
+            "crates/pisa/src/pipeline.rs",
+            &["from_code", "max_severity", "process", "process_prepared", "finish_packet"],
+        ),
+        (
+            "crates/core/src/ingest.rs",
+            &[
+                "validate_wire",
+                "admit",
+                "to_packet",
+                "to_packet_into",
+                "wire_obs",
+                "flow_start_flags_ok",
+                "observe",
+                "observe_into",
+                "mark_seen",
+            ],
+        ),
+        (
+            "crates/core/src/switch.rs",
+            &["process", "process_prepared_verdict", "process_trace_verdict", "run_apps"],
+        ),
+    ];
+    let mut offenders = Vec::new();
+    for (file, names) in per_packet {
+        for name in names {
+            offenders.extend(lacking(file, name, "#[inline]"));
+        }
+    }
+    // The deliberate exceptions: the lane endpoints stay out of the
+    // loops that call them, and the saturation-only accounting stays
+    // off the ingest loop's fall-through path.
+    for name in ["send", "recv"] {
+        offenders.extend(lacking("crates/runtime/src/spsc.rs", name, "#[inline(never)]"));
+    }
+    offenders.extend(lacking("crates/runtime/src/overload.rs", "record_bypass", "#[cold]"));
+    assert_clean(
+        "the per-packet path inlines across crates; its named exceptions stay out of line",
+        offenders,
+    );
+}
+
 #[test]
 fn public_surface_something_runs() {
     // Deleted because only their own unit tests ran them: the no-op
@@ -296,6 +394,13 @@ fn word_matching_respects_identifier_boundaries() {
     assert!(has_word("#[deny(unsafe)]", "unsafe"));
     assert!(!has_word("unsafe_op_in_unsafe_fn2", "unsafe"));
     assert!(!has_word("is_unsafe", "unsafe"));
+}
+
+#[test]
+fn attributes_are_read_from_the_block_above_a_declaration() {
+    let lines = ["/// Docs.", "#[inline(never)] // see `send`", "#[must_use]", "pub fn recv() {}"];
+    assert_eq!(attributes_above(&lines, 3), ["#[must_use]", "#[inline(never)]"]);
+    assert!(attributes_above(&lines, 1).is_empty(), "docs end the block");
 }
 
 #[test]
