@@ -228,24 +228,41 @@ pub fn to_packet_into(tp: &TracePacket, p: &mut Packet) {
 /// `obs.is_flow_start` is left `false`.
 #[inline]
 pub fn wire_obs(tp: &TracePacket, obs: &mut PacketObs) {
-    let canonical = tp.tuple.canonical();
-    // The responder is the destination of forward packets.
-    let (resp_ip, resp_port) = if tp.reverse {
-        (tp.tuple.src_ip, tp.tuple.src_port)
-    } else {
-        (tp.tuple.dst_ip, tp.tuple.dst_port)
-    };
-    *obs = PacketObs {
-        flow_key: canonical.hash(),
+    // Hash first: the wire fields are read after it, not held in
+    // registers across it.
+    let flow_key = tp.tuple.canonical().hash();
+    *obs = packet_obs(&to_packet(tp), flow_key, tp.len, tp.reverse, false);
+}
+
+/// The observation of a wire packet, given what its header fields do
+/// not say: the canonical flow key, the unclamped wire length, the
+/// direction, and the resolved first-seen bit. The destination-host and
+/// destination-service keys are the responder endpoint's (the
+/// destination of forward packets) times one odd constant each, so a
+/// packet that crossed a lane without them gets them back for two
+/// multiplies, never a second five-tuple hash. [`wire_obs`] derives
+/// every observation through this, so the keys live in one place.
+#[inline]
+pub fn packet_obs(
+    pkt: &Packet,
+    flow_key: u64,
+    len: u16,
+    reverse: bool,
+    is_flow_start: bool,
+) -> PacketObs {
+    let (resp_ip, resp_port) =
+        if reverse { (pkt.src_ip, pkt.src_port) } else { (pkt.dst_ip, pkt.dst_port) };
+    PacketObs {
+        flow_key,
         dst_key: u64::from(resp_ip).wrapping_mul(0x9E3779B97F4A7C15),
         srv_key: (u64::from(resp_ip) << 16 | u64::from(resp_port)).wrapping_mul(0x9E3779B97F4A7C15),
-        reverse: tp.reverse,
-        is_flow_start: false,
-        len: tp.len,
-        tcp_flags: tp.tcp_flags,
-        proto: tp.tuple.proto,
-        ts_ns: tp.ts_ns,
-    };
+        reverse,
+        is_flow_start,
+        len,
+        tcp_flags: pkt.tcp_flags,
+        proto: pkt.proto,
+        ts_ns: pkt.ts_ns,
+    }
 }
 
 /// Whether a packet's flags qualify it as a flow start *if* it is the

@@ -3,21 +3,24 @@
 //! shard — derived with no cross-packet state at all. The order-bound
 //! half (`steer.rs`) finishes the packet.
 
-use taurus_core::ingest::{flow_start_flags_ok, to_packet_into, wire_obs};
+use taurus_core::ingest::{flow_start_flags_ok, wire_obs};
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::registers::PacketObs;
 
 use crate::runtime::{PreparedPacket, Route};
 
 /// One packet after [`parse_packet`]: the fully prepared form (window
-/// counts still zero — [`crate::resolve_and_count`] fills them) plus
-/// the inputs that resolution needs.
+/// counts still zero — [`crate::resolve_and_count`] fills them), its
+/// register-stage observation, and the inputs that resolution needs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParsedSlot {
     /// The packet as it will cross the steer→engine channel. Its
-    /// `obs.is_flow_start`, `dst_count`, and `srv_count` are finalized
-    /// by [`crate::resolve_and_count`]; everything else is parse output.
+    /// `is_flow_start`, `dst_count`, and `srv_count` are finalized by
+    /// [`crate::resolve_and_count`]; everything else is parse output.
     pub prepared: PreparedPacket,
+    /// The packet's register-stage observation, which resolution reads
+    /// (keys, timestamp) and whose `is_flow_start` it finalizes.
+    pub obs: PacketObs,
     /// Originating connection, for global first-seen resolution.
     pub conn_id: u32,
     /// Home shard (`shard_of` over the precomputed flow key), so
@@ -55,11 +58,8 @@ pub fn parse_packet(
     shards: usize,
     candidate: bool,
 ) {
-    let shard = parse_obs(tp, &mut slot.prepared.obs, Route::new(route_slots, shards));
-    to_packet_into(tp, &mut slot.prepared.pkt);
-    slot.prepared.dst_count = 0;
-    slot.prepared.srv_count = 0;
-    slot.prepared.anomalous = tp.anomalous;
+    let shard = parse_obs(tp, &mut slot.obs, Route::new(route_slots, shards));
+    slot.prepared.fill(tp, &slot.obs, (0, 0), 0);
     slot.conn_id = tp.conn_id;
     slot.shard = shard as u32;
     slot.candidate = candidate;
@@ -85,7 +85,8 @@ mod tests {
             parse_packet(tp, &mut slot, 4096, 4, true);
             let mut wire = golden;
             wire.is_flow_start = false;
-            assert_eq!(slot.prepared.obs, wire, "order-free fields agree");
+            assert_eq!(slot.obs, wire, "order-free fields agree");
+            assert_eq!(slot.prepared.obs(), wire, "the slot rebuilds the same observation");
             assert_eq!(slot.prepared.dst_count, 0, "window counts await the merge stage");
             assert_eq!(slot.conn_id, tp.conn_id);
             assert_eq!(slot.shard as usize, shard_of(golden.flow_key, 4096, 4));

@@ -108,7 +108,7 @@ pub fn resolve_and_count(
     directory: Option<&mut FlowTable<()>>,
 ) {
     let (dst, srv) = resolve(
-        &mut slot.prepared.obs,
+        &mut slot.obs,
         slot.conn_id,
         slot.candidate,
         slot.start_flags_ok,
@@ -116,6 +116,7 @@ pub fn resolve_and_count(
         windows,
         directory,
     );
+    slot.prepared.is_flow_start = slot.obs.is_flow_start;
     slot.prepared.dst_count = dst;
     slot.prepared.srv_count = srv;
 }
@@ -372,7 +373,8 @@ mod tests {
                     let candidate = epoch_seen.insert(tp.conn_id);
                     parse_packet(tp, &mut slot, cfg.flow_slots, 4, candidate);
                     resolve_and_count(&mut slot, &mut merge_builder, &mut merge_windows, None);
-                    assert_eq!(slot.prepared.obs, golden_obs, "epoch_len={epoch_len}");
+                    assert_eq!(slot.obs, golden_obs, "epoch_len={epoch_len}");
+                    assert_eq!(slot.prepared.obs(), golden_obs, "epoch_len={epoch_len}");
                     assert_eq!((slot.prepared.dst_count, slot.prepared.srv_count), (gd, gs));
                 }
             }
@@ -392,7 +394,7 @@ mod tests {
         // marked seen (its candidate packet comes earlier in the epoch).
         parse_packet(tp, &mut slot, cfg.flow_slots, 1, false);
         resolve_and_count(&mut slot, &mut builder, &mut windows, None);
-        assert!(!slot.prepared.obs.is_flow_start);
+        assert!(!slot.obs.is_flow_start && !slot.prepared.is_flow_start);
         // The connection is still unseen: its real candidate resolves.
         assert!(builder.mark_seen(tp.conn_id), "set untouched by the non-candidate");
         let _ = flow_start_flags_ok(tp);
@@ -414,8 +416,9 @@ mod tests {
             // keyed path must not consult it.
             parse_packet(tp, &mut slot, cfg.flow_slots, 2, false);
             resolve_and_count(&mut slot, &mut builder, &mut windows, Some(&mut directory));
-            let (_, access) = oracle.access(slot.prepared.obs.flow_key, tp.ts_ns);
-            assert_eq!(slot.prepared.obs.is_flow_start, access.is_start());
+            let (_, access) = oracle.access(slot.obs.flow_key, tp.ts_ns);
+            assert_eq!(slot.obs.is_flow_start, access.is_start());
+            assert_eq!(slot.prepared.is_flow_start, access.is_start());
         }
         assert!(directory.occupancy() > 0, "the directory tracked the feed");
         assert_eq!(directory, oracle, "one access per packet, same order");

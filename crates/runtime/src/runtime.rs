@@ -52,7 +52,9 @@
 
 use std::time::Duration;
 
+use taurus_core::ingest::{packet_obs, to_packet_into};
 use taurus_core::{DuplicateAppError, EngineBackend, SwitchBuilder, SwitchReport, TaurusApp};
+use taurus_dataset::trace::TracePacket;
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineConfig, SlotIndex};
@@ -63,27 +65,50 @@ use crate::pipeline::steer::Steer;
 use crate::service::feed::Ingest;
 use crate::service::StreamingRuntime;
 
-/// One packet as it crosses an ingest→worker channel: its header
-/// fields, its register-stage observation, and the globally ordered
-/// cross-flow window counts.
+/// One packet as it crosses an ingest→worker channel: one cache line,
+/// written on the feeder's core and read on a worker's.
+///
+/// It carries what the worker reads and nothing else:
+///
+/// - `pkt`, the header fields the parser loads into the PHV;
+/// - `flow_key`, the canonical five-tuple hash, so the worker never
+///   hashes a packet again;
+/// - `dst_count` and `srv_count`, the cross-flow window counts the
+///   feeder stamped in global arrival order;
+/// - `index`, the global stream index, for fault injection;
+/// - `len`, the unclamped wire length the registers accumulate;
+/// - `reverse`, `is_flow_start` and `anomalous`.
+///
+/// The worker rebuilds the register-stage [`PacketObs`] from these
+/// ([`PreparedPacket::obs`]): its two window keys are one multiply each
+/// over the responder endpoint already in `pkt`.
 #[derive(Debug, Clone, PartialEq)]
+#[repr(align(64))]
 pub struct PreparedPacket {
     /// The header fields the parser loads into the PHV.
     pub pkt: Packet,
-    /// Register-stage observation (keys, direction, flow start).
-    pub obs: PacketObs,
+    /// Direction-independent flow key (canonical five-tuple hash).
+    pub flow_key: u64,
     /// Destination-host fan-in at this packet, from the shared windows.
     pub dst_count: u64,
     /// Destination-service fan-in at this packet.
     pub srv_count: u64,
-    /// Trace ground truth, carried so workers can score deployed
-    /// verdicts per model segment without a second pass.
-    pub anomalous: bool,
     /// Global stream index of this packet (monotone across feeds).
     /// Carried so deterministic fault injection ([`crate::FaultPlan`])
     /// can key on exact (shard, stream index) points inside the engine
     /// workers.
     pub index: u64,
+    /// Wire bytes as captured (`pkt.wire_len` is clamped up to
+    /// [`Packet::MIN_LEN`]; the registers count these).
+    pub len: u16,
+    /// Whether this packet travels responder → originator.
+    pub reverse: bool,
+    /// Whether this is the flow's first packet, resolved by ingest in
+    /// global arrival order.
+    pub is_flow_start: bool,
+    /// Trace ground truth, carried so workers can score deployed
+    /// verdicts per model segment without a second pass.
+    pub anomalous: bool,
 }
 
 impl Default for PreparedPacket {
@@ -91,12 +116,47 @@ impl Default for PreparedPacket {
     fn default() -> Self {
         Self {
             pkt: Packet::tcp(0, 0, 0, 0, 0, 0),
-            obs: PacketObs::default(),
+            flow_key: 0,
             dst_count: 0,
             srv_count: 0,
-            anomalous: false,
             index: 0,
+            len: 0,
+            reverse: false,
+            is_flow_start: false,
+            anomalous: false,
         }
+    }
+}
+
+impl PreparedPacket {
+    /// Writes one packet into this slot: `tp`'s wire form, the resolved
+    /// observation's flow key and flow-start bit, its window counts, and
+    /// its global stream index. Every field is stored and none is read,
+    /// so a recycled slot costs its cache line once.
+    #[inline]
+    pub(crate) fn fill(
+        &mut self,
+        tp: &TracePacket,
+        obs: &PacketObs,
+        (dst_count, srv_count): (u64, u64),
+        index: u64,
+    ) {
+        to_packet_into(tp, &mut self.pkt);
+        self.flow_key = obs.flow_key;
+        self.dst_count = dst_count;
+        self.srv_count = srv_count;
+        self.index = index;
+        self.len = tp.len;
+        self.reverse = tp.reverse;
+        self.is_flow_start = obs.is_flow_start;
+        self.anomalous = tp.anomalous;
+    }
+
+    /// The register-stage observation the feeder resolved for this
+    /// packet, rebuilt from the slot ([`packet_obs`]).
+    #[inline]
+    pub fn obs(&self) -> PacketObs {
+        packet_obs(&self.pkt, self.flow_key, self.len, self.reverse, self.is_flow_start)
     }
 }
 
@@ -603,11 +663,13 @@ mod tests {
     }
 
     #[test]
-    fn the_cross_core_handoff_is_96_bytes_a_packet() {
+    fn the_cross_core_handoff_is_one_cache_line_a_packet() {
         // Every packet is written on the feeder's core and read on a
-        // worker's, so these sizes are the lane's bytes per packet.
+        // worker's, so these sizes are the lane's bytes per packet, and
+        // the alignment keeps each record on a line of its own.
         assert_eq!(std::mem::size_of::<Packet>(), 24);
-        assert_eq!(std::mem::size_of::<PreparedPacket>(), 96);
+        assert_eq!(std::mem::size_of::<PreparedPacket>(), 64);
+        assert_eq!(std::mem::align_of::<PreparedPacket>(), 64);
     }
 
     #[test]

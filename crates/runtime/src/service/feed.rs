@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use taurus_core::ingest::{flow_start_flags_ok, to_packet_into, IngestValidator, ObsBuilder};
+use taurus_core::ingest::{flow_start_flags_ok, IngestValidator, ObsBuilder};
 use taurus_core::ModelUpdate;
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::registers::PacketObs;
@@ -160,7 +160,7 @@ impl Ingest {
         }
         // Nothing pre-filtered the first-seen probes, so (direct-mapped)
         // every packet is a flow-start candidate.
-        let (dst_count, srv_count) = resolve(
+        let counts = resolve(
             &mut obs,
             tp.conn_id,
             true,
@@ -170,13 +170,7 @@ impl Ingest {
             self.directory.as_mut(),
         );
         // Rewrite a recycled staging slot in place.
-        let out = self.steer.slot(shard);
-        to_packet_into(tp, &mut out.pkt);
-        out.obs = obs;
-        out.dst_count = dst_count;
-        out.srv_count = srv_count;
-        out.anomalous = tp.anomalous;
-        out.index = index;
+        self.steer.slot(shard).fill(tp, &obs, counts, index);
         self.steer.commit(lanes, shard)
     }
 }
@@ -226,5 +220,77 @@ impl StreamingRuntime {
     /// Updates still awaiting their stream index (index, app, version).
     pub fn scheduled_updates(&self) -> Vec<(u64, String, u64)> {
         self.ingest.pending.iter().map(|(at, u)| (*at, u.app.clone(), u.version)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::IngestFaults;
+    use crate::overload::{OverloadPolicy, OverloadState};
+    use crate::pipeline::steer::ShardMsg;
+    use crate::spsc;
+    use taurus_core::ingest::{to_packet, wire_obs};
+    use taurus_dataset::kdd::KddGenerator;
+    use taurus_dataset::trace::{PacketTrace, TraceConfig};
+    use taurus_pisa::{FlowTableKind, PipelineConfig};
+
+    #[test]
+    fn the_worker_rebuilds_the_feeders_packet_and_observation_bit_for_bit() {
+        let records = KddGenerator::new(76).take(300);
+        let trace = PacketTrace::expand(records, &TraceConfig::default());
+        let cfg = PipelineConfig::default();
+        let batch_size = 64;
+        for kind in [FlowTableKind::DirectMapped, FlowTableKind::Keyed { buckets: 64, ways: 4 }] {
+            let keyed = matches!(kind, FlowTableKind::Keyed { .. });
+            let route_slots = if keyed { 64 } else { cfg.flow_slots };
+            // Every batch stays queued until the feed returns.
+            let depth = trace.packets.len() / batch_size + 1;
+            let (tx, rx) = spsc::channel(depth);
+            let (_recycle_tx, recycle) = spsc::channel(depth);
+            let (_reply_tx, replies) = spsc::channel(1);
+            let lanes = [Lane { tx, recycle, replies, lost: false }];
+            let overload = OverloadState::new(OverloadPolicy::Block, IngestFaults::default(), 1);
+            let mut ingest = Ingest::new(
+                Route::new(route_slots, 1),
+                Steer::new(1, batch_size, depth, overload),
+                CrossFlowWindows::new(cfg.flow_slots, cfg.window_ns),
+                keyed.then(|| FlowTable::with_kind(kind, 0, 0)),
+            );
+            ingest.feed(&lanes, &trace.packets);
+            drop(lanes);
+
+            // The feeder's observation, derived independently: the
+            // sequential builder, or table-miss starts when keyed.
+            let mut builder = ObsBuilder::new();
+            let mut oracle: FlowTable<()> = FlowTable::with_kind(kind, cfg.flow_slots, 0);
+            let mut windows = CrossFlowWindows::new(cfg.flow_slots, cfg.window_ns);
+            let mut feeder = trace.packets.iter().enumerate().map(|(i, tp)| {
+                let obs = if keyed {
+                    let mut obs = PacketObs::default();
+                    wire_obs(tp, &mut obs);
+                    obs.is_flow_start = oracle.access(obs.flow_key, obs.ts_ns).1.is_start();
+                    obs
+                } else {
+                    builder.observe(tp)
+                };
+                (i as u64, to_packet(tp), obs, windows.observe(&obs), tp.anomalous)
+            });
+            let mut received = 0;
+            while let Ok(msg) = rx.recv() {
+                let ShardMsg::Batch(batch) = msg else { panic!("only batches were sent") };
+                for (p, (index, pkt, obs, counts, anomalous)) in batch.iter().zip(&mut feeder) {
+                    assert_eq!(p.index, index, "{kind:?}");
+                    assert_eq!(p.pkt, pkt, "{kind:?} packet {index}");
+                    assert_eq!(p.obs(), obs, "{kind:?} packet {index}");
+                    assert_eq!(
+                        (p.dst_count, p.srv_count, p.anomalous),
+                        (counts.0, counts.1, anomalous)
+                    );
+                    received += 1;
+                }
+            }
+            assert_eq!(received, trace.packets.len(), "{kind:?}: every packet crossed the lane");
+        }
     }
 }

@@ -162,7 +162,7 @@ fn engine_worker(
                             }
                             let r = switch.process_prepared_verdict(
                                 &p.pkt,
-                                p.obs,
+                                p.obs(),
                                 p.dst_count,
                                 p.srv_count,
                             );

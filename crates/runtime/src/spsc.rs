@@ -13,38 +13,73 @@
 //! Implemented on `Mutex<VecDeque>` + two condvars rather than a
 //! lock-free ring: the payload is a whole packet batch, so the channel
 //! is traversed once per *batch*, not per packet, and lock cost is
-//! amortized away. Endpoints are deliberately `!Clone`.
+//! amortized away. A ring would also need raw access to its slots,
+//! which the house rules allow only in the CGRA's SIMD kernels.
+//! Endpoints are deliberately `!Clone`.
 //!
-//! A wake costs more than the lock: `Condvar::notify_one` makes a
-//! `FUTEX_WAKE` system call even when nothing waits (≈ 240 ns on a
-//! 2-vCPU x86 host, against ≈ 20 ns for an uncontended lock and
-//! unlock), and notifying on every send and every pop put four of them
-//! on each batch's round trip through a steer lane and its recycle
-//! lane. So an endpoint marks itself parked, under the lock, just
-//! before it waits on its condvar and clears the mark when it wakes,
-//! and its peer notifies only while the mark is set. Both sides read
-//! and write the marks under the one mutex, and a condvar wait releases
-//! that mutex atomically, so a wake-up cannot be lost. Dropping an
-//! endpoint still wakes every waiter unconditionally.
+//! What the lock does cost is its cache line. The two endpoints run on
+//! different cores, and every acquisition moves the mutex's line to the
+//! acquiring core. A blocked sender that re-locks to ask "is there room
+//! yet?" takes that line away from the receiver that is about to pop,
+//! and the pop then pays for getting it back. So a blocked endpoint
+//! takes the lock to act, not to ask:
+//!
+//! - **Progress counters.** Each endpoint publishes a count of its own
+//!   progress: the sender counts items sent, the receiver items popped,
+//!   and closing an endpoint bumps its count once more. An endpoint
+//!   whose check failed reads its peer's count under the lock, then
+//!   polls it and takes the lock again only once it has moved. A call
+//!   that finds the lane ready reads no count at all. Each count is
+//!   written by its own endpoint alone, so a publish is a plain load
+//!   and store, not a locked read-modify-write (one shared `fetch_add`
+//!   counter made a same-thread send + recv ≈ 10–15 ns slower on a
+//!   2-vCPU x86 host). Each count sits on a cache line of its own, so
+//!   polling it never pulls the mutex's line or the other count away
+//!   from the core that writes them. And each is stored *after* the
+//!   endpoint releases the mutex, so a poller that sees the count move
+//!   finds the lock free rather than spinning on it while the
+//!   publisher finishes its critical section.
+//! - **Parking.** A wake costs more than the lock:
+//!   `Condvar::notify_one` makes a `FUTEX_WAKE` system call even when
+//!   nothing waits (≈ 240 ns on a 2-vCPU x86 host, against ≈ 20 ns for
+//!   an uncontended lock and unlock). So an endpoint marks itself
+//!   parked, under the lock, just before it waits on its condvar and
+//!   clears the mark when it wakes, and its peer notifies only while
+//!   the mark is set. Both sides read and write the marks under the one
+//!   mutex, and a condvar wait releases that mutex atomically, so a
+//!   wake-up cannot be lost. Dropping an endpoint still wakes every
+//!   waiter unconditionally.
+//!
+//! The counters are hints and nothing more. An endpoint decides that it
+//! can go on only from the state under the lock, and it re-checks that
+//! state under the lock before it parks, so a publish that was missed
+//! or raced costs at most the rest of the spin phase, never a wake-up.
 //!
 //! Blocked endpoints **spin briefly before parking**: when the peer is
 //! one batch away from making room (the common hot-path case — cheap
-//! engines drain batches in microseconds), a few polling retries with
-//! yields avoid the full park/unpark round trip through the scheduler
-//! that used to dominate the channel cost at high shard counts. The
-//! spin is bounded (`SPIN_TRIES`) and yields the core on every
-//! iteration, so oversubscribed configurations (more shards than
-//! cores) degrade to the old park-immediately behavior after a few
-//! scheduling quanta rather than burning the peer's CPU.
+//! engines drain batches in microseconds), polling the peer's counter
+//! avoids the full park/unpark round trip through the scheduler. The
+//! spin is bounded: at most `SPIN_TRIES` rounds of at most
+//! `SPIN_TRIES` polls each, with a `spin_loop` hint between polls and
+//! a yield of the core after every round in which the counter stood
+//! still. So oversubscribed configurations (more shards than cores)
+//! degrade to parking after a few scheduling quanta rather than
+//! burning the peer's CPU.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Bounded polling retries before a blocked endpoint parks on its
-/// condvar. Each retry yields, so the worst case adds a handful of
-/// scheduler quanta, never a busy-wait.
-const SPIN_TRIES: u32 = 32;
+/// Polling rounds before a blocked endpoint parks on its condvar, and
+/// polls per round. A round whose polls all find the peer's counter
+/// unmoved yields the core, so the worst case adds a handful of
+/// scheduler quanta, never an unbounded busy-wait. 64 makes the spin
+/// phase ≈ 100 µs on a 2-vCPU x86 host: long enough to ride out the gap
+/// a drain barrier leaves between two batches, because an endpoint
+/// that parks lets its vCPU go idle, and waking it back costs more than
+/// the spin (half this measured 0.95× the stream rate).
+const SPIN_TRIES: u32 = 64;
 
 /// Recovers the guard from a poisoned lock instead of panicking.
 ///
@@ -118,6 +153,44 @@ struct Shared<T> {
     capacity: usize,
     not_empty: Condvar,
     not_full: Condvar,
+    /// Items sent, plus one for the sender's close; the sender alone
+    /// writes it.
+    sent: Progress,
+    /// Items popped, plus one for the receiver's close; the receiver
+    /// alone writes it.
+    popped: Progress,
+}
+
+/// One endpoint's progress count (see the module docs), on a cache line
+/// of its own.
+#[derive(Default)]
+#[repr(align(64))]
+struct Progress(AtomicU64);
+
+impl Progress {
+    /// Counts one step of the owning endpoint. Call it after releasing
+    /// the mutex. One writer, so a load and a store make the increment.
+    fn publish(&self) {
+        self.0.store(self.0.load(Ordering::Relaxed).wrapping_add(1), Ordering::Release);
+    }
+
+    /// The count now. Acquire: whatever the peer did under the lock
+    /// before it published this count is visible to a lock taken after.
+    fn read(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
+    }
+
+    /// One polling round: up to [`SPIN_TRIES`] reads until the count
+    /// differs from `seen`. Returns whether it moved.
+    fn moved_from(&self, seen: u64) -> bool {
+        for _ in 0..SPIN_TRIES {
+            if self.read() != seen {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        false
+    }
 }
 
 /// The producing endpoint. Dropping it closes the channel: the receiver
@@ -151,6 +224,8 @@ pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         capacity,
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
+        sent: Progress::default(),
+        popped: Progress::default(),
     });
     (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
 }
@@ -164,16 +239,20 @@ fn deadline(timeout: Duration) -> Option<Instant> {
 impl<T> Shared<T> {
     /// The one wait loop behind every blocking call: returns the locked
     /// state once `ready` holds, or `None` once `deadline` has passed.
-    /// Up to [`SPIN_TRIES`] failed checks release the lock and yield
-    /// (see the module docs) before the endpoint parks on `wake`, with
-    /// its `parked` mark set for the length of the wait; a spurious or
-    /// timed-out wake just re-checks. Without a deadline the clock is
-    /// never read; with one, every failed check reads it, so a zero
-    /// timeout is a single attempt.
+    /// After a failed check the endpoint releases the lock and polls
+    /// `peer`, its peer's progress count (see the module docs), for up
+    /// to [`SPIN_TRIES`] rounds, yielding after each round the count
+    /// stood still, and re-locks as soon as the count moves or the
+    /// rounds run out. Once they have run out, the endpoint parks on
+    /// `wake`, with its `parked` mark set for the length of the wait; a
+    /// spurious or timed-out wake just re-checks. Without a deadline
+    /// the clock is never read; with one, every failed check and every
+    /// polling round reads it, so a zero timeout is a single attempt.
     fn wait(
         &self,
         wake: &Condvar,
         parked: fn(&mut State<T>) -> &mut bool,
+        peer: &Progress,
         deadline: Option<Instant>,
         ready: impl Fn(&State<T>) -> bool,
     ) -> Option<MutexGuard<'_, State<T>>> {
@@ -188,10 +267,22 @@ impl<T> Shared<T> {
                 return None;
             }
             if spins < SPIN_TRIES {
-                spins += 1;
+                // Read under the lock, after the failed check: the peer
+                // publishes each later step after it takes and releases
+                // this lock, so every such step moves the count past
+                // `seen`. A ready call never reads the peer's line.
+                let seen = peer.read();
                 drop(state);
-                std::hint::spin_loop();
-                std::thread::yield_now();
+                while spins < SPIN_TRIES {
+                    spins += 1;
+                    if peer.moved_from(seen) {
+                        break;
+                    }
+                    std::thread::yield_now();
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        break;
+                    }
+                }
                 state = recover(self.state.lock());
                 continue;
             }
@@ -214,7 +305,9 @@ impl<T> Sender<T> {
         let shared = &*self.shared;
         let unblocked = |s: &State<T>| !s.receiver_alive || s.buf.len() < shared.capacity;
         let parked: fn(&mut State<T>) -> &mut bool = |s| &mut s.sender_parked;
-        let Some(mut state) = shared.wait(&shared.not_full, parked, deadline, unblocked) else {
+        let Some(mut state) =
+            shared.wait(&shared.not_full, parked, &shared.popped, deadline, unblocked)
+        else {
             return Err(SendTimeoutError::Timeout(value));
         };
         if !state.receiver_alive {
@@ -224,6 +317,8 @@ impl<T> Sender<T> {
         if state.receiver_parked {
             shared.not_empty.notify_one();
         }
+        drop(state);
+        shared.sent.publish();
         Ok(())
     }
 
@@ -268,12 +363,14 @@ impl<T> Sender<T> {
 
 impl<T> Receiver<T> {
     /// Pops the oldest buffered item, telling a parked sender there is
-    /// room.
-    fn pop(&self, state: &mut State<T>) -> Option<T> {
+    /// room, and publishes the pop once the lock is released.
+    fn pop(&self, mut state: MutexGuard<'_, State<T>>) -> Option<T> {
         let value = state.buf.pop_front()?;
         if state.sender_parked {
             self.shared.not_full.notify_one();
         }
+        drop(state);
+        self.shared.popped.publish();
         Some(value)
     }
 
@@ -283,11 +380,11 @@ impl<T> Receiver<T> {
     fn recv_by(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
         let unblocked = |s: &State<T>| !s.buf.is_empty() || !s.sender_alive;
         let parked: fn(&mut State<T>) -> &mut bool = |s| &mut s.receiver_parked;
-        let mut state = self
-            .shared
-            .wait(&self.shared.not_empty, parked, deadline, unblocked)
+        let shared = &*self.shared;
+        let state = shared
+            .wait(&shared.not_empty, parked, &shared.sent, deadline, unblocked)
             .ok_or(RecvTimeoutError::Timeout)?;
-        self.pop(&mut state).ok_or(RecvTimeoutError::Disconnected)
+        self.pop(state).ok_or(RecvTimeoutError::Disconnected)
     }
 
     /// Receives the next item, spinning briefly and then blocking while
@@ -312,14 +409,15 @@ impl<T> Receiver<T> {
     /// [`TryRecvError::Disconnected`] when additionally the sender is
     /// gone.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = recover(self.shared.state.lock());
-        if let Some(v) = self.pop(&mut state) {
-            return Ok(v);
+        let state = recover(self.shared.state.lock());
+        // `pop` releases the lock: read liveness under it first, so an
+        // empty lane reports the sender as it was at the same instant.
+        let sender_alive = state.sender_alive;
+        match self.pop(state) {
+            Some(v) => Ok(v),
+            None if sender_alive => Err(TryRecvError::Empty),
+            None => Err(TryRecvError::Disconnected),
         }
-        if !state.sender_alive {
-            return Err(TryRecvError::Disconnected);
-        }
-        Err(TryRecvError::Empty)
     }
 
     /// Receives the next item, giving up after `timeout`.
@@ -348,6 +446,7 @@ impl<T> Drop for Sender<T> {
         let mut state = recover(self.shared.state.lock());
         state.sender_alive = false;
         drop(state);
+        self.shared.sent.publish();
         self.shared.not_empty.notify_all();
     }
 }
@@ -358,6 +457,7 @@ impl<T> Drop for Receiver<T> {
         state.receiver_alive = false;
         state.buf.clear(); // sender's items will never be consumed
         drop(state);
+        self.shared.popped.publish();
         self.shared.not_full.notify_all();
     }
 }
@@ -366,7 +466,6 @@ impl<T> Drop for Receiver<T> {
 mod tests {
     use super::*;
     use std::thread;
-    use std::time::Duration;
 
     /// How long a woken endpoint may take before the test calls its
     /// wake-up lost.
@@ -504,18 +603,22 @@ mod tests {
     fn bounded_send_blocks_until_receiver_drains() {
         let (tx, rx) = channel(1);
         tx.send(0u64).unwrap();
-        let producer = thread::spawn(move || {
+        let shared = Arc::clone(&tx.shared);
+        let producer = spawn_endpoint(move || {
             // This second send must block until the consumer pops.
             tx.send(1).unwrap();
             tx.send(2).unwrap();
         });
-        thread::sleep(Duration::from_millis(20));
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-        }
-        producer.join().unwrap();
-        assert_eq!(got, vec![0, 1, 2]);
+        until_parked(&shared, |s| s.sender_parked);
+        let consumer = spawn_endpoint(move || {
+            let mut got = Vec::new();
+            while let Ok(v) = rx.recv() {
+                got.push(v);
+            }
+            got
+        });
+        assert_eq!(woken(&consumer), vec![0, 1, 2]);
+        woken(&producer);
     }
 
     #[test]
@@ -546,25 +649,124 @@ mod tests {
         // everything already sent must still arrive, in order, and only
         // then does RecvError surface — no deadlock, no lost items.
         let (tx, rx) = channel(2);
-        let producer = thread::spawn(move || {
+        let producer = spawn_endpoint(move || {
             for i in 0..100u64 {
                 tx.send(i).unwrap();
             }
             // tx dropped here, quite possibly while the receiver is
             // blocked inside recv() waiting for item 100.
         });
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-            // Let the sender race ahead and (eventually) die while we
-            // are mid-drain.
-            if got.len() % 10 == 0 {
-                thread::sleep(Duration::from_millis(1));
+        let consumer = spawn_endpoint(move || {
+            let mut got = Vec::new();
+            while let Ok(v) = rx.recv() {
+                got.push(v);
+                // Let the sender race ahead and (eventually) die while
+                // we are mid-drain.
+                if got.len() % 10 == 0 {
+                    thread::sleep(Duration::from_millis(1));
+                }
             }
-        }
-        producer.join().unwrap();
+            (got, rx)
+        });
+        let (got, rx) = woken(&consumer);
+        woken(&producer);
         assert_eq!(got, (0..100).collect::<Vec<_>>());
         assert_eq!(rx.recv(), Err(RecvError), "closed stays closed");
+    }
+
+    /// Runs `wait` on its own thread and calls `close` a couple of
+    /// microseconds after that thread starts to wait, over a few
+    /// trials: past its first check, far from the end of its spin
+    /// phase, so the close lands while it polls. `parked` reads the
+    /// endpoint's mark just before the close; at least one trial must
+    /// catch it unparked, or the test never reached the poll phase.
+    /// The endpoint's result must arrive by the deadline in every
+    /// trial.
+    fn close_while_polling<E: Send + 'static, R: Send + 'static>(
+        open: impl Fn() -> (E, Arc<Shared<u64>>, Box<dyn FnOnce()>),
+        wait: fn(E) -> R,
+        parked: fn(&State<u64>) -> bool,
+        check: impl Fn(R),
+    ) {
+        use std::sync::atomic::AtomicBool;
+        const TRIALS: usize = 20;
+        let mut caught_polling = 0;
+        for _ in 0..TRIALS {
+            let (endpoint, shared, close) = open();
+            let waiting = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&waiting);
+            let done = spawn_endpoint(move || {
+                flag.store(true, Ordering::Release);
+                wait(endpoint)
+            });
+            while !waiting.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            let started = Instant::now();
+            while started.elapsed() < Duration::from_micros(2) {
+                std::hint::spin_loop();
+            }
+            if !parked(&recover(shared.state.lock())) {
+                caught_polling += 1;
+            }
+            close();
+            check(woken(&done));
+        }
+        assert!(caught_polling > 0, "no trial closed the lane before the endpoint parked");
+    }
+
+    #[test]
+    fn a_spinning_sender_on_a_full_lane_gets_its_value_back_when_the_receiver_drops() {
+        close_while_polling(
+            || {
+                let (tx, rx) = channel::<u64>(1);
+                tx.send(0).unwrap();
+                let shared = Arc::clone(&tx.shared);
+                (tx, shared, Box::new(move || drop(rx)))
+            },
+            |tx| tx.send(1),
+            |s| s.sender_parked,
+            |result| assert_eq!(result, Err(SendError(1))),
+        );
+    }
+
+    #[test]
+    fn a_spinning_receiver_gets_recv_error_when_the_sender_drops() {
+        close_while_polling(
+            || {
+                let (tx, rx) = channel::<u64>(1);
+                let shared = Arc::clone(&rx.shared);
+                (rx, shared, Box::new(move || drop(tx)))
+            },
+            |rx| rx.recv(),
+            |s| s.receiver_parked,
+            |result| assert_eq!(result, Err(RecvError)),
+        );
+    }
+
+    #[test]
+    fn each_endpoint_publishes_its_sends_its_pops_and_its_close() {
+        let (tx, rx) = channel(4);
+        let shared = Arc::clone(&tx.shared);
+        tx.send(1u8).unwrap();
+        tx.send_timeout(2, Duration::ZERO).unwrap();
+        tx.send(3).unwrap();
+        assert_eq!(shared.sent.read(), 3);
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.try_recv(), Ok(2));
+        assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(3));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(shared.popped.read(), 3, "an empty poll pops nothing");
+        drop(tx);
+        assert_eq!(shared.sent.read(), 4, "closing counts once");
+        drop(rx);
+        assert_eq!(shared.popped.read(), 4, "closing counts once");
+
+        let (tx, rx) = channel(1);
+        let shared = Arc::clone(&tx.shared);
+        drop(rx);
+        assert_eq!(tx.send(5u8), Err(SendError(5)));
+        assert_eq!(shared.sent.read(), 0, "a refused send sent nothing");
     }
 
     #[test]
@@ -582,6 +784,16 @@ mod tests {
         drop(rx);
         let result = producer.join().unwrap();
         assert_eq!(result, Err(SendError(1)), "blocked sender wakes with its value back");
+    }
+
+    #[test]
+    fn a_receiver_parked_on_an_empty_lane_gets_recv_error_when_the_sender_drops() {
+        let (tx, rx) = channel::<u64>(1);
+        let shared = Arc::clone(&tx.shared);
+        let done = spawn_endpoint(move || rx.recv());
+        until_parked(&shared, |s| s.receiver_parked);
+        drop(tx);
+        assert_eq!(woken(&done), Err(RecvError), "the close wakes the parked receiver");
     }
 
     #[test]
@@ -637,7 +849,7 @@ mod tests {
         assert_eq!(
             tx.send_timeout(8, Duration::ZERO),
             Err(SendTimeoutError::Timeout(8)),
-            "full: immediate refusal, no 32-yield spin"
+            "full: immediate refusal, no spin phase"
         );
         assert_eq!(rx.recv(), Ok(7));
     }
@@ -687,7 +899,7 @@ mod tests {
         assert_eq!(
             rx.recv_timeout(Duration::ZERO),
             Err(RecvTimeoutError::Timeout),
-            "empty: immediate refusal, no 32-yield spin"
+            "empty: immediate refusal, no spin phase"
         );
         tx.send(7u64).unwrap();
         assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(7), "buffered: immediate success");
