@@ -31,6 +31,12 @@
 //! hidden layer of an MLP) skips the per-call check that picks the
 //! reduction. The private `simd` module holds the vector steps and their
 //! plain-Rust twins for every other target.
+//!
+//! [`CgraSim::process_verdicts`] runs a plan of dense layers **across
+//! packets** instead: eight packets at a time, one per vector lane, each
+//! row's weight pairs broadcast from a second copy of the bank the plan
+//! builds once, through the same `simd` steps. That is the engine
+//! worker's form; [`CgraSim::process_verdict`] stays the per-packet one.
 //! Steady-state
 //! [`CgraSim::process_into`] performs **zero heap allocations** (pinned
 //! by the counting-allocator test in `tests/no_alloc.rs`), where the
@@ -96,6 +102,15 @@ const PANEL: usize = 4;
 /// broadcast input pair stay within SSE2's sixteen vector registers.
 const GROUP: usize = 4;
 
+/// Packets the across-packets kernel ([`CgraSim::process_verdicts`])
+/// runs at once, one vector lane each: two four-lane halves, so each
+/// broadcast weight pair feeds two multiply-add-pairs.
+const PACKETS: usize = 2 * PANEL;
+
+/// One slab lane across a group of [`PACKETS`] packets: packet `p` in
+/// half `p / PANEL`, lane `p % PANEL`.
+type Across = [[i32; PANEL]; 2];
+
 /// One dense layer as the grid runs it — reduce → bias → requantize →
 /// activation — as **one** op: a dot-product (or squared-distance) node
 /// with the bias and requant the compiler fused into its CUs and the
@@ -121,10 +136,19 @@ const GROUP: usize = 4;
 ///   `Σⱼ x²` is added to every row.
 ///
 /// Both are then the same reduction, `init + Σⱼ bank·x`.
+///
+/// Across packets ([`DenseOp::run_across`]) the lanes hold packets
+/// instead of rows, so the weights are the broadcast operand: the bank
+/// is kept a second time as `row_pairs`, each row's column pair in all
+/// four lanes.
 #[derive(Debug, Clone)]
 struct DenseOp {
     /// The bank, group-major as above (`panels · pairs`).
     bank: Vec<[i16; 2 * PANEL]>,
+    /// The bank for the across-packets kernel, row-major (`rows ·
+    /// pairs`): entry `r · pairs + k` is row `r`'s columns `2k` and
+    /// `2k + 1`, repeated in each of the four lanes.
+    row_pairs: Vec<[i16; 2 * PANEL]>,
     /// Accumulator start per padded row, as above, plus the offset a
     /// [`Tail::Panels`] requantizer reads (`simd::Requant4::OFFSET`).
     init: Vec<i32>,
@@ -249,6 +273,133 @@ impl DenseOp {
             _ => reduce_group::<3, SPLIT>(xs, bank, init_rest, base, &tail, rest),
         }
     }
+
+    /// The whole layer for a group of packets, one lane each: every row
+    /// reduced straight into its destination lane, then the tail. The
+    /// input picks the reduction as in [`DenseOp::reduce`], over the
+    /// whole group at once. `pairs` is scratch for the group's input
+    /// pairs, at least twice this op's column pairs long.
+    fn run_across(&self, slab: &mut [Across], pairs: &mut [Across]) {
+        let (lo, hi) = slab.split_at_mut(self.dst.off as usize);
+        // An odd-width input's pad lane completes its last pair, as in
+        // `run`; across packets it stays zero.
+        let x = &lo[self.input.off as usize..][..self.cols.next_multiple_of(2)];
+        let live = &x[..self.cols];
+        let mut base = [[0i32; PANEL]; 2];
+        if self.sqdist {
+            for lane in live {
+                for (b, v) in base.as_flattened_mut().iter_mut().zip(lane.as_flattened()) {
+                    *b = b.wrapping_add(v.wrapping_mul(*v));
+                }
+            }
+        }
+        let rows = &mut hi[..self.dst.len as usize];
+        let (requant, lut) = match &self.tail {
+            Tail::Panels(rq, table) => {
+                let tail = |acc| {
+                    let codes = rq.apply(acc);
+                    core::array::from_fn(|l| i32::from(table[usize::from(codes[l] as u8)]))
+                };
+                return self.reduce_across(x, base, pairs, rows, tail);
+            }
+            Tail::Rows(requant, lut) => (requant, lut),
+        };
+        self.reduce_across(x, base, pairs, rows, |acc| acc);
+        // `run`'s tail loops, written out again: one helper for both
+        // changed the per-packet `exec_step`'s register allocation.
+        let rows = rows.as_flattened_mut().as_flattened_mut();
+        match (*requant, lut) {
+            (Some(rq), Some(table)) => {
+                for a in rows {
+                    *a = lut_lookup(table, i32::from(rq.apply(*a)));
+                }
+            }
+            (Some(rq), None) => {
+                for a in rows {
+                    *a = i32::from(rq.apply(*a));
+                }
+            }
+            (None, Some(table)) => {
+                for a in rows {
+                    *a = lut_lookup(table, *a);
+                }
+            }
+            (None, None) => {}
+        }
+    }
+
+    /// [`DenseOp::run_across`]'s reduction: the `i16` check over the
+    /// group's live input lanes, then [`reduce_across`] split or not.
+    #[inline(always)]
+    fn reduce_across(
+        &self,
+        x: &[Across],
+        base: Across,
+        pairs: &mut [Across],
+        rows: &mut [Across],
+        tail: impl Fn([i32; PANEL]) -> [i32; PANEL],
+    ) {
+        let live = &x[..self.cols];
+        let fits = |v: &i32| i16::try_from(*v).is_ok();
+        if self.int8_input || live.iter().all(|l| l.as_flattened().iter().all(fits)) {
+            reduce_across::<false>(x, &self.row_pairs, &self.init, base, pairs, rows, &tail);
+        } else {
+            reduce_across::<true>(x, &self.row_pairs, &self.init, base, pairs, rows, &tail);
+        }
+    }
+}
+
+/// The across-packets reduction: `rows[r] = tail(init[r] + base + Σ
+/// row_pairs·x)` with one packet per lane. The group's input pairs are
+/// built once into `pairs` (with `SPLIT`, their high halves after them,
+/// as in [`reduce_group`]); then each row's accumulators, two halves of
+/// four packets, run over the pairs against that row's broadcast weight
+/// pairs.
+#[inline(always)]
+fn reduce_across<const SPLIT: bool>(
+    x: &[Across],
+    row_pairs: &[[i16; 2 * PANEL]],
+    init: &[i32],
+    base: Across,
+    pairs: &mut [Across],
+    rows: &mut [Across],
+    tail: &impl Fn([i32; PANEL]) -> [i32; PANEL],
+) {
+    let high = |v: i32| v.wrapping_sub(i32::from(v as i16)) >> 16;
+    let (xs, _) = x.as_chunks::<2>();
+    let (lo, hi) = pairs[..2 * xs.len()].split_at_mut(xs.len());
+    for ((lo, hi), [a, b]) in lo.iter_mut().zip(hi.iter_mut()).zip(xs) {
+        let pair = |a: i32, b: i32| (a & 0xFFFF) | (b << 16);
+        *lo = core::array::from_fn(|h| core::array::from_fn(|l| pair(a[h][l], b[h][l])));
+        if SPLIT {
+            *hi = core::array::from_fn(|h| {
+                core::array::from_fn(|l| pair(high(a[h][l]), high(b[h][l])))
+            });
+        }
+    }
+    let (lo, hi) = (&*lo, &*hi);
+    for ((out, w), &start) in rows.iter_mut().zip(row_pairs.chunks_exact(xs.len())).zip(init) {
+        let mut acc: Across =
+            core::array::from_fn(|h| core::array::from_fn(|l| base[h][l].wrapping_add(start)));
+        let mut acc_hi = [[0; PANEL]; 2];
+        for (w, x) in w.iter().zip(lo) {
+            acc[0] = simd::madd(acc[0], w, x[0]);
+            acc[1] = simd::madd(acc[1], w, x[1]);
+        }
+        if SPLIT {
+            for (w, x) in w.iter().zip(hi) {
+                acc_hi[0] = simd::madd(acc_hi[0], w, x[0]);
+                acc_hi[1] = simd::madd(acc_hi[1], w, x[1]);
+            }
+        }
+        *out = core::array::from_fn(|h| {
+            tail(if SPLIT {
+                core::array::from_fn(|l| acc[h][l].wrapping_add(acc_hi[h][l] << 16))
+            } else {
+                acc[h]
+            })
+        });
+    }
 }
 
 /// The one reduction loop: `out[p] = tail(init[p] + base + Σ bank·x)` for
@@ -360,6 +511,11 @@ struct ExecPlan {
     input_width: usize,
     /// Recurrence steps per packet (the graph's `sequence_steps`).
     steps: u32,
+    /// Input pairs the across-packets kernel builds for its widest dense
+    /// op, twice over (a split reduction's high halves); `None` unless
+    /// the plan runs across packets: one step, no state, and only
+    /// `Input` and `Dense` ops, each of the latter over some columns.
+    across_pairs: Option<usize>,
 }
 
 impl ExecPlan {
@@ -441,12 +597,20 @@ impl ExecPlan {
         }
 
         let outputs = graph.outputs().iter().map(|&o| slot(o)).collect();
+        let steps = graph.sequence_steps() as u32;
+        let across_pairs = ops.iter().try_fold(0, |widest, op| match op {
+            PlanOp::Input { .. } => Some(widest),
+            PlanOp::Dense(d) if d.cols > 0 => Some(widest.max(2 * d.cols.div_ceil(2))),
+            _ => None,
+        });
         ExecPlan {
+            across_pairs: across_pairs
+                .filter(|_| steps == 1 && graph.states().is_empty() && graph.input_width() > 0),
             ops,
             outputs,
             slab_len: off as usize,
             input_width: graph.input_width(),
-            steps: graph.sequence_steps() as u32,
+            steps,
         }
     }
 
@@ -474,6 +638,7 @@ impl ExecPlan {
         let padded = bank.rows.next_multiple_of(PANEL);
         let (panels, pairs) = (padded / PANEL, bank.cols.div_ceil(2));
         let mut entries = vec![[0i16; 2 * PANEL]; panels * pairs];
+        let mut row_pairs = vec![[0i16; 2 * PANEL]; bank.rows * pairs];
         let mut init = vec![0i32; padded];
         for (r, start) in init.iter_mut().enumerate().take(bank.rows) {
             let row = bank.row(r);
@@ -484,8 +649,11 @@ impl ExecPlan {
             let size = (panels - first).min(GROUP);
             for (j, &w) in row.iter().enumerate() {
                 let w = i16::from(w);
-                entries[first * pairs + j / 2 * size + (p - first)][2 * (r % PANEL) + j % 2] =
-                    if sqdist { -2 * w } else { w };
+                let w = if sqdist { -2 * w } else { w };
+                entries[first * pairs + j / 2 * size + (p - first)][2 * (r % PANEL) + j % 2] = w;
+                for lane in row_pairs[r * pairs + j / 2].chunks_exact_mut(2) {
+                    lane[j % 2] = w;
+                }
             }
             let row = row.iter().map(|&w| i32::from(w));
             *start = if sqdist {
@@ -532,6 +700,7 @@ impl ExecPlan {
         };
         ops.push(PlanOp::Dense(DenseOp {
             bank: entries,
+            row_pairs,
             init,
             cols: bank.cols,
             input: slot(input),
@@ -662,6 +831,12 @@ pub struct CgraSim {
     /// Staged state writes (committed at end of each recurrence step).
     pending: Vec<Vec<i32>>,
     pending_written: Vec<bool>,
+    /// The across-packets kernel's slab: the plan's slots, each lane
+    /// holding a group of packets (empty unless the plan runs across
+    /// packets).
+    lanes: Vec<Across>,
+    /// The across-packets kernel's input pairs.
+    pairs: Vec<Across>,
 }
 
 impl CgraSim {
@@ -682,6 +857,8 @@ impl CgraSim {
             slab: Vec::new(),
             pending: Vec::new(),
             pending_written: Vec::new(),
+            lanes: Vec::new(),
+            pairs: Vec::new(),
         };
         sim.restart();
         sim
@@ -713,6 +890,12 @@ impl CgraSim {
         self.pending_written.resize(states.len(), false);
         self.slab.clear();
         self.slab.resize(self.prepared.plan.slab_len, 0);
+        let plan = &self.prepared.plan;
+        let (lanes, pairs) = plan.across_pairs.map_or((0, 0), |pairs| (plan.slab_len, pairs));
+        self.lanes.clear();
+        self.lanes.resize(lanes, [[0; PANEL]; 2]);
+        self.pairs.clear();
+        self.pairs.resize(pairs, [[0; PANEL]; 2]);
     }
 
     /// The prepared program this simulator executes.
@@ -777,6 +960,73 @@ impl CgraSim {
         self.plan().outputs.first().and_then(|s| self.slab[s.range()].first()).copied().unwrap_or(0)
     }
 
+    /// Whether [`CgraSim::process_verdicts`] runs the across-packets
+    /// kernel for this program, rather than [`CgraSim::process_verdict`]
+    /// packet by packet.
+    pub fn runs_across_packets(&self) -> bool {
+        self.plan().across_pairs.is_some()
+    }
+
+    /// [`CgraSim::process_verdict`] for many packets, one row of input
+    /// codes each: `verdicts[p]` receives row `p`'s verdict lane.
+    /// Bit-identical to calling `process_verdict` on each row in order.
+    ///
+    /// A plan made only of its input and dense layers, one step and no
+    /// state (every MLP) runs **across packets**, groups of eight at a
+    /// time with one packet per vector lane: each row's weight pairs are
+    /// broadcast once for the whole group and each layer is one pass
+    /// over its rows, so no packet pays for a partly empty panel. Any
+    /// other plan runs `process_verdict` row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one verdict per row and every row has the
+    /// program's input width.
+    pub fn process_verdicts<R: AsRef<[i32]>>(&mut self, rows: &[R], verdicts: &mut [i32]) {
+        assert_eq!(rows.len(), verdicts.len(), "one verdict per row");
+        if !self.runs_across_packets() {
+            for (row, verdict) in rows.iter().zip(verdicts) {
+                *verdict = self.process_verdict(row.as_ref());
+            }
+            return;
+        }
+        for (rows, out) in rows.chunks(PACKETS).zip(verdicts.chunks_mut(PACKETS)) {
+            self.run_group(rows, out);
+        }
+    }
+
+    /// One group of at most [`PACKETS`] packets through an across-packets
+    /// plan: the input rows transposed into the lanes, then each dense op.
+    fn run_group<R: AsRef<[i32]>>(&mut self, rows: &[R], verdicts: &mut [i32]) {
+        let Self { prepared, lanes, pairs, .. } = self;
+        let plan = &prepared.plan;
+        for op in &plan.ops {
+            match op {
+                PlanOp::Input { dst } => {
+                    let region = &mut lanes[dst.range()];
+                    if rows.len() < PACKETS {
+                        region.fill([[0; PANEL]; 2]);
+                    }
+                    for (p, row) in rows.iter().enumerate() {
+                        let row = row.as_ref();
+                        assert_eq!(row.len(), plan.input_width, "input width mismatch");
+                        for (lane, &v) in region.iter_mut().zip(row) {
+                            lane[p / PANEL][p % PANEL] = v;
+                        }
+                    }
+                }
+                PlanOp::Dense(dense) => dense.run_across(lanes, pairs),
+                _ => unreachable!("an across-packets plan holds only input and dense ops"),
+            }
+        }
+        let Some(&out) = plan.outputs.first().filter(|s| s.len > 0) else {
+            verdicts.fill(0);
+            return;
+        };
+        let out = lanes[out.off as usize].as_flattened();
+        verdicts.copy_from_slice(&out[..verdicts.len()]);
+    }
+
     /// All recurrence steps of one packet over the slab.
     fn run_packet(&mut self, input: &[i32]) {
         let steps = self.plan().steps;
@@ -799,7 +1049,7 @@ impl CgraSim {
     /// source/destination slices — the inner loops are plain slice zips
     /// the compiler can keep in registers and autovectorize.
     fn exec_step(&mut self, input: &[i32]) {
-        let Self { prepared, state, slab, pending, pending_written } = self;
+        let Self { prepared, state, slab, pending, pending_written, .. } = self;
         for op in &prepared.plan.ops {
             match op {
                 PlanOp::Input { dst } => slab[dst.range()].copy_from_slice(input),
@@ -1357,6 +1607,105 @@ mod tests {
                 prop_assert_eq!(verdict_sim.process_verdict(&x[..cols]), want[0][0]);
                 prop_assert_eq!(sim.process(&x[..cols]).outputs, want);
             }
+        }
+
+        /// The across-packets kernel against the per-packet one: a chain
+        /// of one to four dense layers, each a dot-product or
+        /// squared-distance bank of one to twelve rows, with or without
+        /// a bias, and a requantizer the vector tail takes (below one),
+        /// one it does not (above one: `Tail::Rows`), or none, with or
+        /// without a LUT — then optionally a map or a state accumulator
+        /// after it, which the kernel does not run and must hand back to
+        /// `process_verdict`. One to twenty packets, so whole groups of
+        /// eight, ragged tails and lone packets all run; the first
+        /// layer's lanes include `EXTREMES`, outside `i16` (the split
+        /// reduction) or not. Every verdict bit-identical to
+        /// `process_verdict` on each row in order.
+        #[test]
+        fn prop_process_verdicts_match_process_verdict(
+            depth in 1usize..5,
+            heights in proptest::collection::vec(1usize..13, 4),
+            requants in proptest::collection::vec(0usize..4, 4),
+            luts in proptest::collection::vec(0usize..3, 4),
+            flags in proptest::collection::vec(proptest::any::<bool>(), 12),
+            cols in 1usize..9,
+            weights in proptest::collection::vec(-128i32..128, 144),
+            bias in proptest::collection::vec(-5000i32..5000, 12),
+            zp in -8i32..8,
+            after in 0usize..3,
+            packets in proptest::collection::vec(
+                proptest::collection::vec(-100i32..100, 8), 1..21),
+            extremes in proptest::collection::vec(0usize..14, 8 * 20),
+        ) {
+            const EXTREMES: [i32; 7] = [i32::MIN, i32::MAX, 32767, -32768, 32768, -32769, 65535];
+            let mut b = GraphBuilder::new();
+            let x = b.input(cols);
+            let mut h = x;
+            let mut width = cols;
+            let table = b.lut((0..256).map(|i| (((i - 128) * 5) % 127) as i8).collect());
+            for l in 0..depth {
+                let (rows, rq, lut) = (heights[l], requants[l], luts[l]);
+                let (sqdist, use_bias, wide) = (flags[3 * l], flags[3 * l + 1], flags[3 * l + 2]);
+                let w = b.weights(
+                    format!("l{l}"),
+                    rows,
+                    width,
+                    (0..rows * width)
+                        .map(|k| weights[(k * 7 + l * 13) % weights.len()] as i8)
+                        .collect(),
+                );
+                h = if sqdist { b.sq_dist_rows(w, h) } else { b.map_reduce_rows(w, h, zp) };
+                if use_bias {
+                    h = b.add_bias(h, bias[..rows].to_vec());
+                }
+                // 0: none; 1: the vector tail's range; 2 and 3: above it.
+                let multiplier = [0.0, 0.003, 1.5, 40.0][rq];
+                if rq > 0 {
+                    let rq = taurus_fixed::quant::Requantizer::from_real_multiplier(multiplier, -2);
+                    h = b.requant(h, rq);
+                }
+                if lut > 0 || (wide && rq == 0) {
+                    h = b.lookup(h, table);
+                }
+                width = rows;
+            }
+            match after {
+                1 => h = b.map_const(MapOp::Max, h, vec![3]),
+                2 => {
+                    let s = b.state("acc", width);
+                    let prev = b.state_read(s);
+                    let sum = b.map(MapOp::Add, h, prev);
+                    h = b.state_write(s, sum);
+                }
+                _ => {}
+            }
+            b.output(h);
+            let g = b.finish().expect("valid");
+            let p = PreparedProgram::new(compile_default(&g));
+            let mut batch = CgraSim::shared(p.clone());
+            let mut single = CgraSim::shared(p);
+            let only_dense = batch
+                .plan()
+                .ops
+                .iter()
+                .all(|op| matches!(op, PlanOp::Input { .. } | PlanOp::Dense(_)));
+            prop_assert_eq!(batch.runs_across_packets(), only_dense && after != 2);
+            if after == 0 {
+                prop_assert!(only_dense, "a dense chain runs across packets");
+            }
+            let mut lanes = extremes.iter().map(|&e| EXTREMES.get(e));
+            let rows: Vec<Vec<i32>> = packets
+                .iter()
+                .map(|x| x[..cols].iter().map(|&v| *lanes.next().flatten().unwrap_or(&v)).collect())
+                .collect();
+            let want: Vec<i32> = rows.iter().map(|x| single.process_verdict(x)).collect();
+            let mut got = vec![0; packets.len()];
+            batch.process_verdicts(&rows, &mut got);
+            prop_assert_eq!(&got, &want);
+            // Again, on lanes that hold the first call's values.
+            let want: Vec<i32> = rows.iter().map(|x| single.process_verdict(x)).collect();
+            batch.process_verdicts(&rows, &mut got);
+            prop_assert_eq!(got, want);
         }
     }
 }

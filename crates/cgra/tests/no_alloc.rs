@@ -6,9 +6,12 @@
 //! in this binary cannot interfere) wraps the system allocator; the
 //! steady-state loop replays packets through every microbenchmark
 //! program, a recurrent state graph and an MLP of fused dense layers,
-//! and asserts the counter stayed at zero.
+//! and asserts the counter stayed at zero; the across-packets
+//! [`CgraSim::process_verdicts`] is held to the same, around live
+//! program swaps.
 //!
 //! [`CgraSim::process_into`]: taurus_cgra::CgraSim::process_into
+//! [`CgraSim::process_verdicts`]: taurus_cgra::CgraSim::process_verdicts
 //! [`ExecPlan`]: taurus_cgra
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -158,12 +161,11 @@ fn retargeting_between_programs_of_one_shape_allocates_nothing() {
     assert_eq!(outputs, vec![vec![49, 1, 2, 3]], "state restarted at every swap");
 }
 
-#[test]
-fn steady_state_fused_dense_chain_allocates_nothing() {
-    // The AD-DNN's shape, lowered as the frontend lowers an MLP: each
-    // layer `map_reduce_rows → add_bias → requant → lookup`, which the
-    // plan runs as one dense op with the requant → LUT fused, every
-    // hidden layer's input proven int8.
+/// The AD-DNN's shape, lowered as the frontend lowers an MLP: each
+/// layer `map_reduce_rows → add_bias → requant → lookup`, which the plan
+/// runs as one dense op with the requant → LUT fused, every hidden
+/// layer's input proven int8. `salt` varies the weights, not the shape.
+fn mlp(salt: usize) -> taurus_compiler::GridProgram {
     let widths = [6, 12, 6, 3, 1];
     let mut b = GraphBuilder::new();
     let mut h = b.input(widths[0]);
@@ -173,7 +175,7 @@ fn steady_state_fused_dense_chain_allocates_nothing() {
             format!("l{l}"),
             rows,
             cols,
-            (0..rows * cols).map(|i| (i * 37 % 255) as i8).collect(),
+            (0..rows * cols).map(|i| ((i + salt) * 37 % 255) as i8).collect(),
         );
         let dot = b.map_reduce_rows(w, h, 3);
         let biased = b.add_bias(dot, (0..rows as i32).map(|r| r * 101 - 400).collect());
@@ -183,8 +185,12 @@ fn steady_state_fused_dense_chain_allocates_nothing() {
     }
     b.output(h);
     let g = b.finish().expect("valid");
-    let p = compile(&g, &GridConfig::default(), &CompileOptions::default()).expect("fits");
-    let mut sim = CgraSim::new(&p);
+    compile(&g, &GridConfig::default(), &CompileOptions::default()).expect("fits")
+}
+
+#[test]
+fn steady_state_fused_dense_chain_allocates_nothing() {
+    let mut sim = CgraSim::new(&mlp(0));
     let inputs: Vec<Vec<i32>> =
         (0..8).map(|k| (0..6).map(|j| ((k * 31 + j * 7) % 255) - 127).collect()).collect();
 
@@ -201,4 +207,32 @@ fn steady_state_fused_dense_chain_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "fused dense chain: steady-state process_into allocated {n} times");
+}
+
+#[test]
+fn process_verdicts_across_packets_and_retargets_allocate_nothing() {
+    // The across-packets kernel runs out of the lanes the simulator
+    // sized when it was built, and a live swap between two programs of
+    // one shape rewinds them in place: whole groups, a ragged tail and
+    // a lone packet, around every swap.
+    let (first, second) = (PreparedProgram::new(mlp(0)), PreparedProgram::new(mlp(5)));
+    let mut sim = CgraSim::shared(first.clone());
+    assert!(sim.runs_across_packets());
+    let rows: Vec<Vec<i32>> =
+        (0..21).map(|k| (0..6).map(|j| ((k * 31 + j * 7) % 255) - 127).collect()).collect();
+    let mut verdicts = vec![0; rows.len()];
+    sim.process_verdicts(&rows, &mut verdicts);
+
+    let n = allocations_in(|| {
+        for k in 0..50 {
+            sim.retarget(if k % 2 == 0 { second.clone() } else { first.clone() });
+            sim.process_verdicts(&rows, &mut verdicts);
+            sim.process_verdicts(&rows[..1], &mut verdicts[..1]);
+        }
+    });
+    assert_eq!(n, 0, "process_verdicts and retarget allocated {n} times");
+    let mut fresh = CgraSim::shared(first);
+    let want: Vec<i32> = rows.iter().map(|x| fresh.process_verdict(x)).collect();
+    sim.process_verdicts(&rows, &mut verdicts);
+    assert_eq!(verdicts, want, "the last swap left the first program in place");
 }

@@ -12,6 +12,9 @@ use taurus_pisa::InferenceEngine;
 pub struct CgraEngine {
     sim: CgraSim,
     latency_ns: u64,
+    /// [`InferenceEngine::infer_batch`]'s verdict lanes, before they
+    /// widen to the pipeline's `i64`.
+    verdicts: Vec<i32>,
 }
 
 impl CgraEngine {
@@ -21,7 +24,11 @@ impl CgraEngine {
     /// execution plan is then compiled here.
     pub fn new(program: impl Into<PreparedProgram>) -> Self {
         let program = program.into();
-        Self { latency_ns: program.timing.latency_ns.round() as u64, sim: CgraSim::shared(program) }
+        Self {
+            latency_ns: program.timing.latency_ns.round() as u64,
+            sim: CgraSim::shared(program),
+            verdicts: Vec::new(),
+        }
     }
 
     /// Hot-swaps the compiled program (a live model update): the
@@ -44,6 +51,21 @@ impl CgraEngine {
 impl InferenceEngine for CgraEngine {
     fn infer(&mut self, features: &[i32]) -> i64 {
         i64::from(self.sim.process_verdict(features))
+    }
+
+    /// [`CgraSim::process_verdicts`]: across packets when the program
+    /// is a stack of dense layers, row by row otherwise.
+    fn infer_batch(&mut self, rows: &[Vec<i32>], out: &mut [i64]) {
+        self.verdicts.resize(rows.len(), 0);
+        self.sim.process_verdicts(rows, &mut self.verdicts);
+        for (o, &v) in out.iter_mut().zip(&self.verdicts) {
+            *o = i64::from(v);
+        }
+    }
+
+    /// Only a program the across-packets kernel runs gains from a batch.
+    fn has_batch_kernel(&self) -> bool {
+        self.sim.runs_across_packets()
     }
 
     fn latency_ns(&self) -> u64 {

@@ -10,7 +10,9 @@
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::pipeline::PipelineResult;
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{Packet, PipelineConfig, TaurusPipeline, Verdict};
+use taurus_pisa::{
+    InferenceEngine, Packet, PipelineConfig, PreparedInput, TaurusPipeline, Verdict, BATCH_PACKETS,
+};
 
 use crate::app::{BoxedEngine, EngineBackend, ReactionTime, TaurusApp, VerdictPolicy};
 use crate::apps::AnomalyDetector;
@@ -182,6 +184,38 @@ pub struct SwitchVerdict {
     pub latency_ns: u64,
     /// Whether every hosted app bypassed its ML block.
     pub bypassed: bool,
+}
+
+impl SwitchVerdict {
+    /// A packet's combined outcome before any app has voted.
+    const UNVOTED: Self = Self { verdict: Verdict::Forward, latency_ns: 0, bypassed: true };
+}
+
+/// Counts one app's result for a packet in the app's counters and folds
+/// it into the packet's combined outcome: the batch entry's form of
+/// [`TaurusSwitch::run_apps`]'s loop body, which the per-packet entries
+/// keep written out so that their code stays as it was.
+#[inline]
+fn vote(
+    counters: &mut AppCounters,
+    policy: VerdictPolicy,
+    r: &PipelineResult,
+    combined: &mut SwitchVerdict,
+) {
+    counters.packets += 1;
+    if !r.bypassed {
+        counters.ml_packets += 1;
+        combined.bypassed = false;
+    }
+    match r.verdict {
+        Verdict::Drop => counters.dropped += 1,
+        Verdict::Flag => counters.flagged += 1,
+        Verdict::Forward => {}
+    }
+    if policy == VerdictPolicy::Enforce {
+        combined.verdict = combined.verdict.max_severity(r.verdict);
+    }
+    combined.latency_ns = combined.latency_ns.max(r.latency_ns);
 }
 
 struct HostedApp {
@@ -434,6 +468,53 @@ impl TaurusSwitch {
         let pkt = to_packet(tp);
         let obs = self.obs_builder.observe(tp);
         self.process(&pkt, obs)
+    }
+
+    /// Whether a hosted app's engine has a batch kernel
+    /// ([`InferenceEngine::has_batch_kernel`]): what
+    /// [`TaurusSwitch::process_prepared_batch`] gains from. A switch
+    /// without one is faster packet by packet.
+    pub fn has_batch_kernel(&self) -> bool {
+        self.apps.iter().any(|app| app.pipeline.engine().has_batch_kernel())
+    }
+
+    /// [`TaurusSwitch::process_prepared_verdict`] for a batch of packets,
+    /// calling `each(packet, verdict)` in stream order: the sharded
+    /// runtime worker's entry when [`TaurusSwitch::has_batch_kernel`].
+    /// Verdicts, counters and the report are what the per-packet entry
+    /// gives.
+    ///
+    /// The batch runs in groups of [`BATCH_PACKETS`]: every app runs
+    /// the group through [`TaurusPipeline::process_prepared_batch`], in
+    /// registration order, and the apps' results combine packet by
+    /// packet in the per-packet entry's loop.
+    #[inline]
+    pub fn process_prepared_batch<P: PreparedInput>(
+        &mut self,
+        packets: &[P],
+        mut each: impl FnMut(&P, SwitchVerdict),
+    ) {
+        for group in packets.chunks(BATCH_PACKETS) {
+            let mut combined = [SwitchVerdict::UNVOTED; BATCH_PACKETS];
+            for app in &mut self.apps {
+                let HostedApp { pipeline, counters, policy, .. } = app;
+                let mut combined = combined.iter_mut();
+                pipeline.process_prepared_batch(group, |r| {
+                    vote(counters, *policy, &r, combined.next().expect("one result per packet"));
+                });
+            }
+            for (p, &v) in group.iter().zip(&combined) {
+                let aggregate = &mut self.aggregate;
+                aggregate.packets += 1;
+                aggregate.ml_packets += u64::from(!v.bypassed);
+                match v.verdict {
+                    Verdict::Drop => aggregate.dropped += 1,
+                    Verdict::Flag => aggregate.flagged += 1,
+                    Verdict::Forward => {}
+                }
+                each(p, v);
+            }
+        }
     }
 
     /// The per-packet loop: runs every hosted app, maintains per-app and
@@ -1101,5 +1182,98 @@ mod tests {
         }
         assert_eq!(classic.report(), split.report());
         assert_eq!(public.report(), split.report());
+    }
+
+    /// One packet as the runtime hands it to a worker: the arguments of
+    /// [`TaurusSwitch::process_prepared_verdict`].
+    #[derive(Clone)]
+    struct Prepared {
+        pkt: Packet,
+        obs: PacketObs,
+        counts: (u64, u64),
+    }
+
+    impl PreparedInput for Prepared {
+        fn packet(&self) -> &Packet {
+            &self.pkt
+        }
+
+        fn obs(&self) -> PacketObs {
+            self.obs
+        }
+
+        fn window_counts(&self) -> (u64, u64) {
+            self.counts
+        }
+    }
+
+    #[test]
+    fn the_batch_entry_matches_the_per_packet_entry() {
+        use taurus_pisa::CrossFlowWindows;
+
+        let detector = AnomalyDetector::train_default(9, 1_200);
+        let syn = SynFloodDetector::default_deployment();
+        let config = PipelineConfig::default();
+        let mut obs_builder = ObsBuilder::new();
+        let mut windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
+        let trace = PacketTrace::expand(KddGenerator::new(21).take(150), &TraceConfig::default());
+        let prepared: Vec<Prepared> = trace
+            .packets
+            .iter()
+            .map(|tp| {
+                let obs = obs_builder.observe(tp);
+                Prepared { pkt: to_packet(tp), obs, counts: windows.observe(&obs) }
+            })
+            .collect();
+        // Only packets the AD DNN's selection table bypasses: every
+        // group of the batch entry calls its engine on no row at all.
+        let bypassing: Vec<Prepared> =
+            prepared.iter().filter(|p| p.pkt.proto == 1).cloned().collect();
+        assert!(bypassing.len() > 2 * BATCH_PACKETS, "the trace carries ICMP");
+        let dnn: &dyn Fn() -> TaurusSwitch = &|| SwitchBuilder::new().register(&detector).build();
+        let two_apps: &dyn Fn() -> TaurusSwitch =
+            &|| SwitchBuilder::new().register(&detector).register(&syn).build();
+        // A batch kernel next to an engine without one: the threshold
+        // engine runs the default per-row `infer_batch`.
+        let mixed: &dyn Fn() -> TaurusSwitch = &|| {
+            SwitchBuilder::new()
+                .register(&detector)
+                .register_on(&syn, EngineBackend::Threshold)
+                .build()
+        };
+        // Exact without a batch kernel too (the worker runs such a
+        // switch packet by packet).
+        let threshold: &dyn Fn() -> TaurusSwitch =
+            &|| SwitchBuilder::new().register_on(&syn, EngineBackend::Threshold).build();
+        let cases = [
+            ("AD DNN", dnn, prepared.as_slice(), true),
+            ("AD DNN + SYN", two_apps, &prepared, true),
+            ("AD DNN + SYN on the threshold backend", mixed, &prepared, true),
+            ("every packet bypassed", dnn, &bypassing, true),
+            ("SYN on the threshold backend", threshold, &prepared, false),
+        ];
+        for (name, build, packets, kernel) in cases {
+            let (mut single, mut batched) = (build(), build());
+            assert_eq!(batched.has_batch_kernel(), kernel, "{name}");
+            let want: Vec<SwitchVerdict> = packets
+                .iter()
+                .map(|p| single.process_prepared_verdict(&p.pkt, p.obs, p.counts.0, p.counts.1))
+                .collect();
+            // Whole groups, ragged tails and lone packets.
+            let mut got = Vec::new();
+            let mut rest = packets;
+            for len in [256, 13, 1, 8, 5].into_iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (batch, next) = rest.split_at(len.min(rest.len()));
+                batched.process_prepared_batch(batch, |p, v| got.push((p.pkt.clone(), v)));
+                rest = next;
+            }
+            let (order, got): (Vec<Packet>, Vec<SwitchVerdict>) = got.into_iter().unzip();
+            assert!(order.iter().eq(packets.iter().map(|p| &p.pkt)), "{name}: stream order");
+            assert_eq!(got, want, "{name}");
+            assert_eq!(batched.report(), single.report(), "{name}");
+        }
     }
 }

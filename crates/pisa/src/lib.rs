@@ -40,7 +40,7 @@ pub use parser::Parser;
 pub use phv::{Field, Phv};
 pub use pipeline::{
     FeatureFormatter, InferenceEngine, LinearThresholdEngine, PipelineConfig, PipelineResult,
-    TaurusPipeline, ThresholdEngine, Verdict,
+    PreparedInput, TaurusPipeline, ThresholdEngine, Verdict, BATCH_PACKETS,
 };
 pub use range_table::{RangeTable, RangeTableError};
 pub use registers::{CrossFlowWindows, FlowFeatures, FlowTracker, PacketObs, RegisterArray};

@@ -20,6 +20,24 @@ pub trait InferenceEngine {
     /// Runs inference on one packet's features.
     fn infer(&mut self, features: &[i32]) -> i64;
 
+    /// Runs inference on several packets' features, one row each:
+    /// `out[p]` receives row `p`'s verdict. Equal to
+    /// [`InferenceEngine::infer`] on each row in order, which is what the
+    /// default does; an engine with a kernel of its own overrides it and
+    /// says so in [`InferenceEngine::has_batch_kernel`].
+    fn infer_batch(&mut self, rows: &[Vec<i32>], out: &mut [i64]) {
+        for (row, verdict) in rows.iter().zip(out) {
+            *verdict = self.infer(row);
+        }
+    }
+
+    /// Whether [`InferenceEngine::infer_batch`] is faster than the
+    /// per-row loop, so that a caller gains by grouping packets for it
+    /// ([`TaurusPipeline::process_prepared_batch`]).
+    fn has_batch_kernel(&self) -> bool {
+        false
+    }
+
     /// The block's ingress-to-egress latency in nanoseconds.
     fn latency_ns(&self) -> u64;
 }
@@ -31,9 +49,33 @@ impl<E: InferenceEngine + ?Sized> InferenceEngine for Box<E> {
         (**self).infer(features)
     }
 
+    fn infer_batch(&mut self, rows: &[Vec<i32>], out: &mut [i64]) {
+        (**self).infer_batch(rows, out);
+    }
+
+    fn has_batch_kernel(&self) -> bool {
+        (**self).has_batch_kernel()
+    }
+
     fn latency_ns(&self) -> u64 {
         (**self).latency_ns()
     }
+}
+
+/// Packets a batch entry ([`TaurusPipeline::process_prepared_batch`])
+/// takes at once: one across-packets engine group.
+pub const BATCH_PACKETS: usize = 8;
+
+/// One packet as a batch entry reads it: the arguments of
+/// [`TaurusPipeline::process_prepared`].
+pub trait PreparedInput {
+    /// The header fields the parser loads into the PHV.
+    fn packet(&self) -> &Packet;
+    /// The register-stage observation.
+    fn obs(&self) -> PacketObs;
+    /// The cross-flow window counts `(dst_count, srv_count)`, computed
+    /// upstream.
+    fn window_counts(&self) -> (u64, u64);
 }
 
 /// A feature formatter: turns raw register-stage [`FlowFeatures`] into
@@ -207,6 +249,11 @@ pub struct TaurusPipeline<E> {
     phv: Phv,
     /// Reusable formatter output buffer (feature codes).
     feature_scratch: Vec<i32>,
+    /// The batch entry's resident PHVs, one per packet of a group.
+    batch_phvs: Box<[Phv; BATCH_PACKETS]>,
+    /// The batch entry's formatter outputs, one per ML-path packet of a
+    /// group: the rows its engine call reads.
+    batch_rows: [Vec<i32>; BATCH_PACKETS],
 }
 
 impl<E: InferenceEngine> TaurusPipeline<E> {
@@ -221,6 +268,8 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
             engine,
             post_tables: Vec::new(),
             feature_scratch: Vec::with_capacity(config.feature_count),
+            batch_phvs: Box::new(core::array::from_fn(|_| Phv::new())),
+            batch_rows: core::array::from_fn(|_| Vec::with_capacity(config.feature_count)),
             config,
             packets: 0,
             ml_packets: 0,
@@ -294,6 +343,80 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
         latency += MAT_LATENCY_NS; // register access rides one stage
 
         self.finish_packet(features, latency)
+    }
+
+    /// [`TaurusPipeline::process_prepared`] for a group of at most
+    /// [`BATCH_PACKETS`] packets, calling `each(result)` once per packet,
+    /// in stream order. Every result, counter and register is what
+    /// the per-packet entry gives; the group changes only the engine's
+    /// call, in three steps:
+    ///
+    /// 1. each packet runs the front end (parse, register stage,
+    ///    preprocessing MATs, formatter) into its own PHV and code row;
+    /// 2. one [`InferenceEngine::infer_batch`] runs on the rows of the
+    ///    packets that did not bypass;
+    /// 3. each packet takes its verdict into the PHV and runs the
+    ///    postprocessing MATs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packets` holds more than [`BATCH_PACKETS`] packets.
+    #[inline]
+    pub fn process_prepared_batch<P: PreparedInput>(
+        &mut self,
+        packets: &[P],
+        mut each: impl FnMut(PipelineResult),
+    ) {
+        assert!(packets.len() <= BATCH_PACKETS, "a batch entry takes one group");
+        let mut features = [FlowFeatures::default(); BATCH_PACKETS];
+        let mut bypassed = [false; BATCH_PACKETS];
+        let mut rows = 0;
+        for (i, p) in packets.iter().enumerate() {
+            let phv = &mut self.batch_phvs[i];
+            self.parser.parse_into(p.packet(), phv);
+            let (dst_count, srv_count) = p.window_counts();
+            features[i] = self.tracker.observe_prepared(&p.obs(), dst_count, srv_count);
+            for t in &self.pre_tables {
+                t.apply(phv);
+            }
+            bypassed[i] = phv.get(Field::BypassMl) != 0;
+            if !bypassed[i] {
+                let row = &mut self.batch_rows[rows];
+                row.clear();
+                (self.formatter)(&features[i], row);
+                row.truncate(self.config.feature_count);
+                phv.set_features(row);
+                rows += 1;
+            }
+        }
+        let mut ml_out = [0; BATCH_PACKETS];
+        self.engine.infer_batch(&self.batch_rows[..rows], &mut ml_out[..rows]);
+        let engine_ns = self.engine.latency_ns();
+        let front_ns = PARSE_LATENCY_NS + MAT_LATENCY_NS * (1 + self.pre_tables.len() as u64);
+        let mut ml_out = ml_out.iter();
+        for (i, phv) in self.batch_phvs[..packets.len()].iter_mut().enumerate() {
+            self.packets += 1;
+            let mut latency = front_ns;
+            let mut out = 0;
+            if !bypassed[i] {
+                self.ml_packets += 1;
+                out = *ml_out.next().expect("one verdict per row");
+                phv.set(Field::MlOut, out);
+                latency += engine_ns;
+            }
+            for t in &self.post_tables {
+                t.apply(phv);
+                latency += MAT_LATENCY_NS;
+            }
+            let verdict = Verdict::from_code(phv.get(Field::Decision));
+            each(PipelineResult {
+                verdict,
+                ml_out: out,
+                bypassed: bypassed[i],
+                latency_ns: latency,
+                features: features[i],
+            });
+        }
     }
 
     /// The shared pipeline tail after the register stage: preprocessing
@@ -575,6 +698,56 @@ mod tests {
         assert_eq!(p.evictions(), 1);
         p.reset_state();
         assert_eq!(p.evictions(), 0, "reset clears the eviction counter");
+    }
+
+    #[test]
+    fn the_batch_entry_gives_the_per_packet_entrys_results() {
+        // The default `infer_batch` (the per-row loop) behind the
+        // three-step group: every result, features included, in stream
+        // order, for groups of one to eight with bypassed packets among
+        // them, and the same stats after.
+        struct Prepared(Packet, PacketObs);
+        impl PreparedInput for Prepared {
+            fn packet(&self) -> &Packet {
+                &self.0
+            }
+            fn obs(&self) -> PacketObs {
+                self.1
+            }
+            fn window_counts(&self) -> (u64, u64) {
+                (u64::from(self.0.src_port) % 7, 3)
+            }
+        }
+        let packets: Vec<Prepared> = (0..60u32)
+            .map(|k| {
+                let mut pkt =
+                    Packet::tcp(k % 5, 2, 1000 + (k % 3) as u16, 80, 0x02, 100 + k as u16);
+                pkt.ts_ns = u64::from(k) * 1_000;
+                if k % 4 == 1 {
+                    pkt.proto = 1;
+                }
+                let obs = obs_for(&pkt, k < 5);
+                Prepared(pkt, obs)
+            })
+            .collect();
+        let (mut single, mut batched) = (pipeline(), pipeline());
+        let want: Vec<PipelineResult> = packets
+            .iter()
+            .map(|p| single.process_prepared(&p.0, p.1, p.window_counts().0, 3))
+            .collect();
+        assert!(want.iter().any(|r| r.bypassed) && want.iter().any(|r| !r.bypassed));
+        let mut got = Vec::new();
+        let mut rest = packets.as_slice();
+        for len in (1..=BATCH_PACKETS).cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (group, next) = rest.split_at(len.min(rest.len()));
+            batched.process_prepared_batch(group, |r| got.push(r));
+            rest = next;
+        }
+        assert_eq!(got, want);
+        assert_eq!(batched.stats(), single.stats());
     }
 
     #[test]

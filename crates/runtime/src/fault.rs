@@ -401,6 +401,11 @@ impl WorkerFaults {
         }
     }
 
+    /// Whether [`WorkerFaults::check_packet`] would fire at `index`.
+    pub(crate) fn due(&self, index: u64) -> bool {
+        self.packet.iter().any(|f| index >= f.at_index)
+    }
+
     /// Cheap emptiness check so the hot batch loop can skip the scan.
     pub(crate) fn is_armed(&self) -> bool {
         !self.packet.is_empty()

@@ -57,7 +57,9 @@ use taurus_core::{DuplicateAppError, EngineBackend, SwitchBuilder, SwitchReport,
 use taurus_dataset::trace::TracePacket;
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineConfig, SlotIndex};
+use taurus_pisa::{
+    CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineConfig, PreparedInput, SlotIndex,
+};
 
 use crate::fault::{FaultPlan, FaultReport};
 use crate::overload::{OverloadPolicy, OverloadReport, OverloadState};
@@ -157,6 +159,25 @@ impl PreparedPacket {
     #[inline]
     pub fn obs(&self) -> PacketObs {
         packet_obs(&self.pkt, self.flow_key, self.len, self.reverse, self.is_flow_start)
+    }
+}
+
+/// What the worker hands its replica's batch entry
+/// ([`taurus_core::TaurusSwitch::process_prepared_batch`]).
+impl PreparedInput for PreparedPacket {
+    #[inline]
+    fn packet(&self) -> &Packet {
+        &self.pkt
+    }
+
+    #[inline]
+    fn obs(&self) -> PacketObs {
+        PreparedPacket::obs(self)
+    }
+
+    #[inline]
+    fn window_counts(&self) -> (u64, u64) {
+        (self.dst_count, self.srv_count)
     }
 }
 

@@ -13,12 +13,13 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use taurus_core::{ModelUpdate, SwitchReport, TaurusSwitch};
+use taurus_core::{ModelUpdate, SwitchReport, SwitchVerdict, TaurusSwitch};
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::Verdict;
 
 use crate::fault::WorkerFaults;
 use crate::pipeline::steer::{Batch, ShardMsg};
+use crate::runtime::PreparedPacket;
 use crate::spsc;
 
 /// One worker's per-run state at a drain barrier.
@@ -134,6 +135,11 @@ fn apply_change(
 /// sender side is dropped (shutdown). `faults` is this shard's slice of
 /// the builder's deterministic [`crate::FaultPlan`]; it is empty in
 /// production and checked per packet only while armed.
+///
+/// A batch runs through the replica's group loop
+/// ([`TaurusSwitch::process_prepared_batch`], the engine running eight
+/// packets at a time) when one of its engines has a batch kernel
+/// ([`TaurusSwitch::has_batch_kernel`]), and packet by packet otherwise.
 fn engine_worker(
     mut switch: TaurusSwitch,
     rx: spsc::Receiver<ShardMsg>,
@@ -156,22 +162,43 @@ fn engine_worker(
                 if poisoned.is_none() {
                     run.batches += 1;
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        for p in &batch {
-                            if faults.is_armed() {
-                                faults.check_packet(p.index);
-                            }
-                            let r = switch.process_prepared_verdict(
-                                &p.pkt,
-                                p.obs(),
-                                p.dst_count,
-                                p.srv_count,
-                            );
+                        let mut record = |p: &PreparedPacket, r: SwitchVerdict| {
                             run.segments
                                 .last_mut()
                                 .expect("nonempty")
                                 .record(r.verdict == Verdict::Drop, p.anomalous);
                             run.processed += 1;
+                        };
+                        if !switch.has_batch_kernel() {
+                            for p in &batch {
+                                if faults.is_armed() {
+                                    faults.check_packet(p.index);
+                                }
+                                let r = switch.process_prepared_verdict(
+                                    &p.pkt,
+                                    p.obs(),
+                                    p.dst_count,
+                                    p.srv_count,
+                                );
+                                record(p, r);
+                            }
+                            return;
                         }
+                        // An armed fault fires where the loop above fires
+                        // it: before its packet, after every earlier one,
+                        // at most one per packet.
+                        let (mut start, mut next) = (0, 0);
+                        while faults.is_armed() {
+                            let Some(at) = batch[next..].iter().position(|p| faults.due(p.index))
+                            else {
+                                break;
+                            };
+                            let at = next + at;
+                            switch.process_prepared_batch(&batch[start..at], &mut record);
+                            faults.check_packet(batch[at].index);
+                            (start, next) = (at, at + 1);
+                        }
+                        switch.process_prepared_batch(&batch[start..], &mut record);
                     }));
                     if let Err(payload) = outcome {
                         poisoned = Some(payload);

@@ -15,11 +15,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use common::within;
-use taurus_core::apps::SynFloodDetector;
+use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
+use taurus_core::engine::CgraEngine;
 use taurus_core::{EngineBackend, EngineUpdate, FormatterFactory, ModelUpdate, TaurusApp};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig, TracePacket};
-use taurus_pisa::{Field, MatchTable};
+use taurus_pisa::{Field, InferenceEngine, MatchTable, BATCH_PACKETS};
 use taurus_runtime::{shard_of, FaultPlan, FaultRecordKind, RuntimeBuilder, StreamingRuntime};
 
 const SHARDS: usize = 4;
@@ -170,6 +171,61 @@ fn a_respawned_replica_replays_the_folded_update_history() {
         "the validation trace must exercise both verdicts"
     );
     assert_eq!(after, control, "the spare must replay to the fleet's current models");
+}
+
+#[test]
+fn a_fault_inside_an_engine_group_lands_where_the_per_packet_loop_puts_it() {
+    // The AD DNN's workers run each batch through the across-packets
+    // engine, eight packets a group. An armed fault splits the batch at
+    // its packet, so it still fires before that packet and after every
+    // earlier one, one fault per packet — even at the fifth packet of a
+    // group. The reference is per-packet semantics: the victim's report
+    // is that of a clean fleet fed the stream only up to the victim's
+    // first unprocessed packet; the survivors are a clean full run's.
+    let detector = AnomalyDetector::train_default(9, 400);
+    assert!(CgraEngine::new(detector.program.clone()).has_batch_kernel());
+    let trace = kdd_trace(200, 91);
+    let (shards, victim) = (2, 1);
+    let assigned = assigned_indices(&trace, victim, shards);
+    // Batches of 64: the victim's packet `k` is packet `k % 8` of a
+    // group.
+    let k = 5 * BATCH_PACKETS + 4;
+    assert!(assigned.len() > 2 * k, "seed must give the victim shard real traffic");
+    let fire_at = assigned[k];
+    let fleet = || RuntimeBuilder::new().shards(shards).batch_size(64).register(&detector);
+    let clean = drain_report(&mut fleet().build(), &trace);
+    let pause = Duration::from_millis(5);
+    let cases = [
+        ("panic", FaultPlan::new().engine_panic(victim, fire_at), k, 1),
+        (
+            "stall, then a panic due at the same packet",
+            FaultPlan::new().stall(victim, fire_at, pause).engine_panic(victim, fire_at),
+            k + 1,
+            1,
+        ),
+        ("stall", FaultPlan::new().stall(victim, fire_at, pause), assigned.len(), 0),
+    ];
+    for (name, plan, processed, restarts) in cases {
+        let mut subject = fleet().fault_plan(plan).spare_replicas(1).build();
+        let report = drain_report(&mut subject, &trace);
+        assert_eq!(report.faults.worker_restarts, restarts, "{name}");
+        let end = assigned.get(processed).map_or(trace.packets.len(), |&i| i as usize);
+        let mut prefix = fleet().build();
+        prefix.feed(&trace.packets[..end]);
+        let reference = prefix.drain();
+        for (got, clean, prefix) in report
+            .shards
+            .iter()
+            .zip(&clean.shards)
+            .zip(&reference.shards)
+            .map(|((g, c), p)| (g, c, p))
+        {
+            let want = if got.shard == victim { prefix } else { clean };
+            assert_eq!(got.packets, want.packets, "{name}: shard {}", got.shard);
+            assert_eq!(got.report, want.report, "{name}: shard {}", got.shard);
+        }
+        assert_eq!(report.shards.len(), shards, "{name}: every shard merged");
+    }
 }
 
 #[test]

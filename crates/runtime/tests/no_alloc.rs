@@ -29,11 +29,12 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
+use taurus_core::engine::CgraEngine;
 use taurus_core::EngineBackend;
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_ml::Rows;
-use taurus_pisa::{FlowTableKind, PipelineConfig};
+use taurus_pisa::{FlowTableKind, InferenceEngine, PipelineConfig};
 use taurus_runtime::{FaultPlan, OverloadPolicy, RuntimeBuilder, StreamingRuntime};
 
 struct CountingAlloc;
@@ -215,11 +216,33 @@ fn resident_service_feeds_allocate_nothing_after_the_first() {
 }
 
 #[test]
+fn resident_cgra_service_feeds_through_the_group_loop_allocate_nothing() {
+    let _serial = measuring();
+    // The AD DNN's workers run every batch through the across-packets
+    // engine in groups of eight (its engine has a batch kernel): the
+    // group's PHVs, code rows and verdict lanes are resident, so a
+    // warmed feed allocates nothing on either side of the lanes.
+    let detector = AnomalyDetector::train_default(9, 400);
+    assert!(CgraEngine::new(detector.program.clone()).has_batch_kernel());
+    let single = trace(250, 55);
+    let mut service = RuntimeBuilder::new().shards(2).batch_size(32).register(&detector).build();
+    service.feed(&single.packets);
+    for feed in ["second", "third"] {
+        let n = allocations_in(|| {
+            service.feed(&single.packets);
+        });
+        assert_eq!(n, 0, "the {feed} CGRA feed allocated {n} times");
+    }
+    let report = service.shutdown();
+    assert_eq!(report.merged.packets, 3 * single.packets.len() as u64, "every feed processed");
+}
+
+#[test]
 fn an_install_between_feeds_allocates_a_named_handful_and_compiles_nothing() {
     let _serial = measuring();
     // A live full-program install on the CGRA roster is a handle swap:
     // no plan compilation, no slab, no weight copy — on either side of
-    // the lane. Pinned exactly, after one warm-up install of the same
+    // the lane, with the workers in their group loop. Pinned exactly, after one warm-up install of the same
     // shapes, over `feed → install_update → feed` (the worker applies
     // the update while the second feed is already running, hence the
     // per-thread split):

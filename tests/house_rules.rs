@@ -187,8 +187,29 @@ fn one_reduction_loop_per_dense_layer() {
     // pair once per panel; the pair-outer group loop replaced it.
     let gone = ["reduce_pairs"];
     assert_clean(
-        "a dense layer has one reduction loop, over column pairs of panel groups",
+        "a dense layer has two reduction forms: per packet, pair-outer over panel groups; \
+         across packets, over groups of eight",
         scan("crates", |_| true, |line| gone.iter().any(|w| has_word(line, w))),
+    );
+    // A dense layer's multiply-adds run in exactly two loops: per
+    // packet, pair-outer over groups of panels (`reduce_group`); across
+    // packets, row by row over a group of eight packets
+    // (`reduce_across`).
+    let file = "crates/cgra/src/lib.rs";
+    let text = std::fs::read_to_string(root().join(file)).expect("the CGRA simulator");
+    let mut loops = Vec::new();
+    let mut current = None;
+    for line in text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")) {
+        current = declared_fn(line).or(current);
+        if line.contains("simd::madd(") && !loops.contains(&current) {
+            loops.push(current);
+        }
+    }
+    loops.sort();
+    assert_eq!(
+        loops,
+        [Some("reduce_across"), Some("reduce_group")],
+        "{file}: the per-packet and the across-packets reduction, and no third"
     );
 }
 
@@ -320,7 +341,14 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
         ),
         (
             "crates/pisa/src/pipeline.rs",
-            &["from_code", "max_severity", "process", "process_prepared", "finish_packet"],
+            &[
+                "from_code",
+                "max_severity",
+                "process",
+                "process_prepared",
+                "process_prepared_batch",
+                "finish_packet",
+            ],
         ),
         (
             "crates/core/src/ingest.rs",
@@ -330,6 +358,7 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
                 "to_packet",
                 "to_packet_into",
                 "wire_obs",
+                "packet_obs",
                 "flow_start_flags_ok",
                 "observe",
                 "observe_into",
@@ -338,7 +367,14 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
         ),
         (
             "crates/core/src/switch.rs",
-            &["process", "process_prepared_verdict", "process_trace_verdict", "run_apps"],
+            &[
+                "process",
+                "process_prepared_verdict",
+                "process_prepared_batch",
+                "process_trace_verdict",
+                "run_apps",
+                "vote",
+            ],
         ),
     ];
     let mut offenders = Vec::new();
