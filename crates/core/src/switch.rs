@@ -11,7 +11,8 @@ use taurus_dataset::trace::TracePacket;
 use taurus_pisa::pipeline::PipelineResult;
 use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{
-    InferenceEngine, Packet, PipelineConfig, PreparedInput, TaurusPipeline, Verdict, BATCH_PACKETS,
+    InferenceEngine, Packet, PipelineConfig, PreparedInput, SlotOp, TaurusPipeline, Verdict,
+    BATCH_PACKETS,
 };
 
 use crate::app::{BoxedEngine, EngineBackend, ReactionTime, TaurusApp, VerdictPolicy};
@@ -445,11 +446,7 @@ impl TaurusSwitch {
     }
 
     /// Processes one raw packet whose cross-flow window counts were
-    /// computed upstream — the sharded runtime's entry point: ingest
-    /// runs the one shared [`taurus_pisa::CrossFlowWindows`] in global
-    /// arrival order (destination keys are not flow-consistent, so
-    /// per-shard windows would diverge) and hands each shard the counts
-    /// along with the packet.
+    /// computed upstream; every app probes its own flow directory.
     #[inline]
     pub fn process_prepared_verdict(
         &mut self,
@@ -459,6 +456,22 @@ impl TaurusSwitch {
         srv_count: u64,
     ) -> SwitchVerdict {
         self.run_apps(|app| app.pipeline.process_prepared(pkt, obs, dst_count, srv_count))
+    }
+
+    /// Processes one raw packet whose register slot and cross-flow
+    /// window counts were decided upstream, in global arrival order —
+    /// the sharded runtime's per-packet entry. One op serves every app:
+    /// the roster shares one [`PipelineConfig`].
+    #[inline]
+    pub fn process_slot_verdict(
+        &mut self,
+        pkt: &Packet,
+        op: SlotOp,
+        obs: PacketObs,
+        dst_count: u64,
+        srv_count: u64,
+    ) -> SwitchVerdict {
+        self.run_apps(|app| app.pipeline.process_slot(pkt, op, obs, dst_count, srv_count))
     }
 
     /// Processes one trace packet: derives its packet and register-stage
@@ -478,7 +491,7 @@ impl TaurusSwitch {
         self.apps.iter().any(|app| app.pipeline.engine().has_batch_kernel())
     }
 
-    /// [`TaurusSwitch::process_prepared_verdict`] for a batch of packets,
+    /// [`TaurusSwitch::process_slot_verdict`] for a batch of packets,
     /// calling `each(packet, verdict)` in stream order: the sharded
     /// runtime worker's entry when [`TaurusSwitch::has_batch_kernel`].
     /// Verdicts, counters and the report are what the per-packet entry
@@ -566,24 +579,11 @@ impl TaurusSwitch {
     /// Aggregate counters (combined-verdict unions) plus the per-app
     /// breakdown.
     pub fn report(&self) -> SwitchReport {
-        SwitchReport {
+        let mut report = SwitchReport {
             packets: self.aggregate.packets,
             ml_packets: self.aggregate.ml_packets,
             dropped: self.aggregate.dropped,
             flagged: self.aggregate.flagged,
-            evictions: self.apps.iter().map(|app| app.pipeline.evictions()).sum(),
-            capacity_evictions: self.apps.iter().map(|app| app.pipeline.capacity_evictions()).sum(),
-            flow_occupancy: self.apps.iter().map(|app| app.pipeline.flow_occupancy()).sum(),
-            probe_hist: self.apps.iter().fold(Vec::new(), |mut acc, app| {
-                let hist = app.pipeline.probe_hist();
-                if acc.len() < hist.len() {
-                    acc.resize(hist.len(), 0);
-                }
-                for (a, h) in acc.iter_mut().zip(hist) {
-                    *a += h;
-                }
-                acc
-            }),
             apps: self
                 .apps
                 .iter()
@@ -594,7 +594,19 @@ impl TaurusSwitch {
                     counters: app.counters,
                 })
                 .collect(),
+            ..SwitchReport::default()
+        };
+        for registers in self.apps.iter().map(|app| app.pipeline.flow_registers()) {
+            report.evictions += registers.idle_evictions();
+            report.capacity_evictions += registers.capacity_evictions();
+            report.flow_occupancy += registers.occupancy();
+            let hist = registers.probe_hist();
+            report.probe_hist.resize(report.probe_hist.len().max(hist.len()), 0);
+            for (a, h) in report.probe_hist.iter_mut().zip(hist) {
+                *a += h;
+            }
         }
+        report
     }
 
     /// Installs a live model update on one hosted app: the engine is
@@ -1155,40 +1167,57 @@ mod tests {
 
     #[test]
     fn process_prepared_with_shared_windows_matches_process() {
-        use taurus_pisa::CrossFlowWindows;
+        use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind};
 
         let detector = AnomalyDetector::train_default(9, 1_200);
         let syn = SynFloodDetector::default_deployment();
-        let build = || SwitchBuilder::new().register(&detector).register(&syn).build();
-        let mut classic = build();
-        let mut split = build();
-        let mut public = build();
-
-        let config = PipelineConfig::default();
-        let mut obs_builder = ObsBuilder::new();
-        let mut windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
         let records = KddGenerator::new(18).take(120);
         let trace = PacketTrace::expand(records, &TraceConfig::default());
-        for tp in &trace.packets {
-            let a = trace_outcome(&mut classic, tp);
-            let obs = obs_builder.observe(tp);
-            let (d, s) = windows.observe(&obs);
-            let pkt = to_packet(tp);
-            let b = outcome(&mut split, |app| app.pipeline.process_prepared(&pkt, obs, d, s));
-            // Every app's features (the cross-flow window counts
-            // included) and model output agree, not just the verdict.
-            assert_eq!(a, b);
-            assert_eq!(public.process_prepared_verdict(&pkt, obs, d, s), b.0);
+        for kind in [FlowTableKind::DirectMapped, FlowTableKind::Keyed { buckets: 16, ways: 2 }] {
+            let config = PipelineConfig { flow_table: kind, ..PipelineConfig::default() };
+            let build = || {
+                SwitchBuilder::new()
+                    .config(config.clone())
+                    .register(&detector)
+                    .register(&syn)
+                    .build()
+            };
+            let (mut classic, mut split, mut public, mut slotted) =
+                (build(), build(), build(), build());
+            let keyed = kind != FlowTableKind::DirectMapped;
+            let mut obs_builder = if keyed { ObsBuilder::untracked() } else { ObsBuilder::new() };
+            let mut windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
+            // One directory in front of the slot entry, as the runtime's
+            // ingest runs it.
+            let mut directory = FlowTable::with_kind(kind, config.flow_slots, 0);
+            for tp in &trace.packets {
+                let a = trace_outcome(&mut classic, tp);
+                let mut obs = obs_builder.observe(tp);
+                let op = directory.op(obs.flow_key, obs.ts_ns);
+                if keyed {
+                    obs.is_flow_start = op.access.is_start();
+                }
+                let (d, s) = windows.observe(&obs);
+                let pkt = to_packet(tp);
+                let b = outcome(&mut split, |app| app.pipeline.process_prepared(&pkt, obs, d, s));
+                // Every app's features (the cross-flow window counts
+                // included) and model output agree, not just the verdict.
+                assert_eq!(a, b, "{kind:?}");
+                assert_eq!(public.process_prepared_verdict(&pkt, obs, d, s), b.0);
+                assert_eq!(slotted.process_slot_verdict(&pkt, op, obs, d, s), b.0);
+            }
+            assert_eq!(classic.report(), split.report(), "{kind:?}");
+            assert_eq!(public.report(), split.report(), "{kind:?}");
+            assert_eq!(slotted.report(), split.report(), "{kind:?}");
         }
-        assert_eq!(classic.report(), split.report());
-        assert_eq!(public.report(), split.report());
     }
 
     /// One packet as the runtime hands it to a worker: the arguments of
-    /// [`TaurusSwitch::process_prepared_verdict`].
+    /// [`TaurusSwitch::process_slot_verdict`].
     #[derive(Clone)]
     struct Prepared {
         pkt: Packet,
+        op: SlotOp,
         obs: PacketObs,
         counts: (u64, u64),
     }
@@ -1196,6 +1225,10 @@ mod tests {
     impl PreparedInput for Prepared {
         fn packet(&self) -> &Packet {
             &self.pkt
+        }
+
+        fn slot_op(&self) -> SlotOp {
+            self.op
         }
 
         fn obs(&self) -> PacketObs {
@@ -1209,20 +1242,24 @@ mod tests {
 
     #[test]
     fn the_batch_entry_matches_the_per_packet_entry() {
-        use taurus_pisa::CrossFlowWindows;
+        use taurus_pisa::{CrossFlowWindows, FlowTable};
 
         let detector = AnomalyDetector::train_default(9, 1_200);
         let syn = SynFloodDetector::default_deployment();
         let config = PipelineConfig::default();
         let mut obs_builder = ObsBuilder::new();
         let mut windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
+        // Direct-mapped with the idle timer off, an op depends on its
+        // packet alone, so any subset of the stream keeps its ops.
+        let mut directory = FlowTable::with_kind(config.flow_table, config.flow_slots, 0);
         let trace = PacketTrace::expand(KddGenerator::new(21).take(150), &TraceConfig::default());
         let prepared: Vec<Prepared> = trace
             .packets
             .iter()
             .map(|tp| {
                 let obs = obs_builder.observe(tp);
-                Prepared { pkt: to_packet(tp), obs, counts: windows.observe(&obs) }
+                let op = directory.op(obs.flow_key, obs.ts_ns);
+                Prepared { pkt: to_packet(tp), op, obs, counts: windows.observe(&obs) }
             })
             .collect();
         // Only packets the AD DNN's selection table bypasses: every
@@ -1257,7 +1294,7 @@ mod tests {
             assert_eq!(batched.has_batch_kernel(), kernel, "{name}");
             let want: Vec<SwitchVerdict> = packets
                 .iter()
-                .map(|p| single.process_prepared_verdict(&p.pkt, p.obs, p.counts.0, p.counts.1))
+                .map(|p| single.process_slot_verdict(&p.pkt, p.op, p.obs, p.counts.0, p.counts.1))
                 .collect();
             // Whole groups, ragged tails and lone packets.
             let mut got = Vec::new();

@@ -1,38 +1,36 @@
-//! Bounded flow-table state: keyed set-associative occupancy with idle
-//! and capacity eviction for the register stage.
+//! Bounded per-flow state as the two halves of a PISA register stage: a
+//! hash unit decides which register slot a packet's flow owns, and every
+//! stateful ALU of the stage uses that one slot (Taurus §3.1, Fig. 6).
 //!
-//! A real data plane serves traffic indefinitely, so per-flow state must
-//! be *reclaimable* and *collision-managed*. [`FlowTable`] models both
-//! hardware disciplines behind one interface:
+//! - [`FlowTable`], the directory, holds keys and clocks only (16 B a
+//!   slot, a 4-way bucket per cache line) and alone decides occupancy.
+//!   Each access yields a [`SlotOp`].
+//! - [`FlowRegisters`], the array, holds one [`FlowEntry`] a slot and no
+//!   keys, clocks or probe: [`FlowRegisters::apply`] replays an op and
+//!   counts the table statistics from its access kind.
+//!
+//! The sharded runtime probes one directory on the feeding thread and
+//! ships each op to the replica that owns its bucket;
+//! [`crate::FlowTracker`] holds both halves for the sequential switch.
+//!
+//! The directory models two hardware disciplines:
 //!
 //! - **Direct-mapped** (the classic PISA register-array view): slot =
-//!   `key % slots` (computed by a [`SlotIndex`]: a mask for the
-//!   power-of-two sizes hardware uses), unrelated flows that hash
-//!   together silently share a slot, and the only reclamation is the
-//!   lazy idle-timeout check that rides each access (the former
-//!   `IdleTable`, byte-for-byte).
+//!   `key % slots` (a [`SlotIndex`]: a mask for power-of-two sizes),
+//!   colliding flows silently share a slot, and the only reclamation is
+//!   the lazy idle-timeout check that rides each access.
 //! - **Keyed** (`B` buckets × `W` ways): each occupant stores its full
 //!   64-bit key, lookups probe one bucket's ways, a hit one-step
 //!   robin-hood-promotes toward way 0, and a miss into a full bucket
-//!   evicts the bucket's oldest-last-seen occupant. Collisions no longer
-//!   merge flows — they displace, bounded to one bucket.
+//!   evicts the bucket's oldest-last-seen occupant.
 //!
-//! Each slot carries a payload: the register stage's per-flow
-//! [`FlowEntry`] counters by default, or nothing (`FlowTable<()>`) where
-//! only occupancy matters — the runtime's keyed ingest directory keeps
-//! keys and clocks alone, 16 B a slot, so a 4-way bucket is one cache
-//! line. The payload changes no decision: occupancy, promotion and
-//! eviction read only keys and clocks.
-//!
-//! Both modes share the `ts + 1` last-seen sentinel (0 = never seen) and
-//! the lazy idle check: no background sweeper thread, no timer wheel —
-//! the check rides the packet that would observe the stale state anyway,
-//! which keeps the hot path allocation-free. Because displacement and
-//! eviction are confined to one bucket and bucket-based shard routing
-//! sends every packet of a bucket through one shard in global arrival
-//! order, eviction decisions are bit-identical across shard/worker
-//! geometries — the direct-mapped slot-routing argument carries over
-//! with "slot" → "bucket".
+//! Both share the `ts + 1` last-seen sentinel (0 = never seen) and the
+//! lazy idle check, which rides the packet that would observe the stale
+//! state: no sweeper, no timer wheel, no allocation on the hot path.
+//! Displacement and eviction stay inside one bucket, and bucket routing
+//! sends a bucket's packets through one shard in arrival order, so a
+//! replica's ops — its registers and counters — are the same for every
+//! shard/worker geometry.
 
 use crate::slot_index::SlotIndex;
 
@@ -55,21 +53,39 @@ pub enum FlowTableKind {
     },
 }
 
+impl FlowTableKind {
+    /// The slots of this geometry (`flow_slots` direct-mapped,
+    /// `buckets × ways` keyed), or `None` unless there are `1..=2^32`.
+    pub fn slots(self, flow_slots: usize) -> Option<usize> {
+        let slots = match self {
+            Self::DirectMapped => flow_slots,
+            Self::Keyed { buckets, ways } => buckets.checked_mul(ways)?,
+        };
+        (slots > 0 && u32::try_from(slots - 1).is_ok()).then_some(slots)
+    }
+
+    fn slots_or_panic(self, flow_slots: usize) -> usize {
+        self.slots(flow_slots).expect("a flow table needs 1..=2^32 slots")
+    }
+}
+
 /// Outcome of one [`FlowTable::access`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Access {
     /// Known occupant, still live.
-    Hit,
+    #[default]
+    Hit = 0,
     /// No occupant for this key (keyed: key absent; direct-mapped with
-    /// the idle timer on: slot never stamped). The slot now holds a
-    /// fresh entry for the key.
-    Miss,
-    /// The key's previous state idled out; the entry was reset and this
-    /// access re-opens the flow.
-    IdleEvicted,
+    /// the idle timer on: slot never stamped). The slot now holds the
+    /// key.
+    Miss = 1,
+    /// The key's previous state idled out; this access re-opens the
+    /// flow in place.
+    IdleEvicted = 2,
     /// Keyed only: the bucket was full, its oldest-last-seen occupant
-    /// was evicted, and the slot now holds a fresh entry for this key.
-    CapacityEvicted,
+    /// was evicted, and the slot now holds this key.
+    CapacityEvicted = 3,
 }
 
 impl Access {
@@ -78,6 +94,26 @@ impl Access {
     #[inline]
     pub fn is_start(self) -> bool {
         !matches!(self, Access::Hit)
+    }
+}
+
+/// What one directory access decided for a packet's flow, as the
+/// register array replays it ([`FlowRegisters::apply`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotOp {
+    /// The flow's register slot after the access.
+    pub slot: u32,
+    /// What the access did.
+    pub access: Access,
+    /// A keyed hit moved one way toward the bucket's front: its
+    /// registers move from `slot + 1` to `slot`.
+    pub promoted: bool,
+}
+
+impl SlotOp {
+    #[inline]
+    fn new(slot: usize, access: Access) -> Self {
+        Self { slot: slot as u32, access, promoted: false }
     }
 }
 
@@ -101,101 +137,49 @@ pub struct FlowEntry {
     pub first_ts: i64,
 }
 
-/// One table slot: occupancy clock plus the occupant's key and payload.
+/// One directory slot: the occupant's key and its occupancy clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct FlowSlot<P> {
+struct FlowSlot {
     key: u64,
     /// Last access as `ts_ns + 1` (0 = slot empty / never stamped).
     last_seen: i64,
-    entry: P,
 }
 
-/// Bounded per-flow state: a direct-mapped or set-associative keyed
-/// table with lazy idle-timeout expiration and (keyed only) capacity
-/// eviction. An idle timeout of 0 disables expiration; a disabled
-/// direct-mapped table never stamps, so it is bit-identical to the
-/// historical bare register arrays.
-///
-/// `P` is the per-slot payload, reset to `P::default()` where
-/// [`FlowTable::access`] hands out a fresh entry: [`FlowEntry`] for the
-/// register stage, `()` for a directory that only resolves flow starts.
+/// The flow directory: keys and clocks with lazy idle-timeout expiration
+/// (a timeout of 0 disables it) and, keyed, capacity eviction. Its slots
+/// are allocated at the first access that reads them, so a directory
+/// never probed — a runtime replica's, or a direct-mapped one without a
+/// timeout — holds no keys or clocks.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FlowTable<P = FlowEntry> {
+pub struct FlowTable {
     kind: FlowTableKind,
-    slots: Vec<FlowSlot<P>>,
+    slots: Vec<FlowSlot>,
+    capacity: usize,
     /// `key ↦ key % slots` direct-mapped, `key ↦ key % buckets` keyed.
     index: SlotIndex,
     idle_timeout_ns: u64,
-    idle_evictions: u64,
-    capacity_evictions: u64,
-    occupancy: u64,
-    /// Accesses resolved at each way (keyed: len = ways; direct: empty).
-    probe_hist: Vec<u64>,
 }
 
 impl FlowTable {
-    /// A direct-mapped [`FlowEntry`] table over `slots` cells.
-    pub fn direct_mapped(slots: usize, idle_timeout_ns: u64) -> Self {
-        Self::with_kind(FlowTableKind::DirectMapped, slots, idle_timeout_ns)
-    }
-
-    /// A keyed set-associative [`FlowEntry`] table of `buckets × ways`
-    /// occupants.
-    pub fn keyed(buckets: usize, ways: usize, idle_timeout_ns: u64) -> Self {
-        Self::with_kind(FlowTableKind::Keyed { buckets, ways }, 0, idle_timeout_ns)
-    }
-}
-
-impl<P: Copy + Default> FlowTable<P> {
-    /// Builds a table for `kind`; the payload `P` comes from the
-    /// caller's context. `flow_slots` sizes the direct-mapped variant
-    /// (ignored for keyed, whose capacity is `buckets × ways`).
+    /// Builds a directory for `kind`; `flow_slots` sizes the
+    /// direct-mapped variant.
     ///
     /// # Panics
     ///
-    /// Panics on a zero-capacity geometry.
+    /// Unless [`FlowTableKind::slots`] is `Some`.
     pub fn with_kind(kind: FlowTableKind, flow_slots: usize, idle_timeout_ns: u64) -> Self {
-        let (slots, index_len, ways) = match kind {
-            FlowTableKind::DirectMapped => {
-                assert!(flow_slots > 0, "flow table needs at least one slot");
-                (flow_slots, flow_slots, 0)
-            }
-            FlowTableKind::Keyed { buckets, ways } => {
-                assert!(buckets > 0 && ways > 0, "keyed flow table needs buckets > 0 and ways > 0");
-                (buckets * ways, buckets, ways)
-            }
+        let capacity = kind.slots_or_panic(flow_slots);
+        let index_len = match kind {
+            FlowTableKind::DirectMapped => capacity,
+            FlowTableKind::Keyed { buckets, .. } => buckets,
         };
-        Self {
-            kind,
-            slots: vec![FlowSlot::default(); slots],
-            index: SlotIndex::of(index_len),
-            idle_timeout_ns,
-            idle_evictions: 0,
-            capacity_evictions: 0,
-            occupancy: 0,
-            probe_hist: vec![0; ways],
-        }
+        Self { kind, slots: Vec::new(), capacity, index: SlotIndex::of(index_len), idle_timeout_ns }
     }
 
     /// Whether this is the keyed set-associative variant.
     #[inline]
     pub fn is_keyed(&self) -> bool {
         matches!(self.kind, FlowTableKind::Keyed { .. })
-    }
-
-    /// Total occupant capacity (slots, or `buckets × ways`).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether idle expiration is active.
-    pub fn enabled(&self) -> bool {
-        self.idle_timeout_ns != 0
-    }
-
-    /// The configured idle timeout, ns (0 = disabled).
-    pub fn idle_timeout_ns(&self) -> u64 {
-        self.idle_timeout_ns
     }
 
     /// Reconfigures the timeout. Setting 0 disables expiration; already
@@ -205,146 +189,184 @@ impl<P: Copy + Default> FlowTable<P> {
         self.idle_timeout_ns = idle_timeout_ns;
     }
 
-    /// Idle-timeout evictions since construction or [`FlowTable::clear`].
-    pub fn idle_evictions(&self) -> u64 {
-        self.idle_evictions
-    }
-
-    /// Capacity (bucket-full) evictions since construction or
-    /// [`FlowTable::clear`]. Always 0 in direct-mapped mode.
-    pub fn capacity_evictions(&self) -> u64 {
-        self.capacity_evictions
-    }
-
-    /// Slots currently holding a stamped occupant. Direct-mapped tables
-    /// only stamp while the idle timer is enabled, so a disabled
-    /// direct-mapped table reports 0.
-    pub fn occupancy(&self) -> u64 {
-        self.occupancy
-    }
-
-    /// Accesses resolved at each probe position (keyed: one cell per
-    /// way; direct-mapped: empty).
-    pub fn probe_hist(&self) -> &[u64] {
-        &self.probe_hist
-    }
-
-    /// The occupant entry at a slot index returned by
-    /// [`FlowTable::access`].
-    pub fn entry(&self, idx: usize) -> &P {
-        &self.slots[idx].entry
-    }
-
-    /// Mutable occupant entry at a slot index returned by
-    /// [`FlowTable::access`].
-    #[inline]
-    pub fn entry_mut(&mut self, idx: usize) -> &mut P {
-        &mut self.slots[idx].entry
-    }
-
     /// Looks up (and installs, stamps, promotes, or evicts as needed)
-    /// the slot for `key` at time `now_ns`. Returns the slot index —
-    /// valid until the next `access` — and what happened. The entry at
-    /// the index is fresh (zeroed) for every non-`Hit` outcome except a
-    /// direct-mapped `Miss`, which leaves whatever the colliding
-    /// previous occupants accumulated (the historical shared-slot
-    /// semantics).
+    /// the slot for `key` at time `now_ns`.
     #[inline]
-    pub fn access(&mut self, key: u64, now_ns: u64) -> (usize, Access) {
+    pub fn op(&mut self, key: u64, now_ns: u64) -> SlotOp {
         match self.kind {
             FlowTableKind::DirectMapped => self.access_direct(key, now_ns),
             FlowTableKind::Keyed { ways, .. } => self.access_keyed(key, now_ns, ways),
         }
     }
 
-    /// The direct-mapped path replicates the historical `IdleTable::touch`
-    /// exactly: disabled tables never stamp and never evict.
+    /// [`FlowTable::op`] as the slot index and what happened.
     #[inline]
-    fn access_direct(&mut self, key: u64, now_ns: u64) -> (usize, Access) {
-        let idx = self.index.reduce(key);
-        if self.idle_timeout_ns == 0 {
-            return (idx, Access::Hit);
-        }
-        let prev = self.slots[idx].last_seen;
-        self.slots[idx].last_seen = (now_ns as i64).wrapping_add(1);
-        if prev == 0 {
-            self.occupancy += 1;
-            return (idx, Access::Miss);
-        }
-        let last = (prev - 1).max(0) as u64;
-        if now_ns.saturating_sub(last) >= self.idle_timeout_ns {
-            self.slots[idx].entry = P::default();
-            self.idle_evictions += 1;
-            (idx, Access::IdleEvicted)
-        } else {
-            (idx, Access::Hit)
-        }
+    pub fn access(&mut self, key: u64, now_ns: u64) -> (usize, Access) {
+        let op = self.op(key, now_ns);
+        (op.slot as usize, op.access)
     }
 
-    fn access_keyed(&mut self, key: u64, now_ns: u64, ways: usize) -> (usize, Access) {
+    #[inline]
+    fn slots_mut(&mut self) -> &mut [FlowSlot] {
+        if self.slots.is_empty() {
+            self.allocate();
+        }
+        &mut self.slots
+    }
+
+    #[cold]
+    fn allocate(&mut self) {
+        self.slots.resize(self.capacity, FlowSlot::default());
+    }
+
+    /// Disabled direct-mapped tables never stamp and never evict.
+    #[inline]
+    fn access_direct(&mut self, key: u64, now_ns: u64) -> SlotOp {
+        let idx = self.index.reduce(key);
+        let timeout = self.idle_timeout_ns;
+        if timeout == 0 {
+            return SlotOp::new(idx, Access::Hit);
+        }
+        let slot = &mut self.slots_mut()[idx];
+        let prev = slot.last_seen;
+        slot.last_seen = (now_ns as i64).wrapping_add(1);
+        let access = if prev == 0 {
+            Access::Miss
+        } else if now_ns.saturating_sub((prev - 1).max(0) as u64) >= timeout {
+            Access::IdleEvicted
+        } else {
+            Access::Hit
+        };
+        SlotOp::new(idx, access)
+    }
+
+    #[inline]
+    fn access_keyed(&mut self, key: u64, now_ns: u64, ways: usize) -> SlotOp {
         let base = self.index.reduce(key) * ways;
         let stamp = (now_ns as i64).wrapping_add(1);
+        let timeout = self.idle_timeout_ns;
+        let bucket = &mut self.slots_mut()[base..base + ways];
         // Probe the bucket for this key.
-        for w in 0..ways {
-            let i = base + w;
-            if self.slots[i].last_seen != 0 && self.slots[i].key == key {
-                let prev = self.slots[i].last_seen;
-                self.slots[i].last_seen = stamp;
-                let idled = self.idle_timeout_ns != 0
-                    && now_ns.saturating_sub((prev - 1).max(0) as u64) >= self.idle_timeout_ns;
-                if idled {
-                    self.slots[i].entry = P::default();
-                    self.idle_evictions += 1;
-                }
-                let fin = self.promote(base, w);
-                self.probe_hist[fin - base] += 1;
-                return (fin, if idled { Access::IdleEvicted } else { Access::Hit });
+        if let Some(w) = bucket.iter().position(|s| s.last_seen != 0 && s.key == key) {
+            let prev = bucket[w].last_seen;
+            bucket[w].last_seen = stamp;
+            let idled = timeout != 0 && now_ns.saturating_sub((prev - 1).max(0) as u64) >= timeout;
+            // One-step robin-hood transpose: a freshly stamped hit swaps
+            // with its predecessor when the predecessor is strictly
+            // colder, so hot flows migrate toward way 0. Purely
+            // positional — eviction picks by timestamp, not position.
+            let promoted = w > 0 && bucket[w - 1].last_seen < stamp;
+            if promoted {
+                bucket.swap(w - 1, w);
             }
+            let access = if idled { Access::IdleEvicted } else { Access::Hit };
+            return SlotOp { promoted, ..SlotOp::new(base + w - usize::from(promoted), access) };
         }
         // Miss: take the first empty way.
-        for w in 0..ways {
-            let i = base + w;
-            if self.slots[i].last_seen == 0 {
-                self.slots[i] = FlowSlot { key, last_seen: stamp, entry: P::default() };
-                self.occupancy += 1;
-                self.probe_hist[w] += 1;
-                return (i, Access::Miss);
-            }
+        if let Some(w) = bucket.iter().position(|s| s.last_seen == 0) {
+            bucket[w] = FlowSlot { key, last_seen: stamp };
+            return SlotOp::new(base + w, Access::Miss);
         }
         // Bucket full: evict the oldest-last-seen occupant (lowest way
         // index on ties — position-independent of promotion history).
-        let mut victim = base;
-        for w in 1..ways {
-            if self.slots[base + w].last_seen < self.slots[victim].last_seen {
-                victim = base + w;
-            }
-        }
-        self.slots[victim] = FlowSlot { key, last_seen: stamp, entry: P::default() };
-        self.capacity_evictions += 1;
-        self.probe_hist[victim - base] += 1;
-        (victim, Access::CapacityEvicted)
+        let (victim, _) =
+            bucket.iter().enumerate().min_by_key(|(_, s)| s.last_seen).expect("ways > 0");
+        bucket[victim] = FlowSlot { key, last_seen: stamp };
+        SlotOp::new(base + victim, Access::CapacityEvicted)
     }
 
-    /// One-step robin-hood transpose: a freshly stamped hit swaps with
-    /// its predecessor when the predecessor is strictly colder, so hot
-    /// flows migrate toward way 0 and probe lengths shrink over time.
-    /// Purely positional — eviction picks by timestamp, not position.
-    fn promote(&mut self, base: usize, w: usize) -> usize {
-        if w > 0 && self.slots[base + w - 1].last_seen < self.slots[base + w].last_seen {
-            self.slots.swap(base + w - 1, base + w);
-            base + w - 1
-        } else {
-            base + w
-        }
-    }
-
-    /// Resets all occupants, timestamps, and counters (geometry and
-    /// timeout are kept).
+    /// Forgets every occupant and timestamp (geometry and timeout are
+    /// kept).
     pub fn clear(&mut self) {
-        self.slots.fill(FlowSlot::default());
-        self.idle_evictions = 0;
-        self.capacity_evictions = 0;
-        self.occupancy = 0;
+        self.slots.clear();
+    }
+}
+
+/// The register array: one [`FlowEntry`] a slot, addressed by the
+/// [`SlotOp`]s of a directory of the same geometry, plus the table
+/// statistics counted from their access kinds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlowRegisters {
+    entries: Vec<FlowEntry>,
+    /// Bit `a` set: access kind `a` starts its entry afresh.
+    resets: u8,
+    /// `slot ↦ way` (keyed only), for the probe histogram.
+    ways: Option<SlotIndex>,
+    /// Ops applied per access kind.
+    by_access: [u64; 4],
+    probe_hist: Vec<u64>,
+}
+
+impl FlowRegisters {
+    /// A zeroed array for [`FlowTable::with_kind`]'s geometry.
+    ///
+    /// # Panics
+    ///
+    /// Unless [`FlowTableKind::slots`] is `Some`.
+    pub fn with_kind(kind: FlowTableKind, flow_slots: usize) -> Self {
+        let slots = kind.slots_or_panic(flow_slots);
+        let (resets, ways) = match kind {
+            // A direct-mapped miss keeps what colliding flows
+            // accumulated; only an idle eviction starts afresh.
+            FlowTableKind::DirectMapped => (1 << Access::IdleEvicted as u8, 0),
+            FlowTableKind::Keyed { ways, .. } => (!(1 << Access::Hit as u8), ways),
+        };
+        Self {
+            entries: vec![FlowEntry::default(); slots],
+            resets,
+            ways: (ways > 0).then(|| SlotIndex::of(ways)),
+            by_access: [0; 4],
+            probe_hist: vec![0; ways],
+        }
+    }
+
+    /// Replays one directory op and returns the flow's entry: a promoted
+    /// hit's registers move from `slot + 1` to `slot`, and an access that
+    /// starts the flow afresh (keyed: every non-`Hit`; direct-mapped: an
+    /// idle eviction) zeroes them.
+    #[inline]
+    pub fn apply(&mut self, op: SlotOp) -> &mut FlowEntry {
+        let slot = op.slot as usize;
+        if op.promoted {
+            self.entries.swap(slot, slot + 1);
+        }
+        let access = op.access as u8;
+        self.by_access[usize::from(access)] += 1;
+        if let Some(ways) = self.ways {
+            self.probe_hist[ways.reduce(u64::from(op.slot))] += 1;
+        }
+        let entry = &mut self.entries[slot];
+        if self.resets >> access & 1 != 0 {
+            *entry = FlowEntry::default();
+        }
+        entry
+    }
+
+    /// Idle-timeout evictions since construction or the last clear.
+    pub fn idle_evictions(&self) -> u64 {
+        self.by_access[Access::IdleEvicted as usize]
+    }
+
+    /// Capacity (bucket-full) evictions; 0 direct-mapped.
+    pub fn capacity_evictions(&self) -> u64 {
+        self.by_access[Access::CapacityEvicted as usize]
+    }
+
+    /// Slots stamped for a new occupant (direct-mapped tables stamp only
+    /// while the idle timer is on).
+    pub fn occupancy(&self) -> u64 {
+        self.by_access[Access::Miss as usize]
+    }
+
+    /// Accesses resolved at each way (keyed; empty direct-mapped).
+    pub fn probe_hist(&self) -> &[u64] {
+        &self.probe_hist
+    }
+
+    /// Zeroes every entry and counter (geometry is kept).
+    pub fn clear(&mut self) {
+        self.entries.fill(FlowEntry::default());
+        self.by_access = [0; 4];
         self.probe_hist.fill(0);
     }
 }
@@ -353,133 +375,197 @@ impl<P: Copy + Default> FlowTable<P> {
 mod tests {
     use super::*;
 
-    fn touches(t: &mut FlowTable, key: u64, now: u64) -> bool {
-        matches!(t.access(key, now).1, Access::IdleEvicted)
+    /// A directory and the array that replays its ops.
+    struct Stage {
+        table: FlowTable,
+        regs: FlowRegisters,
+    }
+
+    impl Stage {
+        fn new(kind: FlowTableKind, flow_slots: usize, idle_timeout_ns: u64) -> Self {
+            Self {
+                table: FlowTable::with_kind(kind, flow_slots, idle_timeout_ns),
+                regs: FlowRegisters::with_kind(kind, flow_slots),
+            }
+        }
+
+        fn direct(slots: usize, idle_timeout_ns: u64) -> Self {
+            Self::new(FlowTableKind::DirectMapped, slots, idle_timeout_ns)
+        }
+
+        fn keyed(buckets: usize, ways: usize, idle_timeout_ns: u64) -> Self {
+            Self::new(FlowTableKind::Keyed { buckets, ways }, 0, idle_timeout_ns)
+        }
+
+        /// One packet of `key`: the access, and the flow's packet count
+        /// after it accumulates.
+        fn touch(&mut self, key: u64, now: u64) -> (u32, Access, i64) {
+            let op = self.table.op(key, now);
+            let entry = self.regs.apply(op);
+            entry.pkt_count += 1;
+            (op.slot, op.access, entry.pkt_count)
+        }
+
+        fn evicts(&mut self, key: u64, now: u64) -> bool {
+            self.touch(key, now).1 == Access::IdleEvicted
+        }
     }
 
     #[test]
     fn disabled_direct_table_never_stamps_or_evicts() {
-        let mut t = FlowTable::direct_mapped(8, 0);
-        assert!(!t.enabled());
-        assert!(!touches(&mut t, 3, 1_000));
-        assert!(!touches(&mut t, 3, u64::MAX));
-        assert_eq!(t.idle_evictions(), 0);
-        assert_eq!(t.occupancy(), 0);
-        assert_eq!(t, FlowTable::direct_mapped(8, 0), "no state mutated while disabled");
+        let mut t = Stage::direct(8, 0);
+        assert!(!t.evicts(3, 1_000));
+        assert!(!t.evicts(3, u64::MAX));
+        assert_eq!(t.regs.idle_evictions(), 0);
+        assert_eq!(t.regs.occupancy(), 0);
+        assert_eq!(t.table, FlowTable::with_kind(FlowTableKind::DirectMapped, 8, 0));
+        assert!(t.table.slots.is_empty(), "a disabled direct-mapped directory allocates nothing");
+        assert_eq!(t.touch(11, 2_000).2, 3, "colliding keys share slot 3's registers");
     }
 
     #[test]
     fn idle_gap_at_or_past_the_timeout_evicts_once() {
-        let mut t = FlowTable::direct_mapped(8, 1_000);
-        assert!(!touches(&mut t, 5, 100), "first touch of an empty slot");
-        assert!(!touches(&mut t, 5, 900), "gap below timeout");
-        assert!(touches(&mut t, 5, 1_900), "gap == timeout evicts");
-        assert_eq!(t.idle_evictions(), 1);
-        assert!(!touches(&mut t, 5, 2_000), "fresh occupant, small gap");
-        assert!(touches(&mut t, 5, 50_000), "long gap evicts again");
-        assert_eq!(t.idle_evictions(), 2);
+        let mut t = Stage::direct(8, 1_000);
+        assert!(!t.evicts(5, 100), "first touch of an empty slot");
+        assert!(!t.evicts(5, 900), "gap below timeout");
+        assert!(t.evicts(5, 1_900), "gap == timeout evicts");
+        assert_eq!(t.regs.idle_evictions(), 1);
+        assert!(!t.evicts(5, 2_000), "fresh occupant, small gap");
+        assert!(t.evicts(5, 50_000), "long gap evicts again");
+        assert_eq!(t.regs.idle_evictions(), 2);
+        assert_eq!(t.touch(5, 50_001).2, 2, "the eviction restarted the registers");
     }
 
     #[test]
     fn timestamp_zero_first_touch_is_not_an_eviction() {
         // ts 0 stamps the sentinel 1, distinguishing "empty" from
         // "seen at t=0" — mirroring the tracker's first_ts discipline.
-        let mut t = FlowTable::direct_mapped(4, 10);
-        assert!(!touches(&mut t, 1, 0));
-        assert!(touches(&mut t, 1, 10), "slot stamped at t=0 idles out at t=10");
+        let mut t = Stage::direct(4, 10);
+        assert!(!t.evicts(1, 0));
+        assert!(t.evicts(1, 10), "slot stamped at t=0 idles out at t=10");
     }
 
     #[test]
     fn clear_restores_the_freshly_built_state() {
-        let mut t = FlowTable::direct_mapped(8, 1_000);
-        t.access(1, 5);
-        t.access(1, 5_000);
-        assert_eq!(t.idle_evictions(), 1);
-        t.clear();
-        assert_eq!(t, FlowTable::direct_mapped(8, 1_000));
+        let mut t = Stage::direct(8, 1_000);
+        t.touch(1, 5);
+        t.touch(1, 5_000);
+        assert_eq!(t.regs.idle_evictions(), 1);
+        t.table.clear();
+        t.regs.clear();
+        assert_eq!(t.table, FlowTable::with_kind(FlowTableKind::DirectMapped, 8, 1_000));
+        assert_eq!(t.regs, FlowRegisters::with_kind(FlowTableKind::DirectMapped, 8));
 
-        let mut k = FlowTable::keyed(4, 2, 1_000);
+        let mut k = Stage::keyed(4, 2, 1_000);
         for key in 0..16u64 {
-            k.access(key, 10 + key);
+            k.touch(key, 10 + key);
         }
-        assert!(k.capacity_evictions() > 0);
-        k.clear();
-        assert_eq!(k, FlowTable::keyed(4, 2, 1_000));
+        assert!(k.regs.capacity_evictions() > 0);
+        k.table.clear();
+        k.regs.clear();
+        let geometry = FlowTableKind::Keyed { buckets: 4, ways: 2 };
+        assert_eq!(k.table, FlowTable::with_kind(geometry, 0, 1_000));
+        assert_eq!(k.regs, FlowRegisters::with_kind(geometry, 0));
     }
 
     #[test]
     fn keyed_miss_then_hit_keeps_per_key_entries_distinct() {
-        let mut t = FlowTable::keyed(2, 2, 0);
+        let mut t = Stage::keyed(2, 2, 0);
         // Keys 0 and 2 share bucket 0 but never merge.
-        let (i0, a0) = t.access(0, 100);
-        assert_eq!(a0, Access::Miss);
-        t.entry_mut(i0).pkt_count = 7;
-        let (i2, a2) = t.access(2, 200);
-        assert_eq!(a2, Access::Miss);
-        assert_eq!(t.entry(i2).pkt_count, 0, "new occupant starts fresh");
-        let (i0b, a0b) = t.access(0, 300);
-        assert_eq!(a0b, Access::Hit);
-        assert_eq!(t.entry(i0b).pkt_count, 7, "key 0 kept its counters");
-        assert_eq!(t.occupancy(), 2);
+        assert_eq!(t.touch(0, 100).1, Access::Miss);
+        for now in 101..107 {
+            t.touch(0, now);
+        }
+        let (_, a2, n2) = t.touch(2, 200);
+        assert_eq!((a2, n2), (Access::Miss, 1), "new occupant starts fresh");
+        let (_, a0, n0) = t.touch(0, 300);
+        assert_eq!((a0, n0), (Access::Hit, 8), "key 0 kept its counters");
+        assert_eq!(t.regs.occupancy(), 2);
     }
 
     #[test]
     fn keyed_full_bucket_evicts_the_oldest_occupant() {
-        let mut t = FlowTable::keyed(1, 2, 0);
-        t.access(10, 100); // oldest
-        t.access(20, 200);
-        let (_, a) = t.access(30, 300);
-        assert_eq!(a, Access::CapacityEvicted);
-        assert_eq!(t.capacity_evictions(), 1);
+        let mut t = Stage::keyed(1, 2, 0);
+        t.touch(10, 100); // oldest
+        t.touch(20, 200);
+        let (_, a, n) = t.touch(30, 300);
+        assert_eq!((a, n), (Access::CapacityEvicted, 1), "the victim's registers are reset");
+        assert_eq!(t.regs.capacity_evictions(), 1);
         // Key 20 survived; key 10 is gone (its re-arrival misses or
         // evicts, never hits).
-        assert_eq!(t.access(20, 400).1, Access::Hit);
-        assert_ne!(t.access(10, 500).1, Access::Hit);
+        assert_eq!(t.touch(20, 400).1, Access::Hit);
+        assert_ne!(t.touch(10, 500).1, Access::Hit);
     }
 
     #[test]
     fn keyed_promotion_moves_hot_flows_toward_way_zero() {
-        let mut t = FlowTable::keyed(1, 4, 0);
-        t.access(1, 100); // way 0
-        t.access(2, 200); // way 1
-                          // Key 2 is now hotter than key 1: a hit transposes it to way 0.
-        let (idx, a) = t.access(2, 300);
-        assert_eq!(a, Access::Hit);
-        assert_eq!(idx, 0, "hot occupant promoted one step");
-        assert_eq!(t.access(2, 400).0, 0, "already at the front, stays");
-        assert_eq!(t.probe_hist()[0], 3, "install at way 0 + two front hits");
+        let mut t = Stage::keyed(1, 4, 0);
+        t.touch(1, 100); // way 0
+        t.touch(2, 200); // way 1
+        t.touch(2, 210); // key 2 is now hotter: promoted to way 0
+        let op = t.table.op(2, 300);
+        assert_eq!((op.slot, op.access, op.promoted), (0, Access::Hit, false));
+        assert_eq!(t.regs.apply(op).pkt_count, 2, "key 2's registers moved with it");
+        assert_eq!(t.regs.probe_hist()[0], 3, "install at way 0 + two front hits");
+        assert_eq!(t.regs.entries[1].pkt_count, 1, "key 1's registers moved to way 1");
+        assert_eq!(t.touch(1, 400), (0, Access::Hit, 2), "hot again, key 1 moves back");
     }
 
     #[test]
     fn keyed_idle_eviction_resets_the_entry_and_reopens_the_flow() {
-        let mut t = FlowTable::keyed(2, 2, 1_000);
-        let (i, a) = t.access(5, 100);
-        assert_eq!(a, Access::Miss);
-        assert!(a.is_start());
-        t.entry_mut(i).pkt_count = 9;
-        let (i2, a2) = t.access(5, 5_000);
-        assert_eq!(a2, Access::IdleEvicted);
-        assert!(a2.is_start());
-        assert_eq!(t.entry(i2).pkt_count, 0, "idled occupant restarts fresh");
-        assert_eq!(t.idle_evictions(), 1);
-        assert_eq!(t.occupancy(), 1, "same occupant, re-opened in place");
+        let mut t = Stage::keyed(2, 2, 1_000);
+        let (_, a, _) = t.touch(5, 100);
+        assert!(a == Access::Miss && a.is_start());
+        t.touch(5, 200);
+        let (_, a2, n2) = t.touch(5, 5_000);
+        assert!(a2 == Access::IdleEvicted && a2.is_start());
+        assert_eq!(n2, 1, "idled occupant restarts fresh");
+        assert_eq!(t.regs.idle_evictions(), 1);
+        assert_eq!(t.regs.occupancy(), 1, "same occupant, re-opened in place");
     }
 
     #[test]
     fn a_payload_free_slot_is_a_quarter_cache_line() {
-        assert_eq!(std::mem::size_of::<FlowSlot<()>>(), 16, "key + clock");
-        assert_eq!(std::mem::size_of::<FlowSlot<FlowEntry>>(), 64, "key + clock + counters");
-        let directory =
-            FlowTable::<()>::with_kind(FlowTableKind::Keyed { buckets: 4_096, ways: 4 }, 0, 0);
-        assert_eq!(directory.capacity() * std::mem::size_of::<FlowSlot<()>>(), 256 << 10);
+        assert_eq!(std::mem::size_of::<FlowSlot>(), 16, "key + clock");
+        assert_eq!(std::mem::size_of::<FlowEntry>(), 48, "the counters alone");
+        assert_eq!(std::mem::size_of::<SlotOp>(), 8, "a u32 slot, the access and a flag");
+        let mut directory =
+            FlowTable::with_kind(FlowTableKind::Keyed { buckets: 4_096, ways: 4 }, 0, 0);
+        assert!(directory.slots.is_empty(), "nothing is allocated before the first probe");
+        directory.op(7, 1);
+        assert_eq!(directory.slots.len() * std::mem::size_of::<FlowSlot>(), 256 << 10);
     }
 
     #[test]
     fn keyed_timeout_zero_never_idle_evicts_but_still_tracks_keys() {
-        let mut t = FlowTable::keyed(2, 2, 0);
-        assert_eq!(t.access(5, 100).1, Access::Miss);
-        assert_eq!(t.access(5, u64::MAX / 2).1, Access::Hit, "no idle eviction when disabled");
-        assert_eq!(t.idle_evictions(), 0);
-        assert_eq!(t.occupancy(), 1);
+        let mut t = Stage::keyed(2, 2, 0);
+        assert_eq!(t.touch(5, 100).1, Access::Miss);
+        assert_eq!(t.touch(5, u64::MAX / 2).1, Access::Hit, "no idle eviction when disabled");
+        assert_eq!(t.regs.idle_evictions(), 0);
+        assert_eq!(t.regs.occupancy(), 1);
+    }
+
+    #[test]
+    fn geometries_need_one_to_two_to_the_32_slots() {
+        let keyed = |buckets, ways| FlowTableKind::Keyed { buckets, ways };
+        assert_eq!(keyed(4_096, 4).slots(0), Some(16_384));
+        assert_eq!(FlowTableKind::DirectMapped.slots(4_096), Some(4_096));
+        assert_eq!(keyed(1 << 30, 4).slots(0), Some(1 << 32), "the largest u32-addressed table");
+        for (kind, flow_slots) in [
+            (FlowTableKind::DirectMapped, 0),
+            (keyed(0, 4), 4_096),
+            (keyed(16, 0), 4_096),
+            (keyed(1 << 31, 4), 0),
+            (keyed(1 << 62, 8), 0),
+            (keyed(usize::MAX, 2), 0),
+        ] {
+            assert_eq!(kind.slots(flow_slots), None, "{kind:?} over {flow_slots}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs 1..=2^32 slots")]
+    fn an_overflowing_keyed_geometry_panics_instead_of_wrapping() {
+        FlowTable::with_kind(FlowTableKind::Keyed { buckets: 1 << 62, ways: 8 }, 0, 0);
     }
 }

@@ -33,7 +33,7 @@ pub mod range_table;
 pub mod registers;
 pub mod slot_index;
 
-pub use flow_table::{Access, FlowEntry, FlowTable, FlowTableKind};
+pub use flow_table::{Access, FlowEntry, FlowRegisters, FlowTable, FlowTableKind, SlotOp};
 pub use mat::MatchTable;
 pub use packet::Packet;
 pub use parser::Parser;

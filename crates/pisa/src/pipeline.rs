@@ -7,7 +7,7 @@
 //! integration crate wires in the cycle-level CGRA simulator; unit tests
 //! here use a trivial threshold engine.
 
-use crate::flow_table::FlowTableKind;
+use crate::flow_table::{FlowRegisters, FlowTableKind, SlotOp};
 use crate::mat::{MatchTable, MAT_LATENCY_NS};
 use crate::packet::Packet;
 use crate::parser::{Parser, PARSE_LATENCY_NS};
@@ -67,11 +67,13 @@ impl<E: InferenceEngine + ?Sized> InferenceEngine for Box<E> {
 pub const BATCH_PACKETS: usize = 8;
 
 /// One packet as a batch entry reads it: the arguments of
-/// [`TaurusPipeline::process_prepared`].
+/// [`TaurusPipeline::process_slot`].
 pub trait PreparedInput {
     /// The header fields the parser loads into the PHV.
     fn packet(&self) -> &Packet;
-    /// The register-stage observation.
+    /// The register slot an upstream flow directory decided.
+    fn slot_op(&self) -> SlotOp;
+    /// The register-stage observation (its flow key is not read).
     fn obs(&self) -> PacketObs;
     /// The cross-flow window counts `(dst_count, srv_count)`, computed
     /// upstream.
@@ -300,32 +302,25 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
         self.tracker.clear();
     }
 
-    /// Processes one packet through the full pipeline.
+    /// Processes one packet through the full pipeline, its flow
+    /// directory and cross-flow windows included.
     ///
     /// `obs_hint` carries trace ground truth the parser cannot recover
     /// from a single packet (direction, flow start); real hardware infers
     /// these from SYN/five-tuple state, and so does this hint builder in
-    /// `taurus-core`.
+    /// `taurus-core`. In keyed mode the directory's miss overrides the
+    /// hint's flow-start bit.
     #[inline]
     pub fn process(&mut self, pkt: &Packet, obs_hint: PacketObs) -> PipelineResult {
-        self.packets += 1;
-        let mut latency = PARSE_LATENCY_NS;
-        self.parser.parse_into(pkt, &mut self.phv);
-
-        // Stateful feature accumulation (register stage). In keyed mode
-        // the tracker resolves flow starts by table miss, overriding the
-        // ingest hint's bit.
-        let features = self.tracker.observe(&obs_hint);
-        latency += MAT_LATENCY_NS; // register access rides one stage
-
-        self.finish_packet(features, latency)
+        let (op, (dst_count, srv_count)) = self.tracker.front(&obs_hint);
+        self.process_slot(pkt, op, obs_hint, dst_count, srv_count)
     }
 
     /// Processes one packet whose cross-flow window counts were computed
     /// upstream (a shared ingest stage running
-    /// [`crate::registers::CrossFlowWindows`] in global arrival order) —
-    /// the entry point sharded runtimes use so per-destination state
-    /// stays coherent across shards.
+    /// [`crate::registers::CrossFlowWindows`] in global arrival order):
+    /// probes this pipeline's own flow directory, then takes
+    /// [`TaurusPipeline::process_slot`].
     #[inline]
     pub fn process_prepared(
         &mut self,
@@ -334,18 +329,71 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
         dst_count: u64,
         srv_count: u64,
     ) -> PipelineResult {
+        let op = self.tracker.probe(&obs_hint);
+        self.process_slot(pkt, op, obs_hint, dst_count, srv_count)
+    }
+
+    /// Processes one packet whose register slot and cross-flow window
+    /// counts were decided upstream, by one flow directory and one
+    /// window instance in global arrival order — the entry the sharded
+    /// runtime's replicas take, so per-destination state stays coherent
+    /// across shards and no replica probes a table.
+    #[inline]
+    pub fn process_slot(
+        &mut self,
+        pkt: &Packet,
+        op: SlotOp,
+        obs: PacketObs,
+        dst_count: u64,
+        srv_count: u64,
+    ) -> PipelineResult {
         self.packets += 1;
         let mut latency = PARSE_LATENCY_NS;
         self.parser.parse_into(pkt, &mut self.phv);
 
         // Stateful feature accumulation (register stage).
-        let features = self.tracker.observe_prepared(&obs_hint, dst_count, srv_count);
+        let features = self.tracker.observe_slot(op, &obs, dst_count, srv_count);
         latency += MAT_LATENCY_NS; // register access rides one stage
 
-        self.finish_packet(features, latency)
+        // Preprocessing MATs: bypass decision and metadata.
+        for t in &self.pre_tables {
+            t.apply(&mut self.phv);
+            latency += MAT_LATENCY_NS;
+        }
+
+        let bypassed = self.phv.get(Field::BypassMl) != 0;
+        let mut ml_out = 0;
+        // Fig. 6: bypass packets skip MapReduce with no added latency.
+        if !bypassed {
+            self.ml_packets += 1;
+            self.feature_scratch.clear();
+            (self.formatter)(&features, &mut self.feature_scratch);
+            // Truncate once, before *both* consumers: the PHV (which
+            // feature-matching MATs read) and the engine must see the
+            // same codes even if a formatter over-emits.
+            self.feature_scratch.truncate(self.config.feature_count);
+            self.phv.set_features(&self.feature_scratch);
+            ml_out = self.engine.infer(&self.feature_scratch);
+            self.phv.set(Field::MlOut, ml_out);
+            latency += self.engine.latency_ns();
+        }
+
+        // Postprocessing MATs: verdict + queue.
+        for t in &self.post_tables {
+            t.apply(&mut self.phv);
+            latency += MAT_LATENCY_NS;
+        }
+
+        PipelineResult {
+            verdict: Verdict::from_code(self.phv.get(Field::Decision)),
+            ml_out,
+            bypassed,
+            latency_ns: latency,
+            features,
+        }
     }
 
-    /// [`TaurusPipeline::process_prepared`] for a group of at most
+    /// [`TaurusPipeline::process_slot`] for a group of at most
     /// [`BATCH_PACKETS`] packets, calling `each(result)` once per packet,
     /// in stream order. Every result, counter and register is what
     /// the per-packet entry gives; the group changes only the engine's
@@ -375,7 +423,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
             let phv = &mut self.batch_phvs[i];
             self.parser.parse_into(p.packet(), phv);
             let (dst_count, srv_count) = p.window_counts();
-            features[i] = self.tracker.observe_prepared(&p.obs(), dst_count, srv_count);
+            features[i] = self.tracker.observe_slot(p.slot_op(), &p.obs(), dst_count, srv_count);
             for t in &self.pre_tables {
                 t.apply(phv);
             }
@@ -419,74 +467,15 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
         }
     }
 
-    /// The shared pipeline tail after the register stage: preprocessing
-    /// MATs, inference or bypass, and the postprocessing MATs.
-    #[inline]
-    fn finish_packet(&mut self, features: FlowFeatures, mut latency: u64) -> PipelineResult {
-        // Preprocessing MATs: bypass decision and metadata.
-        for t in &self.pre_tables {
-            t.apply(&mut self.phv);
-            latency += MAT_LATENCY_NS;
-        }
-
-        let bypassed = self.phv.get(Field::BypassMl) != 0;
-        let mut ml_out = 0;
-        // Fig. 6: bypass packets skip MapReduce with no added latency.
-        if !bypassed {
-            self.ml_packets += 1;
-            self.feature_scratch.clear();
-            (self.formatter)(&features, &mut self.feature_scratch);
-            // Truncate once, before *both* consumers: the PHV (which
-            // feature-matching MATs read) and the engine must see the
-            // same codes even if a formatter over-emits.
-            self.feature_scratch.truncate(self.config.feature_count);
-            self.phv.set_features(&self.feature_scratch);
-            ml_out = self.engine.infer(&self.feature_scratch);
-            self.phv.set(Field::MlOut, ml_out);
-            latency += self.engine.latency_ns();
-        }
-
-        // Postprocessing MATs: verdict + queue.
-        for t in &self.post_tables {
-            t.apply(&mut self.phv);
-            latency += MAT_LATENCY_NS;
-        }
-
-        PipelineResult {
-            verdict: Verdict::from_code(self.phv.get(Field::Decision)),
-            ml_out,
-            bypassed,
-            latency_ns: latency,
-            features,
-        }
-    }
-
     /// `(total packets, ML-path packets)`.
     pub fn stats(&self) -> (u64, u64) {
         (self.packets, self.ml_packets)
     }
 
-    /// Flow slots evicted by idle timeout since construction or the
-    /// last [`TaurusPipeline::reset_state`].
-    pub fn evictions(&self) -> u64 {
-        self.tracker.evictions()
-    }
-
-    /// Occupants evicted because their bucket filled (keyed flow tables
-    /// only; always 0 direct-mapped).
-    pub fn capacity_evictions(&self) -> u64 {
-        self.tracker.capacity_evictions()
-    }
-
-    /// Flow-table slots currently holding a stamped occupant.
-    pub fn flow_occupancy(&self) -> u64 {
-        self.tracker.occupancy()
-    }
-
-    /// Accesses resolved per probe position (keyed flow tables; empty
-    /// direct-mapped).
-    pub fn probe_hist(&self) -> &[u64] {
-        self.tracker.probe_hist()
+    /// The register array and its table statistics, counted since
+    /// construction or the last [`TaurusPipeline::reset_state`].
+    pub fn flow_registers(&self) -> &FlowRegisters {
+        self.tracker.registers()
     }
 }
 
@@ -695,9 +684,9 @@ mod tests {
         pkt.ts_ns = 500_000; // far past the idle timeout
         let again = p.process(&pkt, obs_for(&pkt, true));
         assert_eq!(again.features.packets, 1, "slot evicted, flow restarts fresh");
-        assert_eq!(p.evictions(), 1);
+        assert_eq!(p.flow_registers().idle_evictions(), 1);
         p.reset_state();
-        assert_eq!(p.evictions(), 0, "reset clears the eviction counter");
+        assert_eq!(p.flow_registers().idle_evictions(), 0, "reset clears the counter");
     }
 
     #[test]
@@ -706,10 +695,16 @@ mod tests {
         // three-step group: every result, features included, in stream
         // order, for groups of one to eight with bypassed packets among
         // them, and the same stats after.
-        struct Prepared(Packet, PacketObs);
+        // The batch entry takes each packet's slot from a directory of
+        // the pipelines' geometry, run in stream order; the per-packet
+        // entry probes its own.
+        struct Prepared(Packet, PacketObs, SlotOp);
         impl PreparedInput for Prepared {
             fn packet(&self) -> &Packet {
                 &self.0
+            }
+            fn slot_op(&self) -> SlotOp {
+                self.2
             }
             fn obs(&self) -> PacketObs {
                 self.1
@@ -718,6 +713,8 @@ mod tests {
                 (u64::from(self.0.src_port) % 7, 3)
             }
         }
+        let cfg = PipelineConfig::default();
+        let mut directory = crate::FlowTable::with_kind(cfg.flow_table, cfg.flow_slots, 0);
         let packets: Vec<Prepared> = (0..60u32)
             .map(|k| {
                 let mut pkt =
@@ -727,7 +724,8 @@ mod tests {
                     pkt.proto = 1;
                 }
                 let obs = obs_for(&pkt, k < 5);
-                Prepared(pkt, obs)
+                let op = directory.op(obs.flow_key, obs.ts_ns);
+                Prepared(pkt, obs, op)
             })
             .collect();
         let (mut single, mut batched) = (pipeline(), pipeline());

@@ -15,7 +15,7 @@
 //! data plane, which is how Taurus "achieves the same F1 score as the
 //! model in isolation" — training and inference see identical features.
 
-use crate::flow_table::{FlowTable, FlowTableKind};
+use crate::flow_table::{FlowEntry, FlowRegisters, FlowTable, FlowTableKind, SlotOp};
 use crate::pipeline::PipelineConfig;
 use crate::slot_index::SlotIndex;
 
@@ -196,7 +196,7 @@ impl WindowCounters {
 /// shards can share a destination. A sharded runtime therefore runs one
 /// `CrossFlowWindows` at ingest, in global packet order, and hands the
 /// resulting counts to the shards via
-/// [`FlowTracker::observe_prepared`] — which is exactly how the paper's
+/// [`FlowTracker::observe_slot`] — which is exactly how the paper's
 /// hardware partitions the work (the register stage sits before any
 /// fan-out, so cross-flow state sees every packet in arrival order).
 #[derive(Debug, Clone, PartialEq)]
@@ -236,12 +236,14 @@ impl CrossFlowWindows {
     }
 }
 
-/// Per-flow and cross-flow feature state for the data plane.
+/// Per-flow and cross-flow feature state for the data plane: the flow
+/// directory and the register array it addresses (the two halves of
+/// [`crate::flow_table`]), plus the cross-flow windows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowTracker {
-    /// Per-flow occupancy and counters: direct-mapped (the historical
-    /// register arrays, byte-identical) or keyed set-associative.
-    table: FlowTable,
+    /// Decides each packet's register slot.
+    directory: FlowTable,
+    registers: FlowRegisters,
     windows: CrossFlowWindows,
 }
 
@@ -281,7 +283,8 @@ impl FlowTracker {
     /// windowed fan-in on the same stream.
     pub fn with_kind(kind: FlowTableKind, flow_slots: usize, window_ns: u64) -> Self {
         Self {
-            table: FlowTable::with_kind(kind, flow_slots, 0),
+            directory: FlowTable::with_kind(kind, flow_slots, 0),
+            registers: FlowRegisters::with_kind(kind, flow_slots),
             windows: CrossFlowWindows::new(flow_slots, window_ns),
         }
     }
@@ -303,36 +306,12 @@ impl FlowTracker {
     /// re-observes as a fresh flow start rather than inheriting the
     /// dead occupant's counters.
     pub fn set_idle_timeout(&mut self, idle_timeout_ns: u64) {
-        self.table.set_idle_timeout(idle_timeout_ns);
+        self.directory.set_idle_timeout(idle_timeout_ns);
     }
 
-    /// The configured idle timeout, ns (0 = expiration disabled).
-    pub fn idle_timeout_ns(&self) -> u64 {
-        self.table.idle_timeout_ns()
-    }
-
-    /// Slots evicted by idle timeout since construction or the last
-    /// [`FlowTracker::clear`].
-    pub fn evictions(&self) -> u64 {
-        self.table.idle_evictions()
-    }
-
-    /// Occupants evicted because their bucket filled (keyed mode only;
-    /// always 0 direct-mapped).
-    pub fn capacity_evictions(&self) -> u64 {
-        self.table.capacity_evictions()
-    }
-
-    /// Slots currently holding a stamped occupant (see
-    /// [`FlowTable::occupancy`] for the direct-mapped caveat).
-    pub fn occupancy(&self) -> u64 {
-        self.table.occupancy()
-    }
-
-    /// Accesses resolved per probe position (keyed mode; empty
-    /// direct-mapped).
-    pub fn probe_hist(&self) -> &[u64] {
-        self.table.probe_hist()
+    /// The register array and its table statistics.
+    pub fn registers(&self) -> &FlowRegisters {
+        &self.registers
     }
 
     /// Observes one packet, updating all registers, and returns the
@@ -342,24 +321,24 @@ impl FlowTracker {
     /// cross-flow windows.
     #[inline]
     pub fn observe(&mut self, obs: &PacketObs) -> FlowFeatures {
-        if self.table.is_keyed() {
-            let (idx, access) = self.table.access(obs.flow_key, obs.ts_ns);
-            let mut resolved = *obs;
-            resolved.is_flow_start = access.is_start();
-            let (dst_count, srv_count) = self.windows.observe(&resolved);
-            self.accumulate_at(idx, obs, dst_count, srv_count)
-        } else {
-            let (dst_count, srv_count) = self.windows.observe(obs);
-            self.observe_prepared(obs, dst_count, srv_count)
+        let (op, (dst_count, srv_count)) = self.front(obs);
+        self.observe_slot(op, obs, dst_count, srv_count)
+    }
+
+    /// This tracker's directory op and window counts for one packet.
+    #[inline]
+    pub fn front(&mut self, obs: &PacketObs) -> (SlotOp, (u64, u64)) {
+        let op = self.probe(obs);
+        let mut resolved = *obs;
+        if self.directory.is_keyed() {
+            resolved.is_flow_start = op.access.is_start();
         }
+        (op, self.windows.observe(&resolved))
     }
 
     /// Observes one packet whose cross-flow window counts were computed
-    /// elsewhere (a shared ingest stage running [`CrossFlowWindows`] in
-    /// global arrival order). Updates only flow-local state — this
-    /// tracker's own windows stay untouched. Accumulation never reads
-    /// `obs.is_flow_start`, so keyed shards recompute table outcomes
-    /// locally and stay bit-identical to a sequential tracker.
+    /// elsewhere: probes this tracker's own directory, then takes
+    /// [`FlowTracker::observe_slot`].
     #[inline]
     pub fn observe_prepared(
         &mut self,
@@ -367,62 +346,81 @@ impl FlowTracker {
         dst_count: u64,
         srv_count: u64,
     ) -> FlowFeatures {
-        let (idx, _) = self.table.access(obs.flow_key, obs.ts_ns);
-        self.accumulate_at(idx, obs, dst_count, srv_count)
+        let op = self.probe(obs);
+        self.observe_slot(op, obs, dst_count, srv_count)
     }
 
-    /// Accumulates one packet into the occupant entry at `idx` and
-    /// derives the feature view. Field arithmetic mirrors the historical
-    /// `RegisterArray` semantics exactly (wrapping adds, `ts + 1`
-    /// first-seen sentinel with a single read after the conditional
-    /// stamp).
+    /// This tracker's own directory access for one packet.
     #[inline]
-    fn accumulate_at(
+    pub fn probe(&mut self, obs: &PacketObs) -> SlotOp {
+        self.directory.op(obs.flow_key, obs.ts_ns)
+    }
+
+    /// Observes one packet whose register slot (`op`, a
+    /// [`FlowTable::op`]) and window counts were decided elsewhere: the
+    /// sharded runtime replicas' only path. It reads neither
+    /// `obs.flow_key` nor `obs.is_flow_start`.
+    #[inline]
+    pub fn observe_slot(
         &mut self,
-        idx: usize,
+        op: SlotOp,
         obs: &PacketObs,
         dst_count: u64,
         srv_count: u64,
     ) -> FlowFeatures {
-        let e = self.table.entry_mut(idx);
-        e.pkt_count = e.pkt_count.wrapping_add(1);
-        let packets = e.pkt_count as u64;
-        if obs.reverse {
-            e.rev_bytes = e.rev_bytes.wrapping_add(i64::from(obs.len));
-        } else {
-            e.fwd_bytes = e.fwd_bytes.wrapping_add(i64::from(obs.len));
-        }
-        if obs.tcp_flags & 0x20 != 0 {
-            e.urg_count = e.urg_count.wrapping_add(1);
-        }
-        let bare_syn = obs.tcp_flags & 0x02 != 0 && obs.tcp_flags & 0x10 == 0;
-        if bare_syn {
-            e.syn_count = e.syn_count.wrapping_add(1);
-        }
-        if e.first_ts == 0 {
-            // ts 0 is "unset"; first packet stamps ts+1 to disambiguate.
-            e.first_ts = obs.ts_ns as i64 + 1;
-        }
-        let first = (e.first_ts - 1).max(0) as u64;
-
-        FlowFeatures {
-            duration_ns: obs.ts_ns.saturating_sub(first),
-            fwd_bytes: e.fwd_bytes.max(0) as u64,
-            rev_bytes: e.rev_bytes.max(0) as u64,
-            packets,
-            urgent: e.urg_count.max(0) as u64,
-            syn_only: e.syn_count.max(0) as u64,
-            dst_count,
-            srv_count,
-            proto: obs.proto,
-        }
+        accumulate_at(self.registers.apply(op), obs, dst_count, srv_count)
     }
 
     /// Clears all state (e.g., between experiment runs), including the
     /// flow table and its eviction counters.
     pub fn clear(&mut self) {
-        self.table.clear();
+        self.directory.clear();
+        self.registers.clear();
         self.windows.clear();
+    }
+}
+
+/// Accumulates one packet into a flow's entry and derives the feature
+/// view. Field arithmetic mirrors the historical `RegisterArray`
+/// semantics exactly (wrapping adds, `ts + 1` first-seen sentinel with a
+/// single read after the conditional stamp).
+#[inline]
+fn accumulate_at(
+    e: &mut FlowEntry,
+    obs: &PacketObs,
+    dst_count: u64,
+    srv_count: u64,
+) -> FlowFeatures {
+    e.pkt_count = e.pkt_count.wrapping_add(1);
+    let packets = e.pkt_count as u64;
+    if obs.reverse {
+        e.rev_bytes = e.rev_bytes.wrapping_add(i64::from(obs.len));
+    } else {
+        e.fwd_bytes = e.fwd_bytes.wrapping_add(i64::from(obs.len));
+    }
+    if obs.tcp_flags & 0x20 != 0 {
+        e.urg_count = e.urg_count.wrapping_add(1);
+    }
+    let bare_syn = obs.tcp_flags & 0x02 != 0 && obs.tcp_flags & 0x10 == 0;
+    if bare_syn {
+        e.syn_count = e.syn_count.wrapping_add(1);
+    }
+    if e.first_ts == 0 {
+        // ts 0 is "unset"; first packet stamps ts+1 to disambiguate.
+        e.first_ts = obs.ts_ns as i64 + 1;
+    }
+    let first = (e.first_ts - 1).max(0) as u64;
+
+    FlowFeatures {
+        duration_ns: obs.ts_ns.saturating_sub(first),
+        fwd_bytes: e.fwd_bytes.max(0) as u64,
+        rev_bytes: e.rev_bytes.max(0) as u64,
+        packets,
+        urgent: e.urg_count.max(0) as u64,
+        syn_only: e.syn_count.max(0) as u64,
+        dst_count,
+        srv_count,
+        proto: obs.proto,
     }
 }
 
@@ -514,7 +512,6 @@ mod tests {
     fn idle_timeout_evicts_and_the_flow_restarts_fresh() {
         let mut t = FlowTracker::new(64, 1_000_000);
         t.set_idle_timeout(10_000);
-        assert_eq!(t.idle_timeout_ns(), 10_000);
         assert_eq!(t.observe(&obs(1, 1_000, 100, 0x02, true, false)).packets, 1);
         assert_eq!(t.observe(&obs(1, 2_000, 100, 0x10, false, false)).packets, 2);
         // Gap ≥ timeout: the slot is reclaimed and this packet opens a
@@ -523,14 +520,14 @@ mod tests {
         assert_eq!(f.packets, 1, "evicted slot restarts at packet 1");
         assert_eq!(f.duration_ns, 0);
         assert_eq!(f.fwd_bytes, 80);
-        assert_eq!(t.evictions(), 1);
+        assert_eq!(t.registers().idle_evictions(), 1);
 
         // The same stream with expiration disabled keeps accumulating.
         let mut u = FlowTracker::new(64, 1_000_000);
         u.observe(&obs(1, 1_000, 100, 0x02, true, false));
         u.observe(&obs(1, 2_000, 100, 0x10, false, false));
         assert_eq!(u.observe(&obs(1, 50_000, 80, 0x02, true, false)).packets, 3);
-        assert_eq!(u.evictions(), 0);
+        assert_eq!(u.registers().idle_evictions(), 0);
     }
 
     #[test]
@@ -571,7 +568,9 @@ mod tests {
         let default = PipelineConfig::default();
         assert_eq!(FlowTracker::from_config(&default), FlowTracker::new(4096, 5_000_000));
         let expiring = PipelineConfig { idle_timeout_ns: 10_000, ..default };
-        assert_eq!(FlowTracker::from_config(&expiring).idle_timeout_ns(), 10_000);
+        let mut want = FlowTracker::new(4096, 5_000_000);
+        want.set_idle_timeout(10_000);
+        assert_eq!(FlowTracker::from_config(&expiring), want);
     }
 
     #[test]
@@ -620,8 +619,8 @@ mod tests {
         let f = t.observe(&obs(1, 50_000, 80, 0x02, false, false));
         assert_eq!(f.packets, 1, "idled occupant restarts at packet 1");
         assert_eq!(f.duration_ns, 0);
-        assert_eq!(t.evictions(), 1);
-        assert_eq!(t.capacity_evictions(), 0);
+        assert_eq!(t.registers().idle_evictions(), 1);
+        assert_eq!(t.registers().capacity_evictions(), 0);
     }
 
     #[test]
@@ -632,9 +631,13 @@ mod tests {
         for key in 1..=5u64 {
             t.observe(&obs(key, key * 1_000, 60, 0x02, false, false));
         }
-        assert_eq!(t.capacity_evictions(), 3, "5 flows through a 2-way bucket");
-        assert_eq!(t.occupancy(), 2);
-        assert_eq!(t.probe_hist().iter().sum::<u64>(), 5, "every access lands in the histogram");
+        assert_eq!(t.registers().capacity_evictions(), 3, "5 flows through a 2-way bucket");
+        assert_eq!(t.registers().occupancy(), 2);
+        assert_eq!(
+            t.registers().probe_hist().iter().sum::<u64>(),
+            5,
+            "every access lands in the histogram"
+        );
     }
 
     mod window_overflow {

@@ -1,10 +1,14 @@
-//! Reference-model pin for the keyed set-associative [`FlowTable`]: an
-//! unbounded `HashMap` plus an explicit per-bucket LRU oracle must agree
-//! with the real table on every access outcome, occupant counter, and
-//! eviction statistic over random traces — including bucket-overflow
-//! displacement and idle-eviction interleaving. A payload-free table
-//! (`FlowTable<()>`, the runtime's ingest directory) runs the same
-//! accesses and must resolve every one to the same slot and outcome.
+//! Reference-model pin for the flow directory ([`FlowTable`]) and the
+//! register array that replays its ops ([`FlowRegisters`]). Over random
+//! traces, the directory's access outcomes and a `FlowEntry` array fed
+//! *only* the directory's [`SlotOp`]s must agree with an oracle on every
+//! access, every flow's packet count, and every table statistic:
+//!
+//! - keyed: an unbounded `HashMap` plus an explicit per-bucket LRU,
+//!   including bucket-overflow displacement, promotion, and
+//!   idle-eviction interleaving;
+//! - direct-mapped: one shared cell per slot, with and without the idle
+//!   timer.
 //!
 //! Timestamps are strictly increasing so no two occupants ever share a
 //! last-seen stamp: the table breaks eviction ties by way position
@@ -14,12 +18,19 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use taurus_pisa::{Access, FlowTable, FlowTableKind};
+use taurus_pisa::{Access, FlowRegisters, FlowTable, FlowTableKind};
 
 #[derive(Clone, Copy)]
 struct Live {
     last_seen: u64,
     pkts: i64,
+}
+
+/// One random word drives both the key (heavy reuse from a small
+/// universe) and the inter-arrival gap (≥ 1 keeps timestamps strictly
+/// increasing: no last-seen ties).
+fn key_and_gap(step: u64) -> (u64, u64) {
+    (step % 32, 1 + (step >> 8) % 500)
 }
 
 proptest! {
@@ -32,23 +43,20 @@ proptest! {
         timeout in 0u64..2_000, // 0 = idle expiration disabled
         steps in collection::vec(any::<u64>(), 1..300),
     ) {
-        let mut table = FlowTable::keyed(buckets, ways, timeout);
-        let mut directory =
-            FlowTable::<()>::with_kind(FlowTableKind::Keyed { buckets, ways }, 0, timeout);
+        let geometry = FlowTableKind::Keyed { buckets, ways };
+        let mut directory = FlowTable::with_kind(geometry, 0, timeout);
+        let mut registers = FlowRegisters::with_kind(geometry, 0);
+        let mut twin = directory.clone();
         let mut oracle: HashMap<u64, Live> = HashMap::new();
         let total = steps.len() as u64;
         let mut now = 0u64;
         let mut idle = 0u64;
         let mut cap = 0u64;
         for step in steps {
-            // One random word drives both the key (heavy reuse from a
-            // small universe) and the inter-arrival gap (≥ 1 keeps
-            // timestamps strictly increasing: no last-seen ties).
-            let key = step % 32;
-            let gap = 1 + (step >> 8) % 500;
+            let (key, gap) = key_and_gap(step);
             now += gap;
-            let (idx, access) = table.access(key, now);
-            prop_assert_eq!(directory.access(key, now), (idx, access), "payload-free twin");
+            let op = directory.op(key, now);
+            prop_assert_eq!(twin.access(key, now), (op.slot as usize, op.access), "access");
             let expect = if let Some(live) = oracle.get_mut(&key) {
                 let idled = timeout != 0 && now - live.last_seen >= timeout;
                 live.last_seen = now;
@@ -79,20 +87,69 @@ proptest! {
                     Access::Miss
                 }
             };
-            prop_assert_eq!(access, expect, "key {} at t={}", key, now);
-            // Accumulate one packet on both sides: displacement and
-            // promotion must never detach a key from its counters.
-            table.entry_mut(idx).pkt_count += 1;
+            prop_assert_eq!(op.access, expect, "key {} at t={}", key, now);
+            prop_assert!(!op.promoted || op.access != Access::CapacityEvicted);
+            // Accumulate one packet on both sides: the array sees only
+            // the op, and displacement and promotion must never detach a
+            // key from its counters.
+            let entry = registers.apply(op);
+            entry.pkt_count += 1;
             oracle.get_mut(&key).unwrap().pkts += 1;
-            prop_assert_eq!(table.entry(idx).pkt_count, oracle[&key].pkts);
+            prop_assert_eq!(entry.pkt_count, oracle[&key].pkts, "key {} at t={}", key, now);
         }
-        prop_assert_eq!(table.occupancy() as usize, oracle.len());
-        prop_assert_eq!(table.idle_evictions(), idle);
-        prop_assert_eq!(table.capacity_evictions(), cap);
-        prop_assert_eq!(table.probe_hist().iter().sum::<u64>(), total);
-        prop_assert_eq!(directory.occupancy(), table.occupancy());
-        prop_assert_eq!(directory.idle_evictions(), idle);
-        prop_assert_eq!(directory.capacity_evictions(), cap);
-        prop_assert_eq!(directory.probe_hist(), table.probe_hist());
+        prop_assert_eq!(registers.occupancy() as usize, oracle.len());
+        prop_assert_eq!(registers.idle_evictions(), idle);
+        prop_assert_eq!(registers.capacity_evictions(), cap);
+        prop_assert_eq!(registers.probe_hist().len(), ways);
+        prop_assert_eq!(registers.probe_hist().iter().sum::<u64>(), total);
+    }
+
+    #[test]
+    fn direct_mapped_table_matches_the_shared_cell_oracle(
+        slots in 1usize..9,
+        enabled in any::<bool>(),
+        timeout in 1u64..2_000,
+        steps in collection::vec(any::<u64>(), 1..300),
+    ) {
+        let timeout = if enabled { timeout } else { 0 };
+        let mut directory = FlowTable::with_kind(FlowTableKind::DirectMapped, slots, timeout);
+        let mut registers = FlowRegisters::with_kind(FlowTableKind::DirectMapped, slots);
+        // Slot ↦ (last stamp, packets): colliding keys share one cell.
+        let mut oracle: HashMap<usize, Live> = HashMap::new();
+        let mut now = 0u64;
+        let mut idle = 0u64;
+        for step in steps {
+            let (key, gap) = key_and_gap(step);
+            now += gap;
+            let op = directory.op(key, now);
+            let slot = (key % slots as u64) as usize;
+            prop_assert_eq!(op.slot as usize, slot);
+            prop_assert!(!op.promoted);
+            let cell = oracle.entry(slot).or_insert(Live { last_seen: 0, pkts: 0 });
+            let expect = if timeout == 0 {
+                Access::Hit
+            } else if cell.last_seen == 0 {
+                Access::Miss // first stamp: keeps what collisions left
+            } else if now - (cell.last_seen - 1) >= timeout {
+                cell.pkts = 0;
+                idle += 1;
+                Access::IdleEvicted
+            } else {
+                Access::Hit
+            };
+            if timeout != 0 {
+                cell.last_seen = now + 1;
+            }
+            prop_assert_eq!(op.access, expect, "key {} at t={}", key, now);
+            let entry = registers.apply(op);
+            entry.pkt_count += 1;
+            cell.pkts += 1;
+            prop_assert_eq!(entry.pkt_count, cell.pkts, "key {} at t={}", key, now);
+        }
+        let stamped = oracle.values().filter(|c| c.last_seen != 0).count();
+        prop_assert_eq!(registers.occupancy() as usize, stamped);
+        prop_assert_eq!(registers.idle_evictions(), idle);
+        prop_assert_eq!(registers.capacity_evictions(), 0);
+        prop_assert!(registers.probe_hist().is_empty());
     }
 }

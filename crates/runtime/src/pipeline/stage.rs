@@ -6,16 +6,17 @@
 use taurus_core::ingest::{flow_start_flags_ok, wire_obs};
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::registers::PacketObs;
+use taurus_pisa::SlotOp;
 
 use crate::runtime::{PreparedPacket, Route};
 
-/// One packet after [`parse_packet`]: the fully prepared form (window
-/// counts still zero — [`crate::resolve_and_count`] fills them), its
+/// One packet after [`parse_packet`]: the fully prepared form (op and
+/// window counts still zero — [`crate::resolve_and_count`] fills them), its
 /// register-stage observation, and the inputs that resolution needs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParsedSlot {
-    /// The packet as it will cross the steer→engine channel. Its
-    /// `is_flow_start`, `dst_count`, and `srv_count` are finalized by
+    /// The packet as it will cross the steer→engine channel. Its slot
+    /// op, `dst_count`, and `srv_count` are finalized by
     /// [`crate::resolve_and_count`]; everything else is parse output.
     pub prepared: PreparedPacket,
     /// The packet's register-stage observation, which resolution reads
@@ -59,7 +60,7 @@ pub fn parse_packet(
     candidate: bool,
 ) {
     let shard = parse_obs(tp, &mut slot.obs, Route::new(route_slots, shards));
-    slot.prepared.fill(tp, &slot.obs, (0, 0), 0);
+    slot.prepared.fill(tp, SlotOp::default(), (0, 0), 0);
     slot.conn_id = tp.conn_id;
     slot.shard = shard as u32;
     slot.candidate = candidate;
@@ -86,7 +87,9 @@ mod tests {
             let mut wire = golden;
             wire.is_flow_start = false;
             assert_eq!(slot.obs, wire, "order-free fields agree");
-            assert_eq!(slot.prepared.obs(), wire, "the slot rebuilds the same observation");
+            let keyless = PacketObs { flow_key: 0, ..wire };
+            assert!(!keyless.is_flow_start);
+            assert_eq!(slot.prepared.obs(), keyless, "the slot rebuilds the observation");
             assert_eq!(slot.prepared.dst_count, 0, "window counts await the merge stage");
             assert_eq!(slot.conn_id, tp.conn_id);
             assert_eq!(slot.shard as usize, shard_of(golden.flow_key, 4096, 4));

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use taurus_core::ingest::ObsBuilder;
 use taurus_core::ModelUpdate;
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{CrossFlowWindows, FlowTable};
+use taurus_pisa::{CrossFlowWindows, FlowTable, SlotOp};
 
 use crate::fault::ShardError;
 use crate::overload::OverloadState;
@@ -80,66 +80,55 @@ pub(crate) enum ShardMsg {
     Reset,
 }
 
-/// Finishes one parsed slot: resolves the global flow-start bit and
-/// stamps the shared cross-flow window counts — the same `resolve` the
-/// runtime's ingest loop runs per packet. Must be called in global
-/// arrival order.
+/// Finishes one parsed slot: resolves the packet's register slot and
+/// its global flow-start bit, and stamps the shared cross-flow window
+/// counts — the `resolve` the runtime's ingest loop runs per packet.
+/// Must be called in global arrival order.
 ///
-/// Bit-exactness argument (direct-mapped, `directory` = `None`): a
-/// connection's first packet must be a `candidate`, and `mark_seen`
-/// then returns for it precisely what the sequential builder's
-/// per-packet insert would have. Non-candidates short-circuit without
-/// touching the set, so a caller may clear the bit on any packet it
-/// knows is not its connection's first (the runtime's ingest clears it
-/// on none). With identical flow-start bits, feeding the same
+/// One `directory` access decides the packet's [`SlotOp`]; with no
+/// directory the op stays as parsed. Keyed, the access also decides the
+/// flow start (table-miss semantics) and the seen-set is never touched.
+/// Otherwise the flow start is the seen-set's: a connection's first
+/// packet must be a `candidate`, and `mark_seen` then returns for it
+/// what the sequential builder's per-packet insert would have.
+/// Non-candidates skip the set, so a caller may clear the bit on any
+/// packet it knows is not its connection's first (the runtime's ingest
+/// clears it on none). With identical flow-start bits, feeding the same
 /// [`CrossFlowWindows`] in the same order yields identical counts.
-///
-/// With a keyed `directory` the flow-start bit is table-miss semantics
-/// instead: one access on the shared set-associative [`FlowTable`], in
-/// the same global order the replicas will see, so ingest resolves the
-/// identical start bit from the identical table state. The `candidate`
-/// bit is ignored and the unbounded seen-set is never touched. The
-/// directory carries no payload: a start is decided by keys and clocks
-/// alone.
 pub fn resolve_and_count(
     slot: &mut ParsedSlot,
     seen: &mut ObsBuilder,
     windows: &mut CrossFlowWindows,
-    directory: Option<&mut FlowTable<()>>,
+    directory: Option<&mut FlowTable>,
 ) {
-    let (dst, srv) = resolve(
-        &mut slot.obs,
-        slot.conn_id,
-        slot.candidate,
-        slot.start_flags_ok,
-        seen,
-        windows,
-        directory,
-    );
-    slot.prepared.is_flow_start = slot.obs.is_flow_start;
+    let mut first_seen = || slot.candidate && seen.mark_seen(slot.conn_id) && slot.start_flags_ok;
+    let (op, (dst, srv)) = match directory {
+        Some(dir) => resolve(&mut slot.obs, first_seen, windows, dir),
+        None => {
+            slot.obs.is_flow_start = first_seen();
+            (slot.prepared.op, windows.observe(&slot.obs))
+        }
+    };
+    slot.prepared.op = op;
     slot.prepared.dst_count = dst;
     slot.prepared.srv_count = srv;
 }
 
 /// The body of [`resolve_and_count`] over an observation wherever it
-/// lives (a caller's slot, or a local not yet placed anywhere):
-/// resolves `obs.is_flow_start` for a packet of connection `conn_id`
-/// and returns the shared windows' `(dst_count, srv_count)` for it.
+/// lives (a caller's slot, or a local not yet placed anywhere): probes
+/// the directory, resolves `obs.is_flow_start` — the directory's miss
+/// when keyed, the seen-set's `first_seen()` otherwise — and returns the
+/// op with the shared windows' `(dst_count, srv_count)`.
 #[inline]
 pub(crate) fn resolve(
     obs: &mut PacketObs,
-    conn_id: u32,
-    candidate: bool,
-    start_flags_ok: bool,
-    seen: &mut ObsBuilder,
+    first_seen: impl FnOnce() -> bool,
     windows: &mut CrossFlowWindows,
-    directory: Option<&mut FlowTable<()>>,
-) -> (u64, u64) {
-    obs.is_flow_start = match directory {
-        Some(dir) => dir.access(obs.flow_key, obs.ts_ns).1.is_start(),
-        None => candidate && seen.mark_seen(conn_id) && start_flags_ok,
-    };
-    windows.observe(obs)
+    directory: &mut FlowTable,
+) -> (SlotOp, (u64, u64)) {
+    let op = directory.op(obs.flow_key, obs.ts_ns);
+    obs.is_flow_start = if directory.is_keyed() { op.access.is_start() } else { first_seen() };
+    (op, windows.observe(obs))
 }
 
 /// The steer stage: per-shard staging arenas plus the
@@ -356,6 +345,8 @@ mod tests {
 
         let mut merge_builder = ObsBuilder::new();
         let mut merge_windows = CrossFlowWindows::new(cfg.flow_slots, cfg.window_ns);
+        // Direct-mapped with the idle timer off: the op is the key's slot.
+        let mut directory = FlowTable::with_kind(cfg.flow_table, cfg.flow_slots, 0);
 
         for epoch_len in [1usize, 7, 64] {
             seq_builder.reset();
@@ -372,10 +363,19 @@ mod tests {
 
                     let candidate = epoch_seen.insert(tp.conn_id);
                     parse_packet(tp, &mut slot, cfg.flow_slots, 4, candidate);
-                    resolve_and_count(&mut slot, &mut merge_builder, &mut merge_windows, None);
+                    resolve_and_count(
+                        &mut slot,
+                        &mut merge_builder,
+                        &mut merge_windows,
+                        Some(&mut directory),
+                    );
                     assert_eq!(slot.obs, golden_obs, "epoch_len={epoch_len}");
-                    assert_eq!(slot.prepared.obs(), golden_obs, "epoch_len={epoch_len}");
+                    let wire = PacketObs { flow_key: 0, is_flow_start: false, ..golden_obs };
+                    assert_eq!(slot.prepared.obs(), wire, "epoch_len={epoch_len}");
                     assert_eq!((slot.prepared.dst_count, slot.prepared.srv_count), (gd, gs));
+                    let op = slot.prepared.op;
+                    assert_eq!(u64::from(op.slot), golden_obs.flow_key % cfg.flow_slots as u64);
+                    assert_eq!(op.access, taurus_pisa::Access::Hit);
                 }
             }
         }
@@ -394,7 +394,7 @@ mod tests {
         // marked seen (its candidate packet comes earlier in the epoch).
         parse_packet(tp, &mut slot, cfg.flow_slots, 1, false);
         resolve_and_count(&mut slot, &mut builder, &mut windows, None);
-        assert!(!slot.obs.is_flow_start && !slot.prepared.is_flow_start);
+        assert!(!slot.obs.is_flow_start);
         // The connection is still unseen: its real candidate resolves.
         assert!(builder.mark_seen(tp.conn_id), "set untouched by the non-candidate");
         let _ = flow_start_flags_ok(tp);
@@ -411,16 +411,18 @@ mod tests {
         let mut directory = FlowTable::with_kind(geometry, 0, 0);
         let mut oracle = FlowTable::with_kind(geometry, 0, 0);
         let mut slot = ParsedSlot::default();
+        let mut starts = 0;
         for tp in &trace.packets {
             // Candidate bit deliberately false for every packet: the
             // keyed path must not consult it.
             parse_packet(tp, &mut slot, cfg.flow_slots, 2, false);
             resolve_and_count(&mut slot, &mut builder, &mut windows, Some(&mut directory));
-            let (_, access) = oracle.access(slot.obs.flow_key, tp.ts_ns);
-            assert_eq!(slot.obs.is_flow_start, access.is_start());
-            assert_eq!(slot.prepared.is_flow_start, access.is_start());
+            let op = oracle.op(slot.obs.flow_key, tp.ts_ns);
+            assert_eq!(slot.prepared.op, op, "the prepared packet carries the op");
+            assert_eq!(slot.obs.is_flow_start, op.access.is_start());
+            starts += u64::from(op.access.is_start());
         }
-        assert!(directory.occupancy() > 0, "the directory tracked the feed");
+        assert!(starts > 0, "the directory tracked the feed");
         assert_eq!(directory, oracle, "one access per packet, same order");
     }
 }

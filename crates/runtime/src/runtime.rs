@@ -9,39 +9,36 @@
 //!
 //! A packet's verdict depends on three kinds of register state:
 //!
-//! 1. **Per-flow registers** (bytes, packets, flags), keyed by the
-//!    canonical five-tuple hash. Packets are routed by the hash's
-//!    *register slot*: [`shard_of`] folds `flow_key % flow_slots` (the
-//!    replicas' own [`taurus_pisa::SlotIndex`] reduction, so routing
-//!    and tables agree on the slot by construction) onto the shard
-//!    count, so a flow's packets always land on one shard —
-//!    and two flows that collide in a register slot share a shard for
-//!    **any** shard count, not just divisors of `flow_slots`. Because
-//!    every shard also keeps the full `flow_slots` register capacity,
-//!    collision structure — and therefore every per-flow feature — is
-//!    bit-identical to the sequential switch.
+//! 1. **Per-flow registers** (bytes, packets, flags). The ingest loop
+//!    probes the one flow directory ([`taurus_pisa::FlowTable`], keys
+//!    and clocks only) per packet, in global arrival order, and ships
+//!    the [`SlotOp`] it decides inside the packet's batch entry. A
+//!    replica's registers are a plain array that replays the op
+//!    ([`taurus_pisa::FlowRegisters`]): no keys, clocks or probe.
+//!    [`shard_of`] routes by the flow key's register slot
+//!    (`flow_key % flow_slots`, keyed: its bucket) folded onto the shard
+//!    count, so every op that touches a slot — a collision, a promotion,
+//!    an eviction — reaches the one replica holding it, in order, for
+//!    **any** shard count. Its registers, and every per-flow feature,
+//!    equal the sequential switch's, whose tracker holds the same
+//!    directory and array in one struct.
 //! 2. **Cross-flow windows** (destination-host / destination-service
 //!    fan-in), keyed by the responder — *not* flow-consistent. The
 //!    ingest loop runs the one [`CrossFlowWindows`] instance in global
-//!    arrival order and
-//!    ships each packet's counts inside its batch entry, exactly as the
-//!    paper's hardware computes register features before any egress
-//!    fan-out.
-//! 3. **Flow-start bookkeeping** ([`taurus_core::ingest::ObsBuilder`]),
-//!    also sequential: the ingest loop probes the one seen-set per
-//!    packet, in global arrival order.
+//!    arrival order and ships each packet's counts in its batch entry,
+//!    as the paper's hardware computes register features before any
+//!    egress fan-out.
+//! 3. **Flow starts**, also resolved by the ingest loop in global
+//!    arrival order: the one seen-set
+//!    ([`taurus_core::ingest::ObsBuilder`]) direct-mapped, the
+//!    directory's miss keyed.
 //!
-//! With a **keyed** flow table
-//! ([`taurus_pisa::FlowTableKind::Keyed`]) the same argument holds
-//! with "register slot" replaced by "bucket": packets are routed by
-//! `bucket % shards`, every replica keeps the full `buckets × ways`
-//! table, so displacement and replacement decisions — which only ever
-//! involve occupants of one bucket — stay shard-local and
-//! geometry-invariant. Flow starts come from table-miss semantics,
-//! resolved in global arrival order by a shared ingest-side directory
-//! (the same [`taurus_pisa::FlowTable`] geometry, holding keys and
-//! clocks only), which replaces the unbounded per-connection seen-set
-//! with bounded state.
+//! Replicas count the table statistics from the access kinds of the ops
+//! they apply, so a shard's report counts its own packets. A respawned
+//! spare starts with zeroed registers while the directory keeps its
+//! keys: a flow live across the fault hits and accumulates from zero,
+//! as a fresh start would but with no `Miss` counted, until the next op
+//! that resets its slot (a keyed start or an idle eviction).
 //!
 //! Workers therefore run pure flow-local computation (MATs + MapReduce
 //! inference — the expensive part) in parallel, and the merged report
@@ -59,6 +56,7 @@ use taurus_ml::BinaryMetrics;
 use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{
     CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineConfig, PreparedInput, SlotIndex,
+    SlotOp,
 };
 
 use crate::fault::{FaultPlan, FaultReport};
@@ -73,24 +71,23 @@ use crate::service::StreamingRuntime;
 /// It carries what the worker reads and nothing else:
 ///
 /// - `pkt`, the header fields the parser loads into the PHV;
-/// - `flow_key`, the canonical five-tuple hash, so the worker never
-///   hashes a packet again;
+/// - `op`, the register slot the feeder's flow directory decided in
+///   global arrival order ([`SlotOp`]), so the worker neither hashes
+///   nor probes a table;
 /// - `dst_count` and `srv_count`, the cross-flow window counts the
 ///   feeder stamped in global arrival order;
 /// - `index`, the global stream index, for fault injection;
 /// - `len`, the unclamped wire length the registers accumulate;
-/// - `reverse`, `is_flow_start` and `anomalous`.
+/// - `reverse` and `anomalous`.
 ///
 /// The worker rebuilds the register-stage [`PacketObs`] from these
-/// ([`PreparedPacket::obs`]): its two window keys are one multiply each
-/// over the responder endpoint already in `pkt`.
+/// ([`PreparedPacket::obs`]); the flow key and flow-start bit stay on
+/// the feeder, which spent them on the op and the windows.
 #[derive(Debug, Clone, PartialEq)]
 #[repr(align(64))]
 pub struct PreparedPacket {
     /// The header fields the parser loads into the PHV.
     pub pkt: Packet,
-    /// Direction-independent flow key (canonical five-tuple hash).
-    pub flow_key: u64,
     /// Destination-host fan-in at this packet, from the shared windows.
     pub dst_count: u64,
     /// Destination-service fan-in at this packet.
@@ -100,14 +97,13 @@ pub struct PreparedPacket {
     /// can key on exact (shard, stream index) points inside the engine
     /// workers.
     pub index: u64,
+    /// The flow's register slot and how the directory reached it.
+    pub op: SlotOp,
     /// Wire bytes as captured (`pkt.wire_len` is clamped up to
     /// [`Packet::MIN_LEN`]; the registers count these).
     pub len: u16,
     /// Whether this packet travels responder → originator.
     pub reverse: bool,
-    /// Whether this is the flow's first packet, resolved by ingest in
-    /// global arrival order.
-    pub is_flow_start: bool,
     /// Trace ground truth, carried so workers can score deployed
     /// verdicts per model segment without a second pass.
     pub anomalous: bool,
@@ -118,47 +114,45 @@ impl Default for PreparedPacket {
     fn default() -> Self {
         Self {
             pkt: Packet::tcp(0, 0, 0, 0, 0, 0),
-            flow_key: 0,
             dst_count: 0,
             srv_count: 0,
             index: 0,
+            op: SlotOp::default(),
             len: 0,
             reverse: false,
-            is_flow_start: false,
             anomalous: false,
         }
     }
 }
 
 impl PreparedPacket {
-    /// Writes one packet into this slot: `tp`'s wire form, the resolved
-    /// observation's flow key and flow-start bit, its window counts, and
-    /// its global stream index. Every field is stored and none is read,
-    /// so a recycled slot costs its cache line once.
+    /// Writes one packet into this slot: `tp`'s wire form, the
+    /// directory's op, the window counts, and the global stream index.
+    /// Every field is stored and none is read, so a recycled slot costs
+    /// its cache line once.
     #[inline]
     pub(crate) fn fill(
         &mut self,
         tp: &TracePacket,
-        obs: &PacketObs,
+        op: SlotOp,
         (dst_count, srv_count): (u64, u64),
         index: u64,
     ) {
         to_packet_into(tp, &mut self.pkt);
-        self.flow_key = obs.flow_key;
         self.dst_count = dst_count;
         self.srv_count = srv_count;
         self.index = index;
+        self.op = op;
         self.len = tp.len;
         self.reverse = tp.reverse;
-        self.is_flow_start = obs.is_flow_start;
         self.anomalous = tp.anomalous;
     }
 
-    /// The register-stage observation the feeder resolved for this
-    /// packet, rebuilt from the slot ([`packet_obs`]).
+    /// The register-stage observation the worker reads, rebuilt from the
+    /// slot ([`packet_obs`]); flow key 0 and no flow start.
     #[inline]
     pub fn obs(&self) -> PacketObs {
-        packet_obs(&self.pkt, self.flow_key, self.len, self.reverse, self.is_flow_start)
+        packet_obs(&self.pkt, 0, self.len, self.reverse, false)
     }
 }
 
@@ -168,6 +162,11 @@ impl PreparedInput for PreparedPacket {
     #[inline]
     fn packet(&self) -> &Packet {
         &self.pkt
+    }
+
+    #[inline]
+    fn slot_op(&self) -> SlotOp {
+        self.op
     }
 
     #[inline]
@@ -241,6 +240,9 @@ pub enum BuildError {
     /// A zero queue depth: the bounded SPSC lanes are non-rendezvous,
     /// so a depth-0 channel could never carry a batch.
     ZeroQueueDepth,
+    /// The flow table's slots overflow or exceed the `2^32` a packet's
+    /// `u32` slot addresses ([`FlowTableKind::slots`]).
+    FlowTableTooLarge,
 }
 
 impl core::fmt::Display for BuildError {
@@ -258,6 +260,7 @@ impl core::fmt::Display for BuildError {
             Self::ZeroQueueDepth => {
                 write!(f, "queue_depth must be positive (lanes are non-rendezvous)")
             }
+            Self::FlowTableTooLarge => write!(f, "a flow table holds at most 2^32 slots"),
         }
     }
 }
@@ -493,6 +496,8 @@ impl<'a> RuntimeBuilder<'a> {
     ///   exceeds the per-shard register capacity — slot-based routing
     ///   could never reach the surplus shards.
     /// - [`BuildError::ZeroQueueDepth`] for depth-0 lanes.
+    /// - [`BuildError::FlowTableTooLarge`] if the flow table's slots
+    ///   overflow or exceed the `u32` slot a packet carries.
     pub fn try_build(self) -> Result<StreamingRuntime, BuildError> {
         if self.apps.is_empty() {
             return Err(BuildError::EmptyRoster);
@@ -509,26 +514,26 @@ impl<'a> RuntimeBuilder<'a> {
         if self.config.flow_slots == 0 {
             return Err(BuildError::NoFlowSlots);
         }
-        // Routing folds flow keys through the replicas' register
-        // capacity so register collisions stay shard-local for any
-        // shard count (see `shard_of`). Keyed mode routes by *bucket*
-        // instead — every occupant of a bucket shares a shard, so the
-        // bucket-local replacement decisions stay shard-local too — and
-        // builds the shared ingest-side flow directory that resolves
-        // flow starts by table-miss semantics. Every replica keeps the
-        // full configured table, which is what keeps collision and
-        // eviction decisions geometry-invariant.
-        let (route_slots, directory) = match self.config.flow_table {
-            FlowTableKind::DirectMapped => (self.config.flow_slots, None),
+        // Routing folds flow keys through the register capacity so
+        // register collisions stay shard-local for any shard count (see
+        // `shard_of`). Keyed mode routes by *bucket* instead — every
+        // occupant of a bucket shares a shard, so the bucket-local
+        // replacement decisions stay shard-local too.
+        let route_slots = match self.config.flow_table {
+            FlowTableKind::DirectMapped => self.config.flow_slots,
             FlowTableKind::Keyed { buckets, ways } => {
                 if buckets == 0 || ways == 0 {
                     return Err(BuildError::NoFlowSlots);
                 }
-                let directory: FlowTable<()> =
-                    FlowTable::with_kind(self.config.flow_table, 0, self.config.idle_timeout_ns);
-                (buckets, Some(directory))
+                buckets
             }
         };
+        // Checked before any table exists: a geometry whose slot count
+        // overflows would otherwise wrap to a table that panics on its
+        // first packet.
+        if self.config.flow_table.slots(self.config.flow_slots).is_none() {
+            return Err(BuildError::FlowTableTooLarge);
+        }
         if self.shards > route_slots {
             return Err(BuildError::MoreShardsThanFlowSlots {
                 shards: self.shards,
@@ -556,7 +561,13 @@ impl<'a> RuntimeBuilder<'a> {
             Route::new(route_slots, self.shards),
             Steer::new(self.shards, self.batch_size, self.queue_depth, overload),
             CrossFlowWindows::new(self.config.flow_slots, self.config.window_ns),
-            directory,
+            // The one flow directory: it decides every packet's register
+            // slot, and the replicas only replay its ops.
+            FlowTable::with_kind(
+                self.config.flow_table,
+                self.config.flow_slots,
+                self.config.idle_timeout_ns,
+            ),
         );
         Ok(StreamingRuntime::new(
             switches,
@@ -646,29 +657,6 @@ impl RuntimeReport {
         }
         per_shard_pps * self.run_packets() as f64 / max as f64
     }
-
-    /// Flow-table idle evictions across all shards (cumulative, like
-    /// the replica reports). Always 0 unless
-    /// [`PipelineConfig::idle_timeout_ns`] is set.
-    pub fn evictions(&self) -> u64 {
-        self.merged.evictions
-    }
-
-    /// Flow-table capacity evictions across all shards: a full bucket
-    /// displacing its oldest occupant to admit a new flow. Only the
-    /// keyed table evicts on capacity, so this is always 0 direct-mapped
-    /// — and, because replacement is bucket-local and every replica
-    /// hosts the full table, the sum is invariant across shard
-    /// geometries.
-    pub fn capacity_evictions(&self) -> u64 {
-        self.merged.capacity_evictions
-    }
-
-    /// Occupied flow-table entries across all shards at report time
-    /// (keyed mode; 0 when direct-mapped tracking is disabled).
-    pub fn flow_occupancy(&self) -> u64 {
-        self.merged.flow_occupancy
-    }
 }
 
 #[cfg(test)]
@@ -691,6 +679,12 @@ mod tests {
         assert_eq!(std::mem::size_of::<Packet>(), 24);
         assert_eq!(std::mem::size_of::<PreparedPacket>(), 64);
         assert_eq!(std::mem::align_of::<PreparedPacket>(), 64);
+        // The register slot's op travels in place of the 8 B flow key:
+        // a `u32` slot, the access kind and the promotion flag.
+        assert_eq!(std::mem::size_of::<SlotOp>(), 8);
+        assert_eq!(std::mem::align_of::<SlotOp>(), 4);
+        let used = 24 + 3 * 8 + 8 + 2 + 2;
+        assert_eq!(used, 60, "packet, counts and index, op, len, two flags");
     }
 
     #[test]

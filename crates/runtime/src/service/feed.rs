@@ -35,12 +35,9 @@ pub(crate) struct Ingest {
     seen: ObsBuilder,
     /// The one shared cross-flow window instance.
     windows: CrossFlowWindows,
-    /// Keyed mode's shared ingest-side flow directory: the same
-    /// set-associative [`FlowTable`] geometry as every replica, run in
-    /// global arrival order so flow starts resolve by table-miss
-    /// semantics with bounded state (`None` direct-mapped). It keeps
-    /// keys and clocks only: no replica's counters are read here.
-    directory: Option<FlowTable<()>>,
+    /// The one flow directory, run in global arrival order: it decides
+    /// every packet's register slot and, keyed, its flow start.
+    directory: FlowTable,
     /// Staging arenas, batch pool, and the admission layer.
     pub(super) steer: Steer,
     /// The ingest frontier; its monotonicity clock restarts every feed.
@@ -62,13 +59,13 @@ impl Ingest {
         route: Route,
         steer: Steer,
         windows: CrossFlowWindows,
-        directory: Option<FlowTable<()>>,
+        directory: FlowTable,
     ) -> Self {
         Self {
             route,
             // With a keyed directory, flow starts are table-miss
             // semantics: the builder keeps no seen-set at all.
-            seen: if directory.is_some() { ObsBuilder::untracked() } else { ObsBuilder::new() },
+            seen: if directory.is_keyed() { ObsBuilder::untracked() } else { ObsBuilder::new() },
             windows,
             directory,
             steer,
@@ -80,14 +77,12 @@ impl Ingest {
         }
     }
 
-    /// Clears the flow-start bookkeeping, the windows, and the keyed
+    /// Clears the flow-start bookkeeping, the windows, and the
     /// directory; the stream clock and the pending updates survive.
     pub(super) fn reset(&mut self) {
         self.seen.reset();
         self.windows.clear();
-        if let Some(dir) = &mut self.directory {
-            dir.clear();
-        }
+        self.directory.clear();
     }
 
     /// Pushes `packets` through parse → merge → steer and flushes every
@@ -115,7 +110,7 @@ impl Ingest {
 
     /// One packet of the feed, `index` its global stream index: the
     /// order-free parse, then everything order-bound, in global arrival
-    /// order — update barrier → ingest frontier → admission →
+    /// order — update barrier → ingest frontier → admission → slot and
     /// flow-start resolution → shared windows → steer. The staging slot
     /// is only ever written, last: its cache lines were the engine
     /// worker's a moment ago, and reading them back would stall ingest
@@ -160,17 +155,15 @@ impl Ingest {
         }
         // Nothing pre-filtered the first-seen probes, so (direct-mapped)
         // every packet is a flow-start candidate.
-        let counts = resolve(
+        let seen = &mut self.seen;
+        let (op, counts) = resolve(
             &mut obs,
-            tp.conn_id,
-            true,
-            flow_start_flags_ok(tp),
-            &mut self.seen,
+            || seen.mark_seen(tp.conn_id) && flow_start_flags_ok(tp),
             &mut self.windows,
-            self.directory.as_mut(),
+            &mut self.directory,
         );
         // Rewrite a recycled staging slot in place.
-        self.steer.slot(shard).fill(tp, &obs, counts, index);
+        self.steer.slot(shard).fill(tp, op, counts, index);
         self.steer.commit(lanes, shard)
     }
 }
@@ -255,34 +248,38 @@ mod tests {
                 Route::new(route_slots, 1),
                 Steer::new(1, batch_size, depth, overload),
                 CrossFlowWindows::new(cfg.flow_slots, cfg.window_ns),
-                keyed.then(|| FlowTable::with_kind(kind, 0, 0)),
+                FlowTable::with_kind(kind, cfg.flow_slots, 0),
             );
             ingest.feed(&lanes, &trace.packets);
             drop(lanes);
 
-            // The feeder's observation, derived independently: the
-            // sequential builder, or table-miss starts when keyed.
+            // The feeder's observation and op, derived independently:
+            // the sequential builder, or table-miss starts when keyed.
             let mut builder = ObsBuilder::new();
-            let mut oracle: FlowTable<()> = FlowTable::with_kind(kind, cfg.flow_slots, 0);
+            let mut oracle = FlowTable::with_kind(kind, cfg.flow_slots, 0);
             let mut windows = CrossFlowWindows::new(cfg.flow_slots, cfg.window_ns);
             let mut feeder = trace.packets.iter().enumerate().map(|(i, tp)| {
-                let obs = if keyed {
-                    let mut obs = PacketObs::default();
-                    wire_obs(tp, &mut obs);
-                    obs.is_flow_start = oracle.access(obs.flow_key, obs.ts_ns).1.is_start();
-                    obs
+                let mut obs = PacketObs::default();
+                wire_obs(tp, &mut obs);
+                let op = oracle.op(obs.flow_key, obs.ts_ns);
+                if keyed {
+                    obs.is_flow_start = op.access.is_start();
                 } else {
-                    builder.observe(tp)
-                };
-                (i as u64, to_packet(tp), obs, windows.observe(&obs), tp.anomalous)
+                    obs = builder.observe(tp);
+                }
+                (i as u64, to_packet(tp), obs, op, windows.observe(&obs), tp.anomalous)
             });
             let mut received = 0;
             while let Ok(msg) = rx.recv() {
                 let ShardMsg::Batch(batch) = msg else { panic!("only batches were sent") };
-                for (p, (index, pkt, obs, counts, anomalous)) in batch.iter().zip(&mut feeder) {
+                for (p, (index, pkt, obs, op, counts, anomalous)) in batch.iter().zip(&mut feeder) {
                     assert_eq!(p.index, index, "{kind:?}");
                     assert_eq!(p.pkt, pkt, "{kind:?} packet {index}");
-                    assert_eq!(p.obs(), obs, "{kind:?} packet {index}");
+                    assert_eq!(p.op, op, "{kind:?} packet {index}");
+                    // The key and the start bit stay behind: the op
+                    // and the window counts travel instead.
+                    let wire = PacketObs { flow_key: 0, is_flow_start: false, ..obs };
+                    assert_eq!(p.obs(), wire, "{kind:?} packet {index}");
                     assert_eq!(
                         (p.dst_count, p.srv_count, p.anomalous),
                         (counts.0, counts.1, anomalous)

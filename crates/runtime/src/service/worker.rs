@@ -174,8 +174,9 @@ fn engine_worker(
                                 if faults.is_armed() {
                                     faults.check_packet(p.index);
                                 }
-                                let r = switch.process_prepared_verdict(
+                                let r = switch.process_slot_verdict(
                                     &p.pkt,
+                                    p.op,
                                     p.obs(),
                                     p.dst_count,
                                     p.srv_count,

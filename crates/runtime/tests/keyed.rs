@@ -10,12 +10,13 @@
 //! capacity evictions, occupancy, probe histogram — must be invariant
 //! across all of those geometries.
 
-use taurus_core::apps::SynFloodDetector;
-use taurus_core::{EngineBackend, SwitchBuilder, SwitchReport, TaurusSwitch};
+use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
+use taurus_core::ingest::{to_packet, wire_obs};
+use taurus_core::{EngineBackend, SwitchBuilder, SwitchReport, TaurusApp, TaurusSwitch};
 use taurus_dataset::kdd::KddGenerator;
-use taurus_dataset::trace::{PacketTrace, TraceConfig};
-use taurus_pisa::{FlowTableKind, PipelineConfig};
-use taurus_runtime::RuntimeBuilder;
+use taurus_dataset::trace::{PacketTrace, TraceConfig, TracePacket};
+use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, PacketObs, PipelineConfig};
+use taurus_runtime::{shard_of, BuildError, RuntimeBuilder};
 
 fn default_kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
     let records = KddGenerator::new(seed).take(n_records);
@@ -41,6 +42,99 @@ fn sequential_report(config: &PipelineConfig, trace: &[PacketTrace]) -> SwitchRe
         }
     }
     switch.report()
+}
+
+/// Runs `packets` through a sequential switch and, at shards
+/// {1, 2, 3, 4}, through the runtime; the merged report must be the
+/// switch's, and every shard's report must be that of a switch fed only
+/// the shard's packets with the ops and window counts of one directory
+/// and one window instance run over the whole stream.
+fn assert_exact_across_shards(
+    config: &PipelineConfig,
+    roster: &[&dyn TaurusApp],
+    packets: &[TracePacket],
+) -> SwitchReport {
+    let build = || {
+        roster
+            .iter()
+            .fold(SwitchBuilder::new().config(config.clone()), |b, app| {
+                b.register_on(*app, EngineBackend::CgraSim)
+            })
+            .build()
+    };
+    let mut sequential = build();
+    for tp in packets {
+        sequential.process_trace_verdict(tp);
+    }
+    let golden = sequential.report();
+    let FlowTableKind::Keyed { buckets, .. } = config.flow_table else { panic!("keyed only") };
+    for shards in [1usize, 2, 3, 4] {
+        let mut replicas: Vec<TaurusSwitch> = (0..shards).map(|_| build()).collect();
+        let mut directory =
+            FlowTable::with_kind(config.flow_table, config.flow_slots, config.idle_timeout_ns);
+        let mut windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
+        for tp in packets {
+            let mut obs = PacketObs::default();
+            wire_obs(tp, &mut obs);
+            let op = directory.op(obs.flow_key, obs.ts_ns);
+            obs.is_flow_start = op.access.is_start();
+            let (dst, srv) = windows.observe(&obs);
+            let replica = &mut replicas[shard_of(obs.flow_key, buckets, shards)];
+            replica.process_slot_verdict(&to_packet(tp), op, obs, dst, srv);
+        }
+        let mut rt = roster
+            .iter()
+            .fold(
+                RuntimeBuilder::new().shards(shards).batch_size(16).config(config.clone()),
+                |b, app| b.register_on(*app, EngineBackend::CgraSim),
+            )
+            .build();
+        rt.feed(packets);
+        let report = rt.drain();
+        assert_eq!(report.merged, golden, "shards={shards}");
+        for (got, replica) in report.shards.iter().zip(&replicas) {
+            assert_eq!(got.report, replica.report(), "shards={shards} shard {}", got.shard);
+        }
+    }
+    golden
+}
+
+/// `base` replayed `repeats` times with `gap_ns` of idle time between
+/// replays: one monotone stream with long quiet periods.
+fn gapped(base: &PacketTrace, repeats: usize, gap_ns: u64) -> Vec<TracePacket> {
+    let span = base.packets.last().map_or(0, |p| p.ts_ns);
+    (0..repeats as u64)
+        .flat_map(|r| {
+            base.packets
+                .iter()
+                .map(move |p| TracePacket { ts_ns: p.ts_ns + r * (span + gap_ns), ..*p })
+        })
+        .collect()
+}
+
+#[test]
+fn keyed_idle_eviction_is_exact_across_shard_geometries() {
+    // The directory expires idle occupants on the feeder; the replicas
+    // only replay the evictions. Gaps far past the timeout make every
+    // replay re-open its flows.
+    let config = PipelineConfig { idle_timeout_ns: 1_000_000, ..keyed_config(64, 4) };
+    let syn = SynFloodDetector::default_deployment();
+    let packets = gapped(&default_kdd_trace(120, 66), 3, 2 * config.window_ns);
+    let golden = assert_exact_across_shards(&config, &[&syn], &packets);
+    assert!(golden.evictions > 0, "the idle gaps actually evict");
+}
+
+#[test]
+fn keyed_batch_kernel_roster_is_exact_across_shard_geometries() {
+    // The AD DNN's engine has a batch kernel, so the workers take the
+    // group loop; a tight table keeps promotions and capacity evictions
+    // coming, and the idle timer runs as well.
+    let detector = AnomalyDetector::train_default(9, 400);
+    let config = PipelineConfig { idle_timeout_ns: 1_000_000, ..keyed_config(32, 4) };
+    let packets = gapped(&default_kdd_trace(150, 67), 2, 2 * config.window_ns);
+    let golden = assert_exact_across_shards(&config, &[&detector], &packets);
+    assert!(golden.capacity_evictions > 0 && golden.evictions > 0, "{golden:?}");
+    assert!(golden.ml_packets > 0, "the roster's engine ran");
 }
 
 #[test]
@@ -108,8 +202,8 @@ fn keyed_replacement_pressure_stays_exact_and_geometry_invariant() {
         }
         let report = service.shutdown();
         assert_eq!(report.merged, golden, "stressed keyed stream diverged at shards={shards}");
-        assert_eq!(report.capacity_evictions(), golden.capacity_evictions);
-        assert_eq!(report.flow_occupancy(), golden.flow_occupancy);
+        assert_eq!(report.merged.capacity_evictions, golden.capacity_evictions);
+        assert_eq!(report.merged.flow_occupancy, golden.flow_occupancy);
     }
 }
 
@@ -141,7 +235,7 @@ fn keyed_zero_geometry_is_a_typed_build_error() {
             .register_on(&syn, EngineBackend::Threshold)
             .try_build()
             .expect_err("a zero-capacity keyed table must be rejected");
-        assert_eq!(err, taurus_runtime::BuildError::NoFlowSlots, "{buckets}x{ways}");
+        assert_eq!(err, BuildError::NoFlowSlots, "{buckets}x{ways}");
     }
     // The cross-flow windows are sized by `flow_slots` in keyed mode
     // too, so a keyed table with room for flows still needs them.
@@ -150,7 +244,23 @@ fn keyed_zero_geometry_is_a_typed_build_error() {
         .register_on(&syn, EngineBackend::Threshold)
         .try_build()
         .expect_err("zero window slots must be rejected");
-    assert_eq!(err, taurus_runtime::BuildError::NoFlowSlots);
+    assert_eq!(err, BuildError::NoFlowSlots);
+    // A slot count that overflows, or that a packet's `u32` slot cannot
+    // address, is refused before any table exists (it used to wrap to an
+    // empty table in release, which panicked on the first packet).
+    for (flow_table, flow_slots) in [
+        (FlowTableKind::Keyed { buckets: 1 << 62, ways: 8 }, 4_096),
+        (FlowTableKind::Keyed { buckets: usize::MAX, ways: 2 }, 4_096),
+        (FlowTableKind::Keyed { buckets: 1 << 31, ways: 4 }, 4_096),
+        (FlowTableKind::DirectMapped, (1 << 32) + 1),
+    ] {
+        let err = RuntimeBuilder::new()
+            .config(PipelineConfig { flow_table, flow_slots, ..PipelineConfig::default() })
+            .register_on(&syn, EngineBackend::Threshold)
+            .try_build()
+            .expect_err("an unaddressable flow table must be rejected");
+        assert_eq!(err, BuildError::FlowTableTooLarge, "{flow_table:?} over {flow_slots}");
+    }
     // And shards must fit under the bucket count: bucket routing covers
     // shard indices 0..buckets only.
     let err = RuntimeBuilder::new()
@@ -159,8 +269,5 @@ fn keyed_zero_geometry_is_a_typed_build_error() {
         .register_on(&syn, EngineBackend::Threshold)
         .try_build()
         .expect_err("more shards than buckets must be rejected");
-    assert_eq!(
-        err,
-        taurus_runtime::BuildError::MoreShardsThanFlowSlots { shards: 8, flow_slots: 4 }
-    );
+    assert_eq!(err, BuildError::MoreShardsThanFlowSlots { shards: 8, flow_slots: 4 });
 }

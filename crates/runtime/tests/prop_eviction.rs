@@ -47,7 +47,7 @@ proptest! {
                     "an evicted flow's next packet is a fresh flow start"
                 );
             }
-            prop_assert_eq!(tracker.evictions(), expected_evictions);
+            prop_assert_eq!(tracker.registers().idle_evictions(), expected_evictions);
             last_ts = Some(ts);
         }
 
@@ -67,6 +67,6 @@ proptest! {
             prop_assert_eq!(feats.packets, total, "disabled: counters only accumulate");
             last_ts = Some(ts);
         }
-        prop_assert_eq!(disabled.evictions(), 0);
+        prop_assert_eq!(disabled.registers().idle_evictions(), 0);
     }
 }

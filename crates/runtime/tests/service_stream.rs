@@ -208,8 +208,8 @@ fn idle_eviction_is_deterministic_across_shard_and_worker_geometries() {
         rt.feed(&packets);
         let report = rt.drain();
         assert_eq!(report.merged, golden, "shards={shards}");
-        assert_eq!(report.evictions(), golden.evictions);
-        assert!(report.evictions() > 0);
+        assert_eq!(report.merged.evictions, golden.evictions);
+        assert!(report.merged.evictions > 0);
     }
 }
 
@@ -222,7 +222,7 @@ fn eviction_disabled_by_default_keeps_reports_eviction_free() {
         RuntimeBuilder::new().shards(2).register_on(&syn, EngineBackend::Threshold).build();
     rt.feed(&packets);
     let report = rt.drain();
-    assert_eq!(report.evictions(), 0, "idle_timeout_ns defaults to 0 = disabled");
+    assert_eq!(report.merged.evictions, 0, "idle_timeout_ns defaults to 0 = disabled");
 }
 
 #[test]

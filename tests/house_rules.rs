@@ -332,12 +332,25 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
                 "bump",
                 "observe",
                 "observe_prepared",
+                "observe_slot",
+                "front",
+                "probe",
                 "accumulate_at",
             ],
         ),
         (
             "crates/pisa/src/flow_table.rs",
-            &["is_start", "is_keyed", "entry_mut", "access", "access_direct"],
+            &[
+                "is_start",
+                "new",
+                "access",
+                "is_keyed",
+                "op",
+                "slots_mut",
+                "access_direct",
+                "access_keyed",
+                "apply",
+            ],
         ),
         (
             "crates/pisa/src/pipeline.rs",
@@ -346,8 +359,8 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
                 "max_severity",
                 "process",
                 "process_prepared",
+                "process_slot",
                 "process_prepared_batch",
-                "finish_packet",
             ],
         ),
         (
@@ -370,6 +383,7 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
             &[
                 "process",
                 "process_prepared_verdict",
+                "process_slot_verdict",
                 "process_prepared_batch",
                 "process_trace_verdict",
                 "run_apps",
@@ -384,12 +398,13 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
         }
     }
     // The deliberate exceptions: the lane endpoints stay out of the
-    // loops that call them, and the saturation-only accounting stays
-    // off the ingest loop's fall-through path.
+    // loops that call them, and the saturation-only accounting and the
+    // directory's first-probe allocation stay off the fall-through path.
     for name in ["send", "recv"] {
         offenders.extend(lacking("crates/runtime/src/spsc.rs", name, "#[inline(never)]"));
     }
     offenders.extend(lacking("crates/runtime/src/overload.rs", "record_bypass", "#[cold]"));
+    offenders.extend(lacking("crates/pisa/src/flow_table.rs", "allocate", "#[cold]"));
     assert_clean(
         "the per-packet path inlines across crates; its named exceptions stay out of line",
         offenders,
