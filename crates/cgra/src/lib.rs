@@ -105,7 +105,7 @@ const GROUP: usize = 4;
 /// Packets the across-packets kernel ([`CgraSim::process_verdicts`])
 /// runs at once, one vector lane each: two four-lane halves, so each
 /// broadcast weight pair feeds two multiply-add-pairs.
-const PACKETS: usize = 2 * PANEL;
+pub const PACKETS: usize = 2 * PANEL;
 
 /// One slab lane across a group of [`PACKETS`] packets: packet `p` in
 /// half `p / PANEL`, lane `p % PANEL`.
@@ -837,6 +837,9 @@ pub struct CgraSim {
     lanes: Vec<Across>,
     /// The across-packets kernel's input pairs.
     pairs: Vec<Across>,
+    /// One packet's codes, gathered from a group for a plan that does
+    /// not run across packets.
+    row: Vec<i32>,
 }
 
 impl CgraSim {
@@ -859,6 +862,7 @@ impl CgraSim {
             pending_written: Vec::new(),
             lanes: Vec::new(),
             pairs: Vec::new(),
+            row: Vec::new(),
         };
         sim.restart();
         sim
@@ -896,6 +900,8 @@ impl CgraSim {
         self.lanes.resize(lanes, [[0; PANEL]; 2]);
         self.pairs.clear();
         self.pairs.resize(pairs, [[0; PANEL]; 2]);
+        self.row.clear();
+        self.row.reserve(plan.input_width);
     }
 
     /// The prepared program this simulator executes.
@@ -967,53 +973,45 @@ impl CgraSim {
         self.plan().across_pairs.is_some()
     }
 
-    /// [`CgraSim::process_verdict`] for many packets, one row of input
-    /// codes each: `verdicts[p]` receives row `p`'s verdict lane.
-    /// Bit-identical to calling `process_verdict` on each row in order.
+    /// [`CgraSim::process_verdict`] for one group of at most
+    /// [`PACKETS`] packets, lane-major: `codes[k][p]` is input code `k`
+    /// of packet `p`, and `verdicts[p]` receives packet `p`'s verdict
+    /// lane, widened. Bit-identical to calling `process_verdict` on each
+    /// packet in order; lanes past `verdicts.len()` are computed on and
+    /// not reported.
     ///
     /// A plan made only of its input and dense layers, one step and no
-    /// state (every MLP) runs **across packets**, groups of eight at a
-    /// time with one packet per vector lane: each row's weight pairs are
-    /// broadcast once for the whole group and each layer is one pass
-    /// over its rows, so no packet pays for a partly empty panel. Any
-    /// other plan runs `process_verdict` row by row.
+    /// state (every MLP) runs **across packets**, one packet per vector
+    /// lane: the codes are the input slot's lanes as they are, each
+    /// row's weight pairs are broadcast once for the whole group and
+    /// each layer is one pass over its rows, so no packet pays for a
+    /// partly empty panel. Any other plan runs `process_verdict` packet
+    /// by packet.
     ///
     /// # Panics
     ///
-    /// Panics unless there is one verdict per row and every row has the
-    /// program's input width.
-    pub fn process_verdicts<R: AsRef<[i32]>>(&mut self, rows: &[R], verdicts: &mut [i32]) {
-        assert_eq!(rows.len(), verdicts.len(), "one verdict per row");
+    /// Panics unless `codes` has the program's input width and
+    /// `verdicts` at most [`PACKETS`] packets.
+    pub fn process_verdicts(&mut self, codes: &[[i32; PACKETS]], verdicts: &mut [i64]) {
+        assert_eq!(codes.len(), self.plan().input_width, "input width mismatch");
+        assert!(verdicts.len() <= PACKETS, "a group holds {PACKETS} packets");
         if !self.runs_across_packets() {
-            for (row, verdict) in rows.iter().zip(verdicts) {
-                *verdict = self.process_verdict(row.as_ref());
+            let mut row = core::mem::take(&mut self.row);
+            for (p, verdict) in verdicts.iter_mut().enumerate() {
+                row.clear();
+                row.extend(codes.iter().map(|lane| lane[p]));
+                *verdict = i64::from(self.process_verdict(&row));
             }
+            self.row = row;
             return;
         }
-        for (rows, out) in rows.chunks(PACKETS).zip(verdicts.chunks_mut(PACKETS)) {
-            self.run_group(rows, out);
-        }
-    }
-
-    /// One group of at most [`PACKETS`] packets through an across-packets
-    /// plan: the input rows transposed into the lanes, then each dense op.
-    fn run_group<R: AsRef<[i32]>>(&mut self, rows: &[R], verdicts: &mut [i32]) {
         let Self { prepared, lanes, pairs, .. } = self;
         let plan = &prepared.plan;
         for op in &plan.ops {
             match op {
                 PlanOp::Input { dst } => {
-                    let region = &mut lanes[dst.range()];
-                    if rows.len() < PACKETS {
-                        region.fill([[0; PANEL]; 2]);
-                    }
-                    for (p, row) in rows.iter().enumerate() {
-                        let row = row.as_ref();
-                        assert_eq!(row.len(), plan.input_width, "input width mismatch");
-                        for (lane, &v) in region.iter_mut().zip(row) {
-                            lane[p / PANEL][p % PANEL] = v;
-                        }
-                    }
+                    let region = lanes[dst.range()].as_flattened_mut().as_flattened_mut();
+                    region.copy_from_slice(codes.as_flattened());
                 }
                 PlanOp::Dense(dense) => dense.run_across(lanes, pairs),
                 _ => unreachable!("an across-packets plan holds only input and dense ops"),
@@ -1023,8 +1021,9 @@ impl CgraSim {
             verdicts.fill(0);
             return;
         };
-        let out = lanes[out.off as usize].as_flattened();
-        verdicts.copy_from_slice(&out[..verdicts.len()]);
+        for (verdict, &lane) in verdicts.iter_mut().zip(lanes[out.off as usize].as_flattened()) {
+            *verdict = i64::from(lane);
+        }
     }
 
     /// All recurrence steps of one packet over the slab.
@@ -1167,6 +1166,23 @@ mod tests {
     use proptest::prelude::*;
     use taurus_compiler::{compile, CompileOptions, GridConfig};
     use taurus_ir::{microbench, Graph, GraphBuilder, Interpreter, MapOp};
+
+    /// [`CgraSim::process_verdicts`] over `rows` (each `width` codes
+    /// wide) in groups of [`PACKETS`], through one lane-major buffer:
+    /// lanes past a group's packets keep the previous group's codes.
+    fn in_groups(sim: &mut CgraSim, rows: &[Vec<i32>], width: usize) -> Vec<i64> {
+        let mut codes = vec![[0; PACKETS]; width];
+        let mut verdicts = vec![0; rows.len()];
+        for (group, out) in rows.chunks(PACKETS).zip(verdicts.chunks_mut(PACKETS)) {
+            for (p, row) in group.iter().enumerate() {
+                for (lane, &v) in codes.iter_mut().zip(row) {
+                    lane[p] = v;
+                }
+            }
+            sim.process_verdicts(&codes, out);
+        }
+        verdicts
+    }
 
     fn compile_default(g: &Graph) -> GridProgram {
         compile(g, &GridConfig::default(), &CompileOptions::default()).expect("fits")
@@ -1609,7 +1625,7 @@ mod tests {
             }
         }
 
-        /// The across-packets kernel against the per-packet one: a chain
+        /// The group kernel against the per-packet one: a chain
         /// of one to four dense layers, each a dot-product or
         /// squared-distance bank of one to twelve rows, with or without
         /// a bias, and a requantizer the vector tail takes (below one),
@@ -1619,7 +1635,8 @@ mod tests {
         /// `process_verdict`. One to twenty packets, so whole groups of
         /// eight, ragged tails and lone packets all run; the first
         /// layer's lanes include `EXTREMES`, outside `i16` (the split
-        /// reduction) or not. Every verdict bit-identical to
+        /// reduction) or not, and each group's lanes past its packets hold
+        /// the previous group's codes. Every verdict bit-identical to
         /// `process_verdict` on each row in order.
         #[test]
         fn prop_process_verdicts_match_process_verdict(
@@ -1698,14 +1715,14 @@ mod tests {
                 .iter()
                 .map(|x| x[..cols].iter().map(|&v| *lanes.next().flatten().unwrap_or(&v)).collect())
                 .collect();
-            let want: Vec<i32> = rows.iter().map(|x| single.process_verdict(x)).collect();
-            let mut got = vec![0; packets.len()];
-            batch.process_verdicts(&rows, &mut got);
-            prop_assert_eq!(&got, &want);
+            let verdicts = |sim: &mut CgraSim| -> Vec<i64> {
+                rows.iter().map(|x| i64::from(sim.process_verdict(x))).collect()
+            };
+            let want = verdicts(&mut single);
+            prop_assert_eq!(in_groups(&mut batch, &rows, cols), want);
             // Again, on lanes that hold the first call's values.
-            let want: Vec<i32> = rows.iter().map(|x| single.process_verdict(x)).collect();
-            batch.process_verdicts(&rows, &mut got);
-            prop_assert_eq!(got, want);
+            let want = verdicts(&mut single);
+            prop_assert_eq!(in_groups(&mut batch, &rows, cols), want);
         }
     }
 }

@@ -17,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use taurus_cgra::{CgraSim, PreparedProgram};
+use taurus_cgra::{CgraSim, PreparedProgram, PACKETS};
 use taurus_compiler::{compile, CompileOptions, GridConfig};
 use taurus_fixed::quant::Requantizer;
 use taurus_ir::{microbench, GraphBuilder, MapOp};
@@ -213,26 +213,28 @@ fn steady_state_fused_dense_chain_allocates_nothing() {
 fn process_verdicts_across_packets_and_retargets_allocate_nothing() {
     // The across-packets kernel runs out of the lanes the simulator
     // sized when it was built, and a live swap between two programs of
-    // one shape rewinds them in place: whole groups, a ragged tail and
+    // one shape rewinds them in place: a whole group, a ragged one and
     // a lone packet, around every swap.
     let (first, second) = (PreparedProgram::new(mlp(0)), PreparedProgram::new(mlp(5)));
     let mut sim = CgraSim::shared(first.clone());
     assert!(sim.runs_across_packets());
     let rows: Vec<Vec<i32>> =
-        (0..21).map(|k| (0..6).map(|j| ((k * 31 + j * 7) % 255) - 127).collect()).collect();
-    let mut verdicts = vec![0; rows.len()];
-    sim.process_verdicts(&rows, &mut verdicts);
+        (0..8).map(|k| (0..6).map(|j| ((k * 31 + j * 7) % 255) - 127).collect()).collect();
+    let codes: Vec<[i32; PACKETS]> = (0..6).map(|j| core::array::from_fn(|p| rows[p][j])).collect();
+    let mut verdicts = [0; PACKETS];
+    sim.process_verdicts(&codes, &mut verdicts);
 
     let n = allocations_in(|| {
         for k in 0..50 {
             sim.retarget(if k % 2 == 0 { second.clone() } else { first.clone() });
-            sim.process_verdicts(&rows, &mut verdicts);
-            sim.process_verdicts(&rows[..1], &mut verdicts[..1]);
+            sim.process_verdicts(&codes, &mut verdicts);
+            sim.process_verdicts(&codes, &mut verdicts[..5]);
+            sim.process_verdicts(&codes, &mut verdicts[..1]);
         }
     });
     assert_eq!(n, 0, "process_verdicts and retarget allocated {n} times");
     let mut fresh = CgraSim::shared(first);
-    let want: Vec<i32> = rows.iter().map(|x| fresh.process_verdict(x)).collect();
-    sim.process_verdicts(&rows, &mut verdicts);
-    assert_eq!(verdicts, want, "the last swap left the first program in place");
+    let want: Vec<i64> = rows.iter().map(|x| i64::from(fresh.process_verdict(x))).collect();
+    sim.process_verdicts(&codes, &mut verdicts);
+    assert_eq!(verdicts[..], want, "the last swap left the first program in place");
 }

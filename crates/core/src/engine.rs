@@ -1,7 +1,7 @@
 //! Adapter: the CGRA simulator as the pipeline's inference engine.
 
 use taurus_cgra::{CgraSim, PreparedProgram};
-use taurus_pisa::InferenceEngine;
+use taurus_pisa::{CodeGroup, InferenceEngine, BATCH_PACKETS};
 
 /// Runs a compiled MapReduce program as the pipeline's ML block. The
 /// engine owns (a shared handle to) its compiled program, so switches
@@ -12,9 +12,6 @@ use taurus_pisa::InferenceEngine;
 pub struct CgraEngine {
     sim: CgraSim,
     latency_ns: u64,
-    /// [`InferenceEngine::infer_batch`]'s verdict lanes, before they
-    /// widen to the pipeline's `i64`.
-    verdicts: Vec<i32>,
 }
 
 impl CgraEngine {
@@ -24,11 +21,7 @@ impl CgraEngine {
     /// execution plan is then compiled here.
     pub fn new(program: impl Into<PreparedProgram>) -> Self {
         let program = program.into();
-        Self {
-            latency_ns: program.timing.latency_ns.round() as u64,
-            sim: CgraSim::shared(program),
-            verdicts: Vec::new(),
-        }
+        Self { latency_ns: program.timing.latency_ns.round() as u64, sim: CgraSim::shared(program) }
     }
 
     /// Hot-swaps the compiled program (a live model update): the
@@ -53,19 +46,11 @@ impl InferenceEngine for CgraEngine {
         i64::from(self.sim.process_verdict(features))
     }
 
-    /// [`CgraSim::process_verdicts`]: across packets when the program
-    /// is a stack of dense layers, row by row otherwise.
-    fn infer_batch(&mut self, rows: &[Vec<i32>], out: &mut [i64]) {
-        self.verdicts.resize(rows.len(), 0);
-        self.sim.process_verdicts(rows, &mut self.verdicts);
-        for (o, &v) in out.iter_mut().zip(&self.verdicts) {
-            *o = i64::from(v);
-        }
-    }
-
-    /// Only a program the across-packets kernel runs gains from a batch.
-    fn has_batch_kernel(&self) -> bool {
-        self.sim.runs_across_packets()
+    /// [`CgraSim::process_verdicts`] on the group's lanes: across
+    /// packets when the program is a stack of dense layers, packet by
+    /// packet otherwise.
+    fn infer_batch(&mut self, group: &mut CodeGroup, out: &mut [i64; BATCH_PACKETS]) {
+        self.sim.process_verdicts(group.lanes(), &mut out[..group.rows()]);
     }
 
     fn latency_ns(&self) -> u64 {

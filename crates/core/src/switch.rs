@@ -10,10 +10,7 @@
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::pipeline::PipelineResult;
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{
-    InferenceEngine, Packet, PipelineConfig, PreparedInput, SlotOp, TaurusPipeline, Verdict,
-    BATCH_PACKETS,
-};
+use taurus_pisa::{Packet, PipelineConfig, PreparedInput, TaurusPipeline, Verdict, BATCH_PACKETS};
 
 use crate::app::{BoxedEngine, EngineBackend, ReactionTime, TaurusApp, VerdictPolicy};
 use crate::apps::AnomalyDetector;
@@ -36,6 +33,19 @@ pub struct AppCounters {
 }
 
 impl AppCounters {
+    /// Counts one packet's outcome with no branch on it (a group's
+    /// results follow its engine call, where no earlier branch predicts
+    /// them): `Verdict`'s discriminants are 0 (forward), 1 (drop) and 2
+    /// (flag).
+    #[inline]
+    fn tally(&mut self, verdict: Verdict, bypassed: bool) {
+        let code = verdict as u64;
+        self.packets += 1;
+        self.ml_packets += u64::from(!bypassed);
+        self.dropped += code & 1;
+        self.flagged += code >> 1;
+    }
+
     /// Adds another counter set into this one (merging shard reports).
     pub fn absorb(&mut self, other: &AppCounters) {
         self.packets += other.packets;
@@ -193,9 +203,7 @@ impl SwitchVerdict {
 }
 
 /// Counts one app's result for a packet in the app's counters and folds
-/// it into the packet's combined outcome: the batch entry's form of
-/// [`TaurusSwitch::run_apps`]'s loop body, which the per-packet entries
-/// keep written out so that their code stays as it was.
+/// it into the packet's combined outcome.
 #[inline]
 fn vote(
     counters: &mut AppCounters,
@@ -203,16 +211,8 @@ fn vote(
     r: &PipelineResult,
     combined: &mut SwitchVerdict,
 ) {
-    counters.packets += 1;
-    if !r.bypassed {
-        counters.ml_packets += 1;
-        combined.bypassed = false;
-    }
-    match r.verdict {
-        Verdict::Drop => counters.dropped += 1,
-        Verdict::Flag => counters.flagged += 1,
-        Verdict::Forward => {}
-    }
+    counters.tally(r.verdict, r.bypassed);
+    combined.bypassed &= r.bypassed;
     if policy == VerdictPolicy::Enforce {
         combined.verdict = combined.verdict.max_severity(r.verdict);
     }
@@ -458,22 +458,6 @@ impl TaurusSwitch {
         self.run_apps(|app| app.pipeline.process_prepared(pkt, obs, dst_count, srv_count))
     }
 
-    /// Processes one raw packet whose register slot and cross-flow
-    /// window counts were decided upstream, in global arrival order —
-    /// the sharded runtime's per-packet entry. One op serves every app:
-    /// the roster shares one [`PipelineConfig`].
-    #[inline]
-    pub fn process_slot_verdict(
-        &mut self,
-        pkt: &Packet,
-        op: SlotOp,
-        obs: PacketObs,
-        dst_count: u64,
-        srv_count: u64,
-    ) -> SwitchVerdict {
-        self.run_apps(|app| app.pipeline.process_slot(pkt, op, obs, dst_count, srv_count))
-    }
-
     /// Processes one trace packet: derives its packet and register-stage
     /// observation at ingest, then runs [`TaurusSwitch::process`].
     #[inline]
@@ -483,50 +467,58 @@ impl TaurusSwitch {
         self.process(&pkt, obs)
     }
 
-    /// Whether a hosted app's engine has a batch kernel
-    /// ([`InferenceEngine::has_batch_kernel`]): what
-    /// [`TaurusSwitch::process_prepared_batch`] gains from. A switch
-    /// without one is faster packet by packet.
-    pub fn has_batch_kernel(&self) -> bool {
-        self.apps.iter().any(|app| app.pipeline.engine().has_batch_kernel())
-    }
-
-    /// [`TaurusSwitch::process_slot_verdict`] for a batch of packets,
+    /// Processes a batch of packets whose register slots and cross-flow
+    /// window counts were decided upstream, in global arrival order,
     /// calling `each(packet, verdict)` in stream order: the sharded
-    /// runtime worker's entry when [`TaurusSwitch::has_batch_kernel`].
-    /// Verdicts, counters and the report are what the per-packet entry
-    /// gives.
+    /// runtime worker's entry. One op serves every app: the roster
+    /// shares one [`PipelineConfig`]. Verdicts, counters and the report
+    /// are what [`TaurusSwitch::process_prepared_verdict`] gives over a
+    /// directory of the same geometry.
     ///
     /// The batch runs in groups of [`BATCH_PACKETS`]: every app runs
     /// the group through [`TaurusPipeline::process_prepared_batch`], in
-    /// registration order, and the apps' results combine packet by
-    /// packet in the per-packet entry's loop.
+    /// registration order, and each result folds into its packet's
+    /// combined verdict as it comes; the last app's result completes it,
+    /// so the packet's aggregate counts and `each` follow at once.
     #[inline]
     pub fn process_prepared_batch<P: PreparedInput>(
         &mut self,
         packets: &[P],
         mut each: impl FnMut(&P, SwitchVerdict),
     ) {
+        let (last, others) = self.apps.split_last_mut().expect("a switch hosts an app");
         for group in packets.chunks(BATCH_PACKETS) {
             let mut combined = [SwitchVerdict::UNVOTED; BATCH_PACKETS];
-            for app in &mut self.apps {
-                let HostedApp { pipeline, counters, policy, .. } = app;
-                let mut combined = combined.iter_mut();
-                pipeline.process_prepared_batch(group, |r| {
-                    vote(counters, *policy, &r, combined.next().expect("one result per packet"));
+            for HostedApp { pipeline, counters, policy, .. } in others.iter_mut() {
+                let mut tally = *counters;
+                pipeline.process_prepared_batch(group, |i, r| {
+                    vote(&mut tally, *policy, &r, &mut combined[i]);
+                });
+                *counters = tally;
+            }
+            let HostedApp { pipeline, counters, policy, .. } = &mut *last;
+            let (mut tally, mut aggregate) = (*counters, self.aggregate);
+            let policy = *policy;
+            let mut finish = |i: usize, v: SwitchVerdict| {
+                aggregate.tally(v.verdict, v.bypassed);
+                each(&group[i], v);
+            };
+            // One loop per roster shape: a lone app's fold starts from
+            // nothing, so its loop reads no combined array.
+            if others.is_empty() {
+                pipeline.process_prepared_batch(group, |i, r| {
+                    let mut v = SwitchVerdict::UNVOTED;
+                    vote(&mut tally, policy, &r, &mut v);
+                    finish(i, v);
+                });
+            } else {
+                pipeline.process_prepared_batch(group, |i, r| {
+                    let mut v = combined[i];
+                    vote(&mut tally, policy, &r, &mut v);
+                    finish(i, v);
                 });
             }
-            for (p, &v) in group.iter().zip(&combined) {
-                let aggregate = &mut self.aggregate;
-                aggregate.packets += 1;
-                aggregate.ml_packets += u64::from(!v.bypassed);
-                match v.verdict {
-                    Verdict::Drop => aggregate.dropped += 1,
-                    Verdict::Flag => aggregate.flagged += 1,
-                    Verdict::Forward => {}
-                }
-                each(p, v);
-            }
+            (*counters, self.aggregate) = (tally, aggregate);
         }
     }
 
@@ -534,36 +526,13 @@ impl TaurusSwitch {
     /// aggregate counters, and combines enforcing verdicts.
     #[inline]
     fn run_apps(&mut self, mut run: impl FnMut(&mut HostedApp) -> PipelineResult) -> SwitchVerdict {
-        self.aggregate.packets += 1;
-        let mut verdict = Verdict::Forward;
-        let mut latency_ns = 0;
-        let mut bypassed = true;
+        let mut combined = SwitchVerdict::UNVOTED;
         for app in &mut self.apps {
             let r = run(app);
-            app.counters.packets += 1;
-            if !r.bypassed {
-                app.counters.ml_packets += 1;
-                bypassed = false;
-            }
-            match r.verdict {
-                Verdict::Drop => app.counters.dropped += 1,
-                Verdict::Flag => app.counters.flagged += 1,
-                Verdict::Forward => {}
-            }
-            if app.policy == VerdictPolicy::Enforce {
-                verdict = verdict.max_severity(r.verdict);
-            }
-            latency_ns = latency_ns.max(r.latency_ns);
+            vote(&mut app.counters, app.policy, &r, &mut combined);
         }
-        if !bypassed {
-            self.aggregate.ml_packets += 1;
-        }
-        match verdict {
-            Verdict::Drop => self.aggregate.dropped += 1,
-            Verdict::Flag => self.aggregate.flagged += 1,
-            Verdict::Forward => {}
-        }
-        SwitchVerdict { verdict, latency_ns, bypassed }
+        self.aggregate.tally(combined.verdict, combined.bypassed);
+        combined
     }
 
     /// Clears flow state and counters (between experiment phases).
@@ -741,13 +710,15 @@ impl core::fmt::Debug for TaurusSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::EngineBackend;
+    use crate::app::{BoxedEngine, EngineBackend};
     use crate::apps::SynFloodDetector;
+    use crate::update::FormatterFactory;
     use taurus_dataset::kdd::{FeatureView, KddGenerator};
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
+    use taurus_pisa::SlotOp;
 
     /// One packet's outcome in full: the switch's verdict and every
-    /// hosted app's pipeline result, features and model output included.
+    /// hosted app's pipeline result, model output included.
     type Outcome = (SwitchVerdict, Vec<PipelineResult>);
 
     /// Runs the switch's per-packet loop, keeping each app's result.
@@ -1200,11 +1171,13 @@ mod tests {
                 let (d, s) = windows.observe(&obs);
                 let pkt = to_packet(tp);
                 let b = outcome(&mut split, |app| app.pipeline.process_prepared(&pkt, obs, d, s));
-                // Every app's features (the cross-flow window counts
-                // included) and model output agree, not just the verdict.
+                // Every app's model output agrees, not just the verdict.
                 assert_eq!(a, b, "{kind:?}");
                 assert_eq!(public.process_prepared_verdict(&pkt, obs, d, s), b.0);
-                assert_eq!(slotted.process_slot_verdict(&pkt, op, obs, d, s), b.0);
+                let mut got = Vec::new();
+                let one = Prepared { pkt, op, obs, counts: (d, s) };
+                slotted.process_prepared_batch(std::slice::from_ref(&one), |_, v| got.push(v));
+                assert_eq!(got, [b.0], "{kind:?}");
             }
             assert_eq!(classic.report(), split.report(), "{kind:?}");
             assert_eq!(public.report(), split.report(), "{kind:?}");
@@ -1212,8 +1185,8 @@ mod tests {
         }
     }
 
-    /// One packet as the runtime hands it to a worker: the arguments of
-    /// [`TaurusSwitch::process_slot_verdict`].
+    /// One packet as the runtime hands it to a worker: the input of
+    /// [`TaurusSwitch::process_prepared_batch`].
     #[derive(Clone)]
     struct Prepared {
         pkt: Packet,
@@ -1237,6 +1210,39 @@ mod tests {
 
         fn window_counts(&self) -> (u64, u64) {
             self.counts
+        }
+    }
+
+    /// An app with an observe-only verdict policy.
+    struct Observer<'a>(&'a AnomalyDetector);
+
+    impl TaurusApp for Observer<'_> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn reaction_time(&self) -> ReactionTime {
+            self.0.reaction_time()
+        }
+
+        fn feature_count(&self) -> usize {
+            self.0.feature_count()
+        }
+
+        fn build_engine(&self, backend: EngineBackend) -> BoxedEngine {
+            self.0.build_engine(backend)
+        }
+
+        fn formatter_factory(&self) -> FormatterFactory {
+            self.0.formatter_factory()
+        }
+
+        fn post_tables(&self, backend: EngineBackend) -> Vec<taurus_pisa::MatchTable> {
+            self.0.post_tables(backend)
+        }
+
+        fn verdict_policy(&self) -> VerdictPolicy {
+            VerdictPolicy::Observe
         }
     }
 
@@ -1270,31 +1276,44 @@ mod tests {
         let dnn: &dyn Fn() -> TaurusSwitch = &|| SwitchBuilder::new().register(&detector).build();
         let two_apps: &dyn Fn() -> TaurusSwitch =
             &|| SwitchBuilder::new().register(&detector).register(&syn).build();
-        // A batch kernel next to an engine without one: the threshold
-        // engine runs the default per-row `infer_batch`.
+        // The across-packets kernel next to the threshold engine's.
         let mixed: &dyn Fn() -> TaurusSwitch = &|| {
             SwitchBuilder::new()
                 .register(&detector)
                 .register_on(&syn, EngineBackend::Threshold)
                 .build()
         };
-        // Exact without a batch kernel too (the worker runs such a
-        // switch packet by packet).
         let threshold: &dyn Fn() -> TaurusSwitch =
             &|| SwitchBuilder::new().register_on(&syn, EngineBackend::Threshold).build();
+        // Observe-only apps fold into no combined verdict, in front of
+        // the last app and as the last app.
+        let (low, observer) = (SynFloodDetector::new(5), Observer(&detector));
+        let observing: &dyn Fn() -> TaurusSwitch = &|| {
+            SwitchBuilder::new()
+                .register(&observer)
+                .register_on(&low, EngineBackend::Threshold)
+                .build()
+        };
+        let observed_last: &dyn Fn() -> TaurusSwitch = &|| {
+            SwitchBuilder::new()
+                .register_on(&low, EngineBackend::Threshold)
+                .register(&observer)
+                .build()
+        };
         let cases = [
-            ("AD DNN", dnn, prepared.as_slice(), true),
-            ("AD DNN + SYN", two_apps, &prepared, true),
-            ("AD DNN + SYN on the threshold backend", mixed, &prepared, true),
-            ("every packet bypassed", dnn, &bypassing, true),
-            ("SYN on the threshold backend", threshold, &prepared, false),
+            ("AD DNN", dnn, prepared.as_slice()),
+            ("AD DNN + SYN", two_apps, &prepared),
+            ("AD DNN + SYN on the threshold backend", mixed, &prepared),
+            ("an observing AD DNN + SYN", observing, &prepared),
+            ("SYN + an observing AD DNN", observed_last, &prepared),
+            ("every packet bypassed", dnn, &bypassing),
+            ("SYN on the threshold backend", threshold, &prepared),
         ];
-        for (name, build, packets, kernel) in cases {
+        for (name, build, packets) in cases {
             let (mut single, mut batched) = (build(), build());
-            assert_eq!(batched.has_batch_kernel(), kernel, "{name}");
             let want: Vec<SwitchVerdict> = packets
                 .iter()
-                .map(|p| single.process_slot_verdict(&p.pkt, p.op, p.obs, p.counts.0, p.counts.1))
+                .map(|p| single.process_prepared_verdict(&p.pkt, p.obs, p.counts.0, p.counts.1))
                 .collect();
             // Whole groups, ragged tails and lone packets.
             let mut got = Vec::new();

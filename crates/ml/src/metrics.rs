@@ -20,14 +20,15 @@ pub struct BinaryMetrics {
 }
 
 impl BinaryMetrics {
-    /// Accumulates one observation.
+    /// Accumulates one observation, with no branch on it (a per-packet
+    /// tally's outcomes follow no pattern a predictor could learn).
+    #[inline]
     pub fn record(&mut self, predicted_positive: bool, actually_positive: bool) {
-        match (predicted_positive, actually_positive) {
-            (true, true) => self.tp += 1,
-            (true, false) => self.fp += 1,
-            (false, false) => self.tn += 1,
-            (false, true) => self.fn_ += 1,
-        }
+        let (p, a) = (u64::from(predicted_positive), u64::from(actually_positive));
+        self.tp += p & a;
+        self.fp += p & (a ^ 1);
+        self.tn += (p | a) ^ 1;
+        self.fn_ += (p ^ 1) & a;
     }
 
     /// Adds another confusion count into this one (merging per-shard

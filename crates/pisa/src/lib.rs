@@ -39,8 +39,8 @@ pub use packet::Packet;
 pub use parser::Parser;
 pub use phv::{Field, Phv};
 pub use pipeline::{
-    FeatureFormatter, InferenceEngine, LinearThresholdEngine, PipelineConfig, PipelineResult,
-    PreparedInput, TaurusPipeline, ThresholdEngine, Verdict, BATCH_PACKETS,
+    CodeGroup, FeatureFormatter, InferenceEngine, LinearThresholdEngine, PipelineConfig,
+    PipelineResult, PreparedInput, TaurusPipeline, ThresholdEngine, Verdict, BATCH_PACKETS,
 };
 pub use range_table::{RangeTable, RangeTableError};
 pub use registers::{CrossFlowWindows, FlowFeatures, FlowTracker, PacketObs, RegisterArray};

@@ -79,8 +79,9 @@ impl MatchTable {
     #[inline]
     pub fn apply(&self, phv: &mut Phv) {
         let v = phv.get(self.key);
-        let hit = self.spans.get(self.spans.partition_point(|s| s.hi < v)).filter(|s| s.lo <= v);
-        phv.set(self.dst, hit.map_or(self.default, |s| s.value));
+        let hit = self.spans.get(self.spans.partition_point(|s| s.hi < v));
+        let select = |s: &Span| core::hint::select_unpredictable(s.lo <= v, s.value, self.default);
+        phv.set(self.dst, hit.map_or(self.default, select));
     }
 }
 

@@ -41,16 +41,45 @@ pub enum Field {
 /// Number of feature slots a PHV carries into the MapReduce block.
 pub const MAX_FEATURES: usize = 16;
 
-/// The Packet Header Vector: a small, fixed set of typed fields.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The first feature cell: after the eight header fields, bypass, ML
+/// output, decision, queue and the eight metadata registers.
+const FEATURES: usize = 20;
+
+/// The Packet Header Vector: a small, fixed set of typed fields, one
+/// `i64` cell each, so that reading or writing a field is one indexed
+/// access whichever field it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Phv {
-    header: [i64; 8],
-    bypass_ml: i64,
-    ml_out: i64,
-    decision: i64,
-    queue_id: i64,
-    meta: [i64; 8],
-    features: [i64; MAX_FEATURES],
+    cells: [i64; FEATURES + MAX_FEATURES],
+}
+
+impl Default for Phv {
+    fn default() -> Self {
+        Self { cells: [0; FEATURES + MAX_FEATURES] }
+    }
+}
+
+impl Field {
+    /// The field's PHV cell.
+    #[inline]
+    fn cell(self) -> usize {
+        match self {
+            Field::SrcIp => 0,
+            Field::DstIp => 1,
+            Field::SrcPort => 2,
+            Field::DstPort => 3,
+            Field::Proto => 4,
+            Field::TcpFlags => 5,
+            Field::Len => 6,
+            Field::TsNs => 7,
+            Field::BypassMl => 8,
+            Field::MlOut => 9,
+            Field::Decision => 10,
+            Field::QueueId => 11,
+            Field::Meta(i) => 12 + i as usize % 8,
+            Field::Feature(i) => FEATURES + i as usize % MAX_FEATURES,
+        }
+    }
 }
 
 impl Phv {
@@ -70,49 +99,19 @@ impl Phv {
     /// Reads a field.
     #[inline]
     pub fn get(&self, f: Field) -> i64 {
-        match f {
-            Field::SrcIp => self.header[0],
-            Field::DstIp => self.header[1],
-            Field::SrcPort => self.header[2],
-            Field::DstPort => self.header[3],
-            Field::Proto => self.header[4],
-            Field::TcpFlags => self.header[5],
-            Field::Len => self.header[6],
-            Field::TsNs => self.header[7],
-            Field::BypassMl => self.bypass_ml,
-            Field::MlOut => self.ml_out,
-            Field::Decision => self.decision,
-            Field::QueueId => self.queue_id,
-            Field::Meta(i) => self.meta[i as usize % 8],
-            Field::Feature(i) => self.features[i as usize % MAX_FEATURES],
-        }
+        self.cells[f.cell()]
     }
 
     /// Writes a field.
     #[inline]
     pub fn set(&mut self, f: Field, v: i64) {
-        match f {
-            Field::SrcIp => self.header[0] = v,
-            Field::DstIp => self.header[1] = v,
-            Field::SrcPort => self.header[2] = v,
-            Field::DstPort => self.header[3] = v,
-            Field::Proto => self.header[4] = v,
-            Field::TcpFlags => self.header[5] = v,
-            Field::Len => self.header[6] = v,
-            Field::TsNs => self.header[7] = v,
-            Field::BypassMl => self.bypass_ml = v,
-            Field::MlOut => self.ml_out = v,
-            Field::Decision => self.decision = v,
-            Field::QueueId => self.queue_id = v,
-            Field::Meta(i) => self.meta[i as usize % 8] = v,
-            Field::Feature(i) => self.features[i as usize % MAX_FEATURES] = v,
-        }
+        self.cells[f.cell()] = v;
     }
 
     /// Writes the model's feature codes.
     #[inline]
     pub fn set_features(&mut self, codes: &[i32]) {
-        for (slot, &c) in self.features.iter_mut().zip(codes) {
+        for (slot, &c) in self.cells[FEATURES..].iter_mut().zip(codes) {
             *slot = i64::from(c);
         }
     }

@@ -20,22 +20,16 @@ pub trait InferenceEngine {
     /// Runs inference on one packet's features.
     fn infer(&mut self, features: &[i32]) -> i64;
 
-    /// Runs inference on several packets' features, one row each:
-    /// `out[p]` receives row `p`'s verdict. Equal to
-    /// [`InferenceEngine::infer`] on each row in order, which is what the
-    /// default does; an engine with a kernel of its own overrides it and
-    /// says so in [`InferenceEngine::has_batch_kernel`].
-    fn infer_batch(&mut self, rows: &[Vec<i32>], out: &mut [i64]) {
-        for (row, verdict) in rows.iter().zip(out) {
-            *verdict = self.infer(row);
+    /// Runs inference on a group of packets' features, one
+    /// [`CodeGroup`] row each: `out[p]` receives row `p`'s verdict for
+    /// every `p < group.rows()`, and the rest of `out` is left as it
+    /// was. Equal to [`InferenceEngine::infer`] on each row in order,
+    /// which is what the default does; an engine with a kernel of its
+    /// own reads [`CodeGroup::lanes`] instead.
+    fn infer_batch(&mut self, group: &mut CodeGroup, out: &mut [i64; BATCH_PACKETS]) {
+        for (p, verdict) in out[..group.rows()].iter_mut().enumerate() {
+            *verdict = self.infer(group.row(p));
         }
-    }
-
-    /// Whether [`InferenceEngine::infer_batch`] is faster than the
-    /// per-row loop, so that a caller gains by grouping packets for it
-    /// ([`TaurusPipeline::process_prepared_batch`]).
-    fn has_batch_kernel(&self) -> bool {
-        false
     }
 
     /// The block's ingress-to-egress latency in nanoseconds.
@@ -49,12 +43,8 @@ impl<E: InferenceEngine + ?Sized> InferenceEngine for Box<E> {
         (**self).infer(features)
     }
 
-    fn infer_batch(&mut self, rows: &[Vec<i32>], out: &mut [i64]) {
-        (**self).infer_batch(rows, out);
-    }
-
-    fn has_batch_kernel(&self) -> bool {
-        (**self).has_batch_kernel()
+    fn infer_batch(&mut self, group: &mut CodeGroup, out: &mut [i64; BATCH_PACKETS]) {
+        (**self).infer_batch(group, out);
     }
 
     fn latency_ns(&self) -> u64 {
@@ -65,6 +55,61 @@ impl<E: InferenceEngine + ?Sized> InferenceEngine for Box<E> {
 /// Packets a batch entry ([`TaurusPipeline::process_prepared_batch`])
 /// takes at once: one across-packets engine group.
 pub const BATCH_PACKETS: usize = 8;
+
+/// One group's feature codes, lane-major: `lanes()[k][p]` is code `k`
+/// of row `p`, one row per packet that visits the engine. Lanes past
+/// [`CodeGroup::rows`] hold stale codes, which a kernel may compute on
+/// and must not report.
+#[derive(Debug, Clone)]
+pub struct CodeGroup {
+    lanes: Vec<[i32; BATCH_PACKETS]>,
+    rows: usize,
+    /// One row gathered for a per-row engine ([`CodeGroup::row`]).
+    row: Vec<i32>,
+}
+
+impl CodeGroup {
+    /// An empty group of rows `width` codes wide.
+    pub fn new(width: usize) -> Self {
+        Self { lanes: vec![[0; BATCH_PACKETS]; width], rows: 0, row: Vec::with_capacity(width) }
+    }
+
+    /// One lane per code, each holding that code of every row.
+    #[inline]
+    pub fn lanes(&self) -> &[[i32; BATCH_PACKETS]] {
+        &self.lanes
+    }
+
+    /// The rows pushed since the last [`CodeGroup::clear`].
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Appends one row (a group holds [`BATCH_PACKETS`]): codes past the
+    /// width are dropped, missing ones are 0.
+    #[inline]
+    pub fn push(&mut self, codes: &[i32]) {
+        for (k, lane) in self.lanes.iter_mut().enumerate() {
+            lane[self.rows] = codes.get(k).copied().unwrap_or(0);
+        }
+        self.rows += 1;
+    }
+
+    /// Drops every row.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.rows = 0;
+    }
+
+    /// Row `p`, gathered from the lanes.
+    #[inline]
+    pub fn row(&mut self, p: usize) -> &[i32] {
+        self.row.clear();
+        self.row.extend(self.lanes.iter().map(|lane| lane[p]));
+        &self.row
+    }
+}
 
 /// One packet as a batch entry reads it: the arguments of
 /// [`TaurusPipeline::process_slot`].
@@ -101,6 +146,19 @@ impl InferenceEngine for ThresholdEngine {
         i64::from(features.iter().map(|&v| i64::from(v)).sum::<i64>() > self.threshold)
     }
 
+    /// Eight sums side by side, one per lane.
+    fn infer_batch(&mut self, group: &mut CodeGroup, out: &mut [i64; BATCH_PACKETS]) {
+        let mut sums = [0i64; BATCH_PACKETS];
+        for lane in group.lanes() {
+            for (sum, &code) in sums.iter_mut().zip(lane) {
+                *sum += i64::from(code);
+            }
+        }
+        for (verdict, sum) in out[..group.rows()].iter_mut().zip(sums) {
+            *verdict = i64::from(sum > self.threshold);
+        }
+    }
+
     fn latency_ns(&self) -> u64 {
         1
     }
@@ -122,6 +180,19 @@ impl InferenceEngine for LinearThresholdEngine {
     fn infer(&mut self, features: &[i32]) -> i64 {
         let score: i64 = features.iter().zip(&self.weights).map(|(&x, &w)| i64::from(x) * w).sum();
         i64::from(score > self.threshold)
+    }
+
+    /// Each row's dot product, read down the lanes. It wraps where
+    /// `infer` overflows, which a release build wraps too.
+    fn infer_batch(&mut self, group: &mut CodeGroup, out: &mut [i64; BATCH_PACKETS]) {
+        let lanes = group.lanes();
+        for (p, verdict) in out[..group.rows()].iter_mut().enumerate() {
+            let score = lanes
+                .iter()
+                .zip(&self.weights)
+                .fold(0i64, |s, (lane, &w)| s.wrapping_add(i64::from(lane[p]).wrapping_mul(w)));
+            *verdict = i64::from(score > self.threshold);
+        }
     }
 
     fn latency_ns(&self) -> u64 {
@@ -227,8 +298,6 @@ pub struct PipelineResult {
     pub bypassed: bool,
     /// End-to-end pipeline latency, ns.
     pub latency_ns: u64,
-    /// The flow features observed at this packet.
-    pub features: FlowFeatures,
 }
 
 /// The full Taurus device pipeline around a pluggable inference engine.
@@ -252,10 +321,10 @@ pub struct TaurusPipeline<E> {
     /// Reusable formatter output buffer (feature codes).
     feature_scratch: Vec<i32>,
     /// The batch entry's resident PHVs, one per packet of a group.
-    batch_phvs: Box<[Phv; BATCH_PACKETS]>,
-    /// The batch entry's formatter outputs, one per ML-path packet of a
-    /// group: the rows its engine call reads.
-    batch_rows: [Vec<i32>; BATCH_PACKETS],
+    batch_phvs: [Phv; BATCH_PACKETS],
+    /// The batch entry's engine input: the codes of a group's ML-path
+    /// packets.
+    codes: CodeGroup,
 }
 
 impl<E: InferenceEngine> TaurusPipeline<E> {
@@ -270,8 +339,8 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
             engine,
             post_tables: Vec::new(),
             feature_scratch: Vec::with_capacity(config.feature_count),
-            batch_phvs: Box::new(core::array::from_fn(|_| Phv::new())),
-            batch_rows: core::array::from_fn(|_| Vec::with_capacity(config.feature_count)),
+            batch_phvs: core::array::from_fn(|_| Phv::new()),
+            codes: CodeGroup::new(config.feature_count),
             config,
             packets: 0,
             ml_packets: 0,
@@ -389,22 +458,27 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
             ml_out,
             bypassed,
             latency_ns: latency,
-            features,
         }
     }
 
     /// [`TaurusPipeline::process_slot`] for a group of at most
-    /// [`BATCH_PACKETS`] packets, calling `each(result)` once per packet,
-    /// in stream order. Every result, counter and register is what
+    /// [`BATCH_PACKETS`] packets, calling `each(i, result)` for packet
+    /// `i`, in stream order. Every result, counter and register is what
     /// the per-packet entry gives; the group changes only the engine's
     /// call, in three steps:
     ///
     /// 1. each packet runs the front end (parse, register stage,
-    ///    preprocessing MATs, formatter) into its own PHV and code row;
-    /// 2. one [`InferenceEngine::infer_batch`] runs on the rows of the
-    ///    packets that did not bypass;
+    ///    preprocessing MATs) into its own PHV, and the formatter's codes
+    ///    of each packet that does not bypass go into one [`CodeGroup`]
+    ///    row;
+    /// 2. one [`InferenceEngine::infer_batch`] runs on the group, unless
+    ///    every packet bypassed;
     /// 3. each packet takes its verdict into the PHV and runs the
     ///    postprocessing MATs.
+    ///
+    /// A formatter that emits fewer codes than the feature count hands
+    /// the engine a row padded with zeros, where the per-packet entry
+    /// hands it the short row.
     ///
     /// # Panics
     ///
@@ -413,58 +487,50 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
     pub fn process_prepared_batch<P: PreparedInput>(
         &mut self,
         packets: &[P],
-        mut each: impl FnMut(PipelineResult),
+        mut each: impl FnMut(usize, PipelineResult),
     ) {
         assert!(packets.len() <= BATCH_PACKETS, "a batch entry takes one group");
-        let mut features = [FlowFeatures::default(); BATCH_PACKETS];
-        let mut bypassed = [false; BATCH_PACKETS];
-        let mut rows = 0;
-        for (i, p) in packets.iter().enumerate() {
-            let phv = &mut self.batch_phvs[i];
+        self.codes.clear();
+        for (p, phv) in packets.iter().zip(self.batch_phvs.iter_mut()) {
             self.parser.parse_into(p.packet(), phv);
             let (dst_count, srv_count) = p.window_counts();
-            features[i] = self.tracker.observe_slot(p.slot_op(), &p.obs(), dst_count, srv_count);
+            let features = self.tracker.observe_slot(p.slot_op(), &p.obs(), dst_count, srv_count);
             for t in &self.pre_tables {
                 t.apply(phv);
             }
-            bypassed[i] = phv.get(Field::BypassMl) != 0;
-            if !bypassed[i] {
-                let row = &mut self.batch_rows[rows];
-                row.clear();
-                (self.formatter)(&features[i], row);
-                row.truncate(self.config.feature_count);
-                phv.set_features(row);
-                rows += 1;
+            if phv.get(Field::BypassMl) == 0 {
+                self.feature_scratch.clear();
+                (self.formatter)(&features, &mut self.feature_scratch);
+                self.feature_scratch.truncate(self.config.feature_count);
+                phv.set_features(&self.feature_scratch);
+                self.codes.push(&self.feature_scratch);
             }
         }
         let mut ml_out = [0; BATCH_PACKETS];
-        self.engine.infer_batch(&self.batch_rows[..rows], &mut ml_out[..rows]);
+        if self.codes.rows() > 0 {
+            self.engine.infer_batch(&mut self.codes, &mut ml_out);
+        }
         let engine_ns = self.engine.latency_ns();
         let front_ns = PARSE_LATENCY_NS + MAT_LATENCY_NS * (1 + self.pre_tables.len() as u64);
-        let mut ml_out = ml_out.iter();
+        let post_ns = MAT_LATENCY_NS * self.post_tables.len() as u64;
+        let mut ml_out = ml_out.into_iter();
         for (i, phv) in self.batch_phvs[..packets.len()].iter_mut().enumerate() {
-            self.packets += 1;
-            let mut latency = front_ns;
+            let bypassed = phv.get(Field::BypassMl) != 0;
+            let mut latency = front_ns + post_ns;
             let mut out = 0;
-            if !bypassed[i] {
-                self.ml_packets += 1;
-                out = *ml_out.next().expect("one verdict per row");
+            if !bypassed {
+                out = ml_out.next().unwrap_or_default();
                 phv.set(Field::MlOut, out);
                 latency += engine_ns;
             }
             for t in &self.post_tables {
                 t.apply(phv);
-                latency += MAT_LATENCY_NS;
             }
             let verdict = Verdict::from_code(phv.get(Field::Decision));
-            each(PipelineResult {
-                verdict,
-                ml_out: out,
-                bypassed: bypassed[i],
-                latency_ns: latency,
-                features: features[i],
-            });
+            each(i, PipelineResult { verdict, ml_out: out, bypassed, latency_ns: latency });
         }
+        self.packets += packets.len() as u64;
+        self.ml_packets += self.codes.rows() as u64;
     }
 
     /// `(total packets, ML-path packets)`.
@@ -669,21 +735,27 @@ mod tests {
         assert_eq!(r.ml_out, 10, "extra codes reach neither the engine nor the PHV");
     }
 
+    /// A pipeline whose model output is 1 once a flow has seen more than
+    /// `packets` packets.
+    fn past(packets: i64, config: PipelineConfig) -> TaurusPipeline<LinearThresholdEngine> {
+        TaurusPipeline::new(
+            PipelineConfig { feature_count: 1, ..config },
+            LinearThresholdEngine { weights: vec![1], threshold: packets },
+            Box::new(|f, out| out.push(f.packets as i32)),
+        )
+    }
+
     #[test]
     fn configured_idle_timeout_reaches_the_tracker_and_surfaces_evictions() {
         let cfg = PipelineConfig { idle_timeout_ns: 10_000, ..PipelineConfig::default() };
-        let mut p = TaurusPipeline::new(
-            cfg,
-            ThresholdEngine { threshold: i64::MAX },
-            Box::new(|f, out| out.extend(f.encode_dnn6().iter().map(|&v| v as i32))),
-        );
+        let mut p = past(1, cfg);
         let mut pkt = Packet::tcp(1, 2, 1000, 80, 0x02, 100);
         pkt.ts_ns = 1_000;
         let first = p.process(&pkt, obs_for(&pkt, true));
-        assert_eq!(first.features.packets, 1);
+        assert_eq!(first.ml_out, 0, "the flow's first packet");
         pkt.ts_ns = 500_000; // far past the idle timeout
         let again = p.process(&pkt, obs_for(&pkt, true));
-        assert_eq!(again.features.packets, 1, "slot evicted, flow restarts fresh");
+        assert_eq!(again.ml_out, 0, "slot evicted, flow restarts fresh");
         assert_eq!(p.flow_registers().idle_evictions(), 1);
         p.reset_state();
         assert_eq!(p.flow_registers().idle_evictions(), 0, "reset clears the counter");
@@ -691,10 +763,10 @@ mod tests {
 
     #[test]
     fn the_batch_entry_gives_the_per_packet_entrys_results() {
-        // The default `infer_batch` (the per-row loop) behind the
-        // three-step group: every result, features included, in stream
-        // order, for groups of one to eight with bypassed packets among
-        // them, and the same stats after.
+        // The threshold engine's batch kernel behind the three-step
+        // group: every result in stream order, for groups of one to
+        // eight with bypassed packets among them, and the same stats
+        // and registers after.
         // The batch entry takes each packet's slot from a directory of
         // the pipelines' geometry, run in stream order; the per-packet
         // entry probes its own.
@@ -741,25 +813,30 @@ mod tests {
                 break;
             }
             let (group, next) = rest.split_at(len.min(rest.len()));
-            batched.process_prepared_batch(group, |r| got.push(r));
+            let first = got.len();
+            batched.process_prepared_batch(group, |i, r| {
+                assert_eq!(i, got.len() - first, "stream order");
+                got.push(r);
+            });
             rest = next;
         }
         assert_eq!(got, want);
         assert_eq!(batched.stats(), single.stats());
+        assert_eq!(batched.flow_registers(), single.flow_registers());
     }
 
     #[test]
     fn reset_state_clears_flow_features_but_not_throughput_stats() {
-        let mut p = pipeline();
+        let mut p = past(10, PipelineConfig::default());
         let pkt = Packet::tcp(1, 2, 1000, 80, 0, 100);
         for i in 0..10 {
-            p.process(&pkt, obs_for(&pkt, i == 0));
+            assert_eq!(p.process(&pkt, obs_for(&pkt, i == 0)).ml_out, 0);
         }
         let before = p.process(&pkt, obs_for(&pkt, false));
-        assert_eq!(before.features.packets, 11, "accumulated across packets");
+        assert_eq!(before.ml_out, 1, "accumulated across packets: the eleventh");
         p.reset_state();
         let after = p.process(&pkt, obs_for(&pkt, true));
-        assert_eq!(after.features.packets, 1, "registers cleared by reset");
+        assert_eq!(after.ml_out, 0, "registers cleared by reset");
         // Throughput counters survive reset (they describe the device,
         // not the flows).
         assert_eq!(p.stats().0, 12);

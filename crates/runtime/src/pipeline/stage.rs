@@ -74,6 +74,7 @@ mod tests {
     use taurus_core::ingest::{ConnSet, ObsBuilder};
     use taurus_dataset::kdd::KddGenerator;
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
+    use taurus_pisa::PreparedInput;
 
     #[test]
     fn parse_packet_matches_the_sequential_observation_modulo_flow_start() {

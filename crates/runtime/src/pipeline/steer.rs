@@ -327,6 +327,7 @@ mod tests {
     use taurus_core::ingest::{flow_start_flags_ok, ObsBuilder};
     use taurus_dataset::kdd::KddGenerator;
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
+    use taurus_pisa::PreparedInput;
     use taurus_pisa::{FlowTableKind, PipelineConfig};
 
     use crate::pipeline::stage::parse_packet;

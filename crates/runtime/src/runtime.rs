@@ -81,7 +81,7 @@ use crate::service::StreamingRuntime;
 /// - `reverse` and `anomalous`.
 ///
 /// The worker rebuilds the register-stage [`PacketObs`] from these
-/// ([`PreparedPacket::obs`]); the flow key and flow-start bit stay on
+/// (its [`PreparedInput::obs`]); the flow key and flow-start bit stay on
 /// the feeder, which spent them on the op and the windows.
 #[derive(Debug, Clone, PartialEq)]
 #[repr(align(64))]
@@ -147,13 +147,6 @@ impl PreparedPacket {
         self.reverse = tp.reverse;
         self.anomalous = tp.anomalous;
     }
-
-    /// The register-stage observation the worker reads, rebuilt from the
-    /// slot ([`packet_obs`]); flow key 0 and no flow start.
-    #[inline]
-    pub fn obs(&self) -> PacketObs {
-        packet_obs(&self.pkt, 0, self.len, self.reverse, false)
-    }
 }
 
 /// What the worker hands its replica's batch entry
@@ -169,9 +162,11 @@ impl PreparedInput for PreparedPacket {
         self.op
     }
 
+    /// The register-stage observation, rebuilt from the slot
+    /// ([`packet_obs`]); flow key 0 and no flow start.
     #[inline]
     fn obs(&self) -> PacketObs {
-        PreparedPacket::obs(self)
+        packet_obs(&self.pkt, 0, self.len, self.reverse, false)
     }
 
     #[inline]

@@ -226,6 +226,7 @@ mod tests {
     use taurus_core::ingest::{to_packet, wire_obs};
     use taurus_dataset::kdd::KddGenerator;
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
+    use taurus_pisa::PreparedInput;
     use taurus_pisa::{FlowTableKind, PipelineConfig};
 
     #[test]

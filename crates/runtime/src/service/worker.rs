@@ -136,10 +136,9 @@ fn apply_change(
 /// the builder's deterministic [`crate::FaultPlan`]; it is empty in
 /// production and checked per packet only while armed.
 ///
-/// A batch runs through the replica's group loop
-/// ([`TaurusSwitch::process_prepared_batch`], the engine running eight
-/// packets at a time) when one of its engines has a batch kernel
-/// ([`TaurusSwitch::has_batch_kernel`]), and packet by packet otherwise.
+/// Every batch runs through the replica's one packet entry, the group
+/// loop ([`TaurusSwitch::process_prepared_batch`]): each engine runs
+/// eight packets at a time, whatever the roster.
 fn engine_worker(
     mut switch: TaurusSwitch,
     rx: spsc::Receiver<ShardMsg>,
@@ -162,32 +161,16 @@ fn engine_worker(
                 if poisoned.is_none() {
                     run.batches += 1;
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        let RunCounters { processed, segments, .. } = &mut run;
+                        let segment = segments.last_mut().expect("nonempty");
                         let mut record = |p: &PreparedPacket, r: SwitchVerdict| {
-                            run.segments
-                                .last_mut()
-                                .expect("nonempty")
-                                .record(r.verdict == Verdict::Drop, p.anomalous);
-                            run.processed += 1;
+                            segment.record(r.verdict == Verdict::Drop, p.anomalous);
+                            *processed += 1;
                         };
-                        if !switch.has_batch_kernel() {
-                            for p in &batch {
-                                if faults.is_armed() {
-                                    faults.check_packet(p.index);
-                                }
-                                let r = switch.process_slot_verdict(
-                                    &p.pkt,
-                                    p.op,
-                                    p.obs(),
-                                    p.dst_count,
-                                    p.srv_count,
-                                );
-                                record(p, r);
-                            }
-                            return;
-                        }
-                        // An armed fault fires where the loop above fires
-                        // it: before its packet, after every earlier one,
-                        // at most one per packet.
+                        // An armed fault splits the batch at its packet,
+                        // so it fires where a per-packet loop fires it:
+                        // before its packet, after every earlier one, at
+                        // most one per packet.
                         let (mut start, mut next) = (0, 0);
                         while faults.is_armed() {
                             let Some(at) = batch[next..].iter().position(|p| faults.due(p.index))

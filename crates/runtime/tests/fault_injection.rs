@@ -20,7 +20,7 @@ use taurus_core::engine::CgraEngine;
 use taurus_core::{EngineBackend, EngineUpdate, FormatterFactory, ModelUpdate, TaurusApp};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig, TracePacket};
-use taurus_pisa::{Field, InferenceEngine, MatchTable, BATCH_PACKETS};
+use taurus_pisa::{Field, FlowTableKind, MatchTable, PipelineConfig, BATCH_PACKETS};
 use taurus_runtime::{shard_of, FaultPlan, FaultRecordKind, RuntimeBuilder, StreamingRuntime};
 
 const SHARDS: usize = 4;
@@ -37,11 +37,17 @@ fn builder(syn: &SynFloodDetector, shards: usize) -> RuntimeBuilder<'_> {
 
 /// Global stream indices the router assigns to `shard`.
 fn assigned_indices(trace: &PacketTrace, shard: usize, shards: usize) -> Vec<u64> {
+    routed_indices(trace, shard, shards, FLOW_SLOTS)
+}
+
+/// Global stream indices the router assigns to `shard` when it folds
+/// flow keys through `slots` (a keyed table's bucket count).
+fn routed_indices(trace: &PacketTrace, shard: usize, shards: usize, slots: usize) -> Vec<u64> {
     trace
         .packets
         .iter()
         .enumerate()
-        .filter(|(_, tp)| shard_of(tp.tuple.canonical().hash(), FLOW_SLOTS, shards) == shard)
+        .filter(|(_, tp)| shard_of(tp.tuple.canonical().hash(), slots, shards) == shard)
         .map(|(i, _)| i as u64)
         .collect()
 }
@@ -183,7 +189,7 @@ fn a_fault_inside_an_engine_group_lands_where_the_per_packet_loop_puts_it() {
     // is that of a clean fleet fed the stream only up to the victim's
     // first unprocessed packet; the survivors are a clean full run's.
     let detector = AnomalyDetector::train_default(9, 400);
-    assert!(CgraEngine::new(detector.program.clone()).has_batch_kernel());
+    assert!(CgraEngine::new(detector.program.clone()).sim().runs_across_packets());
     let trace = kdd_trace(200, 91);
     let (shards, victim) = (2, 1);
     let assigned = assigned_indices(&trace, victim, shards);
@@ -193,7 +199,50 @@ fn a_fault_inside_an_engine_group_lands_where_the_per_packet_loop_puts_it() {
     assert!(assigned.len() > 2 * k, "seed must give the victim shard real traffic");
     let fire_at = assigned[k];
     let fleet = || RuntimeBuilder::new().shards(shards).batch_size(64).register(&detector);
-    let clean = drain_report(&mut fleet().build(), &trace);
+    assert_group_faults_land_per_packet(&fleet, &trace, victim, &assigned, k, fire_at);
+}
+
+#[test]
+fn a_fault_inside_a_threshold_group_over_a_keyed_table_lands_where_the_per_packet_loop_puts_it() {
+    // Threshold rosters run the group loop too: the SYN scorer on the
+    // threshold backend over a keyed table, the same faults at the
+    // fifth packet of a group.
+    let syn = SynFloodDetector::default_deployment();
+    let buckets = 64;
+    let config = PipelineConfig {
+        flow_table: FlowTableKind::Keyed { buckets, ways: 2 },
+        ..PipelineConfig::default()
+    };
+    let trace = kdd_trace(200, 91);
+    let (shards, victim) = (2, 1);
+    let assigned = routed_indices(&trace, victim, shards, buckets);
+    let k = 5 * BATCH_PACKETS + 4;
+    assert!(assigned.len() > 2 * k, "seed must give the victim shard real traffic");
+    let fire_at = assigned[k];
+    let fleet = || {
+        RuntimeBuilder::new()
+            .shards(shards)
+            .batch_size(64)
+            .config(config.clone())
+            .register_on(&syn, EngineBackend::Threshold)
+    };
+    assert_group_faults_land_per_packet(&fleet, &trace, victim, &assigned, k, fire_at);
+}
+
+/// The reference is per-packet semantics: a panic at the victim's
+/// packet `k` (with or without a stall before it) leaves the victim's
+/// report that of a clean fleet fed the stream only up to the victim's
+/// first unprocessed packet, and a stall alone changes nothing; the
+/// survivors are a clean full run's.
+fn assert_group_faults_land_per_packet<'a>(
+    fleet: &dyn Fn() -> RuntimeBuilder<'a>,
+    trace: &PacketTrace,
+    victim: usize,
+    assigned: &[u64],
+    k: usize,
+    fire_at: u64,
+) {
+    let clean = drain_report(&mut fleet().build(), trace);
     let pause = Duration::from_millis(5);
     let cases = [
         ("panic", FaultPlan::new().engine_panic(victim, fire_at), k, 1),
@@ -207,7 +256,7 @@ fn a_fault_inside_an_engine_group_lands_where_the_per_packet_loop_puts_it() {
     ];
     for (name, plan, processed, restarts) in cases {
         let mut subject = fleet().fault_plan(plan).spare_replicas(1).build();
-        let report = drain_report(&mut subject, &trace);
+        let report = drain_report(&mut subject, trace);
         assert_eq!(report.faults.worker_restarts, restarts, "{name}");
         let end = assigned.get(processed).map_or(trace.packets.len(), |&i| i as usize);
         let mut prefix = fleet().build();
@@ -224,7 +273,7 @@ fn a_fault_inside_an_engine_group_lands_where_the_per_packet_loop_puts_it() {
             assert_eq!(got.packets, want.packets, "{name}: shard {}", got.shard);
             assert_eq!(got.report, want.report, "{name}: shard {}", got.shard);
         }
-        assert_eq!(report.shards.len(), shards, "{name}: every shard merged");
+        assert_eq!(report.shards.len(), clean.shards.len(), "{name}: every shard merged");
     }
 }
 

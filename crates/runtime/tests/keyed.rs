@@ -15,8 +15,38 @@ use taurus_core::ingest::{to_packet, wire_obs};
 use taurus_core::{EngineBackend, SwitchBuilder, SwitchReport, TaurusApp, TaurusSwitch};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig, TracePacket};
-use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, PacketObs, PipelineConfig};
+use taurus_pisa::{
+    CrossFlowWindows, FlowTable, FlowTableKind, Packet, PacketObs, PipelineConfig, PreparedInput,
+    SlotOp,
+};
 use taurus_runtime::{shard_of, BuildError, RuntimeBuilder};
+
+/// One packet with the op and window counts the feeder decided: the
+/// input of a replica's batch entry.
+struct Prepared {
+    pkt: Packet,
+    op: SlotOp,
+    obs: PacketObs,
+    counts: (u64, u64),
+}
+
+impl PreparedInput for Prepared {
+    fn packet(&self) -> &Packet {
+        &self.pkt
+    }
+
+    fn slot_op(&self) -> SlotOp {
+        self.op
+    }
+
+    fn obs(&self) -> PacketObs {
+        self.obs
+    }
+
+    fn window_counts(&self) -> (u64, u64) {
+        self.counts
+    }
+}
 
 fn default_kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
     let records = KddGenerator::new(seed).take(n_records);
@@ -70,6 +100,7 @@ fn assert_exact_across_shards(
     let FlowTableKind::Keyed { buckets, .. } = config.flow_table else { panic!("keyed only") };
     for shards in [1usize, 2, 3, 4] {
         let mut replicas: Vec<TaurusSwitch> = (0..shards).map(|_| build()).collect();
+        let mut streams: Vec<Vec<Prepared>> = (0..shards).map(|_| Vec::new()).collect();
         let mut directory =
             FlowTable::with_kind(config.flow_table, config.flow_slots, config.idle_timeout_ns);
         let mut windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
@@ -78,9 +109,16 @@ fn assert_exact_across_shards(
             wire_obs(tp, &mut obs);
             let op = directory.op(obs.flow_key, obs.ts_ns);
             obs.is_flow_start = op.access.is_start();
-            let (dst, srv) = windows.observe(&obs);
-            let replica = &mut replicas[shard_of(obs.flow_key, buckets, shards)];
-            replica.process_slot_verdict(&to_packet(tp), op, obs, dst, srv);
+            let counts = windows.observe(&obs);
+            streams[shard_of(obs.flow_key, buckets, shards)].push(Prepared {
+                pkt: to_packet(tp),
+                op,
+                obs,
+                counts,
+            });
+        }
+        for (replica, stream) in replicas.iter_mut().zip(&streams) {
+            replica.process_prepared_batch(stream, |_, _| {});
         }
         let mut rt = roster
             .iter()

@@ -34,7 +34,7 @@ use taurus_core::EngineBackend;
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_ml::Rows;
-use taurus_pisa::{FlowTableKind, InferenceEngine, PipelineConfig};
+use taurus_pisa::{FlowTableKind, PipelineConfig};
 use taurus_runtime::{FaultPlan, OverloadPolicy, RuntimeBuilder, StreamingRuntime};
 
 struct CountingAlloc;
@@ -223,7 +223,7 @@ fn resident_cgra_service_feeds_through_the_group_loop_allocate_nothing() {
     // group's PHVs, code rows and verdict lanes are resident, so a
     // warmed feed allocates nothing on either side of the lanes.
     let detector = AnomalyDetector::train_default(9, 400);
-    assert!(CgraEngine::new(detector.program.clone()).has_batch_kernel());
+    assert!(CgraEngine::new(detector.program.clone()).sim().runs_across_packets());
     let single = trace(250, 55);
     let mut service = RuntimeBuilder::new().shards(2).batch_size(32).register(&detector).build();
     service.feed(&single.packets);

@@ -237,6 +237,36 @@ fn one_lookup_per_mat_one_result_per_switch() {
 }
 
 #[test]
+fn one_worker_loop() {
+    // Every roster runs the group loop: no switch or engine says
+    // whether grouping pays, and no per-packet worker entry remains.
+    let gone = ["has_batch_kernel", "process_slot_verdict"];
+    let elsewhere = |p: &Path| p != Path::new("tests/house_rules.rs");
+    let mut offenders = Vec::new();
+    for dir in ["crates", "tests", "examples", "src"] {
+        offenders.extend(scan(dir, elsewhere, |line| gone.iter().any(|w| has_word(line, w))));
+    }
+    assert_clean("one worker loop: the group form for every roster", offenders);
+    // The resident worker reaches its replica through one packet entry.
+    let file = "crates/runtime/src/service/worker.rs";
+    let text = std::fs::read_to_string(root().join(file)).expect("the engine worker");
+    let body: Vec<&str> = text
+        .lines()
+        .skip_while(|l| declared_fn(l) != Some("engine_worker"))
+        .skip(1)
+        .take_while(|l| declared_fn(l).is_none())
+        .collect();
+    let mut entries: Vec<&str> = body
+        .iter()
+        .flat_map(|l| l.match_indices("switch.process").map(|(i, _)| &l[i + "switch.".len()..]))
+        .map(|call| &call[..call.find('(').unwrap_or(call.len())])
+        .collect();
+    entries.sort();
+    entries.dedup();
+    assert_eq!(entries, ["process_prepared_batch"], "{file}: `engine_worker`'s packet entries");
+}
+
+#[test]
 fn trainers_take_one_flat_feature_set() {
     // A feature set is a `Rows`: no trainer, quantizer, `accuracy`,
     // `Dataset` or `AnomalyDetector` entry point takes or returns rows of
@@ -321,7 +351,7 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
         ("crates/dataset/src/trace.rs", &["canonical", "reversed", "hash"]),
         ("crates/pisa/src/packet.rs", &["tcp"]),
         ("crates/pisa/src/parser.rs", &["parse_into"]),
-        ("crates/pisa/src/phv.rs", &["reset", "get", "set", "set_features"]),
+        ("crates/pisa/src/phv.rs", &["reset", "cell", "get", "set", "set_features"]),
         ("crates/pisa/src/mat.rs", &["apply"]),
         (
             "crates/pisa/src/registers.rs",
@@ -361,6 +391,10 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
                 "process_prepared",
                 "process_slot",
                 "process_prepared_batch",
+                "lanes",
+                "rows",
+                "push",
+                "clear",
             ],
         ),
         (
@@ -383,11 +417,11 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
             &[
                 "process",
                 "process_prepared_verdict",
-                "process_slot_verdict",
                 "process_prepared_batch",
                 "process_trace_verdict",
                 "run_apps",
                 "vote",
+                "tally",
             ],
         ),
     ];
