@@ -837,9 +837,6 @@ pub struct CgraSim {
     lanes: Vec<Across>,
     /// The across-packets kernel's input pairs.
     pairs: Vec<Across>,
-    /// One packet's codes, gathered from a group for a plan that does
-    /// not run across packets.
-    row: Vec<i32>,
 }
 
 impl CgraSim {
@@ -862,7 +859,6 @@ impl CgraSim {
             pending_written: Vec::new(),
             lanes: Vec::new(),
             pairs: Vec::new(),
-            row: Vec::new(),
         };
         sim.restart();
         sim
@@ -900,8 +896,6 @@ impl CgraSim {
         self.lanes.resize(lanes, [[0; PANEL]; 2]);
         self.pairs.clear();
         self.pairs.resize(pairs, [[0; PANEL]; 2]);
-        self.row.clear();
-        self.row.reserve(plan.input_width);
     }
 
     /// The prepared program this simulator executes.
@@ -966,9 +960,9 @@ impl CgraSim {
         self.plan().outputs.first().and_then(|s| self.slab[s.range()].first()).copied().unwrap_or(0)
     }
 
-    /// Whether [`CgraSim::process_verdicts`] runs the across-packets
-    /// kernel for this program, rather than [`CgraSim::process_verdict`]
-    /// packet by packet.
+    /// Whether this program runs across packets, so
+    /// [`CgraSim::process_verdicts`] takes it: a plan made only of its
+    /// input and dense layers, one step and no state (every MLP).
     pub fn runs_across_packets(&self) -> bool {
         self.plan().across_pairs.is_some()
     }
@@ -980,31 +974,21 @@ impl CgraSim {
     /// packet in order; lanes past `verdicts.len()` are computed on and
     /// not reported.
     ///
-    /// A plan made only of its input and dense layers, one step and no
-    /// state (every MLP) runs **across packets**, one packet per vector
-    /// lane: the codes are the input slot's lanes as they are, each
-    /// row's weight pairs are broadcast once for the whole group and
-    /// each layer is one pass over its rows, so no packet pays for a
-    /// partly empty panel. Any other plan runs `process_verdict` packet
-    /// by packet.
+    /// The group runs **across packets**, one packet per vector lane:
+    /// the codes are the input slot's lanes as they are, each row's
+    /// weight pairs are broadcast once for the whole group and each
+    /// layer is one pass over its rows, so no packet pays for a partly
+    /// empty panel.
     ///
     /// # Panics
     ///
-    /// Panics unless `codes` has the program's input width and
-    /// `verdicts` at most [`PACKETS`] packets.
+    /// Panics unless the program runs across packets
+    /// ([`CgraSim::runs_across_packets`]), `codes` has its input width
+    /// and `verdicts` holds at most [`PACKETS`] packets.
     pub fn process_verdicts(&mut self, codes: &[[i32; PACKETS]], verdicts: &mut [i64]) {
+        assert!(self.runs_across_packets(), "the program runs packet by packet");
         assert_eq!(codes.len(), self.plan().input_width, "input width mismatch");
         assert!(verdicts.len() <= PACKETS, "a group holds {PACKETS} packets");
-        if !self.runs_across_packets() {
-            let mut row = core::mem::take(&mut self.row);
-            for (p, verdict) in verdicts.iter_mut().enumerate() {
-                row.clear();
-                row.extend(codes.iter().map(|lane| lane[p]));
-                *verdict = i64::from(self.process_verdict(&row));
-            }
-            self.row = row;
-            return;
-        }
         let Self { prepared, lanes, pairs, .. } = self;
         let plan = &prepared.plan;
         for op in &plan.ops {
@@ -1631,8 +1615,9 @@ mod tests {
         /// a bias, and a requantizer the vector tail takes (below one),
         /// one it does not (above one: `Tail::Rows`), or none, with or
         /// without a LUT — then optionally a map or a state accumulator
-        /// after it, which the kernel does not run and must hand back to
-        /// `process_verdict`. One to twenty packets, so whole groups of
+        /// after it, which make the plan one that does not run across
+        /// packets (its engine runs it row by row). One to twenty
+        /// packets, so whole groups of
         /// eight, ragged tails and lone packets all run; the first
         /// layer's lanes include `EXTREMES`, outside `i16` (the split
         /// reduction) or not, and each group's lanes past its packets hold
@@ -1718,11 +1703,13 @@ mod tests {
             let verdicts = |sim: &mut CgraSim| -> Vec<i64> {
                 rows.iter().map(|x| i64::from(sim.process_verdict(x))).collect()
             };
-            let want = verdicts(&mut single);
-            prop_assert_eq!(in_groups(&mut batch, &rows, cols), want);
-            // Again, on lanes that hold the first call's values.
-            let want = verdicts(&mut single);
-            prop_assert_eq!(in_groups(&mut batch, &rows, cols), want);
+            if batch.runs_across_packets() {
+                let want = verdicts(&mut single);
+                prop_assert_eq!(in_groups(&mut batch, &rows, cols), want);
+                // Again, on lanes that hold the first call's values.
+                let want = verdicts(&mut single);
+                prop_assert_eq!(in_groups(&mut batch, &rows, cols), want);
+            }
         }
     }
 }

@@ -46,11 +46,17 @@ impl InferenceEngine for CgraEngine {
         i64::from(self.sim.process_verdict(features))
     }
 
-    /// [`CgraSim::process_verdicts`] on the group's lanes: across
-    /// packets when the program is a stack of dense layers, packet by
-    /// packet otherwise.
+    /// [`CgraSim::process_verdicts`] on the group's lanes when the
+    /// program runs across packets (a stack of dense layers), otherwise
+    /// [`InferenceEngine::infer`] on each row.
     fn infer_batch(&mut self, group: &mut CodeGroup, out: &mut [i64; BATCH_PACKETS]) {
-        self.sim.process_verdicts(group.lanes(), &mut out[..group.rows()]);
+        if self.sim.runs_across_packets() {
+            self.sim.process_verdicts(group.lanes(), &mut out[..group.rows()]);
+            return;
+        }
+        for (p, verdict) in out[..group.rows()].iter_mut().enumerate() {
+            *verdict = self.infer(group.row(p));
+        }
     }
 
     fn latency_ns(&self) -> u64 {
@@ -76,6 +82,30 @@ mod tests {
         let expect: i64 = (0..16).map(|i| (i % 5) - 2).sum();
         assert_eq!(out, expect);
         assert_eq!(e.latency_ns(), latency);
+    }
+
+    #[test]
+    fn a_group_gives_each_rows_verdict_across_packets_or_not() {
+        // inner_product is one dense layer (across packets); relu is a
+        // map (row by row).
+        for (g, across) in [(microbench::inner_product(), true), (microbench::relu(), false)] {
+            let width = g.input_width();
+            let p = compile(&g, &GridConfig::default(), &CompileOptions::default()).expect("fits");
+            let (mut single, mut batch) = (CgraEngine::new(p.clone()), CgraEngine::new(p));
+            assert_eq!(batch.sim().runs_across_packets(), across);
+            let rows: Vec<Vec<i32>> = (0..BATCH_PACKETS as i32)
+                .map(|r| (0..width as i32).map(|k| (r * 7 + k * 3) % 11 - 5).collect())
+                .collect();
+            for len in 1..=BATCH_PACKETS {
+                let mut group = CodeGroup::new(width);
+                rows[..len].iter().for_each(|row| group.push(row));
+                let mut out = [i64::MIN; BATCH_PACKETS];
+                batch.infer_batch(&mut group, &mut out);
+                let want: Vec<i64> = rows[..len].iter().map(|row| single.infer(row)).collect();
+                assert_eq!(out[..len], want[..], "{len} rows, across {across}");
+                assert!(out[len..].iter().all(|&v| v == i64::MIN), "the rest left as it was");
+            }
+        }
     }
 
     #[test]

@@ -499,25 +499,12 @@ impl TaurusSwitch {
             let HostedApp { pipeline, counters, policy, .. } = &mut *last;
             let (mut tally, mut aggregate) = (*counters, self.aggregate);
             let policy = *policy;
-            let mut finish = |i: usize, v: SwitchVerdict| {
+            pipeline.process_prepared_batch(group, |i, r| {
+                let mut v = combined[i];
+                vote(&mut tally, policy, &r, &mut v);
                 aggregate.tally(v.verdict, v.bypassed);
                 each(&group[i], v);
-            };
-            // One loop per roster shape: a lone app's fold starts from
-            // nothing, so its loop reads no combined array.
-            if others.is_empty() {
-                pipeline.process_prepared_batch(group, |i, r| {
-                    let mut v = SwitchVerdict::UNVOTED;
-                    vote(&mut tally, policy, &r, &mut v);
-                    finish(i, v);
-                });
-            } else {
-                pipeline.process_prepared_batch(group, |i, r| {
-                    let mut v = combined[i];
-                    vote(&mut tally, policy, &r, &mut v);
-                    finish(i, v);
-                });
-            }
+            });
             (*counters, self.aggregate) = (tally, aggregate);
         }
     }

@@ -86,12 +86,16 @@ impl CodeGroup {
         self.rows
     }
 
-    /// Appends one row (a group holds [`BATCH_PACKETS`]): codes past the
-    /// width are dropped, missing ones are 0.
+    /// Appends one row (a group holds [`BATCH_PACKETS`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `codes` is exactly the group's width.
     #[inline]
     pub fn push(&mut self, codes: &[i32]) {
-        for (k, lane) in self.lanes.iter_mut().enumerate() {
-            lane[self.rows] = codes.get(k).copied().unwrap_or(0);
+        assert_eq!(codes.len(), self.lanes.len(), "a row is the group's width");
+        for (lane, &code) in self.lanes.iter_mut().zip(codes) {
+            lane[self.rows] = code;
         }
         self.rows += 1;
     }
@@ -262,7 +266,8 @@ pub struct PipelineConfig {
     pub flow_slots: usize,
     /// Cross-flow counting window, ns.
     pub window_ns: u64,
-    /// Number of feature codes handed to the MapReduce block.
+    /// Number of feature codes handed to the MapReduce block: a
+    /// formatter's row is truncated or zero-padded to it.
     pub feature_count: usize,
     /// Idle timeout for per-flow register slots, ns (0 = never expire).
     /// Slots idle at least this long are evicted before their next
@@ -437,10 +442,12 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
             self.ml_packets += 1;
             self.feature_scratch.clear();
             (self.formatter)(&features, &mut self.feature_scratch);
-            // Truncate once, before *both* consumers: the PHV (which
-            // feature-matching MATs read) and the engine must see the
-            // same codes even if a formatter over-emits.
-            self.feature_scratch.truncate(self.config.feature_count);
+            // Fit the row to the feature count once, before *both*
+            // consumers: the PHV (which feature-matching MATs read) and
+            // the engine see the same `feature_count` codes whether a
+            // formatter over-emits (truncated) or under-emits (padded
+            // with zeros).
+            self.feature_scratch.resize(self.config.feature_count, 0);
             self.phv.set_features(&self.feature_scratch);
             ml_out = self.engine.infer(&self.feature_scratch);
             self.phv.set(Field::MlOut, ml_out);
@@ -476,10 +483,6 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
     /// 3. each packet takes its verdict into the PHV and runs the
     ///    postprocessing MATs.
     ///
-    /// A formatter that emits fewer codes than the feature count hands
-    /// the engine a row padded with zeros, where the per-packet entry
-    /// hands it the short row.
-    ///
     /// # Panics
     ///
     /// Panics if `packets` holds more than [`BATCH_PACKETS`] packets.
@@ -501,7 +504,7 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
             if phv.get(Field::BypassMl) == 0 {
                 self.feature_scratch.clear();
                 (self.formatter)(&features, &mut self.feature_scratch);
-                self.feature_scratch.truncate(self.config.feature_count);
+                self.feature_scratch.resize(self.config.feature_count, 0);
                 phv.set_features(&self.feature_scratch);
                 self.codes.push(&self.feature_scratch);
             }
@@ -767,6 +770,41 @@ mod tests {
         // group: every result in stream order, for groups of one to
         // eight with bypassed packets among them, and the same stats
         // and registers after.
+        batch_matches_per_packet(pipeline);
+        // A formatter that emits four of six codes, behind a per-row
+        // engine that reports the width it reads: both entries hand it
+        // the row padded to six.
+        struct Width;
+        impl InferenceEngine for Width {
+            fn infer(&mut self, features: &[i32]) -> i64 {
+                features.len() as i64 * 1_000 + features.iter().map(|&v| i64::from(v)).sum::<i64>()
+            }
+            fn latency_ns(&self) -> u64 {
+                1
+            }
+        }
+        let short = || {
+            let mut p = TaurusPipeline::new(
+                PipelineConfig { feature_count: 6, ..PipelineConfig::default() },
+                Width,
+                Box::new(|f: &FlowFeatures, out: &mut Vec<i32>| {
+                    out.extend([f.packets as i32, 1, 2, 3]);
+                }),
+            );
+            p.pre_tables.push(ml_bypass_table());
+            p
+        };
+        let results = batch_matches_per_packet(short);
+        assert!(results.iter().filter(|r| !r.bypassed).all(|r| r.ml_out / 1_000 == 6));
+    }
+
+    /// Runs 60 packets through a pipeline from `make` packet by packet,
+    /// and through another in groups of one to eight; asserts the same
+    /// results in stream order, stats and registers, and returns the
+    /// results.
+    fn batch_matches_per_packet<E: InferenceEngine>(
+        make: impl Fn() -> TaurusPipeline<E>,
+    ) -> Vec<PipelineResult> {
         // The batch entry takes each packet's slot from a directory of
         // the pipelines' geometry, run in stream order; the per-packet
         // entry probes its own.
@@ -800,7 +838,7 @@ mod tests {
                 Prepared(pkt, obs, op)
             })
             .collect();
-        let (mut single, mut batched) = (pipeline(), pipeline());
+        let (mut single, mut batched) = (make(), make());
         let want: Vec<PipelineResult> = packets
             .iter()
             .map(|p| single.process_prepared(&p.0, p.1, p.window_counts().0, 3))
@@ -823,6 +861,7 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(batched.stats(), single.stats());
         assert_eq!(batched.flow_registers(), single.flow_registers());
+        want
     }
 
     #[test]
