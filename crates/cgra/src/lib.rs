@@ -33,10 +33,12 @@
 //! plain-Rust twins for every other target.
 //!
 //! [`CgraSim::process_verdicts`] runs a plan of dense layers **across
-//! packets** instead: eight packets at a time, one per vector lane, each
-//! row's weight pairs broadcast from a second copy of the bank the plan
-//! builds once, through the same `simd` steps. That is the engine
-//! worker's form; [`CgraSim::process_verdict`] stays the per-packet one.
+//! packets** instead: eight packets at a time, one per `i32` lane of an
+//! AVX2 register, each row's weight pair broadcast from a second copy of
+//! the bank and each activation one gather from a widened table, both
+//! built with the plan. That is the engine worker's form on a CPU with
+//! AVX2, which the plan checks for once; [`CgraSim::process_verdict`]
+//! stays the per-packet one, and the only one without AVX2.
 //! Steady-state
 //! [`CgraSim::process_into`] performs **zero heap allocations** (pinned
 //! by the counting-allocator test in `tests/no_alloc.rs`), where the
@@ -103,13 +105,8 @@ const PANEL: usize = 4;
 const GROUP: usize = 4;
 
 /// Packets the across-packets kernel ([`CgraSim::process_verdicts`])
-/// runs at once, one vector lane each: two four-lane halves, so each
-/// broadcast weight pair feeds two multiply-add-pairs.
-pub const PACKETS: usize = 2 * PANEL;
-
-/// One slab lane across a group of [`PACKETS`] packets: packet `p` in
-/// half `p / PANEL`, lane `p % PANEL`.
-type Across = [[i32; PANEL]; 2];
+/// runs at once: one `i32` lane each of an AVX2 register.
+pub const PACKETS: usize = 8;
 
 /// One dense layer as the grid runs it — reduce → bias → requantize →
 /// activation — as **one** op: a dot-product (or squared-distance) node
@@ -139,16 +136,16 @@ type Across = [[i32; PANEL]; 2];
 ///
 /// Across packets ([`DenseOp::run_across`]) the lanes hold packets
 /// instead of rows, so the weights are the broadcast operand: the bank
-/// is kept a second time as `row_pairs`, each row's column pair in all
-/// four lanes.
+/// is kept a second time as `row_pairs`, each row's column pair as the
+/// one word a broadcast reads.
 #[derive(Debug, Clone)]
 struct DenseOp {
     /// The bank, group-major as above (`panels · pairs`).
     bank: Vec<[i16; 2 * PANEL]>,
     /// The bank for the across-packets kernel, row-major (`rows ·
     /// pairs`): entry `r · pairs + k` is row `r`'s columns `2k` and
-    /// `2k + 1`, repeated in each of the four lanes.
-    row_pairs: Vec<[i16; 2 * PANEL]>,
+    /// `2k + 1` as one `pmaddwd` pair, `w₂ₖ & 0xFFFF | w₂ₖ₊₁ << 16`.
+    row_pairs: Vec<i32>,
     /// Accumulator start per padded row, as above, plus the offset a
     /// [`Tail::Panels`] requantizer reads (`simd::Requant4::OFFSET`).
     init: Vec<i32>,
@@ -172,8 +169,10 @@ struct DenseOp {
 enum Tail {
     /// Requantize → LUT on each panel while it is still in a register:
     /// the requantizer is one the vector form computes exactly, prepared
-    /// with the plan, and its `packs` saturation is the LUT's clamp.
-    Panels(simd::Requant4, Box<[i8; 256]>),
+    /// with the plan, and its `packs` saturation is the LUT's clamp. The
+    /// table comes twice: widened for the across-packets form's gather
+    /// ([`simd::widen`]), and byte-indexed for the per-packet form.
+    Panels(simd::Requant4, Box<[i32; 256]>, Box<[i8; 256]>),
     /// Any other chain: optional requant, then optional LUT, as one
     /// scalar loop over the rows in place.
     Rows(Option<Requantizer>, Option<Box<[i8; 256]>>),
@@ -190,7 +189,7 @@ impl DenseOp {
         let x = &lo[self.input.off as usize..][..self.cols.next_multiple_of(2)];
         let (panels, _) = hi[..self.init.len()].as_chunks_mut::<PANEL>();
         let (requant, lut) = match &self.tail {
-            Tail::Panels(rq, table) => {
+            Tail::Panels(rq, _, table) => {
                 return self.reduce(x, panels, |acc| {
                     rq.apply(acc).map(|code| i32::from(table[usize::from(code as u8)]))
                 });
@@ -274,40 +273,28 @@ impl DenseOp {
         }
     }
 
-    /// The whole layer for a group of packets, one lane each: every row
-    /// reduced straight into its destination lane, then the tail. The
-    /// input picks the reduction as in [`DenseOp::reduce`], over the
-    /// whole group at once. `pairs` is scratch for the group's input
-    /// pairs, at least twice this op's column pairs long.
-    fn run_across(&self, slab: &mut [Across], pairs: &mut [Across]) {
+    /// The whole layer for a group of packets, one lane each: the AVX2
+    /// body ([`simd::Avx2::dense`]) reduces every row straight into its
+    /// destination lane and runs a [`Tail::Panels`] tail there; a
+    /// [`Tail::Rows`] tail runs here, on the stored accumulators.
+    /// `pairs` is scratch for the group's input pairs, at least twice
+    /// this op's column pairs long.
+    fn run_across(
+        &self,
+        avx2: simd::Avx2,
+        slab: &mut [[i32; PACKETS]],
+        pairs: &mut [[i32; PACKETS]],
+    ) {
         let (lo, hi) = slab.split_at_mut(self.dst.off as usize);
         // An odd-width input's pad lane completes its last pair, as in
         // `run`; across packets it stays zero.
         let x = &lo[self.input.off as usize..][..self.cols.next_multiple_of(2)];
-        let live = &x[..self.cols];
-        let mut base = [[0i32; PANEL]; 2];
-        if self.sqdist {
-            for lane in live {
-                for (b, v) in base.as_flattened_mut().iter_mut().zip(lane.as_flattened()) {
-                    *b = b.wrapping_add(v.wrapping_mul(*v));
-                }
-            }
-        }
         let rows = &mut hi[..self.dst.len as usize];
-        let (requant, lut) = match &self.tail {
-            Tail::Panels(rq, table) => {
-                let tail = |acc| {
-                    let codes = rq.apply(acc);
-                    core::array::from_fn(|l| i32::from(table[usize::from(codes[l] as u8)]))
-                };
-                return self.reduce_across(x, base, pairs, rows, tail);
-            }
-            Tail::Rows(requant, lut) => (requant, lut),
-        };
-        self.reduce_across(x, base, pairs, rows, |acc| acc);
+        avx2.dense(self, x, pairs, rows);
+        let Tail::Rows(requant, lut) = &self.tail else { return };
         // `run`'s tail loops, written out again: one helper for both
         // changed the per-packet `exec_step`'s register allocation.
-        let rows = rows.as_flattened_mut().as_flattened_mut();
+        let rows = rows.as_flattened_mut();
         match (*requant, lut) {
             (Some(rq), Some(table)) => {
                 for a in rows {
@@ -326,79 +313,6 @@ impl DenseOp {
             }
             (None, None) => {}
         }
-    }
-
-    /// [`DenseOp::run_across`]'s reduction: the `i16` check over the
-    /// group's live input lanes, then [`reduce_across`] split or not.
-    #[inline(always)]
-    fn reduce_across(
-        &self,
-        x: &[Across],
-        base: Across,
-        pairs: &mut [Across],
-        rows: &mut [Across],
-        tail: impl Fn([i32; PANEL]) -> [i32; PANEL],
-    ) {
-        let live = &x[..self.cols];
-        let fits = |v: &i32| i16::try_from(*v).is_ok();
-        if self.int8_input || live.iter().all(|l| l.as_flattened().iter().all(fits)) {
-            reduce_across::<false>(x, &self.row_pairs, &self.init, base, pairs, rows, &tail);
-        } else {
-            reduce_across::<true>(x, &self.row_pairs, &self.init, base, pairs, rows, &tail);
-        }
-    }
-}
-
-/// The across-packets reduction: `rows[r] = tail(init[r] + base + Σ
-/// row_pairs·x)` with one packet per lane. The group's input pairs are
-/// built once into `pairs` (with `SPLIT`, their high halves after them,
-/// as in [`reduce_group`]); then each row's accumulators, two halves of
-/// four packets, run over the pairs against that row's broadcast weight
-/// pairs.
-#[inline(always)]
-fn reduce_across<const SPLIT: bool>(
-    x: &[Across],
-    row_pairs: &[[i16; 2 * PANEL]],
-    init: &[i32],
-    base: Across,
-    pairs: &mut [Across],
-    rows: &mut [Across],
-    tail: &impl Fn([i32; PANEL]) -> [i32; PANEL],
-) {
-    let high = |v: i32| v.wrapping_sub(i32::from(v as i16)) >> 16;
-    let (xs, _) = x.as_chunks::<2>();
-    let (lo, hi) = pairs[..2 * xs.len()].split_at_mut(xs.len());
-    for ((lo, hi), [a, b]) in lo.iter_mut().zip(hi.iter_mut()).zip(xs) {
-        let pair = |a: i32, b: i32| (a & 0xFFFF) | (b << 16);
-        *lo = core::array::from_fn(|h| core::array::from_fn(|l| pair(a[h][l], b[h][l])));
-        if SPLIT {
-            *hi = core::array::from_fn(|h| {
-                core::array::from_fn(|l| pair(high(a[h][l]), high(b[h][l])))
-            });
-        }
-    }
-    let (lo, hi) = (&*lo, &*hi);
-    for ((out, w), &start) in rows.iter_mut().zip(row_pairs.chunks_exact(xs.len())).zip(init) {
-        let mut acc: Across =
-            core::array::from_fn(|h| core::array::from_fn(|l| base[h][l].wrapping_add(start)));
-        let mut acc_hi = [[0; PANEL]; 2];
-        for (w, x) in w.iter().zip(lo) {
-            acc[0] = simd::madd(acc[0], w, x[0]);
-            acc[1] = simd::madd(acc[1], w, x[1]);
-        }
-        if SPLIT {
-            for (w, x) in w.iter().zip(hi) {
-                acc_hi[0] = simd::madd(acc_hi[0], w, x[0]);
-                acc_hi[1] = simd::madd(acc_hi[1], w, x[1]);
-            }
-        }
-        *out = core::array::from_fn(|h| {
-            tail(if SPLIT {
-                core::array::from_fn(|l| acc[h][l].wrapping_add(acc_hi[h][l] << 16))
-            } else {
-                acc[h]
-            })
-        });
     }
 }
 
@@ -511,11 +425,12 @@ struct ExecPlan {
     input_width: usize,
     /// Recurrence steps per packet (the graph's `sequence_steps`).
     steps: u32,
-    /// Input pairs the across-packets kernel builds for its widest dense
-    /// op, twice over (a split reduction's high halves); `None` unless
-    /// the plan runs across packets: one step, no state, and only
-    /// `Input` and `Dense` ops, each of the latter over some columns.
-    across_pairs: Option<usize>,
+    /// The across-packets form, and the input pairs it builds for its
+    /// widest dense op, twice over (a split reduction's high halves);
+    /// `None` unless the plan runs across packets: the CPU has AVX2, and
+    /// the plan is one step, no state, and only `Input` and `Dense` ops,
+    /// each of the latter over some columns.
+    across: Option<(simd::Avx2, usize)>,
 }
 
 impl ExecPlan {
@@ -604,8 +519,9 @@ impl ExecPlan {
             _ => None,
         });
         ExecPlan {
-            across_pairs: across_pairs
-                .filter(|_| steps == 1 && graph.states().is_empty() && graph.input_width() > 0),
+            across: across_pairs
+                .filter(|_| steps == 1 && graph.states().is_empty() && graph.input_width() > 0)
+                .and_then(|pairs| Some((simd::Avx2::detect()?, pairs))),
             ops,
             outputs,
             slab_len: off as usize,
@@ -638,7 +554,7 @@ impl ExecPlan {
         let padded = bank.rows.next_multiple_of(PANEL);
         let (panels, pairs) = (padded / PANEL, bank.cols.div_ceil(2));
         let mut entries = vec![[0i16; 2 * PANEL]; panels * pairs];
-        let mut row_pairs = vec![[0i16; 2 * PANEL]; bank.rows * pairs];
+        let mut row_pairs = vec![0i32; bank.rows * pairs];
         let mut init = vec![0i32; padded];
         for (r, start) in init.iter_mut().enumerate().take(bank.rows) {
             let row = bank.row(r);
@@ -651,9 +567,8 @@ impl ExecPlan {
                 let w = i16::from(w);
                 let w = if sqdist { -2 * w } else { w };
                 entries[first * pairs + j / 2 * size + (p - first)][2 * (r % PANEL) + j % 2] = w;
-                for lane in row_pairs[r * pairs + j / 2].chunks_exact_mut(2) {
-                    lane[j % 2] = w;
-                }
+                row_pairs[r * pairs + j / 2] |=
+                    if j % 2 == 0 { i32::from(w as u16) } else { i32::from(w) << 16 };
             }
             let row = row.iter().map(|&w| i32::from(w));
             *start = if sqdist {
@@ -694,7 +609,7 @@ impl ExecPlan {
                 for start in &mut init {
                     *start = start.wrapping_add(simd::Requant4::OFFSET);
                 }
-                Tail::Panels(rq, table)
+                Tail::Panels(rq, simd::widen(&table), table)
             }
             (_, table) => Tail::Rows(requant, table),
         };
@@ -831,12 +746,12 @@ pub struct CgraSim {
     /// Staged state writes (committed at end of each recurrence step).
     pending: Vec<Vec<i32>>,
     pending_written: Vec<bool>,
-    /// The across-packets kernel's slab: the plan's slots, each lane
-    /// holding a group of packets (empty unless the plan runs across
-    /// packets).
-    lanes: Vec<Across>,
+    /// The across-packets kernel's slab: the plan's slots, lane `p` of
+    /// each holding packet `p` of a group (empty unless the plan runs
+    /// across packets).
+    lanes: Vec<[i32; PACKETS]>,
     /// The across-packets kernel's input pairs.
-    pairs: Vec<Across>,
+    pairs: Vec<[i32; PACKETS]>,
 }
 
 impl CgraSim {
@@ -891,11 +806,11 @@ impl CgraSim {
         self.slab.clear();
         self.slab.resize(self.prepared.plan.slab_len, 0);
         let plan = &self.prepared.plan;
-        let (lanes, pairs) = plan.across_pairs.map_or((0, 0), |pairs| (plan.slab_len, pairs));
+        let (lanes, pairs) = plan.across.map_or((0, 0), |(_, pairs)| (plan.slab_len, pairs));
         self.lanes.clear();
-        self.lanes.resize(lanes, [[0; PANEL]; 2]);
+        self.lanes.resize(lanes, [0; PACKETS]);
         self.pairs.clear();
-        self.pairs.resize(pairs, [[0; PANEL]; 2]);
+        self.pairs.resize(pairs, [0; PACKETS]);
     }
 
     /// The prepared program this simulator executes.
@@ -962,9 +877,10 @@ impl CgraSim {
 
     /// Whether this program runs across packets, so
     /// [`CgraSim::process_verdicts`] takes it: a plan made only of its
-    /// input and dense layers, one step and no state (every MLP).
+    /// input and dense layers, one step and no state (every MLP), on a
+    /// CPU with AVX2.
     pub fn runs_across_packets(&self) -> bool {
-        self.plan().across_pairs.is_some()
+        self.plan().across.is_some()
     }
 
     /// [`CgraSim::process_verdict`] for one group of at most
@@ -974,11 +890,11 @@ impl CgraSim {
     /// packet in order; lanes past `verdicts.len()` are computed on and
     /// not reported.
     ///
-    /// The group runs **across packets**, one packet per vector lane:
-    /// the codes are the input slot's lanes as they are, each row's
-    /// weight pairs are broadcast once for the whole group and each
-    /// layer is one pass over its rows, so no packet pays for a partly
-    /// empty panel.
+    /// The group runs **across packets**, one packet per `i32` lane of an
+    /// AVX2 register: the codes are the input slot's lanes as they are,
+    /// each row's weight pairs are broadcast once for the whole group and
+    /// each layer is one pass over its rows, so no packet pays for a
+    /// partly empty panel.
     ///
     /// # Panics
     ///
@@ -986,18 +902,17 @@ impl CgraSim {
     /// ([`CgraSim::runs_across_packets`]), `codes` has its input width
     /// and `verdicts` holds at most [`PACKETS`] packets.
     pub fn process_verdicts(&mut self, codes: &[[i32; PACKETS]], verdicts: &mut [i64]) {
-        assert!(self.runs_across_packets(), "the program runs packet by packet");
+        let Some((avx2, _)) = self.plan().across else {
+            panic!("the program runs packet by packet")
+        };
         assert_eq!(codes.len(), self.plan().input_width, "input width mismatch");
         assert!(verdicts.len() <= PACKETS, "a group holds {PACKETS} packets");
         let Self { prepared, lanes, pairs, .. } = self;
         let plan = &prepared.plan;
         for op in &plan.ops {
             match op {
-                PlanOp::Input { dst } => {
-                    let region = lanes[dst.range()].as_flattened_mut().as_flattened_mut();
-                    region.copy_from_slice(codes.as_flattened());
-                }
-                PlanOp::Dense(dense) => dense.run_across(lanes, pairs),
+                PlanOp::Input { dst } => lanes[dst.range()].copy_from_slice(codes),
+                PlanOp::Dense(dense) => dense.run_across(avx2, lanes, pairs),
                 _ => unreachable!("an across-packets plan holds only input and dense ops"),
             }
         }
@@ -1005,7 +920,7 @@ impl CgraSim {
             verdicts.fill(0);
             return;
         };
-        for (verdict, &lane) in verdicts.iter_mut().zip(lanes[out.off as usize].as_flattened()) {
+        for (verdict, &lane) in verdicts.iter_mut().zip(&lanes[out.off as usize]) {
             *verdict = i64::from(lane);
         }
     }
@@ -1622,7 +1537,9 @@ mod tests {
         /// layer's lanes include `EXTREMES`, outside `i16` (the split
         /// reduction) or not, and each group's lanes past its packets hold
         /// the previous group's codes. Every verdict bit-identical to
-        /// `process_verdict` on each row in order.
+        /// `process_verdict` on each row in order. On a CPU with AVX2 a
+        /// dense chain must run across packets, so the comparison cannot
+        /// pass by falling back; without it no plan does.
         #[test]
         fn prop_process_verdicts_match_process_verdict(
             depth in 1usize..5,
@@ -1691,10 +1608,13 @@ mod tests {
                 .ops
                 .iter()
                 .all(|op| matches!(op, PlanOp::Input { .. } | PlanOp::Dense(_)));
-            prop_assert_eq!(batch.runs_across_packets(), only_dense && after != 2);
+            let avx2 = simd::Avx2::detect().is_some();
+            prop_assert_eq!(batch.runs_across_packets(), avx2 && only_dense && after != 2);
             if after == 0 {
-                prop_assert!(only_dense, "a dense chain runs across packets");
+                prop_assert!(only_dense, "a dense chain is only dense ops");
             }
+            #[cfg(target_arch = "x86_64")]
+            prop_assert_eq!(avx2, std::arch::is_x86_feature_detected!("avx2"));
             let mut lanes = extremes.iter().map(|&e| EXTREMES.get(e));
             let rows: Vec<Vec<i32>> = packets
                 .iter()

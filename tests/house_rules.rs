@@ -184,32 +184,41 @@ fn one_model_per_block() {
 #[test]
 fn one_reduction_loop_per_dense_layer() {
     // The panel-outer reduction that built and broadcast every input
-    // pair once per panel; the pair-outer group loop replaced it.
-    let gone = ["reduce_pairs"];
+    // pair once per panel; the pair-outer group loop replaced it. The
+    // SSE2 across-packets reduction; the AVX2 one replaced it.
+    let gone = ["reduce_pairs", "reduce_across"];
     assert_clean(
         "a dense layer has two reduction forms: per packet, pair-outer over panel groups; \
          across packets, over groups of eight",
         scan("crates", |_| true, |line| gone.iter().any(|w| has_word(line, w))),
     );
     // A dense layer's multiply-adds run in exactly two loops: per
-    // packet, pair-outer over groups of panels (`reduce_group`); across
-    // packets, row by row over a group of eight packets
-    // (`reduce_across`).
-    let file = "crates/cgra/src/lib.rs";
-    let text = std::fs::read_to_string(root().join(file)).expect("the CGRA simulator");
+    // packet, pair-outer over groups of panels (`reduce_group`, through
+    // the SSE2 step `madd`); across packets, row by row over a group of
+    // eight packets in one AVX2 register (`reduce_rows`).
     let mut loops = Vec::new();
-    let mut current = None;
-    for line in text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")) {
-        current = declared_fn(line).or(current);
-        if line.contains("simd::madd(") && !loops.contains(&current) {
-            loops.push(current);
+    for (file, needle) in
+        [("crates/cgra/src/lib.rs", "simd::madd("), ("crates/cgra/src/simd.rs", "madd_epi16(")]
+    {
+        let text = std::fs::read_to_string(root().join(file)).expect("the CGRA simulator");
+        let mut current = None;
+        for line in text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")) {
+            current = declared_fn(line).or(current);
+            let found = format!("{file}: {}", current.unwrap_or("(no function)"));
+            if line.contains(needle) && !loops.contains(&found) {
+                loops.push(found);
+            }
         }
     }
     loops.sort();
     assert_eq!(
         loops,
-        [Some("reduce_across"), Some("reduce_group")],
-        "{file}: the per-packet and the across-packets reduction, and no third"
+        [
+            "crates/cgra/src/lib.rs: reduce_group",
+            "crates/cgra/src/simd.rs: madd",
+            "crates/cgra/src/simd.rs: reduce_rows",
+        ],
+        "the per-packet reduction and its multiply-add step, the across-packets reduction, and no third"
     );
 }
 
