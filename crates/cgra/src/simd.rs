@@ -245,6 +245,12 @@ mod sse2 {
 /// packet `p` in lane `p`, and a row's weight pair is the broadcast
 /// operand. Each step is a `target_feature` function, safe to call from
 /// the others, so they inline into [`dense`].
+///
+/// # Safety
+///
+/// Calling into this module from code not compiled for AVX2 needs a CPU
+/// that has it: [`Avx2::dense`], which only an [`Avx2::detect`] token
+/// reaches, is the one such call outside the tests.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::{
