@@ -2,14 +2,14 @@
 //! end-to-end metric: the protocol behind every speed claim.
 //!
 //! `pairs <parent-gate> <change-gate> --workload W --pairs N --seed S
-//! [--seconds T] [--benchmark PATH]` runs two prebuilt `gate` binaries
-//! (each built from its own tree with `benchmark/run.sh`, into its own
+//! [--benchmark PATH]` runs two prebuilt `gate` binaries (each built
+//! from its own tree with `benchmark/run.sh`, into its own
 //! `CARGO_TARGET_DIR`) one after the other, N times: odd pairs the
 //! parent first, even pairs the change first. Each run is `gate
 //! --workload W --seed S --seconds T --trace 0`, and its last stdout
 //! line is the flat result JSON. The end-to-end metrics, their bounds
-//! and the default run length come from `BENCHMARK.json` at the repo
-//! root.
+//! and the run length T come from `BENCHMARK.json` at the repo root, so
+//! both sides always run as long as the benchmark does.
 //!
 //! Per metric it prints the parent's median and quartiles, the change's
 //! median, their ratio and the pairs the change won, then every run's
@@ -232,6 +232,11 @@ impl RunResult {
         })
     }
 
+    /// Whether the run failed an operation or its check.
+    fn failed_any(&self) -> bool {
+        !self.correct || self.failed > 0.0
+    }
+
     fn value(&self, name: &str) -> Option<f64> {
         self.metrics.iter().find(|(n, _)| n == name).and_then(|(_, v)| *v)
     }
@@ -248,7 +253,7 @@ struct Bound {
 }
 
 /// `BENCHMARK.json`'s end-to-end metrics and its run length in seconds.
-fn read_bounds(text: &str) -> Result<(Vec<Bound>, f64), String> {
+fn read_bounds(text: &str) -> Result<(Vec<Bound>, u64), String> {
     let json = Json::parse(text)?;
     let Json::Arr(list) = json.field("end_to_end")? else {
         return Err("`end_to_end` is no list".to_string());
@@ -268,8 +273,8 @@ fn read_bounds(text: &str) -> Result<(Vec<Bound>, f64), String> {
             })
         })
         .collect::<Result<_, String>>()?;
-    let seconds = json.field("run_seconds")?.num().ok_or("`run_seconds` is no number")?;
-    Ok((bounds, seconds))
+    let seconds = json.field("run_seconds")?.num().filter(|s| *s >= 0.0 && s.fract() == 0.0);
+    Ok((bounds, seconds.ok_or("`run_seconds` is no whole number")? as u64))
 }
 
 /// `p`-quantile of sorted values, interpolated between neighbours.
@@ -318,23 +323,19 @@ struct Args {
     workload: String,
     pairs: usize,
     seed: u64,
-    seconds: Option<f64>,
     benchmark: String,
 }
 
 impl Args {
     fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let (mut gates, mut workload, mut pairs, mut seed) = (Vec::new(), None, None, None);
-        let (mut seconds, mut benchmark) = (None, None);
+        let mut benchmark = None;
         while let Some(arg) = args.next() {
             let mut value = || args.next().ok_or(format!("{arg} wants a value"));
             match arg.as_str() {
                 "--workload" => workload = Some(value()?),
                 "--pairs" => pairs = Some(value()?.parse().map_err(|e| format!("--pairs: {e}"))?),
                 "--seed" => seed = Some(value()?.parse().map_err(|e| format!("--seed: {e}"))?),
-                "--seconds" => {
-                    seconds = Some(value()?.parse().map_err(|e| format!("--seconds: {e}"))?);
-                }
                 "--benchmark" => benchmark = Some(value()?),
                 flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
                 _ => gates.push(arg),
@@ -348,25 +349,33 @@ impl Args {
             workload: workload.ok_or("--workload is required")?,
             pairs: pairs.filter(|&n| n > 0).ok_or("--pairs N (N ≥ 1) is required")?,
             seed: seed.ok_or("--seed is required")?,
-            seconds,
             benchmark: benchmark.unwrap_or_else(|| benchmark_json.to_string()),
         })
     }
 }
 
 /// One `gate` run; its result line.
-fn run(gate: &str, args: &Args, seconds: f64) -> Result<RunResult, String> {
+fn run(gate: &str, args: &Args, seconds: u64) -> Result<RunResult, String> {
     let out = Command::new(gate)
         .args(["--workload", &args.workload, "--seed", &args.seed.to_string()])
         .args(["--seconds", &seconds.to_string(), "--trace", "0"])
         .output()
         .map_err(|e| format!("{gate}: {e}"))?;
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    read_run(out.status.code(), &String::from_utf8_lossy(&out.stdout))
+        .map_err(|e| format!("{gate}: {e}"))
+}
+
+/// A run's result from its exit code and stdout. `gate` exits 1 both
+/// when an operation failed (after printing its result line, which
+/// counts them) and on an error (with no result line), so a run that
+/// exited 0 or 1 is read from its last line, and only a line that does
+/// not read, or another exit, is an error.
+fn read_run(code: Option<i32>, stdout: &str) -> Result<RunResult, String> {
     let line = stdout.lines().rev().find(|l| !l.trim().is_empty()).unwrap_or_default();
-    if !out.status.success() {
-        return Err(format!("{gate} exited with {}: {line}", out.status));
+    match code {
+        Some(0 | 1) => RunResult::read(line).map_err(|e| format!("last line `{line}`: {e}")),
+        code => Err(format!("exited with {code:?}: {line}")),
     }
-    RunResult::read(line).map_err(|e| format!("{gate}: last line `{line}`: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -376,20 +385,19 @@ fn main() -> ExitCode {
             eprintln!("pairs: {e}");
             eprintln!(
                 "usage: pairs <parent-gate> <change-gate> --workload W --pairs N --seed S \
-                 [--seconds T] [--benchmark BENCHMARK.json]"
+                 [--benchmark BENCHMARK.json]"
             );
             return ExitCode::from(2);
         }
     };
     let read = std::fs::read_to_string(&args.benchmark).map_err(|e| e.to_string());
-    let (bounds, run_seconds) = match read.and_then(|text| read_bounds(&text)) {
+    let (bounds, seconds) = match read.and_then(|text| read_bounds(&text)) {
         Ok(read) => read,
         Err(e) => {
             eprintln!("pairs: {}: {e}", args.benchmark);
             return ExitCode::from(2);
         }
     };
-    let seconds = args.seconds.unwrap_or(run_seconds);
     let mut runs: Vec<[RunResult; 2]> = Vec::new();
     for pair in 1..=args.pairs {
         // Odd pairs run the parent first, even pairs the change.
@@ -423,7 +431,7 @@ fn main() -> ExitCode {
     let mut failed = false;
     for [parent, change] in &runs {
         for (side, r) in [("parent", parent), ("change", change)] {
-            if !r.correct || r.failed > 0.0 {
+            if r.failed_any() {
                 println!("{side} run failed {} of {} operations", r.failed, r.attempted);
                 failed = true;
             }
@@ -508,6 +516,22 @@ mod tests {
     }
 
     #[test]
+    fn a_run_that_failed_operations_is_read_and_counts_as_failed() {
+        // `gate` prints its result line and exits 1 when operations
+        // failed: that run is read, and it makes `pairs` exit 1.
+        let failing = CAPTURED.replace("\"failed\": 0", "\"failed\": 3");
+        let stdout = format!("  ops_attempted 49999635  ops_failed 3\n{failing}\n");
+        let r = read_run(Some(1), &stdout).expect("a failed run still reads");
+        assert_eq!(r.failed, 3.0);
+        assert!(r.failed_any());
+        assert!(!read_run(Some(0), &format!("{CAPTURED}\n")).expect("a clean run").failed_any());
+        // An error exit prints no result line; a signal has no code.
+        assert!(read_run(Some(1), "gate: unknown workload\n").is_err());
+        assert!(read_run(Some(2), &failing).is_err());
+        assert!(read_run(None, &failing).is_err());
+    }
+
+    #[test]
     fn the_bounds_read_back() {
         let text = r#"{
           "command": ["bash", "benchmark/run.sh"],
@@ -520,7 +544,7 @@ mod tests {
           "per_layer": [{"name": "x", "unit": "ns", "better": "lower"}]
         }"#;
         let (bounds, seconds) = read_bounds(text).expect("a benchmark declaration");
-        assert_eq!(seconds, 20.0);
+        assert_eq!(seconds, 20);
         let bound = |name: &str, higher_is_better, bound| Bound {
             name: name.to_string(),
             higher_is_better,

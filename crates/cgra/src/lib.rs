@@ -1613,8 +1613,6 @@ mod tests {
             if after == 0 {
                 prop_assert!(only_dense, "a dense chain is only dense ops");
             }
-            #[cfg(target_arch = "x86_64")]
-            prop_assert_eq!(avx2, std::arch::is_x86_feature_detected!("avx2"));
             let mut lanes = extremes.iter().map(|&e| EXTREMES.get(e));
             let rows: Vec<Vec<i32>> = packets
                 .iter()

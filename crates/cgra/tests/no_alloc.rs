@@ -209,15 +209,6 @@ fn steady_state_fused_dense_chain_allocates_nothing() {
     assert_eq!(n, 0, "fused dense chain: steady-state process_into allocated {n} times");
 }
 
-/// Whether the CPU runs the across-packets kernel (AVX2):
-/// without it every plan runs packet by packet.
-fn has_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
 #[test]
 fn process_verdicts_across_packets_and_retargets_allocate_nothing() {
     // The across-packets kernel runs out of the lanes the simulator
@@ -226,11 +217,13 @@ fn process_verdicts_across_packets_and_retargets_allocate_nothing() {
     // a lone packet, around every swap.
     let (first, second) = (PreparedProgram::new(mlp(0)), PreparedProgram::new(mlp(5)));
     let mut sim = CgraSim::shared(first.clone());
-    if !has_avx2() {
-        assert!(!sim.runs_across_packets(), "without AVX2 every plan runs packet by packet");
+    // The across-packets kernel is AVX2; without it every plan runs
+    // packet by packet.
+    #[cfg(target_arch = "x86_64")]
+    assert_eq!(sim.runs_across_packets(), std::arch::is_x86_feature_detected!("avx2"));
+    if !sim.runs_across_packets() {
         return;
     }
-    assert!(sim.runs_across_packets());
     let rows: Vec<Vec<i32>> =
         (0..8).map(|k| (0..6).map(|j| ((k * 31 + j * 7) % 255) - 127).collect()).collect();
     let codes: Vec<[i32; PACKETS]> = (0..6).map(|j| core::array::from_fn(|p| rows[p][j])).collect();

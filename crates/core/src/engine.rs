@@ -84,15 +84,6 @@ mod tests {
         assert_eq!(e.latency_ns(), latency);
     }
 
-    /// Whether the CPU runs the CGRA engine's across-packets kernel (AVX2):
-    /// without it every plan runs packet by packet.
-    fn has_avx2() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        return std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        false
-    }
-
     #[test]
     fn a_group_gives_each_rows_verdict_across_packets_or_not() {
         // inner_product is one dense layer (across packets where the
@@ -101,7 +92,11 @@ mod tests {
             let width = g.input_width();
             let p = compile(&g, &GridConfig::default(), &CompileOptions::default()).expect("fits");
             let (mut single, mut batch) = (CgraEngine::new(p.clone()), CgraEngine::new(p));
-            assert_eq!(batch.sim().runs_across_packets(), across && has_avx2());
+            #[cfg(target_arch = "x86_64")]
+            assert_eq!(
+                batch.sim().runs_across_packets(),
+                across && std::arch::is_x86_feature_detected!("avx2")
+            );
             let rows: Vec<Vec<i32>> = (0..BATCH_PACKETS as i32)
                 .map(|r| (0..width as i32).map(|k| (r * 7 + k * 3) % 11 - 5).collect())
                 .collect();

@@ -26,15 +26,6 @@ use taurus_runtime::{shard_of, FaultPlan, FaultRecordKind, RuntimeBuilder, Strea
 const SHARDS: usize = 4;
 const FLOW_SLOTS: usize = 4096; // the builder default
 
-/// Whether the CPU runs the CGRA engine's across-packets kernel (AVX2):
-/// without it every plan runs packet by packet.
-fn has_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
 fn kdd_trace(n_records: usize, seed: u64) -> PacketTrace {
     let records = KddGenerator::new(seed).take(n_records);
     PacketTrace::expand(records, &TraceConfig { seed, ..TraceConfig::default() })
@@ -198,8 +189,12 @@ fn a_fault_inside_an_engine_group_lands_where_the_per_packet_loop_puts_it() {
     // is that of a clean fleet fed the stream only up to the victim's
     // first unprocessed packet; the survivors are a clean full run's.
     let detector = AnomalyDetector::train_default(9, 400);
-    let engine = CgraEngine::new(detector.program.clone());
-    assert_eq!(engine.sim().runs_across_packets(), has_avx2(), "else packet by packet");
+    // Across packets on a CPU with AVX2, else packet by packet.
+    #[cfg(target_arch = "x86_64")]
+    assert_eq!(
+        CgraEngine::new(detector.program.clone()).sim().runs_across_packets(),
+        std::arch::is_x86_feature_detected!("avx2")
+    );
     let trace = kdd_trace(200, 91);
     let (shards, victim) = (2, 1);
     let assigned = assigned_indices(&trace, victim, shards);

@@ -215,15 +215,6 @@ fn resident_service_feeds_allocate_nothing_after_the_first() {
     assert_eq!(report.merged.packets, 3 * single.packets.len() as u64, "every feed processed");
 }
 
-/// Whether the CPU runs the CGRA engine's across-packets kernel (AVX2):
-/// without it every plan runs packet by packet.
-fn has_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
 #[test]
 fn resident_cgra_service_feeds_through_the_group_loop_allocate_nothing() {
     let _serial = measuring();
@@ -232,8 +223,12 @@ fn resident_cgra_service_feeds_through_the_group_loop_allocate_nothing() {
     // group's PHVs, code rows and verdict lanes are resident, so a
     // warmed feed allocates nothing on either side of the lanes.
     let detector = AnomalyDetector::train_default(9, 400);
-    let engine = CgraEngine::new(detector.program.clone());
-    assert_eq!(engine.sim().runs_across_packets(), has_avx2(), "else packet by packet");
+    // Across packets on a CPU with AVX2, else packet by packet.
+    #[cfg(target_arch = "x86_64")]
+    assert_eq!(
+        CgraEngine::new(detector.program.clone()).sim().runs_across_packets(),
+        std::arch::is_x86_feature_detected!("avx2")
+    );
     let single = trace(250, 55);
     let mut service = RuntimeBuilder::new().shards(2).batch_size(32).register(&detector).build();
     service.feed(&single.packets);
