@@ -1545,6 +1545,10 @@ mod tests {
             depth in 1usize..5,
             heights in proptest::collection::vec(1usize..13, 4),
             requants in proptest::collection::vec(0usize..4, 4),
+            multipliers in proptest::collection::vec(0i32..i32::MAX, 4),
+            narrow in proptest::collection::vec(0u32..21, 4),
+            shifts in proptest::collection::vec(0i32..5, 4),
+            zero_points in proptest::collection::vec(-16i32..16, 4),
             luts in proptest::collection::vec(0usize..3, 4),
             flags in proptest::collection::vec(proptest::any::<bool>(), 12),
             cols in 1usize..9,
@@ -1577,11 +1581,23 @@ mod tests {
                 if use_bias {
                     h = b.add_bias(h, bias[..rows].to_vec());
                 }
-                // 0: none; 1: the vector tail's range; 2 and 3: above it.
-                let multiplier = [0.0, 0.003, 1.5, 40.0][rq];
-                if rq > 0 {
-                    let rq = taurus_fixed::quant::Requantizer::from_real_multiplier(multiplier, -2);
-                    h = b.requant(h, rq);
+                // 0: none; 1: the vector tail's range, drawn: a Q31
+                // multiplier of any magnitude and a small shift keep the
+                // codes small, so half-way ties on both sides of the sign
+                // edge of `acc·M + 2³⁰` reach the verdict; 2 and 3: above
+                // the range.
+                let zero_point = zero_points[l];
+                let requantizer = match rq {
+                    0 => None,
+                    1 => Some(Requantizer {
+                        multiplier: multipliers[l] >> narrow[l],
+                        shift: shifts[l],
+                        zero_point,
+                    }),
+                    _ => Some(Requantizer::from_real_multiplier([1.5, 40.0][rq - 2], zero_point)),
+                };
+                if let Some(requantizer) = requantizer {
+                    h = b.requant(h, requantizer);
                 }
                 if lut > 0 || (wide && rq == 0) {
                     h = b.lookup(h, table);

@@ -1,24 +1,27 @@
 //! End-to-end harness: Taurus vs the control-plane baseline (Table 8).
 //!
 //! Both systems see the *same* packet trace and the *same* features:
-//! stream features come from one deterministic [`FlowTracker`] pass
-//! (identical to the switch's register stage), the Taurus path runs the
+//! stream features come from one deterministic pass of the switch's
+//! register stage (its [`FrontEnd`], then a [`FlowTracker`]), the
+//! Taurus path runs the
 //! compiled int8 DNN per packet on the CGRA simulator, and the baseline
 //! runs the float model in the sampled, batched, rule-installing control
 //! loop. The paper's headline (§5.2.2): Taurus sustains the model's
 //! offline F1 and detects two orders of magnitude more anomalous events.
 //!
 //! [`FlowTracker`]: taurus_pisa::FlowTracker
+//! [`FrontEnd`]: crate::ingest::FrontEnd
 
 use taurus_controlplane::baseline::{run_baseline, BaselineConfig, BaselineReport, PacketSample};
 use taurus_dataset::kdd::KddGenerator;
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_dataset::Standardizer;
 use taurus_ml::BinaryMetrics;
+use taurus_pisa::registers::PacketObs;
 use taurus_pisa::{FlowTracker, PipelineConfig, Verdict};
 
 use crate::apps::AnomalyDetector;
-use crate::ingest::ObsBuilder;
+use crate::ingest::{wire_obs, FrontEnd};
 use crate::switch::SwitchBuilder;
 
 /// One packet's extracted stream features and ground truth.
@@ -34,18 +37,23 @@ pub struct StreamSample {
     pub ts_ns: u64,
 }
 
-/// Extracts per-packet stream features with the same register-stage
-/// semantics as the switch (deterministic, so training and deployment
-/// see identical inputs — the paper's "full model accuracy" property).
+/// Extracts per-packet stream features with the switch's own register
+/// stage at the default config: the same [`FrontEnd`] step, then the
+/// same register accumulation (deterministic, so training and
+/// deployment see identical inputs — the paper's "full model accuracy"
+/// property).
 pub fn extract_stream_features(trace: &PacketTrace) -> Vec<StreamSample> {
-    let mut tracker = FlowTracker::from_config(&PipelineConfig::default());
-    let mut obs_builder = ObsBuilder::new();
+    let config = PipelineConfig::default();
+    let mut front = FrontEnd::new(&config);
+    let mut tracker = FlowTracker::from_config(&config);
     trace
         .packets
         .iter()
         .map(|tp| {
-            let obs = obs_builder.observe(tp);
-            let f = tracker.observe(&obs);
+            let mut obs = PacketObs::default();
+            wire_obs(tp, &mut obs);
+            let (op, (dst_count, srv_count)) = front.step(&mut obs, tp.conn_id);
+            let f = tracker.observe_slot(op, &obs, dst_count, srv_count);
             StreamSample {
                 features: f.encode_dnn6(),
                 anomalous: tp.anomalous,

@@ -1,20 +1,22 @@
 //! Trace → data-plane ingest: the parser-adjacent bookkeeping a switch
 //! front end performs before packets enter any pipeline.
 //!
-//! Two things live here, shared by the sequential switch
+//! Everything here is shared by the sequential switch
 //! ([`crate::switch::TaurusSwitch`]), the e2e harness
 //! ([`crate::e2e::extract_stream_features`]), and the sharded runtime
 //! (`taurus-runtime`):
 //!
 //! - [`to_packet`]: a [`TracePacket`] rendered as the on-the-wire
 //!   [`Packet`] the parser consumes.
-//! - [`ObsBuilder`]: the register-stage observation builder — direction
-//!   from SYN-side bookkeeping, flow start from first-seen, and the
-//!   three register keys (flow / destination-host / destination-service).
+//! - [`wire_obs`]: the order-free half of a register-stage observation
+//!   (direction, the three register keys, the wire fields).
+//! - [`FrontEnd`]: the order-bound half, the register stage's front end
+//!   (Taurus Fig. 6): the flow directory, flow-start resolution and the
+//!   cross-flow windows, one step per packet in arrival order.
 //!
 //! Keeping this logic in one place is what makes "training and the data
-//! plane see identical features" (§5.2.2) checkable: every consumer of a
-//! trace derives [`PacketObs`] the same way.
+//! plane see identical features" (§5.2.2) hold by construction: every
+//! consumer of a trace runs the same front end.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -22,7 +24,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use taurus_dataset::trace::{TracePacket, TCP_ACK, TCP_SYN};
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::Packet;
+use taurus_pisa::{CrossFlowWindows, FlowTable, Packet, PipelineConfig, SlotOp};
 
 /// Smallest wire length the frontier admits (the Ethernet minimum frame
 /// size the trace generator also clamps to). Anything shorter is a
@@ -222,9 +224,9 @@ pub fn to_packet_into(tp: &TracePacket, p: &mut Packet) {
 /// The order-free half of an observation: everything [`PacketObs`]
 /// carries except `is_flow_start`, derived from the packet alone (keys
 /// from the canonical tuple and responder endpoint, direction, wire
-/// fields). It needs no cross-packet state — only the first-seen bit
-/// (see [`ObsBuilder::mark_seen`]) is order-bound — so the runtime can
-/// parse a packet and then refuse it with no flow state touched.
+/// fields). It needs no cross-packet state — only the flow-start bit
+/// ([`FrontEnd::step`]) is order-bound — so the runtime can parse a
+/// packet and then refuse it with no flow state touched.
 /// `obs.is_flow_start` is left `false`.
 #[inline]
 pub fn wire_obs(tp: &TracePacket, obs: &mut PacketObs) {
@@ -270,8 +272,8 @@ pub fn packet_obs(
 /// SYN (SYN set, ACK clear). Packet-local; the order-bound first-seen
 /// bit is resolved separately ([`ObsBuilder::mark_seen`]).
 #[inline]
-pub fn flow_start_flags_ok(tp: &TracePacket) -> bool {
-    tp.tuple.proto != 6 || tp.tcp_flags & TCP_SYN != 0 && tp.tcp_flags & TCP_ACK == 0
+pub fn flow_start_flags_ok(obs: &PacketObs) -> bool {
+    obs.proto != 6 || obs.tcp_flags & TCP_SYN != 0 && obs.tcp_flags & TCP_ACK == 0
 }
 
 /// A set of connection ids — the first-seen probe every flow start goes
@@ -380,14 +382,14 @@ impl ObsBuilder {
     #[inline]
     pub fn observe_into(&mut self, tp: &TracePacket, obs: &mut PacketObs) {
         wire_obs(tp, obs);
-        obs.is_flow_start = self.mark_seen(tp.conn_id) && flow_start_flags_ok(tp);
+        obs.is_flow_start = self.mark_seen(tp.conn_id) && flow_start_flags_ok(obs);
     }
 
     /// Records that `conn_id` has been observed, returning whether this
     /// is its first sighting (always `false` untracked). This is the
-    /// *only* order-bound piece of observation building: the runtime's
-    /// ingest loop calls it per admitted packet, in global arrival
-    /// order, after [`wire_obs`].
+    /// *only* order-bound piece of observation building:
+    /// [`FrontEnd::step`] calls it per packet, in arrival order, after
+    /// [`wire_obs`].
     #[inline]
     pub fn mark_seen(&mut self, conn_id: u32) -> bool {
         match &mut self.seen_flows {
@@ -401,6 +403,66 @@ impl ObsBuilder {
         if let Some(seen) = &mut self.seen_flows {
             seen.clear();
         }
+    }
+}
+
+/// The register stage's front end (Taurus Fig. 6): the one stage in
+/// front of every app's pipeline that decides, per packet and in
+/// arrival order, its register slot, whether it starts its flow, and
+/// the cross-flow fan-in it reads.
+///
+/// It owns the flow directory, the seen-set and the cross-flow windows,
+/// built from one [`PipelineConfig`]. The sequential switch, the
+/// runtime's ingest and the training-set extractor each run one, so the
+/// features a model is trained on are the ones the data plane computes.
+#[derive(Debug, Clone)]
+pub struct FrontEnd {
+    /// First-seen connections: the flow starts of a direct-mapped
+    /// directory. Keyed, a miss is the start and the set stays empty.
+    seen: ObsBuilder,
+    /// Decides every packet's register slot and, keyed, its flow start.
+    directory: FlowTable,
+    /// Destination-host and destination-service fan-in, bumped by flow
+    /// starts.
+    windows: CrossFlowWindows,
+}
+
+impl FrontEnd {
+    /// The front end of a pipeline built from `config`: its flow-table
+    /// geometry, slots, idle timeout and cross-flow window.
+    pub fn new(config: &PipelineConfig) -> Self {
+        let directory =
+            FlowTable::with_kind(config.flow_table, config.flow_slots, config.idle_timeout_ns);
+        // Keyed flow tables resolve flow starts by table miss, so the
+        // seen-set is never filled: O(1) memory whatever the stream.
+        let seen = if directory.is_keyed() { ObsBuilder::untracked() } else { ObsBuilder::new() };
+        let windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
+        Self { seen, directory, windows }
+    }
+
+    /// One packet's order-bound step, over its wire observation
+    /// ([`wire_obs`]) and connection: probes the directory, resolves
+    /// `obs.is_flow_start` — the directory's miss or eviction when
+    /// keyed, the connection's first sighting with flags that qualify
+    /// ([`flow_start_flags_ok`]) when direct-mapped — and returns the
+    /// slot op with the windows' `(dst_count, srv_count)`, which flow
+    /// starts bump and other packets read.
+    #[inline]
+    pub fn step(&mut self, obs: &mut PacketObs, conn_id: u32) -> (SlotOp, (u64, u64)) {
+        let op = self.directory.op(obs.flow_key, obs.ts_ns);
+        obs.is_flow_start = if self.directory.is_keyed() {
+            op.access.is_start()
+        } else {
+            self.seen.mark_seen(conn_id) && flow_start_flags_ok(obs)
+        };
+        (op, self.windows.observe(obs))
+    }
+
+    /// Forgets every flow: the seen-set, the directory and the windows.
+    pub fn reset(&mut self) {
+        self.seen.reset();
+        self.directory.clear();
+        self.windows.clear();
     }
 }
 
@@ -498,22 +560,35 @@ mod tests {
 
     #[test]
     fn wire_obs_plus_mark_seen_reassembles_observe_exactly() {
-        // The split the parallel ingest pipeline relies on: the
-        // order-free wire observation plus the order-bound first-seen
-        // bit, applied in arrival order, must equal the classic
-        // sequential builder bit for bit.
-        let records = KddGenerator::new(94).take(120);
-        let trace = PacketTrace::expand(records, &TraceConfig::default());
-        let mut classic = ObsBuilder::new();
-        let mut split = ObsBuilder::new();
-        for tp in &trace.packets {
-            let golden = classic.observe(tp);
-            let mut obs = PacketObs::default();
-            wire_obs(tp, &mut obs);
-            assert!(!obs.is_flow_start, "wire_obs never claims a flow start");
-            obs.is_flow_start = split.mark_seen(tp.conn_id) && flow_start_flags_ok(tp);
-            assert_eq!(obs, golden);
-        }
+        // The split every consumer relies on: the order-free wire
+        // observation plus the front end's order-bound step, in arrival
+        // order, equals the classic sequential builder bit for bit —
+        // direct-mapped, a start is a connection's first sighting with
+        // flags that qualify. The step's slot is the key's, its counts
+        // are the windows' over that bit, and `reset` forgets every flow.
+        let trace = PacketTrace::expand(KddGenerator::new(94).take(120), &TraceConfig::default());
+        let config = PipelineConfig::default();
+        let mut front = FrontEnd::new(&config);
+        let run = |front: &mut FrontEnd| -> Vec<_> {
+            let mut classic = ObsBuilder::new();
+            let mut windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
+            let steps = trace.packets.iter().map(|tp| {
+                let golden = classic.observe(tp);
+                let mut obs = PacketObs::default();
+                wire_obs(tp, &mut obs);
+                assert!(!obs.is_flow_start, "wire_obs never claims a flow start");
+                let (op, counts) = front.step(&mut obs, tp.conn_id);
+                assert_eq!(obs, golden);
+                assert_eq!(u64::from(op.slot), golden.flow_key % config.flow_slots as u64);
+                assert_eq!(counts, windows.observe(&golden));
+                (obs, op, counts)
+            });
+            steps.collect()
+        };
+        let first = run(&mut front);
+        assert!(first.iter().any(|(obs, ..)| obs.is_flow_start));
+        front.reset();
+        assert_eq!(run(&mut front), first);
     }
 
     #[test]
@@ -532,6 +607,40 @@ mod tests {
             assert_eq!(PacketObs { is_flow_start: false, ..golden }, u, "wire fields agree");
         }
         untracked.reset(); // inert, but must not panic
+    }
+
+    #[test]
+    fn keyed_front_end_resolves_flow_starts_by_table_miss() {
+        let config = PipelineConfig {
+            flow_slots: 64,
+            window_ns: 1_000_000,
+            flow_table: taurus_pisa::FlowTableKind::Keyed { buckets: 8, ways: 2 },
+            ..PipelineConfig::default()
+        };
+        let mut front = FrontEnd::new(&config);
+        let obs = |ts_ns, tcp_flags, is_flow_start| PacketObs {
+            flow_key: 1,
+            dst_key: 7,
+            srv_key: 9,
+            is_flow_start,
+            len: 100,
+            tcp_flags,
+            proto: 6,
+            ts_ns,
+            ..PacketObs::default()
+        };
+        // A mid-connection ACK the seen-set would never call a start:
+        // keyed, the miss is the start, and it bumps the windows.
+        let mut first = obs(1_000, TCP_ACK, false);
+        let (op, (dst, srv)) = front.step(&mut first, 1);
+        assert!(op.access.is_start() && first.is_flow_start);
+        assert_eq!((dst, srv), (1, 1), "the miss bumped both windows");
+        // The flow's next packet is a hit whatever it claims: the
+        // windows read instead of bumping again.
+        let mut second = obs(2_000, TCP_SYN, true);
+        let (op, counts) = front.step(&mut second, 1);
+        assert!(!op.access.is_start() && !second.is_flow_start);
+        assert_eq!(counts, (1, 1), "a hit reads, never re-bumps");
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! - [`engine`]: the [`engine::CgraEngine`] adapter that plugs the CGRA
 //!   simulator into a pipeline's inference slot (owns its compiled
 //!   program via `Arc` — no borrow lifetimes).
-//! - [`ingest`]: the trace → data-plane front end ([`ingest::to_packet`]
-//!   and [`ingest::ObsBuilder`]), shared by the sequential switch, the
-//!   e2e harness, and the sharded runtime so every consumer derives
-//!   identical register-stage observations.
+//! - [`ingest`]: the trace → data-plane front end ([`ingest::to_packet`],
+//!   [`ingest::wire_obs`] and the register stage's [`ingest::FrontEnd`]),
+//!   shared by the sequential switch, the e2e harness, and the sharded
+//!   runtime so every consumer derives identical register-stage
+//!   observations, slots and window counts.
 //! - [`switch`]: [`switch::TaurusSwitch`] and [`switch::SwitchBuilder`],
 //!   the public per-packet device API (Fig. 6's full pipeline, bypass
 //!   included), hosting any number of apps side by side.
@@ -68,7 +69,7 @@ pub use app::{
 };
 pub use apps::{AnomalyDetector, ReactionTime, SynFloodDetector};
 pub use engine::CgraEngine;
-pub use ingest::{IngestError, IngestValidator, ObsBuilder};
+pub use ingest::{FrontEnd, IngestError, IngestValidator, ObsBuilder};
 pub use switch::{
     AppCounters, AppReport, DuplicateAppError, ReportMergeError, SwitchBuilder, SwitchReport,
     SwitchVerdict, TaurusSwitch,

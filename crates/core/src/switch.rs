@@ -14,7 +14,7 @@ use taurus_pisa::{Packet, PipelineConfig, PreparedInput, TaurusPipeline, Verdict
 
 use crate::app::{BoxedEngine, EngineBackend, ReactionTime, TaurusApp, VerdictPolicy};
 use crate::apps::AnomalyDetector;
-use crate::ingest::{to_packet, ObsBuilder};
+use crate::ingest::{to_packet, wire_obs, FrontEnd};
 use crate::update::{
     check_install, EngineKind, EngineUpdate, FormatterFactory, ModelUpdate, UpdateError,
 };
@@ -409,14 +409,7 @@ impl SwitchBuilder {
                 }
             })
             .collect();
-        // Keyed flow tables resolve flow starts by table miss, so the
-        // ingest builder keeps no per-connection first-seen set at all —
-        // O(1) ingest memory regardless of stream length.
-        let obs_builder = match config.flow_table {
-            taurus_pisa::FlowTableKind::Keyed { .. } => ObsBuilder::untracked(),
-            taurus_pisa::FlowTableKind::DirectMapped => ObsBuilder::new(),
-        };
-        TaurusSwitch { apps, obs_builder, aggregate: AppCounters::default() }
+        TaurusSwitch { apps, front: FrontEnd::new(&config), aggregate: AppCounters::default() }
     }
 }
 
@@ -425,7 +418,10 @@ impl SwitchBuilder {
 /// independent counters and a combined forwarding verdict.
 pub struct TaurusSwitch {
     apps: Vec<HostedApp>,
-    obs_builder: ObsBuilder,
+    /// The register stage's front end, one for every hosted app: the
+    /// apps share one `PipelineConfig`, so one slot op and one pair of
+    /// window counts serve them all.
+    front: FrontEnd,
     /// Device-level counters from the *combined* per-packet outcome
     /// (unions across apps — not derivable from per-app counters).
     aggregate: AppCounters,
@@ -436,13 +432,6 @@ impl TaurusSwitch {
     /// the CGRA simulator (the paper's §5.2.2 deployment).
     pub fn new(detector: &AnomalyDetector) -> Self {
         SwitchBuilder::new().register(detector).build()
-    }
-
-    /// Processes one raw packet with its register-stage observation
-    /// through every hosted app.
-    #[inline]
-    pub fn process(&mut self, pkt: &Packet, obs: PacketObs) -> SwitchVerdict {
-        self.run_apps(|app| app.pipeline.process(pkt, obs))
     }
 
     /// Processes one raw packet whose cross-flow window counts were
@@ -458,13 +447,16 @@ impl TaurusSwitch {
         self.run_apps(|app| app.pipeline.process_prepared(pkt, obs, dst_count, srv_count))
     }
 
-    /// Processes one trace packet: derives its packet and register-stage
-    /// observation at ingest, then runs [`TaurusSwitch::process`].
+    /// Processes one trace packet: its wire packet and observation, one
+    /// step of the switch's [`FrontEnd`], then every hosted app from the
+    /// slot op and window counts that step decided.
     #[inline]
     pub fn process_trace_verdict(&mut self, tp: &TracePacket) -> SwitchVerdict {
         let pkt = to_packet(tp);
-        let obs = self.obs_builder.observe(tp);
-        self.process(&pkt, obs)
+        let mut obs = PacketObs::default();
+        wire_obs(tp, &mut obs);
+        let (op, (dst_count, srv_count)) = self.front.step(&mut obs, tp.conn_id);
+        self.run_apps(|app| app.pipeline.process_slot(&pkt, op, obs, dst_count, srv_count))
     }
 
     /// Processes a batch of packets whose register slots and cross-flow
@@ -528,7 +520,7 @@ impl TaurusSwitch {
             app.pipeline.reset_state();
             app.counters = AppCounters::default();
         }
-        self.obs_builder.reset();
+        self.front.reset();
         self.aggregate = AppCounters::default();
     }
 
@@ -725,8 +717,10 @@ mod tests {
     /// [`TaurusSwitch::process_trace_verdict`], keeping each app's result.
     fn trace_outcome(switch: &mut TaurusSwitch, tp: &TracePacket) -> Outcome {
         let pkt = to_packet(tp);
-        let obs = switch.obs_builder.observe(tp);
-        outcome(switch, |app| app.pipeline.process(&pkt, obs))
+        let mut obs = PacketObs::default();
+        wire_obs(tp, &mut obs);
+        let (op, (d, s)) = switch.front.step(&mut obs, tp.conn_id);
+        outcome(switch, |app| app.pipeline.process_slot(&pkt, op, obs, d, s))
     }
 
     #[test]
@@ -926,8 +920,6 @@ mod tests {
 
         // Same stream again: flow state persisted across the install,
         // but a different model now interprets the features.
-        let mut replay = ObsBuilder::new();
-        let _ = &mut replay;
         let after: Vec<_> =
             trace.packets.iter().map(|tp| switch.process_trace_verdict(tp).verdict).collect();
         assert_eq!(before.len(), after.len());
@@ -1123,55 +1115,6 @@ mod tests {
         assert_eq!(switch.report().dropped, 0, "retuned cutoff drops nothing");
     }
 
-    #[test]
-    fn process_prepared_with_shared_windows_matches_process() {
-        use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind};
-
-        let detector = AnomalyDetector::train_default(9, 1_200);
-        let syn = SynFloodDetector::default_deployment();
-        let records = KddGenerator::new(18).take(120);
-        let trace = PacketTrace::expand(records, &TraceConfig::default());
-        for kind in [FlowTableKind::DirectMapped, FlowTableKind::Keyed { buckets: 16, ways: 2 }] {
-            let config = PipelineConfig { flow_table: kind, ..PipelineConfig::default() };
-            let build = || {
-                SwitchBuilder::new()
-                    .config(config.clone())
-                    .register(&detector)
-                    .register(&syn)
-                    .build()
-            };
-            let (mut classic, mut split, mut public, mut slotted) =
-                (build(), build(), build(), build());
-            let keyed = kind != FlowTableKind::DirectMapped;
-            let mut obs_builder = if keyed { ObsBuilder::untracked() } else { ObsBuilder::new() };
-            let mut windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
-            // One directory in front of the slot entry, as the runtime's
-            // ingest runs it.
-            let mut directory = FlowTable::with_kind(kind, config.flow_slots, 0);
-            for tp in &trace.packets {
-                let a = trace_outcome(&mut classic, tp);
-                let mut obs = obs_builder.observe(tp);
-                let op = directory.op(obs.flow_key, obs.ts_ns);
-                if keyed {
-                    obs.is_flow_start = op.access.is_start();
-                }
-                let (d, s) = windows.observe(&obs);
-                let pkt = to_packet(tp);
-                let b = outcome(&mut split, |app| app.pipeline.process_prepared(&pkt, obs, d, s));
-                // Every app's model output agrees, not just the verdict.
-                assert_eq!(a, b, "{kind:?}");
-                assert_eq!(public.process_prepared_verdict(&pkt, obs, d, s), b.0);
-                let mut got = Vec::new();
-                let one = Prepared { pkt, op, obs, counts: (d, s) };
-                slotted.process_prepared_batch(std::slice::from_ref(&one), |_, v| got.push(v));
-                assert_eq!(got, [b.0], "{kind:?}");
-            }
-            assert_eq!(classic.report(), split.report(), "{kind:?}");
-            assert_eq!(public.report(), split.report(), "{kind:?}");
-            assert_eq!(slotted.report(), split.report(), "{kind:?}");
-        }
-    }
-
     /// One packet as the runtime hands it to a worker: the input of
     /// [`TaurusSwitch::process_prepared_batch`].
     #[derive(Clone)]
@@ -1235,24 +1178,20 @@ mod tests {
 
     #[test]
     fn the_batch_entry_matches_the_per_packet_entry() {
-        use taurus_pisa::{CrossFlowWindows, FlowTable};
-
         let detector = AnomalyDetector::train_default(9, 1_200);
         let syn = SynFloodDetector::default_deployment();
-        let config = PipelineConfig::default();
-        let mut obs_builder = ObsBuilder::new();
-        let mut windows = CrossFlowWindows::new(config.flow_slots, config.window_ns);
         // Direct-mapped with the idle timer off, an op depends on its
         // packet alone, so any subset of the stream keeps its ops.
-        let mut directory = FlowTable::with_kind(config.flow_table, config.flow_slots, 0);
+        let mut front = FrontEnd::new(&PipelineConfig::default());
         let trace = PacketTrace::expand(KddGenerator::new(21).take(150), &TraceConfig::default());
         let prepared: Vec<Prepared> = trace
             .packets
             .iter()
             .map(|tp| {
-                let obs = obs_builder.observe(tp);
-                let op = directory.op(obs.flow_key, obs.ts_ns);
-                Prepared { pkt: to_packet(tp), op, obs, counts: windows.observe(&obs) }
+                let mut obs = PacketObs::default();
+                wire_obs(tp, &mut obs);
+                let (op, counts) = front.step(&mut obs, tp.conn_id);
+                Prepared { pkt: to_packet(tp), op, obs, counts }
             })
             .collect();
         // Only packets the AD DNN's selection table bypasses: every

@@ -1,8 +1,9 @@
 //! Allocation-regression guard for the per-packet pipeline hot path:
 //! after warm-up, `TaurusPipeline::process_prepared` (parse → registers
-//! → MATs → formatter → CGRA inference → verdict MATs) and the sharded
-//! runtime's switch entry point `TaurusSwitch::process_prepared_verdict`
-//! must perform **zero** heap allocations per packet — and building a
+//! → MATs → formatter → CGRA inference → verdict MATs), the switch entry
+//! point `TaurusSwitch::process_prepared_verdict` and the sequential
+//! switch's trace entry `TaurusSwitch::process_trace_verdict` must
+//! perform **zero** heap allocations per packet — and building a
 //! replica's formatter must not rebuild the model's range tables.
 //!
 //! Warm-up grows every reusable buffer to steady state (formatter
@@ -16,9 +17,11 @@ use std::cell::Cell;
 
 use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::{CgraEngine, EngineBackend, SwitchBuilder, TaurusApp};
+use taurus_dataset::kdd::KddGenerator;
+use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_ml::Rows;
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{Packet, PipelineConfig, TaurusPipeline};
+use taurus_pisa::{FlowTableKind, Packet, PipelineConfig, TaurusPipeline};
 
 struct CountingAlloc;
 
@@ -159,6 +162,36 @@ fn steady_state_switch_verdict_path_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "steady-state process_prepared_verdict allocated {n} times");
+}
+
+#[test]
+fn steady_state_trace_entry_allocates_nothing() {
+    // The sequential switch's own path — wire form, the front end's
+    // step, every app's slot entry — on a two-app roster, for both
+    // flow-table kinds. Warm-up sees every connection and touches every
+    // slot the trace uses, so the replay meets no new flow state.
+    let detector = AnomalyDetector::train_default(10, 400);
+    let syn = SynFloodDetector::default_deployment();
+    let trace = PacketTrace::expand(KddGenerator::new(12).take(40), &TraceConfig::default());
+    for flow_table in [FlowTableKind::DirectMapped, FlowTableKind::Keyed { buckets: 64, ways: 4 }] {
+        let mut switch = SwitchBuilder::new()
+            .config(PipelineConfig { flow_table, ..PipelineConfig::default() })
+            .register(&detector)
+            .register_on(&syn, EngineBackend::Threshold)
+            .build();
+        for tp in &trace.packets {
+            switch.process_trace_verdict(tp);
+        }
+
+        let n = allocations_in(|| {
+            for _ in 0..5 {
+                for tp in &trace.packets {
+                    switch.process_trace_verdict(tp);
+                }
+            }
+        });
+        assert_eq!(n, 0, "{flow_table:?}: steady-state process_trace_verdict allocated {n} times");
+    }
 }
 
 #[test]

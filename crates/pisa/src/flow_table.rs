@@ -9,9 +9,12 @@
 //!   keys, clocks or probe: [`FlowRegisters::apply`] replays an op and
 //!   counts the table statistics from its access kind.
 //!
-//! The sharded runtime probes one directory on the feeding thread and
-//! ships each op to the replica that owns its bucket;
-//! [`crate::FlowTracker`] holds both halves for the sequential switch.
+//! One directory per stream sits in its front end
+//! (`taurus_core::ingest::FrontEnd`): the sequential switch hands each
+//! op to every app's array, and the sharded runtime probes it on the
+//! feeding thread and ships each op to the replica that owns its bucket.
+//! [`crate::FlowTracker`] holds both halves for callers that probe per
+//! tracker.
 //!
 //! The directory models two hardware disciplines:
 //!

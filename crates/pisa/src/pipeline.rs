@@ -376,20 +376,6 @@ impl<E: InferenceEngine> TaurusPipeline<E> {
         self.tracker.clear();
     }
 
-    /// Processes one packet through the full pipeline, its flow
-    /// directory and cross-flow windows included.
-    ///
-    /// `obs_hint` carries trace ground truth the parser cannot recover
-    /// from a single packet (direction, flow start); real hardware infers
-    /// these from SYN/five-tuple state, and so does this hint builder in
-    /// `taurus-core`. In keyed mode the directory's miss overrides the
-    /// hint's flow-start bit.
-    #[inline]
-    pub fn process(&mut self, pkt: &Packet, obs_hint: PacketObs) -> PipelineResult {
-        let (op, (dst_count, srv_count)) = self.tracker.front(&obs_hint);
-        self.process_slot(pkt, op, obs_hint, dst_count, srv_count)
-    }
-
     /// Processes one packet whose cross-flow window counts were computed
     /// upstream (a shared ingest stage running
     /// [`crate::registers::CrossFlowWindows`] in global arrival order):
@@ -618,7 +604,7 @@ mod tests {
     fn tcp_packet_takes_ml_path() {
         let mut p = pipeline();
         let pkt = Packet::tcp(1, 2, 1000, 80, 0x02, 100);
-        let r = p.process(&pkt, obs_for(&pkt, true));
+        let r = p.process_prepared(&pkt, obs_for(&pkt, true), 0, 0);
         assert!(!r.bypassed);
         assert_eq!(p.stats(), (1, 1));
         assert!(r.latency_ns > PARSE_LATENCY_NS);
@@ -629,13 +615,13 @@ mod tests {
         let mut p = pipeline();
         let mut pkt = Packet::tcp(1, 2, 0, 0, 0, 100);
         pkt.proto = 1;
-        let r = p.process(&pkt, obs_for(&pkt, true));
+        let r = p.process_prepared(&pkt, obs_for(&pkt, true), 0, 0);
         assert!(r.bypassed);
         assert_eq!(p.stats(), (1, 0));
         // Bypass latency = parse + register + pre + post (no engine).
         let mut p2 = pipeline();
         let tcp = Packet::tcp(1, 2, 1000, 80, 0, 100);
-        let r2 = p2.process(&tcp, obs_for(&tcp, true));
+        let r2 = p2.process_prepared(&tcp, obs_for(&tcp, true), 0, 0);
         assert!(r.latency_ns < r2.latency_ns, "bypass is strictly faster");
     }
 
@@ -648,7 +634,7 @@ mod tests {
         let mut last = Verdict::Forward;
         for i in 0..2_000 {
             pkt.ts_ns = i * 1_000;
-            last = p.process(&pkt, obs_for(&pkt, i == 0)).verdict;
+            last = p.process_prepared(&pkt, obs_for(&pkt, i == 0), 0, 0).verdict;
         }
         assert_eq!(last, Verdict::Drop, "sustained flow eventually flagged");
     }
@@ -705,7 +691,7 @@ mod tests {
         let mut icmp = Packet::tcp(1, 2, 0, 0, 0, 100);
         icmp.proto = 1;
         for i in 0..50 {
-            let r = p.process(&icmp, obs_for(&icmp, i == 0));
+            let r = p.process_prepared(&icmp, obs_for(&icmp, i == 0), 0, 0);
             assert!(r.bypassed);
             assert_eq!(r.ml_out, 0, "bypassed packets carry no ML output");
         }
@@ -733,7 +719,7 @@ mod tests {
             Box::new(|_f, out| out.extend([1, 2, 3, 4, 100, 200])), // over-emits two codes
         );
         let pkt = Packet::tcp(1, 2, 1000, 80, 0x02, 100);
-        let r = p.process(&pkt, obs_for(&pkt, true));
+        let r = p.process_prepared(&pkt, obs_for(&pkt, true), 0, 0);
         assert!(!r.bypassed);
         assert_eq!(r.ml_out, 10, "extra codes reach neither the engine nor the PHV");
     }
@@ -754,10 +740,10 @@ mod tests {
         let mut p = past(1, cfg);
         let mut pkt = Packet::tcp(1, 2, 1000, 80, 0x02, 100);
         pkt.ts_ns = 1_000;
-        let first = p.process(&pkt, obs_for(&pkt, true));
+        let first = p.process_prepared(&pkt, obs_for(&pkt, true), 0, 0);
         assert_eq!(first.ml_out, 0, "the flow's first packet");
         pkt.ts_ns = 500_000; // far past the idle timeout
-        let again = p.process(&pkt, obs_for(&pkt, true));
+        let again = p.process_prepared(&pkt, obs_for(&pkt, true), 0, 0);
         assert_eq!(again.ml_out, 0, "slot evicted, flow restarts fresh");
         assert_eq!(p.flow_registers().idle_evictions(), 1);
         p.reset_state();
@@ -869,12 +855,12 @@ mod tests {
         let mut p = past(10, PipelineConfig::default());
         let pkt = Packet::tcp(1, 2, 1000, 80, 0, 100);
         for i in 0..10 {
-            assert_eq!(p.process(&pkt, obs_for(&pkt, i == 0)).ml_out, 0);
+            assert_eq!(p.process_prepared(&pkt, obs_for(&pkt, i == 0), 0, 0).ml_out, 0);
         }
-        let before = p.process(&pkt, obs_for(&pkt, false));
+        let before = p.process_prepared(&pkt, obs_for(&pkt, false), 0, 0);
         assert_eq!(before.ml_out, 1, "accumulated across packets: the eleventh");
         p.reset_state();
-        let after = p.process(&pkt, obs_for(&pkt, true));
+        let after = p.process_prepared(&pkt, obs_for(&pkt, true), 0, 0);
         assert_eq!(after.ml_out, 0, "registers cleared by reset");
         // Throughput counters survive reset (they describe the device,
         // not the flows).

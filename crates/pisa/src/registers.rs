@@ -11,9 +11,12 @@
 //! accumulate features across packets (e.g., the number of urgent
 //! flags)").
 //!
-//! The same extractor is used to build the training set and to drive the
-//! data plane, which is how Taurus "achieves the same F1 score as the
-//! model in isolation" — training and inference see identical features.
+//! The same register stage builds the training set and drives the data
+//! plane, which is how Taurus "achieves the same F1 score as the model
+//! in isolation" — training and inference see identical features. Its
+//! front end (the flow directory, flow starts and the
+//! [`CrossFlowWindows`]) is `taurus_core::ingest::FrontEnd`, run once
+//! per stream in front of every tracker.
 
 use crate::flow_table::{FlowEntry, FlowRegisters, FlowTable, FlowTableKind, SlotOp};
 use crate::pipeline::PipelineConfig;
@@ -193,12 +196,14 @@ impl WindowCounters {
 ///
 /// Separated from the per-flow arrays because its keys (responder IP /
 /// IP+port) are **not** flow-consistent: flows hashing to different
-/// shards can share a destination. A sharded runtime therefore runs one
-/// `CrossFlowWindows` at ingest, in global packet order, and hands the
-/// resulting counts to the shards via
-/// [`FlowTracker::observe_slot`] — which is exactly how the paper's
-/// hardware partitions the work (the register stage sits before any
-/// fan-out, so cross-flow state sees every packet in arrival order).
+/// shards can share a destination. One instance therefore sits in the
+/// stream's front end (`taurus_core::ingest::FrontEnd`), which the
+/// sequential switch, the runtime's ingest and the training-set
+/// extractor each run in arrival order, handing the counts to every
+/// app's tracker via [`FlowTracker::observe_slot`] — which is exactly
+/// how the paper's hardware partitions the work (the register stage
+/// sits before any fan-out, so cross-flow state sees every packet in
+/// arrival order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossFlowWindows {
     dst: WindowCounters,
@@ -236,18 +241,21 @@ impl CrossFlowWindows {
     }
 }
 
-/// Per-flow and cross-flow feature state for the data plane: the flow
-/// directory and the register array it addresses (the two halves of
-/// [`crate::flow_table`]), plus the cross-flow windows.
+/// Per-flow feature state for the data plane: the register array, and
+/// a flow directory of its geometry for callers that probe per tracker
+/// ([`FlowTracker::observe_prepared`]). A stream's front end decides
+/// slots and window counts once for every tracker, which then takes
+/// [`FlowTracker::observe_slot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowTracker {
-    /// Decides each packet's register slot.
+    /// Decides each packet's register slot for
+    /// [`FlowTracker::observe_prepared`].
     directory: FlowTable,
     registers: FlowRegisters,
-    windows: CrossFlowWindows,
 }
 
-/// One packet's worth of observation input to [`FlowTracker::observe`].
+/// One packet's worth of observation input to the register stage
+/// ([`FlowTracker::observe_slot`], [`CrossFlowWindows::observe`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacketObs {
     /// Direction-independent flow key (canonical five-tuple hash).
@@ -271,29 +279,27 @@ pub struct PacketObs {
 }
 
 impl FlowTracker {
-    /// Creates a direct-mapped tracker with `slots` cells and the given
-    /// cross-flow window — the historical constructor and semantics.
+    /// Creates a direct-mapped tracker with `slots` cells. `window_ns`
+    /// is not read (see [`FlowTracker::with_kind`]).
     pub fn new(slots: usize, window_ns: u64) -> Self {
         Self::with_kind(FlowTableKind::DirectMapped, slots, window_ns)
     }
 
-    /// Creates a tracker over the given flow-table geometry. The
-    /// cross-flow windows are always sized by `flow_slots` regardless of
-    /// geometry, so keyed and direct-mapped trackers see identical
-    /// windowed fan-in on the same stream.
-    pub fn with_kind(kind: FlowTableKind, flow_slots: usize, window_ns: u64) -> Self {
+    /// Creates a tracker over the given flow-table geometry.
+    /// `window_ns` is not read: the cross-flow windows live in the
+    /// stream's front end, and the argument stays for existing callers.
+    pub fn with_kind(kind: FlowTableKind, flow_slots: usize, _window_ns: u64) -> Self {
         Self {
             directory: FlowTable::with_kind(kind, flow_slots, 0),
             registers: FlowRegisters::with_kind(kind, flow_slots),
-            windows: CrossFlowWindows::new(flow_slots, window_ns),
         }
     }
 
     /// The tracker a pipeline built from `config` runs: its flow-table
-    /// geometry, slots, cross-flow window and idle timeout. Anything
-    /// that must compute the data plane's features off the switch (e.g.
-    /// training-set extraction) builds its tracker here, so it cannot
-    /// drift from the switch's when a default changes.
+    /// geometry, slots and idle timeout. Anything that must compute the
+    /// data plane's features off the switch (e.g. training-set
+    /// extraction) builds its tracker here, so it cannot drift from the
+    /// switch's when a default changes.
     pub fn from_config(config: &PipelineConfig) -> Self {
         let mut tracker = Self::with_kind(config.flow_table, config.flow_slots, config.window_ns);
         tracker.set_idle_timeout(config.idle_timeout_ns);
@@ -312,28 +318,6 @@ impl FlowTracker {
     /// The register array and its table statistics.
     pub fn registers(&self) -> &FlowRegisters {
         &self.registers
-    }
-
-    /// Observes one packet, updating all registers, and returns the
-    /// flow's cumulative features as of this packet. In keyed mode the
-    /// incoming `is_flow_start` is ignored: a table miss (or any
-    /// eviction) *is* the flow start, and that resolved bit drives the
-    /// cross-flow windows.
-    #[inline]
-    pub fn observe(&mut self, obs: &PacketObs) -> FlowFeatures {
-        let (op, (dst_count, srv_count)) = self.front(obs);
-        self.observe_slot(op, obs, dst_count, srv_count)
-    }
-
-    /// This tracker's directory op and window counts for one packet.
-    #[inline]
-    pub fn front(&mut self, obs: &PacketObs) -> (SlotOp, (u64, u64)) {
-        let op = self.probe(obs);
-        let mut resolved = *obs;
-        if self.directory.is_keyed() {
-            resolved.is_flow_start = op.access.is_start();
-        }
-        (op, self.windows.observe(&resolved))
     }
 
     /// Observes one packet whose cross-flow window counts were computed
@@ -376,7 +360,6 @@ impl FlowTracker {
     pub fn clear(&mut self) {
         self.directory.clear();
         self.registers.clear();
-        self.windows.clear();
     }
 }
 
@@ -458,13 +441,13 @@ mod tests {
     #[test]
     fn flow_accumulation() {
         let mut t = FlowTracker::new(64, 1_000_000);
-        let f1 = t.observe(&obs(1, 1_000, 100, 0x02, true, false));
+        let f1 = t.observe_prepared(&obs(1, 1_000, 100, 0x02, true, false), 0, 0);
         assert_eq!(f1.packets, 1);
         assert_eq!(f1.fwd_bytes, 100);
         assert_eq!(f1.syn_only, 1, "bare SYN counted");
         assert_eq!(f1.duration_ns, 0);
 
-        let f2 = t.observe(&obs(1, 5_000, 200, 0x30, false, true));
+        let f2 = t.observe_prepared(&obs(1, 5_000, 200, 0x30, false, true), 0, 0);
         assert_eq!(f2.packets, 2);
         assert_eq!(f2.fwd_bytes, 100);
         assert_eq!(f2.rev_bytes, 200);
@@ -474,25 +457,24 @@ mod tests {
 
     #[test]
     fn cross_flow_window_counts_flow_starts() {
-        let mut t = FlowTracker::new(64, 1_000_000);
+        let mut w = CrossFlowWindows::new(64, 1_000_000);
         // Three flows to the same dst key within one window.
         for flow in [7u64, 14, 21] {
-            let f = t.observe(&obs(flow, 10_000, 60, 0x02, true, false));
-            let _ = f;
+            w.observe(&obs(flow, 10_000, 60, 0x02, true, false));
         }
-        let f = t.observe(&obs(28, 20_000, 60, 0x02, true, false));
-        assert_eq!(f.dst_count, 4, "all four flow starts hit dst key 0");
+        let (dst_count, _) = w.observe(&obs(28, 20_000, 60, 0x02, true, false));
+        assert_eq!(dst_count, 4, "all four flow starts hit dst key 0");
     }
 
     #[test]
     fn window_rotation_forgets_old_epochs() {
-        let mut t = FlowTracker::new(64, 1_000);
+        let mut w = CrossFlowWindows::new(64, 1_000);
         for k in 0..5u64 {
-            t.observe(&obs(k * 7, 100, 60, 0x02, true, false));
+            w.observe(&obs(k * 7, 100, 60, 0x02, true, false));
         }
         // Two full windows later the old counts have aged out.
-        let f = t.observe(&obs(35, 3_500, 60, 0x02, true, false));
-        assert!(f.dst_count <= 2, "old epoch forgotten, got {}", f.dst_count);
+        let (dst_count, _) = w.observe(&obs(35, 3_500, 60, 0x02, true, false));
+        assert!(dst_count <= 2, "old epoch forgotten, got {dst_count}");
     }
 
     #[test]
@@ -512,11 +494,11 @@ mod tests {
     fn idle_timeout_evicts_and_the_flow_restarts_fresh() {
         let mut t = FlowTracker::new(64, 1_000_000);
         t.set_idle_timeout(10_000);
-        assert_eq!(t.observe(&obs(1, 1_000, 100, 0x02, true, false)).packets, 1);
-        assert_eq!(t.observe(&obs(1, 2_000, 100, 0x10, false, false)).packets, 2);
+        assert_eq!(t.observe_prepared(&obs(1, 1_000, 100, 0x02, true, false), 0, 0).packets, 1);
+        assert_eq!(t.observe_prepared(&obs(1, 2_000, 100, 0x10, false, false), 0, 0).packets, 2);
         // Gap ≥ timeout: the slot is reclaimed and this packet opens a
         // fresh flow — no inherited counters, no inherited first_ts.
-        let f = t.observe(&obs(1, 50_000, 80, 0x02, true, false));
+        let f = t.observe_prepared(&obs(1, 50_000, 80, 0x02, true, false), 0, 0);
         assert_eq!(f.packets, 1, "evicted slot restarts at packet 1");
         assert_eq!(f.duration_ns, 0);
         assert_eq!(f.fwd_bytes, 80);
@@ -524,40 +506,17 @@ mod tests {
 
         // The same stream with expiration disabled keeps accumulating.
         let mut u = FlowTracker::new(64, 1_000_000);
-        u.observe(&obs(1, 1_000, 100, 0x02, true, false));
-        u.observe(&obs(1, 2_000, 100, 0x10, false, false));
-        assert_eq!(u.observe(&obs(1, 50_000, 80, 0x02, true, false)).packets, 3);
+        u.observe_prepared(&obs(1, 1_000, 100, 0x02, true, false), 0, 0);
+        u.observe_prepared(&obs(1, 2_000, 100, 0x10, false, false), 0, 0);
+        assert_eq!(u.observe_prepared(&obs(1, 50_000, 80, 0x02, true, false), 0, 0).packets, 3);
         assert_eq!(u.registers().idle_evictions(), 0);
-    }
-
-    #[test]
-    fn observe_prepared_with_shared_windows_matches_observe() {
-        // A tracker driven the classic way must equal a tracker fed
-        // window counts from a separate CrossFlowWindows instance — the
-        // factoring the sharded runtime relies on.
-        let mut classic = FlowTracker::new(64, 1_000_000);
-        let mut split = FlowTracker::new(64, 1_000_000);
-        let mut windows = CrossFlowWindows::new(64, 1_000_000);
-        let stream = [
-            obs(1, 1_000, 100, 0x02, true, false),
-            obs(8, 2_000, 60, 0x02, true, false), // collides with flow 1 dst key
-            obs(1, 3_000, 200, 0x10, false, true),
-            obs(15, 2_000_000, 60, 0x02, true, false),
-            obs(1, 2_500_000, 80, 0x10, false, false),
-        ];
-        for o in &stream {
-            let a = classic.observe(o);
-            let (d, s) = windows.observe(o);
-            let b = split.observe_prepared(o, d, s);
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
     fn clear_restores_the_freshly_built_state() {
         let mut t = FlowTracker::new(64, 1_000);
         for k in 0..6u64 {
-            t.observe(&obs(k, 5_000 + k * 900, 60, 0x02, true, false));
+            t.observe_prepared(&obs(k, 5_000 + k * 900, 60, 0x02, true, false), 0, 0);
         }
         t.clear();
         assert_eq!(t, FlowTracker::new(64, 1_000), "clear() == fresh tracker");
@@ -574,22 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_tracker_resolves_flow_starts_by_table_miss() {
-        use crate::flow_table::FlowTableKind;
-        let mut t =
-            FlowTracker::with_kind(FlowTableKind::Keyed { buckets: 8, ways: 2 }, 64, 1_000_000);
-        // The ingest bit is deliberately wrong (false): keyed mode must
-        // ignore it and treat the table miss as the start.
-        let f = t.observe(&obs(1, 1_000, 100, 0x02, false, false));
-        assert_eq!(f.dst_count, 1, "miss bumped the dst window");
-        // Second packet of the same flow is a hit even if ingest claims
-        // a start: the window reads instead of bumping again.
-        let f2 = t.observe(&obs(1, 2_000, 100, 0x10, true, false));
-        assert_eq!(f2.packets, 2);
-        assert_eq!(f2.dst_count, 1, "hit reads, never re-bumps");
-    }
-
-    #[test]
     fn keyed_tracker_keeps_colliding_flows_separate() {
         use crate::flow_table::FlowTableKind;
         // Keys 3 and 11 collide direct-mapped at 8 slots; keyed they
@@ -598,11 +541,11 @@ mod tests {
         let mut keyed =
             FlowTracker::with_kind(FlowTableKind::Keyed { buckets: 8, ways: 2 }, 8, 1_000_000);
         for t in [&mut direct, &mut keyed] {
-            t.observe(&obs(3, 1_000, 100, 0x02, true, false));
-            t.observe(&obs(11, 2_000, 60, 0x02, true, false));
+            t.observe_prepared(&obs(3, 1_000, 100, 0x02, true, false), 0, 0);
+            t.observe_prepared(&obs(11, 2_000, 60, 0x02, true, false), 0, 0);
         }
-        let d = direct.observe(&obs(3, 3_000, 40, 0x10, false, false));
-        let k = keyed.observe(&obs(3, 3_000, 40, 0x10, false, false));
+        let d = direct.observe_prepared(&obs(3, 3_000, 40, 0x10, false, false), 0, 0);
+        let k = keyed.observe_prepared(&obs(3, 3_000, 40, 0x10, false, false), 0, 0);
         assert_eq!(d.packets, 3, "direct-mapped collision merges the flows");
         assert_eq!(k.packets, 2, "keyed table keeps them separate");
         assert_eq!(k.fwd_bytes, 140);
@@ -614,9 +557,9 @@ mod tests {
         let mut t =
             FlowTracker::with_kind(FlowTableKind::Keyed { buckets: 4, ways: 2 }, 64, 1_000_000);
         t.set_idle_timeout(10_000);
-        assert_eq!(t.observe(&obs(1, 1_000, 100, 0x02, false, false)).packets, 1);
-        assert_eq!(t.observe(&obs(1, 2_000, 100, 0x10, false, false)).packets, 2);
-        let f = t.observe(&obs(1, 50_000, 80, 0x02, false, false));
+        assert_eq!(t.observe_prepared(&obs(1, 1_000, 100, 0x02, false, false), 0, 0).packets, 1);
+        assert_eq!(t.observe_prepared(&obs(1, 2_000, 100, 0x10, false, false), 0, 0).packets, 2);
+        let f = t.observe_prepared(&obs(1, 50_000, 80, 0x02, false, false), 0, 0);
         assert_eq!(f.packets, 1, "idled occupant restarts at packet 1");
         assert_eq!(f.duration_ns, 0);
         assert_eq!(t.registers().idle_evictions(), 1);
@@ -629,7 +572,7 @@ mod tests {
         let mut t =
             FlowTracker::with_kind(FlowTableKind::Keyed { buckets: 1, ways: 2 }, 64, 1_000_000);
         for key in 1..=5u64 {
-            t.observe(&obs(key, key * 1_000, 60, 0x02, false, false));
+            t.observe_prepared(&obs(key, key * 1_000, 60, 0x02, false, false), 0, 0);
         }
         assert_eq!(t.registers().capacity_evictions(), 3, "5 flows through a 2-way bucket");
         assert_eq!(t.registers().occupancy(), 2);
@@ -671,7 +614,7 @@ mod tests {
     #[test]
     fn encodings_have_expected_widths_and_are_finite() {
         let mut t = FlowTracker::new(16, 1_000_000);
-        let f = t.observe(&obs(1, 999, 1500, 0x22, true, false));
+        let f = t.observe_prepared(&obs(1, 999, 1500, 0x22, true, false), 0, 0);
         let d = f.encode_dnn6();
         assert_eq!(d.len(), 6);
         assert!(d.iter().all(|v| v.is_finite()));

@@ -10,11 +10,11 @@
 //! ```
 //!
 //! Every packet is *parsed* (`stage.rs`: wire form, register keys, home
-//! shard — packet-local, no shared state) and then *merged* (`steer.rs`:
-//! the flow directory's slot op, flow-start resolution and the one shared
-//! `CrossFlowWindows` walk, in global arrival order) by the thread that
-//! called `feed`, right before it is written into its home shard's
-//! staging arena. The loop that
+//! shard — packet-local, no shared state) and then *merged* (one step of
+//! `taurus_core::ingest::FrontEnd`: the flow directory's slot op,
+//! flow-start resolution and the one shared `CrossFlowWindows` walk, in
+//! global arrival order) by the thread that called `feed`, right before
+//! it is written into its home shard's staging arena. The loop that
 //! strings the two together — with the update barrier, the ingest
 //! frontier and admission in between — is `Ingest::merge_packet`
 //! (`service/feed.rs`); there is no other ingest driver.

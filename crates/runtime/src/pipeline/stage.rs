@@ -64,7 +64,7 @@ pub fn parse_packet(
     slot.conn_id = tp.conn_id;
     slot.shard = shard as u32;
     slot.candidate = candidate;
-    slot.start_flags_ok = flow_start_flags_ok(tp);
+    slot.start_flags_ok = flow_start_flags_ok(&slot.obs);
 }
 
 #[cfg(test)]
@@ -94,7 +94,7 @@ mod tests {
             assert_eq!(slot.prepared.dst_count, 0, "window counts await the merge stage");
             assert_eq!(slot.conn_id, tp.conn_id);
             assert_eq!(slot.shard as usize, shard_of(golden.flow_key, 4096, 4));
-            assert_eq!(slot.start_flags_ok, flow_start_flags_ok(tp));
+            assert_eq!(slot.start_flags_ok, flow_start_flags_ok(&golden));
         }
     }
 

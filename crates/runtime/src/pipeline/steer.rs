@@ -1,12 +1,13 @@
-//! The order-bound half of ingest, plus the machinery that routes
-//! finished packets onto the engine shards' recycled-arena SPSC lanes.
+//! The machinery that routes finished packets onto the engine shards'
+//! recycled-arena SPSC lanes, plus a stand-alone form of the
+//! order-bound half of ingest.
 //!
 //! Two things live here:
 //!
-//! - [`resolve_and_count`] / `resolve`: the order-bound core of the
-//!   merge step. It resolves the global first-seen bit and runs the one
-//!   shared [`CrossFlowWindows`] in global arrival order — the only
-//!   work in the whole ingest path that is inherently sequential.
+//! - [`resolve_and_count`]: the merge step's order-bound work over a
+//!   caller-held [`ParsedSlot`] and caller-held parts, for callers that
+//!   time or test it alone. The runtime's ingest runs
+//!   [`taurus_core::ingest::FrontEnd::step`] instead.
 //! - `Steer`: the per-shard staging arenas and flush discipline the
 //!   one merge step (`service::feed`) writes through. It owns the
 //!   recycle cycle (drained buffers return over reverse SPSC lanes;
@@ -19,8 +20,7 @@ use std::sync::Arc;
 
 use taurus_core::ingest::ObsBuilder;
 use taurus_core::ModelUpdate;
-use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{CrossFlowWindows, FlowTable, SlotOp};
+use taurus_pisa::{CrossFlowWindows, FlowTable};
 
 use crate::fault::ShardError;
 use crate::overload::OverloadState;
@@ -80,55 +80,37 @@ pub(crate) enum ShardMsg {
     Reset,
 }
 
-/// Finishes one parsed slot: resolves the packet's register slot and
-/// its global flow-start bit, and stamps the shared cross-flow window
-/// counts — the `resolve` the runtime's ingest loop runs per packet.
-/// Must be called in global arrival order.
+/// Finishes one parsed slot as [`taurus_core::ingest::FrontEnd::step`]
+/// would, over parts the caller holds: resolves the packet's register
+/// slot and its flow-start bit, and stamps the cross-flow window
+/// counts. Must be called in arrival order.
 ///
-/// One `directory` access decides the packet's [`SlotOp`]; with no
-/// directory the op stays as parsed. Keyed, the access also decides the
-/// flow start (table-miss semantics) and the seen-set is never touched.
+/// One `directory` access decides the packet's op; with no directory
+/// the op stays as parsed. Keyed, the access also decides the flow
+/// start (table-miss semantics) and the seen-set is never touched.
 /// Otherwise the flow start is the seen-set's: a connection's first
 /// packet must be a `candidate`, and `mark_seen` then returns for it
 /// what the sequential builder's per-packet insert would have.
 /// Non-candidates skip the set, so a caller may clear the bit on any
-/// packet it knows is not its connection's first (the runtime's ingest
-/// clears it on none). With identical flow-start bits, feeding the same
-/// [`CrossFlowWindows`] in the same order yields identical counts.
+/// packet it knows is not its connection's first. With identical
+/// flow-start bits, feeding the same [`CrossFlowWindows`] in the same
+/// order yields identical counts.
 pub fn resolve_and_count(
     slot: &mut ParsedSlot,
     seen: &mut ObsBuilder,
     windows: &mut CrossFlowWindows,
     directory: Option<&mut FlowTable>,
 ) {
-    let mut first_seen = || slot.candidate && seen.mark_seen(slot.conn_id) && slot.start_flags_ok;
-    let (op, (dst, srv)) = match directory {
-        Some(dir) => resolve(&mut slot.obs, first_seen, windows, dir),
-        None => {
-            slot.obs.is_flow_start = first_seen();
-            (slot.prepared.op, windows.observe(&slot.obs))
-        }
+    let keyed = directory.as_ref().is_some_and(|dir| dir.is_keyed());
+    if let Some(dir) = directory {
+        slot.prepared.op = dir.op(slot.obs.flow_key, slot.obs.ts_ns);
+    }
+    slot.obs.is_flow_start = if keyed {
+        slot.prepared.op.access.is_start()
+    } else {
+        slot.candidate && seen.mark_seen(slot.conn_id) && slot.start_flags_ok
     };
-    slot.prepared.op = op;
-    slot.prepared.dst_count = dst;
-    slot.prepared.srv_count = srv;
-}
-
-/// The body of [`resolve_and_count`] over an observation wherever it
-/// lives (a caller's slot, or a local not yet placed anywhere): probes
-/// the directory, resolves `obs.is_flow_start` — the directory's miss
-/// when keyed, the seen-set's `first_seen()` otherwise — and returns the
-/// op with the shared windows' `(dst_count, srv_count)`.
-#[inline]
-pub(crate) fn resolve(
-    obs: &mut PacketObs,
-    first_seen: impl FnOnce() -> bool,
-    windows: &mut CrossFlowWindows,
-    directory: &mut FlowTable,
-) -> (SlotOp, (u64, u64)) {
-    let op = directory.op(obs.flow_key, obs.ts_ns);
-    obs.is_flow_start = if directory.is_keyed() { op.access.is_start() } else { first_seen() };
-    (op, windows.observe(obs))
+    (slot.prepared.dst_count, slot.prepared.srv_count) = windows.observe(&slot.obs);
 }
 
 /// The steer stage: per-shard staging arenas plus the
@@ -324,9 +306,10 @@ impl Steer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taurus_core::ingest::{flow_start_flags_ok, ObsBuilder};
+    use taurus_core::ingest::ObsBuilder;
     use taurus_dataset::kdd::KddGenerator;
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
+    use taurus_pisa::registers::PacketObs;
     use taurus_pisa::PreparedInput;
     use taurus_pisa::{FlowTableKind, PipelineConfig};
 
@@ -398,7 +381,6 @@ mod tests {
         assert!(!slot.obs.is_flow_start);
         // The connection is still unseen: its real candidate resolves.
         assert!(builder.mark_seen(tp.conn_id), "set untouched by the non-candidate");
-        let _ = flow_start_flags_ok(tp);
     }
 
     #[test]

@@ -20,18 +20,18 @@
 //!    count, so every op that touches a slot — a collision, a promotion,
 //!    an eviction — reaches the one replica holding it, in order, for
 //!    **any** shard count. Its registers, and every per-flow feature,
-//!    equal the sequential switch's, whose tracker holds the same
-//!    directory and array in one struct.
+//!    equal the sequential switch's, which runs the same front end
+//!    ([`FrontEnd`]) in front of the same arrays.
 //! 2. **Cross-flow windows** (destination-host / destination-service
 //!    fan-in), keyed by the responder — *not* flow-consistent. The
-//!    ingest loop runs the one [`CrossFlowWindows`] instance in global
-//!    arrival order and ships each packet's counts in its batch entry,
-//!    as the paper's hardware computes register features before any
-//!    egress fan-out.
-//! 3. **Flow starts**, also resolved by the ingest loop in global
-//!    arrival order: the one seen-set
-//!    ([`taurus_core::ingest::ObsBuilder`]) direct-mapped, the
-//!    directory's miss keyed.
+//!    ingest loop's front end runs the one
+//!    [`CrossFlowWindows`](taurus_pisa::CrossFlowWindows)
+//!    instance in global arrival order and ships each packet's counts
+//!    in its batch entry, as the paper's hardware computes register
+//!    features before any egress fan-out.
+//! 3. **Flow starts**, also resolved by the front end in global
+//!    arrival order ([`FrontEnd::step`]): the seen-set direct-mapped,
+//!    the directory's miss keyed.
 //!
 //! Replicas count the table statistics from the access kinds of the ops
 //! they apply, so a shard's report counts its own packets. A respawned
@@ -49,15 +49,12 @@
 
 use std::time::Duration;
 
-use taurus_core::ingest::{packet_obs, to_packet_into};
+use taurus_core::ingest::{packet_obs, to_packet_into, FrontEnd};
 use taurus_core::{DuplicateAppError, EngineBackend, SwitchBuilder, SwitchReport, TaurusApp};
 use taurus_dataset::trace::TracePacket;
 use taurus_ml::BinaryMetrics;
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{
-    CrossFlowWindows, FlowTable, FlowTableKind, Packet, PipelineConfig, PreparedInput, SlotIndex,
-    SlotOp,
-};
+use taurus_pisa::{FlowTableKind, Packet, PipelineConfig, PreparedInput, SlotIndex, SlotOp};
 
 use crate::fault::{FaultPlan, FaultReport};
 use crate::overload::{OverloadPolicy, OverloadReport, OverloadState};
@@ -552,17 +549,12 @@ impl<'a> RuntimeBuilder<'a> {
         // off the fault plan; the per-shard worker slices follow in
         // `StreamingRuntime::new`.
         let overload = OverloadState::new(self.overload, self.fault_plan.for_ingest(), self.shards);
+        // The one front end: its flow directory decides every packet's
+        // register slot, and the replicas only replay its ops.
         let ingest = Ingest::new(
             Route::new(route_slots, self.shards),
             Steer::new(self.shards, self.batch_size, self.queue_depth, overload),
-            CrossFlowWindows::new(self.config.flow_slots, self.config.window_ns),
-            // The one flow directory: it decides every packet's register
-            // slot, and the replicas only replay its ops.
-            FlowTable::with_kind(
-                self.config.flow_table,
-                self.config.flow_slots,
-                self.config.idle_timeout_ns,
-            ),
+            FrontEnd::new(&self.config),
         );
         Ok(StreamingRuntime::new(
             switches,

@@ -3,24 +3,24 @@
 //!
 //! Every packet is *parsed* (order-free: wire form, keys, home shard)
 //! and then *merged* (order-bound: update barrier, ingest frontier,
-//! admission, flow-start resolution, the shared cross-flow windows,
-//! steering) by [`Ingest::merge_packet`], in global arrival order —
+//! admission, the front end's step — slot, flow start and cross-flow
+//! windows — and steering) by [`Ingest::merge_packet`], in global
+//! arrival order —
 //! the single driver every geometry runs, so the engines observe the
 //! same stream by construction.
 
 use std::sync::Arc;
 
-use taurus_core::ingest::{flow_start_flags_ok, IngestValidator, ObsBuilder};
+use taurus_core::ingest::{FrontEnd, IngestValidator};
 use taurus_core::ModelUpdate;
 use taurus_dataset::trace::TracePacket;
 use taurus_pisa::registers::PacketObs;
-use taurus_pisa::{CrossFlowWindows, FlowTable};
 
 use super::worker::Lane;
 use super::StreamingRuntime;
 use crate::fault::ShardError;
 use crate::pipeline::stage::parse_obs;
-use crate::pipeline::steer::{resolve, Steer};
+use crate::pipeline::steer::Steer;
 use crate::runtime::Route;
 
 /// The order-bound ingest state of a resident service: one instance,
@@ -30,14 +30,10 @@ pub(crate) struct Ingest {
     /// register-slot count (keyed: the bucket count) and the engine
     /// shard count.
     route: Route,
-    /// Global first-seen bookkeeping (direct-mapped flow starts);
-    /// untracked in keyed mode.
-    seen: ObsBuilder,
-    /// The one shared cross-flow window instance.
-    windows: CrossFlowWindows,
-    /// The one flow directory, run in global arrival order: it decides
-    /// every packet's register slot and, keyed, its flow start.
-    directory: FlowTable,
+    /// The register stage's front end, run in global arrival order: the
+    /// one flow directory (every packet's register slot), flow starts
+    /// and the one shared cross-flow window instance.
+    front: FrontEnd,
     /// Staging arenas, batch pool, and the admission layer.
     pub(super) steer: Steer,
     /// The ingest frontier; its monotonicity clock restarts every feed.
@@ -55,19 +51,10 @@ pub(crate) struct Ingest {
 }
 
 impl Ingest {
-    pub(crate) fn new(
-        route: Route,
-        steer: Steer,
-        windows: CrossFlowWindows,
-        directory: FlowTable,
-    ) -> Self {
+    pub(crate) fn new(route: Route, steer: Steer, front: FrontEnd) -> Self {
         Self {
             route,
-            // With a keyed directory, flow starts are table-miss
-            // semantics: the builder keeps no seen-set at all.
-            seen: if directory.is_keyed() { ObsBuilder::untracked() } else { ObsBuilder::new() },
-            windows,
-            directory,
+            front,
             steer,
             validator: IngestValidator::new(),
             pending: Vec::new(),
@@ -77,12 +64,10 @@ impl Ingest {
         }
     }
 
-    /// Clears the flow-start bookkeeping, the windows, and the
-    /// directory; the stream clock and the pending updates survive.
+    /// Clears the front end's flows; the stream clock and the pending
+    /// updates survive.
     pub(super) fn reset(&mut self) {
-        self.seen.reset();
-        self.windows.clear();
-        self.directory.clear();
+        self.front.reset();
     }
 
     /// Pushes `packets` through parse → merge → steer and flushes every
@@ -110,11 +95,11 @@ impl Ingest {
 
     /// One packet of the feed, `index` its global stream index: the
     /// order-free parse, then everything order-bound, in global arrival
-    /// order — update barrier → ingest frontier → admission → slot and
-    /// flow-start resolution → shared windows → steer. The staging slot
-    /// is only ever written, last: its cache lines were the engine
-    /// worker's a moment ago, and reading them back would stall ingest
-    /// on the other core.
+    /// order — update barrier → ingest frontier → admission → the front
+    /// end's step (slot, flow start, shared windows) → steer. The
+    /// staging slot is only ever written, last: its cache lines were the
+    /// engine worker's a moment ago, and reading them back would stall
+    /// ingest on the other core.
     ///
     /// # Errors
     ///
@@ -139,8 +124,7 @@ impl Ingest {
         let shard = parse_obs(tp, &mut obs, self.route);
         // Refusals come before any stateful ingest: a refused packet
         // costs one counter, still occupies its global stream index,
-        // and leaves the seen-set, directory, and windows exactly as a
-        // stream without it would.
+        // and leaves the front end exactly as a stream without it would.
         if let Err(err) = self.validator.admit(tp) {
             self.steer.overload.record_quarantine(err);
             return Ok(());
@@ -153,15 +137,7 @@ impl Ingest {
             self.steer.overload.record_bypass(shard, tp.anomalous);
             return Ok(());
         }
-        // Nothing pre-filtered the first-seen probes, so (direct-mapped)
-        // every packet is a flow-start candidate.
-        let seen = &mut self.seen;
-        let (op, counts) = resolve(
-            &mut obs,
-            || seen.mark_seen(tp.conn_id) && flow_start_flags_ok(tp),
-            &mut self.windows,
-            &mut self.directory,
-        );
+        let (op, counts) = self.front.step(&mut obs, tp.conn_id);
         // Rewrite a recycled staging slot in place.
         self.steer.slot(shard).fill(tp, op, counts, index);
         self.steer.commit(lanes, shard)
@@ -223,11 +199,11 @@ mod tests {
     use crate::overload::{OverloadPolicy, OverloadState};
     use crate::pipeline::steer::ShardMsg;
     use crate::spsc;
-    use taurus_core::ingest::{to_packet, wire_obs};
+    use taurus_core::ingest::{to_packet, wire_obs, ObsBuilder};
     use taurus_dataset::kdd::KddGenerator;
     use taurus_dataset::trace::{PacketTrace, TraceConfig};
     use taurus_pisa::PreparedInput;
-    use taurus_pisa::{FlowTableKind, PipelineConfig};
+    use taurus_pisa::{CrossFlowWindows, FlowTable, FlowTableKind, PipelineConfig};
 
     #[test]
     fn the_worker_rebuilds_the_feeders_packet_and_observation_bit_for_bit() {
@@ -248,8 +224,7 @@ mod tests {
             let mut ingest = Ingest::new(
                 Route::new(route_slots, 1),
                 Steer::new(1, batch_size, depth, overload),
-                CrossFlowWindows::new(cfg.flow_slots, cfg.window_ns),
-                FlowTable::with_kind(kind, cfg.flow_slots, 0),
+                FrontEnd::new(&PipelineConfig { flow_table: kind, ..cfg.clone() }),
             );
             ingest.feed(&lanes, &trace.packets);
             drop(lanes);

@@ -124,7 +124,7 @@ proptest! {
             specs.iter().enumerate().map(|(i, &c)| FixedApp::from_spec(i, c)).collect();
         let mut switch = build_switch(&apps);
         let (pkt, obs) = tcp_probe();
-        let r = switch.process(&pkt, obs);
+        let r = switch.process_prepared_verdict(&pkt, obs, 0, 0);
         prop_assert_eq!(r.verdict, expected_verdict(&apps), "specs {:?}", specs);
         // Every app's own vote is reported unchanged, enforcing or not:
         // after one packet its counters hold exactly that vote.
@@ -155,8 +155,8 @@ proptest! {
             order_seed,
         );
         let (pkt, obs) = tcp_probe();
-        let a = build_switch(&apps).process(&pkt, obs);
-        let b = build_switch(&permuted).process(&pkt, obs);
+        let a = build_switch(&apps).process_prepared_verdict(&pkt, obs, 0, 0);
+        let b = build_switch(&permuted).process_prepared_verdict(&pkt, obs, 0, 0);
         prop_assert_eq!(a.verdict, b.verdict, "order changed the verdict: {:?}", specs);
         prop_assert_eq!(a.latency_ns, b.latency_ns);
         prop_assert_eq!(a.bypassed, b.bypassed);
@@ -178,8 +178,8 @@ proptest! {
             policy: VerdictPolicy::Observe,
         }));
         let (pkt, obs) = tcp_probe();
-        let without = build_switch(&base).process(&pkt, obs);
-        let with = build_switch(&extended).process(&pkt, obs);
+        let without = build_switch(&base).process_prepared_verdict(&pkt, obs, 0, 0);
+        let with = build_switch(&extended).process_prepared_verdict(&pkt, obs, 0, 0);
         prop_assert_eq!(
             without.verdict,
             with.verdict,

@@ -354,8 +354,8 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
     // `benchmark/` and the runtime reach these per packet from another
     // crate, and a release build without LTO inlines a non-generic
     // function across a crate boundary only when it is `#[inline]`. A
-    // name with two declarations in one file (`read`, `observe`) wants
-    // the attribute on both.
+    // name with two declarations in one file (`read`) wants the
+    // attribute on both.
     let per_packet: [(&str, &[&str]); 10] = [
         ("crates/dataset/src/trace.rs", &["canonical", "reversed", "hash"]),
         ("crates/pisa/src/packet.rs", &["tcp"]),
@@ -372,7 +372,6 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
                 "observe",
                 "observe_prepared",
                 "observe_slot",
-                "front",
                 "probe",
                 "accumulate_at",
             ],
@@ -396,7 +395,6 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
             &[
                 "from_code",
                 "max_severity",
-                "process",
                 "process_prepared",
                 "process_slot",
                 "process_prepared_batch",
@@ -419,12 +417,12 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
                 "observe",
                 "observe_into",
                 "mark_seen",
+                "step",
             ],
         ),
         (
             "crates/core/src/switch.rs",
             &[
-                "process",
                 "process_prepared_verdict",
                 "process_prepared_batch",
                 "process_trace_verdict",
@@ -452,6 +450,80 @@ fn the_packet_path_crosses_no_crate_boundary_by_call() {
         "the per-packet path inlines across crates; its named exceptions stay out of line",
         offenders,
     );
+}
+
+/// `file:line` of each non-test, non-comment line under `crates/*/src`
+/// that contains `needle`.
+fn non_test_lines_with(needle: &str) -> Vec<String> {
+    let in_src =
+        |p: &Path| is_rs(p) && p.components().nth(2).is_some_and(|c| c.as_os_str() == "src");
+    let mut found = Vec::new();
+    for (file, text) in sources("crates", in_src) {
+        for (i, line) in text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).enumerate() {
+            if line.contains(needle) && !line.trim_start().starts_with("//") {
+                found.push(format!("{file}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    found.sort();
+    found
+}
+
+#[test]
+fn one_front_end() {
+    // The register stage's front end — the flow directory, flow-start
+    // resolution and the cross-flow windows — is one type,
+    // `taurus_core::ingest::FrontEnd`, which the sequential switch, the
+    // runtime's ingest and the training-set extractor each run. The
+    // per-app and per-caller copies it replaced stay deleted.
+    let gone: [(&str, &str); 4] = [
+        ("crates/pisa/src/pipeline.rs", "process"),
+        ("crates/core/src/switch.rs", "process"),
+        ("crates/pisa/src/registers.rs", "front"),
+        ("crates/runtime/src/pipeline/steer.rs", "resolve"),
+    ];
+    let mut offenders = Vec::new();
+    for (file, name) in gone {
+        let text = std::fs::read_to_string(root().join(file)).expect("a source file");
+        for (i, line) in text.lines().enumerate() {
+            if declared_fn(line) == Some(name) {
+                offenders.push(format!("{file}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    // `FlowTracker` observes through `observe_slot` / `observe_prepared`
+    // and holds no windows: the file's one `observe` is the windows'.
+    let file = "crates/pisa/src/registers.rs";
+    let text = std::fs::read_to_string(root().join(file)).expect("the register stage");
+    let observes = text.lines().filter(|l| declared_fn(l) == Some("observe")).count();
+    if observes != 1 {
+        offenders.push(format!("{file}: {observes} `fn observe`, want the windows' one"));
+    }
+    let tracker: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("pub struct FlowTracker"))
+        .take_while(|l| *l != "}")
+        .collect();
+    if tracker.iter().any(|l| l.contains("CrossFlowWindows")) {
+        offenders.push(format!("{file}: `FlowTracker` holds cross-flow windows"));
+    }
+    for field in ["obs_builder", "seen: ObsBuilder", "windows: CrossFlowWindows"] {
+        offenders.extend(
+            non_test_lines_with(field)
+                .into_iter()
+                .filter(|l| !l.starts_with("crates/core/src/ingest.rs:")),
+        );
+    }
+    assert_clean("one front end: the deleted copies stay deleted", offenders);
+    // The windows and the tracked/untracked choice are made in one place.
+    for call in ["CrossFlowWindows::new(", "ObsBuilder::untracked("] {
+        let callers = non_test_lines_with(call);
+        assert!(
+            callers.len() == 1 && callers[0].starts_with("crates/core/src/ingest.rs:"),
+            "`{call}` wants one non-test caller, `FrontEnd::new`; found:\n{}",
+            callers.join("\n")
+        );
+    }
 }
 
 #[test]

@@ -1,16 +1,21 @@
 //! Cross-crate integration tests: the invariants that make the
 //! reproduction trustworthy, checked through the public API only.
 
+use std::sync::{Arc, Mutex};
+
 use taurus_cgra::CgraSim;
 use taurus_compiler::{compile, frontend, CompileOptions, GridConfig};
-use taurus_core::apps::AnomalyDetector;
+use taurus_core::apps::{AnomalyDetector, SynFloodDetector};
 use taurus_core::e2e::{build_detector_from_trace, extract_stream_features, run_table8};
+use taurus_core::{EngineBackend, FormatterFactory, ReactionTime, SwitchBuilder, TaurusApp};
 use taurus_dataset::kdd::{FeatureView, KddGenerator};
 use taurus_dataset::trace::{PacketTrace, TraceConfig};
 use taurus_dataset::IotGenerator;
 use taurus_hw_model::{grid_report, SwitchChip};
 use taurus_ml::svm::SvmConfig;
 use taurus_ml::{KMeans, QuantizedKMeans, QuantizedSvm, Svm};
+use taurus_pisa::registers::FlowFeatures;
+use taurus_pisa::MatchTable;
 
 /// The pipeline-equivalence chain, end to end: float model → int8 golden
 /// model → IR graph → compiled grid program → cycle-level simulation,
@@ -130,6 +135,74 @@ fn end_to_end_is_deterministic() {
         extract_stream_features(&trace)
     };
     assert_eq!(run(), run());
+}
+
+/// An app whose formatter records every [`FlowFeatures`] it is handed.
+struct Recorder(Arc<Mutex<Vec<FlowFeatures>>>);
+
+impl TaurusApp for Recorder {
+    fn name(&self) -> &str {
+        "recorder"
+    }
+
+    fn reaction_time(&self) -> ReactionTime {
+        ReactionTime::PerPacket
+    }
+
+    fn feature_count(&self) -> usize {
+        1
+    }
+
+    fn formatter_factory(&self) -> FormatterFactory {
+        let seen = Arc::clone(&self.0);
+        Arc::new(move || {
+            let seen = Arc::clone(&seen);
+            Box::new(move |f: &FlowFeatures, out: &mut Vec<i32>| {
+                seen.lock().expect("no panic while recording").push(*f);
+                out.push(0);
+            })
+        })
+    }
+
+    fn post_tables(&self, _backend: EngineBackend) -> Vec<MatchTable> {
+        Vec::new()
+    }
+}
+
+/// §5.2.2's "full model accuracy" rests on this: at the default config,
+/// every packet that reaches a model on the switch hands its formatter
+/// the features `extract_stream_features` trains on. The recorder sits
+/// second, behind an app of another selection, on the switch's one
+/// front end.
+#[test]
+fn training_sees_the_features_the_data_plane_computes() {
+    let trace = PacketTrace::expand(
+        KddGenerator::new(46).take(300),
+        &TraceConfig { seed: 46, ..Default::default() },
+    );
+    let samples = extract_stream_features(&trace);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut switch = SwitchBuilder::new()
+        .register_on(&SynFloodDetector::default_deployment(), EngineBackend::Threshold)
+        .register_on(&Recorder(Arc::clone(&seen)), EngineBackend::Threshold)
+        .build();
+    let (mut recorded, mut bypassed) = (0, 0);
+    for (tp, sample) in trace.packets.iter().zip(&samples) {
+        switch.process_trace_verdict(tp);
+        let seen = seen.lock().expect("no panic while recording");
+        match &seen[recorded..] {
+            [] => {
+                assert_eq!(tp.tuple.proto, 1, "only ICMP bypasses the recorder");
+                bypassed += 1;
+            }
+            [f] => {
+                assert_eq!(f.encode_dnn6(), sample.features, "packet at {} ns", tp.ts_ns);
+                recorded += 1;
+            }
+            more => panic!("one packet, {} formatter calls", more.len()),
+        }
+    }
+    assert!(recorded > 1_000 && bypassed > 0, "{recorded} recorded, {bypassed} bypassed");
 }
 
 /// Recurrent models serialize on state feedback: latency and II scale
